@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeKn, NonSeparableTimeDependence
+from .errors import NegativeKn
 from .fd_scheme import grid_for, solve
 from .grid import SolutionField
 from .hamiltonian import Hamiltonian
@@ -41,9 +41,6 @@ def approx_hamiltonian(h: Hamiltonian, eps: float) -> Hamiltonian:
     """Window-average the time-dependent coefficients at width eps."""
     if h.time_independent:
         return h
-    if h.coefficients is None:
-        raise NonSeparableTimeDependence(
-            "cannot smooth a black-box time-dependent Hamiltonian")
     new = {k: (v.mollify(eps) if isinstance(v, TimeSignal) else v)
            for k, v in h.coefficients.items()}
     return h.with_coefficients(new)

@@ -251,9 +251,12 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
     controls = edge.controls
     f, l = edge.f, edge.l
 
+    constant = _is_form(f) and _is_form(l) and f.is_constant() and l.is_constant()
+    fixed = (sign * f.eval(0.0, controls), l.eval(0.0, controls)) if constant else None
+
     def evaluator(t, x, p):
-        fa = sign * _call_g(f, t, sign * x, controls)
-        la = _call_g(l, t, sign * x, controls)
+        fa, la = fixed if constant else (sign * _call_g(f, t, sign * x, controls),
+                                         _call_g(l, t, sign * x, controls))
         parr = np.asarray(p, dtype=float)
         scalar = parr.ndim == 0
         vals = np.max(np.multiply.outer(fa, np.atleast_1d(parr))

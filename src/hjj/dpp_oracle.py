@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .control_system import ControlForm, ControlSystem, flux_limiter
-from .errors import BudgetExceeded, CflViolation, NoAdmissibleControl
+from .errors import BudgetExceeded, CflViolation, NoAdmissibleControl, NumericalFailure
 from .grid import Grid, SolutionField, make_grid
 from .time_signal import TimeSignal
 
@@ -74,16 +73,6 @@ def oracle_grid(cs: ControlSystem, cfg: DppConfig) -> Grid:
     radii = [cfg.r_domain] * len(cs.edges)
     return make_grid(cfg.dx, cfg.horizon, radii, c2=cs.max_speed(),
                      dt=cfg.dt, cfl_safety=cfg.cfl_safety)
-
-
-def _sample_datum(grid: Grid, data: Sequence[Callable[[float], float]]) -> np.ndarray:
-    u = np.empty(grid.n_nodes)
-    u[0] = float(data[0](0.0))
-    for i in range(grid.n_edges):
-        idx = grid.edge_full_indices(i)
-        ys = grid.edge_y(i)
-        u[idx[1:]] = [data[i](float(y)) for y in ys[1:]]
-    return u
 
 
 def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
@@ -155,7 +144,7 @@ def value_function(cs: ControlSystem, u0, cfg: DppConfig,
                 f"{grid.dx / cs.max_speed():.6g} on the supplied grid")
     A = flux_limiter(cs)
     data = _initial_list(cs, u0)
-    v0 = _sample_datum(grid, data)
+    v0 = grid.sample(data)
     values = _forward(cs, grid, A, v0, 0, cfg.park)
     field = SolutionField(grid, values, line=(cs.orientation == "line"))
     field.check_finite()
@@ -164,7 +153,7 @@ def value_function(cs: ControlSystem, u0, cfg: DppConfig,
     abar = cs.abar_bound()
     bound = (2.0 * big_l + abar) * cfg.horizon + float(np.max(np.abs(v0)))
     if field.sup_norm() > bound + 1e-7 * (1.0 + bound):
-        raise RuntimeError(
+        raise NumericalFailure(
             f"value function breaks its a priori bound: {field.sup_norm():.6g} "
             f"> {bound:.6g}; the Bellman recursion is inconsistent")
     return field
@@ -191,7 +180,7 @@ def dpp_consistency_check(cs: ControlSystem, u0, cfg: DppConfig, s: float,
         ys = grid.edge_y(i)
         vals = field.edge_profile(ns, i).copy()
         data.append(lambda y, _ys=ys, _v=vals: float(np.interp(y, _ys, _v)))
-    v0 = _sample_datum(grid, data)
+    v0 = grid.sample(data)
     restarted = _forward(cs, grid, flux_limiter(cs), v0, ns, cfg.park)
     return float(np.max(np.abs(restarted - field.values[ns:])))
 

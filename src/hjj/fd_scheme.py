@@ -3,39 +3,44 @@
 Each time window [t_n, t_n + dt] is handled with exactly integrated data:
 piecewise-constant coefficient signals and the flux limiter are replaced by
 their window averages (never sampled pointwise, so merely-measurable time
-dependence is fine). Interior nodes use the Godunov numerical Hamiltonian
+dependence is fine). A march computes every window average once, as one
+table per signal, and each step reads its row. Interior nodes use the
+Godunov numerical Hamiltonian
 
     F(p_minus, p_plus) = max{ h_plus(p_minus), h_minus(p_plus) }
 
-built from the monotone envelopes; the junction node uses
-max{ A_avg, max_i h_i^-(q_i) } on the edge-local junction slopes; the
-truncation end of each edge uses the nondecreasing branch on the interior
-slope only, an outflow closure that keeps the update monotone. Under the
-CFL condition dt <= dx / C2 every update is nondecreasing in the data, so
-discrete comparison holds to round-off.
+built from the monotone envelopes, in closed form for catalog Hamiltonians;
+the junction node uses max{ A_avg, max_i h_i^-(q_i) } on the edge-local
+junction slopes; the truncation end of each edge uses the nondecreasing
+branch on the interior slope only, an outflow closure that keeps the update
+monotone. Under the CFL condition dt <= dx / C2 every update is
+nondecreasing in the data, so discrete comparison holds to round-off.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from .errors import CflViolation
 from .grid import Grid, SolutionField, make_grid
-from .hamiltonian import EnvelopePair, envelopes
+from .hamiltonian import CATALOG, EnvelopePair, FixedEnvelopes, Hamiltonian, argmin_p
 from .junction_problem import JunctionProblem
+from .time_signal import TimeSignal
 
 __all__ = ["godunov_flux", "step", "solve", "grid_for"]
 
 
-def godunov_flux(env: EnvelopePair, t: float, x: float,
-                 p_minus: float, p_plus: float) -> float:
-    """Godunov two-point flux from the envelope splitting.
+def godunov_flux(env, t: float, x: float, p_minus, p_plus):
+    """Godunov two-point flux from the envelope splitting, elementwise.
 
-    Consistent (equal slopes give H back), nondecreasing in p_minus and
-    nonincreasing in p_plus.
+    env is an EnvelopePair or FixedEnvelopes; the slopes may be floats or
+    equal-length arrays. Consistent (equal slopes give H back), nondecreasing
+    in p_minus and nonincreasing in p_plus.
     """
-    return max(float(env.h_plus(t, x, p_minus)),
-               float(env.h_minus(t, x, p_plus)))
+    flux = np.maximum(env.h_plus(t, x, p_minus), env.h_minus(t, x, p_plus))
+    return float(flux) if np.ndim(flux) == 0 else flux
 
 
 def grid_for(problem: JunctionProblem, dx: float, r_domain: float,
@@ -46,93 +51,85 @@ def grid_for(problem: JunctionProblem, dx: float, r_domain: float,
                      dt=dt, cfl_safety=cfl_safety)
 
 
-def _sample_initial(problem: JunctionProblem, grid: Grid) -> np.ndarray:
-    u = np.empty(grid.n_nodes)
-    u[0] = float(problem.initial_data[0](0.0))
-    for i in range(grid.n_edges):
-        idx = grid.edge_full_indices(i)
-        ys = grid.edge_y(i)
-        u0 = problem.initial_data[i]
-        u[idx[1:]] = [u0(float(y)) for y in ys[1:]]
-    return u
+def _split(h: Hamiltonian, pair: EnvelopePair | None, t: float,
+           ys: np.ndarray) -> EnvelopePair:
+    """Envelopes of a time-independent non-catalog h: one minimisation, or one per node."""
+    if h.x_independent:
+        return pair or EnvelopePair(h)
+    minima = {float(y): argmin_p(h, t, float(y)) for y in ys}
+    return EnvelopePair(h, argmin=lambda t, x: minima[x])
 
 
-class _WindowOps:
-    """Per-window frozen envelope pairs, cached for time-independent edges."""
+def _edge_windows(h: Hamiltonian, pair: EnvelopePair, times: np.ndarray,
+                  ys: np.ndarray) -> Callable:
+    """env(n) for one edge: its envelopes on the window [times[n], times[n+1]].
 
-    def __init__(self, problem: JunctionProblem):
-        self.problem = problem
-        self._static: dict[int, EnvelopePair] = {}
-        for i, e in enumerate(problem.edges):
-            if e.hamiltonian.time_independent:
-                self._static[i] = problem.envelope(i)
-
-    def pairs(self, a: float, b: float) -> list[EnvelopePair]:
-        out = []
-        for i, e in enumerate(self.problem.edges):
-            pair = self._static.get(i)
-            if pair is None:
-                pair = envelopes(e.hamiltonian.frozen(a, b))
-            out.append(pair)
-        return out
-
-
-def _edge_fluxes(pair: EnvelopePair, t: float, ys: np.ndarray,
-                 q: np.ndarray, x_independent: bool) -> np.ndarray:
-    """Flux at nodes j = 1..M of one edge (junction node excluded).
-
-    q holds the M cell slopes; node M gets the outflow closure.
+    Catalog forms read closed-form envelopes off per-window coefficient
+    tables. Any other Hamiltonian is minimised once per march, or rebuilt
+    from the window's averaged coefficients if it depends on time.
     """
-    m = len(q)
-    if x_independent:
-        hp = np.atleast_1d(pair.h_plus(t, 0.0, q))
-        hm = np.atleast_1d(pair.h_minus(t, 0.0, q))
-        flux = np.empty(m)
-        if m > 1:
-            flux[:-1] = np.maximum(hp[:-1], hm[1:])
-        flux[-1] = hp[-1]
-        return flux
-    flux = np.empty(m)
-    for j in range(1, m):
-        flux[j - 1] = max(float(pair.h_plus(t, float(ys[j]), q[j - 1])),
-                          float(pair.h_minus(t, float(ys[j]), q[j])))
-    flux[m - 1] = float(pair.h_plus(t, float(ys[m]), q[m - 1]))
-    return flux
+    form = CATALOG.get(h.form)
+    if form is None and h.time_independent:
+        pair = _split(h, pair, float(times[0]), ys)
+        return lambda n: pair
+    cols = {k: np.broadcast_to(v.window_averages(times) if isinstance(v, TimeSignal)
+                               else float(v), len(times) - 1)
+            for k, v in h.coefficients.items()}
+    if form is not None:
+        names = [cols[k] for k in form.names]
+        return lambda n: FixedEnvelopes(form, tuple(col[n] for col in names))
+    return lambda n: _split(h.with_coefficients({k: float(col[n]) for k, col in cols.items()}),
+                            None, float(times[n]), ys)
+
+
+def _windows(problem: JunctionProblem, grid: Grid, times: np.ndarray) -> Callable:
+    """at(n) -> (limiter average, per-edge envelopes) on window n of times."""
+    a_avg = problem.flux_limiter.window_averages(times)
+    edges = [_edge_windows(e.hamiltonian, problem.envelope(i), times, grid.edge_y(i))
+             for i, e in enumerate(problem.edges)]
+    return lambda n: (float(a_avg[n]), [env(n) for env in edges])
 
 
 def step(problem: JunctionProblem, grid: Grid, u: np.ndarray,
-         t: float, dt: float, _ops: _WindowOps | None = None) -> np.ndarray:
-    """One explicit Euler update over the window [t, t + dt]."""
+         t: float, dt: float, _window: tuple | None = None) -> np.ndarray:
+    """One explicit Euler update over the window [t, t + dt].
+
+    solve passes this window's row of its tables as _window.
+    """
     if dt > grid.dx / problem.c2_max() * (1.0 + 1e-9):
         raise CflViolation(
             f"dt={dt:.6g} exceeds dx/C2={grid.dx / problem.c2_max():.6g}")
-    ops = _ops if _ops is not None else _WindowOps(problem)
-    pairs = ops.pairs(t, t + dt)
-    a_avg = problem.flux_limiter.average(t, t + dt)
+    if _window is None:
+        _window = _windows(problem, grid, np.array([t, t + dt]))(0)
+    junction_flux, envs = _window
 
     new = np.empty_like(u)
-    junction_flux = a_avg
-    for i in range(grid.n_edges):
+    for i, env in enumerate(envs):
         idx = grid.edge_full_indices(i)
+        ys = grid.edge_y(i)
         uu = u[idx]
         q = np.diff(uu) / grid.dx
-        h = problem.edges[i].hamiltonian
-        flux = _edge_fluxes(pairs[i], t, grid.edge_y(i), q, h.x_independent)
+        flux = np.empty(len(q))
+        if problem.edges[i].hamiltonian.x_independent:
+            flux[:-1] = godunov_flux(env, t, 0.0, q[:-1], q[1:])
+        else:
+            for j in range(1, len(q)):
+                flux[j - 1] = godunov_flux(env, t, float(ys[j]), q[j - 1], q[j])
+        flux[-1] = env.h_plus(t, float(ys[-1]), q[-1])
         new[idx[1:]] = uu[1:] - dt * flux
-        junction_flux = max(junction_flux,
-                            float(pairs[i].h_minus(t, 0.0, q[0])))
+        junction_flux = max(junction_flux, float(env.h_minus(t, 0.0, q[0])))
     new[0] = u[0] - dt * junction_flux
     return new
 
 
 def solve(problem: JunctionProblem, grid: Grid) -> SolutionField:
     """March the scheme from the initial datum to the horizon."""
-    ops = _WindowOps(problem)
+    at = _windows(problem, grid, grid.times)
     values = np.empty((grid.steps + 1, grid.n_nodes))
-    values[0] = _sample_initial(problem, grid)
+    values[0] = grid.sample(problem.initial_data)
     for n in range(grid.steps):
         a, b = float(grid.times[n]), float(grid.times[n + 1])
-        values[n + 1] = step(problem, grid, values[n], a, b - a, _ops=ops)
+        values[n + 1] = step(problem, grid, values[n], a, b - a, _window=at(n))
     out = SolutionField(grid, values, line=problem.line_convention)
     out.check_finite()
     return out

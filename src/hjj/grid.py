@@ -12,7 +12,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,16 +54,19 @@ class Grid:
     horizon: float
     edge_radii: tuple
     times: np.ndarray
-    _offsets: tuple = field(init=False, repr=False, compare=False)
+    _indices: tuple = field(init=False, repr=False, compare=False)
+    _ys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Per-edge node indices and coordinates, read-only: every step reads them.
         sizes = self.edge_sizes()
-        offsets = []
-        off = 1
-        for m in sizes:
-            offsets.append(off)
-            off += m
-        object.__setattr__(self, "_offsets", tuple(offsets))
+        starts = np.cumsum((1,) + sizes[:-1])
+        indices = tuple(np.concatenate(([0], np.arange(s, s + m))) for s, m in zip(starts, sizes))
+        ys = tuple(np.arange(m + 1) * self.dx for m in sizes)
+        for arr in indices + ys:
+            arr.setflags(write=False)
+        object.__setattr__(self, "_indices", indices)
+        object.__setattr__(self, "_ys", ys)
 
     @property
     def n_edges(self) -> int:
@@ -81,12 +84,18 @@ class Grid:
         return len(self.times) - 1
 
     def edge_y(self, i: int) -> np.ndarray:
-        m = self.edge_sizes()[i]
-        return np.arange(m + 1) * self.dx
+        return self._ys[i]
 
     def edge_full_indices(self, i: int) -> np.ndarray:
-        m = self.edge_sizes()[i]
-        return np.concatenate(([0], np.arange(self._offsets[i], self._offsets[i] + m)))
+        return self._indices[i]
+
+    def sample(self, data: Sequence[Callable[[float], float]]) -> np.ndarray:
+        """Node values of one datum per edge (edge-local y); edge 0's sets the junction."""
+        u = np.empty(self.n_nodes)
+        u[0] = float(data[0](0.0))
+        for i in range(self.n_edges):
+            u[self._indices[i][1:]] = [data[i](float(y)) for y in self._ys[i][1:]]
+        return u
 
     def line_flat_indices(self) -> np.ndarray:
         if self.n_edges != 2:
@@ -223,9 +232,6 @@ class SolutionField:
                 rows.append(f"{ts},{lab},{fmt(level[k])}")
         return "\n".join(rows) + "\n"
 
-    def write_csv(self, path: str) -> None:
-        atomic_write_text(path, self.to_csv())
-
     def to_snapshot_tsv(self, t_requested: float) -> str:
         n = self.grid.level_index(t_requested)
         order = self._node_order()
@@ -238,6 +244,3 @@ class SolutionField:
         for lab, k in zip(labels, order):
             rows.append(f"{lab}\t{fmt(level[k])}")
         return "\n".join(rows) + "\n"
-
-    def write_snapshot_tsv(self, path: str, t_requested: float) -> None:
-        atomic_write_text(path, self.to_snapshot_tsv(t_requested))

@@ -9,11 +9,13 @@ piecewise-constant coefficient signals. The envelope splitting
 
 (with p_hat a minimizer of H(t, x, .)) yields the nondecreasing and
 nonincreasing parts used by the Godunov flux and the junction operator.
+Catalog forms know their minimiser, minimum and envelopes in closed form
+(CATALOG); any other Hamiltonian is minimised numerically.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,9 +29,11 @@ from .time_signal import (
 )
 
 __all__ = [
+    "CATALOG",
     "Hamiltonian",
     "EnvelopePair",
     "argmin_p",
+    "numeric_argmin",
     "envelopes",
     "a0_floor",
     "abs_shift",
@@ -38,7 +42,6 @@ __all__ = [
     "hamiltonian_from_config",
     "reflected",
     "check_convexity",
-    "lipschitz_audit",
 ]
 
 _ARGMIN_TOL = 1e-10
@@ -55,12 +58,12 @@ class Hamiltonian:
     lipschitz_p      declared bound on |dH/dp| over the working slope range
     coercivity_radius  callable (t, x) -> initial bracket radius P with
                      H(t, x, +-P) > H(t, x, 0); doubling extends it if needed
-    form             catalog form name, or None for black boxes
+    form             catalog form name (closed forms in CATALOG), or None
     coefficients     named coefficients (floats or TimeSignals) for catalog
                      forms; drives exact window averaging and mollification
     time_data        the TimeSignal coefficients; empty means the Hamiltonian
                      is declared time-independent
-    x_independent    True when H ignores x (enables heavy caching)
+    x_independent    True when H ignores x (one split point serves all nodes)
     """
 
     def __init__(
@@ -115,7 +118,7 @@ class Hamiltonian:
     def with_coefficients(self, coefficients: dict) -> "Hamiltonian":
         if self._rebuild is None:
             raise NonSeparableTimeDependence(
-                "black-box Hamiltonian cannot be rebuilt from coefficients")
+                "black-box Hamiltonian has no coefficients to average or rebuild from")
         return self._rebuild(coefficients)
 
     def frozen(self, a: float, b: float) -> "Hamiltonian":
@@ -126,12 +129,8 @@ class Hamiltonian:
         """
         if self.time_independent:
             return self
-        if self._rebuild is None:
-            raise NonSeparableTimeDependence(
-                "black-box Hamiltonian with declared time dependence cannot "
-                "be window-averaged")
-        averaged = {k: coeff_average(v, a, b) for k, v in self.coefficients.items()}
-        return self.with_coefficients(averaged)
+        return self.with_coefficients(
+            {k: coeff_average(v, a, b) for k, v in self.coefficients.items()})
 
 
 def check_convexity(
@@ -172,26 +171,20 @@ def check_convexity(
                 f"q={q[j]} (excess {float(mid[j] - avg[j]):.3e})")
 
 
-def lipschitz_audit(h: Hamiltonian, p_span: float | None = None,
-                    n: int = 400, seed: int = 21) -> float:
-    """Largest sampled difference quotient |H(p)-H(q)|/|p-q|."""
-    rng = np.random.default_rng(seed)
-    span = p_span if p_span is not None else 2.0 * h.coercivity_radius(0.0, 0.0)
-    times = [0.0] + [float(s.breakpoints[0]) for s in h.time_data.values()]
-    worst = 0.0
-    for _ in range(n):
-        t = float(rng.choice(times))
-        x = 0.0 if h.x_independent else float(rng.uniform(-1.0, 1.0))
-        p, q = rng.uniform(-span, span, 2)
-        if abs(p - q) < 1e-9:
-            continue
-        quot = abs(float(h.evaluator(t, x, p)) - float(h.evaluator(t, x, q))) / abs(p - q)
-        worst = max(worst, quot)
-    return worst
-
-
 def argmin_p(h: Hamiltonian, t: float, x: float) -> tuple[float, float]:
     """Minimizer and minimum of p -> H(t, x, p).
+
+    Closed form for catalog forms, numeric_argmin for every other Hamiltonian.
+    """
+    form = CATALOG.get(h.form)
+    if form is None:
+        return numeric_argmin(h, t, x)
+    p_hat, h_min = form.argmin(*form.values_at(h.coefficients, t))
+    return float(p_hat), float(h_min)
+
+
+def numeric_argmin(h: Hamiltonian, t: float, x: float) -> tuple[float, float]:
+    """Minimizer and minimum of p -> H(t, x, p) from evaluations of H alone.
 
     Brackets by radius doubling (coercivity), then ternary search; for flat
     minima the midpoint of the detected argmin interval is returned, so the
@@ -257,32 +250,22 @@ def _bisect_edge(H, a: float, b: float, thr: float, descending: bool) -> float:
 
 
 class EnvelopePair:
-    """Monotone envelope splitting of one Hamiltonian.
+    """Monotone envelope splitting of one Hamiltonian at argmin(t, x).
 
-    Argmin data is memoized per (t, x) probe; declared time or space
-    independence collapses the memo key, so catalog Hamiltonians pay for a
-    single minimization however many slopes are evaluated. Worker threads may
-    race on the memo dict; recomputation is deterministic, so any interleaving
-    stores identical values.
+    argmin defaults to argmin_p at each probe, except that a non-catalog
+    Hamiltonian declared independent of both t and x is minimised once, here.
     """
 
-    def __init__(self, h: Hamiltonian):
+    def __init__(self, h: Hamiltonian, argmin: Callable | None = None):
         self.h = h
-        self._memo: dict = {}
-
-    def _key(self, t: float, x: float):
-        return (
-            0.0 if self.h.time_independent else float(t),
-            0.0 if self.h.x_independent else float(x),
-        )
-
-    def argmin(self, t: float, x: float) -> tuple[float, float]:
-        key = self._key(t, x)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = argmin_p(self.h, t, x)
-            self._memo[key] = hit
-        return hit
+        self._closed = h.form in CATALOG
+        if argmin is None:
+            if not self._closed and h.time_independent and h.x_independent:
+                fixed = argmin_p(h, 0.0, 0.0)
+                argmin = lambda t, x: fixed  # noqa: E731
+            else:
+                argmin = lambda t, x: argmin_p(h, t, x)  # noqa: E731
+        self.argmin = argmin
 
     def p_hat(self, t: float, x: float) -> float:
         return self.argmin(t, x)[0]
@@ -292,17 +275,22 @@ class EnvelopePair:
 
     def h_plus(self, t: float, x: float, p):
         """Nondecreasing part: constant h_min left of p_hat, H beyond."""
-        p_hat, h_min = self.argmin(t, x)
-        arr = np.asarray(p, dtype=float)
-        vals = np.where(arr <= p_hat, h_min, self.h.eval_p(t, x, arr))
-        return float(vals) if np.isscalar(p) or arr.ndim == 0 else vals
+        return self._split(t, x, p, plus=True)
 
     def h_minus(self, t: float, x: float, p):
         """Nonincreasing part: H left of p_hat, constant h_min beyond."""
-        p_hat, h_min = self.argmin(t, x)
+        return self._split(t, x, p, plus=False)
+
+    def _split(self, t: float, x: float, p, plus: bool):
         arr = np.asarray(p, dtype=float)
-        vals = np.where(arr <= p_hat, self.h.eval_p(t, x, arr), h_min)
-        return float(vals) if np.isscalar(p) or arr.ndim == 0 else vals
+        p_hat, h_min = self.argmin(t, x)
+        if self._closed:  # H(p_hat) is the minimum exactly
+            vals = self.h.eval_p(t, x, (np.maximum if plus else np.minimum)(arr, p_hat))
+        else:
+            below = arr <= p_hat
+            vals = self.h.eval_p(t, x, arr)
+            vals = np.where(below, h_min, vals) if plus else np.where(below, vals, h_min)
+        return float(vals) if arr.ndim == 0 else vals
 
 
 def envelopes(h: Hamiltonian) -> EnvelopePair:
@@ -320,33 +308,73 @@ def a0_floor(hamiltonians, t: float) -> float:
 # ---------------------------------------------------------------------------
 # catalog forms
 
-def abs_shift(c, horizon: float | None = None, validate: bool = True) -> Hamiltonian:
+class ClosedForm(NamedTuple):
+    """A catalog form: H and its minimiser as functions of coefficient values.
+
+    h(p_hat) is the minimum exactly, so h(max(p, p_hat)), h(min(p, p_hat)) split H.
+    """
+
+    names: tuple
+    h: Callable       # (p, *values) -> H(p)
+    argmin: Callable  # (*values) -> (p_hat, min H)
+
+    def values_at(self, coefficients: dict, t: float) -> tuple:
+        return tuple(coeff_eval(coefficients[k], t) for k in self.names)
+
+
+class FixedEnvelopes(NamedTuple):
+    """Envelopes of a catalog form at fixed (say window-averaged) coefficients.
+
+    Duck-types EnvelopePair for the flux; t and x are ignored.
+    """
+
+    form: ClosedForm
+    values: tuple
+
+    def h_plus(self, t: float, x: float, p):
+        return self.form.h(np.maximum(p, self.form.argmin(*self.values)[0]), *self.values)
+
+    def h_minus(self, t: float, x: float, p):
+        return self.form.h(np.minimum(p, self.form.argmin(*self.values)[0]), *self.values)
+
+
+def _quadratic(p, a, b, c):
+    d = np.asarray(p, dtype=float) - b
+    return a * d * d + c
+
+
+CATALOG = {
+    "quadratic": ClosedForm(("a", "b", "c"), _quadratic, lambda a, b, c: (b, c)),
+    "abs_shift": ClosedForm(("c",), lambda p, c: np.abs(p) + c, lambda c: (0.0, c)),
+}
+
+
+def _catalog(form: str, coefficients: dict, rebuild: Callable,
+             **metadata) -> Hamiltonian:
+    # Convex by construction, so the randomized convexity probe is skipped.
+    closed = CATALOG[form]
+
+    def evaluator(t, x, p):
+        return closed.h(p, *closed.values_at(coefficients, t))
+
+    return Hamiltonian(evaluator, form=form, coefficients=coefficients,
+                       x_independent=True, rebuild=rebuild, validate=False,
+                       **metadata)
+
+
+def abs_shift(c, horizon: float | None = None) -> Hamiltonian:
     """H(p) = |p| + c, with c a float or TimeSignal."""
-
-    def rebuild(coeffs):
-        return abs_shift(coeffs["c"], validate=False)
-
-    def evaluator(t, x, p, _c=c):
-        return np.abs(p) + coeff_eval(_c, t)
-
-    return Hamiltonian(
-        evaluator,
-        lipschitz_p=1.0,
-        coercivity_radius=1.0,
-        form="abs_shift",
-        coefficients={"c": c},
-        x_independent=True,
-        rebuild=rebuild,
-        validate=validate,
-    )
+    return _catalog("abs_shift", {"c": c},
+                    rebuild=lambda coeffs: abs_shift(coeffs["c"]),
+                    lipschitz_p=1.0, coercivity_radius=1.0)
 
 
 def eikonal() -> Hamiltonian:
     """H(p) = |p| - 1."""
-    return abs_shift(-1.0, validate=False)
+    return abs_shift(-1.0)
 
 
-def quadratic(a, b, c, p_span: float = 10.0, validate: bool = True) -> Hamiltonian:
+def quadratic(a, b, c, p_span: float = 10.0) -> Hamiltonian:
     """H(p) = a (p - b)^2 + c with a > 0; coefficients float or TimeSignal.
 
     A parabola is only locally Lipschitz in p; the declared constant covers
@@ -357,24 +385,12 @@ def quadratic(a, b, c, p_span: float = 10.0, validate: bool = True) -> Hamiltoni
     if a_lo <= 0.0:
         raise ValueError("quadratic needs a > 0")
     b_abs = max(abs(b_lo), abs(b_hi))
-
-    def rebuild(coeffs):
-        return quadratic(coeffs["a"], coeffs["b"], coeffs["c"],
-                         p_span=p_span, validate=False)
-
-    def evaluator(t, x, p, _a=a, _b=b, _c=c):
-        d = np.asarray(p, dtype=float) - coeff_eval(_b, t)
-        return coeff_eval(_a, t) * d * d + coeff_eval(_c, t)
-
-    return Hamiltonian(
-        evaluator,
+    return _catalog(
+        "quadratic", {"a": a, "b": b, "c": c},
+        rebuild=lambda coeffs: quadratic(coeffs["a"], coeffs["b"], coeffs["c"],
+                                         p_span=p_span),
         lipschitz_p=2.0 * a_hi * (p_span + b_abs),
         coercivity_radius=2.0 * b_abs + 1.0,
-        form="quadratic",
-        coefficients={"a": a, "b": b, "c": c},
-        x_independent=True,
-        rebuild=rebuild,
-        validate=validate,
     )
 
 
@@ -424,12 +440,11 @@ def reflected(h: Hamiltonian) -> Hamiltonian:
     if h._reflector is not None:
         return h._reflector()
     if h.form == "abs_shift":
-        return abs_shift(h.coefficients["c"], validate=False)
+        return abs_shift(h.coefficients["c"])
     if h.form == "quadratic":
         b = h.coefficients["b"]
         neg_b = b.shift_values(np.negative) if isinstance(b, TimeSignal) else -b
-        return quadratic(h.coefficients["a"], neg_b, h.coefficients["c"],
-                         validate=False)
+        return quadratic(h.coefficients["a"], neg_b, h.coefficients["c"])
 
     def evaluator(t, y, q, _h=h):
         return _h.evaluator(t, -np.asarray(y, dtype=float) if not _h.x_independent else y,

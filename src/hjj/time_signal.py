@@ -19,7 +19,6 @@ from .errors import EmptyWindow, HorizonMismatch, OutOfHorizon
 __all__ = [
     "TimeSignal",
     "constant",
-    "as_signal",
     "union_mesh",
     "l1_distance",
     "coeff_eval",
@@ -60,12 +59,12 @@ class TimeSignal:
     def horizon(self) -> float:
         return float(self.breakpoints[-1])
 
-    def _clamp(self, t: float) -> float:
+    def _clamp(self, t):
         T = self.horizon
         tol = _EDGE_TOL * max(1.0, T)
-        if t < -tol or t > T + tol:
+        if np.any(t < -tol) or np.any(t > T + tol):
             raise OutOfHorizon(f"t={t!r} outside [0, {T!r}]")
-        return min(max(t, 0.0), T)
+        return np.minimum(np.maximum(t, 0.0), T)
 
     def __call__(self, t: float) -> float:
         t = self._clamp(t)
@@ -74,26 +73,31 @@ class TimeSignal:
         k = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         return float(self.values[k])
 
-    def _antiderivative(self, t: float) -> float:
-        # F(t) = integral of the signal over [0, t], exact.
-        if t >= self.horizon:
-            return float(self._cumint[-1])
-        k = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        k = max(k, 0)
-        return float(self._cumint[k] + self.values[k] * (t - self.breakpoints[k]))
+    def _antiderivative(self, t):
+        # F(t) = integral of the signal over [0, t], exact, at clamped times.
+        k = np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1,
+                    0, self.values.size - 1)
+        inside = self._cumint[k] + self.values[k] * (t - self.breakpoints[k])
+        return np.where(t >= self.horizon, self._cumint[-1], inside)
+
+    def _integrals(self, a, b):
+        # Exact integrals over the clamped windows [a, b], and their widths.
+        a, b = self._clamp(a), self._clamp(b)
+        if np.any(b <= a):
+            raise EmptyWindow(f"window [{a!r}, {b!r}] is empty")
+        return self._antiderivative(b) - self._antiderivative(a), b - a
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over [a, b] (window clipped to the horizon)."""
-        a, b = self._clamp(a), self._clamp(b)
-        if b <= a:
-            raise EmptyWindow(f"window [{a!r}, {b!r}] is empty")
-        return self._antiderivative(b) - self._antiderivative(a)
+        return float(self._integrals(a, b)[0])
 
     def average(self, a: float, b: float) -> float:
-        a2, b2 = self._clamp(a), self._clamp(b)
-        if b2 <= a2:
-            raise EmptyWindow(f"window [{a!r}, {b!r}] is empty")
-        return self.integrate(a2, b2) / (b2 - a2)
+        return float(np.divide(*self._integrals(a, b)))
+
+    def window_averages(self, times) -> np.ndarray:
+        """Averages over the windows [times[n], times[n+1]], each bit-equal to average()."""
+        t = np.asarray(times, dtype=float)
+        return np.divide(*self._integrals(t[:-1], t[1:]))
 
     def min(self) -> float:
         return float(self.values.min())
@@ -118,11 +122,8 @@ class TimeSignal:
         n = max(1, int(np.ceil(T / (eps / 4.0) - _EDGE_TOL)))
         mesh = np.linspace(0.0, T, n + 1)
         mids = 0.5 * (mesh[:-1] + mesh[1:])
-        vals = np.empty(n)
-        for j, c in enumerate(mids):
-            lo = max(0.0, c - eps)
-            hi = min(T, c + eps)
-            vals[j] = self.average(lo, hi)
+        vals = np.divide(*self._integrals(np.maximum(mids - eps, 0.0),
+                                          np.minimum(mids + eps, T)))
         return TimeSignal(*_coalesce(mesh, vals))
 
     def shift_values(self, fn) -> "TimeSignal":
@@ -152,15 +153,6 @@ def _coalesce(bp: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def constant(value: float, horizon: float) -> TimeSignal:
     return TimeSignal(np.array([0.0, float(horizon)]), np.array([float(value)]))
-
-
-def as_signal(v, horizon: float) -> TimeSignal:
-    """Coerce a scalar or TimeSignal to a TimeSignal on [0, horizon]."""
-    if isinstance(v, TimeSignal):
-        if abs(v.horizon - horizon) > _EDGE_TOL * max(1.0, horizon):
-            raise HorizonMismatch(f"signal horizon {v.horizon} != {horizon}")
-        return v
-    return constant(float(v), horizon)
 
 
 def union_mesh(signals: Sequence[TimeSignal]) -> np.ndarray:

@@ -242,3 +242,19 @@ def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as err:
         main(["solve", "--help"])
     assert err.value.code == 0
+
+
+def test_value_bound_breach_exits_3_without_artifacts(tmp_path: Path, capsys,
+                                                      monkeypatch):
+    # zero cost and limiter bounds make the a priori sup bound 0, which the
+    # value function min(t, |x|) breaks
+    monkeypatch.setattr("hjj.control_system.ControlSystem.cost_bound", lambda self: 0.0)
+    monkeypatch.setattr("hjj.control_system.ControlSystem.abar_bound", lambda self: 0.0)
+    problem = _write(tmp_path, _model_config())
+    for command in ("value", "compare"):
+        out = tmp_path / command
+        rc = main([command, "--problem", problem, "--dx", "0.1", "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: value function breaks its a priori bound")

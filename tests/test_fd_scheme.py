@@ -3,8 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import hjj.hamiltonian as hamiltonian_module
 from hjj import (
     Edge,
+    Hamiltonian,
     JunctionProblem,
     TimeSignal,
     constant,
@@ -19,6 +21,7 @@ from hjj import (
     step,
 )
 from hjj.errors import CflViolation
+from hjj.hamiltonian import numeric_argmin
 
 from conftest import zero_datum
 
@@ -231,3 +234,89 @@ def test_linf_gap_against_self_is_zero():
     grid = grid_for(prob, 0.25, 1.0)
     field = solve(prob, grid)
     assert field.linf_gap(field) == 0.0
+
+
+class _NumericSplit:
+    """Envelopes of a frozen Hamiltonian split at its numeric minimiser."""
+
+    def __init__(self, h, t: float):
+        self.h = h
+        self.p_hat, self.h_min = numeric_argmin(h, t, 0.0)
+
+    def h_plus(self, t, x, p):
+        p = np.asarray(p, dtype=float)
+        return np.where(p <= self.p_hat, self.h_min, self.h.eval_p(t, x, p))
+
+    def h_minus(self, t, x, p):
+        p = np.asarray(p, dtype=float)
+        return np.where(p <= self.p_hat, self.h.eval_p(t, x, p), self.h_min)
+
+
+def _reference_march(problem: JunctionProblem, grid) -> np.ndarray:
+    """The scheme window by window: frozen() Hamiltonians, numeric minimisers."""
+    values = np.empty((grid.steps + 1, grid.n_nodes))
+    values[0] = grid.sample(problem.initial_data)
+    for n in range(grid.steps):
+        t = float(grid.times[n])
+        dt = float(grid.times[n + 1]) - t
+        u = values[n]
+        junction = problem.flux_limiter.average(t, t + dt)
+        for i, edge in enumerate(problem.edges):
+            env = _NumericSplit(edge.hamiltonian.frozen(t, t + dt), t)
+            idx = grid.edge_full_indices(i)
+            q = np.diff(u[idx]) / grid.dx
+            flux = np.append(godunov_flux(env, t, 0.0, q[:-1], q[1:]),
+                             env.h_plus(t, 0.0, q[-1]))
+            values[n + 1, idx[1:]] = u[idx[1:]] - dt * flux
+            junction = max(junction, float(env.h_minus(t, 0.0, q[0])))
+        values[n + 1, 0] = u[0] - dt * junction
+    return values
+
+
+def _time_dependent_quadratic_problem() -> JunctionProblem:
+    a = TimeSignal(np.array([0.0, 0.13, 0.31, 0.5]), np.array([1.0, 1.7, 0.6]))
+    b = TimeSignal(np.array([0.0, 0.22, 0.5]), np.array([0.2, -0.15]))
+    limiter = TimeSignal(np.array([0.0, 0.07, 0.29, 0.5]), np.array([-0.5, 0.3, -1.0]))
+    u0 = lambda x: 0.4 * min(1.0, abs(x))
+    return from_line(eikonal(), quadratic(a, b, -1.0), limiter, u0, 0.4, 0.5)
+
+
+def test_solve_matches_a_frozen_numeric_reference_bit_for_bit():
+    prob = _time_dependent_quadratic_problem()
+    grid = grid_for(prob, 0.05, 1.0)
+    field = solve(prob, grid)
+    want = _reference_march(prob, grid)
+    assert field.values.tobytes() == want.tobytes()
+
+
+def test_step_reproduces_each_level_of_solve():
+    prob = _time_dependent_quadratic_problem()
+    grid = grid_for(prob, 0.05, 1.0)
+    field = solve(prob, grid)
+    for n in (0, 1, grid.steps // 2, grid.steps - 1):
+        t = float(grid.times[n])
+        got = step(prob, grid, field.values[n], t, float(grid.times[n + 1]) - t)
+        assert got.tobytes() == field.values[n + 1].tobytes()
+
+
+def test_march_minimises_each_edge_at_most_once(monkeypatch):
+    """Catalog edges need no search; time-independent black boxes need one."""
+    calls = []
+    real = hamiltonian_module.numeric_argmin
+
+    def counted(h, t, x):
+        calls.append((t, x))
+        return real(h, t, x)
+
+    monkeypatch.setattr(hamiltonian_module, "numeric_argmin", counted)
+    prob = _time_dependent_quadratic_problem()
+    solve(prob, grid_for(prob, 0.05, 1.0))
+    assert calls == []
+
+    flat = Hamiltonian(lambda t, x, p: np.maximum(np.abs(p) - 1.0, 0.0),
+                       lipschitz_p=1.0, coercivity_radius=2.0, x_independent=True)
+    prob = from_line(flat, eikonal(), constant(0.0, 0.5), zero_datum, 0.0, 0.5)
+    grid = grid_for(prob, 0.1, 1.0)
+    solve(prob, grid)
+    assert grid.steps > 1
+    assert len(calls) == 1

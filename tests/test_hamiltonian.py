@@ -17,6 +17,7 @@ from hjj import (
     quadratic,
     reflected,
 )
+from hjj.hamiltonian import numeric_argmin
 from hjj.errors import BracketFailure, ConvexityError, NonSeparableTimeDependence
 
 
@@ -208,3 +209,52 @@ def test_envelope_evaluations_are_reproducible():
     first = env.h_plus(0.0, 0.0, ps).copy()
     again = env.h_plus(0.0, 0.0, ps)
     assert np.array_equal(first, again)
+
+
+def _random_step_signal(rng: np.random.Generator, lo: float, hi: float) -> TimeSignal:
+    bp = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, 3)), [1.0]))
+    return TimeSignal(bp, rng.uniform(lo, hi, 4))
+
+
+def test_closed_form_argmin_agrees_with_the_numeric_path():
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        a = rng.uniform(0.1, 5.0)
+        b = rng.uniform(-3.0, 3.0)
+        c = rng.uniform(-5.0, 5.0)
+        hams = [quadratic(a, b, c), abs_shift(c),
+                quadratic(_random_step_signal(rng, 0.1, 5.0),
+                          _random_step_signal(rng, -3.0, 3.0),
+                          _random_step_signal(rng, -5.0, 5.0)),
+                abs_shift(_random_step_signal(rng, -5.0, 5.0))]
+        t = float(rng.uniform(0.0, 1.0))
+        for h in hams:
+            p_hat, h_min = argmin_p(h, t, 0.0)
+            ref_p, ref_min = numeric_argmin(h, t, 0.0)
+            assert abs(p_hat - ref_p) <= 1e-9
+            assert abs(h_min - ref_min) <= 1e-9
+
+
+def test_closed_form_envelopes_agree_with_the_numeric_split():
+    rng = np.random.default_rng(73)
+    ps = np.linspace(-8.0, 8.0, 161)
+    for _ in range(100):
+        h = quadratic(rng.uniform(0.1, 5.0), rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+        for g in (h, abs_shift(rng.uniform(-5.0, 5.0))):
+            env = envelopes(g)
+            p_hat, h_min = numeric_argmin(g, 0.0, 0.0)
+            want_plus, want_minus = _formula_envelopes(g, p_hat, h_min, ps)
+            assert np.max(np.abs(env.h_plus(0.0, 0.0, ps) - want_plus)) <= 1e-9
+            assert np.max(np.abs(env.h_minus(0.0, 0.0, ps) - want_minus)) <= 1e-9
+
+
+def test_catalog_constructors_skip_the_convexity_probe(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("probe ran")
+
+    monkeypatch.setattr("hjj.hamiltonian.check_convexity", refuse)
+    quadratic(1.0, 0.5, -1.0)
+    abs_shift(0.3)
+    eikonal()
+    with pytest.raises(ValueError):
+        quadratic(0.0, 0.0, 0.0)

@@ -180,3 +180,29 @@ def test_shift_values_applies_cellwise():
     shifted = sig.shift_values(lambda v: v + 2.0)
     assert np.array_equal(shifted.values, sig.values + 2.0)
     assert np.array_equal(shifted.breakpoints, sig.breakpoints)
+
+
+def test_window_averages_equal_scalar_averages_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        sig = _random_signal(rng)
+        T = sig.horizon
+        # a uniform march grid, one that lands on every breakpoint, and one
+        # whose last window ends exactly on the horizon
+        uniform = np.linspace(0.0, T, int(rng.integers(2, 60)))
+        on_breaks = np.unique(np.concatenate((uniform, sig.breakpoints)))
+        ragged = np.concatenate((np.sort(rng.uniform(0.0, T, 20)), [T]))
+        ragged[0] = 0.0
+        for times in (uniform, on_breaks, np.unique(ragged)):
+            got = sig.window_averages(times)
+            want = np.array([sig.average(a, b) for a, b in zip(times[:-1], times[1:])])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_window_averages_reject_empty_and_out_of_range_windows():
+    sig = _step()
+    with pytest.raises(EmptyWindow):
+        sig.window_averages(np.array([0.0, 0.5, 0.5, 1.0]))
+    with pytest.raises(OutOfHorizon):
+        sig.window_averages(np.array([0.0, 0.5, 1.5]))
