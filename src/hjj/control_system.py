@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import EmptyControlSet, NoAdmissibleControl
 from .hamiltonian import Hamiltonian
-from .time_signal import TimeSignal, coeff_average, coeff_bounds, coeff_eval
+from .time_signal import (TimeSignal, coeff_average, coeff_bounds, coeff_eval,
+                          coeff_window_averages)
 
 __all__ = [
     "ControlForm",
@@ -54,6 +55,13 @@ class ControlForm:
         return ControlForm(coeff_average(self.c0, a, b),
                            coeff_average(self.c1, a, b),
                            coeff_average(self.c2, a, b))
+
+    def window_table(self, times, alphas: np.ndarray) -> np.ndarray:
+        """averaged(times[n], times[n+1]).eval(0, alphas) as row n, bit for bit."""
+        a = np.asarray(alphas, dtype=float)
+        c0, c1, c2 = (coeff_window_averages(c, times)[:, None]
+                      for c in (self.c0, self.c1, self.c2))
+        return c0 + c1 * a + c2 * a * a
 
     def bounds(self, alphas: np.ndarray) -> tuple[float, float]:
         """Range of g over the sampled controls and all coefficient values."""
@@ -227,6 +235,13 @@ class ControlSystem:
             return edge.l.averaged(a, b).eval(0.0, edge.controls)
         tm = 0.5 * (a + b)
         return _call_g(edge.l, tm, s * y, edge.controls)
+
+    def local_window_tables(self, i: int, times) -> tuple[np.ndarray, np.ndarray]:
+        """local_f_avg and local_l_avg of a form edge, row n bit-equal to window n."""
+        s = self.sign(i)
+        edge = self.edges[i]
+        return (s * edge.f.window_table(times, edge.controls),
+                edge.l.window_table(times, edge.controls))
 
     def max_speed(self) -> float:
         return max(e.speed_bound() for e in self.edges)

@@ -3,7 +3,10 @@
 The value function is computed by forward dynamic programming on the same
 kind of grid the difference scheme uses: one semi-Lagrangian Bellman update
 per time window, with window-averaged speeds and running costs and linear
-interpolation in space. Transitions never jump across the junction inside a
+interpolation in space. A march tabulates those averages once, one
+(windows x controls) table per edge and quantity, and each update gathers
+the departure points of all controls of an edge with one interpolation
+call. Transitions never jump across the junction inside a
 window (the step restriction dt * max|f| <= dx keeps departure points inside
 one cell), so a crossing trajectory passes through the junction node and the
 running cost switches regime exactly there. Parking at the junction costs
@@ -75,38 +78,55 @@ def oracle_grid(cs: ControlSystem, cfg: DppConfig) -> Grid:
                      dt=cfg.dt, cfl_safety=cfg.cfl_safety)
 
 
+def _windows(cs: ControlSystem, A: TimeSignal, times: np.ndarray):
+    """at(n) -> (integral of A, per-edge (speeds, costs) rows) on window n of times.
+
+    Form edges read rows of (windows x controls) tables built here once;
+    callable edges get None and are evaluated per node in _bellman.
+    """
+    parking = A.window_integrals(times)
+    tables = [cs.local_window_tables(i, times) if edge.x_independent else None
+              for i, edge in enumerate(cs.edges)]
+    return lambda n: (float(parking[n]),
+                      [None if tab is None else (tab[0][n], tab[1][n]) for tab in tables])
+
+
 def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
-             a: float, b: float, park: bool) -> np.ndarray:
+             a: float, b: float, park: bool, _window: tuple | None = None) -> np.ndarray:
+    """One Bellman update over [a, b]: one (controls x nodes) gather per edge.
+
+    The departure points y - f dt of every control are interpolated in a
+    single np.interp call (which holds the end values outside [0, R]), the
+    running costs are added, departures that leave the edge are masked and
+    the minimum is taken over controls. _forward passes this window's row of
+    its tables as _window; without it the row is built here. Callable edges
+    are evaluated per node at the window midpoint.
+    """
     dtn = b - a
+    if _window is None:
+        _window = _windows(cs, A, np.array([a, b]))(0)
+    parking, rows = _window
     new = np.full(grid.n_nodes, np.inf)
-    junction_best = level[0] - A.integrate(a, b) if park else np.inf
-    for i, edge in enumerate(cs.edges):
+    junction_best = level[0] - parking if park else np.inf
+    for i, row in enumerate(rows):
         idx = grid.edge_full_indices(i)
         y = grid.edge_y(i)
-        uu = level[idx]
         ztol = 1e-10 * max(1.0, float(y[-1]))
-        if edge.x_independent:
-            fbar = cs.local_f_avg(i, a, b)
-            lbar = cs.local_l_avg(i, a, b)
-            fmat = fbar[:, None]
-            lmat = lbar[:, None]
-        else:
+        if row is None:
             fmat = np.stack([cs.local_f_avg(i, a, b, float(yj)) for yj in y], axis=1)
             lmat = np.stack([cs.local_l_avg(i, a, b, float(yj)) for yj in y], axis=1)
-        best = np.full(len(y), np.inf)
-        for k in range(fmat.shape[0]):
-            z = y - fmat[k] * dtn
-            ok = (z >= -ztol) & (z <= y[-1] + ztol)
-            if not ok.any():
-                continue
-            vals = np.interp(np.clip(z, 0.0, y[-1]), y, uu)
-            vals = vals + (lmat[k] if lmat.shape[-1] > 1 else lmat[k, 0]) * dtn
-            best = np.minimum(best, np.where(ok, vals, np.inf))
+        else:
+            fmat, lmat = row[0][:, None], row[1][:, None]
+        z = y - fmat * dtn
+        vals = np.interp(z.ravel(), y, level[idx]).reshape(z.shape)
+        vals += lmat * dtn
+        vals[(z < -ztol) | (z > y[-1] + ztol)] = np.inf  # departure outside the edge
+        best = vals.min(axis=0)
         new[idx[1:]] = np.minimum(new[idx[1:]], best[1:])
         junction_best = min(junction_best, float(best[0]))
     new[0] = junction_best
     if not np.all(np.isfinite(new)):
-        node = int(np.argwhere(~np.isfinite(new))[0])
+        node = int(np.flatnonzero(~np.isfinite(new))[0])
         raise NoAdmissibleControl(
             f"no admissible transition reaches node {node} on [{a}, {b}]")
     return new
@@ -114,13 +134,13 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
 
 def _forward(cs: ControlSystem, grid: Grid, A: TimeSignal, v0: np.ndarray,
              n_start: int, park: bool) -> np.ndarray:
-    n_levels = grid.steps - n_start
-    out = np.empty((n_levels + 1, grid.n_nodes))
+    times = grid.times[n_start:]
+    at = _windows(cs, A, times)
+    out = np.empty((len(times), grid.n_nodes))
     out[0] = v0
-    for k in range(n_levels):
-        a = float(grid.times[n_start + k])
-        b = float(grid.times[n_start + k + 1])
-        out[k + 1] = _bellman(cs, grid, A, out[k], a, b, park)
+    for k in range(len(times) - 1):
+        a, b = float(times[k]), float(times[k + 1])
+        out[k + 1] = _bellman(cs, grid, A, out[k], a, b, park, _window=at(k))
     return out
 
 

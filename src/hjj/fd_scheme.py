@@ -9,8 +9,11 @@ Godunov numerical Hamiltonian
 
     F(p_minus, p_plus) = max{ h_plus(p_minus), h_minus(p_plus) }
 
-built from the monotone envelopes, in closed form for catalog Hamiltonians;
-the junction node uses max{ A_avg, max_i h_i^-(q_i) } on the edge-local
+built from the monotone envelopes, in closed form for catalog Hamiltonians.
+Any other Hamiltonian that ignores x is evaluated once per step on all the
+slopes of its edge; both envelopes are cut from that one array at its
+minimiser, and the interior, outflow and junction terms are read off them.
+The junction node uses max{ A_avg, max_i h_i^-(q_i) } on the edge-local
 junction slopes; the truncation end of each edge uses the nondecreasing
 branch on the interior slope only, an outflow closure that keeps the update
 monotone. Under the CFL condition dt <= dx / C2 every update is
@@ -27,7 +30,7 @@ from .errors import CflViolation
 from .grid import Grid, SolutionField, make_grid
 from .hamiltonian import CATALOG, EnvelopePair, FixedEnvelopes, Hamiltonian, argmin_p
 from .junction_problem import JunctionProblem
-from .time_signal import TimeSignal
+from .time_signal import coeff_window_averages
 
 __all__ = ["godunov_flux", "step", "solve", "grid_for"]
 
@@ -72,9 +75,7 @@ def _edge_windows(h: Hamiltonian, pair: EnvelopePair, times: np.ndarray,
     if form is None and h.time_independent:
         pair = _split(h, pair, float(times[0]), ys)
         return lambda n: pair
-    cols = {k: np.broadcast_to(v.window_averages(times) if isinstance(v, TimeSignal)
-                               else float(v), len(times) - 1)
-            for k, v in h.coefficients.items()}
+    cols = {k: coeff_window_averages(v, times) for k, v in h.coefficients.items()}
     if form is not None:
         names = [cols[k] for k in form.names]
         return lambda n: FixedEnvelopes(form, tuple(col[n] for col in names))
@@ -109,15 +110,18 @@ def step(problem: JunctionProblem, grid: Grid, u: np.ndarray,
         ys = grid.edge_y(i)
         uu = u[idx]
         q = np.diff(uu) / grid.dx
-        flux = np.empty(len(q))
         if problem.edges[i].hamiltonian.x_independent:
-            flux[:-1] = godunov_flux(env, t, 0.0, q[:-1], q[1:])
+            plus, minus = env.split(t, 0.0, q)
+            flux = np.append(np.maximum(plus[:-1], minus[1:]), plus[-1])
+            inflow = minus[0]
         else:
+            flux = np.empty(len(q))
             for j in range(1, len(q)):
                 flux[j - 1] = godunov_flux(env, t, float(ys[j]), q[j - 1], q[j])
-        flux[-1] = env.h_plus(t, float(ys[-1]), q[-1])
+            flux[-1] = env.h_plus(t, float(ys[-1]), q[-1])
+            inflow = env.h_minus(t, 0.0, q[0])
         new[idx[1:]] = uu[1:] - dt * flux
-        junction_flux = max(junction_flux, float(env.h_minus(t, 0.0, q[0])))
+        junction_flux = max(junction_flux, float(inflow))
     new[0] = u[0] - dt * junction_flux
     return new
 

@@ -281,15 +281,23 @@ class EnvelopePair:
         """Nonincreasing part: H left of p_hat, constant h_min beyond."""
         return self._split(t, x, p, plus=False)
 
-    def _split(self, t: float, x: float, p, plus: bool):
+    def split(self, t: float, x: float, p):
+        """(h_plus, h_minus) at an array of slopes; H is evaluated once unless catalog."""
+        if self._closed:
+            return self.h_plus(t, x, p), self.h_minus(t, x, p)
         arr = np.asarray(p, dtype=float)
         p_hat, h_min = self.argmin(t, x)
+        vals = self.h.eval_p(t, x, arr)
+        below = arr <= p_hat
+        return np.where(below, h_min, vals), np.where(below, vals, h_min)
+
+    def _split(self, t: float, x: float, p, plus: bool):
+        arr = np.asarray(p, dtype=float)
         if self._closed:  # H(p_hat) is the minimum exactly
-            vals = self.h.eval_p(t, x, (np.maximum if plus else np.minimum)(arr, p_hat))
+            clip = np.maximum if plus else np.minimum
+            vals = self.h.eval_p(t, x, clip(arr, self.p_hat(t, x)))
         else:
-            below = arr <= p_hat
-            vals = self.h.eval_p(t, x, arr)
-            vals = np.where(below, h_min, vals) if plus else np.where(below, vals, h_min)
+            vals = self.split(t, x, arr)[0 if plus else 1]
         return float(vals) if arr.ndim == 0 else vals
 
 
@@ -337,6 +345,9 @@ class FixedEnvelopes(NamedTuple):
     def h_minus(self, t: float, x: float, p):
         return self.form.h(np.minimum(p, self.form.argmin(*self.values)[0]), *self.values)
 
+    def split(self, t: float, x: float, p):
+        return self.h_plus(t, x, p), self.h_minus(t, x, p)
+
 
 def _quadratic(p, a, b, c):
     d = np.asarray(p, dtype=float) - b
@@ -366,6 +377,7 @@ def abs_shift(c, horizon: float | None = None) -> Hamiltonian:
     """H(p) = |p| + c, with c a float or TimeSignal."""
     return _catalog("abs_shift", {"c": c},
                     rebuild=lambda coeffs: abs_shift(coeffs["c"]),
+                    reflect=lambda: abs_shift(c),
                     lipschitz_p=1.0, coercivity_radius=1.0)
 
 
@@ -385,10 +397,12 @@ def quadratic(a, b, c, p_span: float = 10.0) -> Hamiltonian:
     if a_lo <= 0.0:
         raise ValueError("quadratic needs a > 0")
     b_abs = max(abs(b_lo), abs(b_hi))
+    neg_b = b.shift_values(np.negative) if isinstance(b, TimeSignal) else -b
     return _catalog(
         "quadratic", {"a": a, "b": b, "c": c},
         rebuild=lambda coeffs: quadratic(coeffs["a"], coeffs["b"], coeffs["c"],
                                          p_span=p_span),
+        reflect=lambda: quadratic(a, neg_b, c, p_span=p_span),
         lipschitz_p=2.0 * a_hi * (p_span + b_abs),
         coercivity_radius=2.0 * b_abs + 1.0,
     )
@@ -439,12 +453,6 @@ def reflected(h: Hamiltonian) -> Hamiltonian:
     """
     if h._reflector is not None:
         return h._reflector()
-    if h.form == "abs_shift":
-        return abs_shift(h.coefficients["c"])
-    if h.form == "quadratic":
-        b = h.coefficients["b"]
-        neg_b = b.shift_values(np.negative) if isinstance(b, TimeSignal) else -b
-        return quadratic(h.coefficients["a"], neg_b, h.coefficients["c"])
 
     def evaluator(t, y, q, _h=h):
         return _h.evaluator(t, -np.asarray(y, dtype=float) if not _h.x_independent else y,

@@ -23,6 +23,7 @@ __all__ = [
     "l1_distance",
     "coeff_eval",
     "coeff_average",
+    "coeff_window_averages",
     "coeff_bounds",
     "coeff_signals",
 ]
@@ -98,6 +99,11 @@ class TimeSignal:
         """Averages over the windows [times[n], times[n+1]], each bit-equal to average()."""
         t = np.asarray(times, dtype=float)
         return np.divide(*self._integrals(t[:-1], t[1:]))
+
+    def window_integrals(self, times) -> np.ndarray:
+        """Integrals over the windows [times[n], times[n+1]], each bit-equal to integrate()."""
+        t = np.asarray(times, dtype=float)
+        return self._integrals(t[:-1], t[1:])[0]
 
     def min(self) -> float:
         return float(self.values.min())
@@ -188,6 +194,12 @@ def coeff_eval(v, t: float) -> float:
 
 def coeff_average(v, a: float, b: float) -> float:
     return v.average(a, b) if isinstance(v, TimeSignal) else float(v)
+
+
+def coeff_window_averages(v, times) -> np.ndarray:
+    """coeff_average over each window [times[n], times[n+1]], bit for bit."""
+    return np.broadcast_to(v.window_averages(times) if isinstance(v, TimeSignal)
+                           else float(v), len(times) - 1)
 
 
 def coeff_bounds(v) -> tuple[float, float]:

@@ -166,6 +166,31 @@ def test_local_f_avg_matches_manual_window_average():
     assert np.max(np.abs(got - cs.edges[0].controls)) <= 1e-14
 
 
+def test_window_tables_are_bit_equal_to_the_per_window_averages():
+    rng = np.random.default_rng(73)
+
+    def coefficient():
+        if rng.integers(2):
+            return float(rng.uniform(-0.3, 0.3))
+        bp = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 5)), [1.0]))
+        return TimeSignal(bp, rng.uniform(-0.3, 0.3, 6))
+
+    for _ in range(5):
+        forms = [(ControlForm(coefficient(), rng.uniform(1.7, 2.0), coefficient()),
+                  ControlForm(coefficient(), coefficient(), coefficient()))
+                 for _ in range(2)]
+        edges = [control_edge(f, l, -1.0, 1.0, n=int(rng.integers(9, 30)))
+                 for f, l in forms]
+        cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0)
+        times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 40)), [1.0]))
+        for i in range(2):
+            f_tab, l_tab = cs.local_window_tables(i, times)
+            assert f_tab.shape == l_tab.shape == (len(times) - 1, len(edges[i].controls))
+            for n, (a, b) in enumerate(zip(times[:-1], times[1:])):
+                assert f_tab[n].tobytes() == cs.local_f_avg(i, a, b).tobytes()
+                assert l_tab[n].tobytes() == cs.local_l_avg(i, a, b).tobytes()
+
+
 def test_cost_and_speed_bounds_on_the_model_system():
     cs = build_model_system(1.0)
     assert cs.cost_bound() == pytest.approx(1.0)

@@ -8,13 +8,17 @@ from hjj import (
     ControlForm,
     ControlSystem,
     DppConfig,
+    TimeSignal,
     constant,
+    control_edge,
     dpp_consistency_check,
     enumerate_trajectories,
+    flux_limiter,
     make_grid,
     value_function,
 )
-from hjj.errors import BudgetExceeded, CflViolation
+from hjj.dpp_oracle import _bellman, oracle_grid
+from hjj.errors import BudgetExceeded, CflViolation, NoAdmissibleControl
 
 from conftest import build_model_system, check_value_function_bounds, zero_datum
 
@@ -215,3 +219,144 @@ def test_value_function_with_position_dependent_speeds():
 def test_dpp_config_rejects_too_few_controls():
     with pytest.raises(ValueError):
         DppConfig(dx=0.1, horizon=1.0, r_domain=2.0, controls=2)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised Bellman update against a control-by-control reference
+
+def _reference_bellman(cs, grid, A, level, a, b, park):
+    """Bellman update with per-window averages and one np.interp per control."""
+    dtn = b - a
+    new = np.full(grid.n_nodes, np.inf)
+    junction_best = level[0] - A.integrate(a, b) if park else np.inf
+    for i, edge in enumerate(cs.edges):
+        idx = grid.edge_full_indices(i)
+        y = grid.edge_y(i)
+        uu = level[idx]
+        ztol = 1e-10 * max(1.0, float(y[-1]))
+        if edge.x_independent:
+            fmat = cs.local_f_avg(i, a, b)[:, None]
+            lmat = cs.local_l_avg(i, a, b)[:, None]
+        else:
+            fmat = np.stack([cs.local_f_avg(i, a, b, float(yj)) for yj in y], axis=1)
+            lmat = np.stack([cs.local_l_avg(i, a, b, float(yj)) for yj in y], axis=1)
+        best = np.full(len(y), np.inf)
+        for k in range(fmat.shape[0]):
+            z = y - fmat[k] * dtn
+            ok = (z >= -ztol) & (z <= y[-1] + ztol)
+            if not ok.any():
+                continue
+            vals = np.interp(np.clip(z, 0.0, y[-1]), y, uu)
+            vals = vals + (lmat[k] if lmat.shape[-1] > 1 else lmat[k, 0]) * dtn
+            best = np.minimum(best, np.where(ok, vals, np.inf))
+        new[idx[1:]] = np.minimum(new[idx[1:]], best[1:])
+        junction_best = min(junction_best, float(best[0]))
+    new[0] = junction_best
+    if not np.all(np.isfinite(new)):
+        node = int(np.flatnonzero(~np.isfinite(new))[0])
+        raise NoAdmissibleControl(
+            f"no admissible transition reaches node {node} on [{a}, {b}]")
+    return new
+
+
+def _reference_values(cs, grid, v0, park=True):
+    A = flux_limiter(cs)
+    out = [v0]
+    for a, b in zip(grid.times[:-1], grid.times[1:]):
+        out.append(_reference_bellman(cs, grid, A, out[-1], float(a), float(b), park))
+    return np.array(out)
+
+
+def _time_dependent_forms():
+    speed = TimeSignal(np.array([0.0, 0.17, 0.52, 1.0]), np.array([0.8, 1.3, 0.9]))
+    cost = TimeSignal(np.array([0.0, 0.33, 1.0]), np.array([1.0, 2.5]))
+    l0 = TimeSignal(np.array([0.0, 0.4, 1.0]), np.array([0.3, -0.2]))
+    edges = [control_edge(ControlForm(c0=0.05, c1=speed, c2=0.05),
+                          ControlForm(c0=cost, c2=0.5), -1.0, 1.0, n=17),
+             control_edge(ControlForm(c1=1.0), ControlForm(c0=1.0, c1=speed),
+                          -1.0, 1.0, n=21)]
+    cs = ControlSystem(edges, l0=l0, A0=-0.7, delta=0.5)
+    return cs, lambda x: 0.3 * abs(x - 0.2), DppConfig(dx=0.04, horizon=1.0, r_domain=1.5)
+
+
+def _position_dependent():
+    drift = lambda t, y, a: a * (1.0 + 0.25 * min(y, 1.0))
+    cost = lambda t, y, a: 1.0 + 0.3 * np.sin(3.0 * y) + 0.1 * a * t
+    edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21)),
+             ControlEdge(ControlForm(c1=1.0), cost, np.linspace(-1.0, 1.0, 21))]
+    cs = ControlSystem(edges, l0=constant(0.0, 0.5), A0=-1.0, delta=1.0)
+    return cs, _abs_datum, DppConfig(dx=0.1, horizon=0.5, r_domain=1.5)
+
+
+def _star():
+    edges = [control_edge(ControlForm(c1=1.0 + 0.2 * k),
+                          ControlForm(c0=1.0 + 0.1 * k, c2=0.3), -1.0, 1.0, n=15)
+             for k in range(3)]
+    cs = ControlSystem(edges, l0=constant(0.2, 1.0), A0=-1.0, delta=1.0,
+                       orientation="star")
+    return cs, lambda y: 0.5 * y, DppConfig(dx=0.05, horizon=1.0, r_domain=1.0)
+
+
+def _full_cfl():
+    # dt * max|f| = dx: the fastest departures land on the neighbouring nodes,
+    # and at both ends of each edge some controls leave [0, R]
+    return (build_model_system(0.0, n_controls=9), _abs_datum,
+            DppConfig(dx=0.05, horizon=1.0, r_domain=1.0, cfl_safety=1.0))
+
+
+BELLMAN_CASES = {
+    "criterion_1": lambda: (build_model_system(0.0), zero_datum,
+                            DppConfig(dx=0.05, horizon=1.0, r_domain=2.0)),
+    "time_dependent_forms": _time_dependent_forms,
+    "position_dependent": _position_dependent,
+    "three_edge_star": _star,
+    "departures_leave_the_edge": _full_cfl,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BELLMAN_CASES))
+def test_bellman_matches_the_per_control_loop_bit_for_bit(case):
+    cs, u0, cfg = BELLMAN_CASES[case]()
+    field = value_function(cs, u0, cfg)
+    grid = field.grid
+    want = _reference_values(cs, grid, field.values[0], cfg.park)
+    assert field.values.tobytes() == want.tobytes()
+
+    # a lone call builds its window row itself; parking off as well
+    rng = np.random.default_rng(71)
+    A = flux_limiter(cs)
+    for n in (0, grid.steps // 2, grid.steps - 1):
+        a, b = float(grid.times[n]), float(grid.times[n + 1])
+        level = field.values[n] + rng.uniform(0.0, 0.1, grid.n_nodes)
+        for park in (True, False):
+            got = _bellman(cs, grid, A, level, a, b, park)
+            assert got.tobytes() == _reference_bellman(cs, grid, A, level, a, b,
+                                                       park).tobytes()
+
+
+def test_full_cfl_case_has_partly_inadmissible_departures():
+    cs, _, cfg = _full_cfl()
+    grid = oracle_grid(cs, cfg)
+    y = grid.edge_y(0)
+    z = y - cs.local_f_avg(0, 0.0, grid.dt)[:, None] * grid.dt
+    ok = (z >= 0.0) & (z <= y[-1])
+    assert ok.any() and not ok.all()
+    assert not ok[:, 0].all() and not ok[:, -1].all() and ok[:, 1:-1].all()
+
+
+def test_no_admissible_control_names_the_same_node_and_window():
+    # after t = 0.5 every speed at the far end of an edge points inward, so
+    # no departure point stays inside the edge there
+    drift = lambda t, y, a: a - 2.0 * (t > 0.5) * (y > 0.9)
+    edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 11))
+             for _ in range(3)]
+    cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0,
+                       orientation="star")
+    cfg = DppConfig(dx=0.1, horizon=1.0, r_domain=1.0)
+    with pytest.raises(NoAdmissibleControl) as got:
+        value_function(cs, zero_datum, cfg)
+    grid = oracle_grid(cs, cfg)
+    with pytest.raises(NoAdmissibleControl) as want:
+        _reference_values(cs, grid, np.zeros(grid.n_nodes))
+    assert str(got.value) == str(want.value)
+    assert f"node {grid.edge_full_indices(0)[-1]} on" in str(got.value)

@@ -5,23 +5,28 @@ import pytest
 
 import hjj.hamiltonian as hamiltonian_module
 from hjj import (
+    ControlForm,
+    ControlSystem,
     Edge,
     Hamiltonian,
     JunctionProblem,
     TimeSignal,
     constant,
+    control_edge,
     eikonal,
     envelopes,
     from_line,
     godunov_flux,
     grid_for,
+    induced_problem,
     make_grid,
     quadratic,
     solve,
     step,
 )
 from hjj.errors import CflViolation
-from hjj.hamiltonian import numeric_argmin
+from hjj.fd_scheme import _windows
+from hjj.hamiltonian import FixedEnvelopes, numeric_argmin
 
 from conftest import zero_datum
 
@@ -320,3 +325,56 @@ def test_march_minimises_each_edge_at_most_once(monkeypatch):
     solve(prob, grid)
     assert grid.steps > 1
     assert len(calls) == 1
+
+
+def _control_induced_problem() -> JunctionProblem:
+    """Line problem: time-independent right edge, time-dependent left edge."""
+    speed = TimeSignal(np.array([0.0, 0.17, 0.36, 0.5]), np.array([0.8, 1.3, 0.9]))
+    cost = TimeSignal(np.array([0.0, 0.23, 0.5]), np.array([1.0, 2.5]))
+    edges = [control_edge(ControlForm(c1=1.0), ControlForm(c0=1.0, c2=0.5),
+                          -1.0, 1.0, n=21),
+             control_edge(ControlForm(c0=0.05, c1=speed, c2=0.05),
+                          ControlForm(c0=cost, c1=0.2), -1.0, 1.0, n=17)]
+    l0 = TimeSignal(np.array([0.0, 0.2, 0.5]), np.array([0.3, -0.2]))
+    cs = ControlSystem(edges, l0=l0, A0=-0.7, delta=0.5)
+    return induced_problem(cs, lambda x: 0.3 * min(1.0, abs(x)), 0.3, 0.5)
+
+
+def test_solve_matches_the_reference_on_control_induced_edges():
+    prob = _control_induced_problem()
+    assert [e.hamiltonian.time_independent for e in prob.edges] == [True, False]
+    grid = grid_for(prob, 0.05, 1.0)
+    field = solve(prob, grid)
+    assert field.values.tobytes() == _reference_march(prob, grid).tobytes()
+    for n in (0, grid.steps // 2, grid.steps - 1):
+        t = float(grid.times[n])
+        got = step(prob, grid, field.values[n], t, float(grid.times[n + 1]) - t)
+        assert got.tobytes() == field.values[n + 1].tobytes()
+
+
+def test_step_evaluates_each_non_catalog_edge_once(monkeypatch):
+    """One H(q) per control-induced edge gives its flux, outflow and junction terms."""
+    base = _control_induced_problem()
+    prob = JunctionProblem(
+        edges=[*base.edges, Edge(eikonal())],
+        flux_limiter=base.flux_limiter,
+        initial_data=[*base.initial_data, lambda y: 0.3 * min(1.0, y)],
+        lipschitz_u0=0.3,
+        horizon=0.5,
+    )
+    grid = grid_for(prob, 0.05, 1.0)
+    at = _windows(prob, grid, grid.times)
+    u = grid.sample(prob.initial_data)
+    for n in (0, grid.steps // 2, grid.steps - 1):
+        window = at(n)
+        assert isinstance(window[1][2], FixedEnvelopes)
+        calls = []
+        for i, env in enumerate(window[1][:2]):
+            def counted(t, x, p, _i=i, _h=env.h.evaluator):
+                calls.append(_i)
+                return _h(t, x, p)
+            monkeypatch.setattr(env.h, "evaluator", counted)
+        t = float(grid.times[n])
+        step(prob, grid, u, t, float(grid.times[n + 1]) - t, _window=window)
+        monkeypatch.undo()
+        assert sorted(calls) == [0, 1]

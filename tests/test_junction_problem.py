@@ -11,6 +11,7 @@ from hjj import (
     eikonal,
     envelopes,
     from_line,
+    grid_for,
     induced_problem,
     junction_hamiltonian,
     problem_from_config,
@@ -153,6 +154,29 @@ def test_problem_from_config_with_explicit_edges():
     assert prob.flux_limiter(0.75) == -1.0
     assert prob.floor(0.3) == pytest.approx(-1.0, abs=1e-12)
     assert prob.c2_max() == pytest.approx(1.0)
+
+
+def test_from_line_keeps_the_declared_p_span_on_both_quadratic_edges():
+    quad = {"form": "quadratic", "a": 1.0, "b": 0.5, "c": -1.0, "p_span": 1}
+    prob, _ = problem_from_config({
+        "T": 1.0,
+        "u0": {"form": "zero"},
+        "orientation": "line",
+        "flux_limiter": 0.0,
+        "edges": [{"hamiltonian": quad}] * 2,
+    })
+    # 2 a (p_span + |b|) on the right edge and on the reflected left edge
+    assert [e.hamiltonian.lipschitz_p for e in prob.edges] == [3.0, 3.0]
+    assert prob.edges[1].hamiltonian.coefficients["b"] == -0.5
+    assert prob.c2_max() == 3.0
+    # dt = cfl_safety * dx / C2 = 0.5 * 0.01 / 3, so 600 steps reach T = 1
+    assert grid_for(prob, 0.01, 1.0).steps == 600
+
+    b = TimeSignal(np.array([0.0, 0.4, 1.0]), np.array([0.25, -0.5]))
+    h = quadratic(2.0, b, -1.0, p_span=3.0)
+    left = from_line(h, h, constant(0.0, 1.0), zero_datum, 0.0, 1.0).edges[1].hamiltonian
+    assert left.lipschitz_p == h.lipschitz_p == 2.0 * 2.0 * (3.0 + 0.5)
+    assert np.array_equal(left.coefficients["b"].values, [-0.25, 0.5])
 
 
 def test_problem_from_config_scalar_flux_limiter():

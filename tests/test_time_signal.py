@@ -200,6 +200,19 @@ def test_window_averages_equal_scalar_averages_bit_for_bit():
             assert got.tobytes() == want.tobytes()
 
 
+def test_window_integrals_equal_scalar_integrals_bit_for_bit():
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        sig = _random_signal(rng)
+        T = sig.horizon
+        uniform = np.linspace(0.0, T, int(rng.integers(2, 60)))
+        on_breaks = np.unique(np.concatenate((uniform, sig.breakpoints)))
+        for times in (uniform, on_breaks):
+            got = sig.window_integrals(times)
+            want = np.array([sig.integrate(a, b) for a, b in zip(times[:-1], times[1:])])
+            assert got.tobytes() == want.tobytes()
+
+
 def test_window_averages_reject_empty_and_out_of_range_windows():
     sig = _step()
     with pytest.raises(EmptyWindow):
