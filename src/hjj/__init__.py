@@ -46,7 +46,7 @@ from .errors import (
     NoAdmissibleControl,
     NumericalFailure,
 )
-from .fd_scheme import godunov_flux, grid_for, solve, step
+from .fd_scheme import godunov_flux, grid_for, solve, solve_many, step
 from .grid import Grid, SolutionField, make_grid
 from .hamiltonian import (
     EnvelopePair,
@@ -128,6 +128,7 @@ __all__ = [
     "shift_functions",
     "shifted_fields",
     "solve",
+    "solve_many",
     "step",
     "union_mesh",
     "validate",

@@ -274,8 +274,9 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
                                          _call_g(l, t, sign * x, controls))
         parr = np.asarray(p, dtype=float)
         scalar = parr.ndim == 0
-        vals = np.max(np.multiply.outer(fa, np.atleast_1d(parr))
-                      - la[:, None], axis=0)
+        parr = np.atleast_1d(parr)
+        vals = np.max(np.multiply.outer(fa, parr)
+                      - la.reshape((-1,) + (1,) * parr.ndim), axis=0)
         return float(vals[0]) if scalar else vals
 
     if _is_form(f) and _is_form(l):
@@ -363,8 +364,9 @@ class RestrictedEnvelopes:
                 f"edge {self.i}: no control with {side} at (t={t}, x={x})")
         parr = np.asarray(p, dtype=float)
         scalar = parr.ndim == 0
-        vals = np.max(np.multiply.outer(fa[mask], np.atleast_1d(parr))
-                      - la[mask][:, None], axis=0)
+        parr = np.atleast_1d(parr)
+        vals = np.max(np.multiply.outer(fa[mask], parr)
+                      - la[mask].reshape((-1,) + (1,) * parr.ndim), axis=0)
         return float(vals[0]) if scalar else vals
 
     def h_minus(self, t, x, p):

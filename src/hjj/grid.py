@@ -221,26 +221,26 @@ class SolutionField:
             return self.grid.line_flat_indices()
         return np.arange(self.grid.n_nodes)
 
+    def _template(self, row: str) -> str:
+        """%-template of one level's rows in node order: row.format(label) per node.
+
+        Rows format values as %.17g, which gives the same bytes as fmt().
+        """
+        return "".join(row.format(lab.replace("%", "%%")) for lab in self.node_labels())
+
     def to_csv(self) -> str:
         order = self._node_order()
-        labels = self.node_labels()
-        rows = ["t,x,u"]
+        tmpl = self._template("%s,{},%.17g\n")
+        args = [None] * (2 * len(order))
+        parts = ["t,x,u\n"]
         for n, t in enumerate(self.times):
-            level = self.values[n]
-            ts = fmt(t)
-            for lab, k in zip(labels, order):
-                rows.append(f"{ts},{lab},{fmt(level[k])}")
-        return "\n".join(rows) + "\n"
+            args[0::2] = [fmt(t)] * len(order)
+            args[1::2] = self.values[n][order].tolist()
+            parts.append(tmpl % tuple(args))
+        return "".join(parts)
 
     def to_snapshot_tsv(self, t_requested: float) -> str:
         n = self.grid.level_index(t_requested)
-        order = self._node_order()
-        labels = self.node_labels()
-        level = self.values[n]
-        rows = [
-            f"# t_requested={fmt(t_requested)}\tt_grid={fmt(self.times[n])}",
-            "x\tu",
-        ]
-        for lab, k in zip(labels, order):
-            rows.append(f"{lab}\t{fmt(level[k])}")
-        return "\n".join(rows) + "\n"
+        level = self.values[n][self._node_order()]
+        return (f"# t_requested={fmt(t_requested)}\tt_grid={fmt(self.times[n])}\nx\tu\n"
+                + self._template("{}\t%.17g\n") % tuple(level.tolist()))

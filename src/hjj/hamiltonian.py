@@ -104,12 +104,17 @@ class Hamiltonian:
         return not self.time_data
 
     def eval_p(self, t: float, x: float, p: np.ndarray) -> np.ndarray:
-        """Evaluate at an array of slopes, falling back to a scalar loop."""
+        """Evaluate at an array of slopes, falling back to a scalar loop.
+
+        The evaluator sees at most one dimension: a 2-D or larger p is
+        raveled for the call and the values reshaped back.
+        """
         p = np.asarray(p, dtype=float)
+        flat = p.ravel() if p.ndim > 1 else p
         try:
-            out = np.asarray(self.evaluator(t, x, p), dtype=float)
-            if out.shape == p.shape:
-                return out
+            out = np.asarray(self.evaluator(t, x, flat), dtype=float)
+            if out.shape == flat.shape:
+                return out.reshape(p.shape)
         except (TypeError, ValueError):
             pass
         return np.array([float(self.evaluator(t, x, q)) for q in p.ravel()],

@@ -68,10 +68,13 @@ class TimeSignal:
         return np.minimum(np.maximum(t, 0.0), T)
 
     def __call__(self, t: float) -> float:
-        t = self._clamp(t)
-        if t >= self.horizon:
+        T = self.horizon
+        tol = _EDGE_TOL * max(1.0, T)
+        if not -tol <= t <= T + tol:  # NaN fails too
+            raise OutOfHorizon(f"t={t!r} outside [0, {T!r}]")
+        if t >= T:
             return float(self.values[-1])
-        k = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
+        k = int(np.searchsorted(self.breakpoints, max(t, 0.0), side="right")) - 1
         return float(self.values[k])
 
     def _antiderivative(self, t):
@@ -99,6 +102,13 @@ class TimeSignal:
         """Averages over the windows [times[n], times[n+1]], each bit-equal to average()."""
         t = np.asarray(times, dtype=float)
         return np.divide(*self._integrals(t[:-1], t[1:]))
+
+    def running_integrals(self, times) -> np.ndarray:
+        """integrate(0, t) at each t of times, bit for bit; times[0] must be 0 and gives 0."""
+        t = np.asarray(times, dtype=float)
+        if t[0] != 0.0:
+            raise ValueError("running integrals start at t = 0")
+        return np.concatenate(([0.0], self._integrals(np.zeros(t.size - 1), t[1:])[0]))
 
     def window_integrals(self, times) -> np.ndarray:
         """Integrals over the windows [times[n], times[n+1]], each bit-equal to integrate()."""

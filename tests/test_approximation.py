@@ -192,3 +192,52 @@ def test_comparison_diagnostic_is_deterministic_across_thread_caps(monkeypatch):
         study = comparison_diagnostic(prob, [0.2, 0.1], dx=0.1, r_domain=1.5)
         results.append(study.to_dict())
     assert results[0] == results[1]
+
+
+def _serial_diagnostic(problem, widths, dx: float, r_domain: float, K=None) -> dict:
+    """comparison_diagnostic width by width: solve, compute_kn, shifted_fields."""
+    grid = grid_for(problem, dx, r_domain)
+    base = solve(problem, grid)
+    slopes = max(float(np.max(np.abs(np.diff(base.values[:, grid.edge_full_indices(i)],
+                                               axis=1)))) / grid.dx
+                 for i in range(grid.n_edges))
+    K = max(1.1 * slopes, problem.lipschitz_u0, 1.0) if K is None else K
+    R = float(max(np.max(grid.edge_y(i)) for i in range(grid.n_edges)))
+    rows = []
+    for eps in sorted(widths, reverse=True):
+        ap = approx_problem(problem, eps)
+        kn = compute_kn(problem, ap, K, R)
+        fld = solve(ap, grid)
+        lower, upper = shifted_fields(fld, kn.signal)
+        viol = max(float(np.max(lower.values - base.values)),
+                   float(np.max(base.values - upper.values)))
+        rows.append({"eps": eps, "kn_l1": kn.l1, "solution_gap": base.linf_gap(fld),
+                     "sandwich_violation": max(0.0, viol),
+                     "kn": kn.signal.to_dict()})
+    return {"K": K, "R": R, "dx": grid.dx, "dt": grid.dt, "widths": rows}
+
+
+def _time_dependent_quadratic_problem():
+    a = TimeSignal(np.array([0.0, 0.13, 0.31, 0.5]), np.array([1.0, 1.7, 0.6]))
+    b = TimeSignal(np.array([0.0, 0.22, 0.5]), np.array([0.2, -0.15]))
+    limiter = TimeSignal(np.array([0.0, 0.07, 0.29, 0.5]), np.array([-0.5, 0.3, -1.0]))
+    return from_line(eikonal(), quadratic(a, b, -1.0), limiter,
+                     lambda x: 0.4 * min(1.0, abs(x)), 0.4, 0.5)
+
+
+@pytest.mark.parametrize("make,K", [(_step_limiter_problem, None),
+                                    (_time_dependent_quadratic_problem, None),
+                                    (_time_dependent_quadratic_problem, 0.05)])
+def test_comparison_diagnostic_equals_a_serial_per_width_run(make, K):
+    """With K = 0.05 the sandwich violations are positive round-off, so the
+    order of the shift and the subtraction shows in the bits."""
+    prob = make()
+    widths = [0.2, 0.1, 0.05]
+    study = comparison_diagnostic(prob, widths, dx=0.05, r_domain=1.0, K=K)
+    got = study.to_dict()
+    for row, report in zip(got["widths"], study.reports):
+        row["kn"] = report.kn.signal.to_dict()
+    assert got == _serial_diagnostic(prob, widths, dx=0.05, r_domain=1.0, K=K)
+    assert study.base.values.tobytes() == solve(prob, study.base.grid).values.tobytes()
+    if K is not None:
+        assert min(r.sandwich_violation for r in study.reports) > 0.0

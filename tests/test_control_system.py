@@ -225,3 +225,36 @@ def test_config_parser_rejects_missing_blocks():
     with pytest.raises(ConfigError):
         control_system_from_config({"orientation": "line", "delta": 1.0,
                                     "edges": []}, horizon=1.0)
+
+
+def _sloped_cost_edge(n: int):
+    """f = a and l = 1 + 0.5 a for n controls a evenly spread over [-1, 1]."""
+    return control_edge(ControlForm(c1=1.0), ControlForm(c0=1.0, c1=0.5), -1.0, 1.0, n=n)
+
+
+@pytest.mark.parametrize("rows", [3, 4, 5])
+def test_control_evaluators_broadcast_two_dimensional_slopes(rows):
+    """A (rows, 6) slope array gives row by row the 1-D values, whatever rows is.
+
+    Five controls, three of them on each side of the restricted envelopes, so
+    rows covers both "as many as the controls" and "not".
+    """
+    cs = ControlSystem([_sloped_cost_edge(5) for _ in range(2)], l0=constant(0.0, 1.0),
+                       A0=-1.0, delta=1.0)
+    p = np.linspace(-2.0, 2.0, rows * 6).reshape(rows, 6)
+    h = induced_hamiltonian(cs, 0)
+    env = restricted_envelopes(cs, 0)
+    for fn in (lambda q: h.evaluator(0.0, 0.0, q), lambda q: env.h_plus(0.0, 0.0, q),
+               lambda q: env.h_minus(0.0, 0.0, q)):
+        got = fn(p)
+        assert got.shape == p.shape
+        for r in range(rows):
+            assert got[r].tobytes() == fn(p[r]).tobytes()
+
+
+def test_induced_evaluator_on_a_square_slope_array():
+    """Three controls and a 3 x 3 slope array: max(-p - 0.5, -1, p - 1.5) entrywise."""
+    h = edge_hamiltonian(_sloped_cost_edge(3))
+    p = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.5, 2.0], [0.3, -0.7, 1.1]])
+    want = np.maximum(np.maximum(-p - 0.5, -1.0), p - 1.5)
+    assert h.evaluator(0.0, 0.0, p).tobytes() == want.tobytes()

@@ -20,11 +20,14 @@ from hjj import (
     grid_for,
     induced_problem,
     make_grid,
+    abs_shift,
+    approx_problem,
     quadratic,
     solve,
+    solve_many,
     step,
 )
-from hjj.errors import CflViolation
+from hjj.errors import CflViolation, NumericalFailure
 from hjj.fd_scheme import _windows
 from hjj.hamiltonian import FixedEnvelopes, numeric_argmin
 
@@ -378,3 +381,98 @@ def test_step_evaluates_each_non_catalog_edge_once(monkeypatch):
         step(prob, grid, u, t, float(grid.times[n + 1]) - t, _window=window)
         monkeypatch.undo()
         assert sorted(calls) == [0, 1]
+
+
+def _x_dependent_problem(limiter: TimeSignal) -> JunctionProblem:
+    """Line problem whose right edge is an x-dependent black box."""
+    def evaluator(t, x, p):
+        assert np.ndim(p) <= 1
+        return np.abs(p) * (1.0 + 0.2 * min(abs(float(x)), 1.0)) - 1.0
+
+    h = Hamiltonian(evaluator, lipschitz_p=1.2, coercivity_radius=2.0)
+    return from_line(h, eikonal(), limiter, lambda x: 0.3 * min(1.0, abs(x)), 0.3, 0.5)
+
+
+def _star_problem() -> JunctionProblem:
+    a = TimeSignal(np.array([0.0, 0.13, 0.31, 0.5]), np.array([1.0, 1.7, 0.6]))
+    c = TimeSignal(np.array([0.0, 0.21, 0.5]), np.array([-1.0, -0.4]))
+    limiter = TimeSignal(np.array([0.0, 0.07, 0.29, 0.5]), np.array([-0.5, 0.3, -0.2]))
+    return JunctionProblem(
+        edges=[Edge(eikonal()), Edge(quadratic(a, 0.1, -1.0, p_span=2.0)), Edge(abs_shift(c))],
+        flux_limiter=limiter,
+        initial_data=[lambda y: 0.2 * min(1.0, y)] * 3,
+        lipschitz_u0=0.2,
+        horizon=0.5,
+    )
+
+
+def _ladder(problem: JunctionProblem) -> list:
+    return [problem] + [approx_problem(problem, eps) for eps in (0.2, 0.1, 0.05)]
+
+
+_LIMITER = TimeSignal(np.array([0.0, 0.19, 0.5]), np.array([-0.4, -0.9]))
+
+
+@pytest.mark.parametrize("problems", [
+    _ladder(_time_dependent_quadratic_problem()),
+    _ladder(_control_induced_problem()),
+    [_control_induced_problem(), _control_induced_problem()],
+    _ladder(_x_dependent_problem(_LIMITER)),
+    [_x_dependent_problem(_LIMITER), _x_dependent_problem(constant(-0.6, 0.5))],
+    _ladder(_star_problem()),
+    [_time_dependent_quadratic_problem(), _x_dependent_problem(_LIMITER)],
+], ids=["quadratic-ladder", "control-ladder", "control-distinct", "x-dependent-ladder",
+        "x-dependent-distinct", "star-ladder", "mixed-forms"])
+def test_batched_march_equals_per_problem_solve_bit_for_bit(problems):
+    grid = grid_for(problems[0], 0.05, 1.0)
+    fields = solve_many(problems, grid)
+    assert len(fields) == len(problems)
+    for problem, field in zip(problems, fields):
+        want = solve(problem, grid)
+        assert field.values.tobytes() == want.values.tobytes()
+        assert field.line == problem.line_convention
+        # a contiguous view into one batch array, not a copy
+        assert field.values.flags.c_contiguous
+        assert field.values.base is fields[0].values.base
+
+
+def test_batched_march_evaluates_a_shared_edge_once_per_step(monkeypatch):
+    """The time-independent edge every smoothed problem keeps is one H call per step."""
+    problems = _ladder(_control_induced_problem())
+    h = problems[0].edges[0].hamiltonian
+    assert all(p.edges[0].hamiltonian is h for p in problems)
+    calls = []
+    real = h.evaluator
+
+    def counted(t, x, p):
+        calls.append(np.shape(p))
+        return real(t, x, p)
+
+    monkeypatch.setattr(h, "evaluator", counted)
+    grid = grid_for(problems[0], 0.05, 1.0)
+    solve_many(problems, grid)
+    m = len(grid.edge_y(0)) - 1
+    assert calls == [(len(problems) * m,)] * grid.steps
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batched_march_checks_every_problem():
+    """A bad problem in the batch fails as it does alone: same class, level and node."""
+    def star(h, u0, lip):
+        return JunctionProblem(edges=[Edge(h) for _ in range(3)],
+                               flux_limiter=constant(0.0, 0.5), initial_data=[u0] * 3,
+                               lipschitz_u0=lip, horizon=0.5)
+
+    good = star(eikonal(), zero_datum, 0.0)
+    # the declared span understates the slopes, so the march overflows
+    steep = star(quadratic(1.0, 0.0, -1.0, p_span=0.5), lambda y: 0.5 * y, 0.5)
+    fast = star(quadratic(1.0, 0.0, -1.0, p_span=50.0), zero_datum, 0.0)
+    grid = grid_for(steep, 0.02, 1.0, cfl_safety=1.0)
+    for bad, error in ((steep, NumericalFailure), (fast, CflViolation)):
+        with pytest.raises(error) as alone:
+            solve(bad, grid)
+        with pytest.raises(error) as batched:
+            solve_many([good, bad, good], grid)
+        assert str(batched.value) == str(alone.value)
+    with pytest.raises(ValueError):
+        solve_many([], grid)

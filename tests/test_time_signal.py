@@ -219,3 +219,41 @@ def test_window_averages_reject_empty_and_out_of_range_windows():
         sig.window_averages(np.array([0.0, 0.5, 0.5, 1.0]))
     with pytest.raises(OutOfHorizon):
         sig.window_averages(np.array([0.0, 0.5, 1.5]))
+
+
+def test_running_integrals_equal_scalar_integrals_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        sig = _random_signal(rng)
+        T = sig.horizon
+        uniform = np.linspace(0.0, T, int(rng.integers(2, 60)))
+        on_breaks = np.unique(np.concatenate((uniform, sig.breakpoints)))
+        ragged = np.unique(np.concatenate(([0.0], rng.uniform(0.0, T, 20), [T])))
+        for times in (uniform, on_breaks, ragged):
+            got = sig.running_integrals(times)
+            want = np.array([sig.integrate(0.0, t) if t > 0 else 0.0 for t in times])
+            assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        _step().running_integrals(np.array([0.1, 0.5]))
+
+
+def test_pointwise_values_match_the_clamped_lookup_bit_for_bit():
+    rng = np.random.default_rng(73)
+    for _ in range(20):
+        sig = _random_signal(rng)
+        T = sig.horizon
+        slack = 0.5e-12 * T
+        ts = np.concatenate((rng.uniform(0.0, T, 30), sig.breakpoints, [-slack, T + slack]))
+        for t in ts:
+            c = min(max(t, 0.0), T)
+            k = min(int(np.searchsorted(sig.breakpoints, c, side="right")) - 1,
+                    sig.values.size - 1)
+            assert sig(float(t)) == float(sig.values[k])
+            assert sig(np.float64(t)) == float(sig.values[k])
+
+
+def test_pointwise_values_reject_nan_and_out_of_horizon_times():
+    sig = _step()
+    for t in (float("nan"), -0.01, 1.01, float("inf"), -float("inf")):
+        with pytest.raises(OutOfHorizon):
+            sig(t)
