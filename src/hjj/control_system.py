@@ -11,6 +11,20 @@ requirement that it contains 0.
 The induced Hamiltonian of an edge is H(t, x, p) = sup_a [f p - l]; its
 monotone envelopes coincide with the sign-restricted suprema over f <= 0
 and f >= 0, which this module exposes for cross-checking.
+
+Only the lower cost-speed front of a control sample can set that supremum
+(or the minimum of a Bellman update). undominated(speeds, costs) marks it:
+a control with speed v > 0 is dropped when one control with speed in
+(0, v] and one with speed >= v both cost no more (a "near" and a "far"
+dominator; the mirror rule for v < 0, and a zero-speed control only yields
+to a cheaper-or-equal zero-speed one). Every line of the induced H is
+fl(fl(f p) - l), and rounding is monotone, so for p >= 0 the far
+dominator's line is >= line k and for p <= 0 the near dominator's is: the
+maximum over the kept lines equals the full maximum (bit for bit but for
+the sign of a tied zero, see undominated). An x-independent edge
+with constant coefficients therefore evaluates only its undominated lines;
+this covers the per-window rebuilds from averaged coefficients and the
+reflection. Callable or time-dependent-inside-the-call edges keep all lines.
 """
 
 from __future__ import annotations
@@ -34,6 +48,7 @@ __all__ = [
     "flux_limiter",
     "induced_hamiltonian",
     "restricted_envelopes",
+    "undominated",
 ]
 
 
@@ -137,7 +152,7 @@ class ControlEdge:
             lo, hi = self.f.bounds(self.controls)
             return max(abs(lo), abs(hi))
         speeds = _call_g(self.f, 0.0, 0.0, self.controls)
-        return float(np.max(np.abs(speeds))) * 1.0
+        return float(np.max(np.abs(speeds)))
 
     def cost_bound(self) -> float:
         if _is_form(self.l):
@@ -261,13 +276,68 @@ def flux_limiter(cs: ControlSystem) -> TimeSignal:
                       np.maximum(-cs.l0.values, cs.A0))
 
 
+def _beaten(costs: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose cost some entry earlier in order matches or beats."""
+    beaten = np.zeros(len(costs), dtype=bool)
+    ranked = costs[order]
+    beaten[order[1:]] = ranked[1:] >= np.minimum.accumulate(ranked)[:-1]
+    return beaten
+
+
+def undominated(speeds, costs) -> np.ndarray:
+    """Mask of the controls that can set sup_k [v_k p - l_k] or min_k of a Bellman update.
+
+    Control k with v_k > 0 is dropped only if there are both a near
+    dominator j (0 < v_j <= v_k, l_j <= l_k) and a far dominator j'
+    (v_j' >= v_k, l_j' <= l_k); v_k < 0 is the mirror image, and a
+    zero-speed control is dropped only for another zero-speed one with
+    l <= l_k. Among identical (v, l) pairs the lowest index is kept. Sorting
+    each sign group by (|v|, l, index) puts exactly the near dominators of k
+    before k, so k has one iff the running minimum of l before k is <= l_k;
+    sorting by (-|v|, l, index) does the same for far dominators. That is
+    O(K log K). The first entry of either order with l <= l_k, the
+    lexicographically smallest dominator of its kind, has no dominator of
+    that kind itself and is kept: every dropped control keeps a kept near
+    and a kept far dominator.
+
+    Why dropping is exact: every line fl(fl(v p) - l) is monotone in v for
+    a fixed sign of p and in l, because rounding is monotone. For p >= 0 the
+    dominator with the larger signed speed (the far one for v_k > 0, the
+    near one for v_k < 0) gives a line >= line k, for p <= 0 the other one
+    does, and a zero-speed dominator gives a line >= line k for every p.
+    So the kept maximum equals the full one, bit for bit unless it is a
+    zero that zeros of both signs attain: np.max returns the last tied
+    zero, which may be a dropped line. A line is -0.0 only if its cost is
+    exactly 0, so without zero costs the bits always agree. (Why the
+    Bellman minimum is exact too is in dpp_oracle.) With non-finite speeds
+    or costs nothing is dropped.
+    """
+    v = np.asarray(speeds, dtype=float)
+    l = np.asarray(costs, dtype=float)
+    keep = np.ones(v.shape, dtype=bool)
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(l))):
+        return keep
+    zero = np.flatnonzero(v == 0.0)
+    keep[zero] = ~_beaten(l[zero], np.lexsort((zero, l[zero])))
+    for side in (np.flatnonzero(v > 0.0), np.flatnonzero(v < 0.0)):
+        s, c = np.abs(v[side]), l[side]
+        near = _beaten(c, np.lexsort((side, c, s)))
+        far = _beaten(c, np.lexsort((side, c, -s)))
+        keep[side] = ~(near & far)
+    return keep
+
+
 def _induced(edge: ControlEdge, sign: float, delta: float,
              validate: bool) -> Hamiltonian:
     controls = edge.controls
     f, l = edge.f, edge.l
 
     constant = _is_form(f) and _is_form(l) and f.is_constant() and l.is_constant()
-    fixed = (sign * f.eval(0.0, controls), l.eval(0.0, controls)) if constant else None
+    fixed = None
+    if constant:  # only the undominated lines can set the maximum
+        speeds, costs = sign * f.eval(0.0, controls), l.eval(0.0, controls)
+        keep = undominated(speeds, costs)
+        fixed = (speeds[keep], costs[keep])
 
     def evaluator(t, x, p):
         fa, la = fixed if constant else (sign * _call_g(f, t, sign * x, controls),

@@ -12,6 +12,24 @@ one cell), so a crossing trajectory passes through the junction node and the
 running cost switches regime exactly there. Parking at the junction costs
 -A(t) per unit time, A = max(-l0, A0).
 
+The tables keep only the columns of controls that are undominated
+(control_system.undominated) in at least one window of the march; the
+rest can never set a minimum. That holds bit for bit when every nonzero
+departure lands strictly inside its upwind cell. Then np.interp applies
+one interval formula per node and sign of speed, which is monotone in the
+departure point (itself monotone in f); adding l dt is monotone in l; and
+the far or the near dominator wins as the cell's slope is >= 0 or < 0. At
+the end of the edge that a departure leaves, it is masked or clamped to
+the end value, where the near dominator wins. (A tied zero minimum could
+change its sign only through a cost of -0.0 or an l dt that underflows.)
+So the columns are dropped only when every nonzero |f| dt of the edge lies
+in [c eps R, dx - c eps R], with eps the machine epsilon, R the edge
+length and c = _GUARD_ULPS: a margin that covers the rounding of the nodes
+and of y - f dt. Otherwise, for example at dt max|f| = dx, all columns
+stay. Callable (x-dependent) edges are evaluated per node and keep every
+control; there the update checks dt max|f| <= dx itself, because the
+system's speed bound probes a callable only at (0, 0).
+
 A tiny exhaustive enumerator over piecewise-constant controls doubles as an
 oracle for the oracle on desk-scale instances.
 """
@@ -23,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control_system import ControlForm, ControlSystem, flux_limiter
+from .control_system import ControlForm, ControlSystem, flux_limiter, undominated
 from .errors import BudgetExceeded, CflViolation, NoAdmissibleControl, NumericalFailure
 from .grid import Grid, SolutionField, make_grid
 from .time_signal import TimeSignal
@@ -78,15 +96,48 @@ def oracle_grid(cs: ControlSystem, cfg: DppConfig) -> Grid:
                      dt=cfg.dt, cfl_safety=cfg.cfl_safety)
 
 
-def _windows(cs: ControlSystem, A: TimeSignal, times: np.ndarray):
+_GUARD_ULPS = 32  # the c of the pruning guard: departures stay c eps R inside a cell
+
+
+def _kept_columns(speeds: np.ndarray, costs: np.ndarray, dts: np.ndarray,
+                  dx: float, length: float) -> np.ndarray:
+    """Columns of an edge's (windows x controls) tables that a march must keep.
+
+    The union over windows of each row's undominated controls, when every
+    nonzero departure |f| dt (formed as _bellman forms f dt) clears the
+    cell ends by _GUARD_ULPS eps R; every column otherwise. Rows repeat
+    between signal breakpoints, so each distinct run of rows is ranked once.
+    """
+    margin = _GUARD_ULPS * np.finfo(float).eps * length
+    jump = np.abs(speeds) * dts[:, None]
+    if not np.all((speeds == 0.0) | ((jump >= margin) & (jump <= dx - margin))):
+        return np.ones(speeds.shape[1], dtype=bool)
+    new_row = np.ones(len(speeds), dtype=bool)
+    new_row[1:] = (np.any(speeds[1:] != speeds[:-1], axis=1)
+                   | np.any(costs[1:] != costs[:-1], axis=1))
+    keep = np.zeros(speeds.shape[1], dtype=bool)
+    for f, l in zip(speeds[new_row], costs[new_row]):
+        keep |= undominated(f, l)
+    return keep
+
+
+def _windows(cs: ControlSystem, grid: Grid, A: TimeSignal, times: np.ndarray):
     """at(n) -> (integral of A, per-edge (speeds, costs) rows) on window n of times.
 
-    Form edges read rows of (windows x controls) tables built here once;
-    callable edges get None and are evaluated per node in _bellman.
+    Form edges read rows of (windows x controls) tables built here once,
+    cut to the columns _kept_columns keeps; callable edges get None and are
+    evaluated per node in _bellman.
     """
     parking = A.window_integrals(times)
-    tables = [cs.local_window_tables(i, times) if edge.x_independent else None
-              for i, edge in enumerate(cs.edges)]
+    dts = np.diff(times)
+    tables = []
+    for i, edge in enumerate(cs.edges):
+        if not edge.x_independent:
+            tables.append(None)
+            continue
+        speeds, costs = cs.local_window_tables(i, times)
+        keep = _kept_columns(speeds, costs, dts, grid.dx, float(grid.edge_y(i)[-1]))
+        tables.append((speeds[:, keep], costs[:, keep]))
     return lambda n: (float(parking[n]),
                       [None if tab is None else (tab[0][n], tab[1][n]) for tab in tables])
 
@@ -95,19 +146,22 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
              a: float, b: float, park: bool, _window: tuple | None = None) -> np.ndarray:
     """One Bellman update over [a, b]: one (controls x nodes) gather per edge.
 
-    The departure points y - f dt of every control are interpolated in a
-    single np.interp call (which holds the end values outside [0, R]), the
+    The departure points y - f dt of every kept control are interpolated in
+    a single np.interp call (which holds the end values outside [0, R]), the
     running costs are added, departures that leave the edge are masked and
     the minimum is taken over controls. _forward passes this window's row of
     its tables as _window; without it the row is built here. Callable edges
-    are evaluated per node at the window midpoint.
+    are evaluated per node at the window midpoint, and a speed with
+    dt |f| > dx there raises CflViolation naming the node and the window
+    (after the check for nodes that no transition reaches).
     """
     dtn = b - a
     if _window is None:
-        _window = _windows(cs, A, np.array([a, b]))(0)
+        _window = _windows(cs, grid, A, np.array([a, b]))(0)
     parking, rows = _window
     new = np.full(grid.n_nodes, np.inf)
     junction_best = level[0] - parking if park else np.inf
+    too_fast = None
     for i, row in enumerate(rows):
         idx = grid.edge_full_indices(i)
         y = grid.edge_y(i)
@@ -115,6 +169,10 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
         if row is None:
             fmat = np.stack([cs.local_f_avg(i, a, b, float(yj)) for yj in y], axis=1)
             lmat = np.stack([cs.local_l_avg(i, a, b, float(yj)) for yj in y], axis=1)
+            speed = np.max(np.abs(fmat), axis=0)
+            over = np.flatnonzero(speed * dtn > grid.dx * (1.0 + 1e-9))
+            if over.size and too_fast is None:
+                too_fast = (int(idx[over[0]]), float(speed[over[0]]))
         else:
             fmat, lmat = row[0][:, None], row[1][:, None]
         z = y - fmat * dtn
@@ -129,13 +187,19 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
         node = int(np.flatnonzero(~np.isfinite(new))[0])
         raise NoAdmissibleControl(
             f"no admissible transition reaches node {node} on [{a}, {b}]")
+    if too_fast is not None:
+        node, speed = too_fast
+        raise CflViolation(
+            f"dt={dtn:.6g} exceeds dx/|f|={grid.dx / speed:.6g} at node {node} "
+            f"on [{a}, {b}]: the speed bound {cs.max_speed():.6g} understates "
+            f"|f|={speed:.6g} there")
     return new
 
 
 def _forward(cs: ControlSystem, grid: Grid, A: TimeSignal, v0: np.ndarray,
              n_start: int, park: bool) -> np.ndarray:
     times = grid.times[n_start:]
-    at = _windows(cs, A, times)
+    at = _windows(cs, grid, A, times)
     out = np.empty((len(times), grid.n_nodes))
     out[0] = v0
     for k in range(len(times) - 1):

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from hjj import ControlForm, ControlSystem, SolutionField, constant, control_edge
+from hjj import (ControlEdge, ControlForm, ControlSystem, SolutionField, TimeSignal, constant,
+                 control_edge)
 
 
 def build_model_system(l0_value: float = 0.0, horizon: float = 1.0,
@@ -17,6 +18,41 @@ def build_model_system(l0_value: float = 0.0, horizon: float = 1.0,
         for _ in range(2)
     ]
     return ControlSystem(edges, l0=constant(l0_value, horizon), A0=-1.0, delta=1.0)
+
+
+def _random_coefficient(rng: np.random.Generator, lo: float, hi: float, horizon: float):
+    """A coarse float or, half the time, a three-cell TimeSignal."""
+    if rng.random() < 0.5:
+        breakpoints = np.concatenate(([0.0], np.sort(rng.uniform(0.0, horizon, 2)), [horizon]))
+        return TimeSignal(breakpoints, np.round(rng.uniform(lo, hi, 3), 2))
+    return float(np.round(rng.uniform(lo, hi), 1))
+
+
+def random_control_system(rng: np.random.Generator, horizon: float = 0.5,
+                          n_edges: int = 2) -> ControlSystem:
+    """Control system whose samples have duplicates, ties and zero speeds.
+
+    Each edge samples 17 evenly spaced controls plus up to 11 repeats from a
+    coarser grid, with speeds c1 a + c2 a^2 and costs c0 + c1 a + c2 a^2 that
+    are convex, concave or affine in a; coefficients are coarse, so cost ties
+    are common. Two edges make a line, more a star; delta = 0.8 holds for
+    every draw.
+    """
+    edges = []
+    for _ in range(n_edges):
+        controls = np.concatenate((np.linspace(-1.0, 1.0, 17),
+                                   rng.choice(np.linspace(-1.0, 1.0, 9), rng.integers(0, 12))))
+        f = ControlForm(c1=_random_coefficient(rng, 1.0, 2.0, horizon),
+                        c2=float(rng.choice([0.0, 0.0, 0.1, -0.1])))
+        l = ControlForm(c0=_random_coefficient(rng, -0.5, 1.0, horizon),
+                        c1=float(rng.choice([0.0, 0.3, -0.2])),
+                        c2=float(rng.choice([-0.5, 0.0, 0.5, 1.0])))
+        edges.append(ControlEdge(f, l, controls))
+    l0 = _random_coefficient(rng, -0.5, 0.5, horizon)
+    if not isinstance(l0, TimeSignal):
+        l0 = constant(l0, horizon)
+    return ControlSystem(edges, l0=l0, A0=-1.0, delta=0.8,
+                         orientation="line" if n_edges == 2 else "star")
 
 
 def zero_datum(x: float) -> float:

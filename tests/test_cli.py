@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import hjj.cli
+from hjj import ControlEdge, ControlSystem
 from hjj.cli import main
 
 
@@ -258,3 +260,24 @@ def test_value_bound_breach_exits_3_without_artifacts(tmp_path: Path, capsys,
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: value function breaks its a priori bound")
+
+
+def test_value_on_an_edge_faster_than_its_probed_bound_exits_3(tmp_path: Path, capsys,
+                                                               monkeypatch):
+    """Speeds a (1 + 3 min(|y|, 0.1) / 0.1) reach 4 where the bound probe sees 1."""
+    real = hjj.cli.problem_from_config
+
+    def x_dependent(cfg):
+        problem, cs = real(cfg)
+        drift = lambda t, y, a: a * (1.0 + 3.0 * min(abs(y), 0.1) / 0.1)
+        edges = [ControlEdge(drift, e.l, e.controls) for e in cs.edges]
+        return problem, ControlSystem(edges, cs.l0, cs.A0, cs.delta, cs.orientation)
+
+    monkeypatch.setattr(hjj.cli, "problem_from_config", x_dependent)
+    problem = _write(tmp_path, _model_config(T=0.05))
+    out = tmp_path / "out"
+    rc = main(["value", "--problem", problem, "--dx", "0.01", "--cfl-safety", "1",
+               "--R-domain", "0.3", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("numerical failure: dt=0.01 exceeds dx/|f|")

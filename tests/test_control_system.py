@@ -15,8 +15,10 @@ from hjj import (
     envelopes,
     flux_limiter,
     induced_hamiltonian,
+    reflected,
     restricted_envelopes,
 )
+from hjj.control_system import undominated
 from hjj.errors import ConfigError, NoAdmissibleControl
 
 from conftest import build_model_system
@@ -258,3 +260,115 @@ def test_induced_evaluator_on_a_square_slope_array():
     p = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.5, 2.0], [0.3, -0.7, 1.1]])
     want = np.maximum(np.maximum(-p - 0.5, -1.0), p - 1.5)
     assert h.evaluator(0.0, 0.0, p).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# dominated controls: the rule, its exactness and where it is applied
+
+def _brute_undominated(speeds, costs) -> list:
+    """The rule of undominated, one control at a time in O(K^2)."""
+    keep = []
+    for k, (vk, lk) in enumerate(zip(speeds, costs)):
+        def beats(j):
+            return (j != k and costs[j] <= lk
+                    and ((speeds[j], costs[j]) != (vk, lk) or j < k))
+        if vk == 0.0:
+            keep.append(not any(speeds[j] == 0.0 and beats(j) for j in range(len(speeds))))
+            continue
+        side = [j for j in range(len(speeds)) if np.sign(speeds[j]) == np.sign(vk)]
+        near = any(abs(speeds[j]) <= abs(vk) and beats(j) for j in side)
+        far = any(abs(speeds[j]) >= abs(vk) and beats(j) for j in side)
+        keep.append(not (near and far))
+    return keep
+
+
+def test_undominated_keeps_the_lower_front_of_each_sign_group():
+    a = np.linspace(-1.0, 1.0, 21)
+    assert np.flatnonzero(undominated(a, np.ones(21))).tolist() == [0, 9, 10, 11, 20]
+    # a dearer control between two cheaper ones of its side goes ...
+    assert undominated([0.25, 0.5, 1.0], [0.0, 1.0, 0.0]).tolist() == [True, False, True]
+    assert undominated([-0.2, -0.6, -1.0], [1.0, 2.0, 1.0]).tolist() == [True, False, True]
+    # ... but a cheaper control beyond zero is no near dominator
+    assert undominated([-1.0, 0.5, 1.0], [0.0, 1.0, 0.0]).tolist() == [True, True, True]
+    # identical (v, l) pairs keep the lowest index; zero speeds yield only to zero speeds
+    assert undominated([0.5, 0.5, 0.5], [1.0, 1.0, 1.0]).tolist() == [True, False, False]
+    assert undominated([0.0, 0.0, 0.5, 0.0], [2.0, 1.0, 0.0, 1.0]).tolist() == [
+        False, True, True, False]
+    assert undominated([], []).tolist() == []
+    assert undominated([0.5, np.nan, 1.0], [1.0, 2.0, 1.0]).all()
+
+
+def test_undominated_matches_the_rule_control_by_control():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(1, 16))
+        speeds = rng.choice([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0], n)
+        costs = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], n)
+        assert undominated(speeds, costs).tolist() == _brute_undominated(speeds, costs)
+
+
+def _random_edge(rng: np.random.Generator) -> ControlEdge:
+    """Duplicated controls, zero speeds, tied, concave and convex costs; maybe one-sided."""
+    grid = np.linspace(-1.0, 1.0, int(rng.choice([3, 5, 9, 17])))
+    if rng.random() < 0.2:
+        grid = grid[grid >= 0.0] if rng.random() < 0.5 else grid[grid <= 0.0]
+    f = ControlForm(c0=float(rng.choice([0.0, 0.0, 0.25, -0.5])),
+                    c1=float(rng.choice([0.5, 1.0, 2.0, -1.0])),
+                    c2=float(rng.choice([0.0, 0.5, -0.5])))
+    l = ControlForm(c0=float(rng.choice([0.0, 1.0, -0.5])),
+                    c1=float(rng.choice([0.0, 0.5, -0.25])),
+                    c2=float(rng.choice([0.0, 1.0, -1.0, 0.5])))
+    return ControlEdge(f, l, rng.choice(grid, int(rng.integers(1, 30))))
+
+
+def test_pruned_induced_evaluator_equals_the_full_maximum():
+    """The evaluator against max_k [f_k p - l_k] over every sampled control.
+
+    The values agree bit for bit, except that a zero maximum may change its
+    sign when some cost is exactly zero: only such a line can be -0.0, and
+    np.max returns the last of tied zeros.
+    """
+    rng = np.random.default_rng(83)
+    special = np.array([0.0, -0.0, 1e300, -1e300, 1e-320, -1e-320,
+                        0.5, -0.5, 1.0, -1.0, 4.0, -4.0])
+    pruned = 0
+    for _ in range(400):
+        edge = _random_edge(rng)
+        h = edge_hamiltonian(edge)
+        costs = edge.l.eval(0.0, edge.controls)
+        for sign, hs in ((1.0, h), (-1.0, reflected(h))):
+            speeds = sign * edge.f.eval(0.0, edge.controls)
+            p = np.concatenate((special, rng.normal(0.0, 3.0, 16),
+                                rng.choice(np.linspace(-4.0, 4.0, 33), 16)))
+            want = np.max(np.multiply.outer(speeds, p) - costs[:, None], axis=0)
+            got = hs.evaluator(0.0, 0.0, p)
+            assert np.array_equal(got, want)
+            if not np.any(costs == 0.0):
+                assert got.tobytes() == want.tobytes()
+            pruned += len(speeds) - len(_lines(hs)[0])
+    assert pruned > 0
+
+
+def _lines(h):
+    """The (speeds, costs) lines that an induced evaluator takes the maximum of."""
+    cells = dict(zip(h.evaluator.__code__.co_freevars, h.evaluator.__closure__))
+    return cells["fixed"].cell_contents
+
+
+def test_model_system_evaluator_reduces_over_five_lines():
+    """f = a, l = 1 on 21 controls: only a in {-1, -0.1, 0, 0.1, 1} can set H."""
+    h = induced_hamiltonian(build_model_system(0.0), 0)
+    for hs, sign in ((h, 1.0), (reflected(h), -1.0),
+                     (h.with_coefficients(h.coefficients), 1.0)):
+        speeds, costs = _lines(hs)
+        assert np.allclose(sign * speeds, [-1.0, -0.1, 0.0, 0.1, 1.0], rtol=0.0, atol=1e-12)
+        assert costs.tolist() == [1.0] * 5
+
+
+def test_window_rebuilds_of_a_time_dependent_edge_are_pruned():
+    speed = TimeSignal(np.array([0.0, 0.4, 1.0]), np.array([1.0, 2.0]))
+    edge = control_edge(ControlForm(c1=speed), ControlForm(c0=1.0), -1.0, 1.0, n=21)
+    h = edge_hamiltonian(edge)
+    assert not h.time_independent
+    for a, b in ((0.0, 0.1), (0.3, 0.5), (0.6, 1.0)):
+        assert len(_lines(h.frozen(a, b))[0]) == 5

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,12 @@ from hjj import (
     make_grid,
     value_function,
 )
-from hjj.dpp_oracle import _bellman, oracle_grid
+from hjj.control_system import undominated
+from hjj.dpp_oracle import _bellman, _windows, oracle_grid
 from hjj.errors import BudgetExceeded, CflViolation, NoAdmissibleControl
 
-from conftest import build_model_system, check_value_function_bounds, zero_datum
+from conftest import (build_model_system, check_value_function_bounds, random_control_system,
+                      zero_datum)
 
 
 def _abs_datum(x: float) -> float:
@@ -178,6 +182,12 @@ def test_dpp_restart_reproduces_the_run():
     field = value_function(cs, zero_datum, cfg)
     assert dpp_consistency_check(cs, zero_datum, cfg, 0.0, field) == 0.0
     assert dpp_consistency_check(cs, zero_datum, cfg, 0.5, field) <= 1e-13
+
+
+def test_dpp_restart_at_the_horizon_is_the_run_itself():
+    cs = build_model_system(0.0)
+    cfg = DppConfig(dx=0.05, horizon=1.0, r_domain=2.0)
+    assert dpp_consistency_check(cs, zero_datum, cfg, 1.0) == 0.0
 
 
 def test_dpp_restart_rejects_off_grid_times():
@@ -360,3 +370,118 @@ def test_no_admissible_control_names_the_same_node_and_window():
         _reference_values(cs, grid, np.zeros(grid.n_nodes))
     assert str(got.value) == str(want.value)
     assert f"node {grid.edge_full_indices(0)[-1]} on" in str(got.value)
+
+
+# ---------------------------------------------------------------------------
+# dominated controls leave the tables; the answers stay bit for bit
+
+def _random_case(seed: int, n_edges: int):
+    rng = np.random.default_rng(seed)
+    cs = random_control_system(rng, horizon=0.5, n_edges=n_edges)
+    s, x0 = rng.uniform(0.1, 0.8), rng.uniform(-0.4, 0.4)
+    return cs, lambda x: s * abs(x - x0)
+
+
+@pytest.mark.parametrize("cfl_safety", [0.5, 1.0])
+@pytest.mark.parametrize("seed,n_edges", [(3, 2), (4, 2), (5, 2), (6, 3), (7, 3)])
+def test_pruned_value_function_equals_the_per_control_loop(seed, n_edges, cfl_safety):
+    cs, u0 = _random_case(seed, n_edges)
+    cfg = DppConfig(dx=0.05, horizon=0.5, r_domain=1.0, cfl_safety=cfl_safety)
+    field = value_function(cs, u0, cfg)
+    want = _reference_values(cs, field.grid, field.values[0])
+    assert field.values.tobytes() == want.tobytes()
+
+
+def test_pruned_value_function_on_time_dependent_forms_at_full_cfl():
+    cs, u0, cfg = _time_dependent_forms()
+    field = value_function(cs, u0, replace(cfg, cfl_safety=1.0))
+    assert field.values.tobytes() == _reference_values(cs, field.grid,
+                                                       field.values[0]).tobytes()
+
+
+def _columns(cs, cfg, n: int = 0) -> list:
+    grid = oracle_grid(cs, cfg)
+    return [row[0] for row in _windows(cs, grid, flux_limiter(cs), grid.times)(n)[1]]
+
+
+def test_model_system_tables_keep_five_columns_per_edge():
+    cs = build_model_system(0.0)
+    cfg = DppConfig(dx=0.05, horizon=1.0, r_domain=2.0)
+    for sign, speeds in zip((1.0, -1.0), _columns(cs, cfg)):
+        assert np.allclose(sign * speeds, [-1.0, -0.1, 0.0, 0.1, 1.0], rtol=0.0, atol=1e-12)
+
+
+def test_time_dependent_tables_keep_the_union_over_windows():
+    """Speeds a + s(t), s = 0 then 0.25: each window keeps 5 of 9 controls, the march 6."""
+    shift = TimeSignal(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25]))
+    edges = [control_edge(ControlForm(c0=shift, c1=1.0), ControlForm(c0=1.0), -1.0, 1.0, n=9)
+             for _ in range(2)]
+    cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=0.5, orientation="star")
+    cfg = DppConfig(dx=0.05, horizon=1.0, r_domain=1.0)
+    grid = oracle_grid(cs, cfg)
+    assert 0.5 in grid.times
+    speeds, costs = cs.local_window_tables(0, grid.times)
+    rows = [undominated(f, l) for f, l in zip(speeds, costs)]
+    assert {int(r.sum()) for r in rows} == {5}
+    union = np.any(rows, axis=0)
+    assert np.flatnonzero(union).tolist() == [0, 2, 3, 4, 5, 8]
+    first, last = _columns(cs, cfg, 0)[0], _columns(cs, cfg, grid.steps - 1)[0]
+    assert first.tobytes() == speeds[0][union].tobytes()
+    assert last.tobytes() == speeds[-1][union].tobytes()
+    field = value_function(cs, zero_datum, cfg)
+    assert field.values.tobytes() == _reference_values(cs, grid, field.values[0]).tobytes()
+
+
+def test_full_cfl_case_keeps_every_column():
+    cs, _, cfg = _full_cfl()
+    assert [len(c) for c in _columns(cs, cfg)] == [9, 9]
+    assert [len(c) for c in _columns(cs, replace(cfg, cfl_safety=0.9))] == [5, 5]
+
+
+def test_departures_one_rounding_past_the_cell_keep_every_column():
+    """dt |f| = dx exactly, but node 12 of an edge sits an ulp right of 12 dx.
+
+    The fastest departure from node 13 then lands in cell 11, left of its
+    upwind cell, where a steep level makes it dearer than the dropped
+    v = 0.5; the guard's margin keeps every column.
+    """
+    controls = np.array([-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0])
+    edges = [ControlEdge(ControlForm(c1=1.0), ControlForm(c0=1.0), controls) for _ in range(2)]
+    cs = ControlSystem(edges, l0=constant(0.0, 0.1), A0=-1.0, delta=1.0, orientation="star")
+    grid = make_grid(dx=0.1, horizon=0.1, radii=(1.5, 1.5), c2=1.0, dt=0.1)
+    y, idx = grid.edge_y(0), grid.edge_full_indices(0)
+    assert y[13] - 0.1 < y[12]
+    level = np.zeros(grid.n_nodes)
+    level[idx[11]] = 1e15
+    level[idx[13:]] = 0.1 * np.arange(1, len(idx) - 12)
+    A = flux_limiter(cs)
+    assert [len(row[0]) for row in _windows(cs, grid, A, grid.times)(0)[1]] == [7, 7]
+    got = _bellman(cs, grid, A, level, 0.0, 0.1, True)
+    assert got.tobytes() == _reference_bellman(cs, grid, A, level, 0.0, 0.1, True).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# x-dependent speeds beyond the probed bound
+
+def _fast_far_out():
+    """Speeds a (1 + 3 min(|y|, 0.1) / 0.1): 1 at the junction, where the bound probes, 4 beyond."""
+    drift = lambda t, y, a: a * (1.0 + 3.0 * min(abs(y), 0.1) / 0.1)
+    edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21))
+             for _ in range(2)]
+    return ControlSystem(edges, l0=constant(0.0, 0.05), A0=-1.0, delta=1.0)
+
+
+def test_callable_speeds_above_the_bound_raise_cfl_violation():
+    cs = _fast_far_out()
+    assert cs.max_speed() == 1.0
+    cfg = DppConfig(dx=0.01, horizon=0.05, r_domain=0.3, cfl_safety=1.0)
+    grid = oracle_grid(cs, cfg)
+    with pytest.raises(CflViolation) as got:
+        value_function(cs, zero_datum, cfg)
+    # first offending node: y = 0.01 on edge 0, where the speed reaches 1.3
+    node = int(grid.edge_full_indices(0)[1])
+    assert f"at node {node} on [0.0, {grid.times[1]}]" in str(got.value)
+    # a quarter of the step clears the true bound
+    field = value_function(cs, zero_datum, DppConfig(dx=0.01, horizon=0.05, r_domain=0.3,
+                                                     cfl_safety=0.25))
+    field.check_finite()

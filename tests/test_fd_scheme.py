@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import hjj.control_system as control_system_module
 import hjj.hamiltonian as hamiltonian_module
 from hjj import (
     ControlForm,
@@ -31,7 +32,7 @@ from hjj.errors import CflViolation, NumericalFailure
 from hjj.fd_scheme import _windows
 from hjj.hamiltonian import FixedEnvelopes, numeric_argmin
 
-from conftest import zero_datum
+from conftest import random_control_system, zero_datum
 
 
 def _line_problem(a_value: float, u0=zero_datum, lip: float = 0.0,
@@ -476,3 +477,26 @@ def test_batched_march_checks_every_problem():
         assert str(batched.value) == str(alone.value)
     with pytest.raises(ValueError):
         solve_many([], grid)
+
+
+def _random_induced_problem(seed: int, n_edges: int) -> JunctionProblem:
+    cs = random_control_system(np.random.default_rng(seed), horizon=0.5, n_edges=n_edges)
+    return induced_problem(cs, lambda x: 0.4 * min(1.0, abs(x - 0.1)), 0.4, 0.5)
+
+
+@pytest.mark.parametrize("cfl_safety", [0.5, 1.0])
+@pytest.mark.parametrize("case", ["random-3", "random-4", "random-5", "random-star-6",
+                                  "random-star-7", "time-dependent"])
+def test_pruned_solve_equals_the_march_over_every_control(monkeypatch, case, cfl_safety):
+    """The reference is the same march with undominated keeping every control."""
+    def run() -> np.ndarray:
+        if case == "time-dependent":
+            prob = _control_induced_problem()
+        else:
+            prob = _random_induced_problem(int(case[-1]), 3 if "star" in case else 2)
+        return solve(prob, grid_for(prob, 0.05, 1.0, cfl_safety=cfl_safety)).values
+
+    got = run()
+    monkeypatch.setattr(control_system_module, "undominated",
+                        lambda speeds, costs: np.ones(len(speeds), dtype=bool))
+    assert got.tobytes() == run().tobytes()
