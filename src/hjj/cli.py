@@ -136,8 +136,9 @@ def cmd_value(args) -> int:
 
 
 def _common_grid(problem: JunctionProblem, cs: ControlSystem, args) -> Grid:
-    c2 = max(problem.c2_max(), cs.max_speed())
+    """A grid on which both routes run: C2 covers the problem and the control system."""
     radii = [min(e.length, args.R_domain) for e in problem.edges]
+    c2 = max(problem.cfl_speed(args.dx, radii)[0], cs.max_speed())
     return make_grid(args.dx, problem.horizon, radii, c2=c2,
                      dt=args.dt, cfl_safety=args.cfl_safety)
 

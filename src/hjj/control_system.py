@@ -147,19 +147,24 @@ class ControlEdge:
         lo, hi, _ = self.interval
         return ControlEdge(self.f, self.l, np.linspace(lo, hi, n), (lo, hi, n))
 
-    def speed_bound(self) -> float:
-        if _is_form(self.f):
-            lo, hi = self.f.bounds(self.controls)
-            return max(abs(lo), abs(hi))
-        speeds = _call_g(self.f, 0.0, 0.0, self.controls)
-        return float(np.max(np.abs(speeds)))
+    def speed_bound(self, xs=(0.0,)) -> float:
+        """max |f| over the controls and every coefficient value.
 
-    def cost_bound(self) -> float:
-        if _is_form(self.l):
-            lo, hi = self.l.bounds(self.controls)
-            return max(abs(lo), abs(hi))
-        costs = _call_g(self.l, 0.0, 0.0, self.controls)
-        return float(np.max(np.abs(costs)))
+        A callable f is evaluated at t = 0 at each position of xs (by
+        default the junction alone).
+        """
+        return _abs_max(self.f, self.controls, xs)
+
+    def cost_bound(self, xs=(0.0,)) -> float:
+        """max |l|, in the same way as speed_bound."""
+        return _abs_max(self.l, self.controls, xs)
+
+
+def _abs_max(g, controls: np.ndarray, xs) -> float:
+    if _is_form(g):
+        lo, hi = g.bounds(controls)
+        return max(abs(lo), abs(hi))
+    return max(float(np.max(np.abs(_call_g(g, 0.0, float(x), controls)))) for x in xs)
 
 
 def control_edge(f, l, lo: float, hi: float, n: int = 101) -> ControlEdge:
@@ -364,14 +369,27 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
         coefficients = None
         rebuild = None
 
-    f_lo, f_hi = (f.bounds(controls) if _is_form(f)
-                  else (lambda s: (float(s.min()), float(s.max())))(
-                      _call_g(f, 0.0, 0.0, controls)))
     l_lo, l_hi = (l.bounds(controls) if _is_form(l)
                   else (lambda c: (float(c.min()), float(c.max())))(
                       _call_g(l, 0.0, 0.0, controls)))
-    lip = max(abs(f_lo), abs(f_hi))
+    lip = edge.speed_bound()
     radius = (l_hi - l_lo + 1.0) / max(delta, 1e-9)
+    what = f"max|f| over {len(controls)} controls"
+
+    def positions(ys):
+        # a callable is bounded on the edge's grid nodes, at t = 0
+        if ys is None:
+            raise ValueError("C2 of an x-dependent control-induced edge needs the grid's nodes")
+        return sign * np.asarray(ys, dtype=float)
+
+    def speed_bound(M, ys):
+        if _is_form(f):
+            return lip, what
+        return edge.speed_bound(positions(ys)), f"{what} and {len(ys)} nodes"
+
+    def value_bound(L, ys):
+        xs = (0.0,) if edge.x_independent else positions(ys)
+        return edge.speed_bound(xs) * L + edge.cost_bound(xs)
 
     return Hamiltonian(
         evaluator,
@@ -383,6 +401,8 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
         rebuild=rebuild,
         reflect=lambda: _induced(edge, -sign, delta, validate=False),
         validate=validate,
+        speed_bound=speed_bound,
+        value_bound=value_bound,
     )
 
 

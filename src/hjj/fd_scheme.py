@@ -18,6 +18,11 @@ junction slopes; the truncation end of each edge uses the nondecreasing
 branch on the interior slope only, an outflow closure that keeps the update
 monotone. Under the CFL condition dt <= dx / C2 every update is
 nondecreasing in the data, so discrete comparison holds to round-off.
+C2 is JunctionProblem.cfl_speed: exact for |p| + c and control-induced
+edges, and for a quadratic edge a bound on the slope box that the data
+give. That box is the a priori choice of dt, and each step checks
+dt |dH/dp| <= dx at the slopes it reads on every quadratic edge, under
+the window's coefficients, raising CflViolation on a breach.
 
 solve_many marches several problems that share one grid as one loop over a
 leading problem axis; solve is the batch of one. Values are stored as
@@ -58,7 +63,7 @@ def grid_for(problem: JunctionProblem, dx: float, r_domain: float,
              dt: float | None = None, cfl_safety: float = 0.5) -> Grid:
     """Grid whose per-edge radius is r_domain capped by the edge length."""
     radii = [min(e.length, r_domain) for e in problem.edges]
-    return make_grid(dx, problem.horizon, radii, c2=problem.c2_max(),
+    return make_grid(dx, problem.horizon, radii, c2=problem.cfl_speed(dx, radii)[0],
                      dt=dt, cfl_safety=cfl_safety)
 
 
@@ -133,25 +138,57 @@ def _edge_terms(env, x_independent: bool, t: float, q: np.ndarray,
     return flux, inflow
 
 
+def _first_breach(env, q: np.ndarray, dt: float, dx: float) -> tuple | None:
+    """(row, slope, dt |dH/dp| / dx) at the first slope of q (rows, m) with dt |dH/dp| > dx.
+
+    Only catalog edges whose C2 holds on a slope box alone (form.speed) are
+    checked, under the window's coefficients; None when nothing breaches.
+    """
+    if isinstance(env, list):  # one envelope object per row
+        for b, e in enumerate(env):
+            hit = _first_breach(e, q[b:b + 1], dt, dx)
+            if hit is not None:
+                return b, hit[1], hit[2]
+        return None
+    if not (isinstance(env, FixedEnvelopes) and env.form.speed is not None):
+        return None
+    speed = env.form.speed(q, *env.values)
+    limit = dx * (1.0 + 1e-9) / dt
+    if not speed.max() > limit:  # NaN slopes are left to the non-finite check
+        return None
+    b, j = np.argwhere(speed > limit)[0]
+    return b, j, float(speed[b, j]) * dt / dx
+
+
 def _advance(problems: Sequence[JunctionProblem], grid: Grid, u: np.ndarray,
              t: float, dt: float, window: tuple | None) -> np.ndarray:
-    """The explicit Euler update of every row of u (problems, nodes) over [t, t + dt]."""
+    """The explicit Euler update of every row of u (problems, nodes) over [t, t + dt].
+
+    Raises CflViolation when dt > dx / C2, or when a slope of u on a
+    quadratic edge has dt |dH/dp| > dx under this window's coefficients;
+    the latter names the first problem of the batch, then edge, then slope.
+    """
     for problem in problems:
-        if dt > grid.dx / problem.c2_max() * (1.0 + 1e-9):
-            raise CflViolation(
-                f"dt={dt:.6g} exceeds dx/C2={grid.dx / problem.c2_max():.6g}")
+        c2, source = problem.cfl_speed(grid.dx, grid.edge_radii)
+        if dt > grid.dx / c2 * (1.0 + 1e-9):
+            raise CflViolation(f"dt={dt:.6g} exceeds dx/C2={grid.dx / c2:.6g} (C2 from {source})")
     if window is None:
         window = _windows(problems, grid, np.array([t, t + dt]))(0)
     a_avg, envs = window
 
     new = np.empty_like(u)
     inflows = [a_avg.tolist()]
+    breaches = []
     for i, env in enumerate(envs):
         idx = grid.edge_full_indices(i)
         ys = grid.edge_y(i)
         uu = u.take(idx, axis=1)
         q = np.subtract(uu[:, 1:], uu[:, :-1])
         q /= grid.dx
+        breach = _first_breach(env, q, dt, grid.dx)
+        if breach is not None:
+            b, j, achieved = breach
+            breaches.append((int(b), i, int(idx[j]), int(idx[j + 1]), achieved))
         if isinstance(env, list):
             terms = [_edge_terms(e, p.edges[i].hamiltonian.x_independent, t, q[b:b + 1], ys)
                      for b, (e, p) in enumerate(zip(env, problems))]
@@ -163,6 +200,12 @@ def _advance(problems: Sequence[JunctionProblem], grid: Grid, u: np.ndarray,
         # an edge's interior nodes are contiguous in the grid's node order
         np.subtract(uu[:, 1:], dt * flux, out=new[:, idx[1]:idx[-1] + 1])
         inflows.append(inflow.tolist())
+    if breaches:
+        b, i, start, end, achieved = min(breaches)
+        c2, source = problems[b].cfl_speed(grid.dx, grid.edge_radii)
+        raise CflViolation(
+            f"dt |dH/dp| / dx = {achieved:.6g} > 1 at level {grid.level_index(t)}, on the "
+            f"slope from node {start} to node {end} (edge {i}); C2 = {c2:.6g} from {source}")
     # the first largest of A and the inflows, as the builtin max picks it
     new[:, 0] = u[:, 0] - dt * np.array([max(terms) for terms in zip(*inflows)])
     return new

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CflViolation, ConfigError
 
-__all__ = ["Grid", "SolutionField", "make_grid", "fmt", "atomic_write_text"]
+__all__ = ["Grid", "SolutionField", "make_grid", "edge_nodes", "fmt", "atomic_write_text"]
 
 
 def fmt(v: float) -> str:
@@ -120,6 +120,16 @@ class Grid:
                 and bool(np.all(np.abs(self.times - other.times) < 1e-12)))
 
 
+def edge_nodes(dx: float, radii: Sequence[float]) -> tuple:
+    """Each edge's node coordinates 0, dx, ..., m dx, with m = round(r / dx) >= 1.
+
+    A grid built by make_grid from dx and radii has these nodes (edge_y).
+    """
+    if dx <= 0:
+        raise ConfigError("dx must be positive")
+    return tuple(np.arange(max(1, int(round(r / dx))) + 1) * dx for r in radii)
+
+
 def make_grid(
     dx: float,
     horizon: float,
@@ -130,8 +140,10 @@ def make_grid(
 ) -> Grid:
     """Build a grid; dt defaults to cfl_safety * dx / C2 rounded to fit T.
 
-    An explicitly requested dt that violates dt <= dx / C2 raises
-    CflViolation (numerical-failure class, not a config error).
+    C2 bounds |dH_i/dp| over the slopes the scheme reaches
+    (JunctionProblem.cfl_speed). An explicitly requested dt that violates
+    dt <= dx / C2 raises CflViolation (numerical-failure class, not a
+    config error).
     """
     if dx <= 0 or horizon <= 0:
         raise ConfigError("dx and T must be positive")
@@ -140,10 +152,7 @@ def make_grid(
     if not (0 < cfl_safety <= 1.0):
         raise ConfigError("cfl safety factor must lie in (0, 1]")
     c2 = max(float(c2), 1e-12)
-    radii_eff = []
-    for r in radii:
-        m = max(1, int(round(r / dx)))
-        radii_eff.append(m * dx)
+    radii_eff = [float(ys[-1]) for ys in edge_nodes(dx, radii)]
     cfl_limit = dx / c2
     if dt is None:
         target = cfl_safety * cfl_limit

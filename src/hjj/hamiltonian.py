@@ -10,7 +10,8 @@ piecewise-constant coefficient signals. The envelope splitting
 (with p_hat a minimizer of H(t, x, .)) yields the nondecreasing and
 nonincreasing parts used by the Godunov flux and the junction operator.
 Catalog forms know their minimiser, minimum and envelopes in closed form
-(CATALOG); any other Hamiltonian is minimised numerically.
+(CATALOG), and so the bounds on |H| and |dH/dp| that set the scheme's C2;
+any other Hamiltonian is minimised numerically.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ class Hamiltonian:
     evaluator        callable (t, x, p) -> value; must broadcast over numpy
                      arrays in p for the fast paths
     lipschitz_p      declared bound on |dH/dp| over the working slope range
+                     (inf for a quadratic without a declared p_span)
     coercivity_radius  callable (t, x) -> initial bracket radius P with
                      H(t, x, +-P) > H(t, x, 0); doubling extends it if needed
     form             catalog form name (closed forms in CATALOG), or None
@@ -64,6 +66,12 @@ class Hamiltonian:
     time_data        the TimeSignal coefficients; empty means the Hamiltonian
                      is declared time-independent
     x_independent    True when H ignores x (one split point serves all nodes)
+    speed_bound      callable (M, ys) -> (C2, source): a bound on |dH/dp| over
+                     the slopes with H <= M at the edge nodes ys (None before a
+                     grid exists), and what it rests on; by default the
+                     declared lipschitz_p
+    value_bound      callable (L, ys) -> a bound on |H| over |p| <= L; by
+                     default |H(0, 0, 0)| + lipschitz_p L, a probe at the origin
     """
 
     def __init__(
@@ -78,6 +86,8 @@ class Hamiltonian:
         rebuild: Callable | None = None,
         reflect: Callable | None = None,
         validate: bool = True,
+        speed_bound: Callable | None = None,
+        value_bound: Callable | None = None,
     ):
         self.evaluator = evaluator
         self.lipschitz_p = float(lipschitz_p)
@@ -93,6 +103,8 @@ class Hamiltonian:
         self.x_independent = bool(x_independent)
         self._rebuild = rebuild
         self._reflector = reflect
+        self._speed_bound = speed_bound
+        self._value_bound = value_bound
         if validate:
             check_convexity(self)
 
@@ -102,6 +114,18 @@ class Hamiltonian:
     @property
     def time_independent(self) -> bool:
         return not self.time_data
+
+    def speed_bound(self, M: float, ys=None) -> tuple[float, str]:
+        """(C2, source): a bound on |dH/dp| where H <= M, at the edge nodes ys."""
+        if self._speed_bound is None:
+            return self.lipschitz_p, f"declared lipschitz_p {self.lipschitz_p:.6g}"
+        return self._speed_bound(M, ys)
+
+    def value_bound(self, L: float, ys=None) -> float:
+        """A bound on |H| over the slopes |p| <= L, at the edge nodes ys."""
+        if self._value_bound is None:
+            return abs(float(self.evaluator(0.0, 0.0, 0.0))) + self.lipschitz_p * L
+        return self._value_bound(L, ys)
 
     def eval_p(self, t: float, x: float, p: np.ndarray) -> np.ndarray:
         """Evaluate at an array of slopes, falling back to a scalar loop.
@@ -325,11 +349,15 @@ class ClosedForm(NamedTuple):
     """A catalog form: H and its minimiser as functions of coefficient values.
 
     h(p_hat) is the minimum exactly, so h(max(p, p_hat)), h(min(p, p_hat)) split H.
+    value_bound and slope_box take each coefficient's (lo, hi) range over time.
     """
 
     names: tuple
-    h: Callable       # (p, *values) -> H(p)
-    argmin: Callable  # (*values) -> (p_hat, min H)
+    h: Callable            # (p, *values) -> H(p)
+    argmin: Callable       # (*values) -> (p_hat, min H)
+    value_bound: Callable  # (L, *ranges) -> sup |H| over |p| <= L and every value
+    slope_box: Callable    # (M, *ranges) -> (C2, source): sup |dH/dp| where H <= M
+    speed: Callable | None = None  # (p, *values) -> |dH/dp|, where C2 holds only on a box
 
     def values_at(self, coefficients: dict, t: float) -> tuple:
         return tuple(coeff_eval(coefficients[k], t) for k in self.names)
@@ -359,9 +387,28 @@ def _quadratic(p, a, b, c):
     return a * d * d + c
 
 
+def _quadratic_value_bound(L, a, b, c):
+    # a (p - b)^2 + c lies in [c_lo, a_hi (L + max|b|)^2 + c_hi] for |p| <= L
+    top = a[1] * (L + max(abs(b[0]), abs(b[1]))) ** 2 + c[1]
+    return max(abs(c[0]), abs(top))
+
+
+def _quadratic_slope_box(M, a, b, c):
+    # {a (p - b)^2 + c <= M} is |p - b| <= sqrt((M - c) / a) <= r for every
+    # coefficient value, so the union lies in [b_lo - r, b_hi + r]; there
+    # |dH/dp| = 2 a |p - b| <= 2 a_hi (b_hi - b_lo + r).
+    r = (max(M - c[0], 0.0) / a[0]) ** 0.5
+    return (2.0 * a[1] * (b[1] - b[0] + r),
+            f"slope box [{b[0] - r:.3g}, {b[1] + r:.3g}] of {{H <= {M:.3g}}}")
+
+
 CATALOG = {
-    "quadratic": ClosedForm(("a", "b", "c"), _quadratic, lambda a, b, c: (b, c)),
-    "abs_shift": ClosedForm(("c",), lambda p, c: np.abs(p) + c, lambda c: (0.0, c)),
+    "quadratic": ClosedForm(("a", "b", "c"), _quadratic, lambda a, b, c: (b, c),
+                            _quadratic_value_bound, _quadratic_slope_box,
+                            lambda p, a, b, c: 2.0 * a * np.abs(p - b)),
+    "abs_shift": ClosedForm(("c",), lambda p, c: np.abs(p) + c, lambda c: (0.0, c),
+                            lambda L, c: max(abs(c[0]), abs(L + c[1])),
+                            lambda M, c: (1.0, "|dH/dp| = 1")),
 }
 
 
@@ -369,12 +416,15 @@ def _catalog(form: str, coefficients: dict, rebuild: Callable,
              **metadata) -> Hamiltonian:
     # Convex by construction, so the randomized convexity probe is skipped.
     closed = CATALOG[form]
+    ranges = tuple(coeff_bounds(coefficients[k]) for k in closed.names)
 
     def evaluator(t, x, p):
         return closed.h(p, *closed.values_at(coefficients, t))
 
+    metadata.setdefault("speed_bound", lambda M, ys: closed.slope_box(M, *ranges))
     return Hamiltonian(evaluator, form=form, coefficients=coefficients,
                        x_independent=True, rebuild=rebuild, validate=False,
+                       value_bound=lambda L, ys: closed.value_bound(L, *ranges),
                        **metadata)
 
 
@@ -391,11 +441,15 @@ def eikonal() -> Hamiltonian:
     return abs_shift(-1.0)
 
 
-def quadratic(a, b, c, p_span: float = 10.0) -> Hamiltonian:
+def quadratic(a, b, c, p_span: float | None = None) -> Hamiltonian:
     """H(p) = a (p - b)^2 + c with a > 0; coefficients float or TimeSignal.
 
-    A parabola is only locally Lipschitz in p; the declared constant covers
-    slopes within p_span of the origin.
+    A parabola is only locally Lipschitz in p, so the scheme's C2 bounds
+    |dH/dp| on the slopes that the solution reaches: by default the slope box
+    {H <= M} of the problem's time-derivative bound M (see
+    JunctionProblem.cfl_speed), which fd_scheme checks against the slopes
+    of every step. A declared p_span overrides the box with the constant
+    2 a_hi (p_span + |b|), which covers slopes within p_span of the origin.
     """
     a_lo, a_hi = coeff_bounds(a)
     b_lo, b_hi = coeff_bounds(b)
@@ -403,13 +457,18 @@ def quadratic(a, b, c, p_span: float = 10.0) -> Hamiltonian:
         raise ValueError("quadratic needs a > 0")
     b_abs = max(abs(b_lo), abs(b_hi))
     neg_b = b.shift_values(np.negative) if isinstance(b, TimeSignal) else -b
+    declared = {}
+    if p_span is not None:
+        lip = 2.0 * a_hi * (p_span + b_abs)
+        declared = {"speed_bound": lambda M, ys: (lip, f"declared p_span {p_span:g}")}
     return _catalog(
         "quadratic", {"a": a, "b": b, "c": c},
         rebuild=lambda coeffs: quadratic(coeffs["a"], coeffs["b"], coeffs["c"],
                                          p_span=p_span),
         reflect=lambda: quadratic(a, neg_b, c, p_span=p_span),
-        lipschitz_p=2.0 * a_hi * (p_span + b_abs),
+        lipschitz_p=np.inf if p_span is None else lip,
         coercivity_radius=2.0 * b_abs + 1.0,
+        **declared,
     )
 
 
@@ -440,8 +499,9 @@ def hamiltonian_from_config(d: dict, horizon: float) -> Hamiltonian:
     if form == "abs_shift":
         return abs_shift(coeff("c"))
     if form == "quadratic":
+        p_span = d.get("p_span")
         return quadratic(coeff("a"), coeff("b"), coeff("c"),
-                         p_span=float(d.get("p_span", 10.0)))
+                         p_span=None if p_span is None else float(p_span))
     if form == "control_induced":
         raise ConfigError(
             "control_induced Hamiltonians are built from the control_system "

@@ -31,6 +31,7 @@ from .control_system import (
     induced_hamiltonian,
 )
 from .errors import ConfigError, ConvexityError, FluxLimiterBelowFloor, SlopeCountMismatch
+from .grid import edge_nodes
 from .hamiltonian import Hamiltonian, a0_floor, check_convexity, envelopes, reflected
 from .time_signal import TimeSignal, union_mesh
 
@@ -94,6 +95,7 @@ class JunctionProblem:
         self.line_convention = bool(line_convention)
         self.u0_line = u0_line
         self._envs = [envelopes(e.hamiltonian) for e in self.edges]
+        self._cfl = {}
 
     @property
     def n_edges(self) -> int:
@@ -102,8 +104,40 @@ class JunctionProblem:
     def envelope(self, i: int):
         return self._envs[i]
 
+    def cfl_speed(self, dx: float | None = None, radii=None) -> tuple[float, str]:
+        """(C2, source): a bound on |dH_i/dp| over the slopes the scheme reaches.
+
+        M = max(sup|A|, max_i sup_{t, |q| <= L_u0} |H_i(t, q)|) bounds the
+        discrete time derivative at the first step, and the slopes stay
+        where H_i <= M (Costeseque, Lebacque & Monneau 2015, for
+        time-independent data). Each edge bounds |dH_i/dp| there
+        (Hamiltonian.speed_bound): a quadratic on its slope box, |p| + c by
+        1, a control-induced edge by max|f|, a black box or a declared
+        p_span by the declared constant. C2 is the largest, and source
+        names it and its edge. With time-dependent coefficients the box is
+        the a priori choice of dt only; fd_scheme checks the slopes of every
+        step on the edges whose C2 holds only on the box.
+
+        An x-dependent edge is bounded on the nodes that dx and radii give
+        it (grid.edge_nodes), so it needs them. Computed once per problem
+        (and node set) and cached.
+        """
+        key, nodes = None, [None] * self.n_edges
+        if dx is not None and not all(e.hamiltonian.x_independent for e in self.edges):
+            nodes = edge_nodes(dx, radii)
+            key = (float(dx), tuple(len(ys) for ys in nodes))
+        if key not in self._cfl:
+            hams = [e.hamiltonian for e in self.edges]
+            big_m = max([abs(self.flux_limiter.min()), abs(self.flux_limiter.max())]
+                        + [h.value_bound(self.lipschitz_u0, ys) for h, ys in zip(hams, nodes)])
+            speeds = [h.speed_bound(big_m, ys) for h, ys in zip(hams, nodes)]
+            i = max(range(self.n_edges), key=lambda k: speeds[k][0])
+            self._cfl[key] = (float(speeds[i][0]), f"{speeds[i][1]} on edge {i}")
+        return self._cfl[key]
+
     def c2_max(self) -> float:
-        return max(e.hamiltonian.lipschitz_p for e in self.edges)
+        """C2 of cfl_speed() alone."""
+        return self.cfl_speed()[0]
 
     def local_slopes(self, slopes: Sequence[float]) -> np.ndarray:
         """Normalize caller slopes to edge-local orientation.
@@ -242,7 +276,8 @@ def validate(problem: JunctionProblem, refine: int = 32,
     """Check the standing assumptions on sampled points.
 
     Raises FluxLimiterBelowFloor (hard failure) when A(t) dips below the
-    junction floor beyond 1e-9; every other check is reported soft.
+    junction floor beyond 1e-9; every other check is reported soft. The last
+    item, cfl_speed, always passes: it reports C2 and where it comes from.
     """
     report = ValidationReport()
 
@@ -280,6 +315,12 @@ def validate(problem: JunctionProblem, refine: int = 32,
             report.items.append(ValidationItem(
                 f"edge{i}_convexity", False, str(exc)))
 
+    try:  # informational: the C2 that sets the default dt, and its source
+        c2, source = problem.cfl_speed()
+        detail = f"C2 = {c2:.6g} from {source}"
+    except ValueError as exc:
+        detail = str(exc)
+    report.items.append(ValidationItem("cfl_speed", True, detail))
     return report
 
 

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from hjj import (ControlEdge, ControlForm, ControlSystem, SolutionField, TimeSignal, constant,
-                 control_edge)
+from hjj import (ControlEdge, ControlForm, ControlSystem, JunctionProblem, SolutionField,
+                 TimeSignal, constant, control_edge, eikonal, from_line, quadratic)
 
 
 def build_model_system(l0_value: float = 0.0, horizon: float = 1.0,
@@ -57,6 +57,22 @@ def random_control_system(rng: np.random.Generator, horizon: float = 0.5,
 
 def zero_datum(x: float) -> float:
     return 0.0
+
+
+def random_tdq_problem(seed: int, horizon: float = 1.0, cells: int = 8) -> JunctionProblem:
+    """Line problem: eikonal on x > 0, a(t) (p - b(t))^2 - 1 on x < 0, zero datum.
+
+    a in [0.5, 2], b in [-0.25, 0.25] and the flux limiter A in [-1, 0.5]
+    are step signals, each on its own random cells.
+    """
+    rng = np.random.default_rng(seed)
+
+    def signal(lo: float, hi: float) -> TimeSignal:
+        inner = np.sort(rng.uniform(0.0, horizon, cells - 1))
+        return TimeSignal(np.concatenate(([0.0], inner, [horizon])), rng.uniform(lo, hi, cells))
+
+    quad = quadratic(signal(0.5, 2.0), signal(-0.25, 0.25), -1.0)
+    return from_line(eikonal(), quad, signal(-1.0, 0.5), zero_datum, 0.0, horizon)
 
 
 def check_value_function_bounds(cs: ControlSystem, field: SolutionField,

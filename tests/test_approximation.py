@@ -221,7 +221,8 @@ def _time_dependent_quadratic_problem():
     a = TimeSignal(np.array([0.0, 0.13, 0.31, 0.5]), np.array([1.0, 1.7, 0.6]))
     b = TimeSignal(np.array([0.0, 0.22, 0.5]), np.array([0.2, -0.15]))
     limiter = TimeSignal(np.array([0.0, 0.07, 0.29, 0.5]), np.array([-0.5, 0.3, -1.0]))
-    return from_line(eikonal(), quadratic(a, b, -1.0), limiter,
+    # p_span pins the grid on which the K = 0.05 sandwich shows round-off
+    return from_line(eikonal(), quadratic(a, b, -1.0, p_span=10.0), limiter,
                      lambda x: 0.4 * min(1.0, abs(x)), 0.4, 0.5)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import hjj.cli
-from hjj import ControlEdge, ControlSystem
-from hjj.cli import main
+from hjj import ControlEdge, ControlSystem, DppConfig, grid_for, problem_from_config
+from hjj.cli import _common_grid, main
+from hjj.dpp_oracle import oracle_grid
 
 
 def _model_config(**extra) -> dict:
@@ -281,3 +283,11 @@ def test_value_on_an_edge_faster_than_its_probed_bound_exits_3(tmp_path: Path, c
     assert rc == 3
     assert not out.exists()
     assert capsys.readouterr().err.startswith("numerical failure: dt=0.01 exceeds dx/|f|")
+
+
+def test_grid_for_common_grid_and_oracle_grid_agree_on_the_model_problem():
+    problem, cs = problem_from_config(_model_config())
+    args = argparse.Namespace(dx=0.01, R_domain=2.0, dt=None, cfl_safety=0.5)
+    grids = [grid_for(problem, 0.01, 2.0), _common_grid(problem, cs, args),
+             oracle_grid(cs, DppConfig(dx=0.01, horizon=1.0, r_domain=2.0))]
+    assert {(g.dt, g.steps, g.n_nodes) for g in grids} == {(0.005, 200, 401)}

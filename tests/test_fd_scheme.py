@@ -6,6 +6,7 @@ import pytest
 import hjj.control_system as control_system_module
 import hjj.hamiltonian as hamiltonian_module
 from hjj import (
+    ControlEdge,
     ControlForm,
     ControlSystem,
     Edge,
@@ -31,8 +32,9 @@ from hjj import (
 from hjj.errors import CflViolation, NumericalFailure
 from hjj.fd_scheme import _windows
 from hjj.hamiltonian import FixedEnvelopes, numeric_argmin
+from hjj.time_signal import coeff_window_averages
 
-from conftest import random_control_system, zero_datum
+from conftest import random_control_system, random_tdq_problem, zero_datum
 
 
 def _line_problem(a_value: float, u0=zero_datum, lip: float = 0.0,
@@ -465,11 +467,15 @@ def test_batched_march_checks_every_problem():
                                lipschitz_u0=lip, horizon=0.5)
 
     good = star(eikonal(), zero_datum, 0.0)
-    # the declared span understates the slopes, so the march overflows
+    # the declared span understates the slopes: the per-step guard catches it
     steep = star(quadratic(1.0, 0.0, -1.0, p_span=0.5), lambda y: 0.5 * y, 0.5)
     fast = star(quadratic(1.0, 0.0, -1.0, p_span=50.0), zero_datum, 0.0)
+    # a black box has no guard, so an understated lipschitz_p overflows
+    blind = star(Hamiltonian(lambda t, x, p: np.asarray(p) ** 2 - 1.0, lipschitz_p=1.0,
+                             coercivity_radius=2.0, x_independent=True),
+                 lambda y: 0.5 * y, 0.5)
     grid = grid_for(steep, 0.02, 1.0, cfl_safety=1.0)
-    for bad, error in ((steep, NumericalFailure), (fast, CflViolation)):
+    for bad, error in ((steep, CflViolation), (fast, CflViolation), (blind, NumericalFailure)):
         with pytest.raises(error) as alone:
             solve(bad, grid)
         with pytest.raises(error) as batched:
@@ -500,3 +506,68 @@ def test_pruned_solve_equals_the_march_over_every_control(monkeypatch, case, cfl
     monkeypatch.setattr(control_system_module, "undominated",
                         lambda speeds, costs: np.ones(len(speeds), dtype=bool))
     assert got.tobytes() == run().tobytes()
+
+
+# ---------------------------------------------------------------------------
+# C2 from the slope box, and the per-step guard
+
+def _achieved_cfl(problem: JunctionProblem, field) -> float:
+    """max over steps and edges of dt |dH/dp| / dx at the slopes each step reads.
+
+    The edges are catalog forms; |dH/dp| is taken under each window's
+    averaged coefficients, as the scheme takes H.
+    """
+    grid = field.grid
+    dts = np.diff(grid.times)[:, None]
+    worst = 0.0
+    for i, edge in enumerate(problem.edges):
+        h = edge.hamiltonian
+        q = np.diff(field.values[:-1][:, grid.edge_full_indices(i)], axis=1) / grid.dx
+        if h.form == "quadratic":
+            a, b = (coeff_window_averages(h.coefficients[k], grid.times)[:, None] for k in "ab")
+            speed = 2.0 * a * np.abs(q - b)
+        else:
+            speed = np.ones_like(q)  # |p| + c
+        worst = max(worst, float(np.max(dts * speed)) / grid.dx)
+    return worst
+
+
+def test_solve_keeps_the_achieved_cfl_number_within_the_safety_factor():
+    for seed in range(20):
+        prob = random_tdq_problem(seed)
+        field = solve(prob, grid_for(prob, 0.04, 1.0))
+        assert _achieved_cfl(prob, field) <= 0.5, seed
+
+
+def test_an_understated_p_span_raises_cfl_violation_at_the_first_breach():
+    """H = p^2 - 1, p_span 0.5, u0 = 0.5 y: level 0 sits at the limit, level 1 is past it."""
+    star = JunctionProblem(edges=[Edge(quadratic(1.0, 0.0, -1.0, p_span=0.5)) for _ in range(3)],
+                           flux_limiter=constant(0.0, 0.5), initial_data=[lambda y: 0.5 * y] * 3,
+                           lipschitz_u0=0.5, horizon=0.5)
+    grid = grid_for(star, 0.02, 1.0, cfl_safety=1.0)
+    assert star.cfl_speed() == (1.0, "declared p_span 0.5 on edge 0")
+    with pytest.raises(CflViolation) as got:
+        solve(star, grid)
+    assert str(got.value) == ("dt |dH/dp| / dx = 2.5 > 1 at level 1, on the slope from node 0 "
+                              "to node 1 (edge 0); C2 = 1 from declared p_span 0.5 on edge 0")
+
+
+def test_x_dependent_control_edge_takes_its_speed_on_the_grid_nodes():
+    """Speeds a (1 + 3 min(|y|, 0.1) / 0.1): 1 at the junction, 4 from y = 0.1 on."""
+    drift = lambda t, y, a: a * (1.0 + 3.0 * min(abs(y), 0.1) / 0.1)  # noqa: E731
+    edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21))
+             for _ in range(2)]
+    cs = ControlSystem(edges, l0=constant(0.0, 0.05), A0=-1.0, delta=1.0)
+    prob = induced_problem(cs, lambda x: 0.5 * abs(x), 0.5, 0.05)
+    grid = grid_for(prob, 0.01, 0.3, cfl_safety=1.0)
+    assert grid.dt <= 0.01 / 4.0
+    assert prob.cfl_speed(0.01, [0.3, 0.3]) == (4.0, "max|f| over 21 controls and 31 nodes "
+                                                     "on edge 0")
+    field = solve(prob, grid)
+    assert field.sup_norm() <= 0.5 * 0.3 + 0.05 + 1e-12  # u0 plus T times the unit cost
+    with pytest.raises(ValueError, match="needs the grid's nodes"):
+        prob.cfl_speed()
+    # a grid at the speed seen from the junction is refused before the first step
+    probed = make_grid(0.01, 0.05, [0.3, 0.3], c2=1.0, cfl_safety=1.0)
+    with pytest.raises(CflViolation, match="max\\|f\\| over 21 controls and 31 nodes"):
+        solve(prob, probed)

@@ -7,6 +7,7 @@ from hjj import (
     Edge,
     JunctionProblem,
     TimeSignal,
+    abs_shift,
     constant,
     eikonal,
     envelopes,
@@ -19,6 +20,7 @@ from hjj import (
     validate,
 )
 from hjj.errors import ConfigError, FluxLimiterBelowFloor
+from hjj.time_signal import union_mesh
 
 from conftest import build_model_system, zero_datum
 
@@ -248,3 +250,53 @@ def test_induced_problem_matches_manual_line_construction():
         slopes = rng.uniform(-2.0, 2.0, size=2)
         assert junction_hamiltonian(prob, t, slopes) == pytest.approx(
             junction_hamiltonian(manual, t, slopes), abs=1e-9)
+
+
+def test_validate_reports_c2_and_its_source():
+    quad = from_line(eikonal(), quadratic(1.0, 0.0, -1.0), constant(0.0, 1.0), zero_datum,
+                     0.0, 1.0)
+    model = induced_problem(build_model_system(), zero_datum, 0.0, 1.0)
+    # M = |H(0)| = 1, so the box is p^2 - 1 <= 1 and C2 = 2 sqrt(2)
+    want = {quad: "C2 = 2.82843 from slope box [-1.41, 1.41] of {H <= 1} on edge 1",
+            model: "C2 = 1 from max|f| over 21 controls on edge 0"}
+    for prob, detail in want.items():
+        item = validate(prob).items[-1]
+        assert (item.name, item.passed, item.detail) == ("cfl_speed", True, detail)
+
+
+def _step_or_float(rng: np.random.Generator, lo: float, hi: float):
+    if rng.random() < 0.3:
+        return float(rng.uniform(lo, hi))
+    bp = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, 3)), [1.0]))
+    return TimeSignal(bp, rng.uniform(lo, hi, 4))
+
+
+def test_c2_bounds_the_slope_speed_on_the_slope_box():
+    """sup |dH_i/dp| over a dense sample of {q: H_i(t, q) <= M for some t}, under
+    every cell value, is <= C2; M is sampled from its definition."""
+    rng = np.random.default_rng(83)
+    wide = np.linspace(-15.0, 15.0, 15001)
+    for _ in range(40):
+        hams = [quadratic(_step_or_float(rng, 0.2, 3.0), _step_or_float(rng, -1.0, 1.0),
+                          _step_or_float(rng, -2.0, 1.0))
+                if rng.random() < 0.7 else abs_shift(_step_or_float(rng, -2.0, 1.0))
+                for _side in range(2)]
+        limiter = TimeSignal(np.array([0.0, rng.uniform(0.1, 0.9), 1.0]),
+                             rng.uniform(-1.0, 1.0, 2))
+        lip = float(rng.uniform(0.0, 2.0))
+        prob = from_line(hams[0], hams[1], limiter, lambda x: lip * x, lip, 1.0)
+        c2, _ = prob.cfl_speed()
+        mesh = union_mesh(prob.coefficient_signals())
+        cells = 0.5 * (mesh[:-1] + mesh[1:])
+        hs = [e.hamiltonian for e in prob.edges]
+        qs = np.linspace(-lip, lip, 201)
+        big_m = max([abs(limiter(t)) for t in cells]
+                    + [float(np.max(np.abs(h.eval_p(t, 0.0, qs)))) for h in hs for t in cells])
+        for h in hs:
+            inside = np.zeros(wide.shape, dtype=bool)
+            for t in cells:
+                inside |= h.eval_p(t, 0.0, wide) <= big_m
+            box = wide[inside]
+            for t in cells:
+                speed = np.abs(h.eval_p(t, 0.0, box + 1e-6) - h.eval_p(t, 0.0, box - 1e-6)) / 2e-6
+                assert float(np.max(speed)) <= c2 * (1.0 + 1e-6) + 1e-6
