@@ -104,6 +104,8 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
     n_eff = n_p if J == 2 else max(6, int(round(n_p ** (2.0 / J))))
     q = np.linspace(-K, K, n_eff)
     p_line = np.linspace(-K, K, n_p)
+    # an x-dependent pair is compared at n_x positions, one per column of slopes
+    at_nodes = (np.linspace(0.0, R, n_x), np.repeat(p_line[:, None], n_x, axis=1))
 
     k0_vals = np.empty(len(mesh) - 1)
     ki_vals = np.zeros((J, len(mesh) - 1))
@@ -119,14 +121,8 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
         for i in range(J):
             hb = problem.edges[i].hamiltonian
             ha = approx.edges[i].hamiltonian
-            ys = [0.0] if hb.x_independent and ha.x_independent \
-                else np.linspace(0.0, R, n_x)
-            worst = 0.0
-            for y in ys:
-                d = np.abs(hb.eval_p(t, float(y), p_line)
-                           - ha.eval_p(t, float(y), p_line))
-                worst = max(worst, float(np.max(d)))
-            ki_vals[i, c] = worst
+            x, p = (0.0, p_line) if hb.x_independent and ha.x_independent else at_nodes
+            ki_vals[i, c] = np.max(np.abs(hb.eval_p(t, x, p) - ha.eval_p(t, x, p)))
 
     bp = np.asarray(mesh, dtype=float)
     bp[-1] = T  # union mesh ends at the shared horizon

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyControlSet, NoAdmissibleControl
-from .hamiltonian import Hamiltonian
+from .hamiltonian import Hamiltonian, elementwise
 from .time_signal import (TimeSignal, coeff_average, coeff_bounds, coeff_eval,
                           coeff_window_averages)
 
@@ -108,23 +108,36 @@ def _is_form(g) -> bool:
     return isinstance(g, ControlForm)
 
 
-def _call_g(g, t: float, x: float, alphas: np.ndarray) -> np.ndarray:
-    """Evaluate a ControlForm or raw callable over an array of controls."""
+def _call_g(g, t: float, x, alphas: np.ndarray) -> np.ndarray:
+    """A ControlForm or raw callable at every control: (controls,) at one float x.
+
+    An array of positions x gives (controls, positions), one column for a
+    form; a callable is called as elementwise does.
+    """
+    if isinstance(x, float) or np.ndim(x) == 0:
+        return g.eval(t, alphas) if _is_form(g) else elementwise(g, t, x, alphas)
     if _is_form(g):
-        return g.eval(t, alphas)
+        return g.eval(t, alphas)[:, None]
     a = np.asarray(alphas, dtype=float)
-    try:
-        out = np.asarray(g(t, x, a), dtype=float)
-        if out.shape == a.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(g(t, x, ai)) for ai in a], dtype=float)
+    return elementwise(g, t, x, np.broadcast_to(a[:, None], (len(a), len(x))))
+
+
+def _window_call(g, a: float, b: float, x, alphas: np.ndarray) -> np.ndarray:
+    """_call_g of g averaged over [a, b]: exact for a form, at the midpoint for a callable."""
+    if _is_form(g):
+        return _call_g(g.averaged(a, b), 0.0, x, alphas)
+    return _call_g(g, 0.5 * (a + b), x, alphas)
 
 
 @dataclass
 class ControlEdge:
-    """One edge of the control system."""
+    """One edge of the control system.
+
+    A callable f or l is (t, x, a) -> value. a may arrive as a 1-D array of
+    controls, and x as one float or as an array elementwise with a; a
+    callable that cannot take arrays raises TypeError or ValueError and is
+    then called one position (and if need be one control) at a time.
+    """
 
     f: object  # ControlForm or callable (t, x, a)
     l: object  # ControlForm or callable (t, x, a)
@@ -147,15 +160,15 @@ class ControlEdge:
         lo, hi, _ = self.interval
         return ControlEdge(self.f, self.l, np.linspace(lo, hi, n), (lo, hi, n))
 
-    def speed_bound(self, xs=(0.0,)) -> float:
+    def speed_bound(self, xs=0.0) -> float:
         """max |f| over the controls and every coefficient value.
 
-        A callable f is evaluated at t = 0 at each position of xs (by
-        default the junction alone).
+        A callable f is evaluated at t = 0 at the position or array of
+        positions xs (by default the junction alone).
         """
         return _abs_max(self.f, self.controls, xs)
 
-    def cost_bound(self, xs=(0.0,)) -> float:
+    def cost_bound(self, xs=0.0) -> float:
         """max |l|, in the same way as speed_bound."""
         return _abs_max(self.l, self.controls, xs)
 
@@ -164,7 +177,7 @@ def _abs_max(g, controls: np.ndarray, xs) -> float:
     if _is_form(g):
         lo, hi = g.bounds(controls)
         return max(abs(lo), abs(hi))
-    return max(float(np.max(np.abs(_call_g(g, 0.0, float(x), controls)))) for x in xs)
+    return float(np.max(np.abs(_call_g(g, 0.0, xs, controls))))
 
 
 def control_edge(f, l, lo: float, hi: float, n: int = 101) -> ControlEdge:
@@ -238,23 +251,17 @@ class ControlSystem:
         edge = self.edges[i]
         return s * _call_g(edge.f, t, s * y, edge.controls)
 
-    def local_f_avg(self, i: int, a: float, b: float, y: float = 0.0) -> np.ndarray:
-        """Window-averaged edge-local speeds per control sample."""
+    def local_f_avg(self, i: int, a: float, b: float, y=0.0) -> np.ndarray:
+        """Window-averaged edge-local speeds per control sample, at y as _call_g takes x."""
         s = self.sign(i)
         edge = self.edges[i]
-        if _is_form(edge.f):
-            return s * edge.f.averaged(a, b).eval(0.0, edge.controls)
-        tm = 0.5 * (a + b)
-        return s * _call_g(edge.f, tm, s * y, edge.controls)
+        return s * _window_call(edge.f, a, b, s * y, edge.controls)
 
-    def local_l_avg(self, i: int, a: float, b: float, y: float = 0.0) -> np.ndarray:
-        """Window-averaged running costs per control sample."""
+    def local_l_avg(self, i: int, a: float, b: float, y=0.0) -> np.ndarray:
+        """Window-averaged running costs per control sample, at y as _call_g takes x."""
         s = self.sign(i)
         edge = self.edges[i]
-        if _is_form(edge.l):
-            return edge.l.averaged(a, b).eval(0.0, edge.controls)
-        tm = 0.5 * (a + b)
-        return _call_g(edge.l, tm, s * y, edge.controls)
+        return _window_call(edge.l, a, b, s * y, edge.controls)
 
     def local_window_tables(self, i: int, times) -> tuple[np.ndarray, np.ndarray]:
         """local_f_avg and local_l_avg of a form edge, row n bit-equal to window n."""
@@ -267,7 +274,7 @@ class ControlSystem:
         return max(e.speed_bound() for e in self.edges)
 
     def cost_bound(self) -> float:
-        """L = max over edges of the sampled sup of |l_i|."""
+        """L = max over edges of the sampled sup of |l_i| (a callable l at the junction)."""
         return max(e.cost_bound() for e in self.edges)
 
     def abar_bound(self) -> float:
@@ -332,6 +339,23 @@ def undominated(speeds, costs) -> np.ndarray:
     return keep
 
 
+def _line_max(speeds: np.ndarray, costs: np.ndarray, p):
+    """max over controls k of speeds[k] p - costs[k], elementwise in p (a float for a float).
+
+    speeds and costs are (controls,), the same lines at every entry of p,
+    or, at an array of positions, (controls, positions) with one position
+    per entry of a 1-D p (a form's one column serves them all).
+    """
+    parr = np.asarray(p, dtype=float)
+    scalar = parr.ndim == 0
+    parr = np.atleast_1d(parr)
+    if speeds.ndim == 1:
+        shape = (-1,) + (1,) * parr.ndim
+        speeds, costs = speeds.reshape(shape), costs.reshape(shape)
+    vals = np.max(speeds * parr - costs, axis=0)
+    return float(vals[0]) if scalar else vals
+
+
 def _induced(edge: ControlEdge, sign: float, delta: float,
              validate: bool) -> Hamiltonian:
     controls = edge.controls
@@ -347,12 +371,7 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
     def evaluator(t, x, p):
         fa, la = fixed if constant else (sign * _call_g(f, t, sign * x, controls),
                                          _call_g(l, t, sign * x, controls))
-        parr = np.asarray(p, dtype=float)
-        scalar = parr.ndim == 0
-        parr = np.atleast_1d(parr)
-        vals = np.max(np.multiply.outer(fa, parr)
-                      - la.reshape((-1,) + (1,) * parr.ndim), axis=0)
-        return float(vals[0]) if scalar else vals
+        return _line_max(fa, la, p)
 
     if _is_form(f) and _is_form(l):
         coefficients = {
@@ -388,7 +407,7 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
         return edge.speed_bound(positions(ys)), f"{what} and {len(ys)} nodes"
 
     def value_bound(L, ys):
-        xs = (0.0,) if edge.x_independent else positions(ys)
+        xs = 0.0 if edge.x_independent else positions(ys)
         return edge.speed_bound(xs) * L + edge.cost_bound(xs)
 
     return Hamiltonian(
@@ -452,12 +471,7 @@ class RestrictedEnvelopes:
             side = "f <= 0" if negative else "f >= 0"
             raise NoAdmissibleControl(
                 f"edge {self.i}: no control with {side} at (t={t}, x={x})")
-        parr = np.asarray(p, dtype=float)
-        scalar = parr.ndim == 0
-        parr = np.atleast_1d(parr)
-        vals = np.max(np.multiply.outer(fa[mask], parr)
-                      - la[mask].reshape((-1,) + (1,) * parr.ndim), axis=0)
-        return float(vals[0]) if scalar else vals
+        return _line_max(fa[mask], la[mask], p)
 
     def h_minus(self, t, x, p):
         return self._restricted(t, x, p, negative=True)

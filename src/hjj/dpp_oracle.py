@@ -26,8 +26,9 @@ So the columns are dropped only when every nonzero |f| dt of the edge lies
 in [c eps R, dx - c eps R], with eps the machine epsilon, R the edge
 length and c = _GUARD_ULPS: a margin that covers the rounding of the nodes
 and of y - f dt. Otherwise, for example at dt max|f| = dx, all columns
-stay. Callable (x-dependent) edges are evaluated per node and keep every
-control; there the update checks dt max|f| <= dx itself, because the
+stay. Callable (x-dependent) edges are evaluated on all nodes at once, one
+(controls x nodes) array per window and quantity, and keep every control;
+there the update checks dt |f| <= dx node by node itself, because the
 system's speed bound probes a callable only at (0, 0).
 
 A tiny exhaustive enumerator over piecewise-constant controls doubles as an
@@ -124,22 +125,25 @@ def _kept_columns(speeds: np.ndarray, costs: np.ndarray, dts: np.ndarray,
 def _windows(cs: ControlSystem, grid: Grid, A: TimeSignal, times: np.ndarray):
     """at(n) -> (integral of A, per-edge (speeds, costs) rows) on window n of times.
 
-    Form edges read rows of (windows x controls) tables built here once,
-    cut to the columns _kept_columns keeps; callable edges get None and are
-    evaluated per node in _bellman.
+    Form edges read 1-D rows of (windows x controls) tables built here once,
+    cut to the columns _kept_columns keeps. A callable edge is evaluated at
+    the window's midpoint on all its nodes at once: one (controls x nodes)
+    array per quantity, one column for a form quantity.
     """
     parking = A.window_integrals(times)
     dts = np.diff(times)
-    tables = []
+    rows = []
     for i, edge in enumerate(cs.edges):
-        if not edge.x_independent:
-            tables.append(None)
-            continue
-        speeds, costs = cs.local_window_tables(i, times)
-        keep = _kept_columns(speeds, costs, dts, grid.dx, float(grid.edge_y(i)[-1]))
-        tables.append((speeds[:, keep], costs[:, keep]))
-    return lambda n: (float(parking[n]),
-                      [None if tab is None else (tab[0][n], tab[1][n]) for tab in tables])
+        if edge.x_independent:
+            speeds, costs = cs.local_window_tables(i, times)
+            keep = _kept_columns(speeds, costs, dts, grid.dx, float(grid.edge_y(i)[-1]))
+            rows.append(lambda n, f=speeds[:, keep], l=costs[:, keep]: (f[n], l[n]))
+        else:
+            def at_nodes(n, i=i, y=grid.edge_y(i)):
+                a, b = float(times[n]), float(times[n + 1])
+                return cs.local_f_avg(i, a, b, y), cs.local_l_avg(i, a, b, y)
+            rows.append(at_nodes)
+    return lambda n: (float(parking[n]), [row(n) for row in rows])
 
 
 def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
@@ -150,10 +154,10 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
     a single np.interp call (which holds the end values outside [0, R]), the
     running costs are added, departures that leave the edge are masked and
     the minimum is taken over controls. _forward passes this window's row of
-    its tables as _window; without it the row is built here. Callable edges
-    are evaluated per node at the window midpoint, and a speed with
-    dt |f| > dx there raises CflViolation naming the node and the window
-    (after the check for nodes that no transition reaches).
+    its tables as _window; without it the row is built here. On a callable
+    edge, whose rows hold one column per node, a speed with dt |f| > dx
+    raises CflViolation naming the node and the window (after the check for
+    nodes that no transition reaches).
     """
     dtn = b - a
     if _window is None:
@@ -162,19 +166,17 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
     new = np.full(grid.n_nodes, np.inf)
     junction_best = level[0] - parking if park else np.inf
     too_fast = None
-    for i, row in enumerate(rows):
+    for i, (fmat, lmat) in enumerate(rows):
         idx = grid.edge_full_indices(i)
         y = grid.edge_y(i)
         ztol = 1e-10 * max(1.0, float(y[-1]))
-        if row is None:
-            fmat = np.stack([cs.local_f_avg(i, a, b, float(yj)) for yj in y], axis=1)
-            lmat = np.stack([cs.local_l_avg(i, a, b, float(yj)) for yj in y], axis=1)
+        if fmat.ndim == 1:  # a form edge's table row serves every node
+            fmat, lmat = fmat[:, None], lmat[:, None]
+        else:
             speed = np.max(np.abs(fmat), axis=0)
             over = np.flatnonzero(speed * dtn > grid.dx * (1.0 + 1e-9))
             if over.size and too_fast is None:
                 too_fast = (int(idx[over[0]]), float(speed[over[0]]))
-        else:
-            fmat, lmat = row[0][:, None], row[1][:, None]
         z = y - fmat * dtn
         vals = np.interp(z.ravel(), y, level[idx]).reshape(z.shape)
         vals += lmat * dtn
@@ -215,7 +217,8 @@ def value_function(cs: ControlSystem, u0, cfg: DppConfig,
     u0 is a whole-line function for the line convention, or one function of
     the local coordinate (or a per-edge list) for stars. Passing a grid puts
     the run on someone else's mesh (it must satisfy dt max|f| <= dx). The
-    a-priori sup bound (2L + Abar) T + sup|u0| is asserted on the result.
+    a-priori sup bound (2L + Abar) T + sup|u0| is asserted on the result,
+    with L = sup|l| over the controls and the grid's nodes.
     """
     cs = _resolved(cs, cfg)
     if grid is None:
@@ -233,7 +236,9 @@ def value_function(cs: ControlSystem, u0, cfg: DppConfig,
     field = SolutionField(grid, values, line=(cs.orientation == "line"))
     field.check_finite()
 
-    big_l = cs.cost_bound()
+    # a callable cost is bounded on its edge's nodes, at the positions local_l_avg uses
+    big_l = max([cs.cost_bound()] + [e.cost_bound(cs.sign(i) * grid.edge_y(i))
+                                     for i, e in enumerate(cs.edges) if not e.x_independent])
     abar = cs.abar_bound()
     bound = (2.0 * big_l + abar) * cfg.horizon + float(np.max(np.abs(v0)))
     if field.sup_norm() > bound + 1e-7 * (1.0 + bound):

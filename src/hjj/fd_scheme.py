@@ -10,9 +10,12 @@ Godunov numerical Hamiltonian
     F(p_minus, p_plus) = max{ h_plus(p_minus), h_minus(p_plus) }
 
 built from the monotone envelopes, in closed form for catalog Hamiltonians.
-Any other Hamiltonian that ignores x is evaluated once per step on all the
-slopes of its edge; both envelopes are cut from that one array at its
-minimiser, and the interior, outflow and junction terms are read off them.
+Any other Hamiltonian is evaluated on all the slopes of its edge at once,
+with its minimiser found once per march (per node if it depends on x); an
+x-independent one is evaluated once per step and both envelopes are cut
+from that one array, an x-dependent one twice, at the right and at the
+left node of every slope. The interior, outflow and junction terms are read
+off the envelopes.
 The junction node uses max{ A_avg, max_i h_i^-(q_i) } on the edge-local
 junction slopes; the truncation end of each edge uses the nondecreasing
 branch on the interior slope only, an outflow closure that keeps the update
@@ -69,11 +72,14 @@ def grid_for(problem: JunctionProblem, dx: float, r_domain: float,
 
 def _split(h: Hamiltonian, pair: EnvelopePair | None, t: float,
            ys: np.ndarray) -> EnvelopePair:
-    """Envelopes of a time-independent non-catalog h: one minimisation, or one per node."""
+    """Envelopes of a time-independent non-catalog h: one minimisation, or one per node.
+
+    The per-node minimisers and minima are read at arrays of nodes of ys.
+    """
     if h.x_independent:
         return pair or EnvelopePair(h)
-    minima = {float(y): argmin_p(h, t, float(y)) for y in ys}
-    return EnvelopePair(h, argmin=lambda t, x: minima[x])
+    minima = np.array([argmin_p(h, t, y) for y in ys.tolist()])
+    return EnvelopePair(h, argmin=lambda t, x: minima[np.searchsorted(ys, x)].T)
 
 
 def _edge_windows(hs: list, pairs: list, times: np.ndarray, ys: np.ndarray) -> Callable:
@@ -122,20 +128,17 @@ def _edge_terms(env, x_independent: bool, t: float, q: np.ndarray,
                 ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interior and outflow fluxes (rows, m) and junction inflow (rows,) of one edge.
 
-    q holds each row's m edge-local slopes.
+    q holds each row's m edge-local slopes, slope j running from node j to
+    node j + 1. Node j + 1 reads h_plus of slope j and h_minus of slope
+    j + 1, so an x-dependent edge takes h_plus at ys[1:] and h_minus at
+    ys[:-1]; an x-independent one cuts both from one evaluation.
     """
     if x_independent:
         plus, minus = env.split(t, 0.0, q)  # fresh arrays: the flux is built in plus
-        np.maximum(plus[:, :-1], minus[:, 1:], out=plus[:, :-1])
-        return plus, minus[:, 0]
-    flux = np.empty(q.shape)
-    inflow = np.empty(len(q))
-    for b, row in enumerate(q):
-        for j in range(1, len(row)):
-            flux[b, j - 1] = godunov_flux(env, t, float(ys[j]), row[j - 1], row[j])
-        flux[b, -1] = env.h_plus(t, float(ys[-1]), row[-1])
-        inflow[b] = env.h_minus(t, 0.0, row[0])
-    return flux, inflow
+    else:
+        plus, minus = env.split(t, ys[1:], q)[0], env.split(t, ys[:-1], q)[1]
+    np.maximum(plus[:, :-1], minus[:, 1:], out=plus[:, :-1])
+    return plus, minus[:, 0]
 
 
 def _first_breach(env, q: np.ndarray, dt: float, dx: float) -> tuple | None:

@@ -54,8 +54,11 @@ _MAX_TERNARY = 200
 class Hamiltonian:
     """Convex-in-p Hamiltonian with declared regularity metadata.
 
-    evaluator        callable (t, x, p) -> value; must broadcast over numpy
-                     arrays in p for the fast paths
+    evaluator        callable (t, x, p) -> value. p may arrive as a 1-D array,
+                     and x as one float or as an array elementwise with p;
+                     an evaluator that cannot take arrays raises TypeError
+                     or ValueError and is then called one position (and if
+                     need be one slope) at a time (see elementwise)
     lipschitz_p      declared bound on |dH/dp| over the working slope range
                      (inf for a quadratic without a declared p_span)
     coercivity_radius  callable (t, x) -> initial bracket radius P with
@@ -127,22 +130,9 @@ class Hamiltonian:
             return abs(float(self.evaluator(0.0, 0.0, 0.0))) + self.lipschitz_p * L
         return self._value_bound(L, ys)
 
-    def eval_p(self, t: float, x: float, p: np.ndarray) -> np.ndarray:
-        """Evaluate at an array of slopes, falling back to a scalar loop.
-
-        The evaluator sees at most one dimension: a 2-D or larger p is
-        raveled for the call and the values reshaped back.
-        """
-        p = np.asarray(p, dtype=float)
-        flat = p.ravel() if p.ndim > 1 else p
-        try:
-            out = np.asarray(self.evaluator(t, x, flat), dtype=float)
-            if out.shape == flat.shape:
-                return out.reshape(p.shape)
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(self.evaluator(t, x, q)) for q in p.ravel()],
-                        dtype=float).reshape(p.shape)
+    def eval_p(self, t: float, x, p: np.ndarray) -> np.ndarray:
+        """Evaluate at an array of slopes, x one float or one position per entry of p's last axis."""
+        return elementwise(self.evaluator, t, x, p)
 
     def with_coefficients(self, coefficients: dict) -> "Hamiltonian":
         if self._rebuild is None:
@@ -160,6 +150,33 @@ class Hamiltonian:
             return self
         return self.with_coefficients(
             {k: coeff_average(v, a, b) for k, v in self.coefficients.items()})
+
+
+def elementwise(fn: Callable, t: float, x, a) -> np.ndarray:
+    """fn(t, x, a) elementwise, with x one float or one position per entry of a's last axis.
+
+    fn sees at most one dimension: a, and x broadcast to it, are raveled
+    for one call and the values reshaped back. When fn raises TypeError or
+    ValueError on those arrays, or returns another shape, it is called once
+    per position on that position's entries of a (each such call falling
+    back the same way), and for one float x once per entry.
+    """
+    a = np.asarray(a, dtype=float)
+    flat = a.ravel() if a.ndim > 1 else a
+    one = isinstance(x, float) or np.ndim(x) == 0
+    xs = x if one else np.broadcast_to(x, a.shape).reshape(flat.shape)
+    try:
+        out = np.asarray(fn(t, xs, flat), dtype=float)
+        if out.shape == flat.shape:
+            return out if flat is a else out.reshape(a.shape)
+    except (TypeError, ValueError):
+        pass
+    if one:
+        return np.array([float(fn(t, x, v)) for v in a.ravel()], dtype=float).reshape(a.shape)
+    out = np.empty(a.shape)
+    for j, xj in enumerate(np.asarray(x, dtype=float).tolist()):
+        out[..., j] = elementwise(fn, t, xj, a[..., j])
+    return out
 
 
 def check_convexity(
@@ -310,8 +327,12 @@ class EnvelopePair:
         """Nonincreasing part: H left of p_hat, constant h_min beyond."""
         return self._split(t, x, p, plus=False)
 
-    def split(self, t: float, x: float, p):
-        """(h_plus, h_minus) at an array of slopes; H is evaluated once unless catalog."""
+    def split(self, t: float, x, p):
+        """(h_plus, h_minus) at an array of slopes; H is evaluated once unless catalog.
+
+        x may be one position per entry of p's last axis when argmin takes
+        such an array too.
+        """
         if self._closed:
             return self.h_plus(t, x, p), self.h_minus(t, x, p)
         arr = np.asarray(p, dtype=float)

@@ -485,3 +485,45 @@ def test_callable_speeds_above_the_bound_raise_cfl_violation():
     field = value_function(cs, zero_datum, DppConfig(dx=0.01, horizon=0.05, r_domain=0.3,
                                                      cfl_safety=0.25))
     field.check_finite()
+
+
+# ---------------------------------------------------------------------------
+# callable edges evaluated on all nodes at once
+
+def test_a_priori_bound_takes_a_callable_cost_on_every_node():
+    """l = 1 + 5 min(|y|, 1) is 1 at the junction and 6 from |y| = 1 on."""
+    cost = lambda t, y, a: 1.0 + 5.0 * min(abs(y), 1.0)  # noqa: E731
+    edges = [ControlEdge(ControlForm(c1=1.0), cost, np.linspace(-1.0, 1.0, 21))
+             for _ in range(2)]
+    cs = ControlSystem(edges, l0=constant(0.0, 0.5), A0=-1.0, delta=1.0)
+    assert cs.cost_bound() == 1.0  # the junction probe alone
+    field = value_function(cs, zero_datum, DppConfig(dx=0.05, horizon=0.5, r_domain=1.5))
+    field.check_finite()
+    assert 1.5 < field.sup_norm() <= (2.0 * 6.0 + 1.0) * 0.5
+
+
+def _broadcasting_position_dependent():
+    drift = lambda t, y, a: a * (1.0 + 0.25 * np.minimum(y, 1.0))  # noqa: E731
+    cost = lambda t, y, a: 1.0 + 0.3 * np.sin(3.0 * y) + 0.1 * a * t  # noqa: E731
+    edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21)),
+             ControlEdge(ControlForm(c1=1.0), cost, np.linspace(-1.0, 1.0, 21))]
+    cs = ControlSystem(edges, l0=constant(0.0, 0.5), A0=-1.0, delta=1.0)
+    return cs, _abs_datum, DppConfig(dx=0.1, horizon=0.5, r_domain=1.5)
+
+
+def test_broadcasting_and_scalar_only_callables_give_the_same_value_function():
+    cs, u0, cfg = _broadcasting_position_dependent()
+    shapes = []
+    drift = cs.edges[0].f
+
+    def counted(t, y, a):
+        shapes.append(np.shape(y))
+        return drift(t, y, a)
+
+    cs.edges[0].f = counted
+    field = value_function(cs, u0, cfg)
+    want = value_function(*_position_dependent())
+    assert field.values.tobytes() == want.values.tobytes()
+    # one (controls x nodes) call per window on the march
+    n = 21 * len(field.grid.edge_y(0))
+    assert shapes.count((n,)) == field.grid.steps

@@ -571,3 +571,88 @@ def test_x_dependent_control_edge_takes_its_speed_on_the_grid_nodes():
     probed = make_grid(0.01, 0.05, [0.3, 0.3], c2=1.0, cfl_safety=1.0)
     with pytest.raises(CflViolation, match="max\\|f\\| over 21 controls and 31 nodes"):
         solve(prob, probed)
+
+
+# ---------------------------------------------------------------------------
+# x-dependent edges against the node-by-node scheme
+
+class _NodeSplit:
+    """Envelopes of a time-independent h split at numeric_argmin of each node of ys."""
+
+    def __init__(self, h, ys):
+        self.h = h
+        self.minima = {y: numeric_argmin(h, 0.0, y) for y in ys.tolist()}
+
+    def h_plus(self, t, x, p):
+        p_hat, h_min = self.minima[x]
+        return np.where(p <= p_hat, h_min, self.h.eval_p(t, x, p))
+
+    def h_minus(self, t, x, p):
+        p_hat, h_min = self.minima[x]
+        return np.where(p <= p_hat, self.h.eval_p(t, x, p), h_min)
+
+
+def _node_by_node_march(problem: JunctionProblem, grid) -> np.ndarray:
+    """The scheme with one godunov_flux call per node at that node's position."""
+    envs = [problem.envelope(i) if e.hamiltonian.x_independent
+            else _NodeSplit(e.hamiltonian, grid.edge_y(i)) for i, e in enumerate(problem.edges)]
+    values = np.empty((grid.steps + 1, grid.n_nodes))
+    values[0] = grid.sample(problem.initial_data)
+    for n in range(grid.steps):
+        t = float(grid.times[n])
+        dt = float(grid.times[n + 1]) - t
+        u = values[n]
+        junction = problem.flux_limiter.average(t, t + dt)
+        for i, env in enumerate(envs):
+            idx = grid.edge_full_indices(i)
+            ys = grid.edge_y(i).tolist()
+            q = np.diff(u[idx]) / grid.dx
+            flux = [godunov_flux(env, t, ys[j], q[j - 1], q[j]) for j in range(1, len(q))]
+            flux.append(float(env.h_plus(t, ys[-1], q[-1])))
+            values[n + 1, idx[1:]] = u[idx[1:]] - dt * np.array(flux)
+            junction = max(junction, float(env.h_minus(t, 0.0, q[0])))
+        values[n + 1, 0] = u[0] - dt * junction
+    return values
+
+
+def _scalar_box(t, x, p):
+    assert np.ndim(p) <= 1
+    return np.abs(p) * (1.0 + 0.2 * min(abs(float(x) - 0.1), 1.0)) - 1.0
+
+
+def _broadcast_box(t, x, p):
+    return np.abs(p) * (1.0 + 0.2 * np.minimum(np.abs(x - 0.1), 1.0)) - 1.0
+
+
+def _box_problem(evaluator, limiter: TimeSignal = _LIMITER) -> JunctionProblem:
+    """x-dependent black boxes on both edges, the left one reflected."""
+    h = Hamiltonian(evaluator, lipschitz_p=1.2, coercivity_radius=2.0)
+    return from_line(h, h, limiter, lambda x: 0.3 * min(1.0, abs(x)), 0.3, 0.5)
+
+
+def _induced_drift_problem() -> JunctionProblem:
+    drift = lambda t, y, a: a * (1.0 + 0.25 * min(abs(y), 1.0))  # noqa: E731
+    edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 11))
+             for _ in range(2)]
+    cs = ControlSystem(edges, l0=constant(0.0, 0.5), A0=-1.0, delta=1.0)
+    return induced_problem(cs, lambda x: 0.5 * min(1.0, abs(x)), 0.5, 0.5)
+
+
+@pytest.mark.parametrize("make", [lambda: _box_problem(_scalar_box),
+                                  lambda: _box_problem(_broadcast_box),
+                                  _induced_drift_problem],
+                         ids=["scalar-only", "broadcasting", "induced-drift"])
+def test_x_dependent_solve_equals_the_node_by_node_scheme_bit_for_bit(make):
+    problem = make()
+    grid = grid_for(problem, 0.05, 1.0)
+    want = _node_by_node_march(problem, grid)
+    assert solve(problem, grid).values.tobytes() == want.tobytes()
+    # in a batch: a twin sharing its Hamiltonians makes one two-row edge; beside another
+    # problem each edge is marched on its own
+    twin = JunctionProblem(problem.edges, constant(-0.6, 0.5), problem.initial_data,
+                           problem.lipschitz_u0, problem.horizon, problem.line_convention)
+    shared = solve_many([problem, twin], grid)
+    assert shared[0].values.tobytes() == want.tobytes()
+    assert shared[1].values.tobytes() == _node_by_node_march(twin, grid).tobytes()
+    mixed = solve_many([_x_dependent_problem(_LIMITER), problem], grid)
+    assert mixed[1].values.tobytes() == want.tobytes()
