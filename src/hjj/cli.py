@@ -67,7 +67,7 @@ def _load_config(args) -> dict:
 
 def _load_problem(args) -> tuple[JunctionProblem, ControlSystem | None]:
     cfg = _load_config(args)
-    problem, cs = problem_from_config(cfg)
+    problem, cs = problem_from_config(cfg, controls=args.controls)
     if args.R_domain is None:
         args.R_domain = float(cfg.get("R_domain", 2.0))
     if args.report_times:
@@ -130,7 +130,7 @@ def cmd_value(args) -> int:
     problem, cs = _load_problem(args)
     cs = _require_control_system(cs)
     cfg = DppConfig(dx=args.dx, horizon=problem.horizon, r_domain=args.R_domain,
-                    dt=args.dt, cfl_safety=args.cfl_safety, controls=args.controls)
+                    dt=args.dt, cfl_safety=args.cfl_safety)
     field = value_function(cs, _dp_datum(problem), cfg)
     return _write_all(args, _field_artifacts(field, args))
 
@@ -138,7 +138,7 @@ def cmd_value(args) -> int:
 def _common_grid(problem: JunctionProblem, cs: ControlSystem, args) -> Grid:
     """A grid on which both routes run: C2 covers the problem and the control system."""
     radii = [min(e.length, args.R_domain) for e in problem.edges]
-    c2 = max(problem.cfl_speed(args.dx, radii)[0], cs.max_speed())
+    c2 = max(problem.cfl_speed(args.dx, radii)[0], cs.max_speed(args.dx, radii))
     return make_grid(args.dx, problem.horizon, radii, c2=c2,
                      dt=args.dt, cfl_safety=args.cfl_safety)
 
@@ -148,8 +148,7 @@ def cmd_compare(args) -> int:
     cs = _require_control_system(cs)
     grid = _common_grid(problem, cs, args)
     fd = fd_solve(problem, grid)
-    cfg = DppConfig(dx=args.dx, horizon=problem.horizon, r_domain=args.R_domain,
-                    controls=args.controls)
+    cfg = DppConfig(dx=args.dx, horizon=problem.horizon, r_domain=args.R_domain)
     dp = value_function(cs, _dp_datum(problem), cfg, grid=grid)
 
     def gaps(n: int) -> dict:
@@ -226,7 +225,8 @@ def _add_common(p: argparse.ArgumentParser, need_out: bool) -> None:
     p.add_argument("--seed", type=int, default=20,
                    help="seed for randomized validation probes")
     p.add_argument("--controls", type=int, default=None,
-                   help="resample each control set to this many points")
+                   help="resample each control set to this many points, "
+                        "for both routes")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,10 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyControlSet, NoAdmissibleControl
+from .errors import ConfigError, EmptyControlSet, NoAdmissibleControl
+from .grid import edge_nodes
 from .hamiltonian import Hamiltonian, elementwise
 from .time_signal import (TimeSignal, coeff_average, coeff_bounds, coeff_eval,
-                          coeff_window_averages)
+                          coeff_from_config, coeff_window_averages, constant)
 
 __all__ = [
     "ControlForm",
@@ -131,18 +132,19 @@ def _window_call(g, a: float, b: float, x, alphas: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ControlEdge:
-    """One edge of the control system.
+    """One edge of the control system: dynamics, running cost and sampled controls.
 
     A callable f or l is (t, x, a) -> value. a may arrive as a 1-D array of
     controls, and x as one float or as an array elementwise with a; a
     callable that cannot take arrays raises TypeError or ValueError and is
-    then called one position (and if need be one control) at a time.
+    then called one position (and if need be one control) at a time. A
+    callable is bounded on the positions it is given, so its bounds need
+    the grid's nodes; a form's bounds ignore positions.
     """
 
     f: object  # ControlForm or callable (t, x, a)
     l: object  # ControlForm or callable (t, x, a)
     controls: np.ndarray
-    interval: tuple | None = None  # (lo, hi, n) when sampled from an interval
 
     def __post_init__(self):
         c = np.asarray(self.controls, dtype=float)
@@ -154,21 +156,14 @@ class ControlEdge:
     def x_independent(self) -> bool:
         return _is_form(self.f) and _is_form(self.l)
 
-    def resampled(self, n: int) -> "ControlEdge":
-        if self.interval is None:
-            return self
-        lo, hi, _ = self.interval
-        return ControlEdge(self.f, self.l, np.linspace(lo, hi, n), (lo, hi, n))
-
-    def speed_bound(self, xs=0.0) -> float:
+    def speed_bound(self, xs=None) -> float:
         """max |f| over the controls and every coefficient value.
 
-        A callable f is evaluated at t = 0 at the position or array of
-        positions xs (by default the junction alone).
+        A callable f is evaluated at t = 0 at the array of positions xs.
         """
         return _abs_max(self.f, self.controls, xs)
 
-    def cost_bound(self, xs=0.0) -> float:
+    def cost_bound(self, xs=None) -> float:
         """max |l|, in the same way as speed_bound."""
         return _abs_max(self.l, self.controls, xs)
 
@@ -177,6 +172,8 @@ def _abs_max(g, controls: np.ndarray, xs) -> float:
     if _is_form(g):
         lo, hi = g.bounds(controls)
         return max(abs(lo), abs(hi))
+    if xs is None:
+        raise ValueError("a bound on an x-dependent control edge needs the grid's nodes")
     return float(np.max(np.abs(_call_g(g, 0.0, xs, controls))))
 
 
@@ -184,8 +181,7 @@ def control_edge(f, l, lo: float, hi: float, n: int = 101) -> ControlEdge:
     """Edge with controls sampled uniformly from the interval [lo, hi]."""
     if n < 3:
         raise ValueError("need at least 3 control samples")
-    return ControlEdge(f, l, np.linspace(float(lo), float(hi), int(n)),
-                       (float(lo), float(hi), int(n)))
+    return ControlEdge(f, l, np.linspace(float(lo), float(hi), int(n)))
 
 
 @dataclass
@@ -270,12 +266,22 @@ class ControlSystem:
         return (s * edge.f.window_table(times, edge.controls),
                 edge.l.window_table(times, edge.controls))
 
-    def max_speed(self) -> float:
-        return max(e.speed_bound() for e in self.edges)
+    def _positions(self, dx: float | None, radii) -> list:
+        """Edge i's grid nodes y as its f and l take x, sign(i) * y; None without dx."""
+        if dx is None:
+            return [None] * len(self.edges)
+        return [self.sign(i) * ys for i, ys in enumerate(edge_nodes(dx, radii))]
 
-    def cost_bound(self) -> float:
-        """L = max over edges of the sampled sup of |l_i| (a callable l at the junction)."""
-        return max(e.cost_bound() for e in self.edges)
+    def max_speed(self, dx: float | None = None, radii=None) -> float:
+        """max over edges of max|f_i| over the controls, at the nodes dx and radii give.
+
+        A callable f needs them; a system of forms alone does not.
+        """
+        return max(e.speed_bound(xs) for e, xs in zip(self.edges, self._positions(dx, radii)))
+
+    def cost_bound(self, dx: float | None = None, radii=None) -> float:
+        """L = max over edges of max|l_i| over the controls, in the same way as max_speed."""
+        return max(e.cost_bound(xs) for e, xs in zip(self.edges, self._positions(dx, radii)))
 
     def abar_bound(self) -> float:
         """|A0| + sup|l0|, the a-priori bound on the flux limiter scale."""
@@ -382,7 +388,7 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
         def rebuild(coeffs):
             nf = ControlForm(coeffs["f_c0"], coeffs["f_c1"], coeffs["f_c2"])
             nl = ControlForm(coeffs["l_c0"], coeffs["l_c1"], coeffs["l_c2"])
-            ne = ControlEdge(nf, nl, controls.copy(), edge.interval)
+            ne = ControlEdge(nf, nl, controls.copy())
             return _induced(ne, sign, delta, validate=False)
     else:
         coefficients = None
@@ -391,23 +397,17 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
     l_lo, l_hi = (l.bounds(controls) if _is_form(l)
                   else (lambda c: (float(c.min()), float(c.max())))(
                       _call_g(l, 0.0, 0.0, controls)))
-    lip = edge.speed_bound()
+    lip = edge.speed_bound() if _is_form(f) else np.inf
     radius = (l_hi - l_lo + 1.0) / max(delta, 1e-9)
     what = f"max|f| over {len(controls)} controls"
 
-    def positions(ys):
-        # a callable is bounded on the edge's grid nodes, at t = 0
-        if ys is None:
-            raise ValueError("C2 of an x-dependent control-induced edge needs the grid's nodes")
-        return sign * np.asarray(ys, dtype=float)
-
-    def speed_bound(M, ys):
+    def speed_bound(M, ys):  # a callable is bounded at t = 0 on the edge's nodes
         if _is_form(f):
             return lip, what
-        return edge.speed_bound(positions(ys)), f"{what} and {len(ys)} nodes"
+        return edge.speed_bound(None if ys is None else sign * ys), f"{what} and {len(ys)} nodes"
 
     def value_bound(L, ys):
-        xs = 0.0 if edge.x_independent else positions(ys)
+        xs = None if ys is None else sign * ys
         return edge.speed_bound(xs) * L + edge.cost_bound(xs)
 
     return Hamiltonian(
@@ -484,21 +484,12 @@ def restricted_envelopes(cs: ControlSystem, i: int) -> RestrictedEnvelopes:
     return RestrictedEnvelopes(cs, i)
 
 
-def _coefficient(v, horizon: float, what: str):
-    from .errors import ConfigError
+def control_system_from_config(d: dict, horizon: float,
+                               controls: int | None = None) -> ControlSystem:
+    """Parse the 'control_system' block of a problem file.
 
-    if isinstance(v, dict):
-        sig = TimeSignal.from_dict(v)
-        if abs(sig.horizon - horizon) > 1e-12 * max(1.0, horizon):
-            raise ConfigError(f"{what}: signal horizon {sig.horizon} != {horizon}")
-        return sig
-    return float(v)
-
-
-def control_system_from_config(d: dict, horizon: float) -> ControlSystem:
-    """Parse the 'control_system' block of a problem file."""
-    from .errors import ConfigError
-
+    controls, when given, replaces every edge's sample count n.
+    """
     if not isinstance(d, dict):
         raise ConfigError("'control_system' must be an object")
     try:
@@ -512,11 +503,8 @@ def control_system_from_config(d: dict, horizon: float) -> ControlSystem:
     def form(sub: dict, what: str) -> ControlForm:
         if not isinstance(sub, dict):
             raise ConfigError(f"{what} must be an object with c0/c1/c2")
-        return ControlForm(
-            _coefficient(sub.get("c0", 0.0), horizon, what),
-            _coefficient(sub.get("c1", 0.0), horizon, what),
-            _coefficient(sub.get("c2", 0.0), horizon, what),
-        )
+        return ControlForm(*(coeff_from_config(sub.get(c, 0.0), horizon, f"{what} {c}")
+                             for c in ("c0", "c1", "c2")))
 
     edges = []
     for k, e in enumerate(edge_cfgs):
@@ -526,16 +514,12 @@ def control_system_from_config(d: dict, horizon: float) -> ControlSystem:
         except KeyError as exc:
             raise ConfigError(
                 f"edge {k}: controls need 'min' and 'max'") from exc
-        n = int(ctr.get("n", 101))
+        n = int(ctr.get("n", 101)) if controls is None else controls
         edges.append(control_edge(form(e.get("f", {}), f"edge {k} f"),
                                   form(e.get("l", {}), f"edge {k} l"),
                                   lo, hi, n))
 
-    l0 = junction.get("l0", 0.0)
-    if isinstance(l0, dict):
-        l0_sig = _coefficient(l0, horizon, "junction l0")
-    else:
-        l0_sig = TimeSignal(np.array([0.0, horizon]), np.array([float(l0)]))
+    l0 = coeff_from_config(junction.get("l0", 0.0), horizon, "junction l0")
     try:
         a0 = float(junction["A0"])
     except KeyError as exc:
@@ -543,7 +527,7 @@ def control_system_from_config(d: dict, horizon: float) -> ControlSystem:
 
     return ControlSystem(
         edges=edges,
-        l0=l0_sig,
+        l0=l0 if isinstance(l0, TimeSignal) else constant(l0, horizon),
         A0=a0,
         delta=float(d.get("delta", 1.0)),
         orientation=d.get("orientation", "line"),

@@ -27,9 +27,10 @@ in [c eps R, dx - c eps R], with eps the machine epsilon, R the edge
 length and c = _GUARD_ULPS: a margin that covers the rounding of the nodes
 and of y - f dt. Otherwise, for example at dt max|f| = dx, all columns
 stay. Callable (x-dependent) edges are evaluated on all nodes at once, one
-(controls x nodes) array per window and quantity, and keep every control;
-there the update checks dt |f| <= dx node by node itself, because the
-system's speed bound probes a callable only at (0, 0).
+(controls x nodes) array per window and quantity, and keep every control.
+The grid's C2 bounds a callable's |f| on those nodes at t = 0 (as the
+scheme's does), so the update checks dt |f| <= dx node by node on every
+window as well: a time-dependent callable may speed up later.
 
 A tiny exhaustive enumerator over piecewise-constant controls doubles as an
 oracle for the oracle on desk-scale instances.
@@ -58,27 +59,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DppConfig:
-    """Grid and control-sampling knobs for the dynamic-programming solver."""
+    """Grid knobs for the dynamic-programming solver.
+
+    The controls are the control system's own samples: a problem file's
+    sample count is set where its control_system block is parsed.
+    """
 
     dx: float
     horizon: float
     r_domain: float
     dt: float | None = None
     cfl_safety: float = 0.5
-    controls: int | None = None  # resample each edge's control set
-    park: bool = True
-
-    def __post_init__(self):
-        if self.controls is not None and self.controls < 3:
-            raise ValueError("need at least 3 control samples per edge")
-
-
-def _resolved(cs: ControlSystem, cfg: DppConfig) -> ControlSystem:
-    if cfg.controls is None:
-        return cs
-    edges = [e.resampled(cfg.controls) for e in cs.edges]
-    return ControlSystem(edges, cs.l0, cs.A0, cs.delta,
-                         cs.orientation, cs.junction_controls)
 
 
 def _initial_list(cs: ControlSystem, u0) -> list:
@@ -92,8 +83,9 @@ def _initial_list(cs: ControlSystem, u0) -> list:
 
 
 def oracle_grid(cs: ControlSystem, cfg: DppConfig) -> Grid:
+    """Grid with C2 = max|f| over the controls and, for a callable f, the grid's nodes."""
     radii = [cfg.r_domain] * len(cs.edges)
-    return make_grid(cfg.dx, cfg.horizon, radii, c2=cs.max_speed(),
+    return make_grid(cfg.dx, cfg.horizon, radii, c2=cs.max_speed(cfg.dx, radii),
                      dt=cfg.dt, cfl_safety=cfg.cfl_safety)
 
 
@@ -147,7 +139,7 @@ def _windows(cs: ControlSystem, grid: Grid, A: TimeSignal, times: np.ndarray):
 
 
 def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
-             a: float, b: float, park: bool, _window: tuple | None = None) -> np.ndarray:
+             a: float, b: float, _window: tuple | None = None) -> np.ndarray:
     """One Bellman update over [a, b]: one (controls x nodes) gather per edge.
 
     The departure points y - f dt of every kept control are interpolated in
@@ -157,14 +149,17 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
     its tables as _window; without it the row is built here. On a callable
     edge, whose rows hold one column per node, a speed with dt |f| > dx
     raises CflViolation naming the node and the window (after the check for
-    nodes that no transition reaches).
+    nodes that no transition reaches). The grid's C2 bounds such an edge at
+    t = 0 only, and a time-dependent callable may speed up later; the
+    message states that bound, taken on the grid's nodes. Parking at the
+    junction is always admissible, since its control set contains 0.
     """
     dtn = b - a
     if _window is None:
         _window = _windows(cs, grid, A, np.array([a, b]))(0)
     parking, rows = _window
     new = np.full(grid.n_nodes, np.inf)
-    junction_best = level[0] - parking if park else np.inf
+    junction_best = level[0] - parking
     too_fast = None
     for i, (fmat, lmat) in enumerate(rows):
         idx = grid.edge_full_indices(i)
@@ -191,22 +186,23 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
             f"no admissible transition reaches node {node} on [{a}, {b}]")
     if too_fast is not None:
         node, speed = too_fast
+        bound = cs.max_speed(grid.dx, grid.edge_radii)
         raise CflViolation(
             f"dt={dtn:.6g} exceeds dx/|f|={grid.dx / speed:.6g} at node {node} "
-            f"on [{a}, {b}]: the speed bound {cs.max_speed():.6g} understates "
+            f"on [{a}, {b}]: the speed bound {bound:.6g} understates "
             f"|f|={speed:.6g} there")
     return new
 
 
 def _forward(cs: ControlSystem, grid: Grid, A: TimeSignal, v0: np.ndarray,
-             n_start: int, park: bool) -> np.ndarray:
+             n_start: int) -> np.ndarray:
     times = grid.times[n_start:]
     at = _windows(cs, grid, A, times)
     out = np.empty((len(times), grid.n_nodes))
     out[0] = v0
     for k in range(len(times) - 1):
         a, b = float(times[k]), float(times[k + 1])
-        out[k + 1] = _bellman(cs, grid, A, out[k], a, b, park, _window=at(k))
+        out[k + 1] = _bellman(cs, grid, A, out[k], a, b, _window=at(k))
     return out
 
 
@@ -216,29 +212,27 @@ def value_function(cs: ControlSystem, u0, cfg: DppConfig,
 
     u0 is a whole-line function for the line convention, or one function of
     the local coordinate (or a per-edge list) for stars. Passing a grid puts
-    the run on someone else's mesh (it must satisfy dt max|f| <= dx). The
-    a-priori sup bound (2L + Abar) T + sup|u0| is asserted on the result,
-    with L = sup|l| over the controls and the grid's nodes.
+    the run on someone else's mesh (it must satisfy dt max|f| <= dx, with
+    max|f| taken on its nodes). The a-priori sup bound (2L + Abar) T +
+    sup|u0| is asserted on the result, with L = sup|l| over the controls
+    and the grid's nodes.
     """
-    cs = _resolved(cs, cfg)
     if grid is None:
         grid = oracle_grid(cs, cfg)
     else:
         dt_max = float(np.max(np.diff(grid.times)))
-        if dt_max * cs.max_speed() > grid.dx * (1.0 + 1e-9):
+        c2 = cs.max_speed(grid.dx, grid.edge_radii)
+        if dt_max * c2 > grid.dx * (1.0 + 1e-9):
             raise CflViolation(
-                f"dt={dt_max:.6g} exceeds dx/max|f|="
-                f"{grid.dx / cs.max_speed():.6g} on the supplied grid")
+                f"dt={dt_max:.6g} exceeds dx/max|f|={grid.dx / c2:.6g} on the supplied grid")
     A = flux_limiter(cs)
     data = _initial_list(cs, u0)
     v0 = grid.sample(data)
-    values = _forward(cs, grid, A, v0, 0, cfg.park)
+    values = _forward(cs, grid, A, v0, 0)
     field = SolutionField(grid, values, line=(cs.orientation == "line"))
     field.check_finite()
 
-    # a callable cost is bounded on its edge's nodes, at the positions local_l_avg uses
-    big_l = max([cs.cost_bound()] + [e.cost_bound(cs.sign(i) * grid.edge_y(i))
-                                     for i, e in enumerate(cs.edges) if not e.x_independent])
+    big_l = cs.cost_bound(grid.dx, grid.edge_radii)
     abar = cs.abar_bound()
     bound = (2.0 * big_l + abar) * cfg.horizon + float(np.max(np.abs(v0)))
     if field.sup_norm() > bound + 1e-7 * (1.0 + bound):
@@ -262,7 +256,6 @@ def dpp_consistency_check(cs: ControlSystem, u0, cfg: DppConfig, s: float,
     ns = grid.level_index(s)
     if abs(float(grid.times[ns]) - s) > 1e-9 * max(1.0, grid.horizon):
         raise ValueError(f"restart time {s} is not a grid time")
-    cs = _resolved(cs, cfg)
 
     data = []
     for i in range(grid.n_edges):
@@ -270,7 +263,7 @@ def dpp_consistency_check(cs: ControlSystem, u0, cfg: DppConfig, s: float,
         vals = field.edge_profile(ns, i).copy()
         data.append(lambda y, _ys=ys, _v=vals: float(np.interp(y, _ys, _v)))
     v0 = grid.sample(data)
-    restarted = _forward(cs, grid, flux_limiter(cs), v0, ns, cfg.park)
+    restarted = _forward(cs, grid, flux_limiter(cs), v0, ns)
     return float(np.max(np.abs(restarted - field.values[ns:])))
 
 
@@ -463,7 +456,7 @@ def enumerate_trajectories(
     sub_edges = []
     for e in cs.edges:
         sub = _subsample(e.controls, controls_per_piece)
-        sub_edges.append(type(e)(e.f, e.l, sub, e.interval))
+        sub_edges.append(type(e)(e.f, e.l, sub))
 
     n1, n2 = len(sub_edges[0].controls), len(sub_edges[1].controls)
     branch = 1 + n1 + n2 + 2 * n1 * n2

@@ -26,6 +26,7 @@ from .time_signal import (
     coeff_average,
     coeff_bounds,
     coeff_eval,
+    coeff_from_config,
     coeff_signals,
 )
 
@@ -501,19 +502,10 @@ def hamiltonian_from_config(d: dict, horizon: float) -> Hamiltonian:
         raise ConfigError("hamiltonian config needs a 'form' key")
     form = d["form"]
 
-    def coeff(name, default=None):
+    def coeff(name):
         if name not in d:
-            if default is None:
-                raise ConfigError(f"hamiltonian form {form!r} needs {name!r}")
-            return default
-        v = d[name]
-        if isinstance(v, dict):
-            sig = TimeSignal.from_dict(v)
-            if abs(sig.horizon - horizon) > 1e-12 * max(1.0, horizon):
-                raise ConfigError(
-                    f"coefficient {name!r} horizon {sig.horizon} != {horizon}")
-            return sig
-        return float(v)
+            raise ConfigError(f"hamiltonian form {form!r} needs {name!r}")
+        return coeff_from_config(d[name], horizon, f"coefficient {name!r}")
 
     if form == "eikonal":
         return eikonal()

@@ -33,7 +33,7 @@ from .control_system import (
 from .errors import ConfigError, ConvexityError, FluxLimiterBelowFloor, SlopeCountMismatch
 from .grid import edge_nodes
 from .hamiltonian import Hamiltonian, a0_floor, check_convexity, envelopes, reflected
-from .time_signal import TimeSignal, union_mesh
+from .time_signal import TimeSignal, coeff_from_config, constant, union_mesh
 
 __all__ = [
     "Edge",
@@ -350,11 +350,14 @@ def initial_datum_from_config(d: dict) -> tuple[Callable[[float], float], float]
     raise ConfigError(f"unknown initial datum form {form!r}")
 
 
-def problem_from_config(cfg: dict) -> tuple[JunctionProblem, ControlSystem | None]:
+def problem_from_config(cfg: dict, controls: int | None = None
+                        ) -> tuple[JunctionProblem, ControlSystem | None]:
     """Build (problem, optional control system) from a parsed problem file.
 
     Edge Hamiltonians may be given explicitly (catalog forms) or induced
     from the control_system block; explicit entries win when both exist.
+    controls, when given, resamples every control edge to that many
+    samples, so an induced problem and the control system share them.
     """
     from .hamiltonian import hamiltonian_from_config
 
@@ -367,7 +370,7 @@ def problem_from_config(cfg: dict) -> tuple[JunctionProblem, ControlSystem | Non
 
     cs = None
     if "control_system" in cfg:
-        cs = control_system_from_config(cfg["control_system"], horizon)
+        cs = control_system_from_config(cfg["control_system"], horizon, controls)
 
     u0_cfg = cfg.get("u0", {"form": "zero"})
     orientation = cfg.get("orientation", "line")
@@ -386,16 +389,9 @@ def problem_from_config(cfg: dict) -> tuple[JunctionProblem, ControlSystem | Non
             lengths.append(math.inf if ln is None else float(ln))
         if "flux_limiter" not in cfg:
             raise ConfigError("problem file needs a 'flux_limiter' entry")
-        raw_a = cfg["flux_limiter"]
-        if isinstance(raw_a, (int, float)):
-            A = TimeSignal(np.array([0.0, horizon]), np.array([float(raw_a)]))
-        else:
-            try:
-                A = TimeSignal.from_dict(raw_a)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad flux limiter: {exc}") from exc
-        if abs(A.horizon - horizon) > 1e-12 * max(1.0, horizon):
-            raise ConfigError("flux limiter horizon must equal 'T'")
+        A = coeff_from_config(cfg["flux_limiter"], horizon, "flux_limiter")
+        if not isinstance(A, TimeSignal):
+            A = constant(A, horizon)
         if orientation == "line":
             if len(hams) != 2:
                 raise ConfigError("line orientation needs exactly two edges")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyWindow, HorizonMismatch, OutOfHorizon
+from .errors import ConfigError, EmptyWindow, HorizonMismatch, OutOfHorizon
 
 __all__ = [
     "TimeSignal",
@@ -26,6 +26,7 @@ __all__ = [
     "coeff_window_averages",
     "coeff_bounds",
     "coeff_signals",
+    "coeff_from_config",
 ]
 
 # Relative slack for horizon-boundary comparisons.
@@ -221,3 +222,23 @@ def coeff_bounds(v) -> tuple[float, float]:
 def coeff_signals(coefficients: dict) -> dict:
     """The TimeSignal-valued entries of a coefficient dict."""
     return {k: v for k, v in coefficients.items() if isinstance(v, TimeSignal)}
+
+
+def coeff_from_config(v, horizon: float, what: str):
+    """A scalar-or-signal config entry: a float, or a TimeSignal on [0, horizon].
+
+    A malformed signal, a value that is not a number or a signal whose
+    horizon is not horizon raises ConfigError naming the entry what.
+    """
+    if isinstance(v, dict):
+        try:
+            sig = TimeSignal.from_dict(v)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{what}: bad step signal {v!r}: {exc!r}") from exc
+        if abs(sig.horizon - horizon) > _EDGE_TOL * max(1.0, horizon):
+            raise ConfigError(f"{what}: signal horizon {sig.horizon} != {horizon}")
+        return sig
+    try:
+        return float(v)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {v!r} is neither a number nor a step signal") from exc

@@ -252,7 +252,8 @@ def test_value_bound_breach_exits_3_without_artifacts(tmp_path: Path, capsys,
                                                       monkeypatch):
     # zero cost and limiter bounds make the a priori sup bound 0, which the
     # value function min(t, |x|) breaks
-    monkeypatch.setattr("hjj.control_system.ControlSystem.cost_bound", lambda self: 0.0)
+    monkeypatch.setattr("hjj.control_system.ControlSystem.cost_bound",
+                        lambda self, dx=None, radii=None: 0.0)
     monkeypatch.setattr("hjj.control_system.ControlSystem.abar_bound", lambda self: 0.0)
     problem = _write(tmp_path, _model_config())
     for command in ("value", "compare"):
@@ -266,12 +267,12 @@ def test_value_bound_breach_exits_3_without_artifacts(tmp_path: Path, capsys,
 
 def test_value_on_an_edge_faster_than_its_probed_bound_exits_3(tmp_path: Path, capsys,
                                                                monkeypatch):
-    """Speeds a (1 + 3 min(|y|, 0.1) / 0.1) reach 4 where the bound probe sees 1."""
+    """Speeds a (1 + 3 min(|y|, 0.1) / 0.1) for t > 0 reach 4 where the bound at t = 0 sees 1."""
     real = hjj.cli.problem_from_config
 
-    def x_dependent(cfg):
-        problem, cs = real(cfg)
-        drift = lambda t, y, a: a * (1.0 + 3.0 * min(abs(y), 0.1) / 0.1)
+    def x_dependent(cfg, controls=None):
+        problem, cs = real(cfg, controls)
+        drift = lambda t, y, a: a * (1.0 + 3.0 * (t > 0.0) * min(abs(y), 0.1) / 0.1)
         edges = [ControlEdge(drift, e.l, e.controls) for e in cs.edges]
         return problem, ControlSystem(edges, cs.l0, cs.A0, cs.delta, cs.orientation)
 
@@ -291,3 +292,83 @@ def test_grid_for_common_grid_and_oracle_grid_agree_on_the_model_problem():
     grids = [grid_for(problem, 0.01, 2.0), _common_grid(problem, cs, args),
              oracle_grid(cs, DppConfig(dx=0.01, horizon=1.0, r_domain=2.0))]
     assert {(g.dt, g.steps, g.n_nodes) for g in grids} == {(0.005, 200, 401)}
+
+
+def _quadratic_cost_config(n: int) -> dict:
+    """The model with running cost 0.5 + a^2, whose values depend on the sample count n."""
+    cfg = _model_config()
+    edge = {"f": {"c1": 1.0}, "l": {"c0": 0.5, "c2": 1.0},
+            "controls": {"min": -1.0, "max": 1.0, "n": n}}
+    return {**cfg, "control_system": {**cfg["control_system"], "edges": [edge, edge]}}
+
+
+@pytest.mark.parametrize("command,artifact", [("compare", "compare.json"),
+                                              ("solve", "field.csv"),
+                                              ("value", "field.csv")])
+def test_controls_flag_resamples_both_routes(tmp_path: Path, command, artifact):
+    """--controls 41 on a 5-control file writes what the file with n = 41 writes."""
+    coarse = _write(tmp_path, _quadratic_cost_config(5), "coarse.json")
+    fine = _write(tmp_path, _quadratic_cost_config(41), "fine.json")
+    got = {}
+    for name, problem, extra in (("flag", coarse, ["--controls", "41"]), ("file", fine, []),
+                                 ("coarse", coarse, [])):
+        out = tmp_path / name
+        assert main([command, "--problem", problem, "--dx", "0.05",
+                     "--out", str(out), *extra]) == 0
+        got[name] = (out / artifact).read_bytes()
+    assert got["flag"] == got["file"] != got["coarse"]
+    if command == "compare":
+        assert json.loads(got["flag"])["sup_gap"] <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["solve", "value", "compare", "approx", "validate"])
+def test_too_few_controls_exit_1_without_artifacts(tmp_path: Path, capsys, command):
+    problem = _write(tmp_path, _model_config())
+    out = tmp_path / "out"
+    rc = main([command, "--problem", problem, "--dx", "0.1", "--controls", "2",
+               "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert "at least 3 control samples" in capsys.readouterr().err
+
+
+_SIGNAL_FAULTS = {
+    "malformed_signal": {"breakpoints": [0.0, 1.0]},
+    "not_a_number": "fast",
+    "wrong_horizon": {"breakpoints": [0.0, 2.0], "values": [1.0]},
+}
+
+
+def _fault_at(site: str, value) -> tuple[dict, str]:
+    """A problem file with value at one scalar-or-signal entry, and the entry's name."""
+    if site == "hamiltonian":
+        edges = [{"hamiltonian": {"form": "abs_shift", "c": value}},
+                 {"hamiltonian": {"form": "eikonal"}}]
+        return _step_config(edges=edges), "coefficient 'c'"
+    if site == "flux_limiter":
+        return _step_config(flux_limiter=value), "flux_limiter"
+    cfg = _model_config()
+    block = dict(cfg["control_system"])
+    if site == "control_form":
+        edge = dict(block["edges"][0])
+        edge["f"] = {"c1": value}
+        block["edges"] = [edge, block["edges"][1]]
+        name = "edge 0 f c1"
+    else:
+        block["junction"] = {"A0": -1.0, "l0": value}
+        name = "junction l0"
+    return {**cfg, "control_system": block}, name
+
+
+@pytest.mark.parametrize("fault", sorted(_SIGNAL_FAULTS))
+@pytest.mark.parametrize("site", ["hamiltonian", "flux_limiter", "control_form", "junction_l0"])
+def test_bad_scalar_or_signal_entries_exit_1_naming_the_entry(tmp_path: Path, capsys,
+                                                               site, fault):
+    cfg, name = _fault_at(site, _SIGNAL_FAULTS[fault])
+    problem = _write(tmp_path, cfg)
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", problem, "--dx", "0.1", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {name}: ")

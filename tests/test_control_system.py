@@ -200,14 +200,6 @@ def test_cost_and_speed_bounds_on_the_model_system():
     assert cs.max_speed() == pytest.approx(1.0)
 
 
-def test_resampled_edge_keeps_the_interval():
-    edge = control_edge(ControlForm(c1=1.0), ControlForm(c0=1.0), -1.0, 1.0, n=5)
-    fine = edge.resampled(101)
-    assert fine.interval[:2] == (-1.0, 1.0)
-    assert len(fine.controls) == 101
-    assert fine.controls[0] == -1.0 and fine.controls[-1] == 1.0
-
-
 def test_config_parser_builds_the_model_system():
     cs = control_system_from_config({
         "orientation": "line",

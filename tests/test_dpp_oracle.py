@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 from dataclasses import replace
 
 import numpy as np
@@ -16,9 +17,12 @@ from hjj import (
     dpp_consistency_check,
     enumerate_trajectories,
     flux_limiter,
+    grid_for,
+    induced_problem,
     make_grid,
     value_function,
 )
+from hjj.cli import _common_grid
 from hjj.control_system import undominated
 from hjj.dpp_oracle import _bellman, _windows, oracle_grid
 from hjj.errors import BudgetExceeded, CflViolation, NoAdmissibleControl
@@ -226,19 +230,14 @@ def test_value_function_with_position_dependent_speeds():
     assert field.final()[0] <= 0.5 + 1e-12
 
 
-def test_dpp_config_rejects_too_few_controls():
-    with pytest.raises(ValueError):
-        DppConfig(dx=0.1, horizon=1.0, r_domain=2.0, controls=2)
-
-
 # ---------------------------------------------------------------------------
 # the vectorised Bellman update against a control-by-control reference
 
-def _reference_bellman(cs, grid, A, level, a, b, park):
+def _reference_bellman(cs, grid, A, level, a, b):
     """Bellman update with per-window averages and one np.interp per control."""
     dtn = b - a
     new = np.full(grid.n_nodes, np.inf)
-    junction_best = level[0] - A.integrate(a, b) if park else np.inf
+    junction_best = level[0] - A.integrate(a, b)
     for i, edge in enumerate(cs.edges):
         idx = grid.edge_full_indices(i)
         y = grid.edge_y(i)
@@ -269,11 +268,11 @@ def _reference_bellman(cs, grid, A, level, a, b, park):
     return new
 
 
-def _reference_values(cs, grid, v0, park=True):
+def _reference_values(cs, grid, v0):
     A = flux_limiter(cs)
     out = [v0]
     for a, b in zip(grid.times[:-1], grid.times[1:]):
-        out.append(_reference_bellman(cs, grid, A, out[-1], float(a), float(b), park))
+        out.append(_reference_bellman(cs, grid, A, out[-1], float(a), float(b)))
     return np.array(out)
 
 
@@ -329,19 +328,17 @@ def test_bellman_matches_the_per_control_loop_bit_for_bit(case):
     cs, u0, cfg = BELLMAN_CASES[case]()
     field = value_function(cs, u0, cfg)
     grid = field.grid
-    want = _reference_values(cs, grid, field.values[0], cfg.park)
+    want = _reference_values(cs, grid, field.values[0])
     assert field.values.tobytes() == want.tobytes()
 
-    # a lone call builds its window row itself; parking off as well
+    # a lone call builds its window row itself
     rng = np.random.default_rng(71)
     A = flux_limiter(cs)
     for n in (0, grid.steps // 2, grid.steps - 1):
         a, b = float(grid.times[n]), float(grid.times[n + 1])
         level = field.values[n] + rng.uniform(0.0, 0.1, grid.n_nodes)
-        for park in (True, False):
-            got = _bellman(cs, grid, A, level, a, b, park)
-            assert got.tobytes() == _reference_bellman(cs, grid, A, level, a, b,
-                                                       park).tobytes()
+        got = _bellman(cs, grid, A, level, a, b)
+        assert got.tobytes() == _reference_bellman(cs, grid, A, level, a, b).tobytes()
 
 
 def test_full_cfl_case_has_partly_inadmissible_departures():
@@ -456,24 +453,31 @@ def test_departures_one_rounding_past_the_cell_keep_every_column():
     level[idx[13:]] = 0.1 * np.arange(1, len(idx) - 12)
     A = flux_limiter(cs)
     assert [len(row[0]) for row in _windows(cs, grid, A, grid.times)(0)[1]] == [7, 7]
-    got = _bellman(cs, grid, A, level, 0.0, 0.1, True)
-    assert got.tobytes() == _reference_bellman(cs, grid, A, level, 0.0, 0.1, True).tobytes()
+    got = _bellman(cs, grid, A, level, 0.0, 0.1)
+    assert got.tobytes() == _reference_bellman(cs, grid, A, level, 0.0, 0.1).tobytes()
 
 
 # ---------------------------------------------------------------------------
-# x-dependent speeds beyond the probed bound
+# x-dependent speeds: both routes bound them on the grid's nodes
 
-def _fast_far_out():
-    """Speeds a (1 + 3 min(|y|, 0.1) / 0.1): 1 at the junction, where the bound probes, 4 beyond."""
-    drift = lambda t, y, a: a * (1.0 + 3.0 * min(abs(y), 0.1) / 0.1)
+def _fast_far_out(delayed: bool = False):
+    """Speeds a (1 + 3 min(|y|, 0.1) / 0.1): 1 at the junction, 4 from |y| = 0.1 on.
+
+    With delayed the speed-up holds only for t > 0, and the bounds, which
+    evaluate a callable at t = 0, read 1 on every node.
+    """
+    def drift(t, y, a):
+        ramp = 0.0 if delayed and t == 0.0 else 3.0
+        return a * (1.0 + ramp * min(abs(y), 0.1) / 0.1)
+
     edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21))
              for _ in range(2)]
     return ControlSystem(edges, l0=constant(0.0, 0.05), A0=-1.0, delta=1.0)
 
 
 def test_callable_speeds_above_the_bound_raise_cfl_violation():
-    cs = _fast_far_out()
-    assert cs.max_speed() == 1.0
+    cs = _fast_far_out(delayed=True)
+    assert cs.max_speed(0.01, (0.3, 0.3)) == 1.0
     cfg = DppConfig(dx=0.01, horizon=0.05, r_domain=0.3, cfl_safety=1.0)
     grid = oracle_grid(cs, cfg)
     with pytest.raises(CflViolation) as got:
@@ -487,6 +491,58 @@ def test_callable_speeds_above_the_bound_raise_cfl_violation():
     field.check_finite()
 
 
+def test_fast_far_out_runs_on_the_grid_of_its_node_bound():
+    """The bound on the nodes reads 4, so the default grid takes dt = safety * dx / 4."""
+    cs = _fast_far_out()
+    with pytest.raises(ValueError, match="needs the grid's nodes"):
+        cs.max_speed()
+    assert cs.max_speed(0.01, (0.3, 0.3)) == 4.0
+    cfg = DppConfig(dx=0.01, horizon=0.05, r_domain=0.3)
+    field = value_function(cs, zero_datum, cfg)
+    assert field.grid.dt <= 0.5 * 0.01 / 4.0
+    field.check_finite()
+    # a supplied grid at the junction's speed is refused before the march
+    probed = make_grid(dx=0.01, horizon=0.05, radii=(0.3, 0.3), c2=1.0, cfl_safety=1.0)
+    with pytest.raises(CflViolation, match="max\\|f\\|=0.0025 on the supplied grid"):
+        value_function(cs, zero_datum, cfg, grid=probed)
+
+
+GRID_CASES = {
+    "model": lambda: (build_model_system(0.0), 1.0, 2.0),
+    "random_line": lambda: (_random_case(4, 2)[0], 0.5, 1.0),
+    "random_star": lambda: (_random_case(7, 3)[0], 0.5, 1.0),
+    "fast_far_out": lambda: (_fast_far_out(), 0.05, 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+@pytest.mark.parametrize("cfl_safety", [0.5, 1.0])
+def test_both_routes_and_compare_build_the_same_grid(case, cfl_safety):
+    cs, horizon, r_domain = GRID_CASES[case]()
+    problem = induced_problem(cs, zero_datum, 0.0, horizon)
+    args = argparse.Namespace(dx=0.01, R_domain=r_domain, dt=None, cfl_safety=cfl_safety)
+    grids = [oracle_grid(cs, DppConfig(dx=0.01, horizon=horizon, r_domain=r_domain,
+                                       cfl_safety=cfl_safety)),
+             grid_for(problem, 0.01, r_domain, cfl_safety=cfl_safety),
+             _common_grid(problem, cs, args)]
+    assert len({(g.dt, g.steps, g.n_nodes) for g in grids}) == 1
+    for g in grids[1:]:
+        assert all(np.array_equal(g.edge_y(i), grids[0].edge_y(i)) for i in range(g.n_edges))
+
+
+def test_a_speed_up_after_the_start_raises_cfl_violation_with_the_node_bound():
+    """Speed 1 at t = 0, where the bound evaluates the drift, and 2.5 at every later time."""
+    drift = lambda t, y, a: a * (1.0 + 1.5 * (t > 0.0))  # noqa: E731
+    edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21))
+             for _ in range(2)]
+    cs = ControlSystem(edges, l0=constant(0.0, 0.1), A0=-1.0, delta=1.0)
+    grid = make_grid(dx=0.05, horizon=0.1, radii=(0.5, 0.5), c2=cs.max_speed(0.05, (0.5, 0.5)))
+    assert grid.dt == 0.025
+    with pytest.raises(CflViolation) as got:
+        _bellman(cs, grid, flux_limiter(cs), np.zeros(grid.n_nodes), 0.0, grid.dt)
+    assert "the speed bound 1 understates |f|=2.5 there" in str(got.value)
+
+
 # ---------------------------------------------------------------------------
 # callable edges evaluated on all nodes at once
 
@@ -496,7 +552,9 @@ def test_a_priori_bound_takes_a_callable_cost_on_every_node():
     edges = [ControlEdge(ControlForm(c1=1.0), cost, np.linspace(-1.0, 1.0, 21))
              for _ in range(2)]
     cs = ControlSystem(edges, l0=constant(0.0, 0.5), A0=-1.0, delta=1.0)
-    assert cs.cost_bound() == 1.0  # the junction probe alone
+    with pytest.raises(ValueError, match="needs the grid's nodes"):
+        cs.cost_bound()
+    assert cs.cost_bound(0.05, (1.5, 1.5)) == 6.0
     field = value_function(cs, zero_datum, DppConfig(dx=0.05, horizon=0.5, r_domain=1.5))
     field.check_finite()
     assert 1.5 < field.sup_norm() <= (2.0 * 6.0 + 1.0) * 0.5
@@ -524,6 +582,6 @@ def test_broadcasting_and_scalar_only_callables_give_the_same_value_function():
     field = value_function(cs, u0, cfg)
     want = value_function(*_position_dependent())
     assert field.values.tobytes() == want.values.tobytes()
-    # one (controls x nodes) call per window on the march
+    # one (controls x nodes) call per window on the march, and one for the grid's bound
     n = 21 * len(field.grid.edge_y(0))
-    assert shapes.count((n,)) == field.grid.steps
+    assert shapes.count((n,)) == field.grid.steps + 1
