@@ -24,7 +24,6 @@ from .control_system import (
     ControlForm,
     ControlSystem,
     control_edge,
-    control_system_from_config,
     edge_hamiltonian,
     flux_limiter,
     induced_hamiltonian,
@@ -63,6 +62,7 @@ from .hamiltonian import (
 from .junction_problem import (
     Edge,
     JunctionProblem,
+    control_system_from_config,
     from_line,
     induced_problem,
     junction_hamiltonian,

@@ -218,6 +218,7 @@ def comparison_diagnostic(
     widths,
     dx: float,
     r_domain: float,
+    dt: float | None = None,
     cfl_safety: float = 0.5,
     K: float | None = None,
     R: float | None = None,
@@ -235,7 +236,7 @@ def comparison_diagnostic(
     widths = sorted(set(float(w) for w in widths), reverse=True)
     if not widths:
         raise ValueError("need at least one smoothing width")
-    grid = grid_for(problem, dx, r_domain, cfl_safety=cfl_safety)
+    grid = grid_for(problem, dx, r_domain, dt=dt, cfl_safety=cfl_safety)
     smoothed = [approx_problem(problem, eps) for eps in widths]
     base, *fields = solve_many([problem, *smoothed], grid)
     if K is None:

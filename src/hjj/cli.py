@@ -7,7 +7,8 @@ Subcommands:
   approx     smoothing-width ladder with the priced error signal, JSON
   validate   check standing assumptions, print one line per check
 
-Every command reads a JSON problem file (--problem) and writes its artifacts
+Every command reads a JSON problem file (--problem; the format is
+junction_problem's, see problem_from_config) and writes its artifacts
 into the --out directory; everything is computed before anything is written,
 so a nonzero exit leaves no artifacts behind.
 Exit codes: 0 ok, 1 configuration, 2 validation, 3 numerical failure.
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .fd_scheme import grid_for, solve as fd_solve
 from .grid import Grid, SolutionField, atomic_write_text, fmt, make_grid
-from .junction_problem import JunctionProblem, problem_from_config, validate
+from .junction_problem import JunctionProblem, entry, problem_from_config, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -54,11 +55,7 @@ def _load_config(args) -> dict:
         raise ConfigError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"problem file is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("problem file must hold a JSON object")
-    schema = cfg.get("schema", SCHEMA)
-    if schema != SCHEMA:
-        raise ConfigError(f"unsupported schema {schema!r} (expected {SCHEMA!r})")
+    entry(cfg, "schema", "", (SCHEMA,), SCHEMA)
     if args.T is not None:
         cfg = dict(cfg)
         cfg["T"] = args.T
@@ -69,7 +66,9 @@ def _load_problem(args) -> tuple[JunctionProblem, ControlSystem | None]:
     cfg = _load_config(args)
     problem, cs = problem_from_config(cfg, controls=args.controls)
     if args.R_domain is None:
-        args.R_domain = float(cfg.get("R_domain", 2.0))
+        args.R_domain = entry(cfg, "R_domain", "", float, 2.0)
+    if not 0.0 < args.R_domain < np.inf:
+        raise ConfigError(f"R_domain: expected a positive finite number, got {args.R_domain!r}")
     if args.report_times:
         tol = 1e-9 * max(1.0, problem.horizon)
         bad = [t for t in args.report_times
@@ -174,7 +173,7 @@ def cmd_compare(args) -> int:
 def cmd_approx(args) -> int:
     problem, _ = _load_problem(args)
     study = comparison_diagnostic(
-        problem, args.widths, args.dx, args.R_domain,
+        problem, args.widths, args.dx, args.R_domain, dt=args.dt,
         cfl_safety=args.cfl_safety, K=args.slope_box, R=args.radius)
     payload = study.to_dict()
     return _write_all(args, [("approx.json", _dump_json(payload))])
@@ -229,8 +228,16 @@ def _add_common(p: argparse.ArgumentParser, need_out: bool) -> None:
                         "for both routes")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with the configuration code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hjj",
         description="Hamilton-Jacobi junction solver and verification tools")
     sub = ap.add_subparsers(dest="command", required=True)

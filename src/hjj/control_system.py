@@ -25,6 +25,9 @@ the sign of a tied zero, see undominated). An x-independent edge
 with constant coefficients therefore evaluates only its undominated lines;
 this covers the per-window rebuilds from averaged coefficients and the
 reflection. Callable or time-dependent-inside-the-call edges keep all lines.
+
+A problem file's control_system block is read by
+junction_problem.control_system_from_config.
 """
 
 from __future__ import annotations
@@ -33,18 +36,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyControlSet, NoAdmissibleControl
+from .errors import EmptyControlSet, NoAdmissibleControl
 from .grid import edge_nodes
 from .hamiltonian import Hamiltonian, elementwise
 from .time_signal import (TimeSignal, coeff_average, coeff_bounds, coeff_eval,
-                          coeff_from_config, coeff_window_averages, constant)
+                          coeff_window_averages)
 
 __all__ = [
     "ControlForm",
     "ControlEdge",
     "ControlSystem",
     "control_edge",
-    "control_system_from_config",
     "edge_hamiltonian",
     "flux_limiter",
     "induced_hamiltonian",
@@ -362,8 +364,8 @@ def _line_max(speeds: np.ndarray, costs: np.ndarray, p):
     return float(vals[0]) if scalar else vals
 
 
-def _induced(edge: ControlEdge, sign: float, delta: float,
-             validate: bool) -> Hamiltonian:
+def _induced(edge: ControlEdge, sign: float, delta: float) -> Hamiltonian:
+    # A supremum of affine lines is convex, so the convexity probe is skipped.
     controls = edge.controls
     f, l = edge.f, edge.l
 
@@ -389,7 +391,7 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
             nf = ControlForm(coeffs["f_c0"], coeffs["f_c1"], coeffs["f_c2"])
             nl = ControlForm(coeffs["l_c0"], coeffs["l_c1"], coeffs["l_c2"])
             ne = ControlEdge(nf, nl, controls.copy())
-            return _induced(ne, sign, delta, validate=False)
+            return _induced(ne, sign, delta)
     else:
         coefficients = None
         rebuild = None
@@ -418,31 +420,30 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
         coefficients=coefficients,
         x_independent=edge.x_independent,
         rebuild=rebuild,
-        reflect=lambda: _induced(edge, -sign, delta, validate=False),
-        validate=validate,
+        reflect=lambda: _induced(edge, -sign, delta),
+        validate=False,
         speed_bound=speed_bound,
         value_bound=value_bound,
     )
 
 
-def induced_hamiltonian(cs: ControlSystem, i: int, validate: bool = False) -> Hamiltonian:
+def induced_hamiltonian(cs: ControlSystem, i: int) -> Hamiltonian:
     """H_i(t, x, p) = sup over sampled controls of [f_i p - l_i].
 
     For the line convention this is the whole-line Hamiltonian of the edge
     (its reflection puts it in edge-local coordinates); for stars the edge
     dynamics are already local, so the induced Hamiltonian is too.
     """
-    return _induced(cs.edges[i], 1.0, cs.delta, validate=validate)
+    return _induced(cs.edges[i], 1.0, cs.delta)
 
 
-def edge_hamiltonian(edge: ControlEdge, delta: float = 1.0,
-                     validate: bool = False) -> Hamiltonian:
+def edge_hamiltonian(edge: ControlEdge, delta: float = 1.0) -> Hamiltonian:
     """Induced Hamiltonian of a lone edge, without system-level checks.
 
     Useful for degenerate control sets (a single control, no junction
     coverage) that a full ControlSystem would reject.
     """
-    return _induced(edge, 1.0, delta, validate=validate)
+    return _induced(edge, 1.0, delta)
 
 
 class RestrictedEnvelopes:
@@ -482,53 +483,3 @@ class RestrictedEnvelopes:
 
 def restricted_envelopes(cs: ControlSystem, i: int) -> RestrictedEnvelopes:
     return RestrictedEnvelopes(cs, i)
-
-
-def control_system_from_config(d: dict, horizon: float,
-                               controls: int | None = None) -> ControlSystem:
-    """Parse the 'control_system' block of a problem file.
-
-    controls, when given, replaces every edge's sample count n.
-    """
-    if not isinstance(d, dict):
-        raise ConfigError("'control_system' must be an object")
-    try:
-        edge_cfgs = d["edges"]
-        junction = d["junction"]
-    except KeyError as exc:
-        raise ConfigError(f"control_system block missing {exc.args[0]!r}") from exc
-    if not isinstance(edge_cfgs, list) or len(edge_cfgs) < 2:
-        raise ConfigError("control_system needs at least two edges")
-
-    def form(sub: dict, what: str) -> ControlForm:
-        if not isinstance(sub, dict):
-            raise ConfigError(f"{what} must be an object with c0/c1/c2")
-        return ControlForm(*(coeff_from_config(sub.get(c, 0.0), horizon, f"{what} {c}")
-                             for c in ("c0", "c1", "c2")))
-
-    edges = []
-    for k, e in enumerate(edge_cfgs):
-        try:
-            ctr = e["controls"]
-            lo, hi = float(ctr["min"]), float(ctr["max"])
-        except KeyError as exc:
-            raise ConfigError(
-                f"edge {k}: controls need 'min' and 'max'") from exc
-        n = int(ctr.get("n", 101)) if controls is None else controls
-        edges.append(control_edge(form(e.get("f", {}), f"edge {k} f"),
-                                  form(e.get("l", {}), f"edge {k} l"),
-                                  lo, hi, n))
-
-    l0 = coeff_from_config(junction.get("l0", 0.0), horizon, "junction l0")
-    try:
-        a0 = float(junction["A0"])
-    except KeyError as exc:
-        raise ConfigError("control_system junction needs 'A0'") from exc
-
-    return ControlSystem(
-        edges=edges,
-        l0=l0 if isinstance(l0, TimeSignal) else constant(l0, horizon),
-        A0=a0,
-        delta=float(d.get("delta", 1.0)),
-        orientation=d.get("orientation", "line"),
-    )

@@ -11,7 +11,8 @@ piecewise-constant coefficient signals. The envelope splitting
 nonincreasing parts used by the Godunov flux and the junction operator.
 Catalog forms know their minimiser, minimum and envelopes in closed form
 (CATALOG), and so the bounds on |H| and |dH/dp| that set the scheme's C2;
-any other Hamiltonian is minimised numerically.
+any other Hamiltonian is minimised numerically. Problem files reach the
+catalog through junction_problem.hamiltonian_from_config.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .time_signal import (
     coeff_average,
     coeff_bounds,
     coeff_eval,
-    coeff_from_config,
     coeff_signals,
 )
 
@@ -41,7 +41,6 @@ __all__ = [
     "abs_shift",
     "eikonal",
     "quadratic",
-    "hamiltonian_from_config",
     "reflected",
     "check_convexity",
 ]
@@ -492,34 +491,6 @@ def quadratic(a, b, c, p_span: float | None = None) -> Hamiltonian:
         coercivity_radius=2.0 * b_abs + 1.0,
         **declared,
     )
-
-
-def hamiltonian_from_config(d: dict, horizon: float) -> Hamiltonian:
-    """Build a catalog Hamiltonian from a JSON-style dict."""
-    from .errors import ConfigError
-
-    if not isinstance(d, dict) or "form" not in d:
-        raise ConfigError("hamiltonian config needs a 'form' key")
-    form = d["form"]
-
-    def coeff(name):
-        if name not in d:
-            raise ConfigError(f"hamiltonian form {form!r} needs {name!r}")
-        return coeff_from_config(d[name], horizon, f"coefficient {name!r}")
-
-    if form == "eikonal":
-        return eikonal()
-    if form == "abs_shift":
-        return abs_shift(coeff("c"))
-    if form == "quadratic":
-        p_span = d.get("p_span")
-        return quadratic(coeff("a"), coeff("b"), coeff("c"),
-                         p_span=None if p_span is None else float(p_span))
-    if form == "control_induced":
-        raise ConfigError(
-            "control_induced Hamiltonians are built from the control_system "
-            "block, not from an edge entry")
-    raise ConfigError(f"unknown hamiltonian form {form!r}")
 
 
 def reflected(h: Hamiltonian) -> Hamiltonian:

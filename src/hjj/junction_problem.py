@@ -14,6 +14,11 @@ The junction operator is
 
 with q_i the edge-local slope at the junction and H_i^- the nonincreasing
 envelope. Admissibility requires A(t) >= A_0(t) = max_i min_p H_i(t, 0, p).
+
+The JSON problem-file format lives in this module's config section and
+nowhere else: problem_from_config and the block parsers it calls (for
+Hamiltonians, control systems, initial data and scalar-or-signal
+coefficients) read every key through one typed accessor, entry.
 """
 
 from __future__ import annotations
@@ -25,15 +30,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .control_system import (
+    ControlForm,
     ControlSystem,
-    control_system_from_config,
+    control_edge,
     flux_limiter as cs_flux_limiter,
     induced_hamiltonian,
 )
 from .errors import ConfigError, ConvexityError, FluxLimiterBelowFloor, SlopeCountMismatch
 from .grid import edge_nodes
-from .hamiltonian import Hamiltonian, a0_floor, check_convexity, envelopes, reflected
-from .time_signal import TimeSignal, coeff_from_config, constant, union_mesh
+from .hamiltonian import (Hamiltonian, a0_floor, abs_shift, check_convexity, eikonal,
+                          envelopes, quadratic, reflected)
+from .time_signal import TimeSignal, constant, union_mesh
 
 __all__ = [
     "Edge",
@@ -44,6 +51,10 @@ __all__ = [
     "induced_problem",
     "junction_hamiltonian",
     "validate",
+    "entry",
+    "coeff_from_config",
+    "control_system_from_config",
+    "hamiltonian_from_config",
     "initial_datum_from_config",
     "problem_from_config",
 ]
@@ -327,27 +338,147 @@ def validate(problem: JunctionProblem, refine: int = 32,
 # ---------------------------------------------------------------------------
 # JSON config support
 
-def initial_datum_from_config(d: dict) -> tuple[Callable[[float], float], float]:
+_REQUIRED = object()
+_KIND_NAMES = {float: "a finite number", int: "an integer", dict: "an object", list: "a list"}
+
+
+def _as(v, kind, name: str):
+    """v read as kind (see entry), or a ConfigError naming the entry."""
+    if kind in (float, int):
+        try:
+            x = kind(v)
+            if math.isfinite(x):
+                return x
+        except (TypeError, ValueError, OverflowError):
+            pass
+    elif isinstance(kind, tuple):
+        if v in kind:
+            return v
+    elif kind is object or isinstance(v, kind):
+        return v
+    want = ("one of " + ", ".join(map(repr, kind)) if isinstance(kind, tuple)
+            else _KIND_NAMES[kind])
+    raise ConfigError(f"{name}: expected {want}, got {v!r}")
+
+
+def entry(d, key: str, what: str, kind, default=_REQUIRED):
+    """The entry d[key] read as kind; what names d ("" for the problem file).
+
+    kind is float or int (converted as float() and int() convert, and
+    finite), dict, list, object (any value) or a tuple of the allowed
+    values. A missing key gives default, and so does a null where the
+    default is None (null then means "none"). A ConfigError names the entry
+    ("edge 0 controls n": the path of keys, a list item named by its block)
+    when d is not an object, a required key is missing, or the value is not
+    of its kind.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what or 'problem file'}: expected an object, got {d!r}")
+    if key not in d or (d[key] is None and default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"{what or 'problem file'}: missing {key!r}")
+        return default
+    return _as(d[key], kind, f"{what} {key}" if what else key)
+
+
+def coeff_from_config(v, horizon: float, name: str):
+    """A scalar-or-signal entry: a float, or a TimeSignal on [0, horizon].
+
+    A step signal is {"breakpoints": [...], "values": [...]}. A malformed
+    signal, a value that is not a number or a signal whose horizon is not
+    horizon raises ConfigError naming the entry name.
+    """
+    if not isinstance(v, dict):
+        return _as(v, float, name)
+    for key in ("breakpoints", "values"):
+        entry(v, key, name, list)
+    try:
+        sig = TimeSignal.from_dict(v)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: bad step signal {v!r}: {exc}") from exc
+    if abs(sig.horizon - horizon) > 1e-12 * max(1.0, horizon):
+        raise ConfigError(f"{name}: signal horizon {sig.horizon} != {horizon}")
+    return sig
+
+
+def _signal_from_config(v, horizon: float, name: str) -> TimeSignal:
+    """coeff_from_config, with a scalar made a constant signal."""
+    c = coeff_from_config(v, horizon, name)
+    return c if isinstance(c, TimeSignal) else constant(c, horizon)
+
+
+def initial_datum_from_config(d: dict, what: str = "u0"
+                              ) -> tuple[Callable[[float], float], float]:
     """Named initial-datum forms; returns (function, Lipschitz constant)."""
-    if not isinstance(d, dict) or "form" not in d:
-        raise ConfigError("initial datum config needs a 'form' key")
-    form = d["form"]
+    form = entry(d, "form", what, ("zero", "constant", "affine", "abs", "min_const_abs"))
+    what = f"{what} {form}"
     if form == "zero":
         return (lambda x: 0.0), 0.0
     if form == "constant":
-        c = float(d.get("c", 0.0))
+        c = entry(d, "c", what, float, 0.0)
         return (lambda x: c), 0.0
     if form == "affine":
-        a = float(d.get("slope", 1.0))
-        b = float(d.get("offset", 0.0))
+        a = entry(d, "slope", what, float, 1.0)
+        b = entry(d, "offset", what, float, 0.0)
         return (lambda x: a * x + b), abs(a)
     if form == "abs":
-        s = float(d.get("scale", 1.0))
+        s = entry(d, "scale", what, float, 1.0)
         return (lambda x: s * abs(x)), abs(s)
-    if form == "min_const_abs":
-        c = float(d.get("c", 1.0))
-        return (lambda x: min(c, abs(x))), 1.0
-    raise ConfigError(f"unknown initial datum form {form!r}")
+    c = entry(d, "c", what, float, 1.0)  # min_const_abs
+    return (lambda x: min(c, abs(x))), 1.0
+
+
+def hamiltonian_from_config(d: dict, horizon: float, what: str = "hamiltonian") -> Hamiltonian:
+    """Build a catalog Hamiltonian from a JSON-style dict."""
+    form = entry(d, "form", what, ("eikonal", "abs_shift", "quadratic", "control_induced"))
+
+    def coeff(name):
+        return coeff_from_config(entry(d, name, what, object), horizon, f"coefficient {name!r}")
+
+    if form == "eikonal":
+        return eikonal()
+    if form == "abs_shift":
+        return abs_shift(coeff("c"))
+    if form == "quadratic":
+        return quadratic(coeff("a"), coeff("b"), coeff("c"),
+                         p_span=entry(d, "p_span", what, float, None))
+    raise ConfigError(
+        "control_induced Hamiltonians are built from the control_system "
+        "block, not from an edge entry")
+
+
+def control_system_from_config(d: dict, horizon: float,
+                               controls: int | None = None) -> ControlSystem:
+    """Parse the 'control_system' block of a problem file.
+
+    controls, when given, replaces every edge's sample count n.
+    """
+    edge_cfgs = entry(d, "edges", "control_system", list)
+    junction = entry(d, "junction", "control_system", dict)
+    if len(edge_cfgs) < 2:
+        raise ConfigError("control_system needs at least two edges")
+
+    def form(e: dict, what: str, key: str) -> ControlForm:
+        sub, what = entry(e, key, what, dict, {}), f"{what} {key}"
+        return ControlForm(*(coeff_from_config(entry(sub, c, what, object, 0.0), horizon,
+                                               f"{what} {c}") for c in ("c0", "c1", "c2")))
+
+    edges = []
+    for k, e in enumerate(edge_cfgs):
+        ctr = entry(e, "controls", f"edge {k}", dict)
+        lo, hi = (entry(ctr, b, f"edge {k} controls", float) for b in ("min", "max"))
+        n = entry(ctr, "n", f"edge {k} controls", int, 101) if controls is None else controls
+        edges.append(control_edge(form(e, f"edge {k}", "f"), form(e, f"edge {k}", "l"),
+                                  lo, hi, n))
+
+    return ControlSystem(
+        edges=edges,
+        l0=_signal_from_config(entry(junction, "l0", "junction", object, 0.0), horizon,
+                               "junction l0"),
+        A0=entry(junction, "A0", "junction", float),
+        delta=entry(d, "delta", "control_system", float, 1.0),
+        orientation=entry(d, "orientation", "control_system", ("line", "star"), "line"),
+    )
 
 
 def problem_from_config(cfg: dict, controls: int | None = None
@@ -359,64 +490,49 @@ def problem_from_config(cfg: dict, controls: int | None = None
     controls, when given, resamples every control edge to that many
     samples, so an induced problem and the control system share them.
     """
-    from .hamiltonian import hamiltonian_from_config
-
-    try:
-        horizon = float(cfg["T"])
-    except KeyError as exc:
-        raise ConfigError("problem file needs a horizon entry 'T'") from exc
+    horizon = entry(cfg, "T", "", float)
     if horizon <= 0:
-        raise ConfigError("'T' must be positive")
+        raise ConfigError(f"T: expected a positive number, got {horizon!r}")
+    orientation = entry(cfg, "orientation", "", ("line", "star"), "line")
+    block = entry(cfg, "control_system", "", dict, None)
+    cs = None if block is None else control_system_from_config(block, horizon, controls)
+    u0_cfg = entry(cfg, "u0", "", object, {"form": "zero"})
 
-    cs = None
-    if "control_system" in cfg:
-        cs = control_system_from_config(cfg["control_system"], horizon, controls)
+    edge_cfgs = entry(cfg, "edges", "", list, None)
+    if edge_cfgs is None:
+        if cs is None:
+            raise ConfigError(
+                "problem file needs either 'edges' or a 'control_system' block")
+        u0, lip = initial_datum_from_config(u0_cfg)
+        return induced_problem(cs, u0, entry(cfg, "lipschitz_u0", "", float, lip),
+                               horizon), cs
 
-    u0_cfg = cfg.get("u0", {"form": "zero"})
-    orientation = cfg.get("orientation", "line")
-
-    if "edges" in cfg:
-        edge_cfgs = cfg["edges"]
-        if not isinstance(edge_cfgs, list) or len(edge_cfgs) < 2:
-            raise ConfigError("'edges' must list at least two edges")
-        hams = []
-        lengths = []
-        for e in edge_cfgs:
-            if "hamiltonian" not in e:
-                raise ConfigError("each edge needs a 'hamiltonian' entry")
-            hams.append(hamiltonian_from_config(e["hamiltonian"], horizon))
-            ln = e.get("length")
-            lengths.append(math.inf if ln is None else float(ln))
-        if "flux_limiter" not in cfg:
-            raise ConfigError("problem file needs a 'flux_limiter' entry")
-        A = coeff_from_config(cfg["flux_limiter"], horizon, "flux_limiter")
-        if not isinstance(A, TimeSignal):
-            A = constant(A, horizon)
-        if orientation == "line":
-            if len(hams) != 2:
-                raise ConfigError("line orientation needs exactly two edges")
-            u0, lip = initial_datum_from_config(u0_cfg)
-            lip = float(cfg.get("lipschitz_u0", lip))
-            problem = from_line(hams[0], hams[1], A, u0, lip, horizon,
-                                lengths=(lengths[0], lengths[1]))
+    if len(edge_cfgs) < 2:
+        raise ConfigError("'edges' must list at least two edges")
+    hams, lengths = [], []
+    for k, e in enumerate(edge_cfgs):
+        hams.append(hamiltonian_from_config(entry(e, "hamiltonian", f"edge {k}", dict),
+                                            horizon, f"edge {k} hamiltonian"))
+        ln = entry(e, "length", f"edge {k}", float, None)
+        lengths.append(math.inf if ln is None else ln)
+    A = _signal_from_config(entry(cfg, "flux_limiter", "", object), horizon, "flux_limiter")
+    if orientation == "line":
+        if len(hams) != 2:
+            raise ConfigError("line orientation needs exactly two edges")
+        u0, lip = initial_datum_from_config(u0_cfg)
+        problem = from_line(hams[0], hams[1], A, u0,
+                            entry(cfg, "lipschitz_u0", "", float, lip), horizon,
+                            lengths=(lengths[0], lengths[1]))
+    else:
+        if isinstance(u0_cfg, list):
+            parsed = [initial_datum_from_config(u, f"u0 {k}") for k, u in enumerate(u0_cfg)]
         else:
-            if isinstance(u0_cfg, list):
-                parsed = [initial_datum_from_config(u) for u in u0_cfg]
-            else:
-                parsed = [initial_datum_from_config(u0_cfg)] * len(hams)
-            lip = float(cfg.get("lipschitz_u0", max(p[1] for p in parsed)))
-            problem = JunctionProblem(
-                edges=[Edge(h, ln) for h, ln in zip(hams, lengths)],
-                flux_limiter=A,
-                initial_data=[p[0] for p in parsed],
-                lipschitz_u0=lip,
-                horizon=horizon,
-            )
-        return problem, cs
-
-    if cs is None:
-        raise ConfigError(
-            "problem file needs either 'edges' or a 'control_system' block")
-    u0, lip = initial_datum_from_config(u0_cfg)
-    lip = float(cfg.get("lipschitz_u0", lip))
-    return induced_problem(cs, u0, lip, horizon), cs
+            parsed = [initial_datum_from_config(u0_cfg)] * len(hams)
+        problem = JunctionProblem(
+            edges=[Edge(h, ln) for h, ln in zip(hams, lengths)],
+            flux_limiter=A,
+            initial_data=[p[0] for p in parsed],
+            lipschitz_u0=entry(cfg, "lipschitz_u0", "", float, max(p[1] for p in parsed)),
+            horizon=horizon,
+        )
+    return problem, cs

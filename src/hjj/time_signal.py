@@ -4,7 +4,8 @@ Signals model merely-measurable time data (flux limiters, running-cost
 coefficients). The stored representative is right-continuous, left-continuous
 at the final time. Every consumer in the package integrates signals over
 windows instead of sampling them pointwise, so results do not depend on the
-representative.
+representative. A problem file writes a signal in to_dict's form, which
+junction_problem.coeff_from_config reads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyWindow, HorizonMismatch, OutOfHorizon
+from .errors import EmptyWindow, HorizonMismatch, OutOfHorizon
 
 __all__ = [
     "TimeSignal",
@@ -26,7 +27,6 @@ __all__ = [
     "coeff_window_averages",
     "coeff_bounds",
     "coeff_signals",
-    "coeff_from_config",
 ]
 
 # Relative slack for horizon-boundary comparisons.
@@ -222,23 +222,3 @@ def coeff_bounds(v) -> tuple[float, float]:
 def coeff_signals(coefficients: dict) -> dict:
     """The TimeSignal-valued entries of a coefficient dict."""
     return {k: v for k, v in coefficients.items() if isinstance(v, TimeSignal)}
-
-
-def coeff_from_config(v, horizon: float, what: str):
-    """A scalar-or-signal config entry: a float, or a TimeSignal on [0, horizon].
-
-    A malformed signal, a value that is not a number or a signal whose
-    horizon is not horizon raises ConfigError naming the entry what.
-    """
-    if isinstance(v, dict):
-        try:
-            sig = TimeSignal.from_dict(v)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{what}: bad step signal {v!r}: {exc!r}") from exc
-        if abs(sig.horizon - horizon) > _EDGE_TOL * max(1.0, horizon):
-            raise ConfigError(f"{what}: signal horizon {sig.horizon} != {horizon}")
-        return sig
-    try:
-        return float(v)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what}: {v!r} is neither a number nor a step signal") from exc

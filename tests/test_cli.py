@@ -200,7 +200,7 @@ def test_malformed_report_times_are_an_argument_error(tmp_path: Path):
     with pytest.raises(SystemExit) as err:
         main(["solve", "--problem", problem, "--dx", "0.1",
               "--out", "out", "--report-times", "0.5;1.0"])
-    assert err.value.code == 2
+    assert err.value.code == 1
 
 
 def test_cfl_violation_exits_3_without_artifacts(tmp_path: Path):
@@ -372,3 +372,94 @@ def test_bad_scalar_or_signal_entries_exit_1_naming_the_entry(tmp_path: Path, ca
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {name}: ")
+
+
+def _edit(cfg: dict, path: tuple, value) -> dict:
+    """A deep copy of cfg with the entry at path (keys and list indices) set to value."""
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+_CS_EDGE = ("control_system", "edges", 0)
+
+# (problem file, path, bad value, the name the message starts with)
+_BAD_ENTRIES = {
+    "T_null": (_step_config, ("T",), None, "T"),
+    "T_text": (_step_config, ("T",), "x", "T"),
+    "edges_of_numbers": (_step_config, ("edges",), [1, 2], "edge 0"),
+    "edges_text": (_step_config, ("edges",), "two", "edges"),
+    "length_text": (_step_config, ("edges", 0, "length"), "x", "edge 0 length"),
+    "hamiltonian_number": (_step_config, ("edges", 0, "hamiltonian"), 1, "edge 0 hamiltonian"),
+    "hamiltonian_form": (_step_config, ("edges", 0, "hamiltonian", "form"), "mystery",
+                         "edge 0 hamiltonian form"),
+    "p_span_text": (_step_config, ("edges", 1, "hamiltonian"),
+                    {"form": "quadratic", "a": 1.0, "b": 0.0, "c": -1.0, "p_span": "x"},
+                    "edge 1 hamiltonian p_span"),
+    "orientation_ring": (_step_config, ("orientation",), "ring", "orientation"),
+    "lipschitz_u0_text": (_step_config, ("lipschitz_u0",), "x", "lipschitz_u0"),
+    "T_infinite": (_step_config, ("T",), "inf", "T"),
+    "T_negative": (_step_config, ("T",), -1.0, "T"),
+    "R_domain_text": (_step_config, ("R_domain",), "x", "R_domain"),
+    "R_domain_nan": (_step_config, ("R_domain",), "nan", "R_domain"),
+    "R_domain_negative": (_step_config, ("R_domain",), -1.0, "R_domain"),
+    "u0_number": (_step_config, ("u0",), 3, "u0"),
+    "u0_constant_null": (_step_config, ("u0",), {"form": "constant", "c": None}, "u0 constant c"),
+    "u0_scale_text": (_step_config, ("u0",), {"form": "abs", "scale": "x"}, "u0 abs scale"),
+    "control_system_number": (_model_config, ("control_system",), 5, "control_system"),
+    "cs_edges_of_numbers": (_model_config, ("control_system", "edges"), [1, 2], "edge 0"),
+    "cs_orientation_ring": (_model_config, ("control_system", "orientation"), "ring",
+                            "control_system orientation"),
+    "delta_text": (_model_config, ("control_system", "delta"), "x", "control_system delta"),
+    "junction_number": (_model_config, ("control_system", "junction"), 0,
+                        "control_system junction"),
+    "A0_null": (_model_config, ("control_system", "junction", "A0"), None, "junction A0"),
+    "controls_number": (_model_config, _CS_EDGE + ("controls",), 5, "edge 0 controls"),
+    "controls_n_text": (_model_config, _CS_EDGE + ("controls", "n"), "x", "edge 0 controls n"),
+    "controls_min_null": (_model_config, _CS_EDGE + ("controls", "min"), None,
+                          "edge 0 controls min"),
+    "f_number": (_model_config, _CS_EDGE + ("f",), 3, "edge 0 f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ENTRIES))
+def test_bad_entries_exit_1_with_one_line_naming_the_entry(tmp_path: Path, capsys, case):
+    config, path, value, name = _BAD_ENTRIES[case]
+    problem = _write(tmp_path, _edit(config(), path, value))
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", problem, "--dx", "0.1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert not out.exists()
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"configuration error: {name}")
+
+
+def test_approx_honours_dt(tmp_path: Path):
+    problem = _write(tmp_path, _step_config())
+    common = ["approx", "--problem", problem, "--dx", "0.05", "--widths", "0.2,0.1"]
+    assert main(common + ["--out", str(tmp_path / "default")]) == 0
+    assert main(common + ["--dt", "0.01", "--out", str(tmp_path / "fine")]) == 0
+    default = json.loads((tmp_path / "default" / "approx.json").read_text())
+    fine = json.loads((tmp_path / "fine" / "approx.json").read_text())
+    assert default["dt"] == 0.025
+    assert fine["dt"] == 0.01
+    # dx / C2 = 0.05 on eikonal edges
+    out = tmp_path / "coarse"
+    assert main(common + ["--dt", "0.06", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--dx", "abc"], ["--controls", "many"], ["--bogus"]])
+def test_usage_errors_exit_1_without_artifacts(tmp_path: Path, capsys, argv):
+    problem = _write(tmp_path, _model_config())
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--problem", problem, "--out", str(out), *argv])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: hjj")
+    assert not out.exists()

@@ -233,6 +233,36 @@ def test_problem_from_config_errors():
             problem_from_config(broken)
 
 
+def _quadratic_line(T=1.0, length=1.5, p_span=1, n=None) -> dict:
+    quad = {"form": "quadratic", "a": 1.0, "b": 0.5, "c": -1.0, "p_span": p_span}
+    return {"T": T, "u0": {"form": "zero"}, "flux_limiter": -1.0,
+            "edges": [{"hamiltonian": {"form": "eikonal"}, "length": length},
+                      {"hamiltonian": quad}]}
+
+
+def test_null_means_none_and_numeric_strings_convert_as_float_does():
+    none, _ = problem_from_config(_quadratic_line(length=None, p_span=None))
+    assert none.edges[0].length == np.inf
+    assert none.edges[1].hamiltonian.lipschitz_p == np.inf  # the slope box, not a p_span
+    absent = _quadratic_line()
+    del absent["edges"][0]["length"], absent["edges"][1]["hamiltonian"]["p_span"]
+    assert none.cfl_speed() == problem_from_config(absent)[0].cfl_speed()
+
+    text, _ = problem_from_config(_quadratic_line(T="1", length="1.5", p_span="1"))
+    assert text.horizon == 1.0 and text.edges[0].length == 1.5
+    assert text.edges[1].hamiltonian.lipschitz_p == 3.0  # 2 a (p_span + |b|)
+    assert text.cfl_speed() == problem_from_config(_quadratic_line())[0].cfl_speed()
+
+    model = {"T": 1.0, "control_system": {
+        "junction": {"A0": "-1", "l0": 0.0},
+        "edges": [{"f": {"c1": 1.0}, "l": {"c0": 1.0},
+                   "controls": {"min": "-1", "max": 1.0, "n": "21"}}] * 2}}
+    _, cs = problem_from_config(model)
+    assert cs.A0 == -1.0
+    assert [len(e.controls) for e in cs.edges] == [21, 21]
+    assert cs.edges[0].controls[0] == -1.0
+
+
 def test_coefficient_signals_share_the_horizon():
     prob = _line_eikonal(-1.0, horizon=1.5)
     sigs = prob.coefficient_signals()
