@@ -167,11 +167,6 @@ class WidthReport:
     def kn_l1(self) -> float:
         return self.kn.l1
 
-    def line(self) -> str:
-        return (f"eps={self.eps:<8g} int_kn={self.kn_l1:<12.6g} "
-                f"solution_gap={self.sup_gap:<12.6g} "
-                f"sandwich_violation={self.sandwich_violation:.6g}")
-
 
 @dataclass
 class ApproximationStudy:
@@ -185,9 +180,6 @@ class ApproximationStudy:
     @property
     def widths(self) -> list:
         return [r.eps for r in self.reports]
-
-    def table(self) -> str:
-        return "\n".join(r.line() for r in self.reports)
 
     def to_dict(self) -> dict:
         return {

@@ -458,15 +458,13 @@ class RestrictedEnvelopes:
     def __init__(self, cs: ControlSystem, i: int):
         self.cs = cs
         self.i = i
-        self.edge = cs.edges[i]
         # Same coordinates as induced_hamiltonian(cs, i): as-given dynamics.
-        self.sign = 1.0
+        self.edge = cs.edges[i]
 
     def _restricted(self, t, x, p, negative: bool):
-        s = self.sign
         controls = self.edge.controls
-        fa = s * _call_g(self.edge.f, t, s * x, controls)
-        la = _call_g(self.edge.l, t, s * x, controls)
+        fa = _call_g(self.edge.f, t, x, controls)
+        la = _call_g(self.edge.l, t, x, controls)
         mask = fa <= 0.0 if negative else fa >= 0.0
         if not np.any(mask):
             side = "f <= 0" if negative else "f >= 0"

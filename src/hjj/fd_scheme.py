@@ -9,13 +9,14 @@ Godunov numerical Hamiltonian
 
     F(p_minus, p_plus) = max{ h_plus(p_minus), h_minus(p_plus) }
 
-built from the monotone envelopes, in closed form for catalog Hamiltonians.
-Any other Hamiltonian is evaluated on all the slopes of its edge at once,
-with its minimiser found once per march (per node if it depends on x); an
-x-independent one is evaluated once per step and both envelopes are cut
-from that one array, an x-dependent one twice, at the right and at the
-left node of every slope. The interior, outflow and junction terms are read
-off the envelopes.
+built from the monotone envelopes. Every edge's envelopes on a window are
+one EnvelopePair: a catalog form frozen at the window's coefficients, or
+any other Hamiltonian with its minimiser found once per march (per node if
+it depends on x) or per window if it depends on time. The pair is evaluated
+on all the slopes of its edge at once: once per step, with both envelopes
+cut from that one array, or twice when it is read per node (H depends on
+x), at the right and at the left node of every slope. The interior,
+outflow and junction terms are read off the envelopes.
 The junction node uses max{ A_avg, max_i h_i^-(q_i) } on the edge-local
 junction slopes; the truncation end of each edge uses the nondecreasing
 branch on the interior slope only, an outflow closure that keeps the update
@@ -24,8 +25,9 @@ nondecreasing in the data, so discrete comparison holds to round-off.
 C2 is JunctionProblem.cfl_speed: exact for |p| + c and control-induced
 edges, and for a quadratic edge a bound on the slope box that the data
 give. That box is the a priori choice of dt, and each step checks
-dt |dH/dp| <= dx at the slopes it reads on every quadratic edge, under
-the window's coefficients, raising CflViolation on a breach.
+dt |dH/dp| <= dx at the slopes it reads on every edge whose pair carries
+a speed (a quadratic frozen at the window's coefficients), raising
+CflViolation on a breach.
 
 solve_many marches several problems that share one grid as one loop over a
 leading problem axis; solve is the batch of one. Values are stored as
@@ -44,19 +46,19 @@ import numpy as np
 
 from .errors import CflViolation
 from .grid import Grid, SolutionField, make_grid
-from .hamiltonian import CATALOG, EnvelopePair, FixedEnvelopes, Hamiltonian, argmin_p
+from .hamiltonian import CATALOG, EnvelopePair
 from .junction_problem import JunctionProblem
 from .time_signal import coeff_window_averages
 
 __all__ = ["godunov_flux", "step", "solve", "solve_many", "grid_for"]
 
 
-def godunov_flux(env, t: float, x: float, p_minus, p_plus):
+def godunov_flux(env: EnvelopePair, t: float, x: float, p_minus, p_plus):
     """Godunov two-point flux from the envelope splitting, elementwise.
 
-    env is an EnvelopePair or FixedEnvelopes; the slopes may be floats or
-    equal-length arrays. Consistent (equal slopes give H back), nondecreasing
-    in p_minus and nonincreasing in p_plus.
+    The slopes may be floats or equal-length arrays. Consistent (equal
+    slopes give H back), nondecreasing in p_minus and nonincreasing in
+    p_plus.
     """
     flux = np.maximum(env.h_plus(t, x, p_minus), env.h_minus(t, x, p_plus))
     return float(flux) if np.ndim(flux) == 0 else flux
@@ -70,43 +72,32 @@ def grid_for(problem: JunctionProblem, dx: float, r_domain: float,
                      dt=dt, cfl_safety=cfl_safety)
 
 
-def _split(h: Hamiltonian, pair: EnvelopePair | None, t: float,
-           ys: np.ndarray) -> EnvelopePair:
-    """Envelopes of a time-independent non-catalog h: one minimisation, or one per node.
-
-    The per-node minimisers and minima are read at arrays of nodes of ys.
-    """
-    if h.x_independent:
-        return pair or EnvelopePair(h)
-    minima = np.array([argmin_p(h, t, y) for y in ys.tolist()])
-    return EnvelopePair(h, argmin=lambda t, x: minima[np.searchsorted(ys, x)].T)
-
-
 def _edge_windows(hs: list, pairs: list, times: np.ndarray, ys: np.ndarray) -> Callable:
-    """env(n): one edge's envelopes on the window [times[n], times[n+1]], for a batch.
+    """env(n): one edge's EnvelopePair on the window [times[n], times[n+1]], for a batch.
 
     hs and pairs hold the edge's Hamiltonian and EnvelopePair in each problem.
-    Catalog forms read closed-form envelopes off (windows x problems)
-    coefficient tables, one (problems, 1) column per coefficient. Any other
-    Hamiltonian is minimised once per march, or rebuilt from the window's
-    averaged coefficients if it depends on time. env(n) is one envelope
-    object when the batch shares it, else a list with one per problem.
+    A catalog form is frozen at the window's averaged coefficients, read off
+    (windows x problems) tables as one (problems, 1) column per coefficient.
+    Any other Hamiltonian is minimised once per march (per node of ys if it
+    depends on x), or rebuilt from the window's averaged coefficients if it
+    depends on time. env(n) is one pair when the batch shares it, else a
+    list with one per problem.
     """
     h = hs[0]
     form = CATALOG.get(h.form)
     if form is not None and all(g.form == h.form for g in hs):
         cols = [np.stack([coeff_window_averages(g.coefficients[k], times) for g in hs], axis=1)
                 for k in form.names]
-        return lambda n: FixedEnvelopes(form, tuple(col[n][:, None] for col in cols))
+        return lambda n: EnvelopePair(h, values=tuple(col[n][:, None] for col in cols))
     if all(g is h for g in hs) and h.time_independent:
-        pair = _split(h, pairs[0], float(times[0]), ys)
+        pair = pairs[0].at_nodes(float(times[0]), ys)
         return lambda n: pair
     if len(hs) > 1:
         each = [_edge_windows([g], [pair], times, ys) for g, pair in zip(hs, pairs)]
         return lambda n: [env(n) for env in each]
     cols = {k: coeff_window_averages(v, times) for k, v in h.coefficients.items()}
-    return lambda n: _split(h.with_coefficients({k: float(col[n]) for k, col in cols.items()}),
-                            None, float(times[n]), ys)
+    return lambda n: EnvelopePair(h.with_coefficients(
+        {k: float(col[n]) for k, col in cols.items()})).at_nodes(float(times[n]), ys)
 
 
 def _windows(problems, grid: Grid, times: np.ndarray) -> Callable:
@@ -124,38 +115,33 @@ def _windows(problems, grid: Grid, times: np.ndarray) -> Callable:
     return lambda n: (a_avg[n], [env(n) for env in edges])
 
 
-def _edge_terms(env, x_independent: bool, t: float, q: np.ndarray,
+def _edge_terms(env: EnvelopePair, t: float, q: np.ndarray,
                 ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interior and outflow fluxes (rows, m) and junction inflow (rows,) of one edge.
 
     q holds each row's m edge-local slopes, slope j running from node j to
     node j + 1. Node j + 1 reads h_plus of slope j and h_minus of slope
-    j + 1, so an x-dependent edge takes h_plus at ys[1:] and h_minus at
-    ys[:-1]; an x-independent one cuts both from one evaluation.
+    j + 1, so a pair read per node takes h_plus at ys[1:] and h_minus at
+    ys[:-1]; any other pair cuts both from one evaluation.
     """
-    if x_independent:
-        plus, minus = env.split(t, 0.0, q)  # fresh arrays: the flux is built in plus
-    else:
+    if env.per_node:
         plus, minus = env.split(t, ys[1:], q)[0], env.split(t, ys[:-1], q)[1]
+    else:
+        plus, minus = env.split(t, 0.0, q)  # fresh arrays: the flux is built in plus
     np.maximum(plus[:, :-1], minus[:, 1:], out=plus[:, :-1])
     return plus, minus[:, 0]
 
 
-def _first_breach(env, q: np.ndarray, dt: float, dx: float) -> tuple | None:
+def _first_breach(env: EnvelopePair, q: np.ndarray, dt: float, dx: float) -> tuple | None:
     """(row, slope, dt |dH/dp| / dx) at the first slope of q (rows, m) with dt |dH/dp| > dx.
 
-    Only catalog edges whose C2 holds on a slope box alone (form.speed) are
-    checked, under the window's coefficients; None when nothing breaches.
+    Only pairs that carry a speed (a catalog form whose C2 holds on a slope
+    box alone, frozen at the window's coefficients) are checked; None when
+    nothing breaches.
     """
-    if isinstance(env, list):  # one envelope object per row
-        for b, e in enumerate(env):
-            hit = _first_breach(e, q[b:b + 1], dt, dx)
-            if hit is not None:
-                return b, hit[1], hit[2]
+    if env.speed is None:
         return None
-    if not (isinstance(env, FixedEnvelopes) and env.form.speed is not None):
-        return None
-    speed = env.form.speed(q, *env.values)
+    speed = env.speed(q)
     limit = dx * (1.0 + 1e-9) / dt
     if not speed.max() > limit:  # NaN slopes are left to the non-finite check
         return None
@@ -188,20 +174,18 @@ def _advance(problems: Sequence[JunctionProblem], grid: Grid, u: np.ndarray,
         uu = u.take(idx, axis=1)
         q = np.subtract(uu[:, 1:], uu[:, :-1])
         q /= grid.dx
-        breach = _first_breach(env, q, dt, grid.dx)
-        if breach is not None:
-            b, j, achieved = breach
-            breaches.append((int(b), i, int(idx[j]), int(idx[j + 1]), achieved))
-        if isinstance(env, list):
-            terms = [_edge_terms(e, p.edges[i].hamiltonian.x_independent, t, q[b:b + 1], ys)
-                     for b, (e, p) in enumerate(zip(env, problems))]
-            flux = np.concatenate([f for f, _ in terms])
-            inflow = np.concatenate([g for _, g in terms])
-        else:
-            flux, inflow = _edge_terms(env, problems[0].edges[i].hamiltonian.x_independent,
-                                       t, q, ys)
-        # an edge's interior nodes are contiguous in the grid's node order
-        np.subtract(uu[:, 1:], dt * flux, out=new[:, idx[1]:idx[-1] + 1])
+        pairs = env if isinstance(env, list) else [env]  # one per problem, or one for all
+        span = len(q) // len(pairs)
+        inflow = np.empty(len(q))
+        for k, pair in enumerate(pairs):
+            rows = slice(k * span, (k + 1) * span)
+            breach = _first_breach(pair, q[rows], dt, grid.dx)
+            if breach is not None:
+                b, j, achieved = breach
+                breaches.append((k * span + int(b), i, int(idx[j]), int(idx[j + 1]), achieved))
+            flux, inflow[rows] = _edge_terms(pair, t, q[rows], ys)
+            # an edge's interior nodes are contiguous in the grid's node order
+            np.subtract(uu[rows, 1:], dt * flux, out=new[rows, idx[1]:idx[-1] + 1])
         inflows.append(inflow.tolist())
     if breaches:
         b, i, start, end, achieved = min(breaches)

@@ -120,13 +120,20 @@ class Grid:
                 and bool(np.all(np.abs(self.times - other.times) < 1e-12)))
 
 
+def _positive_finite(name: str, value: float) -> float:
+    if not 0.0 < value < math.inf:  # NaN fails both comparisons
+        raise ConfigError(f"{name}: expected a positive finite number, got {value!r}")
+    return float(value)
+
+
 def edge_nodes(dx: float, radii: Sequence[float]) -> tuple:
     """Each edge's node coordinates 0, dx, ..., m dx, with m = round(r / dx) >= 1.
 
     A grid built by make_grid from dx and radii has these nodes (edge_y).
+    Every route computes its nodes here first, so this is where a dx that
+    is not positive and finite is refused.
     """
-    if dx <= 0:
-        raise ConfigError("dx must be positive")
+    dx = _positive_finite("dx", dx)
     return tuple(np.arange(max(1, int(round(r / dx))) + 1) * dx for r in radii)
 
 
@@ -143,10 +150,10 @@ def make_grid(
     C2 bounds |dH_i/dp| over the slopes the scheme reaches
     (JunctionProblem.cfl_speed). An explicitly requested dt that violates
     dt <= dx / C2 raises CflViolation (numerical-failure class, not a
-    config error).
+    config error). dx and dt must be positive and finite.
     """
-    if dx <= 0 or horizon <= 0:
-        raise ConfigError("dx and T must be positive")
+    if horizon <= 0:
+        raise ConfigError("T must be positive")
     if not radii:
         raise ConfigError("need at least one edge radius")
     if not (0 < cfl_safety <= 1.0):
@@ -160,9 +167,7 @@ def make_grid(
         dt = horizon / n
         times = np.linspace(0.0, horizon, n + 1)
     else:
-        dt = float(dt)
-        if dt <= 0:
-            raise ConfigError("dt must be positive")
+        dt = _positive_finite("dt", dt)
         if dt > cfl_limit * (1.0 + 1e-9):
             raise CflViolation(
                 f"dt={dt:.6g} exceeds the CFL limit dx/C2={cfl_limit:.6g}")

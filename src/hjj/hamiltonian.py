@@ -9,10 +9,13 @@ piecewise-constant coefficient signals. The envelope splitting
 
 (with p_hat a minimizer of H(t, x, .)) yields the nondecreasing and
 nonincreasing parts used by the Godunov flux and the junction operator.
-Catalog forms know their minimiser, minimum and envelopes in closed form
-(CATALOG), and so the bounds on |H| and |dH/dp| that set the scheme's C2;
-any other Hamiltonian is minimised numerically. Problem files reach the
-catalog through junction_problem.hamiltonian_from_config.
+EnvelopePair is its one implementation: both parts are cut from one
+evaluation of H, for every kind of Hamiltonian, one time or a frozen
+window, one problem or a batch, one minimiser or one per node.
+Catalog forms know their minimiser and minimum in closed form (CATALOG),
+and so the bounds on |H| and |dH/dp| that set the scheme's C2; any other
+Hamiltonian is minimised numerically. Problem files reach the catalog
+through junction_problem.hamiltonian_from_config.
 """
 
 from __future__ import annotations
@@ -296,59 +299,90 @@ def _bisect_edge(H, a: float, b: float, thr: float, descending: bool) -> float:
 
 
 class EnvelopePair:
-    """Monotone envelope splitting of one Hamiltonian at argmin(t, x).
+    """Monotone envelope splitting of one Hamiltonian at a minimiser p_hat.
 
-    argmin defaults to argmin_p at each probe, except that a non-catalog
-    Hamiltonian declared independent of both t and x is minimised once, here.
+    Every pair splits one evaluation vals = H(p) the same way:
+
+        h_plus  = where(p <= p_hat, h_min, vals)
+        h_minus = where(p <= p_hat, vals, h_min)
+
+    EnvelopePair(h) splits h at each (t, x). A catalog form is frozen at
+    the coefficient values of t, looked up once per call; any other
+    Hamiltonian is split at argmin(t, x) -> (p_hat, h_min), by default
+    argmin_p, which runs once, here, when h ignores both t and x.
+    EnvelopePair(h, values=...) freezes h's catalog form at fixed
+    coefficient values, floats or (rows, 1) columns with one row per problem
+    of a batch, and ignores t and x. A frozen catalog form takes h_min =
+    form.h(p_hat), the minimum as the form computes it, so its split equals
+    (form.h(max(p, p_hat)), form.h(min(p, p_hat))) bit for bit.
+
+    speed     p -> |dH/dp| at the frozen values, for a form whose C2 holds
+              only on a slope box (ClosedForm.speed); None otherwise
+    per_node  True when H depends on x: a scheme then reads h_plus and
+              h_minus at different nodes (see at_nodes)
+    values    the frozen coefficient values, or None
     """
 
-    def __init__(self, h: Hamiltonian, argmin: Callable | None = None):
+    def __init__(self, h: Hamiltonian, argmin: Callable | None = None,
+                 values: tuple | None = None):
         self.h = h
-        self._closed = h.form in CATALOG
-        if argmin is None:
-            if not self._closed and h.time_independent and h.x_independent:
+        self.values = values
+        self.per_node = not h.x_independent
+        self.speed = None
+        form = CATALOG.get(h.form)
+        if values is not None:
+            frozen = _frozen(form, values)
+            self._at = lambda t, x: frozen
+            if form.speed is not None:
+                self.speed = lambda p: form.speed(p, *values)
+        elif form is not None and argmin is None:
+            self._at = lambda t, x: _frozen(form, form.values_at(h.coefficients, t))
+        else:
+            if argmin is None and h.time_independent and h.x_independent:
                 fixed = argmin_p(h, 0.0, 0.0)
                 argmin = lambda t, x: fixed  # noqa: E731
-            else:
+            elif argmin is None:
                 argmin = lambda t, x: argmin_p(h, t, x)  # noqa: E731
-        self.argmin = argmin
+            self._at = lambda t, x: (*argmin(t, x), lambda p: h.eval_p(t, x, p))
+
+    def at_nodes(self, t: float, ys: np.ndarray) -> "EnvelopePair":
+        """This pair with H minimised once per node of ys, at time t, when H depends on x.
+
+        For a Hamiltonian that ignores t. The minimisers and minima are read
+        at arrays of nodes of ys; a pair that ignores x is returned as it is.
+        """
+        if not self.per_node:
+            return self
+        minima = np.array([argmin_p(self.h, t, y) for y in ys.tolist()])
+        return EnvelopePair(self.h, argmin=lambda t, x: minima[np.searchsorted(ys, x)].T)
 
     def p_hat(self, t: float, x: float) -> float:
-        return self.argmin(t, x)[0]
+        return self._at(t, x)[0]
 
     def h_min(self, t: float, x: float) -> float:
-        return self.argmin(t, x)[1]
+        return self._at(t, x)[1]
 
     def h_plus(self, t: float, x: float, p):
         """Nondecreasing part: constant h_min left of p_hat, H beyond."""
-        return self._split(t, x, p, plus=True)
+        plus = self.split(t, x, p)[0]
+        return float(plus) if plus.ndim == 0 else plus
 
     def h_minus(self, t: float, x: float, p):
         """Nonincreasing part: H left of p_hat, constant h_min beyond."""
-        return self._split(t, x, p, plus=False)
+        minus = self.split(t, x, p)[1]
+        return float(minus) if minus.ndim == 0 else minus
 
     def split(self, t: float, x, p):
-        """(h_plus, h_minus) at an array of slopes; H is evaluated once unless catalog.
+        """(h_plus, h_minus) at an array of slopes, from one evaluation of H.
 
-        x may be one position per entry of p's last axis when argmin takes
-        such an array too.
+        x may be one position per entry of p's last axis when the minimiser
+        takes such an array too (at_nodes).
         """
-        if self._closed:
-            return self.h_plus(t, x, p), self.h_minus(t, x, p)
-        arr = np.asarray(p, dtype=float)
-        p_hat, h_min = self.argmin(t, x)
-        vals = self.h.eval_p(t, x, arr)
-        below = arr <= p_hat
+        p = np.asarray(p, dtype=float)
+        p_hat, h_min, H = self._at(t, x)
+        vals = H(p)
+        below = p <= p_hat
         return np.where(below, h_min, vals), np.where(below, vals, h_min)
-
-    def _split(self, t: float, x: float, p, plus: bool):
-        arr = np.asarray(p, dtype=float)
-        if self._closed:  # H(p_hat) is the minimum exactly
-            clip = np.maximum if plus else np.minimum
-            vals = self.h.eval_p(t, x, clip(arr, self.p_hat(t, x)))
-        else:
-            vals = self.split(t, x, arr)[0 if plus else 1]
-        return float(vals) if arr.ndim == 0 else vals
 
 
 def envelopes(h: Hamiltonian) -> EnvelopePair:
@@ -369,7 +403,7 @@ def a0_floor(hamiltonians, t: float) -> float:
 class ClosedForm(NamedTuple):
     """A catalog form: H and its minimiser as functions of coefficient values.
 
-    h(p_hat) is the minimum exactly, so h(max(p, p_hat)), h(min(p, p_hat)) split H.
+    h(p_hat) is the minimum exactly, which EnvelopePair takes as h_min.
     value_bound and slope_box take each coefficient's (lo, hi) range over time.
     """
 
@@ -384,23 +418,10 @@ class ClosedForm(NamedTuple):
         return tuple(coeff_eval(coefficients[k], t) for k in self.names)
 
 
-class FixedEnvelopes(NamedTuple):
-    """Envelopes of a catalog form at fixed (say window-averaged) coefficients.
-
-    Duck-types EnvelopePair for the flux; t and x are ignored.
-    """
-
-    form: ClosedForm
-    values: tuple
-
-    def h_plus(self, t: float, x: float, p):
-        return self.form.h(np.maximum(p, self.form.argmin(*self.values)[0]), *self.values)
-
-    def h_minus(self, t: float, x: float, p):
-        return self.form.h(np.minimum(p, self.form.argmin(*self.values)[0]), *self.values)
-
-    def split(self, t: float, x: float, p):
-        return self.h_plus(t, x, p), self.h_minus(t, x, p)
+def _frozen(form: ClosedForm, values: tuple) -> tuple:
+    """(p_hat, h_min, p -> H(p)) of a catalog form at fixed coefficient values."""
+    p_hat = form.argmin(*values)[0]
+    return p_hat, form.h(p_hat, *values), lambda p: form.h(p, *values)
 
 
 def _quadratic(p, a, b, c):

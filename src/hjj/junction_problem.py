@@ -251,8 +251,6 @@ class ValidationItem:
     name: str
     passed: bool
     detail: str = ""
-    worst_sample: float | None = None
-    worst_value: float | None = None
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -301,22 +299,19 @@ def validate(problem: JunctionProblem, refine: int = 32,
         raise FluxLimiterBelowFloor(worst_t, worst_deficit)
     report.items.append(ValidationItem(
         "flux_limiter_floor", True,
-        f"worst deficit {worst_deficit:.2e}", worst_t, worst_deficit))
+        f"worst deficit {worst_deficit:.2e}"))
 
     span = min([min(e.length, 2.0) for e in problem.edges])
     ys = np.linspace(0.0, span, u0_samples)
-    worst_q, worst_y = 0.0, None
-    for i, u0 in enumerate(problem.initial_data):
+    worst_q = 0.0
+    for u0 in problem.initial_data:
         vals = np.array([u0(float(y)) for y in ys])
         quot = np.abs(np.diff(vals)) / np.diff(ys)
-        k = int(np.argmax(quot))
-        if quot[k] > worst_q:
-            worst_q, worst_y = float(quot[k]), float(ys[k])
+        worst_q = max(worst_q, float(quot[int(np.argmax(quot))]))
     ok = worst_q <= problem.lipschitz_u0 * (1.0 + 1e-6) + 1e-12
     report.items.append(ValidationItem(
         "initial_datum_lipschitz", ok,
-        f"measured {worst_q:.6g} vs declared {problem.lipschitz_u0:.6g}",
-        worst_y, worst_q))
+        f"measured {worst_q:.6g} vs declared {problem.lipschitz_u0:.6g}"))
 
     for i, e in enumerate(problem.edges):
         try:

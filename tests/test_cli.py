@@ -463,3 +463,18 @@ def test_usage_errors_exit_1_without_artifacts(tmp_path: Path, capsys, argv):
     assert err.value.code == 1
     assert capsys.readouterr().err.startswith("usage: hjj")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option,value", [("--dx", "nan"), ("--dx", "inf"),
+                                          ("--dt", "nan"), ("--dt", "inf")])
+def test_non_finite_dx_or_dt_exits_1_naming_the_option(tmp_path: Path, capsys, recwarn,
+                                                       option, value):
+    problem = _write(tmp_path, _model_config())
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", problem, option, value, "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert lines == [f"configuration error: {option[2:]}: expected a positive finite "
+                     f"number, got {value}"]
+    assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

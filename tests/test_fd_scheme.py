@@ -29,9 +29,9 @@ from hjj import (
     solve_many,
     step,
 )
-from hjj.errors import CflViolation, NumericalFailure
+from hjj.errors import CflViolation, ConfigError, NumericalFailure
 from hjj.fd_scheme import _windows
-from hjj.hamiltonian import FixedEnvelopes, numeric_argmin
+from hjj.hamiltonian import numeric_argmin
 from hjj.time_signal import coeff_window_averages
 
 from conftest import random_control_system, random_tdq_problem, zero_datum
@@ -373,7 +373,7 @@ def test_step_evaluates_each_non_catalog_edge_once(monkeypatch):
     u = grid.sample(prob.initial_data)
     for n in (0, grid.steps // 2, grid.steps - 1):
         window = at(n)
-        assert isinstance(window[1][2], FixedEnvelopes)
+        assert window[1][2].h.form == "abs_shift" and window[1][2].values is not None
         calls = []
         for i, env in enumerate(window[1][:2]):
             def counted(t, x, p, _i=i, _h=env.h.evaluator):
@@ -571,6 +571,16 @@ def test_x_dependent_control_edge_takes_its_speed_on_the_grid_nodes():
     probed = make_grid(0.01, 0.05, [0.3, 0.3], c2=1.0, cfl_safety=1.0)
     with pytest.raises(CflViolation, match="max\\|f\\| over 21 controls and 31 nodes"):
         solve(prob, probed)
+
+
+@pytest.mark.parametrize("dx", [np.nan, np.inf])
+def test_an_x_dependent_problem_refuses_a_non_finite_dx_where_it_takes_its_nodes(dx):
+    """cfl_speed reads the grid's nodes before make_grid runs, so edge_nodes checks dx."""
+    prob = _x_dependent_problem(constant(-1.0, 0.5))
+    with pytest.raises(ConfigError, match="^dx: expected a positive finite number"):
+        prob.cfl_speed(dx, [1.0, 1.0])
+    with pytest.raises(ConfigError, match="^dx: expected a positive finite number"):
+        grid_for(prob, dx, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hjj import (
     quadratic,
     reflected,
 )
-from hjj.hamiltonian import numeric_argmin
+from hjj.hamiltonian import CATALOG, ClosedForm, EnvelopePair, numeric_argmin
 from hjj.errors import BracketFailure, ConvexityError, NonSeparableTimeDependence
 
 
@@ -258,3 +258,74 @@ def test_catalog_constructors_skip_the_convexity_probe(monkeypatch):
     eikonal()
     with pytest.raises(ValueError):
         quadratic(0.0, 0.0, 0.0)
+
+
+def _clip_split(form: ClosedForm, values: tuple, p: np.ndarray) -> tuple:
+    """The catalog split as form.h(max(p, p_hat)), form.h(min(p, p_hat)): the reference."""
+    p_hat = form.argmin(*values)[0]
+    return form.h(np.maximum(p, p_hat), *values), form.h(np.minimum(p, p_hat), *values)
+
+
+def _assert_same_bytes(got, want) -> None:
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_a_frozen_catalog_split_equals_the_clip_formula_byte_for_byte():
+    """Floats and (rows, 1) columns, c = -0.0, and slopes equal to p_hat or -0.0."""
+    rng = np.random.default_rng(83)
+    rows = 3
+
+    def column(lo, hi, zero=False):
+        col = rng.uniform(lo, hi, (rows, 1))
+        if zero:
+            col[rng.integers(rows)] = -0.0
+        return col
+
+    for _ in range(200):
+        a, b, c = rng.uniform(0.1, 5.0), rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)
+        cases = [
+            ("quadratic", (a, b, c)),
+            ("quadratic", (a, b, -0.0)),
+            ("quadratic", (column(0.1, 5.0), column(-3.0, 3.0), column(-5.0, 5.0, zero=True))),
+            ("abs_shift", (c,)),
+            ("abs_shift", (-0.0,)),
+            ("abs_shift", (column(-5.0, 5.0, zero=True),)),
+        ]
+        for name, values in cases:
+            form = CATALOG[name]
+            h = quadratic(1.0, 0.0, 0.0) if name == "quadratic" else abs_shift(0.0)
+            pair = EnvelopePair(h, values=values)
+            p = rng.uniform(-8.0, 8.0, (rows, 40))
+            p[:, ::4] = form.argmin(*values)[0]
+            p[:, 1::8] = -0.0
+            want = _clip_split(form, values, p)
+            _assert_same_bytes(pair.split(0.0, 0.0, p), want)
+            _assert_same_bytes((pair.h_plus(0.7, 1.0, p), pair.h_minus(0.7, 1.0, p)), want)
+            _assert_same_bytes((pair.h_min(0.0, 0.0),), (form.h(form.argmin(*values)[0], *values),))
+
+
+def test_a_lazy_catalog_pair_is_the_pair_frozen_at_t(monkeypatch):
+    """envelopes(h) of a time-dependent quadratic splits as the pair frozen at t."""
+    rng = np.random.default_rng(89)
+    form = CATALOG["quadratic"]
+    lookups = []
+    values_at = ClosedForm.values_at
+    monkeypatch.setattr(ClosedForm, "values_at",
+                        lambda self, coeffs, t: lookups.append(t) or values_at(self, coeffs, t))
+    for k in range(100):
+        c = -0.0 if k % 4 == 0 else _random_step_signal(rng, -5.0, 5.0)
+        h = quadratic(_random_step_signal(rng, 0.1, 5.0), _random_step_signal(rng, -3.0, 3.0), c)
+        t = float(rng.uniform(0.0, 1.0))
+        values = values_at(form, h.coefficients, t)
+        frozen = EnvelopePair(h, values=values)
+        p = np.append(rng.uniform(-8.0, 8.0, 40), [values[1], -0.0])
+        env = envelopes(h)
+        lookups.clear()
+        got = (env.h_plus(t, 0.3, p), env.h_minus(t, 0.3, p))
+        assert lookups == [t, t]  # once per call
+        _assert_same_bytes(got, frozen.split(t, 0.3, p))
+        _assert_same_bytes(got, _clip_split(form, values, p))
+        assert env.p_hat(t, 0.0) == frozen.p_hat(0.0, 0.0)
+        _assert_same_bytes((env.h_min(t, 0.0),), (frozen.h_min(0.0, 0.0),))

@@ -1,0 +1,76 @@
+"""Print the sha1 prefixes of the checked CLI artifacts.
+
+Writes the benchmark's problem files (tdq seeds 41 and 98 and the model
+problem, drawn by perfbench/problems.py) into a temporary directory, runs
+each command below in a fresh `python -m hjj.cli` process with
+PYTHONPATH=src, and prints one `<sha1[:8]> <artifact>` line per artifact,
+in this fixed order:
+
+    model-compare compare.json at dx 0.008, 0.004 and 0.002
+    tdq-solve field.csv, seeds 41 and 98 (dx 0.02)
+    tdq-approx approx.json, seeds 41 and 98 (dx 0.04)
+    hjj value field.csv on the model (dx 0.01)
+
+    python tools/artifact_digests.py
+
+Two checkouts that print the same lines wrote byte-identical artifacts.
+Exits nonzero, naming the command, when one of them fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (label, problem file stem, subcommand, dx, artifact)
+RUNS = [
+    ("model-compare dx=0.008", "model", "compare", "0.008", "compare.json"),
+    ("model-compare dx=0.004", "model", "compare", "0.004", "compare.json"),
+    ("model-compare dx=0.002", "model", "compare", "0.002", "compare.json"),
+    ("tdq-solve seed=41", "tdq41", "solve", "0.02", "field.csv"),
+    ("tdq-solve seed=98", "tdq98", "solve", "0.02", "field.csv"),
+    ("tdq-approx seed=41", "tdq41", "approx", "0.04", "approx.json"),
+    ("tdq-approx seed=98", "tdq98", "approx", "0.04", "approx.json"),
+    ("model-value dx=0.01", "model", "value", "0.01", "field.csv"),
+]
+
+
+def _problems():
+    spec = importlib.util.spec_from_file_location(
+        "_bench_problems", ROOT / "perfbench" / "problems.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def main() -> int:
+    problems = _problems()
+    configs = {"model": problems.model_problem(),
+               "tdq41": problems.tdq_problem(41), "tdq98": problems.tdq_problem(98)}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, cfg in configs.items():
+            Path(tmp, f"{stem}.json").write_text(json.dumps(cfg), encoding="utf-8")
+        for k, (label, stem, command, dx, artifact) in enumerate(RUNS):
+            out = Path(tmp, f"out{k}")
+            argv = [sys.executable, "-m", "hjj.cli", command, "--problem",
+                    str(Path(tmp, f"{stem}.json")), "--dx", dx, "--out", str(out)]
+            done = subprocess.run(argv, env=env, cwd=tmp, capture_output=True, text=True)
+            if done.returncode != 0:
+                print(f"{label}: exit {done.returncode}: {done.stderr.strip()}", file=sys.stderr)
+                return 1
+            digest = hashlib.sha1((out / artifact).read_bytes()).hexdigest()
+            print(f"{digest[:8]} {label} {artifact}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
