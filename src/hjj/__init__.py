@@ -30,10 +30,10 @@ from .control_system import (
     restricted_envelopes,
 )
 from .dpp_oracle import (
-    DppConfig,
     TrajectorySample,
     dpp_consistency_check,
     enumerate_trajectories,
+    oracle_grid,
     value_function,
 )
 from .errors import (
@@ -81,7 +81,6 @@ __all__ = [
     "ControlEdge",
     "ControlForm",
     "ControlSystem",
-    "DppConfig",
     "Edge",
     "EnvelopePair",
     "FluxLimiterBelowFloor",
@@ -121,6 +120,7 @@ __all__ = [
     "junction_hamiltonian",
     "l1_distance",
     "make_grid",
+    "oracle_grid",
     "problem_from_config",
     "quadratic",
     "reflected",

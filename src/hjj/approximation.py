@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeKn
-from .fd_scheme import grid_for, solve_many
-from .grid import SolutionField
+from .fd_scheme import solve_many
+from .grid import Grid, SolutionField, _positive_finite
 from .hamiltonian import Hamiltonian
 from .junction_problem import Edge, JunctionProblem
 from .time_signal import TimeSignal, union_mesh
@@ -205,21 +205,16 @@ def _measured_slope_box(field: SolutionField) -> float:
     return worst
 
 
-def comparison_diagnostic(
-    problem: JunctionProblem,
-    widths,
-    dx: float,
-    r_domain: float,
-    dt: float | None = None,
-    cfl_safety: float = 0.5,
-    K: float | None = None,
-    R: float | None = None,
-) -> ApproximationStudy:
-    """Solve the problem and its smoothed versions, pricing each gap.
+def comparison_diagnostic(problem: JunctionProblem, widths, grid: Grid,
+                          K: float | None = None, R: float | None = None
+                          ) -> ApproximationStudy:
+    """Solve the problem and its smoothed versions on grid, pricing each gap.
 
-    One grid serves every run (averaged coefficients never enlarge the slope
-    Lipschitz bound, so the step restriction carries over), and one batched
-    march solves the base problem and every smoothed one. K defaults to the
+    grid is the problem's own (as grid_for builds it); it serves every run,
+    since averaged coefficients never enlarge the slope Lipschitz bound, and
+    one batched march solves the base problem and every smoothed one. A grid
+    too coarse for the problem raises the CflViolation that solve raises on
+    it. K and R, when given, must be positive and finite. K defaults to the
     measured discrete slope range of the base run plus ten percent, R to the
     grid radius. The sandwich check compares the base field with the smoothed
     field shifted by -/+ the running integral of k, computed in one scratch
@@ -228,7 +223,8 @@ def comparison_diagnostic(
     widths = sorted(set(float(w) for w in widths), reverse=True)
     if not widths:
         raise ValueError("need at least one smoothing width")
-    grid = grid_for(problem, dx, r_domain, dt=dt, cfl_safety=cfl_safety)
+    K = None if K is None else _positive_finite("K", K)
+    R = None if R is None else _positive_finite("R", R)
     smoothed = [approx_problem(problem, eps) for eps in widths]
     base, *fields = solve_many([problem, *smoothed], grid)
     if K is None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .approximation import comparison_diagnostic
 from .control_system import ControlSystem
-from .dpp_oracle import DppConfig, value_function
+from .dpp_oracle import oracle_grid, value_function
 from .errors import (
     CflViolation,
     ConfigError,
@@ -36,7 +36,7 @@ from .errors import (
     NumericalFailure,
 )
 from .fd_scheme import grid_for, solve as fd_solve
-from .grid import Grid, SolutionField, atomic_write_text, fmt, make_grid
+from .grid import Grid, SolutionField, _positive_finite, atomic_write_text, fmt, make_grid
 from .junction_problem import JunctionProblem, entry, problem_from_config, validate
 
 EXIT_OK = 0
@@ -66,13 +66,10 @@ def _load_problem(args) -> tuple[JunctionProblem, ControlSystem | None]:
     cfg = _load_config(args)
     problem, cs = problem_from_config(cfg, controls=args.controls)
     if args.R_domain is None:
-        args.R_domain = entry(cfg, "R_domain", "", float, 2.0)
-    if not 0.0 < args.R_domain < np.inf:
-        raise ConfigError(f"R_domain: expected a positive finite number, got {args.R_domain!r}")
+        args.R_domain = _positive_finite("R_domain", entry(cfg, "R_domain", "", float, 2.0))
     if args.report_times:
-        tol = 1e-9 * max(1.0, problem.horizon)
         bad = [t for t in args.report_times
-               if t < -tol or t > problem.horizon + tol]
+               if t > problem.horizon + 1e-9 * max(1.0, problem.horizon)]
         if bad:
             raise ConfigError(
                 f"report times {bad} fall outside [0, {problem.horizon}]")
@@ -101,7 +98,7 @@ def _field_artifacts(field: SolutionField, args) -> list:
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _require_control_system(cs: ControlSystem | None) -> ControlSystem:
@@ -128,9 +125,9 @@ def cmd_solve(args) -> int:
 def cmd_value(args) -> int:
     problem, cs = _load_problem(args)
     cs = _require_control_system(cs)
-    cfg = DppConfig(dx=args.dx, horizon=problem.horizon, r_domain=args.R_domain,
-                    dt=args.dt, cfl_safety=args.cfl_safety)
-    field = value_function(cs, _dp_datum(problem), cfg)
+    grid = oracle_grid(cs, args.dx, problem.horizon, args.R_domain,
+                       dt=args.dt, cfl_safety=args.cfl_safety)
+    field = value_function(cs, _dp_datum(problem), grid)
     return _write_all(args, _field_artifacts(field, args))
 
 
@@ -147,8 +144,7 @@ def cmd_compare(args) -> int:
     cs = _require_control_system(cs)
     grid = _common_grid(problem, cs, args)
     fd = fd_solve(problem, grid)
-    cfg = DppConfig(dx=args.dx, horizon=problem.horizon, r_domain=args.R_domain)
-    dp = value_function(cs, _dp_datum(problem), cfg, grid=grid)
+    dp = value_function(cs, _dp_datum(problem), grid)
 
     def gaps(n: int) -> dict:
         d = np.abs(fd.level(n) - dp.level(n))
@@ -172,9 +168,8 @@ def cmd_compare(args) -> int:
 
 def cmd_approx(args) -> int:
     problem, _ = _load_problem(args)
-    study = comparison_diagnostic(
-        problem, args.widths, args.dx, args.R_domain, dt=args.dt,
-        cfl_safety=args.cfl_safety, K=args.slope_box, R=args.radius)
+    grid = grid_for(problem, args.dx, args.R_domain, dt=args.dt, cfl_safety=args.cfl_safety)
+    study = comparison_diagnostic(problem, args.widths, grid, K=args.slope_box, R=args.radius)
     payload = study.to_dict()
     return _write_all(args, [("approx.json", _dump_json(payload))])
 
@@ -196,34 +191,46 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
-def _times_list(text: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad time list {text!r}") from exc
+def _number(option: str, kind=float, zero_ok: bool = False, many: bool = False):
+    """The argparse type of a numeric option: kind, finite and > 0 (>= 0 with zero_ok).
+
+    With many, a comma-separated list of them. Text that kind cannot read
+    is a usage error; a value that is not finite or out of range raises the
+    ConfigError of grid's dx and dt checks, naming the option (without its
+    dashes), which main reports as a configuration error.
+    """
+    def read(text: str):
+        vals = [kind(tok) for tok in text.split(",") if tok.strip()] if many else [kind(text)]
+        for v in vals:
+            _positive_finite(option, v, zero_ok)
+        return vals if many else vals[0]
+
+    read.__name__ = kind.__name__  # argparse's "invalid float value" names it
+    return read
 
 
 def _add_common(p: argparse.ArgumentParser, need_out: bool) -> None:
     p.add_argument("--problem", required=True, help="JSON problem file")
-    p.add_argument("--dx", type=float, default=0.01, help="mesh width")
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--dx", type=_number("dx"), default=0.01, help="mesh width")
+    p.add_argument("--dt", type=_number("dt"), default=None,
                    help="explicit time step (default: from the CFL bound)")
-    p.add_argument("--cfl-safety", type=float, default=0.5, dest="cfl_safety",
+    p.add_argument("--cfl-safety", type=_number("cfl-safety"), default=0.5, dest="cfl_safety",
                    help="fraction of the CFL bound used when --dt is absent")
-    p.add_argument("--T", type=float, default=None,
+    p.add_argument("--T", type=_number("T"), default=None,
                    help="override the horizon from the problem file")
-    p.add_argument("--R-domain", type=float, default=None, dest="R_domain",
+    p.add_argument("--R-domain", type=_number("R-domain"), default=None, dest="R_domain",
                    help="truncation radius per edge (default: problem file "
                         "R_domain, else 2)")
     p.add_argument("--out", required=need_out, default=None,
                    help="output directory" + ("" if need_out else " (optional)"))
-    p.add_argument("--report-times", type=_times_list, default=None,
+    p.add_argument("--report-times", type=_number("report-times", zero_ok=True, many=True),
+                   default=None,
                    dest="report_times", metavar="t1,t2,...",
                    help="comma-separated times; one snapshot each, snapped "
                         "to the nearest grid level")
-    p.add_argument("--seed", type=int, default=20,
+    p.add_argument("--seed", type=_number("seed", int, zero_ok=True), default=20,
                    help="seed for randomized validation probes")
-    p.add_argument("--controls", type=int, default=None,
+    p.add_argument("--controls", type=_number("controls", int), default=None,
                    help="resample each control set to this many points, "
                         "for both routes")
 
@@ -256,12 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="smoothing ladder with error signal")
     _add_common(p, need_out=True)
-    p.add_argument("--widths", type=_times_list, default=[0.2, 0.1, 0.05, 0.025],
+    p.add_argument("--widths", type=_number("widths", many=True),
+                   default=[0.2, 0.1, 0.05, 0.025],
                    metavar="w1,w2,...",
                    help="comma-separated smoothing widths")
-    p.add_argument("--slope-box", type=float, default=None, dest="slope_box",
+    p.add_argument("--slope-box", type=_number("slope-box"), default=None, dest="slope_box",
                    help="slope box half-width K (default: measured)")
-    p.add_argument("--radius", type=float, default=None,
+    p.add_argument("--radius", type=_number("radius"), default=None,
                    help="spatial radius R for the edge comparison")
     p.set_defaults(func=cmd_approx)
 
@@ -273,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

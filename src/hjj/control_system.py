@@ -5,8 +5,8 @@ a velocity field f(t, x, a) and a running cost l(t, x, a). The junction
 carries a running cost signal l0 and a constant A0; the effective flux
 limiter is A(t) = max(-l0(t), A0). Stationary behavior at the junction is
 the only junction control that matters (trajectories parked at 0 move with
-velocity zero), so the junction control set is retained only through the
-requirement that it contains 0.
+velocity zero), so no junction control set is stored: it always contains
+0, and parking at the junction is always admissible.
 
 The induced Hamiltonian of an edge is H(t, x, p) = sup_a [f p - l]; its
 monotone envelopes coincide with the sign-restricted suprema over f <= 0
@@ -142,6 +142,11 @@ class ControlEdge:
     then called one position (and if need be one control) at a time. A
     callable is bounded on the positions it is given, so its bounds need
     the grid's nodes; a form's bounds ignore positions.
+
+    On the scheme route an edge with a callable f or l is time-independent:
+    its induced Hamiltonian's minimiser is found once per march, at t = 0.
+    There, time dependence must come through ControlForm signals. The value
+    function evaluates a callable at each window's midpoint.
     """
 
     f: object  # ControlForm or callable (t, x, a)
@@ -201,7 +206,6 @@ class ControlSystem:
     A0: float
     delta: float
     orientation: str = "line"
-    junction_controls: tuple = (0.0,)
 
     def __post_init__(self):
         if self.orientation not in ("line", "star"):
@@ -212,8 +216,6 @@ class ControlSystem:
             raise ValueError("line orientation needs exactly two edges")
         if self.delta <= 0.0:
             raise ValueError("controllability radius delta must be positive")
-        if not any(abs(a) < 1e-15 for a in self.junction_controls):
-            raise ValueError("junction control set must contain 0")
         for i in range(len(self.edges)):
             self._check_coverage(i)
 

@@ -49,27 +49,12 @@ from .grid import Grid, SolutionField, make_grid
 from .time_signal import TimeSignal
 
 __all__ = [
-    "DppConfig",
     "TrajectorySample",
+    "oracle_grid",
     "value_function",
     "enumerate_trajectories",
     "dpp_consistency_check",
 ]
-
-
-@dataclass(frozen=True)
-class DppConfig:
-    """Grid knobs for the dynamic-programming solver.
-
-    The controls are the control system's own samples: a problem file's
-    sample count is set where its control_system block is parsed.
-    """
-
-    dx: float
-    horizon: float
-    r_domain: float
-    dt: float | None = None
-    cfl_safety: float = 0.5
 
 
 def _initial_list(cs: ControlSystem, u0) -> list:
@@ -82,11 +67,17 @@ def _initial_list(cs: ControlSystem, u0) -> list:
     return [u0] * len(cs.edges)
 
 
-def oracle_grid(cs: ControlSystem, cfg: DppConfig) -> Grid:
-    """Grid with C2 = max|f| over the controls and, for a callable f, the grid's nodes."""
-    radii = [cfg.r_domain] * len(cs.edges)
-    return make_grid(cfg.dx, cfg.horizon, radii, c2=cs.max_speed(cfg.dx, radii),
-                     dt=cfg.dt, cfl_safety=cfg.cfl_safety)
+def oracle_grid(cs: ControlSystem, dx: float, horizon: float, r_domain: float,
+                dt: float | None = None, cfl_safety: float = 0.5) -> Grid:
+    """Grid of radius r_domain per edge with C2 = max|f| (ControlSystem.max_speed).
+
+    The control route's grid_for: max|f| is taken over the controls and, for
+    a callable f, on the grid's nodes at t = 0. dt defaults to
+    cfl_safety * dx / C2, as make_grid sets it.
+    """
+    radii = [r_domain] * len(cs.edges)
+    return make_grid(dx, horizon, radii, c2=cs.max_speed(dx, radii),
+                     dt=dt, cfl_safety=cfl_safety)
 
 
 _GUARD_ULPS = 32  # the c of the pruning guard: departures stay c eps R inside a cell
@@ -206,25 +197,22 @@ def _forward(cs: ControlSystem, grid: Grid, A: TimeSignal, v0: np.ndarray,
     return out
 
 
-def value_function(cs: ControlSystem, u0, cfg: DppConfig,
-                   grid: Grid | None = None) -> SolutionField:
+def value_function(cs: ControlSystem, u0, grid: Grid) -> SolutionField:
     """Forward dynamic-programming value function on the junction grid.
 
     u0 is a whole-line function for the line convention, or one function of
-    the local coordinate (or a per-edge list) for stars. Passing a grid puts
-    the run on someone else's mesh (it must satisfy dt max|f| <= dx, with
-    max|f| taken on its nodes). The a-priori sup bound (2L + Abar) T +
-    sup|u0| is asserted on the result, with L = sup|l| over the controls
-    and the grid's nodes.
+    the local coordinate (or a per-edge list) for stars. The grid (from
+    oracle_grid, grid_for or make_grid) must satisfy dt max|f| <= dx, with
+    max|f| taken on its nodes; any grid that does not raises CflViolation
+    before the march. The a-priori sup bound (2L + Abar) T + sup|u0| is
+    asserted on the result, with T the grid's horizon and L = sup|l| over
+    the controls and the grid's nodes.
     """
-    if grid is None:
-        grid = oracle_grid(cs, cfg)
-    else:
-        dt_max = float(np.max(np.diff(grid.times)))
-        c2 = cs.max_speed(grid.dx, grid.edge_radii)
-        if dt_max * c2 > grid.dx * (1.0 + 1e-9):
-            raise CflViolation(
-                f"dt={dt_max:.6g} exceeds dx/max|f|={grid.dx / c2:.6g} on the supplied grid")
+    dt_max = float(np.max(np.diff(grid.times)))
+    c2 = cs.max_speed(grid.dx, grid.edge_radii)
+    if dt_max * c2 > grid.dx * (1.0 + 1e-9):
+        raise CflViolation(
+            f"dt={dt_max:.6g} exceeds dx/max|f|={grid.dx / c2:.6g} on the supplied grid")
     A = flux_limiter(cs)
     data = _initial_list(cs, u0)
     v0 = grid.sample(data)
@@ -234,7 +222,7 @@ def value_function(cs: ControlSystem, u0, cfg: DppConfig,
 
     big_l = cs.cost_bound(grid.dx, grid.edge_radii)
     abar = cs.abar_bound()
-    bound = (2.0 * big_l + abar) * cfg.horizon + float(np.max(np.abs(v0)))
+    bound = (2.0 * big_l + abar) * grid.horizon + float(np.max(np.abs(v0)))
     if field.sup_norm() > bound + 1e-7 * (1.0 + bound):
         raise NumericalFailure(
             f"value function breaks its a priori bound: {field.sup_norm():.6g} "
@@ -242,16 +230,15 @@ def value_function(cs: ControlSystem, u0, cfg: DppConfig,
     return field
 
 
-def dpp_consistency_check(cs: ControlSystem, u0, cfg: DppConfig, s: float,
-                          field: SolutionField | None = None) -> float:
-    """Max deviation between a run and its restart from the level at time s.
+def dpp_consistency_check(cs: ControlSystem, field: SolutionField, s: float) -> float:
+    """Max deviation between a value-function run and its restart from the level at time s.
 
-    The restart takes the piecewise-linear profile at s as a fresh datum on
-    the same grid, so by the programming principle the deviation should be
-    at the interpolation-composition scale (and zero when nothing is lost).
+    field is value_function's result for cs; the restart takes its
+    piecewise-linear profile at s as a fresh datum on the same grid, so by
+    the programming principle the deviation should be at the
+    interpolation-composition scale (and zero when nothing is lost). s must
+    be a time of the grid.
     """
-    if field is None:
-        field = value_function(cs, u0, cfg)
     grid = field.grid
     ns = grid.level_index(s)
     if abs(float(grid.times[ns]) - s) > 1e-9 * max(1.0, grid.horizon):

@@ -120,9 +120,11 @@ class Grid:
                 and bool(np.all(np.abs(self.times - other.times) < 1e-12)))
 
 
-def _positive_finite(name: str, value: float) -> float:
-    if not 0.0 < value < math.inf:  # NaN fails both comparisons
-        raise ConfigError(f"{name}: expected a positive finite number, got {value!r}")
+def _positive_finite(name: str, value: float, zero_ok: bool = False) -> float:
+    """value as a float; a ConfigError naming it unless finite and > 0 (>= 0 with zero_ok)."""
+    if not (0.0 <= value if zero_ok else 0.0 < value) or not value < math.inf:  # NaN fails both
+        raise ConfigError(f"{name}: expected a {'non-negative' if zero_ok else 'positive'} "
+                          f"finite number, got {value!r}")
     return float(value)
 
 

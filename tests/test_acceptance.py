@@ -15,7 +15,6 @@ import pytest
 from hjj import (
     ControlForm,
     ControlSystem,
-    DppConfig,
     TimeSignal,
     comparison_diagnostic,
     constant,
@@ -28,6 +27,7 @@ from hjj import (
     grid_for,
     induced_hamiltonian,
     induced_problem,
+    oracle_grid,
     quadratic,
     restricted_envelopes,
     solve,
@@ -93,8 +93,7 @@ def test_criterion_1_model_problem_matches_the_closed_form():
 
     grid = _model_grid(problem)
     fd = solve(problem, grid)
-    cfg = DppConfig(dx=0.01, horizon=1.0, r_domain=2.0, cfl_safety=0.5)
-    dp = value_function(cs, zero_datum, cfg, grid=grid)
+    dp = value_function(cs, zero_datum, grid)
     _DP_RUNS.append((cs, dp))
 
     order = grid.line_flat_indices()
@@ -117,8 +116,7 @@ def test_criterion_2_constant_limiter_closed_forms():
     cs1, problem1 = _model_problem(1.0)   # A = -1
     grid = _model_grid(problem1)
     fd1 = solve(problem1, grid)
-    dp1 = value_function(cs1, zero_datum,
-                         DppConfig(dx=0.01, horizon=1.0, r_domain=2.0), grid=grid)
+    dp1 = value_function(cs1, zero_datum, grid)
     _DP_RUNS.append((cs1, dp1))
     err_fd1 = float(np.max(np.abs(fd1.values - grid.times[:, None])))
     err_dp1 = float(np.max(np.abs(dp1.values - grid.times[:, None])))
@@ -127,8 +125,7 @@ def test_criterion_2_constant_limiter_closed_forms():
 
     cs0, problem0 = _model_problem(0.0)   # A = 0
     fd0 = solve(problem0, grid)
-    dp0 = value_function(cs0, zero_datum,
-                         DppConfig(dx=0.01, horizon=1.0, r_domain=2.0), grid=grid)
+    dp0 = value_function(cs0, zero_datum, grid)
     _DP_RUNS.append((cs0, dp0))
     err_fd0 = float(np.max(np.abs(fd0.values[:, 0])))
     err_dp0 = float(np.max(np.abs(dp0.values[:, 0])))
@@ -205,9 +202,9 @@ def test_criterion_5_discrete_comparison_for_both_solvers():
         grid = grid_for(prob_lo, 0.1, 1.0)
         worst_fd = max(worst_fd, float(np.max(solve(prob_lo, grid).values
                                               - solve(prob_hi, grid).values)))
-        cfg = DppConfig(dx=0.1, horizon=horizon, r_domain=1.0)
-        dp_lo = value_function(cs, lo, cfg)
-        dp_hi = value_function(cs, hi, cfg)
+        dp_grid = oracle_grid(cs, 0.1, horizon, 1.0)
+        dp_lo = value_function(cs, lo, dp_grid)
+        dp_hi = value_function(cs, hi, dp_grid)
         _DP_RUNS.append((cs, dp_lo))
         worst_dp = max(worst_dp, float(np.max(dp_lo.values - dp_hi.values)))
     assert worst_fd <= 1e-12
@@ -225,8 +222,7 @@ def test_criterion_6_regularity_of_every_dp_output():
     for _ in range(20):
         cs = _random_affine_system(rng, horizon)
         (lo, _), _ = _random_data_pair(rng, cs)
-        cfg = DppConfig(dx=0.1, horizon=horizon, r_domain=1.0)
-        fresh.append((cs, value_function(cs, lo, cfg)))
+        fresh.append((cs, value_function(cs, lo, oracle_grid(cs, 0.1, horizon, 1.0))))
     checked = 0
     for cs, field in _DP_RUNS + fresh:
         check_value_function_bounds(cs, field, slack_space=0.1)
@@ -236,12 +232,11 @@ def test_criterion_6_regularity_of_every_dp_output():
 
 def test_criterion_7_restart_consistency():
     cs = build_model_system(0.0)
-    cfg = DppConfig(dx=0.01, horizon=1.0, r_domain=2.0)
-    field = value_function(cs, zero_datum, cfg)
+    field = value_function(cs, zero_datum, oracle_grid(cs, 0.01, 1.0, 2.0))
     _DP_RUNS.append((cs, field))
     worst = 0.0
     for s in (0.25, 0.5, 0.75):
-        worst = max(worst, dpp_consistency_check(cs, zero_datum, cfg, s, field))
+        worst = max(worst, dpp_consistency_check(cs, field, s))
     assert worst <= 2.0 * 0.01
     print(f"criterion 7: PASS  worst restart deviation={worst:.1e}")
 
@@ -250,7 +245,7 @@ def test_criterion_8_error_signal_ladder_for_a_step_limiter():
     limiter = TimeSignal(np.array([0.0, 0.5, 1.0]), np.array([0.0, -1.0]))
     problem = from_line(eikonal(), eikonal(), limiter, zero_datum, 0.0, 1.0)
     widths = [0.2, 0.1, 0.05, 0.025]
-    study = comparison_diagnostic(problem, widths, dx=0.02, r_domain=2.0)
+    study = comparison_diagnostic(problem, widths, grid_for(problem, 0.02, 2.0))
     kns = [r.kn_l1 for r in study.reports]
     gaps = [r.sup_gap for r in study.reports]
     assert all(k2 < k1 for k1, k2 in zip(kns, kns[1:]))

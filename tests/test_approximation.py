@@ -16,6 +16,7 @@ from hjj import (
     from_line,
     grid_for,
     l1_distance,
+    make_grid,
     problem_from_config,
     quadratic,
     shift_functions,
@@ -23,7 +24,7 @@ from hjj import (
     solve,
     union_mesh,
 )
-from hjj.errors import NegativeKn, NonSeparableTimeDependence
+from hjj.errors import CflViolation, NegativeKn, NonSeparableTimeDependence
 
 from conftest import zero_datum
 
@@ -164,7 +165,7 @@ def test_shift_functions_reject_negative_error_signals():
 
 def test_comparison_diagnostic_on_a_constant_limiter_is_exact():
     prob = from_line(eikonal(), eikonal(), constant(-0.5, 1.0), zero_datum, 0.0, 1.0)
-    study = comparison_diagnostic(prob, [0.2, 0.1], dx=0.1, r_domain=2.0)
+    study = comparison_diagnostic(prob, [0.2, 0.1], grid_for(prob, 0.1, 2.0))
     assert [r.sup_gap for r in study.reports] == [0.0, 0.0]
     assert [r.kn_l1 for r in study.reports] == [0.0, 0.0]
     assert [r.sandwich_violation for r in study.reports] == [0.0, 0.0]
@@ -172,7 +173,7 @@ def test_comparison_diagnostic_on_a_constant_limiter_is_exact():
 
 def test_comparison_diagnostic_gap_is_controlled_by_the_error_integral():
     prob = _step_limiter_problem()
-    study = comparison_diagnostic(prob, [0.2, 0.1, 0.05], dx=0.05, r_domain=2.0)
+    study = comparison_diagnostic(prob, [0.2, 0.1, 0.05], grid_for(prob, 0.05, 2.0))
     assert study.widths == [0.2, 0.1, 0.05]
     for report in study.reports:
         assert report.sup_gap <= report.kn_l1 + 0.05
@@ -189,7 +190,7 @@ def test_comparison_diagnostic_is_deterministic_across_thread_caps(monkeypatch):
     results = []
     for cap in ("1", "4"):
         monkeypatch.setenv("HJJ_THREADS", cap)
-        study = comparison_diagnostic(prob, [0.2, 0.1], dx=0.1, r_domain=1.5)
+        study = comparison_diagnostic(prob, [0.2, 0.1], grid_for(prob, 0.1, 1.5))
         results.append(study.to_dict())
     assert results[0] == results[1]
 
@@ -234,7 +235,7 @@ def test_comparison_diagnostic_equals_a_serial_per_width_run(make, K):
     order of the shift and the subtraction shows in the bits."""
     prob = make()
     widths = [0.2, 0.1, 0.05]
-    study = comparison_diagnostic(prob, widths, dx=0.05, r_domain=1.0, K=K)
+    study = comparison_diagnostic(prob, widths, grid_for(prob, 0.05, 1.0), K=K)
     got = study.to_dict()
     for row, report in zip(got["widths"], study.reports):
         row["kn"] = report.kn.signal.to_dict()
@@ -242,3 +243,15 @@ def test_comparison_diagnostic_equals_a_serial_per_width_run(make, K):
     assert study.base.values.tobytes() == solve(prob, study.base.grid).values.tobytes()
     if K is not None:
         assert min(r.sandwich_violation for r in study.reports) > 0.0
+
+
+def test_comparison_diagnostic_on_a_grid_too_coarse_raises_what_solve_raises():
+    """C2 = 34.68 from the declared p_span; a grid built for C2 = 1 breaks it."""
+    prob = _time_dependent_quadratic_problem()
+    coarse = make_grid(dx=0.05, horizon=prob.horizon, radii=(1.0, 1.0), c2=1.0)
+    with pytest.raises(CflViolation) as want:
+        solve(prob, coarse)
+    with pytest.raises(CflViolation) as got:
+        comparison_diagnostic(prob, [0.2, 0.1], coarse)
+    assert str(got.value) == str(want.value)
+    assert "C2 from declared p_span 10 on edge 1" in str(got.value)

@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 
 import hjj.cli
-from hjj import ControlEdge, ControlSystem, DppConfig, grid_for, problem_from_config
+from hjj import ControlEdge, ControlSystem, grid_for, oracle_grid, problem_from_config
 from hjj.cli import _common_grid, main
-from hjj.dpp_oracle import oracle_grid
 
 
 def _model_config(**extra) -> dict:
@@ -290,7 +289,7 @@ def test_grid_for_common_grid_and_oracle_grid_agree_on_the_model_problem():
     problem, cs = problem_from_config(_model_config())
     args = argparse.Namespace(dx=0.01, R_domain=2.0, dt=None, cfl_safety=0.5)
     grids = [grid_for(problem, 0.01, 2.0), _common_grid(problem, cs, args),
-             oracle_grid(cs, DppConfig(dx=0.01, horizon=1.0, r_domain=2.0))]
+             oracle_grid(cs, 0.01, 1.0, 2.0)]
     assert {(g.dt, g.steps, g.n_nodes) for g in grids} == {(0.005, 200, 401)}
 
 
@@ -476,5 +475,42 @@ def test_non_finite_dx_or_dt_exits_1_naming_the_option(tmp_path: Path, capsys, r
     assert rc == 1
     assert lines == [f"configuration error: {option[2:]}: expected a positive finite "
                      f"number, got {value}"]
+    assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# (subcommand, option, refused value) for every numeric option; each also takes nan and inf
+_NUMERIC_OPTIONS = [
+    ("solve", "--dx", "0"),
+    ("solve", "--dt", "0"),
+    ("solve", "--cfl-safety", "0"),
+    ("solve", "--T", "0"),
+    ("solve", "--R-domain", "0"),
+    ("solve", "--report-times", "0.5,-0.5"),
+    ("validate", "--seed", "-1"),
+    ("value", "--controls", "0"),
+    ("approx", "--widths", "0.1,0"),
+    ("approx", "--slope-box", "0"),
+    ("approx", "--radius", "0"),
+]
+
+
+@pytest.mark.parametrize("command,option,value",
+                         [(c, o, v) for c, o, refused in _NUMERIC_OPTIONS
+                          for v in ("nan", "inf", refused)])
+def test_numeric_options_refuse_nan_inf_and_out_of_range_values(tmp_path: Path, capsys,
+                                                                recwarn, command, option,
+                                                                value):
+    problem = _write(tmp_path, _model_config())
+    out = tmp_path / "out"
+    try:
+        rc = main([command, "--problem", problem, "--dx", "0.1", option, value,
+                   "--out", str(out)])
+    except SystemExit as exc:  # a usage error
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert option[2:] in err.splitlines()[-1]
     assert not out.exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -134,14 +134,6 @@ def test_coverage_rejects_speed_range_narrower_than_delta():
         ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0)
 
 
-def test_junction_control_set_must_allow_parking():
-    edges = [control_edge(ControlForm(c1=1.0), ControlForm(c0=1.0), -1.0, 1.0, n=21)
-             for _ in range(2)]
-    with pytest.raises(ValueError):
-        ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0,
-                      junction_controls=(0.5,))
-
-
 def test_restricted_envelope_raises_without_admissible_side():
     # off the junction every sampled speed is positive, so the nonpositive
     # restriction has nothing to optimise over

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hjj import (
     ControlEdge,
     ControlForm,
     ControlSystem,
-    DppConfig,
     TimeSignal,
     constant,
     control_edge,
@@ -120,8 +118,7 @@ def test_trajectory_sample_is_a_consistent_path():
 
 def test_value_function_on_the_model_problem():
     cs = build_model_system(0.0)
-    cfg = DppConfig(dx=0.02, horizon=1.0, r_domain=2.0)
-    field = value_function(cs, zero_datum, cfg)
+    field = value_function(cs, zero_datum, oracle_grid(cs, 0.02, 1.0, 2.0))
     xs = field.grid.line_x()
     final = field.line_profile(field.grid.steps)
     want = np.minimum(1.0, np.abs(xs))
@@ -132,16 +129,14 @@ def test_value_function_on_the_model_problem():
 def test_value_function_with_floor_limiter_is_exactly_linear_in_time():
     # A = -1: every trajectory costs 1 per unit time, so u(x, t) = t on the grid
     cs = build_model_system(1.0)
-    cfg = DppConfig(dx=0.05, horizon=1.0, r_domain=2.0)
-    field = value_function(cs, zero_datum, cfg)
+    field = value_function(cs, zero_datum, oracle_grid(cs, 0.05, 1.0, 2.0))
     for n, t in enumerate(field.grid.times):
         assert np.max(np.abs(field.level(n) - t)) <= 1e-12
 
 
 def test_value_function_matches_enumeration_at_aligned_points():
     cs = build_model_system(0.0)
-    cfg = DppConfig(dx=0.05, horizon=1.0, r_domain=2.0)
-    field = value_function(cs, zero_datum, cfg)
+    field = value_function(cs, zero_datum, oracle_grid(cs, 0.05, 1.0, 2.0))
     grid = field.grid
     xs = grid.line_x()
     final = field.line_profile(grid.steps)
@@ -159,63 +154,60 @@ def test_value_function_matches_enumeration_at_aligned_points():
 def test_value_function_monotone_in_the_flux_limiter():
     # larger A makes parking dearer, so values can only drop ... the junction
     # operator max(A, .) grows, the running payoff -A shrinks
-    cfg = DppConfig(dx=0.1, horizon=1.0, r_domain=2.0)
-    hi_a = value_function(build_model_system(0.0), zero_datum, cfg)   # A = 0
-    lo_a = value_function(build_model_system(1.0), zero_datum, cfg)   # A = -1
+    cs_hi, cs_lo = build_model_system(0.0), build_model_system(1.0)   # A = 0, A = -1
+    hi_a = value_function(cs_hi, zero_datum, oracle_grid(cs_hi, 0.1, 1.0, 2.0))
+    lo_a = value_function(cs_lo, zero_datum, oracle_grid(cs_lo, 0.1, 1.0, 2.0))
     assert float(np.max(hi_a.values - lo_a.values)) <= 1e-12
 
 
 def test_value_function_monotone_in_the_datum():
     cs = build_model_system(0.0)
-    cfg = DppConfig(dx=0.1, horizon=0.5, r_domain=1.5)
+    grid = oracle_grid(cs, 0.1, 0.5, 1.5)
     rng = np.random.default_rng(59)
     for _ in range(10):
         s = rng.uniform(0.2, 0.9)
         x0 = rng.uniform(-0.5, 0.5)
         lo = lambda x, s=s, x0=x0: s * abs(x - x0)
         hi = lambda x, lo=lo: lo(x) + 0.25
-        f_lo = value_function(cs, lo, cfg)
-        f_hi = value_function(cs, hi, cfg)
+        f_lo = value_function(cs, lo, grid)
+        f_hi = value_function(cs, hi, grid)
         assert float(np.max(f_lo.values - f_hi.values)) <= 1e-12
         check_value_function_bounds(cs, f_lo)
 
 
 def test_dpp_restart_reproduces_the_run():
     cs = build_model_system(0.0)
-    cfg = DppConfig(dx=0.05, horizon=1.0, r_domain=2.0)
-    field = value_function(cs, zero_datum, cfg)
-    assert dpp_consistency_check(cs, zero_datum, cfg, 0.0, field) == 0.0
-    assert dpp_consistency_check(cs, zero_datum, cfg, 0.5, field) <= 1e-13
+    field = value_function(cs, zero_datum, oracle_grid(cs, 0.05, 1.0, 2.0))
+    assert dpp_consistency_check(cs, field, 0.0) == 0.0
+    assert dpp_consistency_check(cs, field, 0.5) <= 1e-13
 
 
 def test_dpp_restart_at_the_horizon_is_the_run_itself():
     cs = build_model_system(0.0)
-    cfg = DppConfig(dx=0.05, horizon=1.0, r_domain=2.0)
-    assert dpp_consistency_check(cs, zero_datum, cfg, 1.0) == 0.0
+    field = value_function(cs, zero_datum, oracle_grid(cs, 0.05, 1.0, 2.0))
+    assert dpp_consistency_check(cs, field, 1.0) == 0.0
 
 
 def test_dpp_restart_rejects_off_grid_times():
     cs = build_model_system(0.0)
-    cfg = DppConfig(dx=0.05, horizon=1.0, r_domain=2.0)
+    field = value_function(cs, zero_datum, oracle_grid(cs, 0.05, 1.0, 2.0))
     with pytest.raises(ValueError):
-        dpp_consistency_check(cs, zero_datum, cfg, 0.33)
+        dpp_consistency_check(cs, field, 0.33)
 
 
 def test_value_function_on_an_external_grid():
     cs = build_model_system(0.0)
-    cfg = DppConfig(dx=0.1, horizon=1.0, r_domain=2.0)
     grid = make_grid(dx=0.1, horizon=1.0, radii=(2.0, 2.0), c2=1.0)
-    field = value_function(cs, zero_datum, cfg, grid=grid)
-    internal = value_function(cs, zero_datum, cfg)
+    field = value_function(cs, zero_datum, grid)
+    internal = value_function(cs, zero_datum, oracle_grid(cs, 0.1, 1.0, 2.0))
     assert np.array_equal(field.values, internal.values)
 
 
 def test_value_function_rejects_grids_that_break_the_cfl_condition():
     cs = build_model_system(0.0)
-    cfg = DppConfig(dx=0.1, horizon=1.0, r_domain=2.0)
     slow = make_grid(dx=0.1, horizon=1.0, radii=(2.0, 2.0), c2=0.25)
     with pytest.raises(CflViolation):
-        value_function(cs, zero_datum, cfg, grid=slow)
+        value_function(cs, zero_datum, slow)
 
 
 def test_value_function_with_position_dependent_speeds():
@@ -223,8 +215,7 @@ def test_value_function_with_position_dependent_speeds():
     edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21)),
              ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21))]
     cs = ControlSystem(edges, l0=constant(0.0, 0.5), A0=-1.0, delta=1.0)
-    cfg = DppConfig(dx=0.1, horizon=0.5, r_domain=1.5)
-    field = value_function(cs, _abs_datum, cfg)
+    field = value_function(cs, _abs_datum, oracle_grid(cs, 0.1, 0.5, 1.5))
     field.check_finite()
     assert field.sup_norm() <= abs(_abs_datum(-1.5)) + 0.5 * cs.cost_bound() + 1e-9
     assert field.final()[0] <= 0.5 + 1e-12
@@ -285,7 +276,7 @@ def _time_dependent_forms():
              control_edge(ControlForm(c1=1.0), ControlForm(c0=1.0, c1=speed),
                           -1.0, 1.0, n=21)]
     cs = ControlSystem(edges, l0=l0, A0=-0.7, delta=0.5)
-    return cs, lambda x: 0.3 * abs(x - 0.2), DppConfig(dx=0.04, horizon=1.0, r_domain=1.5)
+    return cs, lambda x: 0.3 * abs(x - 0.2), oracle_grid(cs, 0.04, 1.0, 1.5)
 
 
 def _position_dependent():
@@ -294,7 +285,7 @@ def _position_dependent():
     edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21)),
              ControlEdge(ControlForm(c1=1.0), cost, np.linspace(-1.0, 1.0, 21))]
     cs = ControlSystem(edges, l0=constant(0.0, 0.5), A0=-1.0, delta=1.0)
-    return cs, _abs_datum, DppConfig(dx=0.1, horizon=0.5, r_domain=1.5)
+    return cs, _abs_datum, oracle_grid(cs, 0.1, 0.5, 1.5)
 
 
 def _star():
@@ -303,19 +294,23 @@ def _star():
              for k in range(3)]
     cs = ControlSystem(edges, l0=constant(0.2, 1.0), A0=-1.0, delta=1.0,
                        orientation="star")
-    return cs, lambda y: 0.5 * y, DppConfig(dx=0.05, horizon=1.0, r_domain=1.0)
+    return cs, lambda y: 0.5 * y, oracle_grid(cs, 0.05, 1.0, 1.0)
 
 
 def _full_cfl():
     # dt * max|f| = dx: the fastest departures land on the neighbouring nodes,
     # and at both ends of each edge some controls leave [0, R]
-    return (build_model_system(0.0, n_controls=9), _abs_datum,
-            DppConfig(dx=0.05, horizon=1.0, r_domain=1.0, cfl_safety=1.0))
+    cs = build_model_system(0.0, n_controls=9)
+    return cs, _abs_datum, oracle_grid(cs, 0.05, 1.0, 1.0, cfl_safety=1.0)
+
+
+def _criterion_1():
+    cs = build_model_system(0.0)
+    return cs, zero_datum, oracle_grid(cs, 0.05, 1.0, 2.0)
 
 
 BELLMAN_CASES = {
-    "criterion_1": lambda: (build_model_system(0.0), zero_datum,
-                            DppConfig(dx=0.05, horizon=1.0, r_domain=2.0)),
+    "criterion_1": _criterion_1,
     "time_dependent_forms": _time_dependent_forms,
     "position_dependent": _position_dependent,
     "three_edge_star": _star,
@@ -325,9 +320,8 @@ BELLMAN_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BELLMAN_CASES))
 def test_bellman_matches_the_per_control_loop_bit_for_bit(case):
-    cs, u0, cfg = BELLMAN_CASES[case]()
-    field = value_function(cs, u0, cfg)
-    grid = field.grid
+    cs, u0, grid = BELLMAN_CASES[case]()
+    field = value_function(cs, u0, grid)
     want = _reference_values(cs, grid, field.values[0])
     assert field.values.tobytes() == want.tobytes()
 
@@ -342,8 +336,7 @@ def test_bellman_matches_the_per_control_loop_bit_for_bit(case):
 
 
 def test_full_cfl_case_has_partly_inadmissible_departures():
-    cs, _, cfg = _full_cfl()
-    grid = oracle_grid(cs, cfg)
+    cs, _, grid = _full_cfl()
     y = grid.edge_y(0)
     z = y - cs.local_f_avg(0, 0.0, grid.dt)[:, None] * grid.dt
     ok = (z >= 0.0) & (z <= y[-1])
@@ -359,10 +352,9 @@ def test_no_admissible_control_names_the_same_node_and_window():
              for _ in range(3)]
     cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0,
                        orientation="star")
-    cfg = DppConfig(dx=0.1, horizon=1.0, r_domain=1.0)
+    grid = oracle_grid(cs, 0.1, 1.0, 1.0)
     with pytest.raises(NoAdmissibleControl) as got:
-        value_function(cs, zero_datum, cfg)
-    grid = oracle_grid(cs, cfg)
+        value_function(cs, zero_datum, grid)
     with pytest.raises(NoAdmissibleControl) as want:
         _reference_values(cs, grid, np.zeros(grid.n_nodes))
     assert str(got.value) == str(want.value)
@@ -383,28 +375,25 @@ def _random_case(seed: int, n_edges: int):
 @pytest.mark.parametrize("seed,n_edges", [(3, 2), (4, 2), (5, 2), (6, 3), (7, 3)])
 def test_pruned_value_function_equals_the_per_control_loop(seed, n_edges, cfl_safety):
     cs, u0 = _random_case(seed, n_edges)
-    cfg = DppConfig(dx=0.05, horizon=0.5, r_domain=1.0, cfl_safety=cfl_safety)
-    field = value_function(cs, u0, cfg)
+    field = value_function(cs, u0, oracle_grid(cs, 0.05, 0.5, 1.0, cfl_safety=cfl_safety))
     want = _reference_values(cs, field.grid, field.values[0])
     assert field.values.tobytes() == want.tobytes()
 
 
 def test_pruned_value_function_on_time_dependent_forms_at_full_cfl():
-    cs, u0, cfg = _time_dependent_forms()
-    field = value_function(cs, u0, replace(cfg, cfl_safety=1.0))
+    cs, u0, _ = _time_dependent_forms()
+    field = value_function(cs, u0, oracle_grid(cs, 0.04, 1.0, 1.5, cfl_safety=1.0))
     assert field.values.tobytes() == _reference_values(cs, field.grid,
                                                        field.values[0]).tobytes()
 
 
-def _columns(cs, cfg, n: int = 0) -> list:
-    grid = oracle_grid(cs, cfg)
+def _columns(cs, grid, n: int = 0) -> list:
     return [row[0] for row in _windows(cs, grid, flux_limiter(cs), grid.times)(n)[1]]
 
 
 def test_model_system_tables_keep_five_columns_per_edge():
     cs = build_model_system(0.0)
-    cfg = DppConfig(dx=0.05, horizon=1.0, r_domain=2.0)
-    for sign, speeds in zip((1.0, -1.0), _columns(cs, cfg)):
+    for sign, speeds in zip((1.0, -1.0), _columns(cs, oracle_grid(cs, 0.05, 1.0, 2.0))):
         assert np.allclose(sign * speeds, [-1.0, -0.1, 0.0, 0.1, 1.0], rtol=0.0, atol=1e-12)
 
 
@@ -414,25 +403,25 @@ def test_time_dependent_tables_keep_the_union_over_windows():
     edges = [control_edge(ControlForm(c0=shift, c1=1.0), ControlForm(c0=1.0), -1.0, 1.0, n=9)
              for _ in range(2)]
     cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=0.5, orientation="star")
-    cfg = DppConfig(dx=0.05, horizon=1.0, r_domain=1.0)
-    grid = oracle_grid(cs, cfg)
+    grid = oracle_grid(cs, 0.05, 1.0, 1.0)
     assert 0.5 in grid.times
     speeds, costs = cs.local_window_tables(0, grid.times)
     rows = [undominated(f, l) for f, l in zip(speeds, costs)]
     assert {int(r.sum()) for r in rows} == {5}
     union = np.any(rows, axis=0)
     assert np.flatnonzero(union).tolist() == [0, 2, 3, 4, 5, 8]
-    first, last = _columns(cs, cfg, 0)[0], _columns(cs, cfg, grid.steps - 1)[0]
+    first, last = _columns(cs, grid, 0)[0], _columns(cs, grid, grid.steps - 1)[0]
     assert first.tobytes() == speeds[0][union].tobytes()
     assert last.tobytes() == speeds[-1][union].tobytes()
-    field = value_function(cs, zero_datum, cfg)
+    field = value_function(cs, zero_datum, grid)
     assert field.values.tobytes() == _reference_values(cs, grid, field.values[0]).tobytes()
 
 
 def test_full_cfl_case_keeps_every_column():
-    cs, _, cfg = _full_cfl()
-    assert [len(c) for c in _columns(cs, cfg)] == [9, 9]
-    assert [len(c) for c in _columns(cs, replace(cfg, cfl_safety=0.9))] == [5, 5]
+    cs, _, grid = _full_cfl()
+    assert [len(c) for c in _columns(cs, grid)] == [9, 9]
+    slower = oracle_grid(cs, 0.05, 1.0, 1.0, cfl_safety=0.9)
+    assert [len(c) for c in _columns(cs, slower)] == [5, 5]
 
 
 def test_departures_one_rounding_past_the_cell_keep_every_column():
@@ -478,16 +467,14 @@ def _fast_far_out(delayed: bool = False):
 def test_callable_speeds_above_the_bound_raise_cfl_violation():
     cs = _fast_far_out(delayed=True)
     assert cs.max_speed(0.01, (0.3, 0.3)) == 1.0
-    cfg = DppConfig(dx=0.01, horizon=0.05, r_domain=0.3, cfl_safety=1.0)
-    grid = oracle_grid(cs, cfg)
+    grid = oracle_grid(cs, 0.01, 0.05, 0.3, cfl_safety=1.0)
     with pytest.raises(CflViolation) as got:
-        value_function(cs, zero_datum, cfg)
+        value_function(cs, zero_datum, grid)
     # first offending node: y = 0.01 on edge 0, where the speed reaches 1.3
     node = int(grid.edge_full_indices(0)[1])
     assert f"at node {node} on [0.0, {grid.times[1]}]" in str(got.value)
     # a quarter of the step clears the true bound
-    field = value_function(cs, zero_datum, DppConfig(dx=0.01, horizon=0.05, r_domain=0.3,
-                                                     cfl_safety=0.25))
+    field = value_function(cs, zero_datum, oracle_grid(cs, 0.01, 0.05, 0.3, cfl_safety=0.25))
     field.check_finite()
 
 
@@ -497,14 +484,13 @@ def test_fast_far_out_runs_on_the_grid_of_its_node_bound():
     with pytest.raises(ValueError, match="needs the grid's nodes"):
         cs.max_speed()
     assert cs.max_speed(0.01, (0.3, 0.3)) == 4.0
-    cfg = DppConfig(dx=0.01, horizon=0.05, r_domain=0.3)
-    field = value_function(cs, zero_datum, cfg)
+    field = value_function(cs, zero_datum, oracle_grid(cs, 0.01, 0.05, 0.3))
     assert field.grid.dt <= 0.5 * 0.01 / 4.0
     field.check_finite()
     # a supplied grid at the junction's speed is refused before the march
     probed = make_grid(dx=0.01, horizon=0.05, radii=(0.3, 0.3), c2=1.0, cfl_safety=1.0)
     with pytest.raises(CflViolation, match="max\\|f\\|=0.0025 on the supplied grid"):
-        value_function(cs, zero_datum, cfg, grid=probed)
+        value_function(cs, zero_datum, probed)
 
 
 GRID_CASES = {
@@ -521,8 +507,7 @@ def test_both_routes_and_compare_build_the_same_grid(case, cfl_safety):
     cs, horizon, r_domain = GRID_CASES[case]()
     problem = induced_problem(cs, zero_datum, 0.0, horizon)
     args = argparse.Namespace(dx=0.01, R_domain=r_domain, dt=None, cfl_safety=cfl_safety)
-    grids = [oracle_grid(cs, DppConfig(dx=0.01, horizon=horizon, r_domain=r_domain,
-                                       cfl_safety=cfl_safety)),
+    grids = [oracle_grid(cs, 0.01, horizon, r_domain, cfl_safety=cfl_safety),
              grid_for(problem, 0.01, r_domain, cfl_safety=cfl_safety),
              _common_grid(problem, cs, args)]
     assert len({(g.dt, g.steps, g.n_nodes) for g in grids}) == 1
@@ -555,7 +540,7 @@ def test_a_priori_bound_takes_a_callable_cost_on_every_node():
     with pytest.raises(ValueError, match="needs the grid's nodes"):
         cs.cost_bound()
     assert cs.cost_bound(0.05, (1.5, 1.5)) == 6.0
-    field = value_function(cs, zero_datum, DppConfig(dx=0.05, horizon=0.5, r_domain=1.5))
+    field = value_function(cs, zero_datum, oracle_grid(cs, 0.05, 0.5, 1.5))
     field.check_finite()
     assert 1.5 < field.sup_norm() <= (2.0 * 6.0 + 1.0) * 0.5
 
@@ -566,11 +551,11 @@ def _broadcasting_position_dependent():
     edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21)),
              ControlEdge(ControlForm(c1=1.0), cost, np.linspace(-1.0, 1.0, 21))]
     cs = ControlSystem(edges, l0=constant(0.0, 0.5), A0=-1.0, delta=1.0)
-    return cs, _abs_datum, DppConfig(dx=0.1, horizon=0.5, r_domain=1.5)
+    return cs, _abs_datum, oracle_grid(cs, 0.1, 0.5, 1.5)
 
 
 def test_broadcasting_and_scalar_only_callables_give_the_same_value_function():
-    cs, u0, cfg = _broadcasting_position_dependent()
+    cs, u0, grid = _broadcasting_position_dependent()
     shapes = []
     drift = cs.edges[0].f
 
@@ -579,7 +564,7 @@ def test_broadcasting_and_scalar_only_callables_give_the_same_value_function():
         return drift(t, y, a)
 
     cs.edges[0].f = counted
-    field = value_function(cs, u0, cfg)
+    field = value_function(cs, u0, grid)
     want = value_function(*_position_dependent())
     assert field.values.tobytes() == want.values.tobytes()
     # one (controls x nodes) call per window on the march, and one for the grid's bound
