@@ -9,6 +9,13 @@ to the scheme's own error. comparison_diagnostic runs the whole pipeline
 over a ladder of widths: the base problem and every smoothed one are marched
 together on one grid (fd_scheme.solve_many), then each width is priced with
 array passes over the shared fields.
+
+compute_kn reads k on a leading axis of union-mesh cells. The limiter and
+every catalog edge are read at all cell midpoints in one array pass (one
+EnvelopePair frozen at (cells, 1) coefficient columns); control-induced,
+black-box and x-dependent edges keep one call per cell, or a single call
+when they are time-independent. The junction part's product slope grid is
+priced a few cells at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 from .errors import NegativeKn
 from .fd_scheme import solve_many
 from .grid import Grid, SolutionField, _positive_finite
-from .hamiltonian import Hamiltonian
+from .hamiltonian import CATALOG, EnvelopePair, Hamiltonian
 from .junction_problem import Edge, JunctionProblem
 from .time_signal import TimeSignal, union_mesh
 
@@ -75,15 +82,43 @@ class KnResult:
         return self.signal.integrate(0.0, self.signal.horizon)
 
 
-def _combo_values(a_val: float, slope_tables: list) -> np.ndarray:
-    """max(a, m_1(q_1), ..., m_J(q_J)) on the product slope grid."""
+# The junction part prices at most this many product-grid entries at once
+# (4 cells at J = 2, n_eff = 64), and at least one cell.
+_COMBO_ENTRIES = 2 ** 14
+
+
+def _combo_values(a_vals: np.ndarray, slope_tables: list) -> np.ndarray:
+    """max(a, m_1(q_1), ..., m_J(q_J)) on the product slope grid of each cell.
+
+    a_vals holds one limiter value per cell and each slope table one row
+    per cell; the result is (cells, n_1, ..., n_J).
+    """
     J = len(slope_tables)
-    out = np.full((1,) * J, a_val)
+    out = np.reshape(a_vals, (-1,) + (1,) * J)
     for i, m in enumerate(slope_tables):
-        shape = [1] * J
-        shape[i] = len(m)
+        shape = [len(m)] + [1] * J
+        shape[i + 1] = m.shape[1]
         out = np.maximum(out, m.reshape(shape))
     return out
+
+
+def _edge_tables(h: Hamiltonian, env: EnvelopePair, mids: np.ndarray, q: np.ndarray,
+                 x, p: np.ndarray) -> list:
+    """(h_minus on q, H at (x, p) raveled) of one edge, one row per cell midpoint of mids.
+
+    A catalog form is frozen at (cells, 1) coefficient columns, one pair for
+    every cell. Any other Hamiltonian is read through env and eval_p cell by
+    cell, or once and broadcast when it is time-independent.
+    """
+    form = CATALOG.get(h.form)
+    if form is not None:
+        cols = tuple(np.reshape(v, (-1, 1)) for v in form.values_at(h.coefficients, mids))
+        rows = (EnvelopePair(h, values=cols).h_minus(0.0, 0.0, q), form.h(p.ravel(), *cols))
+    else:
+        ts = mids[:1] if h.time_independent else mids
+        rows = (np.array([env.h_minus(t, 0.0, q) for t in ts]),
+                np.array([h.eval_p(t, x, p).ravel() for t in ts]))
+    return [np.broadcast_to(r, (len(mids), r.shape[-1])) for r in rows]
 
 
 def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
@@ -93,12 +128,16 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
     The junction part compares the limited slope combinations over the box
     [-K, K]^J; the edge parts compare the Hamiltonians over [0, R] x [-K, K].
     Both are exact in t because every coefficient is constant on each cell of
-    the union mesh.
+    the union mesh, so each is read at the cell midpoints. The limiter and
+    catalog edges are read at every cell in one array pass; any other edge
+    (control-induced, black box, x-dependent) keeps one call per cell, or one
+    call in all when it is time-independent. The junction part is priced on
+    blocks of cells. K must be positive and R non-negative, both finite.
     """
-    if K <= 0 or R < 0:
-        raise ValueError("slope box and radius must be positive")
-    sigs = problem.coefficient_signals() + approx.coefficient_signals()
-    mesh = union_mesh(sigs)
+    K = _positive_finite("K", K)
+    R = _positive_finite("R", R, zero_ok=True)
+    mesh = union_mesh(problem.coefficient_signals() + approx.coefficient_signals())
+    mids = 0.5 * (mesh[:-1] + mesh[1:])
     T = problem.horizon
     J = len(problem.edges)
     n_eff = n_p if J == 2 else max(6, int(round(n_p ** (2.0 / J))))
@@ -107,22 +146,25 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
     # an x-dependent pair is compared at n_x positions, one per column of slopes
     at_nodes = (np.linspace(0.0, R, n_x), np.repeat(p_line[:, None], n_x, axis=1))
 
-    k0_vals = np.empty(len(mesh) - 1)
-    ki_vals = np.zeros((J, len(mesh) - 1))
-    for c in range(len(mesh) - 1):
-        t = 0.5 * (mesh[c] + mesh[c + 1])
-        a_base = problem.flux_limiter(t)
-        a_appr = approx.flux_limiter(t)
-        m_base = [problem.envelope(i).h_minus(t, 0.0, q) for i in range(J)]
-        m_appr = [approx.envelope(i).h_minus(t, 0.0, q) for i in range(J)]
-        combo_b = _combo_values(a_base, m_base)
-        combo_a = _combo_values(a_appr, m_appr)
-        k0_vals[c] = float(np.max(np.abs(combo_b - combo_a)))
-        for i in range(J):
-            hb = problem.edges[i].hamiltonian
-            ha = approx.edges[i].hamiltonian
-            x, p = (0.0, p_line) if hb.x_independent and ha.x_independent else at_nodes
-            ki_vals[i, c] = np.max(np.abs(hb.eval_p(t, x, p) - ha.eval_p(t, x, p)))
+    m_base, m_appr = [], []
+    ki_vals = np.empty((J, len(mids)))
+    for i in range(J):
+        hb, ha = problem.edges[i].hamiltonian, approx.edges[i].hamiltonian
+        x, p = (0.0, p_line) if hb.x_independent and ha.x_independent else at_nodes
+        mb, Hb = _edge_tables(hb, problem.envelope(i), mids, q, x, p)
+        ma, Ha = _edge_tables(ha, approx.envelope(i), mids, q, x, p)
+        m_base.append(mb)
+        m_appr.append(ma)
+        ki_vals[i] = np.max(np.abs(Hb - Ha), axis=1)
+
+    a_base, a_appr = problem.flux_limiter(mids), approx.flux_limiter(mids)
+    k0_vals = np.empty(len(mids))
+    block = max(1, _COMBO_ENTRIES // n_eff ** J)
+    for start in range(0, len(mids), block):
+        c = slice(start, start + block)
+        gap = _combo_values(a_base[c], [m[c] for m in m_base])
+        gap -= _combo_values(a_appr[c], [m[c] for m in m_appr])
+        k0_vals[c] = np.abs(gap, out=gap).reshape(len(gap), -1).max(axis=1)
 
     bp = np.asarray(mesh, dtype=float)
     bp[-1] = T  # union mesh ends at the shared horizon

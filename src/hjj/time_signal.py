@@ -3,8 +3,9 @@
 Signals model merely-measurable time data (flux limiters, running-cost
 coefficients). The stored representative is right-continuous, left-continuous
 at the final time. Every consumer in the package integrates signals over
-windows instead of sampling them pointwise, so results do not depend on the
-representative. A problem file writes a signal in to_dict's form, which
+windows, or reads them at the midpoints of cells on which they are constant
+(union_mesh), so results do not depend on the representative. A problem
+file writes a signal in to_dict's form, which
 junction_problem.coeff_from_config reads.
 """
 
@@ -64,19 +65,20 @@ class TimeSignal:
     def _clamp(self, t):
         T = self.horizon
         tol = _EDGE_TOL * max(1.0, T)
-        if np.any(t < -tol) or np.any(t > T + tol):
+        ts = np.asarray(t, dtype=float)
+        if not np.all((ts >= -tol) & (ts <= T + tol)):  # NaN fails too
             raise OutOfHorizon(f"t={t!r} outside [0, {T!r}]")
-        return np.minimum(np.maximum(t, 0.0), T)
+        return np.minimum(np.maximum(ts, 0.0), T)
 
-    def __call__(self, t: float) -> float:
-        T = self.horizon
-        tol = _EDGE_TOL * max(1.0, T)
-        if not -tol <= t <= T + tol:  # NaN fails too
-            raise OutOfHorizon(f"t={t!r} outside [0, {T!r}]")
-        if t >= T:
-            return float(self.values[-1])
-        k = int(np.searchsorted(self.breakpoints, max(t, 0.0), side="right")) - 1
-        return float(self.values[k])
+    def __call__(self, t):
+        """The value at t: a float for one time, an array for an array of times.
+
+        One searchsorted serves both, so an array holds exactly the floats
+        that one call per time returns; the final time reads the last value.
+        """
+        k = np.searchsorted(self.breakpoints, self._clamp(t), side="right") - 1
+        vals = self.values[np.minimum(k, self.values.size - 1)]
+        return float(vals) if vals.ndim == 0 else vals
 
     def _antiderivative(self, t):
         # F(t) = integral of the signal over [0, t], exact, at clamped times.
@@ -191,15 +193,14 @@ def l1_distance(s1: TimeSignal, s2: TimeSignal) -> float:
     mesh = union_mesh([s1, s2])
     widths = np.diff(mesh)
     mids = 0.5 * (mesh[:-1] + mesh[1:])
-    v1 = np.array([s1(t) for t in mids])
-    v2 = np.array([s2(t) for t in mids])
-    return float(np.sum(np.abs(v1 - v2) * widths))
+    return float(np.sum(np.abs(s1(mids) - s2(mids)) * widths))
 
 
 # Coefficients of named functional forms are either plain floats or
 # TimeSignals. These helpers keep that union manageable.
 
-def coeff_eval(v, t: float) -> float:
+def coeff_eval(v, t):
+    """v at t, or at each time of an array t; a float coefficient is returned as a float."""
     return v(t) if isinstance(v, TimeSignal) else float(v)
 
 

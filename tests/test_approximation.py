@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from hjj import (
+    ControlEdge,
+    ControlForm,
+    ControlSystem,
+    Edge,
+    EnvelopePair,
     Hamiltonian,
+    JunctionProblem,
     TimeSignal,
     abs_shift,
     approx_hamiltonian,
@@ -15,6 +21,7 @@ from hjj import (
     eikonal,
     from_line,
     grid_for,
+    induced_problem,
     l1_distance,
     make_grid,
     problem_from_config,
@@ -24,7 +31,7 @@ from hjj import (
     solve,
     union_mesh,
 )
-from hjj.errors import CflViolation, NegativeKn, NonSeparableTimeDependence
+from hjj.errors import CflViolation, ConfigError, NegativeKn, NonSeparableTimeDependence
 
 from conftest import zero_datum
 
@@ -135,6 +142,136 @@ def test_compute_kn_bounded_by_coefficient_distances():
     # each edge part is dominated by that edge's own sup gap
     for part, ref in zip(kn.edge_parts, edge_dists):
         assert part.integrate(0.0, 1.0) <= ref + 1e-9
+
+
+def _per_cell_kn(problem, approx, K: float, R: float, n_p: int = 64, n_x: int = 17):
+    """compute_kn as one Python iteration per union-mesh cell.
+
+    Returns (signal, junction part, edge parts) as value arrays.
+    """
+    mesh = union_mesh(problem.coefficient_signals() + approx.coefficient_signals())
+    J = len(problem.edges)
+    n_eff = n_p if J == 2 else max(6, int(round(n_p ** (2.0 / J))))
+    q = np.linspace(-K, K, n_eff)
+    p_line = np.linspace(-K, K, n_p)
+    at_nodes = (np.linspace(0.0, R, n_x), np.repeat(p_line[:, None], n_x, axis=1))
+
+    def combo(a_val, tables):
+        out = np.full((1,) * J, a_val)
+        for i, m in enumerate(tables):
+            shape = [1] * J
+            shape[i] = len(m)
+            out = np.maximum(out, m.reshape(shape))
+        return out
+
+    k0 = np.empty(len(mesh) - 1)
+    ki = np.zeros((J, len(mesh) - 1))
+    for c in range(len(mesh) - 1):
+        t = 0.5 * (mesh[c] + mesh[c + 1])
+        combo_b = combo(problem.flux_limiter(t),
+                        [problem.envelope(i).h_minus(t, 0.0, q) for i in range(J)])
+        combo_a = combo(approx.flux_limiter(t),
+                        [approx.envelope(i).h_minus(t, 0.0, q) for i in range(J)])
+        k0[c] = float(np.max(np.abs(combo_b - combo_a)))
+        for i in range(J):
+            hb = problem.edges[i].hamiltonian
+            ha = approx.edges[i].hamiltonian
+            x, p = (0.0, p_line) if hb.x_independent and ha.x_independent else at_nodes
+            ki[i, c] = np.max(np.abs(hb.eval_p(t, x, p) - ha.eval_p(t, x, p)))
+    total = np.clip(np.maximum(k0, ki.max(axis=0)), 0.0, None)
+    return total, np.clip(k0, 0.0, None), [np.clip(row, 0.0, None) for row in ki]
+
+
+def _tdq_pair():
+    prob = _time_dependent_quadratic_problem()
+    return prob, approx_problem(prob, 0.05)
+
+
+def _quadratic_right_edge(h_left: Hamiltonian):
+    """h_left on edge 1 beside a time-dependent quadratic on edge 0."""
+    a = TimeSignal(np.array([0.0, 0.4, 1.0]), np.array([1.0, 1.5]))
+    b = TimeSignal(np.array([0.0, 0.6, 1.0]), np.array([0.1, -0.2]))
+    limiter = TimeSignal(np.array([0.0, 0.3, 1.0]), np.array([-0.5, -1.0]))
+    return JunctionProblem([Edge(quadratic(a, b, -1.0)), Edge(h_left)], limiter,
+                           [zero_datum, zero_datum], 0.0, 1.0)
+
+
+def _black_box_pair():
+    h = Hamiltonian(lambda t, x, p: 0.5 * np.asarray(p) ** 2 - 0.2, lipschitz_p=4.0,
+                    coercivity_radius=1.0, x_independent=True, validate=False)
+    prob = _quadratic_right_edge(h)
+    return prob, approx_problem(prob, 0.1)
+
+
+def _x_dependent_pair():
+    """Black boxes whose gap grows with |x|, at a step signal and at its smoothing."""
+    def black_box(s: TimeSignal) -> Hamiltonian:
+        return Hamiltonian(lambda t, x, p: np.abs(p) * (1.0 + s(t) * np.minimum(np.abs(x), 1.0))
+                           - 1.0, lipschitz_p=1.3, coercivity_radius=1.0, time_data={"s": s},
+                           x_independent=False, validate=False)
+
+    s = TimeSignal(np.array([0.0, 0.45, 1.0]), np.array([0.0, 0.3]))
+    prob = _quadratic_right_edge(black_box(s))
+    smoothed = JunctionProblem([prob.edges[0], Edge(black_box(s.mollify(0.1)))],
+                               prob.flux_limiter.mollify(0.1), prob.initial_data, 0.0, 1.0)
+    return prob, smoothed
+
+
+def _control_pair():
+    drift = ControlForm(c0=TimeSignal(np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.5])), c1=1.0)
+    edges = [ControlEdge(drift, ControlForm(c2=0.5), np.linspace(-2.0, 2.0, 41)),
+             ControlEdge(ControlForm(c1=1.0), ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21))]
+    cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0)
+    prob = induced_problem(cs, zero_datum, 0.0, 1.0)
+    return prob, approx_problem(prob, 0.1)
+
+
+def _star_pair():
+    a = TimeSignal(np.array([0.0, 0.35, 1.0]), np.array([0.8, 1.6]))
+    c = TimeSignal(np.array([0.0, 0.55, 1.0]), np.array([-1.0, -0.4]))
+    limiter = TimeSignal(np.array([0.0, 0.2, 0.7, 1.0]), np.array([-0.3, 0.2, -0.6]))
+    prob = JunctionProblem([Edge(quadratic(a, 0.1, -1.0)), Edge(abs_shift(c)), Edge(eikonal())],
+                           limiter, [zero_datum] * 3, 0.0, 1.0)
+    return prob, approx_problem(prob, 0.1)
+
+
+@pytest.mark.parametrize("make,K", [(_tdq_pair, 1.51), (_tdq_pair, 3.0), (_black_box_pair, 2.0),
+                                    (_x_dependent_pair, 2.0), (_control_pair, 2.0),
+                                    (_star_pair, 2.0)])
+def test_compute_kn_equals_a_per_cell_loop(make, K):
+    prob, smoothed = make()
+    kn = compute_kn(prob, smoothed, K=K, R=1.5)
+    total, k0, ki = _per_cell_kn(prob, smoothed, K=K, R=1.5)
+    assert np.array_equal(kn.signal.values, total)
+    assert np.array_equal(kn.junction_part.values, k0)
+    assert len(kn.edge_parts) == len(ki)
+    for part, want in zip(kn.edge_parts, ki):
+        assert np.array_equal(part.values, want)
+    assert kn.l1 > 0.0
+
+
+def test_compute_kn_reads_each_catalog_envelope_once(monkeypatch):
+    calls = []
+    h_minus = EnvelopePair.h_minus
+    monkeypatch.setattr(EnvelopePair, "h_minus",
+                        lambda self, *args: calls.append(1) or h_minus(self, *args))
+    prob, smoothed = _tdq_pair()
+    compute_kn(prob, smoothed, K=2.0, R=1.0)
+    assert len(calls) == 2 * prob.n_edges
+
+
+@pytest.mark.parametrize("K,R,name", [(float("nan"), 2.0, "K"), (float("inf"), 2.0, "K"),
+                                      (0.0, 2.0, "K"), (1.0, float("nan"), "R"),
+                                      (1.0, float("inf"), "R"), (1.0, -1.0, "R")])
+def test_compute_kn_refuses_a_slope_box_or_radius_out_of_range(K, R, name):
+    prob = _step_limiter_problem()
+    with pytest.raises(ConfigError, match=f"^{name}: expected a"):
+        compute_kn(prob, approx_problem(prob, 0.1), K=K, R=R)
+
+
+def test_compute_kn_takes_a_zero_radius():
+    prob = _step_limiter_problem()
+    assert compute_kn(prob, approx_problem(prob, 0.1), K=2.0, R=0.0).l1 == pytest.approx(0.05)
 
 
 def test_shift_functions_move_by_the_integrated_error():

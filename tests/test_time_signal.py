@@ -257,3 +257,24 @@ def test_pointwise_values_reject_nan_and_out_of_horizon_times():
     for t in (float("nan"), -0.01, 1.01, float("inf"), -float("inf")):
         with pytest.raises(OutOfHorizon):
             sig(t)
+
+
+def test_array_lookup_is_bit_equal_to_one_call_per_time():
+    rng = np.random.default_rng(79)
+    for _ in range(20):
+        sig = _random_signal(rng)
+        smooth = sig.mollify(0.3)
+        mesh = union_mesh([sig, smooth])
+        ts = np.concatenate(([0.0], sig.breakpoints, smooth.breakpoints,
+                             0.5 * (mesh[:-1] + mesh[1:]), [sig.horizon]))
+        for s in (sig, smooth):
+            assert isinstance(s(float(ts[1])), float)
+            assert s(ts).tobytes() == np.array([s(float(t)) for t in ts]).tobytes()
+
+
+def test_array_lookup_rejects_a_time_outside_the_horizon():
+    sig = _step()
+    assert sig(np.array([-0.5e-12, 1.0 + 0.5e-12])).tolist() == [0.0, -1.0]
+    for bad in ([0.5, 1.0 + 1e-9], [-1e-9, 0.5], [0.5, float("nan")]):
+        with pytest.raises(OutOfHorizon):
+            sig(np.array(bad))

@@ -11,10 +11,14 @@ in this fixed order:
     tdq-approx approx.json, seeds 41 and 98 (dx 0.04)
     hjj value field.csv on the model (dx 0.01)
 
-    python tools/artifact_digests.py
+    python tools/artifact_digests.py            # print the prefixes
+    python tools/artifact_digests.py --check    # and compare them with RUNS
 
 Two checkouts that print the same lines wrote byte-identical artifacts.
-Exits nonzero, naming the command, when one of them fails.
+RUNS records the prefix each rung prints today; with --check the tool exits
+1 and names every rung whose prefix moved. A change that moves an artifact
+by design updates its recorded prefix. Exits nonzero, naming the command,
+when one of them fails.
 """
 
 from __future__ import annotations
@@ -30,17 +34,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (label, problem file stem, subcommand, dx, artifact)
+# (label, problem file stem, subcommand, dx, artifact, recorded sha1 prefix)
 RUNS = [
-    ("model-compare dx=0.008", "model", "compare", "0.008", "compare.json"),
-    ("model-compare dx=0.004", "model", "compare", "0.004", "compare.json"),
-    ("model-compare dx=0.002", "model", "compare", "0.002", "compare.json"),
-    ("tdq-solve seed=41", "tdq41", "solve", "0.02", "field.csv"),
-    ("tdq-solve seed=98", "tdq98", "solve", "0.02", "field.csv"),
-    ("tdq-approx seed=41", "tdq41", "approx", "0.04", "approx.json"),
-    ("tdq-approx seed=98", "tdq98", "approx", "0.04", "approx.json"),
-    ("model-value dx=0.01", "model", "value", "0.01", "field.csv"),
+    ("model-compare dx=0.008", "model", "compare", "0.008", "compare.json", "0f750bc2"),
+    ("model-compare dx=0.004", "model", "compare", "0.004", "compare.json", "5a8adf25"),
+    ("model-compare dx=0.002", "model", "compare", "0.002", "compare.json", "f9450365"),
+    ("tdq-solve seed=41", "tdq41", "solve", "0.02", "field.csv", "5434d877"),
+    ("tdq-solve seed=98", "tdq98", "solve", "0.02", "field.csv", "a4497a74"),
+    ("tdq-approx seed=41", "tdq41", "approx", "0.04", "approx.json", "b81b3c2f"),
+    ("tdq-approx seed=98", "tdq98", "approx", "0.04", "approx.json", "dab467ed"),
+    ("model-value dx=0.01", "model", "value", "0.01", "field.csv", "3df70b7f"),
 ]
+
+
+def moved(printed: dict) -> list:
+    """The labels of RUNS, in order, whose prefix in printed is not the recorded one."""
+    return [label for label, *_, recorded in RUNS if printed.get(label) != recorded]
 
 
 def _problems():
@@ -51,7 +60,11 @@ def _problems():
     return module
 
 
-def main() -> int:
+def main(argv: list) -> int:
+    check = argv == ["--check"]
+    if argv and not check:
+        print("usage: artifact_digests.py [--check]", file=sys.stderr)
+        return 2
     problems = _problems()
     configs = {"model": problems.model_problem(),
                "tdq41": problems.tdq_problem(41), "tdq98": problems.tdq_problem(98)}
@@ -59,18 +72,24 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for stem, cfg in configs.items():
             Path(tmp, f"{stem}.json").write_text(json.dumps(cfg), encoding="utf-8")
-        for k, (label, stem, command, dx, artifact) in enumerate(RUNS):
+        printed = {}
+        for k, (label, stem, command, dx, artifact, _) in enumerate(RUNS):
             out = Path(tmp, f"out{k}")
-            argv = [sys.executable, "-m", "hjj.cli", command, "--problem",
-                    str(Path(tmp, f"{stem}.json")), "--dx", dx, "--out", str(out)]
-            done = subprocess.run(argv, env=env, cwd=tmp, capture_output=True, text=True)
+            cmd = [sys.executable, "-m", "hjj.cli", command, "--problem",
+                   str(Path(tmp, f"{stem}.json")), "--dx", dx, "--out", str(out)]
+            done = subprocess.run(cmd, env=env, cwd=tmp, capture_output=True, text=True)
             if done.returncode != 0:
                 print(f"{label}: exit {done.returncode}: {done.stderr.strip()}", file=sys.stderr)
                 return 1
-            digest = hashlib.sha1((out / artifact).read_bytes()).hexdigest()
-            print(f"{digest[:8]} {label} {artifact}", flush=True)
-    return 0
+            printed[label] = hashlib.sha1((out / artifact).read_bytes()).hexdigest()[:8]
+            print(f"{printed[label]} {label} {artifact}", flush=True)
+    bad = moved(printed) if check else []
+    recorded = {label: prefix for label, *_, prefix in RUNS}
+    for label in bad:
+        print(f"moved: {label}: recorded {recorded[label]}, got {printed[label]}",
+              file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
