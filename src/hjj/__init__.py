@@ -18,6 +18,7 @@ from .approximation import (
     compute_kn,
     shift_functions,
     shifted_fields,
+    smoothing_ladder,
 )
 from .control_system import (
     ControlEdge,
@@ -127,6 +128,7 @@ __all__ = [
     "restricted_envelopes",
     "shift_functions",
     "shifted_fields",
+    "smoothing_ladder",
     "solve",
     "solve_many",
     "step",

@@ -34,6 +34,7 @@ from .time_signal import TimeSignal, union_mesh
 __all__ = [
     "approx_hamiltonian",
     "approx_problem",
+    "smoothing_ladder",
     "KnResult",
     "compute_kn",
     "shifted_fields",
@@ -67,6 +68,14 @@ def approx_problem(problem: JunctionProblem, eps: float) -> JunctionProblem:
         line_convention=problem.line_convention,
         u0_line=problem.u0_line,
     )
+
+
+def smoothing_ladder(problem: JunctionProblem, widths) -> dict:
+    """{eps: approx_problem(problem, eps)} over the distinct widths, widest first."""
+    widths = sorted(set(float(w) for w in widths), reverse=True)
+    if not widths:
+        raise ValueError("need at least one smoothing width")
+    return {eps: approx_problem(problem, eps) for eps in widths}
 
 
 @dataclass(frozen=True)
@@ -229,6 +238,7 @@ class ApproximationStudy:
             "R": self.R,
             "dx": self.base.grid.dx,
             "dt": self.base.grid.dt,
+            "steps": self.base.grid.steps,
             "widths": [
                 {"eps": r.eps, "kn_l1": r.kn_l1, "solution_gap": r.sup_gap,
                  "sandwich_violation": r.sandwich_violation}
@@ -252,23 +262,22 @@ def comparison_diagnostic(problem: JunctionProblem, widths, grid: Grid,
                           ) -> ApproximationStudy:
     """Solve the problem and its smoothed versions on grid, pricing each gap.
 
-    grid is the problem's own (as grid_for builds it); it serves every run,
-    since averaged coefficients never enlarge the slope Lipschitz bound, and
-    one batched march solves the base problem and every smoothed one. A grid
-    too coarse for the problem raises the CflViolation that solve raises on
-    it. K and R, when given, must be positive and finite. K defaults to the
+    widths are the smoothing widths, or their smoothing_ladder(problem,
+    widths) when it is built already. One batched march solves the base
+    problem and every smoothed one on grid. A smoothed coefficient can
+    exceed the original near a jump, so a grid that serves them all is
+    grid_for([problem, *ladder.values()], ...); a grid too coarse for one
+    of them raises the CflViolation that solve raises on it. K and R, when
+    given, must be positive and finite. K defaults to the
     measured discrete slope range of the base run plus ten percent, R to the
     grid radius. The sandwich check compares the base field with the smoothed
     field shifted by -/+ the running integral of k, computed in one scratch
     buffer rather than as two shifted fields.
     """
-    widths = sorted(set(float(w) for w in widths), reverse=True)
-    if not widths:
-        raise ValueError("need at least one smoothing width")
+    ladder = widths if isinstance(widths, dict) else smoothing_ladder(problem, widths)
     K = None if K is None else _positive_finite("K", K)
     R = None if R is None else _positive_finite("R", R)
-    smoothed = [approx_problem(problem, eps) for eps in widths]
-    base, *fields = solve_many([problem, *smoothed], grid)
+    base, *fields = solve_many([problem, *ladder.values()], grid)
     if K is None:
         K = max(1.1 * _measured_slope_box(base), problem.lipschitz_u0, 1.0)
     if R is None:
@@ -277,7 +286,7 @@ def comparison_diagnostic(problem: JunctionProblem, widths, grid: Grid,
     u = base.values
     buf = np.empty_like(u)
     reports = []
-    for eps, ap, fld in zip(widths, smoothed, fields):
+    for (eps, ap), fld in zip(ladder.items(), fields):
         kn = compute_kn(problem, ap, K, R)
         cum = kn.signal.running_integrals(grid.times)[:, None]
         v = fld.values

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .approximation import comparison_diagnostic
+from .approximation import comparison_diagnostic, smoothing_ladder
 from .control_system import ControlSystem
 from .dpp_oracle import oracle_grid, value_function
 from .errors import (
@@ -168,8 +168,10 @@ def cmd_compare(args) -> int:
 
 def cmd_approx(args) -> int:
     problem, _ = _load_problem(args)
-    grid = grid_for(problem, args.dx, args.R_domain, dt=args.dt, cfl_safety=args.cfl_safety)
-    study = comparison_diagnostic(problem, args.widths, grid, K=args.slope_box, R=args.radius)
+    ladder = smoothing_ladder(problem, args.widths)
+    grid = grid_for([problem, *ladder.values()], args.dx, args.R_domain,
+                    dt=args.dt, cfl_safety=args.cfl_safety)
+    study = comparison_diagnostic(problem, ladder, grid, K=args.slope_box, R=args.radius)
     payload = study.to_dict()
     return _write_all(args, [("approx.json", _dump_json(payload))])
 

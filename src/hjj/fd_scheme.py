@@ -20,14 +20,18 @@ outflow and junction terms are read off the envelopes.
 The junction node uses max{ A_avg, max_i h_i^-(q_i) } on the edge-local
 junction slopes; the truncation end of each edge uses the nondecreasing
 branch on the interior slope only, an outflow closure that keeps the update
-monotone. Under the CFL condition dt <= dx / C2 every update is
-nondecreasing in the data, so discrete comparison holds to round-off.
-C2 is JunctionProblem.cfl_speed: exact for |p| + c and control-induced
-edges, and for a quadratic edge a bound on the slope box that the data
-give. That box is the a priori choice of dt, and each step checks
-dt |dH/dp| <= dx at the slopes it reads on every edge whose pair carries
-a speed (a quadratic frozen at the window's coefficients), raising
-CflViolation on a breach.
+monotone. Under the CFL condition every update is nondecreasing in the
+data, so discrete comparison holds to round-off. The speed is
+JunctionProblem.speed_signal, C2(t): exact for |p| + c and
+control-induced edges, and for a quadratic edge 2 a(t) K on the slope box
+that the data give. A grid's windows need not be equal: make_grid gives
+each the same integral of C2, and a march checks once, before its first
+step, that every window's integral is at most dx. A window's frozen
+coefficients are averages and a quadratic's bound is linear in a, so
+dt C2(frozen window) stays within that integral. That box is the a priori
+choice of the steps, and each step checks dt |dH/dp| <= dx at the slopes
+it reads on every edge whose pair carries a speed (a quadratic frozen at
+the window's coefficients), raising CflViolation on a breach.
 
 solve_many marches several problems that share one grid as one loop over a
 leading problem axis; solve is the batch of one. Values are stored as
@@ -48,7 +52,7 @@ from .errors import CflViolation
 from .grid import Grid, SolutionField, make_grid
 from .hamiltonian import CATALOG, EnvelopePair
 from .junction_problem import JunctionProblem
-from .time_signal import coeff_window_averages
+from .time_signal import coeff_window_averages, upper_envelope
 
 __all__ = ["godunov_flux", "step", "solve", "solve_many", "grid_for"]
 
@@ -64,12 +68,33 @@ def godunov_flux(env: EnvelopePair, t: float, x: float, p_minus, p_plus):
     return float(flux) if np.ndim(flux) == 0 else flux
 
 
-def grid_for(problem: JunctionProblem, dx: float, r_domain: float,
+def grid_for(problems, dx: float, r_domain: float,
              dt: float | None = None, cfl_safety: float = 0.5) -> Grid:
-    """Grid whose per-edge radius is r_domain capped by the edge length."""
-    radii = [min(e.length, r_domain) for e in problem.edges]
-    return make_grid(dx, problem.horizon, radii, c2=problem.cfl_speed(dx, radii)[0],
-                     dt=dt, cfl_safety=cfl_safety)
+    """Grid whose per-edge radius is r_domain capped by the edge length.
+
+    problems is one JunctionProblem or a batch that shares its edge lengths
+    and horizon; the time steps follow the pointwise largest speed_signal.
+    """
+    batch = [problems] if isinstance(problems, JunctionProblem) else list(problems)
+    radii = [min(e.length, r_domain) for e in batch[0].edges]
+    speed = upper_envelope([p.speed_signal(dx, radii) for p in batch])
+    return make_grid(dx, batch[0].horizon, radii, c2=speed, dt=dt, cfl_safety=cfl_safety)
+
+
+def _check_cfl(problems: Sequence[JunctionProblem], grid: Grid, times: np.ndarray) -> None:
+    """Raise CflViolation when a problem's C2 integrates above dx over a window of times.
+
+    One array pass per problem; the message names the window with the
+    largest integral by its level, its step and its mean C2.
+    """
+    for problem in problems:
+        work = problem.speed_signal(grid.dx, grid.edge_radii).window_integrals(times)
+        n = int(np.argmax(work))
+        if work[n] > grid.dx * (1.0 + 1e-9):
+            dt = float(times[n + 1] - times[n])
+            source = problem.cfl_speed(grid.dx, grid.edge_radii)[1]
+            raise CflViolation(f"dt={dt:.6g} exceeds dx/C2={grid.dx * dt / work[n]:.6g} at "
+                               f"level {grid.level_index(times[n])} (C2 from {source})")
 
 
 def _edge_windows(hs: list, pairs: list, times: np.ndarray, ys: np.ndarray) -> Callable:
@@ -153,14 +178,11 @@ def _advance(problems: Sequence[JunctionProblem], grid: Grid, u: np.ndarray,
              t: float, dt: float, window: tuple | None) -> np.ndarray:
     """The explicit Euler update of every row of u (problems, nodes) over [t, t + dt].
 
-    Raises CflViolation when dt > dx / C2, or when a slope of u on a
-    quadratic edge has dt |dH/dp| > dx under this window's coefficients;
-    the latter names the first problem of the batch, then edge, then slope.
+    Raises CflViolation when a slope of u on a quadratic edge has
+    dt |dH/dp| > dx under this window's coefficients, naming the first
+    problem of the batch, then edge, then slope. The window's own CFL
+    bound is checked by the caller (_check_cfl).
     """
-    for problem in problems:
-        c2, source = problem.cfl_speed(grid.dx, grid.edge_radii)
-        if dt > grid.dx / c2 * (1.0 + 1e-9):
-            raise CflViolation(f"dt={dt:.6g} exceeds dx/C2={grid.dx / c2:.6g} (C2 from {source})")
     if window is None:
         window = _windows(problems, grid, np.array([t, t + dt]))(0)
     a_avg, envs = window
@@ -203,8 +225,10 @@ def step(problem: JunctionProblem, grid: Grid, u: np.ndarray,
     """One explicit Euler update over the window [t, t + dt].
 
     _window may hold this window's row of _windows(problem, grid, times), as
-    a march reads it; by default the row is built for [t, t + dt].
+    a march reads it; by default the row is built for [t, t + dt]. Raises
+    CflViolation when C2 integrates above dx over the window.
     """
+    _check_cfl([problem], grid, np.array([t, t + dt]))
     return _advance([problem], grid, u[None], t, dt, _window)[0]
 
 
@@ -212,11 +236,13 @@ def solve_many(problems: Sequence[JunctionProblem], grid: Grid) -> list[Solution
     """March problems that share grid from their initial data to the horizon, as one loop.
 
     Each field is bit-equal to solve(problem, grid) and a view into one
-    (problems, levels, nodes) array.
+    (problems, levels, nodes) array. Raises CflViolation before the first
+    step when C2 integrates above dx over a window of grid.
     """
     problems = list(problems)
     if not problems:
         raise ValueError("need at least one problem")
+    _check_cfl(problems, grid, grid.times)
     at = _windows(problems, grid, grid.times)
     values = np.empty((len(problems), grid.steps + 1, grid.n_nodes))
     values[:, 0] = [grid.sample(p.initial_data) for p in problems]

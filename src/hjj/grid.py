@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CflViolation, ConfigError
+from .time_signal import TimeSignal, constant, upper_envelope
 
 __all__ = ["Grid", "SolutionField", "make_grid", "edge_nodes", "fmt", "atomic_write_text"]
 
@@ -42,11 +43,11 @@ def atomic_write_text(path: str, text: str) -> None:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform spatial mesh per edge plus the time levels.
+    """Uniform spatial mesh per edge plus the time levels 0 = times[0] < ... < times[-1] = T.
 
-    The last time increment may be shorter than dt so the final level lands
-    exactly on the horizon. CFL admissibility (dt <= dx / C2) is enforced at
-    construction.
+    The time steps np.diff(times) may differ (see make_grid); dt is the
+    largest. make_grid builds them within the CFL bound, and the scheme
+    checks every window against it.
     """
 
     dx: float
@@ -143,16 +144,21 @@ def make_grid(
     dx: float,
     horizon: float,
     radii: Sequence[float],
-    c2: float,
+    c2,
     dt: float | None = None,
     cfl_safety: float = 0.5,
 ) -> Grid:
-    """Build a grid; dt defaults to cfl_safety * dx / C2 rounded to fit T.
+    """Build a grid whose windows each hold an integral of C2 of at most cfl_safety * dx.
 
-    C2 bounds |dH_i/dp| over the slopes the scheme reaches
-    (JunctionProblem.cfl_speed). An explicitly requested dt that violates
-    dt <= dx / C2 raises CflViolation (numerical-failure class, not a
-    config error). dx and dt must be positive and finite.
+    c2 bounds |dH_i/dp| over the slopes the scheme reaches: a float, or a
+    TimeSignal C2(t) on [0, horizon] (JunctionProblem.speed_signal). With Phi(t) the
+    integral of C2 over [0, t], the default levels split [0, T] into
+    N = ceil(Phi(T) / (cfl_safety dx)) windows of equal Phi, and dt is the
+    largest step; a constant C2 gives N equal steps of dt = T / N. An
+    explicit dt gives uniform steps (the last one may be shorter so the
+    final level lands on T) and must satisfy dt <= dx / sup C2, else
+    CflViolation (numerical-failure class, not a config error). dx and dt
+    must be positive and finite.
     """
     if horizon <= 0:
         raise ConfigError("T must be positive")
@@ -160,10 +166,18 @@ def make_grid(
         raise ConfigError("need at least one edge radius")
     if not (0 < cfl_safety <= 1.0):
         raise ConfigError("cfl safety factor must lie in (0, 1]")
-    c2 = max(float(c2), 1e-12)
+    # at least 1e-12; a signal on another horizon raises HorizonMismatch
+    speed = upper_envelope([c2 if isinstance(c2, TimeSignal) else constant(c2, horizon),
+                            constant(1e-12, horizon)])
     radii_eff = [float(ys[-1]) for ys in edge_nodes(dx, radii)]
-    cfl_limit = dx / c2
-    if dt is None:
+    cfl_limit = dx / speed.max()
+    if dt is None and speed.min() < speed.max():
+        phi = speed.running_integrals(speed.breakpoints)
+        n = max(1, int(math.ceil(phi[-1] / (cfl_safety * dx) - 1e-12)))
+        times = np.interp(np.arange(n + 1) * (phi[-1] / n), phi, speed.breakpoints)
+        times[-1] = horizon
+        dt = np.diff(times).max()
+    elif dt is None:
         target = cfl_safety * cfl_limit
         n = max(1, int(math.ceil(horizon / target - 1e-12)))
         dt = horizon / n

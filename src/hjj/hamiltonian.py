@@ -74,7 +74,8 @@ class Hamiltonian:
     x_independent    True when H ignores x (one split point serves all nodes)
     speed_bound      callable (M, ys) -> (C2, source): a bound on |dH/dp| over
                      the slopes with H <= M at the edge nodes ys (None before a
-                     grid exists), and what it rests on; by default the
+                     grid exists), and what it rests on; C2 is a float, or a
+                     TimeSignal bounding each coefficient cell; by default the
                      declared lipschitz_p
     value_bound      callable (L, ys) -> a bound on |H| over |p| <= L; by
                      default |H(0, 0, 0)| + lipschitz_p L, a probe at the origin
@@ -121,8 +122,12 @@ class Hamiltonian:
     def time_independent(self) -> bool:
         return not self.time_data
 
-    def speed_bound(self, M: float, ys=None) -> tuple[float, str]:
-        """(C2, source): a bound on |dH/dp| where H <= M, at the edge nodes ys."""
+    def speed_bound(self, M: float, ys=None) -> tuple:
+        """(C2, source): a bound on |dH/dp| where H <= M, at the edge nodes ys.
+
+        C2 is a float, or a TimeSignal when the bound varies with the
+        coefficients (a quadratic with a time-dependent a).
+        """
         if self._speed_bound is None:
             return self.lipschitz_p, f"declared lipschitz_p {self.lipschitz_p:.6g}"
         return self._speed_bound(M, ys)
@@ -404,14 +409,15 @@ class ClosedForm(NamedTuple):
     """A catalog form: H and its minimiser as functions of coefficient values.
 
     h(p_hat) is the minimum exactly, which EnvelopePair takes as h_min.
-    value_bound and slope_box take each coefficient's (lo, hi) range over time.
+    value_bound takes each coefficient's (lo, hi) range over time, slope_box
+    the coefficients themselves (floats or TimeSignals).
     """
 
     names: tuple
     h: Callable            # (p, *values) -> H(p)
     argmin: Callable       # (*values) -> (p_hat, min H)
     value_bound: Callable  # (L, *ranges) -> sup |H| over |p| <= L and every value
-    slope_box: Callable    # (M, *ranges) -> (C2, source): sup |dH/dp| where H <= M
+    slope_box: Callable    # (M, *coefficients) -> (C2, source): |dH/dp| where H <= M
     speed: Callable | None = None  # (p, *values) -> |dH/dp|, where C2 holds only on a box
 
     def values_at(self, coefficients: dict, t: float) -> tuple:
@@ -435,13 +441,19 @@ def _quadratic_value_bound(L, a, b, c):
     return max(abs(c[0]), abs(top))
 
 
+def _quadratic_speed(a, k: float):
+    """2 a k: a bound on |dH/dp| = 2 a |p - b| where |p - b| <= k, per cell of a."""
+    return a.shift_values(lambda v: 2.0 * v * k) if isinstance(a, TimeSignal) else 2.0 * a * k
+
+
 def _quadratic_slope_box(M, a, b, c):
     # {a (p - b)^2 + c <= M} is |p - b| <= sqrt((M - c) / a) <= r for every
     # coefficient value, so the union lies in [b_lo - r, b_hi + r]; there
-    # |dH/dp| = 2 a |p - b| <= 2 a_hi (b_hi - b_lo + r).
-    r = (max(M - c[0], 0.0) / a[0]) ** 0.5
-    return (2.0 * a[1] * (b[1] - b[0] + r),
-            f"slope box [{b[0] - r:.3g}, {b[1] + r:.3g}] of {{H <= {M:.3g}}}")
+    # |dH/dp| = 2 a |p - b| <= 2 a (b_hi - b_lo + r), at each time's a.
+    (a_lo, _), (b_lo, b_hi), (c_lo, _) = (coeff_bounds(v) for v in (a, b, c))
+    r = (max(M - c_lo, 0.0) / a_lo) ** 0.5
+    return (_quadratic_speed(a, b_hi - b_lo + r),
+            f"slope box [{b_lo - r:.3g}, {b_hi + r:.3g}] of {{H <= {M:.3g}}}")
 
 
 CATALOG = {
@@ -463,7 +475,8 @@ def _catalog(form: str, coefficients: dict, rebuild: Callable,
     def evaluator(t, x, p):
         return closed.h(p, *closed.values_at(coefficients, t))
 
-    metadata.setdefault("speed_bound", lambda M, ys: closed.slope_box(M, *ranges))
+    metadata.setdefault("speed_bound", lambda M, ys: closed.slope_box(
+        M, *(coefficients[k] for k in closed.names)))
     return Hamiltonian(evaluator, form=form, coefficients=coefficients,
                        x_independent=True, rebuild=rebuild, validate=False,
                        value_bound=lambda L, ys: closed.value_bound(L, *ranges),
@@ -490,8 +503,9 @@ def quadratic(a, b, c, p_span: float | None = None) -> Hamiltonian:
     |dH/dp| on the slopes that the solution reaches: by default the slope box
     {H <= M} of the problem's time-derivative bound M (see
     JunctionProblem.cfl_speed), which fd_scheme checks against the slopes
-    of every step. A declared p_span overrides the box with the constant
-    2 a_hi (p_span + |b|), which covers slopes within p_span of the origin.
+    of every step. A declared p_span overrides the box with
+    2 a (p_span + |b|), which covers slopes within p_span of the origin.
+    Either bound follows a(t) cell by cell; its sup takes a_hi.
     """
     a_lo, a_hi = coeff_bounds(a)
     b_lo, b_hi = coeff_bounds(b)
@@ -502,7 +516,8 @@ def quadratic(a, b, c, p_span: float | None = None) -> Hamiltonian:
     declared = {}
     if p_span is not None:
         lip = 2.0 * a_hi * (p_span + b_abs)
-        declared = {"speed_bound": lambda M, ys: (lip, f"declared p_span {p_span:g}")}
+        declared = {"speed_bound": lambda M, ys: (_quadratic_speed(a, p_span + b_abs),
+                                                  f"declared p_span {p_span:g}")}
     return _catalog(
         "quadratic", {"a": a, "b": b, "c": c},
         rebuild=lambda coeffs: quadratic(coeffs["a"], coeffs["b"], coeffs["c"],

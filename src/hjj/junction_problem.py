@@ -40,7 +40,7 @@ from .errors import ConfigError, ConvexityError, FluxLimiterBelowFloor, SlopeCou
 from .grid import edge_nodes
 from .hamiltonian import (Hamiltonian, a0_floor, abs_shift, check_convexity, eikonal,
                           envelopes, quadratic, reflected)
-from .time_signal import TimeSignal, constant, union_mesh
+from .time_signal import TimeSignal, constant, union_mesh, upper_envelope
 
 __all__ = [
     "Edge",
@@ -116,7 +116,7 @@ class JunctionProblem:
         return self._envs[i]
 
     def cfl_speed(self, dx: float | None = None, radii=None) -> tuple[float, str]:
-        """(C2, source): a bound on |dH_i/dp| over the slopes the scheme reaches.
+        """(C2, source): the sup over t of speed_signal, and what it rests on.
 
         M = max(sup|A|, max_i sup_{t, |q| <= L_u0} |H_i(t, q)|) bounds the
         discrete time derivative at the first step, and the slopes stay
@@ -133,6 +133,20 @@ class JunctionProblem:
         it (grid.edge_nodes), so it needs them. Computed once per problem
         (and node set) and cached.
         """
+        return self._speed_bounds(dx, radii)[:2]
+
+    def speed_signal(self, dx: float | None = None, radii=None) -> TimeSignal:
+        """C2(t): the largest edge bound at each time, constant on each coefficient cell.
+
+        A quadratic edge's bound is 2 a(t) K, with one slope reach K (the box
+        or a declared p_span) for all t, so it is cfl_speed's C2 where a is
+        largest. Every other edge's bound is its constant. make_grid sizes
+        each time step by this signal.
+        """
+        return self._speed_bounds(dx, radii)[2]
+
+    def _speed_bounds(self, dx, radii) -> tuple:
+        """(C2, source, C2(t)) for cfl_speed and speed_signal, cached per node set."""
         key, nodes = None, [None] * self.n_edges
         if dx is not None and not all(e.hamiltonian.x_independent for e in self.edges):
             nodes = edge_nodes(dx, radii)
@@ -141,9 +155,10 @@ class JunctionProblem:
             hams = [e.hamiltonian for e in self.edges]
             big_m = max([abs(self.flux_limiter.min()), abs(self.flux_limiter.max())]
                         + [h.value_bound(self.lipschitz_u0, ys) for h, ys in zip(hams, nodes)])
-            speeds = [h.speed_bound(big_m, ys) for h, ys in zip(hams, nodes)]
-            i = max(range(self.n_edges), key=lambda k: speeds[k][0])
-            self._cfl[key] = (float(speeds[i][0]), f"{speeds[i][1]} on edge {i}")
+            speeds, notes = zip(*(h.speed_bound(big_m, ys) for h, ys in zip(hams, nodes)))
+            sigs = [s if isinstance(s, TimeSignal) else constant(s, self.horizon) for s in speeds]
+            i = max(range(self.n_edges), key=lambda k: sigs[k].max())
+            self._cfl[key] = (sigs[i].max(), f"{notes[i]} on edge {i}", upper_envelope(sigs))
         return self._cfl[key]
 
     def c2_max(self) -> float:

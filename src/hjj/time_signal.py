@@ -22,6 +22,7 @@ __all__ = [
     "TimeSignal",
     "constant",
     "union_mesh",
+    "upper_envelope",
     "l1_distance",
     "coeff_eval",
     "coeff_average",
@@ -182,10 +183,18 @@ def union_mesh(signals: Sequence[TimeSignal]) -> np.ndarray:
     for s in signals[1:]:
         if abs(s.horizon - T) > _EDGE_TOL * max(1.0, T):
             raise HorizonMismatch("signals have different horizons")
-    merged = np.unique(np.concatenate([s.breakpoints for s in signals]))
-    # unique() can leave nearly-duplicate floats; collapse them
+    # sort, not np.unique: its first call imports numpy submodules (about 14 ms);
+    # the filter below drops exact duplicates and nearly-duplicate floats alike
+    merged = np.sort(np.concatenate([s.breakpoints for s in signals]))
     keep = np.concatenate(([True], np.diff(merged) > _EDGE_TOL * max(1.0, T)))
     return merged[keep]
+
+
+def upper_envelope(signals: Sequence[TimeSignal]) -> TimeSignal:
+    """The pointwise maximum of several signals (same horizon), on their union mesh."""
+    mesh = union_mesh(signals)
+    mids = 0.5 * (mesh[:-1] + mesh[1:])
+    return TimeSignal(*_coalesce(mesh, np.max([s(mids) for s in signals], axis=0)))
 
 
 def l1_distance(s1: TimeSignal, s2: TimeSignal) -> float:

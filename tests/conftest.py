@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from hjj import (ControlEdge, ControlForm, ControlSystem, JunctionProblem, SolutionField,
-                 TimeSignal, constant, control_edge, eikonal, from_line, quadratic)
+                 TimeSignal, constant, control_edge, eikonal, from_line, problem_from_config,
+                 quadratic)
 
 
 def build_model_system(l0_value: float = 0.0, horizon: float = 1.0,
@@ -73,6 +77,20 @@ def random_tdq_problem(seed: int, horizon: float = 1.0, cells: int = 8) -> Junct
 
     quad = quadratic(signal(0.5, 2.0), signal(-0.25, 0.25), -1.0)
     return from_line(eikonal(), quad, signal(-1.0, 0.5), zero_datum, 0.0, horizon)
+
+
+def bench_tdq_config(seed: int) -> dict:
+    """The benchmark's tdq problem file for seed (perfbench/problems.py)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "problems.py"
+    spec = importlib.util.spec_from_file_location("_bench_problems", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.tdq_problem(seed)
+
+
+def bench_tdq_problem(seed: int) -> JunctionProblem:
+    """bench_tdq_config(seed) parsed as hjj reads it."""
+    return problem_from_config(bench_tdq_config(seed))[0]
 
 
 def check_value_function_bounds(cs: ControlSystem, field: SolutionField,

@@ -318,7 +318,8 @@ def test_comparison_diagnostic_gap_is_controlled_by_the_error_integral():
     gaps = [r.sup_gap for r in study.reports]
     assert all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
     d = study.to_dict()
-    assert set(d) == {"K", "R", "dx", "dt", "widths"}
+    assert set(d) == {"K", "R", "dx", "dt", "steps", "widths"}
+    assert (d["dt"], d["steps"]) == (study.base.grid.dt, study.base.grid.steps)
     assert [w["solution_gap"] for w in d["widths"]] == gaps
 
 
@@ -352,14 +353,14 @@ def _serial_diagnostic(problem, widths, dx: float, r_domain: float, K=None) -> d
         rows.append({"eps": eps, "kn_l1": kn.l1, "solution_gap": base.linf_gap(fld),
                      "sandwich_violation": max(0.0, viol),
                      "kn": kn.signal.to_dict()})
-    return {"K": K, "R": R, "dx": grid.dx, "dt": grid.dt, "widths": rows}
+    return {"K": K, "R": R, "dx": grid.dx, "dt": grid.dt, "steps": grid.steps, "widths": rows}
 
 
 def _time_dependent_quadratic_problem():
     a = TimeSignal(np.array([0.0, 0.13, 0.31, 0.5]), np.array([1.0, 1.7, 0.6]))
     b = TimeSignal(np.array([0.0, 0.22, 0.5]), np.array([0.2, -0.15]))
     limiter = TimeSignal(np.array([0.0, 0.07, 0.29, 0.5]), np.array([-0.5, 0.3, -1.0]))
-    # p_span pins the grid on which the K = 0.05 sandwich shows round-off
+    # p_span pins the grid on which the K = 0.05 sandwich shows round-off (dx = 0.025)
     return from_line(eikonal(), quadratic(a, b, -1.0, p_span=10.0), limiter,
                      lambda x: 0.4 * min(1.0, abs(x)), 0.4, 0.5)
 
@@ -368,15 +369,17 @@ def _time_dependent_quadratic_problem():
                                     (_time_dependent_quadratic_problem, None),
                                     (_time_dependent_quadratic_problem, 0.05)])
 def test_comparison_diagnostic_equals_a_serial_per_width_run(make, K):
-    """With K = 0.05 the sandwich violations are positive round-off, so the
-    order of the shift and the subtraction shows in the bits."""
+    """With K = 0.05 on dx = 0.025 the sandwich violations are positive
+    round-off at every width, so the order of the shift and the subtraction
+    shows in the bits."""
     prob = make()
     widths = [0.2, 0.1, 0.05]
-    study = comparison_diagnostic(prob, widths, grid_for(prob, 0.05, 1.0), K=K)
+    dx = 0.05 if K is None else 0.025
+    study = comparison_diagnostic(prob, widths, grid_for(prob, dx, 1.0), K=K)
     got = study.to_dict()
     for row, report in zip(got["widths"], study.reports):
         row["kn"] = report.kn.signal.to_dict()
-    assert got == _serial_diagnostic(prob, widths, dx=0.05, r_domain=1.0, K=K)
+    assert got == _serial_diagnostic(prob, widths, dx=dx, r_domain=1.0, K=K)
     assert study.base.values.tobytes() == solve(prob, study.base.grid).values.tobytes()
     if K is not None:
         assert min(r.sandwich_violation for r in study.reports) > 0.0

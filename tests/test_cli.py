@@ -5,11 +5,15 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hjj.cli
-from hjj import ControlEdge, ControlSystem, grid_for, oracle_grid, problem_from_config
+from hjj import (ControlEdge, ControlSystem, grid_for, oracle_grid, problem_from_config,
+                 smoothing_ladder)
 from hjj.cli import _common_grid, main
+
+from conftest import bench_tdq_config
 
 
 def _model_config(**extra) -> dict:
@@ -135,6 +139,22 @@ def test_approx_subcommand_reports_the_width_ladder(tmp_path: Path):
     assert [w["eps"] for w in widths] == [0.2, 0.1]
     assert widths[0]["kn_l1"] > widths[1]["kn_l1"]
     assert all("solution_gap" in w for w in widths)
+
+
+def test_approx_reports_the_steps_of_one_grid_for_every_width(tmp_path: Path):
+    """tdq seed 41 at dx 0.04: the shared grid follows the largest speed of the base
+    problem and of its four smoothed versions, 321 steps (300 for the base problem
+    alone, 435 at uniform steps); dt is the largest of them."""
+    cfg = bench_tdq_config(41)
+    out = tmp_path / "out"
+    assert main(["approx", "--problem", _write(tmp_path, cfg), "--dx", "0.04",
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "approx.json").read_text())
+    problem, _ = problem_from_config(cfg)
+    ladder = smoothing_ladder(problem, [0.2, 0.1, 0.05, 0.025])
+    grid = grid_for([problem, *ladder.values()], 0.04, 2.0)
+    assert (doc["steps"], doc["dt"]) == (grid.steps, grid.dt) == (321, max(np.diff(grid.times)))
+    assert grid_for(problem, 0.04, 2.0).steps == 300
 
 
 def test_validate_subcommand_passes_and_fails(tmp_path: Path):

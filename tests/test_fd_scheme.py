@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,17 +26,19 @@ from hjj import (
     make_grid,
     abs_shift,
     approx_problem,
+    comparison_diagnostic,
     quadratic,
+    smoothing_ladder,
     solve,
     solve_many,
     step,
 )
 from hjj.errors import CflViolation, ConfigError, NumericalFailure
-from hjj.fd_scheme import _windows
+from hjj.fd_scheme import _advance, _windows
 from hjj.hamiltonian import numeric_argmin
 from hjj.time_signal import coeff_window_averages
 
-from conftest import random_control_system, random_tdq_problem, zero_datum
+from conftest import bench_tdq_problem, random_control_system, random_tdq_problem, zero_datum
 
 
 def _line_problem(a_value: float, u0=zero_datum, lip: float = 0.0,
@@ -666,3 +670,102 @@ def test_x_dependent_solve_equals_the_node_by_node_scheme_bit_for_bit(make):
     assert shared[1].values.tobytes() == _node_by_node_march(twin, grid).tobytes()
     mixed = solve_many([_x_dependent_problem(_LIMITER), problem], grid)
     assert mixed[1].values.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# per-window time steps
+
+def test_tdq_steps_follow_the_integral_of_the_speed():
+    """At dx 0.02 the default grid has ceil(Phi(T) / (0.5 dx)) windows, against
+    ceil(T sup C2 / (0.5 dx)) uniform steps."""
+    for seed, steps, uniform in ((41, 599, 870), (98, 472, 942)):
+        prob = bench_tdq_problem(seed)
+        grid = grid_for(prob, 0.02, 2.0)
+        phi = prob.speed_signal().integrate(0.0, prob.horizon)
+        assert grid.steps == math.ceil(phi / 0.01 - 1e-12) == steps
+        assert math.ceil(prob.horizon * prob.cfl_speed()[0] / 0.01 - 1e-12) == uniform
+        assert prob.speed_signal().max() == prob.cfl_speed()[0]
+        assert grid.dt == np.max(np.diff(grid.times))
+
+
+def _final_line_level(problem: JunctionProblem, grid) -> np.ndarray:
+    """The scheme's last level on grid, marched without storing the others."""
+    at = _windows(problem, grid, grid.times)
+    u = grid.sample(problem.initial_data)[None]
+    for n in range(grid.steps):
+        t, t_next = float(grid.times[n]), float(grid.times[n + 1])
+        u = _advance([problem], grid, u, t, t_next - t, at(n))
+    return u[0][grid.line_flat_indices()]
+
+
+# Sup errors at T of the uniform-step scheme (dt = 0.5 dx / sup C2) at dx 0.04,
+# 0.02 and 0.01 against the reference below, and their fitted order.
+_UNIFORM_STEP_ERRORS = {41: ((0.04637822855729057, 0.029667919176793345, 0.018994890265824127),
+                            0.643918169478507),
+                        98: ((0.05466209353834117, 0.03591785208327758, 0.022494401954287202),
+                            0.6404873521456002)}
+
+
+@pytest.mark.parametrize("seed", [41, 98])
+def test_per_window_steps_are_no_less_accurate_than_uniform_steps(seed):
+    """Against the uniform-step scheme at dx 0.00125, per-window steps at dx 0.04,
+    0.02 and 0.01 err no more than uniform steps did, and converge no slower."""
+    prob = bench_tdq_problem(seed)
+    fine = 0.00125
+    n = math.ceil(prob.horizon * prob.cfl_speed()[0] / (0.5 * fine) - 1e-12)
+    reference = _final_line_level(prob, grid_for(prob, fine, 2.0, dt=prob.horizon / n))
+    dxs = (0.04, 0.02, 0.01)
+    errors = []
+    for dx in dxs:
+        field = solve(prob, grid_for(prob, dx, 2.0))
+        level = field.line_profile(field.grid.steps)
+        errors.append(float(np.max(np.abs(level - reference[::round(dx / fine)]))))
+    uniform, uniform_order = _UNIFORM_STEP_ERRORS[seed]
+    assert all(e <= u for e, u in zip(errors, uniform)), (errors, uniform)
+    assert np.polyfit(np.log(dxs), np.log(errors), 1)[0] >= uniform_order
+
+
+def test_tdq_solves_and_smoothing_ladders_keep_the_cfl_guard_quiet():
+    """Seeds 1-20 of the benchmark's tdq family: solve at dx 0.04 and 0.02 and the
+    approx ladder at dx 0.04 raise no CflViolation (window check or per-slope guard)."""
+    for seed in range(1, 21):
+        prob = bench_tdq_problem(seed)
+        for dx in (0.04, 0.02):
+            field = solve(prob, grid_for(prob, dx, 2.0))
+            assert _achieved_cfl(prob, field) <= 0.5 * (1.0 + 1e-9), (seed, dx)
+        ladder = smoothing_ladder(prob, [0.2, 0.1, 0.05, 0.025])
+        grid = grid_for([prob, *ladder.values()], 0.04, 2.0)
+        comparison_diagnostic(prob, ladder, grid)
+
+
+def test_a_batch_grid_covers_a_smoothed_coefficient_above_the_original():
+    """Averaging a(t) over [t - 0.2, t + 0.2] raises it before its jump at t = 0.5,
+    so the base problem's grid at safety 1 is too coarse for the smoothed problem
+    there; the batch grid follows the larger speed and serves both."""
+    a = TimeSignal(np.array([0.0, 0.5, 1.0]), np.array([0.5, 2.0]))
+    prob = from_line(eikonal(), quadratic(a, 0.0, -1.0), constant(-0.5, 1.0), zero_datum,
+                     0.0, 1.0)
+    ladder = smoothing_ladder(prob, [0.2])
+    base_grid = grid_for(prob, 0.05, 1.0, cfl_safety=1.0)
+    solve(prob, base_grid)
+    with pytest.raises(CflViolation, match="exceeds dx/C2=.* at level 18 "):
+        solve(ladder[0.2], base_grid)
+    with pytest.raises(CflViolation, match="at level 18 "):
+        comparison_diagnostic(prob, ladder, base_grid)
+    batch_grid = grid_for([prob, ladder[0.2]], 0.05, 1.0, cfl_safety=1.0)
+    speeds = [p.speed_signal().window_integrals(batch_grid.times) for p in (prob, ladder[0.2])]
+    assert np.max(speeds) <= 0.05 * (1.0 + 1e-9)
+    study = comparison_diagnostic(prob, ladder, batch_grid)
+    assert study.base.grid is batch_grid
+
+
+def test_step_checks_its_window_against_the_speed_integral():
+    """step refuses a window over which C2 integrates above dx, naming its level."""
+    prob = random_tdq_problem(3)
+    grid = grid_for(prob, 0.04, 1.0)
+    u = grid.sample(prob.initial_data)
+    c2 = prob.speed_signal()
+    step(prob, grid, u, 0.0, float(grid.times[1]))
+    too_long = 1.01 * grid.dx / c2(0.0)
+    with pytest.raises(CflViolation, match="at level 0 "):
+        step(prob, grid, u, 0.0, too_long)

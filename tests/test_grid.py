@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from hjj import SolutionField, make_grid
+from hjj import SolutionField, TimeSignal, make_grid
+from hjj.errors import CflViolation, HorizonMismatch
 
 
 def _reference_csv(field: SolutionField) -> str:
@@ -40,3 +43,66 @@ def test_csv_and_snapshot_are_byte_equal_to_per_row_formatting(radii, line):
     assert ",-0\n" in field.to_csv()
     for t in (0.0, 0.13, 0.3):
         assert field.to_snapshot_tsv(t) == _reference_tsv(field, t)
+
+
+def _random_speed(rng: np.random.Generator, horizon: float) -> TimeSignal:
+    """A step speed on 2 to 9 random cells, values in [0.1, 50]."""
+    cells = int(rng.integers(2, 10))
+    inner = np.sort(rng.uniform(0.0, horizon, cells - 1))
+    return TimeSignal(np.concatenate(([0.0], inner, [horizon])), rng.uniform(0.1, 50.0, cells))
+
+
+def test_make_grid_gives_each_window_an_equal_share_of_the_speed_integral():
+    """times run from 0 to T, strictly increasing, in N = ceil(Phi(T) / (safety dx))
+    windows, each with an integral of C2 of at most safety dx; dt is the largest step."""
+    rng = np.random.default_rng(131)
+    for _ in range(300):
+        horizon = float(rng.uniform(0.05, 3.0))
+        dx = float(rng.choice([0.1, 0.02, 0.005]))
+        safety = float(rng.uniform(0.1, 1.0))
+        speed = _random_speed(rng, horizon)
+        grid = make_grid(dx, horizon, (1.0, 1.0), c2=speed, cfl_safety=safety)
+        t = grid.times
+        assert t[0] == 0.0 and t[-1] == horizon
+        assert np.all(np.diff(t) > 0.0)
+        assert np.all(speed.window_integrals(t) <= safety * dx * (1.0 + 1e-9))
+        n = max(1, math.ceil(speed.integrate(0.0, horizon) / (safety * dx) - 1e-12))
+        assert grid.steps == n
+        assert grid.dt == np.max(np.diff(t))
+
+
+@pytest.mark.parametrize("dx,c2,horizon,safety", [(0.1, 2.5, 1.0, 0.5), (0.02, 41.0, 1.0, 0.5),
+                                                  (0.05, 1.0, 0.5, 0.5), (0.03, 7.3, 0.9, 0.7),
+                                                  (0.01, 3.0, 1.0, 1.0)])
+def test_a_constant_speed_keeps_the_linspace_levels(dx, c2, horizon, safety):
+    """A float C2, or a signal whose cells all carry it, gives N equal steps of T / N
+    with N = ceil(T / (safety dx / C2) - 1e-12), bit for bit (the first four rows tie)."""
+    n = max(1, math.ceil(horizon / (safety * dx / c2) - 1e-12))
+    flat = TimeSignal(np.array([0.0, 0.3 * horizon, horizon]), np.array([c2, c2]))
+    for speed in (c2, flat):
+        grid = make_grid(dx, horizon, (1.0,), c2=speed, cfl_safety=safety)
+        assert grid.times.tobytes() == np.linspace(0.0, horizon, n + 1).tobytes()
+        assert grid.dt == horizon / n
+
+
+def test_an_explicit_dt_stays_uniform_and_is_refused_above_dx_over_sup_c2():
+    rng = np.random.default_rng(137)
+    for _ in range(50):
+        horizon, dx = float(rng.uniform(0.1, 2.0)), 0.02
+        speed = _random_speed(rng, horizon)
+        limit = dx / speed.max()
+        dt = float(rng.uniform(0.2, 1.0)) * limit
+        grid = make_grid(dx, horizon, (1.0, 1.0), c2=speed, dt=dt)
+        uniform = make_grid(dx, horizon, (1.0, 1.0), c2=speed.max(), dt=dt)
+        assert grid.times.tobytes() == uniform.times.tobytes() and grid.dt == dt
+        assert np.array_equal(grid.times[:-1], np.arange(grid.steps) * dt)
+        assert 0.0 < grid.times[-1] - grid.times[-2] <= dt * (1.0 + 1e-9)
+        # a dt that every window's mean speed would allow is still refused
+        with pytest.raises(CflViolation, match="exceeds the CFL limit"):
+            make_grid(dx, horizon, (1.0, 1.0), c2=speed, dt=limit * 1.001)
+
+
+def test_make_grid_refuses_a_speed_signal_on_another_horizon():
+    speed = TimeSignal(np.array([0.0, 0.5, 2.0]), np.array([1.0, 2.0]))
+    with pytest.raises(HorizonMismatch):
+        make_grid(0.1, 1.0, (1.0,), c2=speed)

@@ -154,6 +154,19 @@ def test_union_mesh_contains_every_breakpoint():
             assert np.min(np.abs(mesh - b)) < 1e-12
 
 
+def test_union_mesh_keeps_the_first_of_each_run_of_nearly_equal_breakpoints():
+    """Shared, nearly shared (within 1e-12 T) and distinct breakpoints: the mesh is
+    the sorted distinct breakpoints with each near-duplicate after the first dropped."""
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        base = np.sort(rng.uniform(0.05, 1.95, 4))
+        sigs = [TimeSignal(np.concatenate(([0.0], np.sort(pick), [2.0])), np.ones(len(pick) + 1))
+                for pick in (base[:3], base[1:] + rng.choice([0.0, 1e-13], 3), base[::2])]
+        merged = np.unique(np.concatenate([sig.breakpoints for sig in sigs]))
+        want = merged[np.concatenate(([True], np.diff(merged) > 2e-12))]
+        assert np.array_equal(union_mesh(sigs), want)
+
+
 def test_dict_round_trip_is_exact():
     sig = _random_signal(np.random.default_rng(2))
     back = TimeSignal.from_dict(sig.to_dict())

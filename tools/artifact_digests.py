@@ -39,10 +39,10 @@ RUNS = [
     ("model-compare dx=0.008", "model", "compare", "0.008", "compare.json", "0f750bc2"),
     ("model-compare dx=0.004", "model", "compare", "0.004", "compare.json", "5a8adf25"),
     ("model-compare dx=0.002", "model", "compare", "0.002", "compare.json", "f9450365"),
-    ("tdq-solve seed=41", "tdq41", "solve", "0.02", "field.csv", "5434d877"),
-    ("tdq-solve seed=98", "tdq98", "solve", "0.02", "field.csv", "a4497a74"),
-    ("tdq-approx seed=41", "tdq41", "approx", "0.04", "approx.json", "b81b3c2f"),
-    ("tdq-approx seed=98", "tdq98", "approx", "0.04", "approx.json", "dab467ed"),
+    ("tdq-solve seed=41", "tdq41", "solve", "0.02", "field.csv", "a386d84c"),
+    ("tdq-solve seed=98", "tdq98", "solve", "0.02", "field.csv", "4210b6b2"),
+    ("tdq-approx seed=41", "tdq41", "approx", "0.04", "approx.json", "c9892001"),
+    ("tdq-approx seed=98", "tdq98", "approx", "0.04", "approx.json", "63f7fe84"),
     ("model-value dx=0.01", "model", "value", "0.01", "field.csv", "3df70b7f"),
 ]
 
