@@ -16,7 +16,6 @@ from .approximation import (
     approx_problem,
     comparison_diagnostic,
     compute_kn,
-    shift_functions,
     shifted_fields,
     smoothing_ladder,
 )
@@ -24,11 +23,11 @@ from .control_system import (
     ControlEdge,
     ControlForm,
     ControlSystem,
+    RestrictedEnvelopes,
     control_edge,
     edge_hamiltonian,
     flux_limiter,
     induced_hamiltonian,
-    restricted_envelopes,
 )
 from .dpp_oracle import (
     TrajectorySample,
@@ -56,7 +55,6 @@ from .hamiltonian import (
     argmin_p,
     check_convexity,
     eikonal,
-    envelopes,
     quadratic,
     reflected,
 )
@@ -66,7 +64,6 @@ from .junction_problem import (
     control_system_from_config,
     from_line,
     induced_problem,
-    junction_hamiltonian,
     problem_from_config,
     validate,
 )
@@ -92,6 +89,7 @@ __all__ = [
     "KnResult",
     "NoAdmissibleControl",
     "NumericalFailure",
+    "RestrictedEnvelopes",
     "SolutionField",
     "TimeSignal",
     "TrajectorySample",
@@ -111,22 +109,18 @@ __all__ = [
     "edge_hamiltonian",
     "eikonal",
     "enumerate_trajectories",
-    "envelopes",
     "flux_limiter",
     "from_line",
     "godunov_flux",
     "grid_for",
     "induced_hamiltonian",
     "induced_problem",
-    "junction_hamiltonian",
     "l1_distance",
     "make_grid",
     "oracle_grid",
     "problem_from_config",
     "quadratic",
     "reflected",
-    "restricted_envelopes",
-    "shift_functions",
     "shifted_fields",
     "smoothing_ladder",
     "solve",

@@ -38,7 +38,6 @@ __all__ = [
     "KnResult",
     "compute_kn",
     "shifted_fields",
-    "shift_functions",
     "WidthReport",
     "ApproximationStudy",
     "comparison_diagnostic",
@@ -66,7 +65,6 @@ def approx_problem(problem: JunctionProblem, eps: float) -> JunctionProblem:
         problem.lipschitz_u0,
         problem.horizon,
         line_convention=problem.line_convention,
-        u0_line=problem.u0_line,
     )
 
 
@@ -194,17 +192,6 @@ def shifted_fields(field: SolutionField, kn: TimeSignal):
     lower = SolutionField(field.grid, field.values - cum[:, None], field.line)
     upper = SolutionField(field.grid, field.values + cum[:, None], field.line)
     return lower, upper
-
-
-def shift_functions(field: SolutionField, kn: TimeSignal,
-                    direction: str) -> SolutionField:
-    """One shifted copy: 'sub' subtracts the running integral, 'super' adds."""
-    lower, upper = shifted_fields(field, kn)
-    if direction == "sub":
-        return lower
-    if direction == "super":
-        return upper
-    raise ValueError("direction must be 'sub' or 'super'")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ Subcommands:
   validate   check standing assumptions, print one line per check
 
 Every command reads a JSON problem file (--problem; the format is
-junction_problem's, see problem_from_config) and writes its artifacts
-into the --out directory; everything is computed before anything is written,
-so a nonzero exit leaves no artifacts behind.
+junction_problem's, see problem_from_config), which describes one problem,
+and writes its artifacts into the --out directory; everything is computed
+before anything is written, so a nonzero exit leaves no artifacts behind.
+The commands that march build their grid with grid_for and start from the
+problem's initial_data, on both routes.
 Exit codes: 0 ok, 1 configuration, 2 validation, 3 numerical failure.
 """
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .approximation import comparison_diagnostic, smoothing_ladder
 from .control_system import ControlSystem
-from .dpp_oracle import oracle_grid, value_function
+from .dpp_oracle import value_function
 from .errors import (
     CflViolation,
     ConfigError,
@@ -36,7 +38,7 @@ from .errors import (
     NumericalFailure,
 )
 from .fd_scheme import grid_for, solve as fd_solve
-from .grid import Grid, SolutionField, _positive_finite, atomic_write_text, fmt, make_grid
+from .grid import SolutionField, _positive_finite, atomic_write_text, fmt
 from .junction_problem import JunctionProblem, entry, problem_from_config, validate
 
 EXIT_OK = 0
@@ -65,9 +67,9 @@ def _load_config(args) -> dict:
 def _load_problem(args) -> tuple[JunctionProblem, ControlSystem | None]:
     cfg = _load_config(args)
     problem, cs = problem_from_config(cfg, controls=args.controls)
-    if args.R_domain is None:
+    if getattr(args, "R_domain", None) is None:
         args.R_domain = _positive_finite("R_domain", entry(cfg, "R_domain", "", float, 2.0))
-    if args.report_times:
+    if getattr(args, "report_times", None):
         bad = [t for t in args.report_times
                if t > problem.horizon + 1e-9 * max(1.0, problem.horizon)]
         if bad:
@@ -108,12 +110,6 @@ def _require_control_system(cs: ControlSystem | None) -> ControlSystem:
     return cs
 
 
-def _dp_datum(problem: JunctionProblem):
-    if problem.line_convention and problem.u0_line is not None:
-        return problem.u0_line
-    return list(problem.initial_data)
-
-
 def cmd_solve(args) -> int:
     problem, _ = _load_problem(args)
     grid = grid_for(problem, args.dx, args.R_domain,
@@ -125,26 +121,19 @@ def cmd_solve(args) -> int:
 def cmd_value(args) -> int:
     problem, cs = _load_problem(args)
     cs = _require_control_system(cs)
-    grid = oracle_grid(cs, args.dx, problem.horizon, args.R_domain,
-                       dt=args.dt, cfl_safety=args.cfl_safety)
-    field = value_function(cs, _dp_datum(problem), grid)
+    grid = grid_for(problem, args.dx, args.R_domain,
+                    dt=args.dt, cfl_safety=args.cfl_safety)
+    field = value_function(cs, problem.initial_data, grid)
     return _write_all(args, _field_artifacts(field, args))
-
-
-def _common_grid(problem: JunctionProblem, cs: ControlSystem, args) -> Grid:
-    """A grid on which both routes run: C2 covers the problem and the control system."""
-    radii = [min(e.length, args.R_domain) for e in problem.edges]
-    c2 = max(problem.cfl_speed(args.dx, radii)[0], cs.max_speed(args.dx, radii))
-    return make_grid(args.dx, problem.horizon, radii, c2=c2,
-                     dt=args.dt, cfl_safety=args.cfl_safety)
 
 
 def cmd_compare(args) -> int:
     problem, cs = _load_problem(args)
     cs = _require_control_system(cs)
-    grid = _common_grid(problem, cs, args)
+    grid = grid_for(problem, args.dx, args.R_domain,
+                    dt=args.dt, cfl_safety=args.cfl_safety)
     fd = fd_solve(problem, grid)
-    dp = value_function(cs, _dp_datum(problem), grid)
+    dp = value_function(cs, problem.initial_data, grid)
 
     def gaps(n: int) -> dict:
         d = np.abs(fd.level(n) - dp.level(n))
@@ -212,29 +201,27 @@ def _number(option: str, kind=float, zero_ok: bool = False, many: bool = False):
 
 
 def _add_common(p: argparse.ArgumentParser, need_out: bool) -> None:
+    """The options of every command."""
     p.add_argument("--problem", required=True, help="JSON problem file")
+    p.add_argument("--T", type=_number("T"), default=None,
+                   help="override the horizon from the problem file")
+    p.add_argument("--out", required=need_out, default=None,
+                   help="output directory" + ("" if need_out else " (optional)"))
+    p.add_argument("--controls", type=_number("controls", int), default=None,
+                   help="resample each control set to this many points, "
+                        "for both routes")
+
+
+def _add_march(p: argparse.ArgumentParser) -> None:
+    """The grid options of the commands that march."""
     p.add_argument("--dx", type=_number("dx"), default=0.01, help="mesh width")
     p.add_argument("--dt", type=_number("dt"), default=None,
                    help="explicit time step (default: from the CFL bound)")
     p.add_argument("--cfl-safety", type=_number("cfl-safety"), default=0.5, dest="cfl_safety",
                    help="fraction of the CFL bound used when --dt is absent")
-    p.add_argument("--T", type=_number("T"), default=None,
-                   help="override the horizon from the problem file")
     p.add_argument("--R-domain", type=_number("R-domain"), default=None, dest="R_domain",
                    help="truncation radius per edge (default: problem file "
                         "R_domain, else 2)")
-    p.add_argument("--out", required=need_out, default=None,
-                   help="output directory" + ("" if need_out else " (optional)"))
-    p.add_argument("--report-times", type=_number("report-times", zero_ok=True, many=True),
-                   default=None,
-                   dest="report_times", metavar="t1,t2,...",
-                   help="comma-separated times; one snapshot each, snapped "
-                        "to the nearest grid level")
-    p.add_argument("--seed", type=_number("seed", int, zero_ok=True), default=20,
-                   help="seed for randomized validation probes")
-    p.add_argument("--controls", type=_number("controls", int), default=None,
-                   help="resample each control set to this many points, "
-                        "for both routes")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,20 +238,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hamilton-Jacobi junction solver and verification tools")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="monotone difference scheme")
-    _add_common(p, need_out=True)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("value", help="dynamic-programming value function")
-    _add_common(p, need_out=True)
-    p.set_defaults(func=cmd_value)
-
-    p = sub.add_parser("compare", help="both routes on one grid, gap report")
-    _add_common(p, need_out=True)
-    p.set_defaults(func=cmd_compare)
+    for name, func, text in (("solve", cmd_solve, "monotone difference scheme"),
+                             ("value", cmd_value, "dynamic-programming value function"),
+                             ("compare", cmd_compare, "both routes on one grid, gap report")):
+        p = sub.add_parser(name, help=text)
+        _add_common(p, need_out=True)
+        _add_march(p)
+        p.add_argument("--report-times", type=_number("report-times", zero_ok=True, many=True),
+                       default=None, dest="report_times", metavar="t1,t2,...",
+                       help="comma-separated times; one snapshot each, snapped "
+                            "to the nearest grid level")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("approx", help="smoothing ladder with error signal")
     _add_common(p, need_out=True)
+    _add_march(p)
     p.add_argument("--widths", type=_number("widths", many=True),
                    default=[0.2, 0.1, 0.05, 0.025],
                    metavar="w1,w2,...",
@@ -277,6 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the standing assumptions")
     _add_common(p, need_out=False)
+    p.add_argument("--seed", type=_number("seed", int, zero_ok=True), default=20,
+                   help="seed for randomized validation probes")
     p.set_defaults(func=cmd_validate)
 
     return ap

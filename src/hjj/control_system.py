@@ -50,7 +50,7 @@ __all__ = [
     "edge_hamiltonian",
     "flux_limiter",
     "induced_hamiltonian",
-    "restricted_envelopes",
+    "RestrictedEnvelopes",
     "undominated",
 ]
 
@@ -480,6 +480,3 @@ class RestrictedEnvelopes:
     def h_plus(self, t, x, p):
         return self._restricted(t, x, p, negative=False)
 
-
-def restricted_envelopes(cs: ControlSystem, i: int) -> RestrictedEnvelopes:
-    return RestrictedEnvelopes(cs, i)

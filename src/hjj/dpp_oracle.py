@@ -45,7 +45,7 @@ import numpy as np
 
 from .control_system import ControlForm, ControlSystem, flux_limiter, undominated
 from .errors import BudgetExceeded, CflViolation, NoAdmissibleControl, NumericalFailure
-from .grid import Grid, SolutionField, make_grid
+from .grid import Grid, SolutionField, edge_data, make_grid
 from .time_signal import TimeSignal
 
 __all__ = [
@@ -57,21 +57,12 @@ __all__ = [
 ]
 
 
-def _initial_list(cs: ControlSystem, u0) -> list:
-    if isinstance(u0, (list, tuple)):
-        if len(u0) != len(cs.edges):
-            raise ValueError("one initial datum per edge required")
-        return list(u0)
-    if cs.orientation == "line":
-        return [lambda y: float(u0(y)), lambda y: float(u0(-y))]
-    return [u0] * len(cs.edges)
-
-
 def oracle_grid(cs: ControlSystem, dx: float, horizon: float, r_domain: float,
                 dt: float | None = None, cfl_safety: float = 0.5) -> Grid:
     """Grid of radius r_domain per edge with C2 = max|f| (ControlSystem.max_speed).
 
-    The control route's grid_for: max|f| is taken over the controls and, for
+    For a caller that holds only a control system; grid_for on its induced
+    problem builds the same grid. max|f| is taken over the controls and, for
     a callable f, on the grid's nodes at t = 0. dt defaults to
     cfl_safety * dx / C2, as make_grid sets it.
     """
@@ -200,8 +191,9 @@ def _forward(cs: ControlSystem, grid: Grid, A: TimeSignal, v0: np.ndarray,
 def value_function(cs: ControlSystem, u0, grid: Grid) -> SolutionField:
     """Forward dynamic-programming value function on the junction grid.
 
-    u0 is a whole-line function for the line convention, or one function of
-    the local coordinate (or a per-edge list) for stars. The grid (from
+    u0 is a per-edge list of edge-local data, such as a problem's
+    initial_data, or one function: the whole-line datum for the line
+    convention, a function of the local coordinate for stars. The grid (from
     oracle_grid, grid_for or make_grid) must satisfy dt max|f| <= dx, with
     max|f| taken on its nodes; any grid that does not raises CflViolation
     before the march. The a-priori sup bound (2L + Abar) T + sup|u0| is
@@ -214,8 +206,7 @@ def value_function(cs: ControlSystem, u0, grid: Grid) -> SolutionField:
         raise CflViolation(
             f"dt={dt_max:.6g} exceeds dx/max|f|={grid.dx / c2:.6g} on the supplied grid")
     A = flux_limiter(cs)
-    data = _initial_list(cs, u0)
-    v0 = grid.sample(data)
+    v0 = grid.sample(edge_data(u0, len(cs.edges), cs.orientation == "line"))
     values = _forward(cs, grid, A, v0, 0)
     field = SolutionField(grid, values, line=(cs.orientation == "line"))
     field.check_finite()

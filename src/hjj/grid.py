@@ -19,7 +19,8 @@ import numpy as np
 from .errors import CflViolation, ConfigError
 from .time_signal import TimeSignal, constant, upper_envelope
 
-__all__ = ["Grid", "SolutionField", "make_grid", "edge_nodes", "fmt", "atomic_write_text"]
+__all__ = ["Grid", "SolutionField", "make_grid", "edge_data", "edge_nodes", "fmt",
+           "atomic_write_text"]
 
 
 def fmt(v: float) -> str:
@@ -127,6 +128,22 @@ def _positive_finite(name: str, value: float, zero_ok: bool = False) -> float:
         raise ConfigError(f"{name}: expected a {'non-negative' if zero_ok else 'positive'} "
                           f"finite number, got {value!r}")
     return float(value)
+
+
+def edge_data(u0, n_edges: int, line: bool) -> list:
+    """One initial datum per edge, in edge-local y, from u0.
+
+    u0 is a per-edge list, taken as it is; or one function, which on a line
+    (line=True, two edges) is the whole-line datum, read as u0(y) on edge 0
+    and u0(-y) on edge 1, and on a star serves every edge.
+    """
+    if isinstance(u0, (list, tuple)):
+        if len(u0) != n_edges:
+            raise ValueError("one initial datum per edge required")
+        return list(u0)
+    if line:
+        return [lambda y: float(u0(y)), lambda y: float(u0(-y))]
+    return [u0] * n_edges
 
 
 def edge_nodes(dx: float, radii: Sequence[float]) -> tuple:

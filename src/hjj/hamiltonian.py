@@ -27,7 +27,6 @@ import numpy as np
 from .errors import BracketFailure, ConvexityError, NonSeparableTimeDependence
 from .time_signal import (
     TimeSignal,
-    coeff_average,
     coeff_bounds,
     coeff_eval,
     coeff_signals,
@@ -39,7 +38,6 @@ __all__ = [
     "EnvelopePair",
     "argmin_p",
     "numeric_argmin",
-    "envelopes",
     "a0_floor",
     "abs_shift",
     "eikonal",
@@ -147,17 +145,6 @@ class Hamiltonian:
             raise NonSeparableTimeDependence(
                 "black-box Hamiltonian has no coefficients to average or rebuild from")
         return self._rebuild(coefficients)
-
-    def frozen(self, a: float, b: float) -> "Hamiltonian":
-        """Time-independent Hamiltonian with coefficients averaged over [a, b].
-
-        Exact for declared TimeSignal coefficients; a declared-measurable
-        black box has no coefficient structure to average and is rejected.
-        """
-        if self.time_independent:
-            return self
-        return self.with_coefficients(
-            {k: coeff_average(v, a, b) for k, v in self.coefficients.items()})
 
 
 def elementwise(fn: Callable, t: float, x, a) -> np.ndarray:
@@ -390,10 +377,6 @@ class EnvelopePair:
         return np.where(below, h_min, vals), np.where(below, vals, h_min)
 
 
-def envelopes(h: Hamiltonian) -> EnvelopePair:
-    return EnvelopePair(h)
-
-
 def a0_floor(hamiltonians, t: float) -> float:
     """Largest of the per-edge minima at the junction: max_i min_p H_i(t, 0, p).
 
@@ -483,7 +466,7 @@ def _catalog(form: str, coefficients: dict, rebuild: Callable,
                        **metadata)
 
 
-def abs_shift(c, horizon: float | None = None) -> Hamiltonian:
+def abs_shift(c) -> Hamiltonian:
     """H(p) = |p| + c, with c a float or TimeSignal."""
     return _catalog("abs_shift", {"c": c},
                     rebuild=lambda coeffs: abs_shift(coeffs["c"]),
@@ -534,7 +517,9 @@ def reflected(h: Hamiltonian) -> Hamiltonian:
 
     Used to carry one half-line of a two-edge problem into edge-local
     coordinates. Catalog forms map to catalog forms, so coefficient averaging
-    and mollification survive the reflection.
+    and mollification survive the reflection. Any other Hamiltonian keeps its
+    declared speed and value bounds, read at the reflected nodes -ys when it
+    depends on x.
     """
     if h._reflector is not None:
         return h._reflector()
@@ -542,6 +527,11 @@ def reflected(h: Hamiltonian) -> Hamiltonian:
     def evaluator(t, y, q, _h=h):
         return _h.evaluator(t, -np.asarray(y, dtype=float) if not _h.x_independent else y,
                             -np.asarray(q, dtype=float))
+
+    def at_reflected_nodes(bound):
+        if bound is None or h.x_independent:
+            return bound
+        return lambda m, ys: bound(m, None if ys is None else -np.asarray(ys, dtype=float))
 
     return Hamiltonian(
         evaluator,
@@ -552,4 +542,6 @@ def reflected(h: Hamiltonian) -> Hamiltonian:
         time_data=dict(h.time_data),
         x_independent=h.x_independent,
         validate=False,
+        speed_bound=at_reflected_nodes(h._speed_bound),
+        value_bound=at_reflected_nodes(h._value_bound),
     )

@@ -37,9 +37,9 @@ from .control_system import (
     induced_hamiltonian,
 )
 from .errors import ConfigError, ConvexityError, FluxLimiterBelowFloor, SlopeCountMismatch
-from .grid import edge_nodes
-from .hamiltonian import (Hamiltonian, a0_floor, abs_shift, check_convexity, eikonal,
-                          envelopes, quadratic, reflected)
+from .grid import edge_data, edge_nodes
+from .hamiltonian import (EnvelopePair, Hamiltonian, a0_floor, abs_shift, check_convexity,
+                          eikonal, quadratic, reflected)
 from .time_signal import TimeSignal, constant, union_mesh, upper_envelope
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "ValidationReport",
     "from_line",
     "induced_problem",
-    "junction_hamiltonian",
     "validate",
     "entry",
     "coeff_from_config",
@@ -83,7 +82,6 @@ class JunctionProblem:
         lipschitz_u0: float,
         horizon: float,
         line_convention: bool = False,
-        u0_line: Callable[[float], float] | None = None,
     ):
         if len(edges) < 2:
             raise ValueError("a junction needs at least two edges")
@@ -104,8 +102,7 @@ class JunctionProblem:
         self.lipschitz_u0 = float(lipschitz_u0)
         self.horizon = float(horizon)
         self.line_convention = bool(line_convention)
-        self.u0_line = u0_line
-        self._envs = [envelopes(e.hamiltonian) for e in self.edges]
+        self._envs = [EnvelopePair(e.hamiltonian) for e in self.edges]
         self._cfl = {}
 
     @property
@@ -131,7 +128,9 @@ class JunctionProblem:
 
         An x-dependent edge is bounded on the nodes that dx and radii give
         it (grid.edge_nodes), so it needs them. Computed once per problem
-        (and node set) and cached.
+        (and node set) and cached. An edge whose bound is not finite (a
+        black box with lipschitz_p inf and no speed_bound) raises
+        ConfigError naming the edge and its bound's source.
         """
         return self._speed_bounds(dx, radii)[:2]
 
@@ -156,6 +155,9 @@ class JunctionProblem:
             big_m = max([abs(self.flux_limiter.min()), abs(self.flux_limiter.max())]
                         + [h.value_bound(self.lipschitz_u0, ys) for h, ys in zip(hams, nodes)])
             speeds, notes = zip(*(h.speed_bound(big_m, ys) for h, ys in zip(hams, nodes)))
+            for i, (speed, note) in enumerate(zip(speeds, notes)):
+                if not isinstance(speed, TimeSignal) and not math.isfinite(speed):
+                    raise ConfigError(f"edge {i} has no finite speed bound for C2: {note}")
             sigs = [s if isinstance(s, TimeSignal) else constant(s, self.horizon) for s in speeds]
             i = max(range(self.n_edges), key=lambda k: sigs[k].max())
             self._cfl[key] = (sigs[i].max(), f"{notes[i]} on edge {i}", upper_envelope(sigs))
@@ -180,6 +182,7 @@ class JunctionProblem:
         return q
 
     def junction_value(self, t: float, slopes: Sequence[float]) -> float:
+        """F_A(t, q) = max{A(t), max_i H_i^-(t, 0, q_i)}, slopes as local_slopes takes them."""
         q = self.local_slopes(slopes)
         best = self.flux_limiter(t)
         for i, env in enumerate(self._envs):
@@ -215,16 +218,16 @@ def from_line(
 
     h_right acts on (0, inf) and h_left on (-inf, 0); h_left is carried to
     edge-local coordinates by the reflection x -> -x, and the solution on
-    the left half-line is read off as u(x) = U_1(-x).
+    the left half-line is read off as u(x) = U_1(-x). u0 is the whole-line
+    datum, or the two edge-local data (grid.edge_data).
     """
     return JunctionProblem(
         edges=[Edge(h_right, lengths[0]), Edge(reflected(h_left), lengths[1])],
         flux_limiter=flux_limiter,
-        initial_data=[lambda y: float(u0(y)), lambda y: float(u0(-y))],
+        initial_data=edge_data(u0, 2, line=True),
         lipschitz_u0=lipschitz_u0,
         horizon=horizon,
         line_convention=True,
-        u0_line=u0,
     )
 
 
@@ -245,20 +248,13 @@ def induced_problem(
     hams = [induced_hamiltonian(cs, i) for i in range(len(cs.edges))]
     if cs.orientation == "line":
         return from_line(hams[0], hams[1], A, u0, lipschitz_u0, horizon)
-    data = list(u0) if isinstance(u0, (list, tuple)) else [u0] * len(hams)
     return JunctionProblem(
         edges=[Edge(h) for h in hams],
         flux_limiter=A,
-        initial_data=data,
+        initial_data=edge_data(u0, len(hams), line=False),
         lipschitz_u0=lipschitz_u0,
         horizon=horizon,
     )
-
-
-def junction_hamiltonian(problem: JunctionProblem, t: float,
-                         slopes: Sequence[float]) -> float:
-    """max{A(t)} over {H_i^- at the junction}; see JunctionProblem.junction_value."""
-    return problem.junction_value(t, slopes)
 
 
 @dataclass
@@ -339,7 +335,7 @@ def validate(problem: JunctionProblem, refine: int = 32,
     try:  # informational: the C2 that sets the default dt, and its source
         c2, source = problem.cfl_speed()
         detail = f"C2 = {c2:.6g} from {source}"
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         detail = str(exc)
     report.items.append(ValidationItem("cfl_speed", True, detail))
     return report
@@ -495,28 +491,37 @@ def problem_from_config(cfg: dict, controls: int | None = None
                         ) -> tuple[JunctionProblem, ControlSystem | None]:
     """Build (problem, optional control system) from a parsed problem file.
 
-    Edge Hamiltonians may be given explicitly (catalog forms) or induced
-    from the control_system block; explicit entries win when both exist.
-    controls, when given, resamples every control edge to that many
-    samples, so an induced problem and the control system share them.
+    A file describes one problem: its edge Hamiltonians are either given
+    explicitly (edges, catalog forms, with a flux_limiter) or induced from
+    the control_system block, never both. So a file with control_system
+    may not give edges or flux_limiter, and its top-level orientation, if
+    any, must be the block's. controls, when given, resamples every control
+    edge to that many samples, so the induced problem and the control system
+    share them.
     """
     horizon = entry(cfg, "T", "", float)
     if horizon <= 0:
         raise ConfigError(f"T: expected a positive number, got {horizon!r}")
-    orientation = entry(cfg, "orientation", "", ("line", "star"), "line")
+    orientation = entry(cfg, "orientation", "", ("line", "star"), None)
     block = entry(cfg, "control_system", "", dict, None)
-    cs = None if block is None else control_system_from_config(block, horizon, controls)
     u0_cfg = entry(cfg, "u0", "", object, {"form": "zero"})
 
-    edge_cfgs = entry(cfg, "edges", "", list, None)
-    if edge_cfgs is None:
-        if cs is None:
-            raise ConfigError(
-                "problem file needs either 'edges' or a 'control_system' block")
+    if block is not None:
+        for key in ("edges", "flux_limiter"):
+            if cfg.get(key) is not None:
+                raise ConfigError(f"{key} and control_system: a problem file gives either "
+                                  f"edges with a flux_limiter or a control_system")
+        cs = control_system_from_config(block, horizon, controls)
+        if orientation not in (None, cs.orientation):
+            raise ConfigError(f"orientation {orientation!r} and control_system orientation "
+                              f"{cs.orientation!r} disagree")
         u0, lip = initial_datum_from_config(u0_cfg)
         return induced_problem(cs, u0, entry(cfg, "lipschitz_u0", "", float, lip),
                                horizon), cs
 
+    edge_cfgs = entry(cfg, "edges", "", list, None)
+    if edge_cfgs is None:
+        raise ConfigError("problem file needs either 'edges' or a 'control_system' block")
     if len(edge_cfgs) < 2:
         raise ConfigError("'edges' must list at least two edges")
     hams, lengths = [], []
@@ -526,7 +531,7 @@ def problem_from_config(cfg: dict, controls: int | None = None
         ln = entry(e, "length", f"edge {k}", float, None)
         lengths.append(math.inf if ln is None else ln)
     A = _signal_from_config(entry(cfg, "flux_limiter", "", object), horizon, "flux_limiter")
-    if orientation == "line":
+    if orientation != "star":
         if len(hams) != 2:
             raise ConfigError("line orientation needs exactly two edges")
         u0, lip = initial_datum_from_config(u0_cfg)
@@ -545,4 +550,4 @@ def problem_from_config(cfg: dict, controls: int | None = None
             lipschitz_u0=entry(cfg, "lipschitz_u0", "", float, max(p[1] for p in parsed)),
             horizon=horizon,
         )
-    return problem, cs
+    return problem, None

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 
-from hjj import (ControlEdge, ControlForm, ControlSystem, JunctionProblem, SolutionField,
-                 TimeSignal, constant, control_edge, eikonal, from_line, problem_from_config,
-                 quadratic)
+from hjj import (ControlEdge, ControlForm, ControlSystem, Hamiltonian, JunctionProblem,
+                 SolutionField, TimeSignal, constant, control_edge, eikonal, from_line,
+                 problem_from_config, quadratic)
+from hjj.time_signal import coeff_average
 
 
 def build_model_system(l0_value: float = 0.0, horizon: float = 1.0,
@@ -57,6 +58,17 @@ def random_control_system(rng: np.random.Generator, horizon: float = 0.5,
         l0 = constant(l0, horizon)
     return ControlSystem(edges, l0=l0, A0=-1.0, delta=0.8,
                          orientation="line" if n_edges == 2 else "star")
+
+
+def frozen(h: Hamiltonian, a: float, b: float) -> Hamiltonian:
+    """h with every coefficient averaged over [a, b]; h itself when time-independent.
+
+    A black box that declares time dependence has no coefficients to
+    average, and with_coefficients refuses it.
+    """
+    if h.time_independent:
+        return h
+    return h.with_coefficients({k: coeff_average(v, a, b) for k, v in h.coefficients.items()})
 
 
 def zero_datum(x: float) -> float:

@@ -15,6 +15,8 @@ import pytest
 from hjj import (
     ControlForm,
     ControlSystem,
+    EnvelopePair,
+    RestrictedEnvelopes,
     TimeSignal,
     comparison_diagnostic,
     constant,
@@ -22,14 +24,12 @@ from hjj import (
     dpp_consistency_check,
     eikonal,
     enumerate_trajectories,
-    envelopes,
     from_line,
     grid_for,
     induced_hamiltonian,
     induced_problem,
     oracle_grid,
     quadratic,
-    restricted_envelopes,
     solve,
     value_function,
 )
@@ -144,7 +144,7 @@ def test_criterion_3_envelope_splits_of_random_quadratics():
         b = rng.uniform(-3.0, 3.0)
         c = rng.uniform(-5.0, 5.0)
         h = quadratic(a, b, c)
-        env = envelopes(h)
+        env = EnvelopePair(h)
         p_hat = env.p_hat(0.0, 0.0)
         h_min = env.h_min(0.0, 0.0)
         ps = np.sort(rng.uniform(-8.0, 8.0, size=100))
@@ -180,8 +180,8 @@ def test_criterion_4_restricted_suprema_match_minimization_envelopes():
     worst = 0.0
     for _ in range(100):
         cs = _random_affine_system(rng, horizon=1.0, n=10_001)
-        rest = restricted_envelopes(cs, 0)
-        env = envelopes(induced_hamiltonian(cs, 0))
+        rest = RestrictedEnvelopes(cs, 0)
+        env = EnvelopePair(induced_hamiltonian(cs, 0))
         for p in np.sort(rng.uniform(-2.0, 2.0, size=100)):
             worst = max(worst,
                         abs(rest.h_plus(0.0, 0.0, p) - env.h_plus(0.0, 0.0, p)),

@@ -26,7 +26,6 @@ from hjj import (
     make_grid,
     problem_from_config,
     quadratic,
-    shift_functions,
     shifted_fields,
     solve,
     union_mesh,
@@ -65,7 +64,7 @@ def test_approx_hamiltonian_keeps_time_independent_input():
 
 def test_approx_hamiltonian_mollifies_signal_coefficients():
     shift = TimeSignal(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0]))
-    h = abs_shift(shift, horizon=1.0)
+    h = abs_shift(shift)
     hn = approx_hamiltonian(h, 0.1)
     want = shift.mollify(0.1)
     got = hn.coefficients["c"]
@@ -121,7 +120,7 @@ def test_compute_kn_width_ladder_decreases():
 def test_compute_kn_bounded_by_coefficient_distances():
     """The junction error is 1-Lipschitz in each envelope argument."""
     shift = TimeSignal(np.array([0.0, 0.3, 1.0]), np.array([0.5, -0.5]))
-    h = abs_shift(shift, horizon=1.0)
+    h = abs_shift(shift)
     limiter = TimeSignal(np.array([0.0, 0.6, 1.0]), np.array([-0.25, -1.0]))
     prob = from_line(h, h, limiter, zero_datum, 0.0, 1.0)
     smoothed = approx_problem(prob, 0.15)
@@ -284,10 +283,6 @@ def test_shift_functions_move_by_the_integrated_error():
         assert np.max(np.abs(upper.level(n) - (base.level(n) + t))) <= 1e-12
     assert np.all(lower.values <= base.values + 1e-15)
     assert np.all(base.values <= upper.values + 1e-15)
-    assert np.array_equal(shift_functions(base, constant(1.0, 1.0), "sub").values,
-                          lower.values)
-    assert np.array_equal(shift_functions(base, constant(1.0, 1.0), "super").values,
-                          upper.values)
 
 
 def test_shift_functions_reject_negative_error_signals():
@@ -295,9 +290,7 @@ def test_shift_functions_reject_negative_error_signals():
     base = solve(prob, grid_for(prob, 0.2, 1.0))
     bad = TimeSignal(np.array([0.0, 1.0]), np.array([-0.5]))
     with pytest.raises(NegativeKn):
-        shift_functions(base, bad, "sub")
-    with pytest.raises(ValueError):
-        shift_functions(base, constant(1.0, 1.0), "down")
+        shifted_fields(base, bad)
 
 
 def test_comparison_diagnostic_on_a_constant_limiter_is_exact():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 from pathlib import Path
@@ -10,8 +9,8 @@ import pytest
 
 import hjj.cli
 from hjj import (ControlEdge, ControlSystem, grid_for, oracle_grid, problem_from_config,
-                 smoothing_ladder)
-from hjj.cli import _common_grid, main
+                 smoothing_ladder, value_function)
+from hjj.cli import main
 
 from conftest import bench_tdq_config
 
@@ -307,10 +306,27 @@ def test_value_on_an_edge_faster_than_its_probed_bound_exits_3(tmp_path: Path, c
 
 def test_grid_for_common_grid_and_oracle_grid_agree_on_the_model_problem():
     problem, cs = problem_from_config(_model_config())
-    args = argparse.Namespace(dx=0.01, R_domain=2.0, dt=None, cfl_safety=0.5)
-    grids = [grid_for(problem, 0.01, 2.0), _common_grid(problem, cs, args),
-             oracle_grid(cs, 0.01, 1.0, 2.0)]
+    grids = [grid_for(problem, 0.01, 2.0), oracle_grid(cs, 0.01, 1.0, 2.0)]
     assert {(g.dt, g.steps, g.n_nodes) for g in grids} == {(0.005, 200, 401)}
+
+
+def _time_dependent_control_config() -> dict:
+    """The model with edge 0's speed a, then 2a from t = 0.4 on, and the datum 0.5 x + 0.2."""
+    cfg = _edit(_model_config(), _CS_EDGE + ("f",),
+                {"c1": {"breakpoints": [0.0, 0.4, 1.0], "values": [1.0, 2.0]}})
+    return _edit(cfg, ("u0",), {"form": "affine", "slope": 0.5, "offset": 0.2})
+
+
+@pytest.mark.parametrize("config", [_model_config, _time_dependent_control_config])
+def test_value_writes_the_value_function_on_the_oracle_grid(tmp_path: Path, config):
+    """value's grid_for grid and the problem's initial_data give what oracle_grid gives."""
+    cfg = config()
+    out = tmp_path / "out"
+    assert main(["value", "--problem", _write(tmp_path, cfg), "--dx", "0.05",
+                 "--out", str(out)]) == 0
+    problem, cs = problem_from_config(cfg)
+    want = value_function(cs, problem.initial_data, oracle_grid(cs, 0.05, 1.0, 2.0))
+    assert (out / "field.csv").read_bytes() == want.to_csv().encode()
 
 
 def _quadratic_cost_config(n: int) -> dict:
@@ -340,11 +356,16 @@ def test_controls_flag_resamples_both_routes(tmp_path: Path, command, artifact):
         assert json.loads(got["flag"])["sup_gap"] <= 1e-12
 
 
+def _dx(command: str) -> list:
+    """--dx 0.1 for the commands that march; validate has no grid options."""
+    return [] if command == "validate" else ["--dx", "0.1"]
+
+
 @pytest.mark.parametrize("command", ["solve", "value", "compare", "approx", "validate"])
 def test_too_few_controls_exit_1_without_artifacts(tmp_path: Path, capsys, command):
     problem = _write(tmp_path, _model_config())
     out = tmp_path / "out"
-    rc = main([command, "--problem", problem, "--dx", "0.1", "--controls", "2",
+    rc = main([command, "--problem", problem, *_dx(command), "--controls", "2",
                "--out", str(out)])
     assert rc == 1
     assert not out.exists()
@@ -441,6 +462,13 @@ _BAD_ENTRIES = {
     "controls_min_null": (_model_config, _CS_EDGE + ("controls", "min"), None,
                           "edge 0 controls min"),
     "f_number": (_model_config, _CS_EDGE + ("f",), 3, "edge 0 f"),
+    "edges_beside_control_system": (_model_config, ("edges",), _step_config()["edges"],
+                                    "edges and control_system"),
+    "flux_limiter_beside_control_system": (_model_config, ("flux_limiter",), 0.0,
+                                           "flux_limiter and control_system"),
+    "orientation_against_control_system": (_model_config, ("orientation",), "star",
+                                           "orientation 'star' and control_system "
+                                           "orientation 'line'"),
 }
 
 
@@ -473,7 +501,8 @@ def test_approx_honours_dt(tmp_path: Path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["--dx", "abc"], ["--controls", "many"], ["--bogus"]])
+@pytest.mark.parametrize("argv", [["--dx", "abc"], ["--controls", "many"], ["--bogus"],
+                                  ["--seed", "3"]])
 def test_usage_errors_exit_1_without_artifacts(tmp_path: Path, capsys, argv):
     problem = _write(tmp_path, _model_config())
     out = tmp_path / "out"
@@ -524,7 +553,7 @@ def test_numeric_options_refuse_nan_inf_and_out_of_range_values(tmp_path: Path, 
     problem = _write(tmp_path, _model_config())
     out = tmp_path / "out"
     try:
-        rc = main([command, "--problem", problem, "--dx", "0.1", option, value,
+        rc = main([command, "--problem", problem, *_dx(command), option, value,
                    "--out", str(out)])
     except SystemExit as exc:  # a usage error
         rc = exc.code

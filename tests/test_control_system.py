@@ -7,21 +7,21 @@ from hjj import (
     ControlEdge,
     ControlForm,
     ControlSystem,
+    EnvelopePair,
+    RestrictedEnvelopes,
     TimeSignal,
     constant,
     control_edge,
     control_system_from_config,
     edge_hamiltonian,
-    envelopes,
     flux_limiter,
     induced_hamiltonian,
     reflected,
-    restricted_envelopes,
 )
 from hjj.control_system import undominated
 from hjj.errors import ConfigError, NoAdmissibleControl
 
-from conftest import build_model_system
+from conftest import build_model_system, frozen
 
 
 def _affine_closed_form(c0: float, c1: float, d0: float, d1: float, p):
@@ -101,7 +101,7 @@ def test_induced_hamiltonian_matches_affine_closed_form():
 
 def test_restricted_envelope_values_on_the_model_system():
     cs = build_model_system(0.0)
-    r = restricted_envelopes(cs, 0)
+    r = RestrictedEnvelopes(cs, 0)
     assert r.h_minus(0.0, 0.0, 2.0) == pytest.approx(-1.0, abs=1e-12)
     assert r.h_plus(0.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
     assert r.h_minus(0.0, 0.0, -2.0) == pytest.approx(1.0, abs=1e-12)
@@ -112,8 +112,8 @@ def test_restricted_envelopes_track_minimization_envelopes():
     rng = np.random.default_rng(43)
     for _ in range(10):
         cs, _ = _affine_system(rng, n=10_001)
-        rest = restricted_envelopes(cs, 0)
-        env = envelopes(induced_hamiltonian(cs, 0))
+        rest = RestrictedEnvelopes(cs, 0)
+        env = EnvelopePair(induced_hamiltonian(cs, 0))
         ps = np.sort(rng.uniform(-2.0, 2.0, size=20))
         for p in ps:
             assert abs(rest.h_plus(0.0, 0.0, p) - env.h_plus(0.0, 0.0, p)) <= 1e-3
@@ -142,7 +142,7 @@ def test_restricted_envelope_raises_without_admissible_side():
              control_edge(ControlForm(c1=1.0), ControlForm(c0=1.0), -1.0, 1.0, n=21)]
     cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0)
     with pytest.raises(NoAdmissibleControl):
-        restricted_envelopes(cs, 0).h_minus(0.0, 1.0, 1.0)
+        RestrictedEnvelopes(cs, 0).h_minus(0.0, 1.0, 1.0)
 
 
 def test_form_averaging_is_exact_for_time_signal_coefficients():
@@ -229,7 +229,7 @@ def test_control_evaluators_broadcast_two_dimensional_slopes(rows):
                        A0=-1.0, delta=1.0)
     p = np.linspace(-2.0, 2.0, rows * 6).reshape(rows, 6)
     h = induced_hamiltonian(cs, 0)
-    env = restricted_envelopes(cs, 0)
+    env = RestrictedEnvelopes(cs, 0)
     for fn in (lambda q: h.evaluator(0.0, 0.0, q), lambda q: env.h_plus(0.0, 0.0, q),
                lambda q: env.h_minus(0.0, 0.0, q)):
         got = fn(p)
@@ -355,4 +355,4 @@ def test_window_rebuilds_of_a_time_dependent_edge_are_pruned():
     h = edge_hamiltonian(edge)
     assert not h.time_independent
     for a, b in ((0.0, 0.1), (0.3, 0.5), (0.6, 1.0)):
-        assert len(_lines(h.frozen(a, b))[0]) == 5
+        assert len(_lines(frozen(h, a, b))[0]) == 5

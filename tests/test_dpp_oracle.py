@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import argparse
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,6 @@ from hjj import (
     make_grid,
     value_function,
 )
-from hjj.cli import _common_grid
 from hjj.control_system import undominated
 from hjj.dpp_oracle import _bellman, _windows, oracle_grid
 from hjj.errors import BudgetExceeded, CflViolation, NoAdmissibleControl
@@ -506,13 +503,12 @@ GRID_CASES = {
 def test_both_routes_and_compare_build_the_same_grid(case, cfl_safety):
     cs, horizon, r_domain = GRID_CASES[case]()
     problem = induced_problem(cs, zero_datum, 0.0, horizon)
-    args = argparse.Namespace(dx=0.01, R_domain=r_domain, dt=None, cfl_safety=cfl_safety)
     grids = [oracle_grid(cs, 0.01, horizon, r_domain, cfl_safety=cfl_safety),
-             grid_for(problem, 0.01, r_domain, cfl_safety=cfl_safety),
-             _common_grid(problem, cs, args)]
+             grid_for(problem, 0.01, r_domain, cfl_safety=cfl_safety)]
     assert len({(g.dt, g.steps, g.n_nodes) for g in grids}) == 1
-    for g in grids[1:]:
-        assert all(np.array_equal(g.edge_y(i), grids[0].edge_y(i)) for i in range(g.n_edges))
+    assert np.array_equal(grids[0].times, grids[1].times)
+    assert all(np.array_equal(grids[1].edge_y(i), grids[0].edge_y(i))
+               for i in range(grids[0].n_edges))
 
 
 def test_a_speed_up_after_the_start_raises_cfl_violation_with_the_node_bound():

@@ -12,13 +12,13 @@ from hjj import (
     ControlForm,
     ControlSystem,
     Edge,
+    EnvelopePair,
     Hamiltonian,
     JunctionProblem,
     TimeSignal,
     constant,
     control_edge,
     eikonal,
-    envelopes,
     from_line,
     godunov_flux,
     grid_for,
@@ -38,7 +38,8 @@ from hjj.fd_scheme import _advance, _windows
 from hjj.hamiltonian import numeric_argmin
 from hjj.time_signal import coeff_window_averages
 
-from conftest import bench_tdq_problem, random_control_system, random_tdq_problem, zero_datum
+from conftest import (bench_tdq_problem, frozen, random_control_system, random_tdq_problem,
+                      zero_datum)
 
 
 def _line_problem(a_value: float, u0=zero_datum, lip: float = 0.0,
@@ -53,24 +54,24 @@ def _hopf_lax(u0, x: float, t: float, n: int = 4001) -> float:
 
 
 def test_godunov_flux_examples():
-    env = envelopes(eikonal())
+    env = EnvelopePair(eikonal())
     assert godunov_flux(env, 0.0, 0.0, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
     assert godunov_flux(env, 0.0, 0.0, 2.0, -2.0) == pytest.approx(1.0, abs=1e-12)
-    envq = envelopes(quadratic(1.0, 0.0, 0.0))
+    envq = EnvelopePair(quadratic(1.0, 0.0, 0.0))
     assert godunov_flux(envq, 0.0, 0.0, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_godunov_flux_is_consistent_with_the_hamiltonian():
     rng = np.random.default_rng(37)
     for h in (eikonal(), quadratic(1.5, -0.5, 2.0)):
-        env = envelopes(h)
+        env = EnvelopePair(h)
         for p in rng.uniform(-4.0, 4.0, size=60):
             want = float(h.eval_p(0.0, 0.0, np.array([p]))[0])
             assert godunov_flux(env, 0.0, 0.0, p, p) == pytest.approx(want, abs=1e-12)
 
 
 def test_godunov_flux_is_monotone():
-    env = envelopes(quadratic(1.0, 0.3, 0.0))
+    env = EnvelopePair(quadratic(1.0, 0.3, 0.0))
     rng = np.random.default_rng(39)
     for _ in range(200):
         pm, pp = rng.uniform(-3.0, 3.0, size=2)
@@ -268,7 +269,7 @@ class _NumericSplit:
 
 
 def _reference_march(problem: JunctionProblem, grid) -> np.ndarray:
-    """The scheme window by window: frozen() Hamiltonians, numeric minimisers."""
+    """The scheme window by window: frozen Hamiltonians, numeric minimisers."""
     values = np.empty((grid.steps + 1, grid.n_nodes))
     values[0] = grid.sample(problem.initial_data)
     for n in range(grid.steps):
@@ -277,7 +278,7 @@ def _reference_march(problem: JunctionProblem, grid) -> np.ndarray:
         u = values[n]
         junction = problem.flux_limiter.average(t, t + dt)
         for i, edge in enumerate(problem.edges):
-            env = _NumericSplit(edge.hamiltonian.frozen(t, t + dt), t)
+            env = _NumericSplit(frozen(edge.hamiltonian, t, t + dt), t)
             idx = grid.edge_full_indices(i)
             q = np.diff(u[idx]) / grid.dx
             flux = np.append(godunov_flux(env, t, 0.0, q[:-1], q[1:]),

@@ -13,12 +13,13 @@ from hjj import (
     argmin_p,
     check_convexity,
     eikonal,
-    envelopes,
     quadratic,
     reflected,
 )
 from hjj.hamiltonian import CATALOG, ClosedForm, EnvelopePair, numeric_argmin
 from hjj.errors import BracketFailure, ConvexityError, NonSeparableTimeDependence
+
+from conftest import frozen
 
 
 def _grid_argmin(h: Hamiltonian, span: float = 12.0, n: int = 200_001) -> tuple[float, float]:
@@ -82,7 +83,7 @@ def test_flat_bottom_minimum_value_is_exact():
 
 
 def test_envelope_values_for_eikonal():
-    env = envelopes(eikonal())
+    env = EnvelopePair(eikonal())
     assert env.h_plus(0.0, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
     assert env.h_minus(0.0, 0.0, 1.0) == pytest.approx(-1.0, abs=1e-12)
     assert env.h_plus(0.0, 0.0, -1.0) == pytest.approx(-1.0, abs=1e-12)
@@ -93,7 +94,7 @@ def test_envelopes_reconstruct_the_hamiltonian():
     rng = np.random.default_rng(29)
     hams = [eikonal(), quadratic(2.0, -1.0, 0.5), _flat_bottom()]
     for h in hams:
-        env = envelopes(h)
+        env = EnvelopePair(h)
         ps = np.sort(rng.uniform(-6.0, 6.0, size=200))
         plus = env.h_plus(0.0, 0.0, ps)
         minus = env.h_minus(0.0, 0.0, ps)
@@ -103,7 +104,7 @@ def test_envelopes_reconstruct_the_hamiltonian():
 def test_envelope_monotonicity():
     rng = np.random.default_rng(31)
     for h in (eikonal(), quadratic(0.7, 1.2, -2.0), _flat_bottom()):
-        env = envelopes(h)
+        env = EnvelopePair(h)
         ps = np.sort(rng.uniform(-8.0, 8.0, size=300))
         plus = env.h_plus(0.0, 0.0, ps)
         minus = env.h_minus(0.0, 0.0, ps)
@@ -114,7 +115,7 @@ def test_envelope_monotonicity():
 def test_flat_bottom_envelopes_do_not_depend_on_split_choice():
     """Any minimiser inside the flat set yields the same envelope values."""
     h = _flat_bottom()
-    env = envelopes(h)
+    env = EnvelopePair(h)
     ps = np.linspace(-3.0, 3.0, 121)
     got_plus = env.h_plus(0.0, 0.0, ps)
     got_minus = env.h_minus(0.0, 0.0, ps)
@@ -164,13 +165,13 @@ def test_eval_p_falls_back_to_scalar_evaluation():
 
 def test_frozen_averages_time_signal_coefficients():
     shift = TimeSignal(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0]))
-    h = abs_shift(shift, horizon=1.0)
+    h = abs_shift(shift)
     assert not h.time_independent
     assert h.eval_p(0.75, 0.0, np.array([2.0]))[0] == pytest.approx(3.0, abs=1e-15)
-    frozen = h.frozen(0.0, 1.0)
-    assert frozen.time_independent
-    assert frozen.eval_p(0.0, 0.0, np.array([2.0]))[0] == pytest.approx(2.5, abs=1e-15)
-    assert frozen.eval_p(0.9, 0.0, np.array([-1.0]))[0] == pytest.approx(1.5, abs=1e-15)
+    averaged = frozen(h, 0.0, 1.0)
+    assert averaged.time_independent
+    assert averaged.eval_p(0.0, 0.0, np.array([2.0]))[0] == pytest.approx(2.5, abs=1e-15)
+    assert averaged.eval_p(0.9, 0.0, np.array([-1.0]))[0] == pytest.approx(1.5, abs=1e-15)
 
 
 def test_frozen_rejects_black_box_time_dependence():
@@ -178,7 +179,7 @@ def test_frozen_rejects_black_box_time_dependence():
                     coercivity_radius=2.0, time_data={"kind": "blackbox"},
                     x_independent=True, validate=False)
     with pytest.raises(NonSeparableTimeDependence):
-        h.frozen(0.0, 0.5)
+        frozen(h, 0.0, 0.5)
 
 
 def test_reflected_quadratic_negates_the_drift():
@@ -203,8 +204,27 @@ def test_reflected_generic_wrapper_and_involution():
                          - eikonal().eval_p(0.0, 0.0, ps))) <= 1e-15
 
 
+def test_reflected_black_box_keeps_its_declared_bounds_at_the_mirrored_nodes():
+    """H = (1 + max(x, 0)) |p| - 1 declares both bounds from its largest node x.
+
+    Its reflection sees edge-local nodes y >= 0 at x = -y <= 0, so both bounds
+    read the original's nodes -ys and find x <= 0.
+    """
+    def reach(ys):
+        return 1.0 + max(float(np.max(ys)), 0.0)
+
+    h = Hamiltonian(lambda t, x, p: (1.0 + np.maximum(x, 0.0)) * np.abs(p) - 1.0,
+                    lipschitz_p=np.inf, validate=False,
+                    speed_bound=lambda M, ys: (reach(ys), "declared reach"),
+                    value_bound=lambda L, ys: 1.0 + reach(ys) * L)
+    ys = np.linspace(0.0, 2.0, 5)
+    assert (h.speed_bound(5.0, ys), h.value_bound(2.0, ys)) == ((3.0, "declared reach"), 7.0)
+    r = reflected(h)
+    assert (r.speed_bound(5.0, ys), r.value_bound(2.0, ys)) == ((1.0, "declared reach"), 3.0)
+
+
 def test_envelope_evaluations_are_reproducible():
-    env = envelopes(quadratic(1.5, 0.3, 0.0))
+    env = EnvelopePair(quadratic(1.5, 0.3, 0.0))
     ps = np.linspace(-5.0, 5.0, 47)
     first = env.h_plus(0.0, 0.0, ps).copy()
     again = env.h_plus(0.0, 0.0, ps)
@@ -241,7 +261,7 @@ def test_closed_form_envelopes_agree_with_the_numeric_split():
     for _ in range(100):
         h = quadratic(rng.uniform(0.1, 5.0), rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
         for g in (h, abs_shift(rng.uniform(-5.0, 5.0))):
-            env = envelopes(g)
+            env = EnvelopePair(g)
             p_hat, h_min = numeric_argmin(g, 0.0, 0.0)
             want_plus, want_minus = _formula_envelopes(g, p_hat, h_min, ps)
             assert np.max(np.abs(env.h_plus(0.0, 0.0, ps) - want_plus)) <= 1e-9
@@ -307,7 +327,7 @@ def test_a_frozen_catalog_split_equals_the_clip_formula_byte_for_byte():
 
 
 def test_a_lazy_catalog_pair_is_the_pair_frozen_at_t(monkeypatch):
-    """envelopes(h) of a time-dependent quadratic splits as the pair frozen at t."""
+    """EnvelopePair(h) of a time-dependent quadratic splits as the pair frozen at t."""
     rng = np.random.default_rng(89)
     form = CATALOG["quadratic"]
     lookups = []
@@ -321,7 +341,7 @@ def test_a_lazy_catalog_pair_is_the_pair_frozen_at_t(monkeypatch):
         values = values_at(form, h.coefficients, t)
         frozen = EnvelopePair(h, values=values)
         p = np.append(rng.uniform(-8.0, 8.0, 40), [values[1], -0.0])
-        env = envelopes(h)
+        env = EnvelopePair(h)
         lookups.clear()
         got = (env.h_plus(t, 0.3, p), env.h_minus(t, 0.3, p))
         assert lookups == [t, t]  # once per call

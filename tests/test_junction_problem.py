@@ -5,16 +5,15 @@ import pytest
 
 from hjj import (
     Edge,
+    Hamiltonian,
     JunctionProblem,
     TimeSignal,
     abs_shift,
     constant,
     eikonal,
-    envelopes,
     from_line,
     grid_for,
     induced_problem,
-    junction_hamiltonian,
     problem_from_config,
     quadratic,
     validate,
@@ -42,10 +41,10 @@ def _star(n_edges: int, a_value: float, horizon: float = 1.0) -> JunctionProblem
 
 def test_junction_value_examples():
     prob = _line_eikonal(-1.0)
-    assert junction_hamiltonian(prob, 0.2, (0.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
-    assert junction_hamiltonian(prob, 0.2, (-2.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
+    assert prob.junction_value(0.2, (0.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
+    assert prob.junction_value(0.2, (-2.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
     prob0 = _line_eikonal(0.0)
-    assert junction_hamiltonian(prob0, 0.2, (0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
+    assert prob0.junction_value(0.2, (0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_junction_value_monotone_in_limiter_and_slopes():
@@ -54,15 +53,15 @@ def test_junction_value_monotone_in_limiter_and_slopes():
     prob_hi = _line_eikonal(-0.25)
     for _ in range(200):
         p_right, p_left = rng.uniform(-3.0, 3.0, size=2)
-        lo = junction_hamiltonian(prob_lo, 0.0, (p_right, p_left))
-        hi = junction_hamiltonian(prob_hi, 0.0, (p_right, p_left))
+        lo = prob_lo.junction_value(0.0, (p_right, p_left))
+        hi = prob_hi.junction_value(0.0, (p_right, p_left))
         assert lo <= hi + 1e-12
 
         # nonincreasing in the right slope, nondecreasing in the left one
         d = rng.uniform(0.0, 1.0)
-        assert junction_hamiltonian(prob_lo, 0.0, (p_right + d, p_left)) \
+        assert prob_lo.junction_value(0.0, (p_right + d, p_left)) \
             <= lo + 1e-10
-        assert junction_hamiltonian(prob_lo, 0.0, (p_right, p_left + d)) \
+        assert prob_lo.junction_value(0.0, (p_right, p_left + d)) \
             >= lo - 1e-10
 
 
@@ -74,8 +73,8 @@ def test_line_round_trip_preserves_junction_values():
     rebuilt = from_line(h_right, h_left, prob.flux_limiter, zero_datum, 0.0, 1.0)
     for _ in range(50):
         slopes = rng.uniform(-3.0, 3.0, size=2)
-        assert junction_hamiltonian(rebuilt, 0.0, slopes) == pytest.approx(
-            junction_hamiltonian(prob, 0.0, slopes), abs=1e-12)
+        assert rebuilt.junction_value(0.0, slopes) == pytest.approx(
+            prob.junction_value(0.0, slopes), abs=1e-12)
 
 
 def test_reflected_left_edge_sees_mirrored_slopes():
@@ -89,8 +88,8 @@ def test_reflected_left_edge_sees_mirrored_slopes():
 
 def test_three_edge_star_junction_value():
     prob = _star(3, -0.5)
-    assert junction_hamiltonian(prob, 0.0, (0.0, 0.0, 0.0)) == pytest.approx(-0.5, abs=1e-12)
-    assert junction_hamiltonian(prob, 0.0, (-2.0, 0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
+    assert prob.junction_value(0.0, (0.0, 0.0, 0.0)) == pytest.approx(-0.5, abs=1e-12)
+    assert prob.junction_value(0.0, (-2.0, 0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_validate_passes_the_model_problem():
@@ -191,7 +190,7 @@ def test_problem_from_config_scalar_flux_limiter():
     })
     assert prob.flux_limiter(1.0) == -0.5
     assert prob.horizon == 2.0
-    assert prob.u0_line(-2.0) == 2.0
+    assert prob.initial_data[1](2.0) == 2.0  # u0(x) = |x| read at x = -2
 
 
 def test_problem_from_config_builds_control_system():
@@ -278,8 +277,8 @@ def test_induced_problem_matches_manual_line_construction():
     for _ in range(40):
         t = rng.uniform(0.0, 1.0)
         slopes = rng.uniform(-2.0, 2.0, size=2)
-        assert junction_hamiltonian(prob, t, slopes) == pytest.approx(
-            junction_hamiltonian(manual, t, slopes), abs=1e-9)
+        assert prob.junction_value(t, slopes) == pytest.approx(
+            manual.junction_value(t, slopes), abs=1e-9)
 
 
 def test_validate_reports_c2_and_its_source():
@@ -292,6 +291,32 @@ def test_validate_reports_c2_and_its_source():
     for prob, detail in want.items():
         item = validate(prob).items[-1]
         assert (item.name, item.passed, item.detail) == ("cfl_speed", True, detail)
+
+
+def _black_box(**bounds) -> Hamiltonian:
+    """|p| - 1 declared as a black box with no finite lipschitz_p."""
+    return Hamiltonian(lambda t, x, p: np.abs(p) - 1.0, lipschitz_p=np.inf,
+                       x_independent=True, **bounds)
+
+
+@pytest.mark.parametrize("edge", [0, 1])
+def test_a_declared_speed_bound_gives_the_same_c2_on_either_half_line(edge):
+    box = _black_box(speed_bound=lambda M, ys: (3.0, "declared 3"))
+    hams = [eikonal(), eikonal()]
+    hams[edge] = box
+    prob = from_line(*hams, constant(0.0, 1.0), zero_datum, 0.0, 1.0)
+    assert prob.cfl_speed() == (3.0, f"declared 3 on edge {edge}")
+
+
+def test_an_edge_without_a_finite_speed_bound_is_refused_by_name():
+    prob = from_line(eikonal(), _black_box(), constant(0.0, 1.0), zero_datum, 0.0, 1.0)
+    msg = "edge 1 has no finite speed bound for C2: declared lipschitz_p inf"
+    with pytest.raises(ConfigError, match=f"^{msg}$"):
+        prob.cfl_speed()
+    with pytest.raises(ConfigError, match=f"^{msg}$"):
+        grid_for(prob, 0.1, 1.0)
+    item = validate(prob).items[-1]
+    assert (item.name, item.passed, item.detail) == ("cfl_speed", True, msg)
 
 
 def _step_or_float(rng: np.random.Generator, lo: float, hi: float):
