@@ -11,11 +11,12 @@ together on one grid (fd_scheme.solve_many), then each width is priced with
 array passes over the shared fields.
 
 compute_kn reads k on a leading axis of union-mesh cells. The limiter and
-every catalog edge are read at all cell midpoints in one array pass (one
-EnvelopePair frozen at (cells, 1) coefficient columns); control-induced,
-black-box and x-dependent edges keep one call per cell, or a single call
-when they are time-independent. The junction part's product slope grid is
-priced a few cells at a time.
+every edge with a closed form (catalog forms and edges of control forms)
+are read at all cell midpoints in one array pass (one EnvelopePair frozen
+at (cells, 1) coefficient columns); black-box, callable and x-dependent
+edges keep one call per cell, or a single call when they are
+time-independent. The junction part's product slope grid is priced a few
+cells at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import NegativeKn
 from .fd_scheme import solve_many
 from .grid import Grid, SolutionField, _positive_finite
-from .hamiltonian import CATALOG, EnvelopePair, Hamiltonian
+from .hamiltonian import EnvelopePair, Hamiltonian
 from .junction_problem import Edge, JunctionProblem
 from .time_signal import TimeSignal, union_mesh
 
@@ -113,11 +114,11 @@ def _edge_tables(h: Hamiltonian, env: EnvelopePair, mids: np.ndarray, q: np.ndar
                  x, p: np.ndarray) -> list:
     """(h_minus on q, H at (x, p) raveled) of one edge, one row per cell midpoint of mids.
 
-    A catalog form is frozen at (cells, 1) coefficient columns, one pair for
+    A closed form is frozen at (cells, 1) coefficient columns, one pair for
     every cell. Any other Hamiltonian is read through env and eval_p cell by
     cell, or once and broadcast when it is time-independent.
     """
-    form = CATALOG.get(h.form)
+    form = h.form
     if form is not None:
         cols = tuple(np.reshape(v, (-1, 1)) for v in form.values_at(h.coefficients, mids))
         rows = (EnvelopePair(h, values=cols).h_minus(0.0, 0.0, q), form.h(p.ravel(), *cols))
@@ -136,10 +137,11 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
     [-K, K]^J; the edge parts compare the Hamiltonians over [0, R] x [-K, K].
     Both are exact in t because every coefficient is constant on each cell of
     the union mesh, so each is read at the cell midpoints. The limiter and
-    catalog edges are read at every cell in one array pass; any other edge
-    (control-induced, black box, x-dependent) keeps one call per cell, or one
-    call in all when it is time-independent. The junction part is priced on
-    blocks of cells. K must be positive and R non-negative, both finite.
+    the edges with a closed form are read at every cell in one array pass;
+    any other edge (black box, callable, x-dependent) keeps one call per
+    cell, or one call in all when it is time-independent. The junction part
+    is priced on blocks of cells. K must be positive and R non-negative,
+    both finite.
     """
     K = _positive_finite("K", K)
     R = _positive_finite("R", R, zero_ok=True)

@@ -67,8 +67,8 @@ def _load_config(args) -> dict:
 def _load_problem(args) -> tuple[JunctionProblem, ControlSystem | None]:
     cfg = _load_config(args)
     problem, cs = problem_from_config(cfg, controls=args.controls)
-    if getattr(args, "R_domain", None) is None:
-        args.R_domain = _positive_finite("R_domain", entry(cfg, "R_domain", "", float, 2.0))
+    r_domain = _positive_finite("R_domain", entry(cfg, "R_domain", "", float, 2.0))
+    args.R_domain = getattr(args, "R_domain", None) or r_domain  # the flag is > 0 when given
     if getattr(args, "report_times", None):
         bad = [t for t in args.report_times
                if t > problem.horizon + 1e-9 * max(1.0, problem.horizon)]

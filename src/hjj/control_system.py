@@ -10,7 +10,11 @@ velocity zero), so no junction control set is stored: it always contains
 
 The induced Hamiltonian of an edge is H(t, x, p) = sup_a [f p - l]; its
 monotone envelopes coincide with the sign-restricted suprema over f <= 0
-and f >= 0, which this module exposes for cross-checking.
+and f >= 0, which this module exposes for cross-checking. An edge whose f
+and l are both ControlForms has an induced Hamiltonian with a ClosedForm
+in the six coefficients of f and l (f_c0 ... l_c2): its lines come from one
+line function (_lines), which also gives the Bellman route's window
+tables, and its minimiser is exact (line_argmin).
 
 Only the lower cost-speed front of a control sample can set that supremum
 (or the minimum of a Bellman update). undominated(speeds, costs) marks it:
@@ -21,10 +25,9 @@ to a cheaper-or-equal zero-speed one). Every line of the induced H is
 fl(fl(f p) - l), and rounding is monotone, so for p >= 0 the far
 dominator's line is >= line k and for p <= 0 the near dominator's is: the
 maximum over the kept lines equals the full maximum (bit for bit but for
-the sign of a tied zero, see undominated). An x-independent edge
-with constant coefficients therefore evaluates only its undominated lines;
-this covers the per-window rebuilds from averaged coefficients and the
-reflection. Callable or time-dependent-inside-the-call edges keep all lines.
+the sign of a tied zero, see undominated). A form edge frozen at fixed
+coefficient values (hamiltonian.EnvelopePair) therefore evaluates only its
+undominated lines. Its evaluator, and every callable edge, keep all lines.
 
 A problem file's control_system block is read by
 junction_problem.control_system_from_config.
@@ -36,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyControlSet, NoAdmissibleControl
+from .errors import BracketFailure, EmptyControlSet, NoAdmissibleControl
 from .grid import edge_nodes
-from .hamiltonian import Hamiltonian, elementwise
+from .hamiltonian import ClosedForm, Hamiltonian, closed_hamiltonian, elementwise
 from .time_signal import (TimeSignal, coeff_average, coeff_bounds, coeff_eval,
                           coeff_window_averages)
 
@@ -50,6 +53,7 @@ __all__ = [
     "edge_hamiltonian",
     "flux_limiter",
     "induced_hamiltonian",
+    "line_argmin",
     "RestrictedEnvelopes",
     "undominated",
 ]
@@ -69,31 +73,17 @@ class ControlForm:
                 + coeff_eval(self.c1, t) * a
                 + coeff_eval(self.c2, t) * a * a)
 
-    def averaged(self, a: float, b: float) -> "ControlForm":
-        return ControlForm(coeff_average(self.c0, a, b),
-                           coeff_average(self.c1, a, b),
-                           coeff_average(self.c2, a, b))
-
-    def window_table(self, times, alphas: np.ndarray) -> np.ndarray:
-        """averaged(times[n], times[n+1]).eval(0, alphas) as row n, bit for bit."""
-        a = np.asarray(alphas, dtype=float)
-        c0, c1, c2 = (coeff_window_averages(c, times)[:, None]
-                      for c in (self.c0, self.c1, self.c2))
-        return c0 + c1 * a + c2 * a * a
-
     def bounds(self, alphas: np.ndarray) -> tuple[float, float]:
-        """Range of g over the sampled controls and all coefficient values."""
+        """Range of g over the sampled controls and all coefficient values.
+
+        Each term c_k a^k is linear in c_k, so it ranges between its values at
+        the two ends of c_k's range, control by control.
+        """
         a = np.asarray(alphas, dtype=float)
-        lo0, hi0 = coeff_bounds(self.c0)
-        lo1, hi1 = coeff_bounds(self.c1)
-        lo2, hi2 = coeff_bounds(self.c2)
-        lin_lo = np.minimum(lo1 * a, hi1 * a)
-        lin_hi = np.maximum(lo1 * a, hi1 * a)
-        sq = a * a
-        quad_lo = np.minimum(lo2 * sq, hi2 * sq)
-        quad_hi = np.maximum(lo2 * sq, hi2 * sq)
-        return (float(np.min(lo0 + lin_lo + quad_lo)),
-                float(np.max(hi0 + lin_hi + quad_hi)))
+        t0, t1, t2 = (np.multiply.outer(coeff_bounds(c), ak)
+                      for c, ak in ((self.c0, 1.0), (self.c1, a), (self.c2, a * a)))
+        return (float(np.min(t0.min(axis=0) + t1.min(axis=0) + t2.min(axis=0))),
+                float(np.max(t0.max(axis=0) + t1.max(axis=0) + t2.max(axis=0))))
 
     def signals(self) -> dict:
         out = {}
@@ -102,9 +92,6 @@ class ControlForm:
             if isinstance(v, TimeSignal):
                 out[name] = v
         return out
-
-    def is_constant(self) -> bool:
-        return not self.signals()
 
 
 def _is_form(g) -> bool:
@@ -125,11 +112,11 @@ def _call_g(g, t: float, x, alphas: np.ndarray) -> np.ndarray:
     return elementwise(g, t, x, np.broadcast_to(a[:, None], (len(a), len(x))))
 
 
-def _window_call(g, a: float, b: float, x, alphas: np.ndarray) -> np.ndarray:
-    """_call_g of g averaged over [a, b]: exact for a form, at the midpoint for a callable."""
-    if _is_form(g):
-        return _call_g(g.averaged(a, b), 0.0, x, alphas)
-    return _call_g(g, 0.5 * (a + b), x, alphas)
+def _averaged(g, a: float, b: float):
+    """A form with its coefficients averaged exactly over [a, b]; a callable as it is."""
+    if not _is_form(g):
+        return g
+    return ControlForm(*(coeff_average(c, a, b) for c in (g.c0, g.c1, g.c2)))
 
 
 @dataclass
@@ -144,9 +131,10 @@ class ControlEdge:
     the grid's nodes; a form's bounds ignore positions.
 
     On the scheme route an edge with a callable f or l is time-independent:
-    its induced Hamiltonian's minimiser is found once per march, at t = 0.
-    There, time dependence must come through ControlForm signals. The value
-    function evaluates a callable at each window's midpoint.
+    its induced Hamiltonian's minimiser is found numerically once per march
+    (per node), at t = 0. There, time dependence must come through
+    ControlForm signals. The value function evaluates a callable at each
+    window's midpoint.
     """
 
     f: object  # ControlForm or callable (t, x, a)
@@ -252,23 +240,29 @@ class ControlSystem:
         return s * _call_g(edge.f, t, s * y, edge.controls)
 
     def local_f_avg(self, i: int, a: float, b: float, y=0.0) -> np.ndarray:
-        """Window-averaged edge-local speeds per control sample, at y as _call_g takes x."""
+        """Window-averaged edge-local speeds per control sample, at y as _call_g takes x.
+
+        A form is averaged exactly, a callable read at the window's midpoint.
+        """
         s = self.sign(i)
         edge = self.edges[i]
-        return s * _window_call(edge.f, a, b, s * y, edge.controls)
+        return s * _call_g(_averaged(edge.f, a, b), 0.5 * (a + b), s * y, edge.controls)
 
     def local_l_avg(self, i: int, a: float, b: float, y=0.0) -> np.ndarray:
         """Window-averaged running costs per control sample, at y as _call_g takes x."""
         s = self.sign(i)
         edge = self.edges[i]
-        return _window_call(edge.l, a, b, s * y, edge.controls)
+        return _call_g(_averaged(edge.l, a, b), 0.5 * (a + b), s * y, edge.controls)
 
     def local_window_tables(self, i: int, times) -> tuple[np.ndarray, np.ndarray]:
-        """local_f_avg and local_l_avg of a form edge, row n bit-equal to window n."""
-        s = self.sign(i)
+        """local_f_avg and local_l_avg of a form edge, row n bit-equal to window n.
+
+        One call of the edge's line function on (windows,) coefficient averages.
+        """
         edge = self.edges[i]
-        return (s * edge.f.window_table(times, edge.controls),
-                edge.l.window_table(times, edge.controls))
+        cols = (coeff_window_averages(v, times) for v in _coefficients(edge).values())
+        speeds, costs = _lines(edge.controls, self.sign(i), *cols)
+        return speeds.T, costs.T
 
     def _positions(self, dx: float | None, radii) -> list:
         """Edge i's grid nodes y as its f and l take x, sign(i) * y; None without dx."""
@@ -366,43 +360,90 @@ def _line_max(speeds: np.ndarray, costs: np.ndarray, p):
     return float(vals[0]) if scalar else vals
 
 
-def _induced(edge: ControlEdge, sign: float, delta: float) -> Hamiltonian:
+_NAMES = ("f_c0", "f_c1", "f_c2", "l_c0", "l_c1", "l_c2")
+
+
+def _coefficients(edge: ControlEdge) -> dict:
+    """The six coefficients of a form edge's f and l, by their names in _NAMES."""
+    return dict(zip(_NAMES, (edge.f.c0, edge.f.c1, edge.f.c2, edge.l.c0, edge.l.c1, edge.l.c2)))
+
+
+def _lines(controls: np.ndarray, sign: float, *values) -> tuple[np.ndarray, np.ndarray]:
+    """The line function of a form edge: (sign f_k, l_k) at its six coefficient values.
+
+    The values are floats or arrays of one shape S (with singleton axes
+    broadcast); speeds and costs come out (controls, *S), controls first as
+    _line_max reads them.
+    """
+    f0, f1, f2, l0, l1, l2 = values
+    a = np.reshape(controls, (-1,) + (1,) * max(np.ndim(v) for v in values))
+    return sign * (f0 + f1 * a + f2 * a * a), l0 + l1 * a + l2 * a * a
+
+
+def line_argmin(speeds, costs) -> float:
+    """The exact minimiser of p -> max_k [speeds[k] p - costs[k]].
+
+    min_p H is the upper concave hull of the points (v_k, -l_k) at v = 0
+    (Rockafellar, Convex Analysis, section 12), built here by a monotone
+    chain over the points sorted by speed: O(K log K). p_hat is where the
+    two hull lines around zero speed cross or, when a zero-speed point is a
+    vertex of the hull, the middle of the flat bottom that it sets, as
+    numeric_argmin takes it. Without both a negative and a positive speed H
+    has no minimum, and BracketFailure is raised.
+    """
+    v = np.asarray(speeds, dtype=float)
+    w = -np.asarray(costs, dtype=float)
+    if not (np.any(v < 0.0) and np.any(v > 0.0)):
+        raise BracketFailure("a maximum of lines of one sign of speed has no minimum")
+    order = np.lexsort((-w, v))  # by speed, the highest point of each speed first
+    v, w = v[order], w[order]
+    first = np.concatenate(([True], v[1:] != v[:-1]))
+    hull = []
+    for x, y in zip(v[first].tolist(), w[first].tolist()):
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+            hull.pop()  # on or below the chord from hull[-2] to (x, y)
+        hull.append((x, y))
+    j = next(k for k, (x, _) in enumerate(hull) if x >= 0.0)
+    (v1, w1), (v2, w2) = hull[j - 1], hull[j]
+    if v2 > 0.0:
+        return (w1 - w2) / (v2 - v1)
+    v3, w3 = hull[j + 1]
+    return 0.5 * ((w2 - w1) / v1 + (w2 - w3) / v3)
+
+
+def _line_form(controls: np.ndarray, sign: float) -> ClosedForm:
+    """The closed form of sup_k [sign f_k p - l_k] in the six coefficients of f and l.
+
+    h is the maximum over every line. freeze keeps the lines that are
+    undominated in some row of the values (bit for bit the same maximum,
+    see undominated) and minimises each row over its own undominated lines,
+    so that a row's split does not depend on the batch it is frozen in.
+    """
+    def freeze(*values):
+        speeds, costs = np.broadcast_arrays(*_lines(controls, sign, *values))
+        rows = list(zip(*(np.reshape(a, (len(controls), -1)).T for a in (speeds, costs))))
+        keeps = [undominated(f, l) for f, l in rows]
+        p_hat = np.reshape([line_argmin(f[m], l[m]) for (f, l), m in zip(rows, keeps)],
+                           speeds.shape[1:])
+        keep = np.any(keeps, axis=0)
+        speeds, costs = speeds[keep], costs[keep]
+        return p_hat[()], lambda p: _line_max(speeds, costs, p)
+
+    return ClosedForm(_NAMES, lambda p, *values: _line_max(*_lines(controls, sign, *values), p),
+                      None, freeze=freeze)
+
+
+def _induced(edge: ControlEdge, sign: float, delta: float,
+             form: ClosedForm | None = None) -> Hamiltonian:
     # A supremum of affine lines is convex, so the convexity probe is skipped.
+    # A form edge's Hamiltonian has the closed form _line_form (form, when its
+    # coefficients are rebuilt); a callable edge's evaluator reads f and l.
     controls = edge.controls
     f, l = edge.f, edge.l
-
-    constant = _is_form(f) and _is_form(l) and f.is_constant() and l.is_constant()
-    fixed = None
-    if constant:  # only the undominated lines can set the maximum
-        speeds, costs = sign * f.eval(0.0, controls), l.eval(0.0, controls)
-        keep = undominated(speeds, costs)
-        fixed = (speeds[keep], costs[keep])
-
-    def evaluator(t, x, p):
-        fa, la = fixed if constant else (sign * _call_g(f, t, sign * x, controls),
-                                         _call_g(l, t, sign * x, controls))
-        return _line_max(fa, la, p)
-
-    if _is_form(f) and _is_form(l):
-        coefficients = {
-            "f_c0": f.c0, "f_c1": f.c1, "f_c2": f.c2,
-            "l_c0": l.c0, "l_c1": l.c1, "l_c2": l.c2,
-        }
-
-        def rebuild(coeffs):
-            nf = ControlForm(coeffs["f_c0"], coeffs["f_c1"], coeffs["f_c2"])
-            nl = ControlForm(coeffs["l_c0"], coeffs["l_c1"], coeffs["l_c2"])
-            ne = ControlEdge(nf, nl, controls.copy())
-            return _induced(ne, sign, delta)
-    else:
-        coefficients = None
-        rebuild = None
-
-    l_lo, l_hi = (l.bounds(controls) if _is_form(l)
-                  else (lambda c: (float(c.min()), float(c.max())))(
-                      _call_g(l, 0.0, 0.0, controls)))
+    costs = l.bounds(controls) if _is_form(l) else _call_g(l, 0.0, 0.0, controls)
     lip = edge.speed_bound() if _is_form(f) else np.inf
-    radius = (l_hi - l_lo + 1.0) / max(delta, 1e-9)
+    radius = (float(np.max(costs)) - float(np.min(costs)) + 1.0) / max(delta, 1e-9)
     what = f"max|f| over {len(controls)} controls"
 
     def speed_bound(M, ys):  # a callable is bounded at t = 0 on the edge's nodes
@@ -414,19 +455,24 @@ def _induced(edge: ControlEdge, sign: float, delta: float) -> Hamiltonian:
         xs = None if ys is None else sign * ys
         return edge.speed_bound(xs) * L + edge.cost_bound(xs)
 
-    return Hamiltonian(
-        evaluator,
-        lipschitz_p=lip,
-        coercivity_radius=max(radius, 1.0),
-        form="control_induced",
-        coefficients=coefficients,
-        x_independent=edge.x_independent,
-        rebuild=rebuild,
-        reflect=lambda: _induced(edge, -sign, delta),
-        validate=False,
-        speed_bound=speed_bound,
-        value_bound=value_bound,
-    )
+    metadata = dict(lipschitz_p=lip, coercivity_radius=max(radius, 1.0),
+                    reflect=lambda: _induced(edge, -sign, delta),
+                    speed_bound=speed_bound, value_bound=value_bound)
+    if edge.x_independent:
+        form = form or _line_form(controls, sign)
+
+        def rebuild(coeffs):
+            nf, nl = (ControlForm(*(coeffs[k] for k in names))
+                      for names in (_NAMES[:3], _NAMES[3:]))
+            return _induced(ControlEdge(nf, nl, controls.copy()), sign, delta, form)
+
+        return closed_hamiltonian(form, _coefficients(edge), rebuild, **metadata)
+
+    def evaluator(t, x, p):
+        return _line_max(sign * _call_g(f, t, sign * x, controls),
+                         _call_g(l, t, sign * x, controls), p)
+
+    return Hamiltonian(evaluator, validate=False, **metadata)
 
 
 def induced_hamiltonian(cs: ControlSystem, i: int) -> Hamiltonian:

@@ -10,9 +10,10 @@ Godunov numerical Hamiltonian
     F(p_minus, p_plus) = max{ h_plus(p_minus), h_minus(p_plus) }
 
 built from the monotone envelopes. Every edge's envelopes on a window are
-one EnvelopePair: a catalog form frozen at the window's coefficients, or
-any other Hamiltonian with its minimiser found once per march (per node if
-it depends on x) or per window if it depends on time. The pair is evaluated
+one EnvelopePair: a closed form (a catalog form, or an edge of control
+forms) frozen at the window's coefficients, or once per march when it is
+time-independent, or a black box with its minimiser found numerically once
+per march (per node if it depends on x). The pair is evaluated
 on all the slopes of its edge at once: once per step, with both envelopes
 cut from that one array, or twice when it is read per node (H depends on
 x), at the right and at the left node of every slope. The interior,
@@ -35,11 +36,11 @@ the window's coefficients), raising CflViolation on a breach.
 
 solve_many marches several problems that share one grid as one loop over a
 leading problem axis; solve is the batch of one. Values are stored as
-(problems, levels, nodes), and the limiter and catalog coefficient tables
-hold one column per problem. An edge whose envelopes the whole batch shares
-(one catalog form with per-problem coefficient columns, or one
-time-independent Hamiltonian object) is evaluated once per step on the
-slopes of every problem; any other edge is handled problem by problem.
+(problems, levels, nodes), and the limiter and coefficient tables hold one
+column per problem. An edge whose envelopes the whole batch shares (one
+closed form with per-problem coefficient columns, or one time-independent
+Hamiltonian object) is evaluated once per step on the slopes of every
+problem; any other edge is handled problem by problem.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CflViolation
+from .errors import CflViolation, NonSeparableTimeDependence
 from .grid import Grid, SolutionField, make_grid
-from .hamiltonian import CATALOG, EnvelopePair
+from .hamiltonian import EnvelopePair
 from .junction_problem import JunctionProblem
 from .time_signal import coeff_window_averages, upper_envelope
 
@@ -101,28 +102,28 @@ def _edge_windows(hs: list, pairs: list, times: np.ndarray, ys: np.ndarray) -> C
     """env(n): one edge's EnvelopePair on the window [times[n], times[n+1]], for a batch.
 
     hs and pairs hold the edge's Hamiltonian and EnvelopePair in each problem.
-    A catalog form is frozen at the window's averaged coefficients, read off
-    (windows x problems) tables as one (problems, 1) column per coefficient.
-    Any other Hamiltonian is minimised once per march (per node of ys if it
-    depends on x), or rebuilt from the window's averaged coefficients if it
-    depends on time. env(n) is one pair when the batch shares it, else a
-    list with one per problem.
+    A time-independent Hamiltonian that the batch shares keeps its pair for
+    the march: frozen once if it has a closed form, else minimised once (per
+    node of ys if it depends on x). A closed form that the batch shares is
+    frozen at each window's averaged coefficients, read off (windows x
+    problems) tables as one (problems, 1) column per coefficient. env(n) is
+    one pair when the batch shares it, else a list with one per problem. A
+    time-dependent black box has no coefficients to freeze, and raises
+    NonSeparableTimeDependence.
     """
     h = hs[0]
-    form = CATALOG.get(h.form)
-    if form is not None and all(g.form == h.form for g in hs):
-        cols = [np.stack([coeff_window_averages(g.coefficients[k], times) for g in hs], axis=1)
-                for k in form.names]
-        return lambda n: EnvelopePair(h, values=tuple(col[n][:, None] for col in cols))
     if all(g is h for g in hs) and h.time_independent:
         pair = pairs[0].at_nodes(float(times[0]), ys)
         return lambda n: pair
-    if len(hs) > 1:
-        each = [_edge_windows([g], [pair], times, ys) for g, pair in zip(hs, pairs)]
-        return lambda n: [env(n) for env in each]
-    cols = {k: coeff_window_averages(v, times) for k, v in h.coefficients.items()}
-    return lambda n: EnvelopePair(h.with_coefficients(
-        {k: float(col[n]) for k, col in cols.items()})).at_nodes(float(times[n]), ys)
+    form = h.form
+    if form is not None and all(g.form is form for g in hs):
+        cols = [np.stack([coeff_window_averages(g.coefficients[k], times) for g in hs], axis=1)
+                for k in form.names]
+        return lambda n: EnvelopePair(h, values=tuple(col[n][:, None] for col in cols))
+    if len(hs) == 1:
+        raise NonSeparableTimeDependence("a time-dependent black box has no coefficients to freeze")
+    each = [_edge_windows([g], [pair], times, ys) for g, pair in zip(hs, pairs)]
+    return lambda n: [env(n) for env in each]
 
 
 def _windows(problems, grid: Grid, times: np.ndarray) -> Callable:
@@ -161,8 +162,8 @@ def _first_breach(env: EnvelopePair, q: np.ndarray, dt: float, dx: float) -> tup
     """(row, slope, dt |dH/dp| / dx) at the first slope of q (rows, m) with dt |dH/dp| > dx.
 
     Only pairs that carry a speed (a catalog form whose C2 holds on a slope
-    box alone, frozen at the window's coefficients) are checked; None when
-    nothing breaches.
+    box alone, frozen at fixed coefficients) are checked; None when nothing
+    breaches.
     """
     if env.speed is None:
         return None
@@ -225,10 +226,12 @@ def step(problem: JunctionProblem, grid: Grid, u: np.ndarray,
     """One explicit Euler update over the window [t, t + dt].
 
     _window may hold this window's row of _windows(problem, grid, times), as
-    a march reads it; by default the row is built for [t, t + dt]. Raises
-    CflViolation when C2 integrates above dx over the window.
+    a march reads it, and the march has checked its CFL bound; by default
+    the row is built for [t, t + dt], and a window on which C2 integrates
+    above dx raises CflViolation.
     """
-    _check_cfl([problem], grid, np.array([t, t + dt]))
+    if _window is None:
+        _check_cfl([problem], grid, np.array([t, t + dt]))
     return _advance([problem], grid, u[None], t, dt, _window)[0]
 
 

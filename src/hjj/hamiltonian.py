@@ -12,9 +12,12 @@ nonincreasing parts used by the Godunov flux and the junction operator.
 EnvelopePair is its one implementation: both parts are cut from one
 evaluation of H, for every kind of Hamiltonian, one time or a frozen
 window, one problem or a batch, one minimiser or one per node.
-Catalog forms know their minimiser and minimum in closed form (CATALOG),
-and so the bounds on |H| and |dH/dp| that set the scheme's C2; any other
-Hamiltonian is minimised numerically. Problem files reach the catalog
+A Hamiltonian whose form is known carries it as a ClosedForm: H and its
+minimiser as functions of the coefficient values. These are the catalog
+forms (CATALOG), which also give the bounds on |H| and |dH/dp| that set
+the scheme's C2, and the induced Hamiltonian of every control edge of
+coefficient forms (control_system). Only a black box, or a callable
+control edge, is minimised numerically. Problem files reach the catalog
 through junction_problem.hamiltonian_from_config.
 """
 
@@ -64,9 +67,9 @@ class Hamiltonian:
                      (inf for a quadratic without a declared p_span)
     coercivity_radius  callable (t, x) -> initial bracket radius P with
                      H(t, x, +-P) > H(t, x, 0); doubling extends it if needed
-    form             catalog form name (closed forms in CATALOG), or None
-    coefficients     named coefficients (floats or TimeSignals) for catalog
-                     forms; drives exact window averaging and mollification
+    form             the ClosedForm of H in its coefficients, or None
+    coefficients     named coefficients (floats or TimeSignals) of the form;
+                     drives exact window averaging and mollification
     time_data        the TimeSignal coefficients; empty means the Hamiltonian
                      is declared time-independent
     x_independent    True when H ignores x (one split point serves all nodes)
@@ -77,6 +80,7 @@ class Hamiltonian:
                      declared lipschitz_p
     value_bound      callable (L, ys) -> a bound on |H| over |p| <= L; by
                      default |H(0, 0, 0)| + lipschitz_p L, a probe at the origin
+                     (|H(0, 0, 0)| alone at L = 0, also for lipschitz_p inf)
     """
 
     def __init__(
@@ -84,7 +88,7 @@ class Hamiltonian:
         evaluator: Callable,
         lipschitz_p: float,
         coercivity_radius=1.0,
-        form: str | None = None,
+        form: ClosedForm | None = None,
         coefficients: dict | None = None,
         time_data: dict | None = None,
         x_independent: bool = False,
@@ -133,7 +137,7 @@ class Hamiltonian:
     def value_bound(self, L: float, ys=None) -> float:
         """A bound on |H| over the slopes |p| <= L, at the edge nodes ys."""
         if self._value_bound is None:
-            return abs(float(self.evaluator(0.0, 0.0, 0.0))) + self.lipschitz_p * L
+            return abs(float(self.evaluator(0.0, 0.0, 0.0))) + (self.lipschitz_p * L if L else 0.0)
         return self._value_bound(L, ys)
 
     def eval_p(self, t: float, x, p: np.ndarray) -> np.ndarray:
@@ -215,12 +219,12 @@ def check_convexity(
 def argmin_p(h: Hamiltonian, t: float, x: float) -> tuple[float, float]:
     """Minimizer and minimum of p -> H(t, x, p).
 
-    Closed form for catalog forms, numeric_argmin for every other Hamiltonian.
+    Closed form when h has one, numeric_argmin for every other Hamiltonian.
     """
-    form = CATALOG.get(h.form)
+    form = h.form
     if form is None:
         return numeric_argmin(h, t, x)
-    p_hat, h_min = form.argmin(*form.values_at(h.coefficients, t))
+    p_hat, h_min, _ = _frozen(form, form.values_at(h.coefficients, t))
     return float(p_hat), float(h_min)
 
 
@@ -298,14 +302,15 @@ class EnvelopePair:
         h_plus  = where(p <= p_hat, h_min, vals)
         h_minus = where(p <= p_hat, vals, h_min)
 
-    EnvelopePair(h) splits h at each (t, x). A catalog form is frozen at
-    the coefficient values of t, looked up once per call; any other
-    Hamiltonian is split at argmin(t, x) -> (p_hat, h_min), by default
-    argmin_p, which runs once, here, when h ignores both t and x.
-    EnvelopePair(h, values=...) freezes h's catalog form at fixed
+    EnvelopePair(h) splits h at each (t, x). A closed form is frozen at
+    the coefficient values of t, looked up once per call, or once, here,
+    when h is time-independent; any other Hamiltonian is split at
+    argmin(t, x) -> (p_hat, h_min), by default argmin_p, which runs once,
+    here, when h ignores both t and x.
+    EnvelopePair(h, values=...) freezes h's closed form at fixed
     coefficient values, floats or (rows, 1) columns with one row per problem
-    of a batch, and ignores t and x. A frozen catalog form takes h_min =
-    form.h(p_hat), the minimum as the form computes it, so its split equals
+    of a batch, and ignores t and x. A frozen form takes h_min = H(p_hat),
+    the minimum as the form computes it, so a catalog split equals
     (form.h(max(p, p_hat)), form.h(min(p, p_hat))) bit for bit.
 
     speed     p -> |dH/dp| at the frozen values, for a form whose C2 holds
@@ -318,10 +323,12 @@ class EnvelopePair:
     def __init__(self, h: Hamiltonian, argmin: Callable | None = None,
                  values: tuple | None = None):
         self.h = h
-        self.values = values
         self.per_node = not h.x_independent
         self.speed = None
-        form = CATALOG.get(h.form)
+        form = h.form
+        if values is None and form is not None and argmin is None and h.time_independent:
+            values = form.values_at(h.coefficients, 0.0)
+        self.values = values
         if values is not None:
             frozen = _frozen(form, values)
             self._at = lambda t, x: frozen
@@ -386,31 +393,38 @@ def a0_floor(hamiltonians, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# catalog forms
+# closed forms
 
 class ClosedForm(NamedTuple):
-    """A catalog form: H and its minimiser as functions of coefficient values.
+    """H and its minimiser as functions of the coefficient values.
 
-    h(p_hat) is the minimum exactly, which EnvelopePair takes as h_min.
-    value_bound takes each coefficient's (lo, hi) range over time, slope_box
-    the coefficients themselves (floats or TimeSignals).
+    h(p_hat) is the minimum exactly, which argmin_p and EnvelopePair take
+    as h_min. value_bound takes each coefficient's (lo, hi) range over time,
+    slope_box the coefficients themselves (floats or TimeSignals); a form
+    without them leaves its bounds to its Hamiltonian. freeze, when given,
+    takes the place of argmin and does the work of fixed values once: a
+    frozen EnvelopePair keeps the H that it returns.
     """
 
     names: tuple
     h: Callable            # (p, *values) -> H(p)
-    argmin: Callable       # (*values) -> (p_hat, min H)
-    value_bound: Callable  # (L, *ranges) -> sup |H| over |p| <= L and every value
-    slope_box: Callable    # (M, *coefficients) -> (C2, source): |dH/dp| where H <= M
+    argmin: Callable | None  # (*values) -> (p_hat, min H); None with freeze
+    value_bound: Callable | None = None  # (L, *ranges) -> sup |H| over |p| <= L
+    slope_box: Callable | None = None    # (M, *coefficients) -> (C2, source) where H <= M
     speed: Callable | None = None  # (p, *values) -> |dH/dp|, where C2 holds only on a box
+    freeze: Callable | None = None  # (*values) -> (p_hat, p -> H(p))
 
     def values_at(self, coefficients: dict, t: float) -> tuple:
         return tuple(coeff_eval(coefficients[k], t) for k in self.names)
 
 
 def _frozen(form: ClosedForm, values: tuple) -> tuple:
-    """(p_hat, h_min, p -> H(p)) of a catalog form at fixed coefficient values."""
-    p_hat = form.argmin(*values)[0]
-    return p_hat, form.h(p_hat, *values), lambda p: form.h(p, *values)
+    """(p_hat, h_min, p -> H(p)) of a closed form at fixed coefficient values."""
+    if form.freeze is not None:
+        p_hat, H = form.freeze(*values)
+    else:
+        p_hat, H = form.argmin(*values)[0], lambda p: form.h(p, *values)
+    return p_hat, H(p_hat), H
 
 
 def _quadratic(p, a, b, c):
@@ -449,29 +463,30 @@ CATALOG = {
 }
 
 
-def _catalog(form: str, coefficients: dict, rebuild: Callable,
-             **metadata) -> Hamiltonian:
-    # Convex by construction, so the randomized convexity probe is skipped.
-    closed = CATALOG[form]
-    ranges = tuple(coeff_bounds(coefficients[k]) for k in closed.names)
+def closed_hamiltonian(closed: ClosedForm, coefficients: dict, rebuild: Callable,
+                       **metadata) -> Hamiltonian:
+    """The x-independent Hamiltonian of a closed form at named coefficients.
 
+    Convex by construction, so the randomized convexity probe is skipped.
+    Its speed and value bounds are the form's unless metadata gives them.
+    """
     def evaluator(t, x, p):
         return closed.h(p, *closed.values_at(coefficients, t))
 
     metadata.setdefault("speed_bound", lambda M, ys: closed.slope_box(
         M, *(coefficients[k] for k in closed.names)))
-    return Hamiltonian(evaluator, form=form, coefficients=coefficients,
-                       x_independent=True, rebuild=rebuild, validate=False,
-                       value_bound=lambda L, ys: closed.value_bound(L, *ranges),
-                       **metadata)
+    metadata.setdefault("value_bound", lambda L, ys: closed.value_bound(
+        L, *(coeff_bounds(coefficients[k]) for k in closed.names)))
+    return Hamiltonian(evaluator, form=closed, coefficients=coefficients,
+                       x_independent=True, rebuild=rebuild, validate=False, **metadata)
 
 
 def abs_shift(c) -> Hamiltonian:
     """H(p) = |p| + c, with c a float or TimeSignal."""
-    return _catalog("abs_shift", {"c": c},
-                    rebuild=lambda coeffs: abs_shift(coeffs["c"]),
-                    reflect=lambda: abs_shift(c),
-                    lipschitz_p=1.0, coercivity_radius=1.0)
+    return closed_hamiltonian(CATALOG["abs_shift"], {"c": c},
+                              rebuild=lambda coeffs: abs_shift(coeffs["c"]),
+                              reflect=lambda: abs_shift(c),
+                              lipschitz_p=1.0, coercivity_radius=1.0)
 
 
 def eikonal() -> Hamiltonian:
@@ -501,8 +516,8 @@ def quadratic(a, b, c, p_span: float | None = None) -> Hamiltonian:
         lip = 2.0 * a_hi * (p_span + b_abs)
         declared = {"speed_bound": lambda M, ys: (_quadratic_speed(a, p_span + b_abs),
                                                   f"declared p_span {p_span:g}")}
-    return _catalog(
-        "quadratic", {"a": a, "b": b, "c": c},
+    return closed_hamiltonian(
+        CATALOG["quadratic"], {"a": a, "b": b, "c": c},
         rebuild=lambda coeffs: quadratic(coeffs["a"], coeffs["b"], coeffs["c"],
                                          p_span=p_span),
         reflect=lambda: quadratic(a, neg_b, c, p_span=p_span),
@@ -516,7 +531,7 @@ def reflected(h: Hamiltonian) -> Hamiltonian:
     """The Hamiltonian seen through x -> -x (slopes negate).
 
     Used to carry one half-line of a two-edge problem into edge-local
-    coordinates. Catalog forms map to catalog forms, so coefficient averaging
+    coordinates. Closed forms map to closed forms, so coefficient averaging
     and mollification survive the reflection. Any other Hamiltonian keeps its
     declared speed and value bounds, read at the reflected nodes -ys when it
     depends on x.

@@ -128,9 +128,10 @@ class JunctionProblem:
 
         An x-dependent edge is bounded on the nodes that dx and radii give
         it (grid.edge_nodes), so it needs them. Computed once per problem
-        (and node set) and cached. An edge whose bound is not finite (a
-        black box with lipschitz_p inf and no speed_bound) raises
-        ConfigError naming the edge and its bound's source.
+        (and node set) and cached. An edge whose bound on |dH/dp| or on |H|
+        is not finite (a black box with lipschitz_p inf and no speed_bound
+        or value_bound) raises ConfigError naming the edge; M is taken over
+        the finite bounds on |H|.
         """
         return self._speed_bounds(dx, radii)[:2]
 
@@ -152,12 +153,15 @@ class JunctionProblem:
             key = (float(dx), tuple(len(ys) for ys in nodes))
         if key not in self._cfl:
             hams = [e.hamiltonian for e in self.edges]
+            values = [h.value_bound(self.lipschitz_u0, ys) for h, ys in zip(hams, nodes)]
             big_m = max([abs(self.flux_limiter.min()), abs(self.flux_limiter.max())]
-                        + [h.value_bound(self.lipschitz_u0, ys) for h, ys in zip(hams, nodes)])
+                        + [v for v in values if math.isfinite(v)])
             speeds, notes = zip(*(h.speed_bound(big_m, ys) for h, ys in zip(hams, nodes)))
-            for i, (speed, note) in enumerate(zip(speeds, notes)):
+            for i, (value, speed, note) in enumerate(zip(values, speeds, notes)):
                 if not isinstance(speed, TimeSignal) and not math.isfinite(speed):
                     raise ConfigError(f"edge {i} has no finite speed bound for C2: {note}")
+                if not math.isfinite(value):
+                    raise ConfigError(f"edge {i} has no finite bound on |H| for C2: got {value}")
             sigs = [s if isinstance(s, TimeSignal) else constant(s, self.horizon) for s in speeds]
             i = max(range(self.n_edges), key=lambda k: sigs[k].max())
             self._cfl[key] = (sigs[i].max(), f"{notes[i]} on edge {i}", upper_envelope(sigs))
@@ -197,12 +201,6 @@ class JunctionProblem:
         for e in self.edges:
             sigs.extend(e.hamiltonian.time_data.values())
         return sigs
-
-    def to_line(self) -> tuple[Hamiltonian, Hamiltonian]:
-        """Whole-line Hamiltonians (right half, left half) of a line problem."""
-        if not self.line_convention:
-            raise ValueError("not a whole-line problem")
-        return self.edges[0].hamiltonian, reflected(self.edges[1].hamiltonian)
 
 
 def from_line(

@@ -125,9 +125,6 @@ class TimeSignal:
     def max(self) -> float:
         return float(self.values.max())
 
-    def total_variation(self) -> float:
-        return float(np.sum(np.abs(np.diff(self.values))))
-
     def mollify(self, eps: float) -> "TimeSignal":
         """Window-average approximant, sampled on a mesh of width <= eps/4.
 

@@ -71,6 +71,26 @@ def frozen(h: Hamiltonian, a: float, b: float) -> Hamiltonian:
     return h.with_coefficients({k: coeff_average(v, a, b) for k, v in h.coefficients.items()})
 
 
+def record_line_max(monkeypatch) -> list:
+    """(speeds, costs, shape of p) of every later call of control_system._line_max.
+
+    That function is how every H of control-form lines is evaluated: by an
+    induced evaluator over all lines, and by a frozen EnvelopePair over the
+    lines it keeps. The recorded arrays stay alive, so ids tell pairs apart.
+    """
+    import hjj.control_system as control_system_module
+
+    calls = []
+    real = control_system_module._line_max
+
+    def recorded(speeds, costs, p):
+        calls.append((speeds, costs, np.shape(p)))
+        return real(speeds, costs, p)
+
+    monkeypatch.setattr(control_system_module, "_line_max", recorded)
+    return calls
+
+
 def zero_datum(x: float) -> float:
     return 0.0
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import hjj.cli
+import hjj.hamiltonian as hamiltonian_module
 from hjj import (ControlEdge, ControlSystem, grid_for, oracle_grid, problem_from_config,
                  smoothing_ladder, value_function)
 from hjj.cli import main
@@ -251,6 +253,48 @@ def test_r_domain_from_config_controls_the_grid(tmp_path: Path):
                  "--R-domain", "2.0", "--out", str(out2)]) == 0
     xs2 = {x for (_, x) in _read_field(out2 / "field.csv")}
     assert max(xs2) == 2.0
+
+
+def test_the_r_domain_flag_does_not_hide_a_malformed_entry(tmp_path: Path, capsys):
+    problem = _write(tmp_path, _step_config(R_domain="x"))
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", problem, "--dx", "0.1", "--R-domain", "1",
+               "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("configuration error: R_domain")
+
+
+def _digest_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_no_problem_file_needs_the_numeric_argmin(tmp_path: Path, monkeypatch):
+    """Every Hamiltonian a file describes has a closed form, so no command searches.
+
+    The model problem (constant control forms) and the digest tool's
+    time-dependent control problem, through solve, compare, approx and
+    validate; a black box shows that the counter sees a search.
+    """
+    calls = []
+    real = hamiltonian_module.numeric_argmin
+    monkeypatch.setattr(hamiltonian_module, "numeric_argmin",
+                        lambda h, t, x: calls.append((t, x)) or real(h, t, x))
+    tool = _digest_tool()
+    for name, cfg in (("model", tool._problems().model_problem()), ("tdc", tool.TDC)):
+        problem = _write(tmp_path, cfg, f"{name}.json")
+        for command in ("solve", "compare", "approx", "validate"):
+            argv = [command, "--problem", problem, "--out", str(tmp_path / name / command)]
+            assert main(argv + ([] if command == "validate" else ["--dx", "0.05"])) == 0
+    assert calls == []
+    box = hamiltonian_module.Hamiltonian(lambda t, x, p: np.abs(p) - 1.0, lipschitz_p=1.0,
+                                         x_independent=True)
+    hamiltonian_module.argmin_p(box, 0.0, 0.0)
+    assert calls == [(0.0, 0.0)]
 
 
 def test_seed_option_is_accepted_by_validate(tmp_path: Path):

@@ -18,10 +18,12 @@ from hjj import (
     induced_hamiltonian,
     reflected,
 )
-from hjj.control_system import undominated
-from hjj.errors import ConfigError, NoAdmissibleControl
+from hjj.control_system import line_argmin, undominated
+from hjj.errors import BracketFailure, ConfigError, NoAdmissibleControl
+from hjj.hamiltonian import argmin_p, numeric_argmin
+from hjj.time_signal import coeff_average
 
-from conftest import build_model_system, frozen
+from conftest import build_model_system, random_control_system, record_line_max
 
 
 def _affine_closed_form(c0: float, c1: float, d0: float, d1: float, p):
@@ -147,11 +149,13 @@ def test_restricted_envelope_raises_without_admissible_side():
 
 def test_form_averaging_is_exact_for_time_signal_coefficients():
     c0 = TimeSignal(np.array([0.0, 0.25, 1.0]), np.array([1.0, -1.0]))
-    form = ControlForm(c0=c0, c1=1.0)
-    alphas = np.array([-1.0, 0.0, 1.0])
-    got = form.averaged(0.0, 1.0).eval(0.0, alphas)
-    want = c0.average(0.0, 1.0) + alphas
-    assert np.max(np.abs(got - want)) <= 1e-14
+    edges = [control_edge(ControlForm(c0=c0, c1=2.0), ControlForm(c0=1.0), -1.0, 1.0, n=9)
+             for _ in range(2)]
+    cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0)
+    alphas = edges[0].controls
+    want = c0.average(0.0, 1.0) + 2.0 * alphas
+    for got in (cs.local_f_avg(0, 0.0, 1.0), cs.local_window_tables(0, [0.0, 1.0])[0][0]):
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_local_f_avg_matches_manual_window_average():
@@ -305,17 +309,21 @@ def _random_edge(rng: np.random.Generator) -> ControlEdge:
     return ControlEdge(f, l, rng.choice(grid, int(rng.integers(1, 30))))
 
 
-def test_pruned_induced_evaluator_equals_the_full_maximum():
-    """The evaluator against max_k [f_k p - l_k] over every sampled control.
+def test_pruned_induced_evaluator_equals_the_full_maximum(monkeypatch):
+    """A frozen induced pair's H against max_k [f_k p - l_k] over every sampled control.
 
-    The values agree bit for bit, except that a zero maximum may change its
-    sign when some cost is exactly zero: only such a line can be -0.0, and
-    np.max returns the last of tied zeros.
+    The evaluator is that full maximum. The frozen pair evaluates only the
+    undominated lines, and its split gives H back as where(p <= p_hat,
+    h_minus, h_plus). The values agree bit for bit, except that a zero
+    maximum may change its sign when some cost is exactly zero: only such a
+    line can be -0.0, and np.max returns the last of tied zeros. Speeds of
+    one sign leave H without a minimum, and the pair without a split.
     """
     rng = np.random.default_rng(83)
     special = np.array([0.0, -0.0, 1e300, -1e300, 1e-320, -1e-320,
                         0.5, -0.5, 1.0, -1.0, 4.0, -4.0])
-    pruned = 0
+    calls = record_line_max(monkeypatch)
+    pruned = one_sided = 0
     for _ in range(400):
         edge = _random_edge(rng)
         h = edge_hamiltonian(edge)
@@ -325,34 +333,140 @@ def test_pruned_induced_evaluator_equals_the_full_maximum():
             p = np.concatenate((special, rng.normal(0.0, 3.0, 16),
                                 rng.choice(np.linspace(-4.0, 4.0, 33), 16)))
             want = np.max(np.multiply.outer(speeds, p) - costs[:, None], axis=0)
-            got = hs.evaluator(0.0, 0.0, p)
+            assert hs.evaluator(0.0, 0.0, p).tobytes() == want.tobytes()
+            if not (np.any(speeds < 0.0) and np.any(speeds > 0.0)):
+                with pytest.raises(BracketFailure):
+                    EnvelopePair(hs)
+                one_sided += 1
+                continue
+            pair = EnvelopePair(hs)
+            del calls[:]
+            plus, minus = pair.split(0.0, 0.0, p)
+            got = np.where(p <= pair.p_hat(0.0, 0.0), minus, plus)
             assert np.array_equal(got, want)
             if not np.any(costs == 0.0):
                 assert got.tobytes() == want.tobytes()
-            pruned += len(speeds) - len(_lines(hs)[0])
-    assert pruned > 0
+            (kept, _, _), = calls
+            pruned += len(speeds) - len(kept)
+    assert pruned > 0 and one_sided > 0
 
 
-def _lines(h):
-    """The (speeds, costs) lines that an induced evaluator takes the maximum of."""
-    cells = dict(zip(h.evaluator.__code__.co_freevars, h.evaluator.__closure__))
-    return cells["fixed"].cell_contents
+def test_model_system_evaluator_reduces_over_five_lines(monkeypatch):
+    """f = a, l = 1 on 21 controls: only a in {-1, -0.1, 0, 0.1, 1} can set H.
 
-
-def test_model_system_evaluator_reduces_over_five_lines():
-    """f = a, l = 1 on 21 controls: only a in {-1, -0.1, 0, 0.1, 1} can set H."""
+    A frozen pair of the induced Hamiltonian, its reflection and its rebuild
+    evaluates those 5 lines, and splits at p_hat = 0 with h_min = -1.
+    """
     h = induced_hamiltonian(build_model_system(0.0), 0)
+    calls = record_line_max(monkeypatch)
     for hs, sign in ((h, 1.0), (reflected(h), -1.0),
                      (h.with_coefficients(h.coefficients), 1.0)):
-        speeds, costs = _lines(hs)
-        assert np.allclose(sign * speeds, [-1.0, -0.1, 0.0, 0.1, 1.0], rtol=0.0, atol=1e-12)
-        assert costs.tolist() == [1.0] * 5
+        del calls[:]
+        pair = EnvelopePair(hs)
+        pair.split(0.0, 0.0, np.linspace(-2.0, 2.0, 9))
+        assert len(calls) == 2  # h_min = H(p_hat), then the split
+        for speeds, costs, _ in calls:
+            assert np.allclose(sign * speeds, [-1.0, -0.1, 0.0, 0.1, 1.0], rtol=0.0, atol=1e-12)
+            assert costs.tolist() == [1.0] * 5
+        assert (pair.p_hat(0.0, 0.0), pair.h_min(0.0, 0.0)) == (0.0, -1.0)
 
 
-def test_window_rebuilds_of_a_time_dependent_edge_are_pruned():
+def test_window_rebuilds_of_a_time_dependent_edge_are_pruned(monkeypatch):
+    """Frozen at each window's averaged coefficients, one window or three as rows, 5 lines."""
     speed = TimeSignal(np.array([0.0, 0.4, 1.0]), np.array([1.0, 2.0]))
     edge = control_edge(ControlForm(c1=speed), ControlForm(c0=1.0), -1.0, 1.0, n=21)
     h = edge_hamiltonian(edge)
     assert not h.time_independent
-    for a, b in ((0.0, 0.1), (0.3, 0.5), (0.6, 1.0)):
-        assert len(_lines(frozen(h, a, b))[0]) == 5
+    windows = ((0.0, 0.1), (0.3, 0.5), (0.6, 1.0))
+    averages = [[coeff_average(h.coefficients[k], a, b) for k in h.form.names]
+                for a, b in windows]
+    calls = record_line_max(monkeypatch)
+    for values in [*averages, [np.reshape(col, (-1, 1)) for col in zip(*averages)]]:
+        del calls[:]
+        EnvelopePair(h, values=tuple(values))
+        (speeds, _, _), = calls
+        assert len(speeds) == 5
+
+
+def _brute_minimum(speeds, costs) -> tuple[float, float]:
+    """(min, the middle of the argmin) of p -> max_k [v_k p - l_k], from the LP dual.
+
+    The minimum is the best of every zero-speed line and every crossing of a
+    line with v < 0 and one with v > 0; H stays below it on the interval
+    where each line of either sign does.
+    """
+    v, l = np.asarray(speeds, dtype=float), np.asarray(costs, dtype=float)
+    neg, pos = v < 0.0, v > 0.0
+    vi, li = v[neg][:, None], l[neg][:, None]
+    p = (l[pos] - li) / (v[pos] - vi)
+    best = float(np.max(v[pos] * p - l[pos]))
+    if np.any(v == 0.0):
+        best = max(best, float(np.max(-l[v == 0.0])))
+    lo, hi = np.max((best + l[neg]) / v[neg]), np.min((best + l[pos]) / v[pos])
+    return best, 0.5 * (lo + hi)
+
+
+def _random_lines(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Lines of both signs of speed: repeated speeds, tied costs, zero speeds, flat bottoms."""
+    k = int(rng.integers(3, 40))
+    if rng.random() < 0.5:
+        speeds = rng.choice(np.linspace(-2.0, 2.0, 9), k)
+        costs = rng.choice(np.linspace(-1.0, 2.0, 7), k)
+    else:
+        speeds, costs = rng.normal(0.0, 1.0, k), rng.normal(0.0, 1.0, k)
+    speeds[:2] = -abs(speeds[0]) - 0.1, abs(speeds[1]) + 0.1
+    if rng.random() < 0.3:  # a cheap zero-speed control sets a flat bottom
+        speeds[2], costs[2] = 0.0, float(np.min(costs)) - rng.uniform(0.0, 1.0)
+    return speeds, costs
+
+
+def test_line_argmin_matches_a_brute_force_dual_over_every_sign_pair():
+    rng = np.random.default_rng(97)
+    flat = 0
+    for _ in range(2000):
+        speeds, costs = _random_lines(rng)
+        p_hat = line_argmin(speeds, costs)
+        best, middle = _brute_minimum(speeds, costs)
+        h_min = float(np.max(speeds * p_hat - costs))
+        assert abs(h_min - best) <= 1e-9 * max(1.0, abs(best))
+        assert abs(p_hat - middle) <= 1e-9 * max(1.0, abs(middle))
+        flat += bool(np.any(-costs[speeds == 0.0] > best - 1e-12))
+    assert flat > 100
+    for speeds in ([0.5, 1.0, 0.0], [-1.0, -0.5], [0.0, 0.0], [2.0]):
+        with pytest.raises(BracketFailure):
+            line_argmin(speeds, np.ones(len(speeds)))
+
+
+def test_a_frozen_form_edge_minimises_each_row_of_its_columns():
+    """(rows, 1) coefficient columns: row r splits at the minimiser of the lines at time r."""
+    rng = np.random.default_rng(101)
+    for _ in range(40):
+        cs = random_control_system(rng, horizon=1.0)
+        h = induced_hamiltonian(cs, 0)
+        ts = np.sort(rng.uniform(0.0, 1.0, 6))
+        cols = tuple(np.reshape(v, (-1, 1)) * np.ones((len(ts), 1))
+                     for v in h.form.values_at(h.coefficients, ts))
+        pair = EnvelopePair(h, values=cols)
+        p_hat, h_min = pair.p_hat(0.0, 0.0), pair.h_min(0.0, 0.0)
+        assert p_hat.shape == h_min.shape == (len(ts), 1)
+        edge = cs.edges[0]
+        for r, t in enumerate(ts):
+            best, middle = _brute_minimum(edge.f.eval(t, edge.controls),
+                                          edge.l.eval(t, edge.controls))
+            assert abs(h_min[r, 0] - best) <= 1e-9 * max(1.0, abs(best))
+            assert abs(p_hat[r, 0] - middle) <= 1e-9 * max(1.0, abs(middle))
+
+
+def test_the_closed_form_minimum_agrees_with_numeric_argmin():
+    """h_min within 1e-9 of the numeric search's, whose p_hat is a 1e-9-minimiser."""
+    rng = np.random.default_rng(103)
+    for _ in range(25):
+        cs = random_control_system(rng, horizon=1.0, n_edges=int(rng.integers(2, 4)))
+        for i in range(len(cs.edges)):
+            h = induced_hamiltonian(cs, i)
+            for t in rng.uniform(0.0, 1.0, 3):
+                p_hat, h_min = argmin_p(h, float(t), 0.0)
+                num_p, num_min = numeric_argmin(h, float(t), 0.0)
+                assert abs(h_min - num_min) <= 1e-9
+                assert h.evaluator(float(t), 0.0, num_p) <= h_min + 1e-9
+                assert h.evaluator(float(t), 0.0, p_hat) == h_min

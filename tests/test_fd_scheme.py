@@ -35,11 +35,11 @@ from hjj import (
 )
 from hjj.errors import CflViolation, ConfigError, NumericalFailure
 from hjj.fd_scheme import _advance, _windows
-from hjj.hamiltonian import numeric_argmin
+from hjj.hamiltonian import CATALOG, numeric_argmin
 from hjj.time_signal import coeff_window_averages
 
 from conftest import (bench_tdq_problem, frozen, random_control_system, random_tdq_problem,
-                      zero_datum)
+                      record_line_max, zero_datum)
 
 
 def _line_problem(a_value: float, u0=zero_datum, lip: float = 0.0,
@@ -364,7 +364,11 @@ def test_solve_matches_the_reference_on_control_induced_edges():
 
 
 def test_step_evaluates_each_non_catalog_edge_once(monkeypatch):
-    """One H(q) per control-induced edge gives its flux, outflow and junction terms."""
+    """One H(q) per control-induced edge gives its flux, outflow and junction terms.
+
+    Each pair of the window is split once, and the two frozen control pairs
+    evaluate their lines once each (the eikonal pair is |p| - 1).
+    """
     base = _control_induced_problem()
     prob = JunctionProblem(
         edges=[*base.edges, Edge(eikonal())],
@@ -378,17 +382,17 @@ def test_step_evaluates_each_non_catalog_edge_once(monkeypatch):
     u = grid.sample(prob.initial_data)
     for n in (0, grid.steps // 2, grid.steps - 1):
         window = at(n)
-        assert window[1][2].h.form == "abs_shift" and window[1][2].values is not None
-        calls = []
-        for i, env in enumerate(window[1][:2]):
-            def counted(t, x, p, _i=i, _h=env.h.evaluator):
-                calls.append(_i)
-                return _h(t, x, p)
-            monkeypatch.setattr(env.h, "evaluator", counted)
+        assert window[1][2].h.form is CATALOG["abs_shift"] and window[1][2].values is not None
+        splits = []
+        real_split = EnvelopePair.split
+        monkeypatch.setattr(EnvelopePair, "split",
+                            lambda pair, t, x, p: splits.append(pair) or real_split(pair, t, x, p))
+        lines = record_line_max(monkeypatch)
         t = float(grid.times[n])
         step(prob, grid, u, t, float(grid.times[n + 1]) - t, _window=window)
         monkeypatch.undo()
-        assert sorted(calls) == [0, 1]
+        assert sorted(map(id, splits)) == sorted(map(id, window[1]))
+        assert len(lines) == 2 and lines[0][0] is not lines[1][0]
 
 
 def _x_dependent_problem(limiter: TimeSignal) -> JunctionProblem:
@@ -445,22 +449,22 @@ def test_batched_march_equals_per_problem_solve_bit_for_bit(problems):
 
 
 def test_batched_march_evaluates_a_shared_edge_once_per_step(monkeypatch):
-    """The time-independent edge every smoothed problem keeps is one H call per step."""
+    """The time-independent edge every smoothed problem keeps is one H call per step.
+
+    Its pair is frozen once per march, so every step evaluates the same
+    lines, once, on the slopes of the whole batch.
+    """
     problems = _ladder(_control_induced_problem())
     h = problems[0].edges[0].hamiltonian
     assert all(p.edges[0].hamiltonian is h for p in problems)
-    calls = []
-    real = h.evaluator
-
-    def counted(t, x, p):
-        calls.append(np.shape(p))
-        return real(t, x, p)
-
-    monkeypatch.setattr(h, "evaluator", counted)
     grid = grid_for(problems[0], 0.05, 1.0)
+    calls = record_line_max(monkeypatch)
     solve_many(problems, grid)
     m = len(grid.edge_y(0)) - 1
-    assert calls == [(len(problems) * m,)] * grid.steps
+    by_lines = {}
+    for speeds, _, shape in calls:
+        by_lines.setdefault(id(speeds), []).append(shape)
+    assert [(len(problems), m)] * grid.steps in by_lines.values()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -528,7 +532,7 @@ def _achieved_cfl(problem: JunctionProblem, field) -> float:
     for i, edge in enumerate(problem.edges):
         h = edge.hamiltonian
         q = np.diff(field.values[:-1][:, grid.edge_full_indices(i)], axis=1) / grid.dx
-        if h.form == "quadratic":
+        if h.form is CATALOG["quadratic"]:
             a, b = (coeff_window_averages(h.coefficients[k], grid.times)[:, None] for k in "ab")
             speed = 2.0 * a * np.abs(q - b)
         else:

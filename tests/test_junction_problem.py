@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from hjj import (
     induced_problem,
     problem_from_config,
     quadratic,
+    reflected,
     validate,
 )
 from hjj.errors import ConfigError, FluxLimiterBelowFloor
@@ -69,7 +72,7 @@ def test_line_round_trip_preserves_junction_values():
     rng = np.random.default_rng(19)
     prob = from_line(quadratic(1.0, 0.5, -1.0), quadratic(2.0, -0.3, 0.0),
                      constant(-0.5, 1.0), zero_datum, 0.0, 1.0)
-    h_right, h_left = prob.to_line()
+    h_right, h_left = prob.edges[0].hamiltonian, reflected(prob.edges[1].hamiltonian)
     rebuilt = from_line(h_right, h_left, prob.flux_limiter, zero_datum, 0.0, 1.0)
     for _ in range(50):
         slopes = rng.uniform(-3.0, 3.0, size=2)
@@ -317,6 +320,29 @@ def test_an_edge_without_a_finite_speed_bound_is_refused_by_name():
         grid_for(prob, 0.1, 1.0)
     item = validate(prob).items[-1]
     assert (item.name, item.passed, item.detail) == ("cfl_speed", True, msg)
+
+
+@pytest.mark.parametrize("declared", [False, True])
+def test_an_edge_without_a_finite_value_bound_is_refused_by_name(declared):
+    """A black box with lipschitz_p inf and no value_bound, beside a quadratic.
+
+    At L = 1 its bound on |H| is inf: C2 names the black box (its speed
+    bound, or, when it declares one, its value bound) and not the quadratic,
+    whose slope box that inf would blow up. At L = 0 the bound is |H(0)|.
+    """
+    box = _black_box(**({"speed_bound": lambda M, ys: (3.0, "declared 3")} if declared else {}))
+    prob = from_line(quadratic(1.0, 0.0, -1.0), box, constant(0.0, 1.0), abs, 1.0, 1.0)
+    msg = ("edge 1 has no finite bound on |H| for C2: got inf" if declared
+           else "edge 1 has no finite speed bound for C2: declared lipschitz_p inf")
+    with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+        prob.cfl_speed()
+    assert box.value_bound(0.0) == 1.0
+    flat = from_line(quadratic(1.0, 0.0, -1.0), box, constant(0.0, 1.0), zero_datum, 0.0, 1.0)
+    if declared:
+        assert flat.cfl_speed() == (3.0, "declared 3 on edge 1")
+    else:
+        with pytest.raises(ConfigError, match="^edge 1 has no finite speed bound"):
+            flat.cfl_speed()
 
 
 def _step_or_float(rng: np.random.Generator, lo: float, hi: float):

@@ -1,15 +1,16 @@
 """Print the sha1 prefixes of the checked CLI artifacts.
 
 Writes the benchmark's problem files (tdq seeds 41 and 98 and the model
-problem, drawn by perfbench/problems.py) into a temporary directory, runs
-each command below in a fresh `python -m hjj.cli` process with
-PYTHONPATH=src, and prints one `<sha1[:8]> <artifact>` line per artifact,
-in this fixed order:
+problem, drawn by perfbench/problems.py) and the time-dependent control
+problem TDC below into a temporary directory, runs each command below in a
+fresh `python -m hjj.cli` process with PYTHONPATH=src, and prints one
+`<sha1[:8]> <artifact>` line per artifact, in this fixed order:
 
     model-compare compare.json at dx 0.008, 0.004 and 0.002
     tdq-solve field.csv, seeds 41 and 98 (dx 0.02)
     tdq-approx approx.json, seeds 41 and 98 (dx 0.04)
     hjj value field.csv on the model (dx 0.01)
+    tdc-solve field.csv (dx 0.02) and tdc-approx approx.json (dx 0.04)
 
     python tools/artifact_digests.py            # print the prefixes
     python tools/artifact_digests.py --check    # and compare them with RUNS
@@ -44,7 +45,39 @@ RUNS = [
     ("tdq-approx seed=41", "tdq41", "approx", "0.04", "approx.json", "c9892001"),
     ("tdq-approx seed=98", "tdq98", "approx", "0.04", "approx.json", "63f7fe84"),
     ("model-value dx=0.01", "model", "value", "0.01", "field.csv", "3df70b7f"),
+    ("tdc-solve dx=0.02", "tdc", "solve", "0.02", "field.csv", "ef5c664e"),
+    ("tdc-approx dx=0.04", "tdc", "approx", "0.04", "approx.json", "275853b6"),
 ]
+
+
+def _step(breakpoints: list, values: list) -> dict:
+    return {"breakpoints": breakpoints, "values": values}
+
+
+# A line control system whose speeds and costs change in time: on edge 0
+# f = b(t) a and l = c(t) + a^2 / 2, on edge 1 f = a and l = d(t) + e(t) a^2,
+# with 21 controls in [-1, 1] each, a step parking cost l0 and datum |x| / 2.
+# Both edges carry step signals in their forms, so the scheme route freezes
+# them window by window; the model problem's edges are constant.
+TDC = {
+    "schema": "hjj/1",
+    "T": 1.0,
+    "R_domain": 2.0,
+    "control_system": {
+        "edges": [
+            {"f": {"c1": _step([0.0, 0.3, 0.7, 1.0], [1.0, 1.6, 0.8])},
+             "l": {"c0": _step([0.0, 0.5, 1.0], [0.5, 1.0]), "c2": 0.5},
+             "controls": {"min": -1.0, "max": 1.0, "n": 21}},
+            {"f": {"c1": 1.0},
+             "l": {"c0": _step([0.0, 0.4, 1.0], [1.0, 0.2]),
+                   "c2": _step([0.0, 0.6, 1.0], [0.5, 1.0])},
+             "controls": {"min": -1.0, "max": 1.0, "n": 21}},
+        ],
+        "junction": {"l0": _step([0.0, 0.25, 1.0], [0.3, -0.2]), "A0": -1.0},
+        "delta": 0.8,
+    },
+    "u0": {"form": "abs", "scale": 0.5},
+}
 
 
 def moved(printed: dict) -> list:
@@ -67,7 +100,8 @@ def main(argv: list) -> int:
         return 2
     problems = _problems()
     configs = {"model": problems.model_problem(),
-               "tdq41": problems.tdq_problem(41), "tdq98": problems.tdq_problem(98)}
+               "tdq41": problems.tdq_problem(41), "tdq98": problems.tdq_problem(98),
+               "tdc": TDC}
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         for stem, cfg in configs.items():
