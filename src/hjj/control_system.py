@@ -43,7 +43,7 @@ from .errors import BracketFailure, EmptyControlSet, NoAdmissibleControl
 from .grid import edge_nodes
 from .hamiltonian import ClosedForm, Hamiltonian, closed_hamiltonian, elementwise
 from .time_signal import (TimeSignal, coeff_average, coeff_bounds, coeff_eval,
-                          coeff_window_averages)
+                          coeff_window_averages, on_horizon, union_mesh, upper_envelope)
 
 __all__ = [
     "ControlForm",
@@ -135,6 +135,10 @@ class ControlEdge:
     (per node), at t = 0. There, time dependence must come through
     ControlForm signals. The value function evaluates a callable at each
     window's midpoint.
+
+    speed_signal sizes the time steps of both routes: max|f| on each cell
+    of a form's TimeSignals, and for a callable one bound at t = 0 on the
+    grid's nodes, which the Bellman update checks again on every window.
     """
 
     f: object  # ControlForm or callable (t, x, a)
@@ -157,6 +161,19 @@ class ControlEdge:
         A callable f is evaluated at t = 0 at the array of positions xs.
         """
         return _abs_max(self.f, self.controls, xs)
+
+    def speed_signal(self, xs=None):
+        """max |f| over the controls at each time, where f's TimeSignals give it.
+
+        A form with TimeSignal coefficients gives a TimeSignal, max_k |f_k|
+        on each cell of their union mesh. Any other f gives speed_bound's
+        float.
+        """
+        if not (_is_form(self.f) and self.f.signals()):
+            return self.speed_bound(xs)
+        mesh = union_mesh(list(self.f.signals().values()))
+        mids = 0.5 * (mesh[:-1] + mesh[1:])
+        return TimeSignal(mesh, np.max(np.abs(self.f.eval(mids[:, None], self.controls)), axis=1))
 
     def cost_bound(self, xs=None) -> float:
         """max |l|, in the same way as speed_bound."""
@@ -270,15 +287,21 @@ class ControlSystem:
             return [None] * len(self.edges)
         return [self.sign(i) * ys for i, ys in enumerate(edge_nodes(dx, radii))]
 
-    def max_speed(self, dx: float | None = None, radii=None) -> float:
-        """max over edges of max|f_i| over the controls, at the nodes dx and radii give.
+    def speed_signal(self, horizon: float, dx: float | None = None, radii=None) -> TimeSignal:
+        """C2(t) on [0, horizon]: the largest edge's ControlEdge.speed_signal at each time.
 
-        A callable f needs them; a system of forms alone does not.
+        A signal that runs past horizon is cut there (time_signal.on_horizon).
+        A callable f is bounded at t = 0 at the nodes dx and radii give, and
+        needs them; a system of forms alone does not.
         """
-        return max(e.speed_bound(xs) for e, xs in zip(self.edges, self._positions(dx, radii)))
+        return upper_envelope([on_horizon(e.speed_signal(xs), horizon)
+                               for e, xs in zip(self.edges, self._positions(dx, radii))])
 
     def cost_bound(self, dx: float | None = None, radii=None) -> float:
-        """L = max over edges of max|l_i| over the controls, in the same way as max_speed."""
+        """L = max over edges of max|l_i| over the controls and every coefficient value.
+
+        A callable l is bounded at t = 0 at the nodes dx and radii give.
+        """
         return max(e.cost_bound(xs) for e, xs in zip(self.edges, self._positions(dx, radii)))
 
     def abar_bound(self) -> float:
@@ -446,10 +469,9 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
     radius = (float(np.max(costs)) - float(np.min(costs)) + 1.0) / max(delta, 1e-9)
     what = f"max|f| over {len(controls)} controls"
 
-    def speed_bound(M, ys):  # a callable is bounded at t = 0 on the edge's nodes
-        if _is_form(f):
-            return lip, what
-        return edge.speed_bound(None if ys is None else sign * ys), f"{what} and {len(ys)} nodes"
+    def speed_bound(M, ys):  # per cell of f's signals; a callable at t = 0 on the edge's nodes
+        speed = edge.speed_signal(None if ys is None else sign * ys)
+        return speed, what if _is_form(f) else f"{what} and {len(ys)} nodes"
 
     def value_bound(L, ys):
         xs = None if ys is None else sign * ys

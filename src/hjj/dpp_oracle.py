@@ -7,9 +7,10 @@ interpolation in space. A march tabulates those averages once, one
 (windows x controls) table per edge and quantity, and each update gathers
 the departure points of all controls of an edge with one interpolation
 call. Transitions never jump across the junction inside a
-window (the step restriction dt * max|f| <= dx keeps departure points inside
-one cell), so a crossing trajectory passes through the junction node and the
-running cost switches regime exactly there. Parking at the junction costs
+window (the step restriction, an integral of max|f| of at most dx over
+each window, keeps departure points inside one cell), so a crossing
+trajectory passes through the junction node and the running cost switches
+regime exactly there. Parking at the junction costs
 -A(t) per unit time, A = max(-l0, A0).
 
 The tables keep only the columns of controls that are undominated
@@ -45,7 +46,7 @@ import numpy as np
 
 from .control_system import ControlForm, ControlSystem, flux_limiter, undominated
 from .errors import BudgetExceeded, CflViolation, NoAdmissibleControl, NumericalFailure
-from .grid import Grid, SolutionField, edge_data, make_grid
+from .grid import Grid, SolutionField, check_cfl, edge_data, make_grid
 from .time_signal import TimeSignal
 
 __all__ = [
@@ -59,15 +60,16 @@ __all__ = [
 
 def oracle_grid(cs: ControlSystem, dx: float, horizon: float, r_domain: float,
                 dt: float | None = None, cfl_safety: float = 0.5) -> Grid:
-    """Grid of radius r_domain per edge with C2 = max|f| (ControlSystem.max_speed).
+    """make_grid on [0, horizon], radius r_domain per edge, with C2(t) = max|f| at each time.
 
     For a caller that holds only a control system; grid_for on its induced
-    problem builds the same grid. max|f| is taken over the controls and, for
-    a callable f, on the grid's nodes at t = 0. dt defaults to
-    cfl_safety * dx / C2, as make_grid sets it.
+    problem builds the same grid. C2 is ControlSystem.speed_signal: max|f|
+    over the controls per cell of f's signals, cut to the horizon, and at
+    t = 0 on the grid's nodes for a callable f. Without dt each window holds
+    an integral of C2 of at most cfl_safety * dx.
     """
     radii = [r_domain] * len(cs.edges)
-    return make_grid(dx, horizon, radii, c2=cs.max_speed(dx, radii),
+    return make_grid(dx, horizon, radii, c2=cs.speed_signal(horizon, dx, radii),
                      dt=dt, cfl_safety=cfl_safety)
 
 
@@ -168,7 +170,7 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
             f"no admissible transition reaches node {node} on [{a}, {b}]")
     if too_fast is not None:
         node, speed = too_fast
-        bound = cs.max_speed(grid.dx, grid.edge_radii)
+        bound = cs.speed_signal(grid.horizon, grid.dx, grid.edge_radii).max()
         raise CflViolation(
             f"dt={dtn:.6g} exceeds dx/|f|={grid.dx / speed:.6g} at node {node} "
             f"on [{a}, {b}]: the speed bound {bound:.6g} understates "
@@ -194,17 +196,14 @@ def value_function(cs: ControlSystem, u0, grid: Grid) -> SolutionField:
     u0 is a per-edge list of edge-local data, such as a problem's
     initial_data, or one function: the whole-line datum for the line
     convention, a function of the local coordinate for stars. The grid (from
-    oracle_grid, grid_for or make_grid) must satisfy dt max|f| <= dx, with
-    max|f| taken on its nodes; any grid that does not raises CflViolation
-    before the march. The a-priori sup bound (2L + Abar) T + sup|u0| is
-    asserted on the result, with T the grid's horizon and L = sup|l| over
-    the controls and the grid's nodes.
+    oracle_grid, grid_for or make_grid) must hold an integral of
+    ControlSystem.speed_signal of at most dx on each window (grid.check_cfl,
+    as the scheme checks it), with max|f| taken on its nodes; any grid that
+    does not raises CflViolation before the march. The a-priori sup bound
+    (2L + Abar) T + sup|u0| is asserted on the result, with T the grid's
+    horizon and L = sup|l| over the controls and the grid's nodes.
     """
-    dt_max = float(np.max(np.diff(grid.times)))
-    c2 = cs.max_speed(grid.dx, grid.edge_radii)
-    if dt_max * c2 > grid.dx * (1.0 + 1e-9):
-        raise CflViolation(
-            f"dt={dt_max:.6g} exceeds dx/max|f|={grid.dx / c2:.6g} on the supplied grid")
+    check_cfl(grid, cs.speed_signal(grid.horizon, grid.dx, grid.edge_radii), "max|f|", grid.times)
     A = flux_limiter(cs)
     v0 = grid.sample(edge_data(u0, len(cs.edges), cs.orientation == "line"))
     values = _forward(cs, grid, A, v0, 0)

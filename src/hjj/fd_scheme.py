@@ -23,13 +23,15 @@ junction slopes; the truncation end of each edge uses the nondecreasing
 branch on the interior slope only, an outflow closure that keeps the update
 monotone. Under the CFL condition every update is nondecreasing in the
 data, so discrete comparison holds to round-off. The speed is
-JunctionProblem.speed_signal, C2(t): exact for |p| + c and
-control-induced edges, and for a quadratic edge 2 a(t) K on the slope box
-that the data give. A grid's windows need not be equal: make_grid gives
-each the same integral of C2, and a march checks once, before its first
-step, that every window's integral is at most dx. A window's frozen
-coefficients are averages and a quadratic's bound is linear in a, so
-dt C2(frozen window) stays within that integral. That box is the a priori
+JunctionProblem.speed_signal, C2(t): exact for |p| + c, max|f| per
+coefficient cell for control-induced edges, and for a quadratic edge
+2 a(t) K on the slope box that the data give. A grid's windows need not be
+equal: make_grid gives each the same integral of C2, and a march checks
+once, before its first step, that every window's integral is at most dx
+(grid.check_cfl, the value function's check too). A window's frozen
+coefficients are averages, and a quadratic's bound is linear in a as a
+control's speed is in f's coefficients, so dt C2(frozen window) stays
+within that integral. That box is the a priori
 choice of the steps, and each step checks dt |dH/dp| <= dx at the slopes
 it reads on every edge whose pair carries a speed (a quadratic frozen at
 the window's coefficients), raising CflViolation on a breach.
@@ -50,7 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CflViolation, NonSeparableTimeDependence
-from .grid import Grid, SolutionField, make_grid
+from .grid import Grid, SolutionField, check_cfl, make_grid
 from .hamiltonian import EnvelopePair
 from .junction_problem import JunctionProblem
 from .time_signal import coeff_window_averages, upper_envelope
@@ -83,19 +85,10 @@ def grid_for(problems, dx: float, r_domain: float,
 
 
 def _check_cfl(problems: Sequence[JunctionProblem], grid: Grid, times: np.ndarray) -> None:
-    """Raise CflViolation when a problem's C2 integrates above dx over a window of times.
-
-    One array pass per problem; the message names the window with the
-    largest integral by its level, its step and its mean C2.
-    """
+    """grid.check_cfl on each problem's speed_signal over the windows of times."""
     for problem in problems:
-        work = problem.speed_signal(grid.dx, grid.edge_radii).window_integrals(times)
-        n = int(np.argmax(work))
-        if work[n] > grid.dx * (1.0 + 1e-9):
-            dt = float(times[n + 1] - times[n])
-            source = problem.cfl_speed(grid.dx, grid.edge_radii)[1]
-            raise CflViolation(f"dt={dt:.6g} exceeds dx/C2={grid.dx * dt / work[n]:.6g} at "
-                               f"level {grid.level_index(times[n])} (C2 from {source})")
+        check_cfl(grid, problem.speed_signal(grid.dx, grid.edge_radii),
+                  problem.cfl_speed(grid.dx, grid.edge_radii)[1], times)
 
 
 def _edge_windows(hs: list, pairs: list, times: np.ndarray, ys: np.ndarray) -> Callable:

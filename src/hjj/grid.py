@@ -19,8 +19,8 @@ import numpy as np
 from .errors import CflViolation, ConfigError
 from .time_signal import TimeSignal, constant, upper_envelope
 
-__all__ = ["Grid", "SolutionField", "make_grid", "edge_data", "edge_nodes", "fmt",
-           "atomic_write_text"]
+__all__ = ["Grid", "SolutionField", "make_grid", "check_cfl", "edge_data", "edge_nodes",
+           "fmt", "atomic_write_text"]
 
 
 def fmt(v: float) -> str:
@@ -168,7 +168,8 @@ def make_grid(
     """Build a grid whose windows each hold an integral of C2 of at most cfl_safety * dx.
 
     c2 bounds |dH_i/dp| over the slopes the scheme reaches: a float, or a
-    TimeSignal C2(t) on [0, horizon] (JunctionProblem.speed_signal). With Phi(t) the
+    TimeSignal C2(t) on [0, horizon] (JunctionProblem.speed_signal, or
+    ControlSystem.speed_signal for the value function). With Phi(t) the
     integral of C2 over [0, t], the default levels split [0, T] into
     N = ceil(Phi(T) / (cfl_safety dx)) windows of equal Phi, and dt is the
     largest step; a constant C2 gives N equal steps of dt = T / N. An
@@ -209,6 +210,22 @@ def make_grid(
         times[-1] = horizon
     return Grid(dx=float(dx), dt=float(dt), horizon=float(horizon),
                 edge_radii=tuple(radii_eff), times=np.asarray(times))
+
+
+def check_cfl(grid: Grid, c2: TimeSignal, source: str, times: np.ndarray) -> None:
+    """Raise CflViolation when c2 integrates above dx over a window of times.
+
+    The one check of a march's windows, on both routes: times is grid.times
+    or a window of it. One array pass; the message names the window with the
+    largest integral by its level, its step and its mean C2, and says where
+    c2 comes from.
+    """
+    work = c2.window_integrals(times)
+    n = int(np.argmax(work))
+    if work[n] > grid.dx * (1.0 + 1e-9):
+        dt = float(times[n + 1] - times[n])
+        raise CflViolation(f"dt={dt:.6g} exceeds dx/C2={grid.dx * dt / work[n]:.6g} at "
+                           f"level {grid.level_index(times[n])} (C2 from {source})")
 
 
 class SolutionField:

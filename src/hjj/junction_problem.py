@@ -40,7 +40,7 @@ from .errors import ConfigError, ConvexityError, FluxLimiterBelowFloor, SlopeCou
 from .grid import edge_data, edge_nodes
 from .hamiltonian import (EnvelopePair, Hamiltonian, a0_floor, abs_shift, check_convexity,
                           eikonal, quadratic, reflected)
-from .time_signal import TimeSignal, constant, union_mesh, upper_envelope
+from .time_signal import TimeSignal, constant, on_horizon, union_mesh, upper_envelope
 
 __all__ = [
     "Edge",
@@ -120,7 +120,8 @@ class JunctionProblem:
         where H_i <= M (Costeseque, Lebacque & Monneau 2015, for
         time-independent data). Each edge bounds |dH_i/dp| there
         (Hamiltonian.speed_bound): a quadratic on its slope box, |p| + c by
-        1, a control-induced edge by max|f|, a black box or a declared
+        1, a control-induced edge by max|f| (per cell of f's signals,
+        ControlEdge.speed_signal), a black box or a declared
         p_span by the declared constant. C2 is the largest, and source
         names it and its edge. With time-dependent coefficients the box is
         the a priori choice of dt only; fd_scheme checks the slopes of every
@@ -140,8 +141,11 @@ class JunctionProblem:
 
         A quadratic edge's bound is 2 a(t) K, with one slope reach K (the box
         or a declared p_span) for all t, so it is cfl_speed's C2 where a is
-        largest. Every other edge's bound is its constant. make_grid sizes
-        each time step by this signal.
+        largest. A control edge whose f has TimeSignal coefficients bounds
+        max|f| per cell of their mesh. Every other edge's bound is its
+        constant. A bound that runs past the horizon is cut there
+        (time_signal.on_horizon). make_grid sizes each time step by this
+        signal.
         """
         return self._speed_bounds(dx, radii)[2]
 
@@ -162,7 +166,7 @@ class JunctionProblem:
                     raise ConfigError(f"edge {i} has no finite speed bound for C2: {note}")
                 if not math.isfinite(value):
                     raise ConfigError(f"edge {i} has no finite bound on |H| for C2: got {value}")
-            sigs = [s if isinstance(s, TimeSignal) else constant(s, self.horizon) for s in speeds]
+            sigs = [on_horizon(s, self.horizon) for s in speeds]
             i = max(range(self.n_edges), key=lambda k: sigs[k].max())
             self._cfl[key] = (sigs[i].max(), f"{notes[i]} on edge {i}", upper_envelope(sigs))
         return self._cfl[key]

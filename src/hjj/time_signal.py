@@ -21,6 +21,7 @@ from .errors import EmptyWindow, HorizonMismatch, OutOfHorizon
 __all__ = [
     "TimeSignal",
     "constant",
+    "on_horizon",
     "union_mesh",
     "upper_envelope",
     "l1_distance",
@@ -170,6 +171,18 @@ def _coalesce(bp: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def constant(value: float, horizon: float) -> TimeSignal:
     return TimeSignal(np.array([0.0, float(horizon)]), np.array([float(value)]))
+
+
+def on_horizon(v, horizon: float) -> TimeSignal:
+    """A float as a constant signal on [0, horizon], a TimeSignal cut to [0, horizon].
+
+    A signal that ends before horizon is returned as it is, so a consumer
+    that needs all of [0, horizon] raises HorizonMismatch (union_mesh).
+    """
+    if not isinstance(v, TimeSignal):
+        return constant(v, horizon)
+    keep = v.breakpoints[:-1] < horizon - _EDGE_TOL * max(1.0, horizon)
+    return TimeSignal(np.append(v.breakpoints[:-1][keep], min(horizon, v.horizon)), v.values[keep])
 
 
 def union_mesh(signals: Sequence[TimeSignal]) -> np.ndarray:

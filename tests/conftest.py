@@ -111,13 +111,23 @@ def random_tdq_problem(seed: int, horizon: float = 1.0, cells: int = 8) -> Junct
     return from_line(eikonal(), quad, signal(-1.0, 0.5), zero_datum, 0.0, horizon)
 
 
-def bench_tdq_config(seed: int) -> dict:
-    """The benchmark's tdq problem file for seed (perfbench/problems.py)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "problems.py"
-    spec = importlib.util.spec_from_file_location("_bench_problems", path)
+def _repo_module(relative: str):
+    """The module at a path relative to the repository root, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / relative
+    spec = importlib.util.spec_from_file_location("_" + path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.tdq_problem(seed)
+    return module
+
+
+def bench_tdq_config(seed: int) -> dict:
+    """The benchmark's tdq problem file for seed (perfbench/problems.py)."""
+    return _repo_module("perfbench/problems.py").tdq_problem(seed)
+
+
+def tdc_config() -> dict:
+    """TDC, the time-dependent control problem file of tools/artifact_digests.py."""
+    return _repo_module("tools/artifact_digests.py").TDC
 
 
 def bench_tdq_problem(seed: int) -> JunctionProblem:

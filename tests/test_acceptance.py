@@ -64,7 +64,7 @@ def _random_affine_system(rng: np.random.Generator, horizon: float,
 def _random_data_pair(rng: np.random.Generator, cs: ControlSystem):
     """Ordered datum pair whose slopes stay inside the regularity regime."""
     big_c = 2.0 * cs.cost_bound() + cs.abar_bound()
-    lip_cap = 0.9 * min(2.0 * big_c / cs.delta, big_c / cs.max_speed())
+    lip_cap = 0.9 * min(2.0 * big_c / cs.delta, big_c / cs.speed_signal(cs.l0.horizon).max())
     s1 = rng.uniform(0.1, 0.5 * lip_cap)
     s2 = rng.uniform(0.1, 0.5 * lip_cap)
     x0 = rng.uniform(-0.5, 0.5)

@@ -16,7 +16,7 @@ def _tool():
 def test_check_names_every_rung_whose_prefix_moved():
     tool = _tool()
     recorded = {label: prefix for label, *_, prefix in tool.RUNS}
-    assert len(recorded) == 10
+    assert len(recorded) == 11
     assert tool.moved(recorded) == []
     printed = dict(recorded)
     printed["tdq-approx seed=41"] = "00000000"

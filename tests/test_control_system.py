@@ -21,7 +21,7 @@ from hjj import (
 from hjj.control_system import line_argmin, undominated
 from hjj.errors import BracketFailure, ConfigError, NoAdmissibleControl
 from hjj.hamiltonian import argmin_p, numeric_argmin
-from hjj.time_signal import coeff_average
+from hjj.time_signal import coeff_average, on_horizon
 
 from conftest import build_model_system, random_control_system, record_line_max
 
@@ -193,7 +193,38 @@ def test_cost_and_speed_bounds_on_the_model_system():
     cs = build_model_system(1.0)
     assert cs.cost_bound() == pytest.approx(1.0)
     assert cs.abar_bound() == pytest.approx(2.0)
-    assert cs.max_speed() == pytest.approx(1.0)
+    assert cs.speed_signal(1.0).max() == pytest.approx(1.0)
+
+
+def test_a_form_edge_bounds_its_speed_per_cell_of_its_signals():
+    """f = c0(t) + c1(t) a on [-1, 1]: max|f| is 1, 1.5 and 2.5 on the cells of the union
+    mesh {0, 0.3, 0.6, 1}; the induced Hamiltonian and the system report that signal."""
+    f = ControlForm(c0=TimeSignal(np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.5])),
+                    c1=TimeSignal(np.array([0.0, 0.6, 1.0]), np.array([1.0, 2.0])))
+    edge = control_edge(f, ControlForm(c2=0.5), -1.0, 1.0, n=21)
+    signal = edge.speed_signal()
+    assert signal.breakpoints.tolist() == [0.0, 0.3, 0.6, 1.0]
+    assert signal.values.tolist() == [1.0, 1.5, 2.5]
+    assert edge.speed_bound() == signal.max()
+    cut = on_horizon(signal, 0.5)
+    assert (cut.breakpoints.tolist(), cut.values.tolist()) == ([0.0, 0.3, 0.5], [1.0, 1.5])
+    induced = edge_hamiltonian(edge).speed_bound(0.0)[0]
+    assert (induced.breakpoints.tolist(), induced.values.tolist()) == ([0.0, 0.3, 0.6, 1.0],
+                                                                       [1.0, 1.5, 2.5])
+    cs = ControlSystem([edge, control_edge(ControlForm(c1=1.2), ControlForm(c0=1.0), -1.0, 1.0)],
+                       l0=constant(0.0, 1.0), A0=-1.0, delta=0.5)
+    both = cs.speed_signal(1.0)
+    assert both.values.tolist() == [1.2, 1.5, 2.5]
+
+
+def test_an_edge_without_speed_signals_keeps_its_float_bound():
+    """A constant form, and a callable at t = 0 on the nodes, give speed_bound's float."""
+    edge = control_edge(ControlForm(c0=0.1, c1=1.3, c2=-0.2), ControlForm(c0=1.0), -1.0, 1.0)
+    assert type(edge.speed_signal()) is float
+    assert edge.speed_signal() == edge.speed_bound() == edge_hamiltonian(edge).speed_bound(0.0)[0]
+    drift = control_edge(lambda t, x, a: a * (1.0 + abs(x) + t), ControlForm(c0=1.0), -1.0, 1.0)
+    xs = np.linspace(0.0, 0.5, 6)
+    assert drift.speed_signal(xs) == drift.speed_bound(xs) == 1.5
 
 
 def test_config_parser_builds_the_model_system():
@@ -205,7 +236,7 @@ def test_config_parser_builds_the_model_system():
                    "controls": {"min": -1.0, "max": 1.0, "n": 21}}] * 2,
     }, horizon=1.0)
     assert flux_limiter(cs).values.tolist() == [0.0]
-    assert cs.max_speed() == pytest.approx(1.0)
+    assert cs.speed_signal(1.0).max() == pytest.approx(1.0)
 
 
 def test_config_parser_rejects_missing_blocks():

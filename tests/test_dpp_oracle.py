@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,20 +12,23 @@ from hjj import (
     TimeSignal,
     constant,
     control_edge,
+    control_system_from_config,
     dpp_consistency_check,
     enumerate_trajectories,
     flux_limiter,
     grid_for,
     induced_problem,
     make_grid,
+    solve,
     value_function,
 )
 from hjj.control_system import undominated
 from hjj.dpp_oracle import _bellman, _windows, oracle_grid
 from hjj.errors import BudgetExceeded, CflViolation, NoAdmissibleControl
+from hjj.grid import Grid
 
 from conftest import (build_model_system, check_value_function_bounds, random_control_system,
-                      zero_datum)
+                      tdc_config, zero_datum)
 
 
 def _abs_datum(x: float) -> float:
@@ -110,7 +115,7 @@ def test_trajectory_sample_is_a_consistent_path():
     assert times[0] == 0.0 and times[-1] == 1.0
     assert np.all(np.diff(times) >= -1e-15)
     speeds = np.abs(np.diff(pos)) / np.maximum(np.diff(times), 1e-15)
-    assert np.max(speeds) <= cs.max_speed() + 1e-9
+    assert np.max(speeds) <= cs.speed_signal(1.0).max() + 1e-9
 
 
 def test_value_function_on_the_model_problem():
@@ -463,7 +468,7 @@ def _fast_far_out(delayed: bool = False):
 
 def test_callable_speeds_above_the_bound_raise_cfl_violation():
     cs = _fast_far_out(delayed=True)
-    assert cs.max_speed(0.01, (0.3, 0.3)) == 1.0
+    assert cs.speed_signal(0.05, 0.01, (0.3, 0.3)).max() == 1.0
     grid = oracle_grid(cs, 0.01, 0.05, 0.3, cfl_safety=1.0)
     with pytest.raises(CflViolation) as got:
         value_function(cs, zero_datum, grid)
@@ -479,14 +484,15 @@ def test_fast_far_out_runs_on_the_grid_of_its_node_bound():
     """The bound on the nodes reads 4, so the default grid takes dt = safety * dx / 4."""
     cs = _fast_far_out()
     with pytest.raises(ValueError, match="needs the grid's nodes"):
-        cs.max_speed()
-    assert cs.max_speed(0.01, (0.3, 0.3)) == 4.0
+        cs.speed_signal(0.05)
+    assert cs.speed_signal(0.05, 0.01, (0.3, 0.3)).max() == 4.0
     field = value_function(cs, zero_datum, oracle_grid(cs, 0.01, 0.05, 0.3))
     assert field.grid.dt <= 0.5 * 0.01 / 4.0
     field.check_finite()
     # a supplied grid at the junction's speed is refused before the march
     probed = make_grid(dx=0.01, horizon=0.05, radii=(0.3, 0.3), c2=1.0, cfl_safety=1.0)
-    with pytest.raises(CflViolation, match="max\\|f\\|=0.0025 on the supplied grid"):
+    with pytest.raises(CflViolation,
+                       match="exceeds dx/C2=0.0025 at level \\d+ \\(C2 from max\\|f\\|\\)"):
         value_function(cs, zero_datum, probed)
 
 
@@ -495,6 +501,7 @@ GRID_CASES = {
     "random_line": lambda: (_random_case(4, 2)[0], 0.5, 1.0),
     "random_star": lambda: (_random_case(7, 3)[0], 0.5, 1.0),
     "fast_far_out": lambda: (_fast_far_out(), 0.05, 0.3),
+    "tdc": lambda: (control_system_from_config(tdc_config()["control_system"], 1.0), 1.0, 2.0),
 }
 
 
@@ -511,13 +518,83 @@ def test_both_routes_and_compare_build_the_same_grid(case, cfl_safety):
                for i in range(grids[0].n_edges))
 
 
+# ---------------------------------------------------------------------------
+# per-window steps: the value function checks the windows' integrals of max|f|
+
+def _drift_step_system(horizon: float = 1.0) -> ControlSystem:
+    """f = a + c0(t), c0 stepping from 0 to 0.5 at t = 0.3, l = a^2 / 2, 81 controls in [-2, 2].
+
+    max|f| is 2 before the step and 2.5 after it. c0 runs to t = 1, l0 to horizon.
+    """
+    drift = ControlForm(c0=TimeSignal(np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.5])), c1=1.0)
+    edges = [control_edge(drift, ControlForm(c2=0.5), -2.0, 2.0, n=81) for _ in range(2)]
+    return ControlSystem(edges, l0=constant(0.0, horizon), A0=-1.0, delta=1.0)
+
+
+def test_both_routes_agree_on_a_drift_step_with_fewer_steps():
+    """The integral of max|f| over [0, 1] is 0.3 * 2 + 0.7 * 2.5 = 2.35, so dx 0.02 takes
+    235 windows in place of the 250 uniform steps of sup|f| = 2.5."""
+    cs = _drift_step_system()
+    problem = induced_problem(cs, zero_datum, 0.0, 1.0)
+    grid = grid_for(problem, 0.02, 1.0)
+    assert grid.steps == 235 < math.ceil(2.5 / 0.01 - 1e-12) == 250
+    assert np.array_equal(grid.times, oracle_grid(cs, 0.02, 1.0, 1.0).times)
+    gap = np.max(np.abs(solve(problem, grid).values - value_function(cs, zero_datum, grid).values))
+    assert gap <= 1e-12
+
+
+def _per_window_grid() -> Grid:
+    """The drift step's windows at cfl_safety 1: each holds dx, the longest one 0.01 = dx / 2."""
+    return make_grid(dx=0.02, horizon=1.0, radii=(1.0, 1.0), cfl_safety=1.0,
+                     c2=TimeSignal(np.array([0.0, 0.3, 1.0]), np.array([2.0, 2.5])))
+
+
+def test_value_function_accepts_windows_that_hold_dx_where_sup_f_times_the_longest_step_does_not():
+    grid = _per_window_grid()
+    assert grid.dt * 2.5 > grid.dx * 1.2
+    field = value_function(_drift_step_system(), zero_datum, grid)
+    field.check_finite()
+
+
+def test_value_function_refuses_one_window_too_long_naming_its_level():
+    """Dropping one time level after the step merges two windows into one that holds 2 dx."""
+    grid = _per_window_grid()
+    k = int(np.searchsorted(grid.times, 0.6))
+    times = np.delete(grid.times, k)
+    merged = Grid(dx=grid.dx, dt=float(np.max(np.diff(times))), horizon=grid.horizon,
+                  edge_radii=grid.edge_radii, times=times)
+    with pytest.raises(CflViolation, match=f"exceeds dx/C2=0.008 at level {k - 1} "):
+        value_function(_drift_step_system(), zero_datum, merged)
+
+
+def test_oracle_grid_cuts_the_speed_signal_to_a_shorter_horizon():
+    """A system whose signals run to t = 1 gives, on [0, 0.5], the grid and the value
+    function of the same system built on [0, 0.5]; so does the scheme's grid_for on a
+    problem whose horizon is 0.5 while its edges' signals run to 1."""
+    long, short = _drift_step_system(1.0), _drift_step_system(0.5)
+    cut = TimeSignal(np.array([0.0, 0.3, 0.5]), np.array([0.0, 0.5]))
+    for edge in short.edges:
+        edge.f = ControlForm(c0=cut, c1=1.0)
+    signal = long.speed_signal(0.5)
+    assert signal.breakpoints.tolist() == [0.0, 0.3, 0.5]
+    assert signal.values.tolist() == [2.0, 2.5]
+    grids = [oracle_grid(cs, 0.05, 0.5, 1.0) for cs in (long, short)]
+    assert grids[0].steps == grids[1].steps == math.ceil((0.6 + 0.5) / 0.025 - 1e-12)
+    assert np.array_equal(grids[0].times, grids[1].times)
+    mixed = induced_problem(_drift_step_system(0.5), _abs_datum, 1.0, 0.5)
+    assert np.array_equal(grid_for(mixed, 0.05, 1.0).times, grids[0].times)
+    fields = [value_function(cs, _abs_datum, grids[0]) for cs in (long, short)]
+    assert np.array_equal(fields[0].values, fields[1].values)
+
+
 def test_a_speed_up_after_the_start_raises_cfl_violation_with_the_node_bound():
     """Speed 1 at t = 0, where the bound evaluates the drift, and 2.5 at every later time."""
     drift = lambda t, y, a: a * (1.0 + 1.5 * (t > 0.0))  # noqa: E731
     edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21))
              for _ in range(2)]
     cs = ControlSystem(edges, l0=constant(0.0, 0.1), A0=-1.0, delta=1.0)
-    grid = make_grid(dx=0.05, horizon=0.1, radii=(0.5, 0.5), c2=cs.max_speed(0.05, (0.5, 0.5)))
+    grid = make_grid(dx=0.05, horizon=0.1, radii=(0.5, 0.5),
+                     c2=cs.speed_signal(0.1, 0.05, (0.5, 0.5)))
     assert grid.dt == 0.025
     with pytest.raises(CflViolation) as got:
         _bellman(cs, grid, flux_limiter(cs), np.zeros(grid.n_nodes), 0.0, grid.dt)

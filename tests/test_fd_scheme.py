@@ -18,6 +18,7 @@ from hjj import (
     TimeSignal,
     constant,
     control_edge,
+    control_system_from_config,
     eikonal,
     from_line,
     godunov_flux,
@@ -25,6 +26,7 @@ from hjj import (
     induced_problem,
     make_grid,
     abs_shift,
+    problem_from_config,
     approx_problem,
     comparison_diagnostic,
     quadratic,
@@ -32,6 +34,7 @@ from hjj import (
     solve,
     solve_many,
     step,
+    value_function,
 )
 from hjj.errors import CflViolation, ConfigError, NumericalFailure
 from hjj.fd_scheme import _advance, _windows
@@ -39,7 +42,7 @@ from hjj.hamiltonian import CATALOG, numeric_argmin
 from hjj.time_signal import coeff_window_averages
 
 from conftest import (bench_tdq_problem, frozen, random_control_system, random_tdq_problem,
-                      record_line_max, zero_datum)
+                      record_line_max, tdc_config, zero_datum)
 
 
 def _line_problem(a_value: float, u0=zero_datum, lip: float = 0.0,
@@ -728,6 +731,31 @@ def test_per_window_steps_are_no_less_accurate_than_uniform_steps(seed):
     uniform, uniform_order = _UNIFORM_STEP_ERRORS[seed]
     assert all(e <= u for e, u in zip(errors, uniform)), (errors, uniform)
     assert np.polyfit(np.log(dxs), np.log(errors), 1)[0] >= uniform_order
+
+
+# Sup errors at T of TDC's uniform steps (dt = 0.5 dx / sup max|f|, 80, 160 and 320
+# of them) at dx 0.04, 0.02 and 0.01 against the reference below.
+_TDC_UNIFORM_STEP_ERRORS = (0.028952360166674407, 0.01875582218538141, 0.011450432937241073)
+
+
+def test_tdc_takes_per_window_steps_on_both_routes_and_errs_no_more():
+    """TDC's speed max|f| is 1, 1.6 and 0.8 on [0, 0.3), [0.3, 0.7) and [0.7, 1], so its
+    windows follow it: fewer steps than uniform ones, no larger error at T against the
+    uniform scheme at dx 0.00125, and the value function agrees with the scheme."""
+    config = tdc_config()
+    prob = problem_from_config(config)[0]
+    cs = control_system_from_config(config["control_system"], 1.0)
+    fine = 0.00125
+    n = math.ceil(prob.horizon * prob.cfl_speed()[0] / (0.5 * fine) - 1e-12)
+    reference = _final_line_level(prob, grid_for(prob, fine, 2.0, dt=prob.horizon / n))
+    for dx, steps, uniform in zip((0.04, 0.02, 0.01), (62, 124, 248), _TDC_UNIFORM_STEP_ERRORS):
+        grid = grid_for(prob, dx, 2.0)
+        assert grid.steps == steps
+        field = solve(prob, grid)
+        error = np.max(np.abs(field.line_profile(grid.steps) - reference[::round(dx / fine)]))
+        assert error <= uniform, (dx, error, uniform)
+        gap = np.max(np.abs(field.values - value_function(cs, prob.initial_data, grid).values))
+        assert gap <= 1e-12, (dx, gap)
 
 
 def test_tdq_solves_and_smoothing_ladders_keep_the_cfl_guard_quiet():

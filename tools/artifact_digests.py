@@ -11,6 +11,7 @@ fresh `python -m hjj.cli` process with PYTHONPATH=src, and prints one
     tdq-approx approx.json, seeds 41 and 98 (dx 0.04)
     hjj value field.csv on the model (dx 0.01)
     tdc-solve field.csv (dx 0.02) and tdc-approx approx.json (dx 0.04)
+    tdc-compare compare.json (dx 0.02)
 
     python tools/artifact_digests.py            # print the prefixes
     python tools/artifact_digests.py --check    # and compare them with RUNS
@@ -45,8 +46,9 @@ RUNS = [
     ("tdq-approx seed=41", "tdq41", "approx", "0.04", "approx.json", "c9892001"),
     ("tdq-approx seed=98", "tdq98", "approx", "0.04", "approx.json", "63f7fe84"),
     ("model-value dx=0.01", "model", "value", "0.01", "field.csv", "3df70b7f"),
-    ("tdc-solve dx=0.02", "tdc", "solve", "0.02", "field.csv", "ef5c664e"),
-    ("tdc-approx dx=0.04", "tdc", "approx", "0.04", "approx.json", "275853b6"),
+    ("tdc-solve dx=0.02", "tdc", "solve", "0.02", "field.csv", "f0643ca3"),
+    ("tdc-approx dx=0.04", "tdc", "approx", "0.04", "approx.json", "30fe89cf"),
+    ("tdc-compare dx=0.02", "tdc", "compare", "0.02", "compare.json", "dc3ce5c9"),
 ]
 
 
