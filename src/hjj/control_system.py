@@ -14,7 +14,10 @@ and f >= 0, which this module exposes for cross-checking. An edge whose f
 and l are both ControlForms has an induced Hamiltonian with a ClosedForm
 in the six coefficients of f and l (f_c0 ... l_c2): its lines come from one
 line function (_lines), which also gives the Bellman route's window
-tables, and its minimiser is exact (line_argmin).
+tables. An edge with a callable f or l has a TableHamiltonian: its lines
+at (t, x), and on every window of a march, are the edge's table
+(ControlEdge.lines), which the Bellman route reads too. Every control
+edge is minimised exactly, over its lines (line_argmin).
 
 Only the lower cost-speed front of a control sample can set that supremum
 (or the minimum of a Bellman update). undominated(speeds, costs) marks it:
@@ -26,8 +29,9 @@ fl(fl(f p) - l), and rounding is monotone, so for p >= 0 the far
 dominator's line is >= line k and for p <= 0 the near dominator's is: the
 maximum over the kept lines equals the full maximum (bit for bit but for
 the sign of a tied zero, see undominated). A form edge frozen at fixed
-coefficient values (hamiltonian.EnvelopePair) therefore evaluates only its
-undominated lines. Its evaluator, and every callable edge, keep all lines.
+coefficient values or at a window's table (hamiltonian.EnvelopePair)
+therefore evaluates only its undominated lines. The evaluators keep all
+lines.
 
 A problem file's control_system block is read by
 junction_problem.control_system_from_config.
@@ -39,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, EmptyControlSet, NoAdmissibleControl
+from .errors import BracketFailure, CflViolation, EmptyControlSet, NoAdmissibleControl
 from .grid import edge_nodes
 from .hamiltonian import ClosedForm, Hamiltonian, closed_hamiltonian, elementwise
-from .time_signal import (TimeSignal, coeff_average, coeff_bounds, coeff_eval,
+from .time_signal import (TimeSignal, coeff_average, coeff_bounds, coeff_eval, coeff_signals,
                           coeff_window_averages, on_horizon, union_mesh, upper_envelope)
 
 __all__ = [
@@ -55,6 +59,7 @@ __all__ = [
     "induced_hamiltonian",
     "line_argmin",
     "RestrictedEnvelopes",
+    "TableHamiltonian",
     "undominated",
 ]
 
@@ -86,12 +91,7 @@ class ControlForm:
                 float(np.max(t0.max(axis=0) + t1.max(axis=0) + t2.max(axis=0))))
 
     def signals(self) -> dict:
-        out = {}
-        for name in ("c0", "c1", "c2"):
-            v = getattr(self, name)
-            if isinstance(v, TimeSignal):
-                out[name] = v
-        return out
+        return coeff_signals({"c0": self.c0, "c1": self.c1, "c2": self.c2})
 
 
 def _is_form(g) -> bool:
@@ -113,8 +113,11 @@ def _call_g(g, t: float, x, alphas: np.ndarray) -> np.ndarray:
 
 
 def _averaged(g, a: float, b: float):
-    """A form with its coefficients averaged exactly over [a, b]; a callable as it is."""
-    if not _is_form(g):
+    """A form with its coefficients averaged exactly over [a, b]; a callable as it is.
+
+    On [t, t] a form is returned as it is too, to be read at time t.
+    """
+    if not _is_form(g) or a == b:
         return g
     return ControlForm(*(coeff_average(c, a, b) for c in (g.c0, g.c1, g.c2)))
 
@@ -130,15 +133,16 @@ class ControlEdge:
     callable is bounded on the positions it is given, so its bounds need
     the grid's nodes; a form's bounds ignore positions.
 
-    On the scheme route an edge with a callable f or l is time-independent:
-    its induced Hamiltonian's minimiser is found numerically once per march
-    (per node), at t = 0. There, time dependence must come through
-    ControlForm signals. The value function evaluates a callable at each
-    window's midpoint.
+    lines is the edge's table on a window, the data that both routes read:
+    a form averaged exactly over the window, a callable read at the
+    window's midpoint. A form edge's tables for every window of a march come
+    in one call (window_tables). A callable edge is read window by window on
+    the grid's nodes, and its induced TableHamiltonian is frozen node by
+    node at that table, so both routes mean the same H.
 
     speed_signal sizes the time steps of both routes: max|f| on each cell
     of a form's TimeSignals, and for a callable one bound at t = 0 on the
-    grid's nodes, which the Bellman update checks again on every window.
+    grid's nodes, which check_speeds checks again on every window.
     """
 
     f: object  # ControlForm or callable (t, x, a)
@@ -154,6 +158,43 @@ class ControlEdge:
     @property
     def x_independent(self) -> bool:
         return _is_form(self.f) and _is_form(self.l)
+
+    def lines(self, sign: float, a: float, b: float, xs=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """(speeds, costs) on the window [a, b]: sign f_k and l_k for every control k.
+
+        A form is averaged exactly over [a, b], a callable read at the
+        midpoint; [t, t] reads time t. f and l take the edge-local positions
+        xs as sign * xs: one float gives (controls,) arrays, an array of
+        positions (controls, positions), one column for a form.
+        """
+        f, l = (_call_g(_averaged(g, a, b), 0.5 * (a + b), sign * xs, self.controls)
+                for g in (self.f, self.l))
+        return sign * f, l
+
+    def window_tables(self, sign: float, times) -> tuple[np.ndarray, np.ndarray]:
+        """lines of a form edge on every window of times, as (windows, controls) tables.
+
+        One call of the edge's line function on (windows,) coefficient
+        averages; row n is bit-equal to lines on window n.
+        """
+        cols = (coeff_window_averages(v, times) for v in _coefficients(self).values())
+        return tuple(a.T for a in _lines(self.controls, sign, *cols))
+
+    def check_speeds(self, sign: float, speeds: np.ndarray, a: float, b: float, grid, i: int):
+        """Raise CflViolation where (b - a) |f| > dx: speeds is lines on [a, b] at edge i's nodes.
+
+        Both routes check a callable edge's table of each window here. The
+        grid's C2 bounds |f| at t = 0 on the nodes (speed_bound), and a
+        callable may speed up later; the message names the first node too fast.
+        """
+        speed = np.max(np.abs(speeds), axis=0)
+        over = np.flatnonzero(speed * (b - a) > grid.dx * (1.0 + 1e-9))
+        if over.size:
+            j, ys = int(over[0]), grid.edge_y(i)
+            raise CflViolation(
+                f"dt={b - a:.6g} exceeds dx/|f|={grid.dx / speed[j]:.6g} at node "
+                f"{int(grid.edge_full_indices(i)[j])} on [{a}, {b}]: the speed bound "
+                f"{self.speed_bound(sign * ys):.6g} understates |f|={speed[j]:.6g} there")
 
     def speed_bound(self, xs=None) -> float:
         """max |f| over the controls and every coefficient value.
@@ -233,12 +274,9 @@ class ControlSystem:
         # without holes wider than delta/2. Probes time breakpoints only; the
         # catalog forms are x-independent.
         edge = self.edges[i]
-        times = [0.0]
-        if _is_form(edge.f):
-            for sig in edge.f.signals().values():
-                times.extend(sig.breakpoints[:-1])
-        for t in times:
-            speeds = np.sort(self.local_speeds(i, float(t), 0.0))
+        signals = edge.f.signals().values() if _is_form(edge.f) else ()
+        for t in [0.0] + [b for sig in signals for b in sig.breakpoints[:-1]]:
+            speeds = np.sort(edge.lines(self.sign(i), float(t), float(t))[0])
             tol = 1e-9 * max(1.0, self.delta)
             if speeds[0] > -self.delta + tol or speeds[-1] < self.delta - tol:
                 raise ValueError(
@@ -250,36 +288,6 @@ class ControlSystem:
                 raise ValueError(
                     f"edge {i}: speed samples leave a hole wider than delta/2 "
                     f"inside [-{self.delta}, {self.delta}] at t={t}")
-
-    def local_speeds(self, i: int, t: float, y: float) -> np.ndarray:
-        s = self.sign(i)
-        edge = self.edges[i]
-        return s * _call_g(edge.f, t, s * y, edge.controls)
-
-    def local_f_avg(self, i: int, a: float, b: float, y=0.0) -> np.ndarray:
-        """Window-averaged edge-local speeds per control sample, at y as _call_g takes x.
-
-        A form is averaged exactly, a callable read at the window's midpoint.
-        """
-        s = self.sign(i)
-        edge = self.edges[i]
-        return s * _call_g(_averaged(edge.f, a, b), 0.5 * (a + b), s * y, edge.controls)
-
-    def local_l_avg(self, i: int, a: float, b: float, y=0.0) -> np.ndarray:
-        """Window-averaged running costs per control sample, at y as _call_g takes x."""
-        s = self.sign(i)
-        edge = self.edges[i]
-        return _call_g(_averaged(edge.l, a, b), 0.5 * (a + b), s * y, edge.controls)
-
-    def local_window_tables(self, i: int, times) -> tuple[np.ndarray, np.ndarray]:
-        """local_f_avg and local_l_avg of a form edge, row n bit-equal to window n.
-
-        One call of the edge's line function on (windows,) coefficient averages.
-        """
-        edge = self.edges[i]
-        cols = (coeff_window_averages(v, times) for v in _coefficients(edge).values())
-        speeds, costs = _lines(edge.controls, self.sign(i), *cols)
-        return speeds.T, costs.T
 
     def _positions(self, dx: float | None, radii) -> list:
         """Edge i's grid nodes y as its f and l take x, sign(i) * y; None without dx."""
@@ -369,16 +377,15 @@ def undominated(speeds, costs) -> np.ndarray:
 def _line_max(speeds: np.ndarray, costs: np.ndarray, p):
     """max over controls k of speeds[k] p - costs[k], elementwise in p (a float for a float).
 
-    speeds and costs are (controls,), the same lines at every entry of p,
-    or, at an array of positions, (controls, positions) with one position
-    per entry of a 1-D p (a form's one column serves them all).
+    speeds and costs are (controls, *S): with S = () the same lines at
+    every entry of p, else one line set per entry of p's last len(S) axes,
+    the same along its leading ones (a form's one column serves them all).
     """
     parr = np.asarray(p, dtype=float)
     scalar = parr.ndim == 0
     parr = np.atleast_1d(parr)
-    if speeds.ndim == 1:
-        shape = (-1,) + (1,) * parr.ndim
-        speeds, costs = speeds.reshape(shape), costs.reshape(shape)
+    speeds, costs = (a.reshape(a.shape[:1] + (1,) * (parr.ndim + 1 - a.ndim) + a.shape[1:])
+                     for a in (speeds, costs))
     vals = np.max(speeds * parr - costs, axis=0)
     return float(vals[0]) if scalar else vals
 
@@ -435,43 +442,81 @@ def line_argmin(speeds, costs) -> float:
     return 0.5 * ((w2 - w1) / v1 + (w2 - w3) / v3)
 
 
+def _freeze_lines(speeds: np.ndarray, costs: np.ndarray) -> tuple:
+    """(p_hat, kept speeds, kept costs) of lines (controls, *S), minimised at each entry of S.
+
+    Each entry (a row of coefficient values, or a node) is minimised over
+    its own undominated lines, so that its split does not depend on the
+    batch it is frozen in. The lines kept are those undominated at some
+    entry: bit for bit the same maximum (see undominated).
+    """
+    cols = list(zip(*(np.reshape(a, (len(a), -1)).T for a in (speeds, costs))))
+    keeps = [undominated(f, l) for f, l in cols]
+    p_hat = np.reshape([line_argmin(f[m], l[m]) for (f, l), m in zip(cols, keeps)],
+                       speeds.shape[1:])
+    keep = np.any(keeps, axis=0)
+    return p_hat[()], speeds[keep], costs[keep]
+
+
 def _line_form(controls: np.ndarray, sign: float) -> ClosedForm:
     """The closed form of sup_k [sign f_k p - l_k] in the six coefficients of f and l.
 
-    h is the maximum over every line. freeze keeps the lines that are
-    undominated in some row of the values (bit for bit the same maximum,
-    see undominated) and minimises each row over its own undominated lines,
-    so that a row's split does not depend on the batch it is frozen in.
+    h is the maximum over every line; freeze minimises each row of the
+    values exactly and keeps the lines _freeze_lines keeps.
     """
     def freeze(*values):
-        speeds, costs = np.broadcast_arrays(*_lines(controls, sign, *values))
-        rows = list(zip(*(np.reshape(a, (len(controls), -1)).T for a in (speeds, costs))))
-        keeps = [undominated(f, l) for f, l in rows]
-        p_hat = np.reshape([line_argmin(f[m], l[m]) for (f, l), m in zip(rows, keeps)],
-                           speeds.shape[1:])
-        keep = np.any(keeps, axis=0)
-        speeds, costs = speeds[keep], costs[keep]
-        return p_hat[()], lambda p: _line_max(speeds, costs, p)
+        p_hat, speeds, costs = _freeze_lines(*np.broadcast_arrays(*_lines(controls, sign, *values)))
+        return p_hat, lambda p: _line_max(speeds, costs, p)
 
     return ClosedForm(_NAMES, lambda p, *values: _line_max(*_lines(controls, sign, *values), p),
                       None, freeze=freeze)
 
 
+class TableHamiltonian(Hamiltonian):
+    """H(t, x, p) = max_k [speeds_k p - costs_k] over the table of a callable control edge.
+
+    The lines at (t, x) are ControlEdge.lines on [t, t] at x, so its values
+    (Hamiltonian.values_at) are (speeds, costs, xs) at the positions xs =
+    [x], and freeze minimises them node by node, exactly (_freeze_lines).
+    A march freezes the table of each window at the edge's nodes ys,
+    EnvelopePair(h, values=(speeds, costs, ys)); a frozen table looks its
+    nodes up by position. A supremum of affine lines is convex, so the
+    convexity probe is skipped.
+    """
+
+    def __init__(self, edge: ControlEdge, sign: float, **metadata):
+        self.edge, self.sign = edge, sign
+        super().__init__(lambda t, x, p: _line_max(*edge.lines(sign, t, t, x), p),
+                         validate=False, **metadata)
+
+    def values_at(self, t: float, x) -> tuple:
+        xs = np.atleast_1d(x)
+        return (*self.edge.lines(self.sign, t, t, xs), xs)
+
+    def freeze(self, values: tuple):
+        p_hat, speeds, costs = _freeze_lines(*np.broadcast_arrays(*values[:2]))
+        h_min, xs = _line_max(speeds, costs, p_hat), values[2]
+
+        def at(t, x):
+            j = np.searchsorted(xs, x)
+            return p_hat[j], h_min[j], lambda p: _line_max(speeds[:, j], costs[:, j], p)
+        return at
+
+
 def _induced(edge: ControlEdge, sign: float, delta: float,
              form: ClosedForm | None = None) -> Hamiltonian:
-    # A supremum of affine lines is convex, so the convexity probe is skipped.
     # A form edge's Hamiltonian has the closed form _line_form (form, when its
-    # coefficients are rebuilt); a callable edge's evaluator reads f and l.
+    # coefficients are rebuilt), which is convex, so the probe is skipped; a
+    # callable edge's is a TableHamiltonian.
     controls = edge.controls
-    f, l = edge.f, edge.l
-    costs = l.bounds(controls) if _is_form(l) else _call_g(l, 0.0, 0.0, controls)
-    lip = edge.speed_bound() if _is_form(f) else np.inf
+    costs = edge.l.bounds(controls) if _is_form(edge.l) else edge.lines(1.0, 0.0, 0.0)[1]
+    lip = edge.speed_bound() if _is_form(edge.f) else np.inf
     radius = (float(np.max(costs)) - float(np.min(costs)) + 1.0) / max(delta, 1e-9)
     what = f"max|f| over {len(controls)} controls"
 
     def speed_bound(M, ys):  # per cell of f's signals; a callable at t = 0 on the edge's nodes
         speed = edge.speed_signal(None if ys is None else sign * ys)
-        return speed, what if _is_form(f) else f"{what} and {len(ys)} nodes"
+        return speed, what if _is_form(edge.f) else f"{what} and {len(ys)} nodes"
 
     def value_bound(L, ys):
         xs = None if ys is None else sign * ys
@@ -489,12 +534,7 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
             return _induced(ControlEdge(nf, nl, controls.copy()), sign, delta, form)
 
         return closed_hamiltonian(form, _coefficients(edge), rebuild, **metadata)
-
-    def evaluator(t, x, p):
-        return _line_max(sign * _call_g(f, t, sign * x, controls),
-                         _call_g(l, t, sign * x, controls), p)
-
-    return Hamiltonian(evaluator, validate=False, **metadata)
+    return TableHamiltonian(edge, sign, **metadata)
 
 
 def induced_hamiltonian(cs: ControlSystem, i: int) -> Hamiltonian:
@@ -526,15 +566,11 @@ class RestrictedEnvelopes:
     """
 
     def __init__(self, cs: ControlSystem, i: int):
-        self.cs = cs
-        self.i = i
         # Same coordinates as induced_hamiltonian(cs, i): as-given dynamics.
-        self.edge = cs.edges[i]
+        self.i, self.edge = i, cs.edges[i]
 
     def _restricted(self, t, x, p, negative: bool):
-        controls = self.edge.controls
-        fa = _call_g(self.edge.f, t, x, controls)
-        la = _call_g(self.edge.l, t, x, controls)
+        fa, la = self.edge.lines(1.0, t, t, x)
         mask = fa <= 0.0 if negative else fa >= 0.0
         if not np.any(mask):
             side = "f <= 0" if negative else "f >= 0"

@@ -27,11 +27,12 @@ So the columns are dropped only when every nonzero |f| dt of the edge lies
 in [c eps R, dx - c eps R], with eps the machine epsilon, R the edge
 length and c = _GUARD_ULPS: a margin that covers the rounding of the nodes
 and of y - f dt. Otherwise, for example at dt max|f| = dx, all columns
-stay. Callable (x-dependent) edges are evaluated on all nodes at once, one
-(controls x nodes) array per window and quantity, and keep every control.
-The grid's C2 bounds a callable's |f| on those nodes at t = 0 (as the
-scheme's does), so the update checks dt |f| <= dx node by node on every
-window as well: a time-dependent callable may speed up later.
+stay. A callable (x-dependent) edge is read on all nodes at once, one
+(controls x nodes) table per window (ControlEdge.lines, the table the
+scheme freezes too), and keeps every control. The grid's C2 bounds a
+callable's |f| on those nodes at t = 0, so each update checks dt |f| <= dx
+node by node as well (ControlEdge.check_speeds, as the scheme does): a
+time-dependent callable may speed up later.
 
 A tiny exhaustive enumerator over piecewise-constant controls doubles as an
 oracle for the oracle on desk-scale instances.
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control_system import ControlForm, ControlSystem, flux_limiter, undominated
-from .errors import BudgetExceeded, CflViolation, NoAdmissibleControl, NumericalFailure
+from .errors import BudgetExceeded, NoAdmissibleControl, NumericalFailure
 from .grid import Grid, SolutionField, check_cfl, edge_data, make_grid
 from .time_signal import TimeSignal
 
@@ -101,24 +102,23 @@ def _kept_columns(speeds: np.ndarray, costs: np.ndarray, dts: np.ndarray,
 def _windows(cs: ControlSystem, grid: Grid, A: TimeSignal, times: np.ndarray):
     """at(n) -> (integral of A, per-edge (speeds, costs) rows) on window n of times.
 
-    Form edges read 1-D rows of (windows x controls) tables built here once,
-    cut to the columns _kept_columns keeps. A callable edge is evaluated at
-    the window's midpoint on all its nodes at once: one (controls x nodes)
-    array per quantity, one column for a form quantity.
+    Form edges read 1-D rows of (windows x controls) tables built here once
+    (ControlEdge.window_tables), cut to the columns _kept_columns keeps. A
+    callable edge reads ControlEdge.lines on all its nodes, window by
+    window: one (controls x nodes) array per quantity, one column for a form
+    quantity.
     """
     parking = A.window_integrals(times)
     dts = np.diff(times)
     rows = []
     for i, edge in enumerate(cs.edges):
+        sign, y = cs.sign(i), grid.edge_y(i)
         if edge.x_independent:
-            speeds, costs = cs.local_window_tables(i, times)
-            keep = _kept_columns(speeds, costs, dts, grid.dx, float(grid.edge_y(i)[-1]))
+            speeds, costs = edge.window_tables(sign, times)
+            keep = _kept_columns(speeds, costs, dts, grid.dx, float(y[-1]))
             rows.append(lambda n, f=speeds[:, keep], l=costs[:, keep]: (f[n], l[n]))
         else:
-            def at_nodes(n, i=i, y=grid.edge_y(i)):
-                a, b = float(times[n]), float(times[n + 1])
-                return cs.local_f_avg(i, a, b, y), cs.local_l_avg(i, a, b, y)
-            rows.append(at_nodes)
+            rows.append(lambda n, e=edge, s=sign, y=y: e.lines(s, *map(float, times[n:n + 2]), y))
     return lambda n: (float(parking[n]), [row(n) for row in rows])
 
 
@@ -132,11 +132,10 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
     the minimum is taken over controls. _forward passes this window's row of
     its tables as _window; without it the row is built here. On a callable
     edge, whose rows hold one column per node, a speed with dt |f| > dx
-    raises CflViolation naming the node and the window (after the check for
-    nodes that no transition reaches). The grid's C2 bounds such an edge at
-    t = 0 only, and a time-dependent callable may speed up later; the
-    message states that bound, taken on the grid's nodes. Parking at the
-    junction is always admissible, since its control set contains 0.
+    raises CflViolation naming the node and the window
+    (ControlEdge.check_speeds), after the check for nodes that no
+    transition reaches. Parking at the junction is always admissible, since
+    its control set contains 0.
     """
     dtn = b - a
     if _window is None:
@@ -144,18 +143,12 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
     parking, rows = _window
     new = np.full(grid.n_nodes, np.inf)
     junction_best = level[0] - parking
-    too_fast = None
     for i, (fmat, lmat) in enumerate(rows):
         idx = grid.edge_full_indices(i)
         y = grid.edge_y(i)
         ztol = 1e-10 * max(1.0, float(y[-1]))
         if fmat.ndim == 1:  # a form edge's table row serves every node
             fmat, lmat = fmat[:, None], lmat[:, None]
-        else:
-            speed = np.max(np.abs(fmat), axis=0)
-            over = np.flatnonzero(speed * dtn > grid.dx * (1.0 + 1e-9))
-            if over.size and too_fast is None:
-                too_fast = (int(idx[over[0]]), float(speed[over[0]]))
         z = y - fmat * dtn
         vals = np.interp(z.ravel(), y, level[idx]).reshape(z.shape)
         vals += lmat * dtn
@@ -168,13 +161,9 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
         node = int(np.flatnonzero(~np.isfinite(new))[0])
         raise NoAdmissibleControl(
             f"no admissible transition reaches node {node} on [{a}, {b}]")
-    if too_fast is not None:
-        node, speed = too_fast
-        bound = cs.speed_signal(grid.horizon, grid.dx, grid.edge_radii).max()
-        raise CflViolation(
-            f"dt={dtn:.6g} exceeds dx/|f|={grid.dx / speed:.6g} at node {node} "
-            f"on [{a}, {b}]: the speed bound {bound:.6g} understates "
-            f"|f|={speed:.6g} there")
+    for i, (fmat, _) in enumerate(rows):
+        if fmat.ndim > 1:
+            cs.edges[i].check_speeds(cs.sign(i), fmat, a, b, grid, i)
     return new
 
 

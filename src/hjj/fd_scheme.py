@@ -12,8 +12,11 @@ Godunov numerical Hamiltonian
 built from the monotone envelopes. Every edge's envelopes on a window are
 one EnvelopePair: a closed form (a catalog form, or an edge of control
 forms) frozen at the window's coefficients, or once per march when it is
-time-independent, or a black box with its minimiser found numerically once
-per march (per node if it depends on x). The pair is evaluated
+time-independent; a control edge with a callable f or l frozen node by
+node at the window's table, the one the value function reads
+(ControlEdge.lines), again only when the table changes; or a black
+box with its minimiser found numerically once per march (per node if it
+depends on x). The pair is evaluated
 on all the slopes of its edge at once: once per step, with both envelopes
 cut from that one array, or twice when it is read per node (H depends on
 x), at the right and at the left node of every slope. The interior,
@@ -28,11 +31,13 @@ coefficient cell for control-induced edges, and for a quadratic edge
 2 a(t) K on the slope box that the data give. A grid's windows need not be
 equal: make_grid gives each the same integral of C2, and a march checks
 once, before its first step, that every window's integral is at most dx
-(grid.check_cfl, the value function's check too). A window's frozen
-coefficients are averages, and a quadratic's bound is linear in a as a
-control's speed is in f's coefficients, so dt C2(frozen window) stays
-within that integral. That box is the a priori
-choice of the steps, and each step checks dt |dH/dp| <= dx at the slopes
+(grid.check_cfl, the value function's check too). A callable control
+edge is bounded at t = 0 only, so ControlEdge.check_speeds checks
+dt |f| <= dx on the nodes of every window, as the value function does.
+A window's frozen coefficients are averages, and a quadratic's bound is
+linear in a as a control's speed is in f's coefficients, so dt C2(frozen
+window) stays within that integral. That box is the a priori choice of
+the steps, and each step checks dt |dH/dp| <= dx at the slopes
 it reads on every edge whose pair carries a speed (a quadratic frozen at
 the window's coefficients), raising CflViolation on a breach.
 
@@ -40,9 +45,10 @@ solve_many marches several problems that share one grid as one loop over a
 leading problem axis; solve is the batch of one. Values are stored as
 (problems, levels, nodes), and the limiter and coefficient tables hold one
 column per problem. An edge whose envelopes the whole batch shares (one
-closed form with per-problem coefficient columns, or one time-independent
-Hamiltonian object) is evaluated once per step on the slopes of every
-problem; any other edge is handled problem by problem.
+closed form with per-problem coefficient columns, one callable control
+edge frozen at each window's table, or one time-independent Hamiltonian
+object) is evaluated once per step on the slopes of every problem; any
+other edge is handled problem by problem.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .control_system import TableHamiltonian
 from .errors import CflViolation, NonSeparableTimeDependence
 from .grid import Grid, SolutionField, check_cfl, make_grid
 from .hamiltonian import EnvelopePair
@@ -91,22 +98,47 @@ def _check_cfl(problems: Sequence[JunctionProblem], grid: Grid, times: np.ndarra
                   problem.cfl_speed(grid.dx, grid.edge_radii)[1], times)
 
 
-def _edge_windows(hs: list, pairs: list, times: np.ndarray, ys: np.ndarray) -> Callable:
-    """env(n): one edge's EnvelopePair on the window [times[n], times[n+1]], for a batch.
+def _table_windows(h: TableHamiltonian, times: np.ndarray, grid: Grid, i: int) -> Callable:
+    """env(n) of a callable control edge i: its table on window n of times, frozen node by node.
+
+    The table is ControlEdge.lines on the edge's nodes, the one the value
+    function reads, and the window's step is checked against its speeds
+    (ControlEdge.check_speeds). It is frozen again only when it differs
+    from the table before it, so a callable that ignores t is frozen once
+    per march.
+    """
+    ys, last = grid.edge_y(i), []
+
+    def env(n):
+        a, b = float(times[n]), float(times[n + 1])
+        table = h.edge.lines(h.sign, a, b, ys)
+        h.edge.check_speeds(h.sign, table[0], a, b, grid, i)
+        if not (last and all(map(np.array_equal, table, last[0]))):
+            last[:] = table, EnvelopePair(h, values=(*table, ys))
+        return last[1]
+    return env
+
+
+def _edge_windows(hs: list, pairs: list, times: np.ndarray, grid: Grid, i: int) -> Callable:
+    """env(n): edge i's EnvelopePair on the window [times[n], times[n+1]], for a batch.
 
     hs and pairs hold the edge's Hamiltonian and EnvelopePair in each problem.
-    A time-independent Hamiltonian that the batch shares keeps its pair for
-    the march: frozen once if it has a closed form, else minimised once (per
-    node of ys if it depends on x). A closed form that the batch shares is
-    frozen at each window's averaged coefficients, read off (windows x
-    problems) tables as one (problems, 1) column per coefficient. env(n) is
-    one pair when the batch shares it, else a list with one per problem. A
-    time-dependent black box has no coefficients to freeze, and raises
-    NonSeparableTimeDependence.
+    A callable control edge that the batch shares reads its table window by
+    window (_table_windows). Any other time-independent Hamiltonian that the
+    batch shares keeps its pair for the march: frozen once if it has a
+    closed form, else minimised once (per node if it depends on x). A
+    closed form that the batch shares is frozen at each window's averaged
+    coefficients, read off (windows x problems) tables as one (problems, 1)
+    column per coefficient. env(n) is one pair when the batch shares it,
+    else a list with one per problem. A time-dependent black box has no
+    coefficients to freeze, and raises NonSeparableTimeDependence.
     """
     h = hs[0]
-    if all(g is h for g in hs) and h.time_independent:
-        pair = pairs[0].at_nodes(float(times[0]), ys)
+    shared = all(g is h for g in hs)
+    if shared and isinstance(h, TableHamiltonian):
+        return _table_windows(h, times, grid, i)
+    if shared and h.time_independent:
+        pair = pairs[0].at_nodes(float(times[0]), grid.edge_y(i))
         return lambda n: pair
     form = h.form
     if form is not None and all(g.form is form for g in hs):
@@ -115,7 +147,7 @@ def _edge_windows(hs: list, pairs: list, times: np.ndarray, ys: np.ndarray) -> C
         return lambda n: EnvelopePair(h, values=tuple(col[n][:, None] for col in cols))
     if len(hs) == 1:
         raise NonSeparableTimeDependence("a time-dependent black box has no coefficients to freeze")
-    each = [_edge_windows([g], [pair], times, ys) for g, pair in zip(hs, pairs)]
+    each = [_edge_windows([g], [pair], times, grid, i) for g, pair in zip(hs, pairs)]
     return lambda n: [env(n) for env in each]
 
 
@@ -129,7 +161,7 @@ def _windows(problems, grid: Grid, times: np.ndarray) -> Callable:
         problems = [problems]
     a_avg = np.stack([p.flux_limiter.window_averages(times) for p in problems], axis=1)
     edges = [_edge_windows([p.edges[i].hamiltonian for p in problems],
-                           [p.envelope(i) for p in problems], times, grid.edge_y(i))
+                           [p.envelope(i) for p in problems], times, grid, i)
              for i in range(problems[0].n_edges)]
     return lambda n: (a_avg[n], [env(n) for env in edges])
 

@@ -16,8 +16,10 @@ A Hamiltonian whose form is known carries it as a ClosedForm: H and its
 minimiser as functions of the coefficient values. These are the catalog
 forms (CATALOG), which also give the bounds on |H| and |dH/dp| that set
 the scheme's C2, and the induced Hamiltonian of every control edge of
-coefficient forms (control_system). Only a black box, or a callable
-control edge, is minimised numerically. Problem files reach the catalog
+coefficient forms (control_system). A control edge with a callable f or
+l is a maximum of lines too, read from the edge's table
+(control_system.TableHamiltonian), and is minimised exactly as well. Only
+a black box is minimised numerically. Problem files reach the catalog
 through junction_problem.hamiltonian_from_config.
 """
 
@@ -140,6 +142,27 @@ class Hamiltonian:
             return abs(float(self.evaluator(0.0, 0.0, 0.0))) + (self.lipschitz_p * L if L else 0.0)
         return self._value_bound(L, ys)
 
+    def values_at(self, t: float, x) -> tuple | None:
+        """The values at which freeze fixes H at (t, x), or None for a black box.
+
+        A closed form's are its coefficient values at t.
+        """
+        return None if self.form is None else self.form.values_at(self.coefficients, t)
+
+    def freeze(self, values: tuple) -> Callable:
+        """at(t, x) -> (p_hat, h_min, p -> H(p)): h frozen at fixed values, exactly.
+
+        A closed form at coefficient values ignores t and x; h_min is
+        H(p_hat) as the form computes it. A Hamiltonian whose values are a
+        table of lines per node (control_system.TableHamiltonian) overrides
+        this, and looks its nodes up by x.
+        """
+        form = self.form
+        p_hat, H = (form.freeze(*values) if form.freeze is not None
+                    else (form.argmin(*values)[0], lambda p: form.h(p, *values)))
+        frozen = p_hat, H(p_hat), H
+        return lambda t, x: frozen
+
     def eval_p(self, t: float, x, p: np.ndarray) -> np.ndarray:
         """Evaluate at an array of slopes, x one float or one position per entry of p's last axis."""
         return elementwise(self.evaluator, t, x, p)
@@ -219,12 +242,14 @@ def check_convexity(
 def argmin_p(h: Hamiltonian, t: float, x: float) -> tuple[float, float]:
     """Minimizer and minimum of p -> H(t, x, p).
 
-    Closed form when h has one, numeric_argmin for every other Hamiltonian.
+    Exact when h has values to freeze at (t, x) (Hamiltonian.values_at): a
+    closed form, or the lines of a callable control edge. numeric_argmin
+    serves black boxes alone.
     """
-    form = h.form
-    if form is None:
+    values = h.values_at(t, x)
+    if values is None:
         return numeric_argmin(h, t, x)
-    p_hat, h_min, _ = _frozen(form, form.values_at(h.coefficients, t))
+    p_hat, h_min, _ = h.freeze(values)(t, x)
     return float(p_hat), float(h_min)
 
 
@@ -307,17 +332,18 @@ class EnvelopePair:
     when h is time-independent; any other Hamiltonian is split at
     argmin(t, x) -> (p_hat, h_min), by default argmin_p, which runs once,
     here, when h ignores both t and x.
-    EnvelopePair(h, values=...) freezes h's closed form at fixed
-    coefficient values, floats or (rows, 1) columns with one row per problem
-    of a batch, and ignores t and x. A frozen form takes h_min = H(p_hat),
-    the minimum as the form computes it, so a catalog split equals
+    EnvelopePair(h, values=...) freezes h at fixed values (Hamiltonian.freeze):
+    a closed form at coefficient values, floats or (rows, 1) columns with one
+    row per problem of a batch, ignoring t and x; a callable control edge at
+    a window's table on its nodes, read per node. A frozen pair takes
+    h_min = H(p_hat), the minimum as H computes it, so a catalog split equals
     (form.h(max(p, p_hat)), form.h(min(p, p_hat))) bit for bit.
 
     speed     p -> |dH/dp| at the frozen values, for a form whose C2 holds
               only on a slope box (ClosedForm.speed); None otherwise
     per_node  True when H depends on x: a scheme then reads h_plus and
               h_minus at different nodes (see at_nodes)
-    values    the frozen coefficient values, or None
+    values    the frozen values, or None
     """
 
     def __init__(self, h: Hamiltonian, argmin: Callable | None = None,
@@ -330,12 +356,11 @@ class EnvelopePair:
             values = form.values_at(h.coefficients, 0.0)
         self.values = values
         if values is not None:
-            frozen = _frozen(form, values)
-            self._at = lambda t, x: frozen
-            if form.speed is not None:
+            self._at = h.freeze(values)
+            if form is not None and form.speed is not None:
                 self.speed = lambda p: form.speed(p, *values)
         elif form is not None and argmin is None:
-            self._at = lambda t, x: _frozen(form, form.values_at(h.coefficients, t))
+            self._at = lambda t, x: h.freeze(h.values_at(t, x))(t, x)
         else:
             if argmin is None and h.time_independent and h.x_independent:
                 fixed = argmin_p(h, 0.0, 0.0)
@@ -416,15 +441,6 @@ class ClosedForm(NamedTuple):
 
     def values_at(self, coefficients: dict, t: float) -> tuple:
         return tuple(coeff_eval(coefficients[k], t) for k in self.names)
-
-
-def _frozen(form: ClosedForm, values: tuple) -> tuple:
-    """(p_hat, h_min, p -> H(p)) of a closed form at fixed coefficient values."""
-    if form.freeze is not None:
-        p_hat, H = form.freeze(*values)
-    else:
-        p_hat, H = form.argmin(*values)[0], lambda p: form.h(p, *values)
-    return p_hat, H(p_hat), H
 
 
 def _quadratic(p, a, b, c):

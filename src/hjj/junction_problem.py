@@ -171,10 +171,6 @@ class JunctionProblem:
             self._cfl[key] = (sigs[i].max(), f"{notes[i]} on edge {i}", upper_envelope(sigs))
         return self._cfl[key]
 
-    def c2_max(self) -> float:
-        """C2 of cfl_speed() alone."""
-        return self.cfl_speed()[0]
-
     def local_slopes(self, slopes: Sequence[float]) -> np.ndarray:
         """Normalize caller slopes to edge-local orientation.
 

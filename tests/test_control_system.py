@@ -154,13 +154,13 @@ def test_form_averaging_is_exact_for_time_signal_coefficients():
     cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0)
     alphas = edges[0].controls
     want = c0.average(0.0, 1.0) + 2.0 * alphas
-    for got in (cs.local_f_avg(0, 0.0, 1.0), cs.local_window_tables(0, [0.0, 1.0])[0][0]):
+    for got in (edges[0].lines(1.0, 0.0, 1.0)[0], edges[0].window_tables(1.0, [0.0, 1.0])[0][0]):
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
-def test_local_f_avg_matches_manual_window_average():
+def test_edge_lines_match_manual_window_average():
     cs = build_model_system(0.0)
-    got = cs.local_f_avg(0, 0.2, 0.7)
+    got = cs.edges[0].lines(cs.sign(0), 0.2, 0.7)[0]
     assert np.max(np.abs(got - cs.edges[0].controls)) <= 1e-14
 
 
@@ -182,11 +182,12 @@ def test_window_tables_are_bit_equal_to_the_per_window_averages():
         cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0)
         times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 40)), [1.0]))
         for i in range(2):
-            f_tab, l_tab = cs.local_window_tables(i, times)
+            f_tab, l_tab = edges[i].window_tables(cs.sign(i), times)
             assert f_tab.shape == l_tab.shape == (len(times) - 1, len(edges[i].controls))
             for n, (a, b) in enumerate(zip(times[:-1], times[1:])):
-                assert f_tab[n].tobytes() == cs.local_f_avg(i, a, b).tobytes()
-                assert l_tab[n].tobytes() == cs.local_l_avg(i, a, b).tobytes()
+                f_row, l_row = edges[i].lines(cs.sign(i), a, b)
+                assert f_tab[n].tobytes() == f_row.tobytes()
+                assert l_tab[n].tobytes() == l_row.tobytes()
 
 
 def test_cost_and_speed_bounds_on_the_model_system():
@@ -501,3 +502,48 @@ def test_the_closed_form_minimum_agrees_with_numeric_argmin():
                 assert abs(h_min - num_min) <= 1e-9
                 assert h.evaluator(float(t), 0.0, num_p) <= h_min + 1e-9
                 assert h.evaluator(float(t), 0.0, p_hat) == h_min
+
+
+def _random_callable_edge(rng: np.random.Generator) -> ControlEdge:
+    """f = a (1 + s m) + c m and l = d0 + d1 a + d2 a^2 (1 + m), m = min(|y|, 1), scalar-only in y.
+
+    Coarse coefficients give cost ties, zero costs and flat bottoms; every
+    node has speeds of both signs.
+    """
+    s, c = rng.choice([0.0, 0.25, 0.5]), rng.choice([-0.5, 0.0, 0.3])
+    d = rng.choice([-0.5, 0.0, 0.5, 1.0], 3)
+
+    def f(t, y, a):
+        return a * (1.0 + s * min(abs(y), 1.0)) + c * min(abs(y), 1.0)
+
+    def l(t, y, a):
+        return d[0] + d[1] * a + d[2] * a * a * (1.0 + min(abs(y), 1.0))
+
+    controls = np.concatenate((np.linspace(-1.0, 1.0, 17),
+                               rng.choice(np.linspace(-1.0, 1.0, 9), rng.integers(0, 8))))
+    return ControlEdge(f, l, controls)
+
+
+def test_a_callable_edge_is_minimised_node_by_node_as_numeric_argmin_finds_it():
+    """A window's table frozen at the nodes ys, node by node, against the numeric search.
+
+    At every node h_min is within 1e-9 of the numeric minimum, whose p_hat
+    is a 1e-9-minimiser, and p_hat is the middle of the argmin from the
+    brute-force dual to 1e-9. argmin_p at a node is that node's column bit
+    for bit: one minimiser for the march and for every other caller.
+    """
+    rng = np.random.default_rng(109)
+    ys = np.linspace(0.0, 1.5, 7)
+    for _ in range(30):
+        edge = _random_callable_edge(rng)
+        h = edge_hamiltonian(edge)
+        pair = EnvelopePair(h, values=(*edge.lines(1.0, 0.0, 0.2, ys), ys))
+        p_hat, h_min = pair.p_hat(0.0, ys), pair.h_min(0.0, ys)
+        for j, y in enumerate(ys.tolist()):
+            best, middle = _brute_minimum(*edge.lines(1.0, 0.1, 0.1, y))
+            num_p, num_min = numeric_argmin(h, 0.1, y)
+            assert abs(h_min[j] - num_min) <= 1e-9
+            assert h.evaluator(0.1, y, num_p) <= h_min[j] + 1e-9
+            assert abs(h_min[j] - best) <= 1e-9 * max(1.0, abs(best))
+            assert abs(p_hat[j] - middle) <= 1e-9 * max(1.0, abs(middle))
+            assert argmin_p(h, 0.1, y) == (p_hat[j], h_min[j])

@@ -237,11 +237,10 @@ def _reference_bellman(cs, grid, A, level, a, b):
         uu = level[idx]
         ztol = 1e-10 * max(1.0, float(y[-1]))
         if edge.x_independent:
-            fmat = cs.local_f_avg(i, a, b)[:, None]
-            lmat = cs.local_l_avg(i, a, b)[:, None]
+            fmat, lmat = (v[:, None] for v in edge.lines(cs.sign(i), a, b))
         else:
-            fmat = np.stack([cs.local_f_avg(i, a, b, float(yj)) for yj in y], axis=1)
-            lmat = np.stack([cs.local_l_avg(i, a, b, float(yj)) for yj in y], axis=1)
+            fmat, lmat = (np.stack(v, axis=1) for v in
+                          zip(*(edge.lines(cs.sign(i), a, b, float(yj)) for yj in y)))
         best = np.full(len(y), np.inf)
         for k in range(fmat.shape[0]):
             z = y - fmat[k] * dtn
@@ -340,7 +339,7 @@ def test_bellman_matches_the_per_control_loop_bit_for_bit(case):
 def test_full_cfl_case_has_partly_inadmissible_departures():
     cs, _, grid = _full_cfl()
     y = grid.edge_y(0)
-    z = y - cs.local_f_avg(0, 0.0, grid.dt)[:, None] * grid.dt
+    z = y - cs.edges[0].lines(cs.sign(0), 0.0, grid.dt)[0][:, None] * grid.dt
     ok = (z >= 0.0) & (z <= y[-1])
     assert ok.any() and not ok.all()
     assert not ok[:, 0].all() and not ok[:, -1].all() and ok[:, 1:-1].all()
@@ -407,7 +406,7 @@ def test_time_dependent_tables_keep_the_union_over_windows():
     cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=0.5, orientation="star")
     grid = oracle_grid(cs, 0.05, 1.0, 1.0)
     assert 0.5 in grid.times
-    speeds, costs = cs.local_window_tables(0, grid.times)
+    speeds, costs = cs.edges[0].window_tables(cs.sign(0), grid.times)
     rows = [undominated(f, l) for f, l in zip(speeds, costs)]
     assert {int(r.sum()) for r in rows} == {5}
     union = np.any(rows, axis=0)
@@ -480,6 +479,17 @@ def test_callable_speeds_above_the_bound_raise_cfl_violation():
     field.check_finite()
 
 
+def test_solve_raises_the_value_functions_cfl_violation_on_a_callable_that_speeds_up():
+    """Both routes check dt |f| <= dx on the nodes of each window of a callable edge."""
+    cs = _fast_far_out(delayed=True)
+    grid = oracle_grid(cs, 0.01, 0.05, 0.3, cfl_safety=1.0)
+    with pytest.raises(CflViolation) as want:
+        value_function(cs, zero_datum, grid)
+    with pytest.raises(CflViolation) as got:
+        solve(induced_problem(cs, zero_datum, 0.0, 0.05), grid)
+    assert str(got.value) == str(want.value)
+
+
 def test_fast_far_out_runs_on_the_grid_of_its_node_bound():
     """The bound on the nodes reads 4, so the default grid takes dt = safety * dx / 4."""
     cs = _fast_far_out()
@@ -541,6 +551,31 @@ def test_both_routes_agree_on_a_drift_step_with_fewer_steps():
     assert np.array_equal(grid.times, oracle_grid(cs, 0.02, 1.0, 1.0).times)
     gap = np.max(np.abs(solve(problem, grid).values - value_function(cs, zero_datum, grid).values))
     assert gap <= 1e-12
+
+
+def test_both_routes_agree_on_a_callable_drift_step():
+    """The drift step as callables, f = a + 0.5 [t > 0.3] and l = a^2 / 2, on 200 steps.
+
+    Both routes read a callable at each window's midpoint, and reach the
+    form version's 0.0875.
+    """
+    def drift(t, y, a):
+        return a + 0.5 * (t > 0.3)
+
+    def cost(t, y, a):
+        return 0.5 * a * a
+
+    edges = [ControlEdge(drift, cost, np.linspace(-2.0, 2.0, 81)) for _ in range(2)]
+    cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0)
+    problem = induced_problem(cs, zero_datum, 0.0, 1.0)
+    grid = grid_for(problem, 0.02, 1.0)
+    assert grid.steps == 200
+    scheme = solve(problem, grid).values
+    assert np.max(np.abs(scheme - value_function(cs, zero_datum, grid).values)) <= 1e-12
+    form = _drift_step_system()
+    want = value_function(form, zero_datum, grid_for(induced_problem(form, zero_datum, 0.0, 1.0),
+                                                     0.02, 1.0)).values
+    assert np.max(scheme) == pytest.approx(np.max(want), abs=1e-12) == 0.0875
 
 
 def _per_window_grid() -> Grid:

@@ -34,6 +34,7 @@ from hjj import (
     solve,
     solve_many,
     step,
+    validate,
     value_function,
 )
 from hjj.errors import CflViolation, ConfigError, NumericalFailure
@@ -678,6 +679,85 @@ def test_x_dependent_solve_equals_the_node_by_node_scheme_bit_for_bit(make):
     assert shared[1].values.tobytes() == _node_by_node_march(twin, grid).tobytes()
     mixed = solve_many([_x_dependent_problem(_LIMITER), problem], grid)
     assert mixed[1].values.tobytes() == want.tobytes()
+
+
+def _callable_systems() -> list:
+    """(problem, control system, distinct tables per march) with callable drifts on [0, 0.5].
+
+    The x-dependent drift ignores t: one table. The step a + 0.5 [t > 0.25]
+    ignores x: one table before the step and one after it.
+    """
+    drifts = ((lambda t, y, a: a * (1.0 + 0.25 * min(abs(y), 1.0)), 1),
+              (lambda t, y, a: a + 0.5 * (t > 0.25), 2))
+    out = []
+    for drift, tables in drifts:
+        edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 11))
+                 for _ in range(2)]
+        cs = ControlSystem(edges, l0=TimeSignal(np.array([0.0, 0.2, 0.5]), np.array([0.0, 0.5])),
+                           A0=-1.0, delta=1.0)
+        out.append((induced_problem(cs, lambda x: 0.5 * min(1.0, abs(x)), 0.5, 0.5), cs, tables))
+    return out
+
+
+def test_callable_control_edges_never_reach_the_numeric_argmin(monkeypatch):
+    """solve, value_function, comparison_diagnostic (compute_kn) and validate search nothing.
+
+    A ladder shares each callable edge, which it freezes once per distinct
+    table for the whole batch. A black box is still counted.
+    """
+    calls, freezes = [], []
+    real, real_freeze = hamiltonian_module.numeric_argmin, control_system_module._freeze_lines
+    monkeypatch.setattr(hamiltonian_module, "numeric_argmin",
+                        lambda h, t, x: calls.append((t, x)) or real(h, t, x))
+    monkeypatch.setattr(control_system_module, "_freeze_lines",
+                        lambda s, c: freezes.append(s.shape) or real_freeze(s, c))
+    for problem, cs, tables in _callable_systems():
+        grid = grid_for(problem, 0.05, 1.0)
+        gap = solve(problem, grid).values - value_function(cs, problem.initial_data, grid).values
+        assert np.max(np.abs(gap)) <= 1e-12
+        ladder = smoothing_ladder(problem, [0.2, 0.1])
+        assert all(p.edges[i].hamiltonian is e.hamiltonian
+                   for p in ladder.values() for i, e in enumerate(problem.edges))
+        del freezes[:]
+        comparison_diagnostic(problem, ladder, grid)
+        marched = [s for s in freezes if s[1:] == (len(grid.edge_y(0)),)]
+        assert len(marched) == 2 * tables
+        assert validate(problem).ok
+    assert calls == []
+    box = Hamiltonian(lambda t, x, p: np.abs(p) - 1.0, lipschitz_p=1.0, x_independent=True)
+    hamiltonian_module.argmin_p(box, 0.0, 0.0)
+    assert calls == [(0.0, 0.0)]
+
+
+def _callable_twin(cs: ControlSystem) -> ControlSystem:
+    """cs with every edge's f and l written as callables of the same float coefficients."""
+    def callable_form(g):
+        return lambda t, y, a: g.c0 + g.c1 * a + g.c2 * a * a
+
+    edges = [ControlEdge(callable_form(e.f), callable_form(e.l), e.controls) for e in cs.edges]
+    return ControlSystem(edges, l0=cs.l0, A0=cs.A0, delta=cs.delta, orientation=cs.orientation)
+
+
+def test_a_form_written_as_callables_gives_the_forms_fields_bit_for_bit():
+    """Time-independent control forms against the same forms as callables, on both routes.
+
+    The callable's table has the form's lines at every node, and both are
+    minimised by line_argmin, so solve gives the closed form's field bit for
+    bit; value_function reads the same speeds and costs as its form tables.
+    """
+    rng = np.random.default_rng(113)
+    for _ in range(10):
+        cs = random_control_system(rng, horizon=0.5, n_edges=int(rng.integers(2, 4)))
+        for e in cs.edges:  # each coefficient at its value at t = 0
+            e.f, e.l = (ControlForm(*(float(c(0.0)) if isinstance(c, TimeSignal) else c
+                                      for c in (g.c0, g.c1, g.c2))) for g in (e.f, e.l))
+        twin = _callable_twin(cs)
+        u0 = lambda x: 0.5 * min(1.0, abs(x))  # noqa: E731
+        data = u0 if cs.orientation == "line" else [u0] * len(cs.edges)
+        grid = grid_for(induced_problem(cs, data, 0.5, 0.5), 0.05, 1.0)
+        for route in (lambda c: solve(induced_problem(c, data, 0.5, 0.5), grid),
+                      lambda c: value_function(c, data, grid)):
+            assert route(twin).values.tobytes() == route(cs).values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_problem_from_config_with_explicit_edges():
     assert prob.flux_limiter(0.25) == 0.0
     assert prob.flux_limiter(0.75) == -1.0
     assert prob.floor(0.3) == pytest.approx(-1.0, abs=1e-12)
-    assert prob.c2_max() == pytest.approx(1.0)
+    assert prob.cfl_speed()[0] == pytest.approx(1.0)
 
 
 def test_from_line_keeps_the_declared_p_span_on_both_quadratic_edges():
@@ -172,7 +172,7 @@ def test_from_line_keeps_the_declared_p_span_on_both_quadratic_edges():
     # 2 a (p_span + |b|) on the right edge and on the reflected left edge
     assert [e.hamiltonian.lipschitz_p for e in prob.edges] == [3.0, 3.0]
     assert prob.edges[1].hamiltonian.coefficients["b"] == -0.5
-    assert prob.c2_max() == 3.0
+    assert prob.cfl_speed()[0] == 3.0
     # dt = cfl_safety * dx / C2 = 0.5 * 0.01 / 3, so 600 steps reach T = 1
     assert grid_for(prob, 0.01, 1.0).steps == 600
 
