@@ -13,12 +13,14 @@ array passes over the shared fields.
 compute_kn reads k on a leading axis of union-mesh cells. The limiter and
 every edge with a closed form (catalog forms and edges of control forms)
 are read at all cell midpoints in one array pass (one EnvelopePair frozen
-at (cells, 1) coefficient columns); black-box and x-dependent edges keep
-one call per cell, or a single call when they are time-independent. A
-control edge with a callable f or l declares no time dependence: it has
-no coefficients to smooth, so approx_hamiltonian returns it unchanged, a
-ladder shares it, and it is read once, at its exact minimiser (argmin_p).
-The junction part's product slope grid is priced a few cells at a time.
+at (cells, 1) coefficient columns). Any other edge is read through its
+problem's EnvelopePair, frozen at values_at(t, 0) once per cell, or once
+in all when it is time-independent; a black box that ignores t and x is
+frozen already, with the problem. A control edge with a callable f or l
+declares no time dependence: it has no coefficients to smooth, so
+approx_hamiltonian returns it unchanged, a ladder shares it, and it is
+read once, frozen exactly at its table at x = 0. The junction part's
+product slope grid is priced a few cells at a time.
 """
 
 from __future__ import annotations

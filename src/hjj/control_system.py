@@ -469,7 +469,7 @@ def _line_form(controls: np.ndarray, sign: float) -> ClosedForm:
         return p_hat, lambda p: _line_max(speeds, costs, p)
 
     return ClosedForm(_NAMES, lambda p, *values: _line_max(*_lines(controls, sign, *values), p),
-                      None, freeze=freeze)
+                      freeze)
 
 
 class TableHamiltonian(Hamiltonian):

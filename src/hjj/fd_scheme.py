@@ -10,14 +10,14 @@ Godunov numerical Hamiltonian
     F(p_minus, p_plus) = max{ h_plus(p_minus), h_minus(p_plus) }
 
 built from the monotone envelopes. Every edge's envelopes on a window are
-one EnvelopePair: a closed form (a catalog form, or an edge of control
-forms) frozen at the window's coefficients, or once per march when it is
-time-independent; a control edge with a callable f or l frozen node by
-node at the window's table, the one the value function reads
-(ControlEdge.lines), again only when the table changes; or a black
-box with its minimiser found numerically once per march (per node if it
-depends on x). The pair is evaluated
-on all the slopes of its edge at once: once per step, with both envelopes
+one EnvelopePair, its Hamiltonian frozen at values (Hamiltonian.freeze):
+a closed form (a catalog form, or an edge of control forms) at the
+window's coefficients, or once per march when it is time-independent; a
+control edge with a callable f or l at the window's table on its nodes,
+the one the value function reads (ControlEdge.lines), again only when
+the table changes; a time-independent black box at its nodes, once per
+march, or once per problem when it ignores x. The pair is evaluated on
+all the slopes of its edge at once: once per step, with both envelopes
 cut from that one array, or twice when it is read per node (H depends on
 x), at the right and at the left node of every slope. The interior,
 outflow and junction terms are read off the envelopes.
@@ -125,8 +125,8 @@ def _edge_windows(hs: list, pairs: list, times: np.ndarray, grid: Grid, i: int) 
     hs and pairs hold the edge's Hamiltonian and EnvelopePair in each problem.
     A callable control edge that the batch shares reads its table window by
     window (_table_windows). Any other time-independent Hamiltonian that the
-    batch shares keeps its pair for the march: frozen once if it has a
-    closed form, else minimised once (per node if it depends on x). A
+    batch shares keeps one pair for the march: the first problem's, which
+    is frozen already when h ignores x, else h frozen at the edge's nodes. A
     closed form that the batch shares is frozen at each window's averaged
     coefficients, read off (windows x problems) tables as one (problems, 1)
     column per coefficient. env(n) is one pair when the batch shares it,
@@ -138,7 +138,8 @@ def _edge_windows(hs: list, pairs: list, times: np.ndarray, grid: Grid, i: int) 
     if shared and isinstance(h, TableHamiltonian):
         return _table_windows(h, times, grid, i)
     if shared and h.time_independent:
-        pair = pairs[0].at_nodes(float(times[0]), grid.edge_y(i))
+        pair = (EnvelopePair(h, values=h.values_at(float(times[0]), grid.edge_y(i)))
+                if pairs[0].values is None else pairs[0])
         return lambda n: pair
     form = h.form
     if form is not None and all(g.form is form for g in hs):

@@ -9,18 +9,23 @@ piecewise-constant coefficient signals. The envelope splitting
 
 (with p_hat a minimizer of H(t, x, .)) yields the nondecreasing and
 nonincreasing parts used by the Godunov flux and the junction operator.
-EnvelopePair is its one implementation: both parts are cut from one
-evaluation of H, for every kind of Hamiltonian, one time or a frozen
-window, one problem or a batch, one minimiser or one per node.
-A Hamiltonian whose form is known carries it as a ClosedForm: H and its
-minimiser as functions of the coefficient values. These are the catalog
-forms (CATALOG), which also give the bounds on |H| and |dH/dp| that set
-the scheme's C2, and the induced Hamiltonian of every control edge of
-coefficient forms (control_system). A control edge with a callable f or
-l is a maximum of lines too, read from the edge's table
-(control_system.TableHamiltonian), and is minimised exactly as well. Only
-a black box is minimised numerically. Problem files reach the catalog
-through junction_problem.hamiltonian_from_config.
+
+Every Hamiltonian is split by one protocol: values_at(t, x) gives the
+values that fix H at (t, x), and freeze(values) gives H frozen there,
+with its minimiser and minimum (Hamiltonian.freeze). EnvelopePair is the
+one splitting, cut from one evaluation of H: frozen once at fixed values,
+or frozen again at values_at(t, x) on each call. The values are:
+- for a Hamiltonian whose form is known (a ClosedForm), its coefficient
+  values. These are the catalog forms (CATALOG), which also give the
+  bounds on |H| and |dH/dp| that set the scheme's C2, and the induced
+  Hamiltonian of every control edge of coefficient forms
+  (control_system); freeze is exact;
+- for a control edge with a callable f or l, its table of lines on the
+  nodes (control_system.TableHamiltonian), minimised exactly node by node;
+- for a black box, a time and positions (t, xs), minimised numerically
+  (numeric_argmin) once per position: the only numeric search.
+Problem files reach the catalog through
+junction_problem.hamiltonian_from_config.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BracketFailure, ConvexityError, NonSeparableTimeDependence
+from .grid import _positive_finite
 from .time_signal import (
     TimeSignal,
     coeff_bounds,
@@ -142,26 +148,40 @@ class Hamiltonian:
             return abs(float(self.evaluator(0.0, 0.0, 0.0))) + (self.lipschitz_p * L if L else 0.0)
         return self._value_bound(L, ys)
 
-    def values_at(self, t: float, x) -> tuple | None:
-        """The values at which freeze fixes H at (t, x), or None for a black box.
+    def values_at(self, t: float, x) -> tuple:
+        """The values at which freeze fixes H at (t, x), one float x or an array of positions.
 
-        A closed form's are its coefficient values at t.
+        A closed form's are its coefficient values at t. A black box's are
+        (t, xs): t = 0 when it ignores t, and xs the positions x, or [0]
+        when it ignores x.
         """
-        return None if self.form is None else self.form.values_at(self.coefficients, t)
+        if self.form is not None:
+            return self.form.values_at(self.coefficients, t)
+        return (0.0 if self.time_independent else t,
+                np.zeros(1) if self.x_independent else np.array(x, dtype=float, ndmin=1))
 
     def freeze(self, values: tuple) -> Callable:
-        """at(t, x) -> (p_hat, h_min, p -> H(p)): h frozen at fixed values, exactly.
+        """at(t, x) -> (p_hat, h_min, p -> H(p)): h frozen at values (see values_at).
 
-        A closed form at coefficient values ignores t and x; h_min is
-        H(p_hat) as the form computes it. A Hamiltonian whose values are a
-        table of lines per node (control_system.TableHamiltonian) overrides
-        this, and looks its nodes up by x.
+        A closed form is frozen exactly, ignoring t and x; h_min is H(p_hat)
+        as the form computes it. A black box is minimised by numeric_argmin
+        once per position of its values, and at(t, x) looks x up among
+        them (an array x entry by entry) and evaluates H at (t, x). A
+        Hamiltonian whose values are a table of lines per node
+        (control_system.TableHamiltonian) overrides this, and looks its
+        nodes up the same way.
         """
-        form = self.form
-        p_hat, H = (form.freeze(*values) if form.freeze is not None
-                    else (form.argmin(*values)[0], lambda p: form.h(p, *values)))
-        frozen = p_hat, H(p_hat), H
-        return lambda t, x: frozen
+        if self.form is not None:
+            p_hat, H = self.form.freeze(*values)
+            frozen = p_hat, H(p_hat), H
+            return lambda t, x: frozen
+        t0, xs = values
+        p_hat, h_min = np.array([numeric_argmin(self, t0, y) for y in xs.tolist()]).T
+
+        def at(t, x):
+            j = 0 if self.x_independent else np.searchsorted(xs, x)
+            return p_hat[j], h_min[j], lambda p: self.eval_p(t, x, p)
+        return at
 
     def eval_p(self, t: float, x, p: np.ndarray) -> np.ndarray:
         """Evaluate at an array of slopes, x one float or one position per entry of p's last axis."""
@@ -240,17 +260,8 @@ def check_convexity(
 
 
 def argmin_p(h: Hamiltonian, t: float, x: float) -> tuple[float, float]:
-    """Minimizer and minimum of p -> H(t, x, p).
-
-    Exact when h has values to freeze at (t, x) (Hamiltonian.values_at): a
-    closed form, or the lines of a callable control edge. numeric_argmin
-    serves black boxes alone.
-    """
-    values = h.values_at(t, x)
-    if values is None:
-        return numeric_argmin(h, t, x)
-    p_hat, h_min, _ = h.freeze(values)(t, x)
-    return float(p_hat), float(h_min)
+    """Minimizer and minimum of p -> H(t, x, p): h frozen at (t, x) (Hamiltonian.freeze)."""
+    return tuple(float(v) for v in h.freeze(h.values_at(t, x))(t, x)[:2])
 
 
 def numeric_argmin(h: Hamiltonian, t: float, x: float) -> tuple[float, float]:
@@ -327,58 +338,37 @@ class EnvelopePair:
         h_plus  = where(p <= p_hat, h_min, vals)
         h_minus = where(p <= p_hat, vals, h_min)
 
-    EnvelopePair(h) splits h at each (t, x). A closed form is frozen at
-    the coefficient values of t, looked up once per call, or once, here,
-    when h is time-independent; any other Hamiltonian is split at
-    argmin(t, x) -> (p_hat, h_min), by default argmin_p, which runs once,
-    here, when h ignores both t and x.
-    EnvelopePair(h, values=...) freezes h at fixed values (Hamiltonian.freeze):
-    a closed form at coefficient values, floats or (rows, 1) columns with one
-    row per problem of a batch, ignoring t and x; a callable control edge at
-    a window's table on its nodes, read per node. A frozen pair takes
-    h_min = H(p_hat), the minimum as H computes it, so a catalog split equals
+    with (p_hat, h_min, H) from h frozen (Hamiltonian.freeze). A pair has
+    two modes. EnvelopePair(h, values) is frozen once, here, at values:
+    coefficient values of a closed form (floats, or (rows, 1) columns with
+    one row per problem of a batch), a table of lines on nodes, or a black
+    box's time and positions. EnvelopePair(h) is frozen the same way at
+    values_at(0, 0) when h ignores both t and x, and otherwise frozen again
+    at values_at(t, x) on each call. A closed form takes h_min = H(p_hat),
+    the minimum as H computes it, so a catalog split equals
     (form.h(max(p, p_hat)), form.h(min(p, p_hat))) bit for bit.
 
     speed     p -> |dH/dp| at the frozen values, for a form whose C2 holds
               only on a slope box (ClosedForm.speed); None otherwise
     per_node  True when H depends on x: a scheme then reads h_plus and
-              h_minus at different nodes (see at_nodes)
-    values    the frozen values, or None
+              h_minus at different nodes, an array x entry by entry
+    values    the frozen values, or None when the pair is frozen per call
     """
 
-    def __init__(self, h: Hamiltonian, argmin: Callable | None = None,
-                 values: tuple | None = None):
+    def __init__(self, h: Hamiltonian, values: tuple | None = None):
         self.h = h
         self.per_node = not h.x_independent
-        self.speed = None
-        form = h.form
-        if values is None and form is not None and argmin is None and h.time_independent:
-            values = form.values_at(h.coefficients, 0.0)
+        if values is None and h.time_independent and h.x_independent:
+            values = h.values_at(0.0, 0.0)
         self.values = values
-        if values is not None:
-            self._at = h.freeze(values)
-            if form is not None and form.speed is not None:
-                self.speed = lambda p: form.speed(p, *values)
-        elif form is not None and argmin is None:
+        self.speed = None
+        if values is None:
             self._at = lambda t, x: h.freeze(h.values_at(t, x))(t, x)
-        else:
-            if argmin is None and h.time_independent and h.x_independent:
-                fixed = argmin_p(h, 0.0, 0.0)
-                argmin = lambda t, x: fixed  # noqa: E731
-            elif argmin is None:
-                argmin = lambda t, x: argmin_p(h, t, x)  # noqa: E731
-            self._at = lambda t, x: (*argmin(t, x), lambda p: h.eval_p(t, x, p))
-
-    def at_nodes(self, t: float, ys: np.ndarray) -> "EnvelopePair":
-        """This pair with H minimised once per node of ys, at time t, when H depends on x.
-
-        For a Hamiltonian that ignores t. The minimisers and minima are read
-        at arrays of nodes of ys; a pair that ignores x is returned as it is.
-        """
-        if not self.per_node:
-            return self
-        minima = np.array([argmin_p(self.h, t, y) for y in ys.tolist()])
-        return EnvelopePair(self.h, argmin=lambda t, x: minima[np.searchsorted(ys, x)].T)
+            return
+        self._at = h.freeze(values)
+        form = h.form
+        if form is not None and form.speed is not None:
+            self.speed = lambda p: form.speed(p, *values)
 
     def p_hat(self, t: float, x: float) -> float:
         return self._at(t, x)[0]
@@ -399,8 +389,8 @@ class EnvelopePair:
     def split(self, t: float, x, p):
         """(h_plus, h_minus) at an array of slopes, from one evaluation of H.
 
-        x may be one position per entry of p's last axis when the minimiser
-        takes such an array too (at_nodes).
+        x may be one position per entry of p's last axis when the pair is
+        frozen at positions that include them.
         """
         p = np.asarray(p, dtype=float)
         p_hat, h_min, H = self._at(t, x)
@@ -423,21 +413,20 @@ def a0_floor(hamiltonians, t: float) -> float:
 class ClosedForm(NamedTuple):
     """H and its minimiser as functions of the coefficient values.
 
-    h(p_hat) is the minimum exactly, which argmin_p and EnvelopePair take
-    as h_min. value_bound takes each coefficient's (lo, hi) range over time,
+    freeze does the work of fixed values once: it gives the exact
+    minimiser p_hat and the H that a frozen EnvelopePair keeps, whose
+    H(p_hat) is the minimum that argmin_p and EnvelopePair take as h_min.
+    value_bound takes each coefficient's (lo, hi) range over time,
     slope_box the coefficients themselves (floats or TimeSignals); a form
-    without them leaves its bounds to its Hamiltonian. freeze, when given,
-    takes the place of argmin and does the work of fixed values once: a
-    frozen EnvelopePair keeps the H that it returns.
+    without them leaves its bounds to its Hamiltonian.
     """
 
     names: tuple
     h: Callable            # (p, *values) -> H(p)
-    argmin: Callable | None  # (*values) -> (p_hat, min H); None with freeze
+    freeze: Callable       # (*values) -> (p_hat, p -> H(p))
     value_bound: Callable | None = None  # (L, *ranges) -> sup |H| over |p| <= L
     slope_box: Callable | None = None    # (M, *coefficients) -> (C2, source) where H <= M
     speed: Callable | None = None  # (p, *values) -> |dH/dp|, where C2 holds only on a box
-    freeze: Callable | None = None  # (*values) -> (p_hat, p -> H(p))
 
     def values_at(self, coefficients: dict, t: float) -> tuple:
         return tuple(coeff_eval(coefficients[k], t) for k in self.names)
@@ -470,10 +459,12 @@ def _quadratic_slope_box(M, a, b, c):
 
 
 CATALOG = {
-    "quadratic": ClosedForm(("a", "b", "c"), _quadratic, lambda a, b, c: (b, c),
+    "quadratic": ClosedForm(("a", "b", "c"), _quadratic,
+                            lambda a, b, c: (b, lambda p: _quadratic(p, a, b, c)),
                             _quadratic_value_bound, _quadratic_slope_box,
                             lambda p, a, b, c: 2.0 * a * np.abs(p - b)),
-    "abs_shift": ClosedForm(("c",), lambda p, c: np.abs(p) + c, lambda c: (0.0, c),
+    "abs_shift": ClosedForm(("c",), lambda p, c: np.abs(p) + c,
+                            lambda c: (0.0, lambda p: np.abs(p) + c),
                             lambda L, c: max(abs(c[0]), abs(L + c[1])),
                             lambda M, c: (1.0, "|dH/dp| = 1")),
 }
@@ -519,12 +510,15 @@ def quadratic(a, b, c, p_span: float | None = None) -> Hamiltonian:
     JunctionProblem.cfl_speed), which fd_scheme checks against the slopes
     of every step. A declared p_span overrides the box with
     2 a (p_span + |b|), which covers slopes within p_span of the origin.
-    Either bound follows a(t) cell by cell; its sup takes a_hi.
+    Either bound follows a(t) cell by cell; its sup takes a_hi. A p_span
+    that is not positive and finite raises ConfigError.
     """
     a_lo, a_hi = coeff_bounds(a)
     b_lo, b_hi = coeff_bounds(b)
     if a_lo <= 0.0:
         raise ValueError("quadratic needs a > 0")
+    if p_span is not None:
+        p_span = _positive_finite("p_span", p_span)
     b_abs = max(abs(b_lo), abs(b_hi))
     neg_b = b.shift_values(np.negative) if isinstance(b, TimeSignal) else -b
     declared = {}

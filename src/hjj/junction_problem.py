@@ -37,7 +37,7 @@ from .control_system import (
     induced_hamiltonian,
 )
 from .errors import ConfigError, ConvexityError, FluxLimiterBelowFloor, SlopeCountMismatch
-from .grid import edge_data, edge_nodes
+from .grid import _positive_finite, edge_data, edge_nodes
 from .hamiltonian import (EnvelopePair, Hamiltonian, a0_floor, abs_shift, check_convexity,
                           eikonal, quadratic, reflected)
 from .time_signal import TimeSignal, constant, on_horizon, union_mesh, upper_envelope
@@ -72,7 +72,11 @@ class Edge:
 
 
 class JunctionProblem:
-    """Problem data in edge-local form. Prefer from_line for two-edge setups."""
+    """Problem data in edge-local form. Prefer from_line for two-edge setups.
+
+    lipschitz_u0 bounds the datum's slopes: a negative or non-finite value
+    raises ConfigError.
+    """
 
     def __init__(
         self,
@@ -99,7 +103,7 @@ class JunctionProblem:
         self.edges = list(edges)
         self.flux_limiter = flux_limiter
         self.initial_data = list(initial_data)
-        self.lipschitz_u0 = float(lipschitz_u0)
+        self.lipschitz_u0 = _positive_finite("lipschitz_u0", lipschitz_u0, zero_ok=True)
         self.horizon = float(horizon)
         self.line_convention = bool(line_convention)
         self._envs = [EnvelopePair(e.hamiltonian) for e in self.edges]
@@ -444,8 +448,9 @@ def hamiltonian_from_config(d: dict, horizon: float, what: str = "hamiltonian") 
     if form == "abs_shift":
         return abs_shift(coeff("c"))
     if form == "quadratic":
-        return quadratic(coeff("a"), coeff("b"), coeff("c"),
-                         p_span=entry(d, "p_span", what, float, None))
+        p_span = entry(d, "p_span", what, float, None)
+        return quadratic(coeff("a"), coeff("b"), coeff("c"), p_span=None if p_span is None
+                         else _positive_finite(f"{what} p_span", p_span))
     raise ConfigError(
         "control_induced Hamiltonians are built from the control_system "
         "block, not from an edge entry")

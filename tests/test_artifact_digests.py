@@ -24,3 +24,8 @@ def test_check_names_every_rung_whose_prefix_moved():
     del printed["model-value dx=0.01"]
     assert tool.moved(printed) == ["model-compare dx=0.008", "tdq-approx seed=41",
                                    "model-value dx=0.01"]
+
+
+def test_every_recorded_prefix_is_printed_today():
+    """The eleven CLI artifacts are byte-identical to the recorded ones (--check exits 0)."""
+    assert _tool().main(["--check"]) == 0

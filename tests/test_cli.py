@@ -483,8 +483,18 @@ _BAD_ENTRIES = {
     "p_span_text": (_step_config, ("edges", 1, "hamiltonian"),
                     {"form": "quadratic", "a": 1.0, "b": 0.0, "c": -1.0, "p_span": "x"},
                     "edge 1 hamiltonian p_span"),
+    "p_span_negative": (_step_config, ("edges", 1, "hamiltonian"),
+                        {"form": "quadratic", "a": 1.0, "b": 0.0, "c": -1.0, "p_span": -1},
+                        "edge 1 hamiltonian p_span: expected a positive finite number"),
+    "p_span_zero": (_step_config, ("edges", 0, "hamiltonian"),
+                    {"form": "quadratic", "a": 1.0, "b": 0.0, "c": -1.0, "p_span": 0},
+                    "edge 0 hamiltonian p_span: expected a positive finite number"),
     "orientation_ring": (_step_config, ("orientation",), "ring", "orientation"),
     "lipschitz_u0_text": (_step_config, ("lipschitz_u0",), "x", "lipschitz_u0"),
+    "lipschitz_u0_negative": (_step_config, ("lipschitz_u0",), -1,
+                              "lipschitz_u0: expected a non-negative finite number"),
+    "cs_lipschitz_u0_negative": (_model_config, ("lipschitz_u0",), -0.5,
+                                 "lipschitz_u0: expected a non-negative finite number"),
     "T_infinite": (_step_config, ("T",), "inf", "T"),
     "T_negative": (_step_config, ("T",), -1.0, "T"),
     "R_domain_text": (_step_config, ("R_domain",), "x", "R_domain"),

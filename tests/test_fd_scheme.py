@@ -342,6 +342,38 @@ def test_march_minimises_each_edge_at_most_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("x_dependent, want", [(False, [1, 0, 2]), (True, [0, 11, 15])],
+                         ids=["x-independent", "x-dependent"])
+def test_a_black_box_is_searched_once_per_problem_and_node(monkeypatch, x_dependent, want):
+    """numeric_argmin calls to build a problem, solve it, and run a two-width diagnostic.
+
+    A box that ignores t and x is frozen once per problem, and a march and
+    compute_kn share that pair; one that depends on x is frozen at the 11
+    nodes of its edge once per march, and compute_kn reads it at x = 0 once
+    per problem of each width.
+    """
+    calls = []
+    real = hamiltonian_module.numeric_argmin
+    monkeypatch.setattr(hamiltonian_module, "numeric_argmin",
+                        lambda h, t, x: calls.append((t, x)) or real(h, t, x))
+    if x_dependent:
+        box = Hamiltonian(lambda t, x, p: (1.0 + 0.2 * np.minimum(np.abs(x), 1.0)) * np.abs(p)
+                          - 1.0, lipschitz_p=1.2, coercivity_radius=2.0)
+    else:
+        box = Hamiltonian(lambda t, x, p: np.maximum(np.abs(p) - 1.0, 0.0), lipschitz_p=1.0,
+                          coercivity_radius=2.0, x_independent=True)
+    limiter = TimeSignal(np.array([0.0, 0.2, 0.5]), np.array([0.1, 0.4]))
+    counts = []
+    prob = from_line(box, eikonal(), limiter, zero_datum, 0.0, 0.5)
+    counts.append(len(calls))
+    grid = grid_for(prob, 0.1, 1.0)
+    for run in (lambda: solve(prob, grid), lambda: comparison_diagnostic(prob, [0.2, 0.1], grid)):
+        del calls[:]
+        run()
+        counts.append(len(calls))
+    assert counts == want
+
+
 def _control_induced_problem() -> JunctionProblem:
     """Line problem: time-independent right edge, time-dependent left edge."""
     speed = TimeSignal(np.array([0.0, 0.17, 0.36, 0.5]), np.array([0.8, 1.3, 0.9]))

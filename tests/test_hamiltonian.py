@@ -17,7 +17,7 @@ from hjj import (
     reflected,
 )
 from hjj.hamiltonian import CATALOG, ClosedForm, EnvelopePair, numeric_argmin
-from hjj.errors import BracketFailure, ConvexityError, NonSeparableTimeDependence
+from hjj.errors import BracketFailure, ConfigError, ConvexityError, NonSeparableTimeDependence
 
 from conftest import frozen
 
@@ -280,9 +280,15 @@ def test_catalog_constructors_skip_the_convexity_probe(monkeypatch):
         quadratic(0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("p_span", [-1.0, 0.0, math.inf, math.nan])
+def test_quadratic_refuses_a_p_span_that_is_not_positive_and_finite(p_span):
+    with pytest.raises(ConfigError, match="^p_span: expected a positive finite number"):
+        quadratic(1.0, 0.0, -1.0, p_span=p_span)
+
+
 def _clip_split(form: ClosedForm, values: tuple, p: np.ndarray) -> tuple:
     """The catalog split as form.h(max(p, p_hat)), form.h(min(p, p_hat)): the reference."""
-    p_hat = form.argmin(*values)[0]
+    p_hat = form.freeze(*values)[0]
     return form.h(np.maximum(p, p_hat), *values), form.h(np.minimum(p, p_hat), *values)
 
 
@@ -318,12 +324,12 @@ def test_a_frozen_catalog_split_equals_the_clip_formula_byte_for_byte():
             h = quadratic(1.0, 0.0, 0.0) if name == "quadratic" else abs_shift(0.0)
             pair = EnvelopePair(h, values=values)
             p = rng.uniform(-8.0, 8.0, (rows, 40))
-            p[:, ::4] = form.argmin(*values)[0]
+            p[:, ::4] = form.freeze(*values)[0]
             p[:, 1::8] = -0.0
             want = _clip_split(form, values, p)
             _assert_same_bytes(pair.split(0.0, 0.0, p), want)
             _assert_same_bytes((pair.h_plus(0.7, 1.0, p), pair.h_minus(0.7, 1.0, p)), want)
-            _assert_same_bytes((pair.h_min(0.0, 0.0),), (form.h(form.argmin(*values)[0], *values),))
+            _assert_same_bytes((pair.h_min(0.0, 0.0),), (form.h(form.freeze(*values)[0], *values),))
 
 
 def test_a_lazy_catalog_pair_is_the_pair_frozen_at_t(monkeypatch):
@@ -349,3 +355,64 @@ def test_a_lazy_catalog_pair_is_the_pair_frozen_at_t(monkeypatch):
         _assert_same_bytes(got, _clip_split(form, values, p))
         assert env.p_hat(t, 0.0) == frozen.p_hat(0.0, 0.0)
         _assert_same_bytes((env.h_min(t, 0.0),), (frozen.h_min(0.0, 0.0),))
+
+
+def _random_black_box(rng: np.random.Generator, on_x: bool, on_t: bool) -> Hamiltonian:
+    """a (p - b)^2 + c |p| + d with a, b and d moving in x, in t, or in both."""
+    a, b = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+    c, d = rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0)
+    kx, kt = rng.uniform(0.5, 3.0, 2)
+
+    def evaluator(t, x, p):
+        s = (kx * np.asarray(x, dtype=float) if on_x else 0.0) + (kt * t if on_t else 0.0)
+        p = np.asarray(p, dtype=float)
+        return a * (1.0 + 0.5 * np.sin(s) ** 2) * (p - b * np.cos(s)) ** 2 + c * np.abs(p) + d * s
+
+    time_data = {"t": TimeSignal(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0]))} if on_t else {}
+    return Hamiltonian(evaluator, lipschitz_p=10.0, coercivity_radius=2.0, time_data=time_data,
+                       x_independent=not on_x, validate=False)
+
+
+@pytest.mark.parametrize("on_x, on_t", [(True, False), (False, True), (True, True)],
+                         ids=["x", "t", "x-and-t"])
+def test_a_black_box_freezes_at_each_node_as_numeric_argmin_finds_it(on_x, on_t):
+    """h.freeze(h.values_at(t, ys)) and argmin_p give numeric_argmin's pair bit for bit.
+
+    The frozen box looks every node of ys up, one float or the whole array,
+    and evaluates H at the queried (t, x).
+    """
+    rng = np.random.default_rng(113)
+    ys = np.linspace(0.0, 1.5, 7)
+    p = np.linspace(-3.0, 3.0, 13)
+    for _ in range(10):
+        h = _random_black_box(rng, on_x, on_t)
+        t = float(rng.uniform(0.0, 1.0))
+        at = h.freeze(h.values_at(t, ys))
+        want = [numeric_argmin(h, t, y) for y in ys.tolist()]
+        for y, (p_hat, h_min) in zip(ys.tolist(), want):
+            got_p, got_min, H = at(t, y)
+            assert (float(got_p), float(got_min)) == (p_hat, h_min)
+            assert argmin_p(h, t, y) == (p_hat, h_min)
+            assert H(p).tobytes() == h.eval_p(t, y, p).tobytes()
+        if on_x:
+            got_p, got_min, H = at(t, ys)
+            assert got_p.tolist() == [w[0] for w in want]
+            assert got_min.tolist() == [w[1] for w in want]
+            grid_p = np.broadcast_to(p[:, None], (len(p), len(ys)))
+            assert H(grid_p).tobytes() == h.eval_p(t, ys, grid_p).tobytes()
+
+
+def test_a_black_box_that_ignores_t_and_x_is_searched_once(monkeypatch):
+    """EnvelopePair(h) freezes such a box once, at values_at(0, 0); its reads search nothing."""
+    calls = []
+    monkeypatch.setattr("hjj.hamiltonian.numeric_argmin",
+                        lambda h, t, x: calls.append((t, x)) or numeric_argmin(h, t, x))
+    h = _flat_bottom()
+    assert h.values_at(0.7, 0.3)[0] == 0.0 and h.values_at(0.7, 0.3)[1].tolist() == [0.0]
+    env = EnvelopePair(h)
+    assert calls == [(0.0, 0.0)]
+    ps = np.linspace(-3.0, 3.0, 25)
+    env.split(0.4, 0.0, ps)
+    env.h_plus(0.9, 0.0, ps)
+    assert (env.p_hat(0.2, 0.0), env.h_min(0.2, 0.0)) == numeric_argmin(h, 0.0, 0.0)
+    assert len(calls) == 1

@@ -144,6 +144,13 @@ def test_at_least_two_edges_required():
         )
 
 
+@pytest.mark.parametrize("lip", [-1.0, -1e-300, np.inf, np.nan])
+def test_a_negative_or_non_finite_lipschitz_u0_is_refused(lip):
+    with pytest.raises(ConfigError, match="^lipschitz_u0: expected a non-negative finite number"):
+        from_line(eikonal(), eikonal(), constant(0.0, 1.0), zero_datum, lip, 1.0)
+    assert _star(2, 0.0).lipschitz_u0 == 0.0
+
+
 def test_problem_from_config_with_explicit_edges():
     prob, cs = problem_from_config({
         "T": 1.0,
