@@ -9,11 +9,14 @@ Subcommands:
 
 Every command reads a JSON problem file (--problem; the format is
 junction_problem's, see problem_from_config), which describes one problem,
-and writes its artifacts into the --out directory; everything is computed
-before anything is written, so a nonzero exit leaves no artifacts behind.
+and writes its artifacts into the --out directory. Every result is
+computed before anything is written; field.csv is rendered one level at a
+time while it is written into a temp file, which is renamed into place only
+once it is complete, so a nonzero exit leaves no artifacts behind.
 The commands that march build their grid with grid_for and start from the
 problem's initial_data, on both routes.
-Exit codes: 0 ok, 1 configuration, 2 validation, 3 numerical failure.
+Exit codes: 0 ok, 1 configuration (running out of memory too), 2 validation,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -83,7 +86,11 @@ def _out_path(args, name: str) -> str:
 
 
 def _write_all(args, artifacts: list) -> int:
-    """artifacts: (relative name, text). Rendered first, written last."""
+    """artifacts: (relative name, text or its chunks), each through atomic_write_text.
+
+    Chunks are rendered while they are written; a render that fails leaves
+    no file, and later artifacts unwritten.
+    """
     os.makedirs(args.out, exist_ok=True)
     for name, text in artifacts:
         path = _out_path(args, name)
@@ -93,7 +100,8 @@ def _write_all(args, artifacts: list) -> int:
 
 
 def _field_artifacts(field: SolutionField, args) -> list:
-    arts = [("field.csv", field.to_csv())]
+    """field.csv as its per-level chunks, written first, then each snapshot's text."""
+    arts = [("field.csv", field.csv_chunks())]
     for k, t in enumerate(sorted(args.report_times or [])):
         arts.append((f"snapshot_{k}.tsv", field.to_snapshot_tsv(t)))
     return arts
@@ -291,6 +299,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'} (a coarser --dx needs less)",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

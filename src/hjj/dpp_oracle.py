@@ -202,9 +202,10 @@ def value_function(cs: ControlSystem, u0, grid: Grid) -> SolutionField:
     big_l = cs.cost_bound(grid.dx, grid.edge_radii)
     abar = cs.abar_bound()
     bound = (2.0 * big_l + abar) * grid.horizon + float(np.max(np.abs(v0)))
-    if field.sup_norm() > bound + 1e-7 * (1.0 + bound):
+    sup = field.sup_norm()
+    if sup > bound + 1e-7 * (1.0 + bound):
         raise NumericalFailure(
-            f"value function breaks its a priori bound: {field.sup_norm():.6g} "
+            f"value function breaks its a priori bound: {sup:.6g} "
             f"> {bound:.6g}; the Bellman recursion is inconsistent")
     return field
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CflViolation, ConfigError
+from .errors import CflViolation, ConfigError, NumericalFailure
 from .time_signal import TimeSignal, constant, upper_envelope
 
 __all__ = ["Grid", "SolutionField", "make_grid", "check_cfl", "edge_data", "edge_nodes",
@@ -28,13 +27,20 @@ def fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file + rename so readers never see partial output."""
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write via a temp file + rename so readers never see partial output.
+
+    text is a str, or an iterable of str chunks, each written into the temp
+    file as it is produced; if producing or writing one raises, the temp
+    file is removed and nothing is renamed into place. The file is created
+    with mode 0o666 less the umask, as open(path, "w") would create it.
+    """
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -157,6 +163,14 @@ def edge_nodes(dx: float, radii: Sequence[float]) -> tuple:
     return tuple(np.arange(max(1, int(round(r / dx))) + 1) * dx for r in radii)
 
 
+def _step_count(n: float, speed: TimeSignal) -> int:
+    """max(1, ceil(n)); ConfigError naming n and C2 when n is not finite or exceeds np.intp."""
+    if not n <= np.iinfo(np.intp).max:  # NaN fails too
+        raise ConfigError(f"the grid needs {n:.6g} time steps at C2 = {speed.max():.6g}, "
+                          f"more than {np.iinfo(np.intp).max} can be indexed")
+    return max(1, math.ceil(n))
+
+
 def make_grid(
     dx: float,
     horizon: float,
@@ -175,11 +189,11 @@ def make_grid(
     largest step; a constant C2 gives N equal steps of dt = T / N. An
     explicit dt gives uniform steps (the last one may be shorter so the
     final level lands on T) and must satisfy dt <= dx / sup C2, else
-    CflViolation (numerical-failure class, not a config error). dx and dt
-    must be positive and finite.
+    CflViolation (numerical-failure class, not a config error). dx, dt and
+    T must be positive and finite, and so must the step count N, which may
+    not exceed np.intp's maximum, else ConfigError naming N and C2.
     """
-    if horizon <= 0:
-        raise ConfigError("T must be positive")
+    horizon = _positive_finite("T", horizon)
     if not radii:
         raise ConfigError("need at least one edge radius")
     if not (0 < cfl_safety <= 1.0):
@@ -191,13 +205,13 @@ def make_grid(
     cfl_limit = dx / speed.max()
     if dt is None and speed.min() < speed.max():
         phi = speed.running_integrals(speed.breakpoints)
-        n = max(1, int(math.ceil(phi[-1] / (cfl_safety * dx) - 1e-12)))
+        n = _step_count(phi[-1] / (cfl_safety * dx) - 1e-12, speed)
         times = np.interp(np.arange(n + 1) * (phi[-1] / n), phi, speed.breakpoints)
         times[-1] = horizon
         dt = np.diff(times).max()
     elif dt is None:
         target = cfl_safety * cfl_limit
-        n = max(1, int(math.ceil(horizon / target - 1e-12)))
+        n = _step_count(horizon / target - 1e-12, speed)
         dt = horizon / n
         times = np.linspace(0.0, horizon, n + 1)
     else:
@@ -205,7 +219,7 @@ def make_grid(
         if dt > cfl_limit * (1.0 + 1e-9):
             raise CflViolation(
                 f"dt={dt:.6g} exceeds the CFL limit dx/C2={cfl_limit:.6g}")
-        n = max(1, int(math.ceil(horizon / dt - 1e-9)))
+        n = _step_count(horizon / dt - 1e-9, speed)
         times = np.minimum(np.arange(n + 1) * dt, horizon)
         times[-1] = horizon
     return Grid(dx=float(dx), dt=float(dt), horizon=float(horizon),
@@ -228,8 +242,21 @@ def check_cfl(grid: Grid, c2: TimeSignal, source: str, times: np.ndarray) -> Non
                            f"level {grid.level_index(times[n])} (C2 from {source})")
 
 
+def _max_abs(rows: Iterable[np.ndarray]) -> float:
+    """np.max(np.abs(rows)) taken one row at a time: the same bits, NaN included.
+
+    A pass over a finished field folds its levels this way, so it holds
+    one level's temporaries, never a (levels x nodes) one.
+    """
+    return float(np.max([np.abs(row).max() for row in rows]))
+
+
 class SolutionField:
-    """Node values at every time level on a Grid."""
+    """Node values at every time level on a Grid.
+
+    Its passes (sup_norm, linf_gap, check_finite, csv_chunks) go one level
+    at a time and allocate no (levels x nodes) temporary.
+    """
 
     def __init__(self, grid: Grid, values: np.ndarray, line: bool):
         values = np.asarray(values, dtype=float)
@@ -256,19 +283,19 @@ class SolutionField:
         return self.values[-1]
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return _max_abs(self.values)
 
     def check_finite(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            from .errors import NumericalFailure
-            bad = np.argwhere(~np.isfinite(self.values))[0]
-            raise NumericalFailure(
-                f"non-finite value at level {bad[0]}, node {bad[1]}")
+        """NumericalFailure naming the first non-finite value in row-major order."""
+        for n, row in enumerate(self.values):
+            if not np.isfinite(row).all():
+                node = np.flatnonzero(~np.isfinite(row))[0]
+                raise NumericalFailure(f"non-finite value at level {n}, node {node}")
 
     def linf_gap(self, other: "SolutionField") -> float:
         if not self.grid.compatible(other.grid):
             raise ConfigError("mismatched grids")
-        return float(np.max(np.abs(self.values - other.values)))
+        return _max_abs(a - b for a, b in zip(self.values, other.values))
 
     def node_labels(self) -> list:
         """Whole-line x floats, or 'edge:distance' strings for stars."""
@@ -292,16 +319,19 @@ class SolutionField:
         """
         return "".join(row.format(lab.replace("%", "%%")) for lab in self.node_labels())
 
-    def to_csv(self) -> str:
+    def csv_chunks(self) -> Iterator[str]:
+        """field.csv's text: the header t,x,u, then one chunk of rows per level."""
         order = self._node_order()
         tmpl = self._template("%s,{},%.17g\n")
         args = [None] * (2 * len(order))
-        parts = ["t,x,u\n"]
+        yield "t,x,u\n"
         for n, t in enumerate(self.times):
             args[0::2] = [fmt(t)] * len(order)
             args[1::2] = self.values[n][order].tolist()
-            parts.append(tmpl % tuple(args))
-        return "".join(parts)
+            yield tmpl % tuple(args)
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_chunks())
 
     def to_snapshot_tsv(self, t_requested: float) -> str:
         n = self.grid.level_index(t_requested)

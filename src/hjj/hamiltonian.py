@@ -510,13 +510,13 @@ def quadratic(a, b, c, p_span: float | None = None) -> Hamiltonian:
     JunctionProblem.cfl_speed), which fd_scheme checks against the slopes
     of every step. A declared p_span overrides the box with
     2 a (p_span + |b|), which covers slopes within p_span of the origin.
-    Either bound follows a(t) cell by cell; its sup takes a_hi. A p_span
-    that is not positive and finite raises ConfigError.
+    Either bound follows a(t) cell by cell; its sup takes a_hi. An a whose
+    bounds, or a p_span, are not positive and finite raises ConfigError.
     """
     a_lo, a_hi = coeff_bounds(a)
     b_lo, b_hi = coeff_bounds(b)
-    if a_lo <= 0.0:
-        raise ValueError("quadratic needs a > 0")
+    for bound in (a_lo, a_hi):
+        _positive_finite("quadratic a", bound)
     if p_span is not None:
         p_span = _positive_finite("p_span", p_span)
     b_abs = max(abs(b_lo), abs(b_hi))

@@ -75,7 +75,7 @@ class JunctionProblem:
     """Problem data in edge-local form. Prefer from_line for two-edge setups.
 
     lipschitz_u0 bounds the datum's slopes: a negative or non-finite value
-    raises ConfigError.
+    raises ConfigError, as does a horizon that is not positive and finite.
     """
 
     def __init__(
@@ -91,8 +91,7 @@ class JunctionProblem:
             raise ValueError("a junction needs at least two edges")
         if len(initial_data) != len(edges):
             raise ValueError("one initial datum per edge required")
-        if horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        horizon = _positive_finite("horizon", horizon)
         if abs(flux_limiter.horizon - horizon) > 1e-12 * max(1.0, horizon):
             raise ValueError("flux limiter horizon must match the problem horizon")
         if line_convention and len(edges) != 2:
@@ -104,7 +103,7 @@ class JunctionProblem:
         self.flux_limiter = flux_limiter
         self.initial_data = list(initial_data)
         self.lipschitz_u0 = _positive_finite("lipschitz_u0", lipschitz_u0, zero_ok=True)
-        self.horizon = float(horizon)
+        self.horizon = horizon
         self.line_convention = bool(line_convention)
         self._envs = [EnvelopePair(e.hamiltonian) for e in self.edges]
         self._cfl = {}

@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import importlib.util
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,8 @@ import pytest
 
 import hjj.cli
 import hjj.hamiltonian as hamiltonian_module
-from hjj import (ControlEdge, ControlSystem, grid_for, oracle_grid, problem_from_config,
-                 smoothing_ladder, value_function)
+from hjj import (ControlEdge, ControlSystem, SolutionField, grid_for, oracle_grid,
+                 problem_from_config, smoothing_ladder, value_function)
 from hjj.cli import main
 
 from conftest import bench_tdq_config
@@ -617,3 +619,89 @@ def test_numeric_options_refuse_nan_inf_and_out_of_range_values(tmp_path: Path, 
     assert option[2:] in err.splitlines()[-1]
     assert not out.exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_grid_no_array_can_index_exits_1_naming_its_step_count_and_c2(tmp_path: Path,
+                                                                         capsys):
+    quad = {"hamiltonian": {"form": "quadratic", "a": 1e300, "b": 0.0, "c": -1.0}}
+    problem = _write(tmp_path, _step_config(edges=[quad, quad]))
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", problem, "--dx", "0.05", "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1
+    assert re.fullmatch(r"configuration error: the grid needs \S+ time steps at C2 = \S+, "
+                        r"more than \d+ can be indexed", lines[0])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc,shown", [
+    (MemoryError("Unable to allocate 2.16 GiB for an array with shape (1, 3577710, 81) "
+                 "and data type float64"),
+     "Unable to allocate 2.16 GiB for an array with shape (1, 3577710, 81) and data type "
+     "float64"),
+    (MemoryError(), "allocation failed"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_1_with_one_line(tmp_path: Path, capsys, monkeypatch,
+                                                     exc, shown):
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(hjj.cli, "fd_solve", refuse)
+    problem = _write(tmp_path, _step_config())
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", problem, "--dx", "0.1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"out of memory: {shown} (a coarser --dx needs less)"]
+    assert not out.exists()
+
+
+def test_a_field_csv_render_that_fails_midway_leaves_no_artifacts(tmp_path: Path, capsys,
+                                                                   monkeypatch):
+    render = SolutionField.csv_chunks
+
+    def fail_midway(field):
+        chunks = render(field)
+        for _ in range(3):
+            yield next(chunks)
+        raise MemoryError("render failed")
+
+    monkeypatch.setattr(SolutionField, "csv_chunks", fail_midway)
+    problem = _write(tmp_path, _model_config())
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", problem, "--dx", "0.1", "--report-times", "0.5",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("out of memory: render failed")
+    assert list(out.iterdir()) == []
+
+
+def _traced_peak(argv: list, out: Path) -> int:
+    """tracemalloc's peak in bytes over main(argv, --out out), after one untraced run."""
+    assert main([*argv, "--out", str(out.with_name(out.name + "-warm"))]) == 0
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compare_holds_at_most_three_field_sizes(tmp_path: Path):
+    """Its two fields, and no pass over them allocates a third (levels x nodes) array."""
+    problem = _write(tmp_path, _model_config())
+    out = tmp_path / "out"
+    peak = _traced_peak(["compare", "--problem", problem, "--dx", "0.01"], out)
+    report = json.loads((out / "compare.json").read_text())
+    field_bytes = (report["steps"] + 1) * report["nodes"] * 8
+    assert peak <= 3 * field_bytes
+
+
+def test_solve_holds_a_small_part_of_the_field_csv_it_writes(tmp_path: Path):
+    """field.csv is written level by level, never held whole."""
+    problem = _write(tmp_path, bench_tdq_config(1))
+    out = tmp_path / "out"
+    peak = _traced_peak(["solve", "--problem", problem, "--dx", "0.02"], out)
+    assert peak < 0.25 * (out / "field.csv").stat().st_size

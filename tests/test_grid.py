@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import math
+import os
+import re
+import stat
 
 import numpy as np
 import pytest
 
 from hjj import SolutionField, TimeSignal, make_grid
-from hjj.errors import CflViolation, HorizonMismatch
+from hjj.errors import CflViolation, ConfigError, HorizonMismatch, NumericalFailure
+from hjj.grid import atomic_write_text
 
 
 def _reference_csv(field: SolutionField) -> str:
@@ -106,3 +110,97 @@ def test_make_grid_refuses_a_speed_signal_on_another_horizon():
     speed = TimeSignal(np.array([0.0, 0.5, 2.0]), np.array([1.0, 2.0]))
     with pytest.raises(HorizonMismatch):
         make_grid(0.1, 1.0, (1.0,), c2=speed)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _planted(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Normal values with up to two each of NaN, +inf, -inf and -0.0 at random places."""
+    values = rng.normal(scale=10.0, size=shape)
+    for special in (np.nan, np.inf, -np.inf, -0.0):
+        values.flat[rng.integers(0, values.size, rng.integers(0, 3))] = special
+    return values
+
+
+def test_the_level_folds_give_the_full_array_answers_bit_for_bit():
+    """sup_norm, linf_gap and check_finite against the whole-field expressions they replace."""
+    grid = make_grid(0.1, 0.4, (0.5, 0.3), c2=1.0)
+    shape = (grid.steps + 1, grid.n_nodes)
+    rng = np.random.default_rng(211)
+    signed_zeros = rng.choice([0.0, -0.0], size=shape)
+    for trial in range(300):
+        a = signed_zeros if trial == 0 else _planted(rng, shape)
+        b = _planted(rng, shape)
+        fa, fb = SolutionField(grid, a, line=True), SolutionField(grid, b, line=True)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert _bits(fa.sup_norm()) == _bits(np.max(np.abs(a)))
+            assert _bits(fa.linf_gap(fb)) == _bits(np.max(np.abs(a - b)))
+        bad = np.argwhere(~np.isfinite(a))
+        if len(bad):
+            with pytest.raises(NumericalFailure,
+                               match=f"^non-finite value at level {bad[0][0]}, node {bad[0][1]}$"):
+                fa.check_finite()
+        else:
+            fa.check_finite()
+    assert _bits(SolutionField(grid, signed_zeros, line=True).sup_norm()) == _bits(0.0)
+
+
+def test_field_csv_streams_one_chunk_per_level():
+    grid = make_grid(0.1, 0.3, (0.7, 0.5), c2=1.0)
+    values = np.random.default_rng(89).normal(size=(grid.steps + 1, grid.n_nodes))
+    field = SolutionField(grid, values, line=True)
+    chunks = list(field.csv_chunks())
+    assert chunks[0] == "t,x,u\n" and len(chunks) == grid.steps + 2
+    assert all(c.count("\n") == grid.n_nodes for c in chunks[1:])
+    assert "".join(chunks) == field.to_csv() == _reference_csv(field)
+
+
+def test_a_render_that_raises_midway_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "t,x,u\n"
+        yield "0,0,0\n"
+        raise MemoryError("render failed")
+
+    with pytest.raises(MemoryError, match="render failed"):
+        atomic_write_text(str(path), chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["field.csv"]
+    assert path.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o027, 0o077], ids=oct)
+def test_artifacts_get_the_mode_open_gives_under_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(tmp_path / "text"), "x\n")
+        atomic_write_text(str(tmp_path / "chunks"), iter(["x\n", "y\n"]))
+        with open(tmp_path / "opened", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(old)
+    modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+             for name in ("text", "chunks", "opened")}
+    assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+    assert (tmp_path / "chunks").read_text() == "x\ny\n"
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+def test_make_grid_refuses_a_horizon_that_is_not_positive_and_finite(horizon):
+    with pytest.raises(ConfigError, match="^T: expected a positive finite number"):
+        make_grid(0.1, horizon, (1.0, 1.0), c2=1.0)
+
+
+@pytest.mark.parametrize("c2,dt,shown", [
+    (1e300, None, "1e+300"),
+    (TimeSignal(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1e300])), None, "1e+300"),
+    (1.0, 1e-300, "1"),
+], ids=["constant", "signal", "dt"])
+def test_make_grid_refuses_a_step_count_no_array_can_index(c2, dt, shown):
+    with pytest.raises(ConfigError) as err:
+        make_grid(0.05, 1.0, (1.0, 1.0), c2=c2, dt=dt)
+    assert re.fullmatch(rf"the grid needs \S+ time steps at C2 = {re.escape(shown)}, more than "
+                        rf"{np.iinfo(np.intp).max} can be indexed", str(err.value))

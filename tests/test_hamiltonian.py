@@ -276,7 +276,7 @@ def test_catalog_constructors_skip_the_convexity_probe(monkeypatch):
     quadratic(1.0, 0.5, -1.0)
     abs_shift(0.3)
     eikonal()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^quadratic a: expected a positive finite number"):
         quadratic(0.0, 0.0, 0.0)
 
 
@@ -284,6 +284,15 @@ def test_catalog_constructors_skip_the_convexity_probe(monkeypatch):
 def test_quadratic_refuses_a_p_span_that_is_not_positive_and_finite(p_span):
     with pytest.raises(ConfigError, match="^p_span: expected a positive finite number"):
         quadratic(1.0, 0.0, -1.0, p_span=p_span)
+
+
+@pytest.mark.parametrize("a", [
+    0.0, -1.0, math.nan, math.inf,
+    TimeSignal(np.array([0.0, 0.5, 1.0]), np.array([1.0, -1.0])),
+], ids=["zero", "negative", "nan", "inf", "signal"])
+def test_quadratic_refuses_an_a_that_is_not_positive_and_finite(a):
+    with pytest.raises(ConfigError, match="^quadratic a: expected a positive finite number"):
+        quadratic(a, 0.0, -1.0)
 
 
 def _clip_split(form: ClosedForm, values: tuple, p: np.ndarray) -> tuple:

@@ -151,6 +151,18 @@ def test_a_negative_or_non_finite_lipschitz_u0_is_refused(lip):
     assert _star(2, 0.0).lipschitz_u0 == 0.0
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
+def test_a_horizon_that_is_not_positive_and_finite_is_refused(horizon):
+    with pytest.raises(ConfigError, match="^horizon: expected a positive finite number"):
+        JunctionProblem(
+            edges=[Edge(eikonal()), Edge(eikonal())],
+            flux_limiter=constant(-1.0, 1.0),
+            initial_data=[zero_datum, zero_datum],
+            lipschitz_u0=0.0,
+            horizon=horizon,
+        )
+
+
 def test_problem_from_config_with_explicit_edges():
     prob, cs = problem_from_config({
         "T": 1.0,
