@@ -6,12 +6,15 @@ per time window, with window-averaged speeds and running costs and linear
 interpolation in space. A march tabulates those averages once, one
 (windows x controls) table per edge and quantity, and each update gathers
 the departure points of all controls of an edge with one interpolation
-call. Transitions never jump across the junction inside a
-window (the step restriction, an integral of max|f| of at most dx over
-each window, keeps departure points inside one cell), so a crossing
-trajectory passes through the junction node and the running cost switches
-regime exactly there. Parking at the junction costs
--A(t) per unit time, A = max(-l0, A0).
+call. The updates run as the scheme's do, as a stream of levels
+(grid._levels): each level is checked as it is made, for a non-finite value
+and against the a-priori sup bound, and a restart (dpp_consistency_check)
+folds its deviation one level at a time. Transitions never jump across the
+junction inside a window (the step restriction, an integral of max|f| of at
+most dx over each window, keeps departure points inside one cell), so a
+crossing trajectory passes through the junction node and the running cost
+switches regime exactly there. Parking at the junction costs -A(t) per unit
+time, A = max(-l0, A0).
 
 The tables keep only the columns of controls that are undominated
 (control_system.undominated) in at least one window of the march; the
@@ -47,7 +50,7 @@ import numpy as np
 
 from .control_system import ControlForm, ControlSystem, flux_limiter, undominated
 from .errors import BudgetExceeded, NoAdmissibleControl, NumericalFailure
-from .grid import Grid, SolutionField, check_cfl, edge_data, make_grid
+from .grid import Grid, SolutionField, _levels, _max_abs, check_cfl, edge_data, make_grid
 from .time_signal import TimeSignal
 
 __all__ = [
@@ -123,24 +126,21 @@ def _windows(cs: ControlSystem, grid: Grid, A: TimeSignal, times: np.ndarray):
 
 
 def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
-             a: float, b: float, _window: tuple | None = None) -> np.ndarray:
+             a: float, b: float, window: tuple) -> np.ndarray:
     """One Bellman update over [a, b]: one (controls x nodes) gather per edge.
 
-    The departure points y - f dt of every kept control are interpolated in
-    a single np.interp call (which holds the end values outside [0, R]), the
+    window is this window's row of _windows(cs, grid, A, times). The
+    departure points y - f dt of every kept control are interpolated in a
+    single np.interp call (which holds the end values outside [0, R]), the
     running costs are added, departures that leave the edge are masked and
-    the minimum is taken over controls. _forward passes this window's row of
-    its tables as _window; without it the row is built here. On a callable
-    edge, whose rows hold one column per node, a speed with dt |f| > dx
-    raises CflViolation naming the node and the window
-    (ControlEdge.check_speeds), after the check for nodes that no
-    transition reaches. Parking at the junction is always admissible, since
-    its control set contains 0.
+    the minimum is taken over controls. On a callable edge, whose rows hold
+    one column per node, a speed with dt |f| > dx raises CflViolation
+    naming the node and the window (ControlEdge.check_speeds), after the
+    check for nodes that no transition reaches. Parking at the junction is
+    always admissible, since its control set contains 0.
     """
     dtn = b - a
-    if _window is None:
-        _window = _windows(cs, grid, A, np.array([a, b]))(0)
-    parking, rows = _window
+    parking, rows = window
     new = np.full(grid.n_nodes, np.inf)
     junction_best = level[0] - parking
     for i, (fmat, lmat) in enumerate(rows):
@@ -167,16 +167,19 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
     return new
 
 
-def _forward(cs: ControlSystem, grid: Grid, A: TimeSignal, v0: np.ndarray,
-             n_start: int) -> np.ndarray:
-    times = grid.times[n_start:]
-    at = _windows(cs, grid, A, times)
-    out = np.empty((len(times), grid.n_nodes))
-    out[0] = v0
-    for k in range(len(times) - 1):
-        a, b = float(times[k]), float(times[k + 1])
-        out[k + 1] = _bellman(cs, grid, A, out[k], a, b, _window=at(k))
-    return out
+def _march(cs: ControlSystem, grid: Grid, v0: np.ndarray, first: int):
+    """v0 as level first, then one Bellman update per later window, as a stream (grid._levels).
+
+    The window tables are built on the windows from level first on, so a
+    restart keeps the columns its own windows keep.
+    """
+    A, times = flux_limiter(cs), grid.times.tolist()
+    at = _windows(cs, grid, A, grid.times[first:])
+
+    def update(v, n):
+        return _bellman(cs, grid, A, v, times[n], times[n + 1], at(n - first))
+
+    return _levels(grid, v0, update, first)
 
 
 def value_function(cs: ControlSystem, u0, grid: Grid) -> SolutionField:
@@ -188,26 +191,25 @@ def value_function(cs: ControlSystem, u0, grid: Grid) -> SolutionField:
     oracle_grid, grid_for or make_grid) must hold an integral of
     ControlSystem.speed_signal of at most dx on each window (grid.check_cfl,
     as the scheme checks it), with max|f| taken on its nodes; any grid that
-    does not raises CflViolation before the march. The a-priori sup bound
-    (2L + Abar) T + sup|u0| is asserted on the result, with T the grid's
-    horizon and L = sup|l| over the controls and the grid's nodes.
+    does not raises CflViolation before the march. The march stops at the
+    first level that holds a non-finite value or breaks the a-priori sup
+    bound (2L + Abar) T + sup|u0|, with T the grid's horizon and L = sup|l|
+    over the controls and the grid's nodes: NumericalFailure naming the
+    level.
     """
     check_cfl(grid, cs.speed_signal(grid.horizon, grid.dx, grid.edge_radii), "max|f|", grid.times)
-    A = flux_limiter(cs)
     v0 = grid.sample(edge_data(u0, len(cs.edges), cs.orientation == "line"))
-    values = _forward(cs, grid, A, v0, 0)
-    field = SolutionField(grid, values, line=(cs.orientation == "line"))
-    field.check_finite()
-
-    big_l = cs.cost_bound(grid.dx, grid.edge_radii)
-    abar = cs.abar_bound()
-    bound = (2.0 * big_l + abar) * grid.horizon + float(np.max(np.abs(v0)))
-    sup = field.sup_norm()
-    if sup > bound + 1e-7 * (1.0 + bound):
-        raise NumericalFailure(
-            f"value function breaks its a priori bound: {sup:.6g} "
-            f"> {bound:.6g}; the Bellman recursion is inconsistent")
-    return field
+    bound = ((2.0 * cs.cost_bound(grid.dx, grid.edge_radii) + cs.abar_bound()) * grid.horizon
+             + float(np.max(np.abs(v0))))
+    values = np.empty((grid.steps + 1, grid.n_nodes))
+    for n, level in enumerate(_march(cs, grid, v0, 0)):
+        sup = float(np.abs(level).max())
+        if sup > bound + 1e-7 * (1.0 + bound):
+            raise NumericalFailure(
+                f"value function breaks its a priori bound at level {n}: {sup:.6g} "
+                f"> {bound:.6g}; the Bellman recursion is inconsistent")
+        values[n] = level
+    return SolutionField(grid, values, line=(cs.orientation == "line"))
 
 
 def dpp_consistency_check(cs: ControlSystem, field: SolutionField, s: float) -> float:
@@ -217,7 +219,9 @@ def dpp_consistency_check(cs: ControlSystem, field: SolutionField, s: float) -> 
     piecewise-linear profile at s as a fresh datum on the same grid, so by
     the programming principle the deviation should be at the
     interpolation-composition scale (and zero when nothing is lost). s must
-    be a time of the grid.
+    be a time of the grid. The deviation is folded one restarted level at a
+    time (grid._max_abs), and the restart, like any march, raises
+    NumericalFailure at its first non-finite level.
     """
     grid = field.grid
     ns = grid.level_index(s)
@@ -229,9 +233,8 @@ def dpp_consistency_check(cs: ControlSystem, field: SolutionField, s: float) -> 
         ys = grid.edge_y(i)
         vals = field.edge_profile(ns, i).copy()
         data.append(lambda y, _ys=ys, _v=vals: float(np.interp(y, _ys, _v)))
-    v0 = grid.sample(data)
-    restarted = _forward(cs, grid, flux_limiter(cs), v0, ns)
-    return float(np.max(np.abs(restarted - field.values[ns:])))
+    restarted = _march(cs, grid, grid.sample(data), ns)
+    return _max_abs(a - b for a, b in zip(restarted, field.values[ns:]))
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,10 @@ the steps, and each step checks dt |dH/dp| <= dx at the slopes
 it reads on every edge whose pair carries a speed (a quadratic frozen at
 the window's coefficients), raising CflViolation on a breach.
 
-solve_many marches several problems that share one grid as one loop over a
-leading problem axis; solve is the batch of one. Values are stored as
+solve_many marches several problems that share one grid as one stream of
+levels (grid._levels) over a leading problem axis; solve is the batch of
+one. Each level of the batch is checked for a non-finite value as it is
+made, so the march stops at the first one. Values are stored as
 (problems, levels, nodes), and the limiter and coefficient tables hold one
 column per problem. An edge whose envelopes the whole batch shares (one
 closed form with per-problem coefficient columns, one callable control
@@ -59,7 +61,7 @@ import numpy as np
 
 from .control_system import TableHamiltonian
 from .errors import CflViolation, NonSeparableTimeDependence
-from .grid import Grid, SolutionField, check_cfl, make_grid
+from .grid import Grid, SolutionField, _levels, check_cfl, make_grid
 from .hamiltonian import EnvelopePair
 from .junction_problem import JunctionProblem
 from .time_signal import coeff_window_averages, upper_envelope
@@ -202,16 +204,15 @@ def _first_breach(env: EnvelopePair, q: np.ndarray, dt: float, dx: float) -> tup
 
 
 def _advance(problems: Sequence[JunctionProblem], grid: Grid, u: np.ndarray,
-             t: float, dt: float, window: tuple | None) -> np.ndarray:
+             t: float, dt: float, window: tuple) -> np.ndarray:
     """The explicit Euler update of every row of u (problems, nodes) over [t, t + dt].
 
-    Raises CflViolation when a slope of u on a quadratic edge has
-    dt |dH/dp| > dx under this window's coefficients, naming the first
-    problem of the batch, then edge, then slope. The window's own CFL
-    bound is checked by the caller (_check_cfl).
+    window is this window's row of _windows(problems, grid, times). Raises
+    CflViolation when a slope of u on a quadratic edge has dt |dH/dp| > dx
+    under this window's coefficients, naming the first problem of the
+    batch, then edge, then slope. The window's own CFL bound is checked by
+    the caller (_check_cfl).
     """
-    if window is None:
-        window = _windows(problems, grid, np.array([t, t + dt]))(0)
     a_avg, envs = window
 
     new = np.empty_like(u)
@@ -247,42 +248,39 @@ def _advance(problems: Sequence[JunctionProblem], grid: Grid, u: np.ndarray,
     return new
 
 
-def step(problem: JunctionProblem, grid: Grid, u: np.ndarray,
-         t: float, dt: float, _window: tuple | None = None) -> np.ndarray:
+def step(problem: JunctionProblem, grid: Grid, u: np.ndarray, t: float, dt: float) -> np.ndarray:
     """One explicit Euler update over the window [t, t + dt].
 
-    _window may hold this window's row of _windows(problem, grid, times), as
-    a march reads it, and the march has checked its CFL bound; by default
-    the row is built for [t, t + dt], and a window on which C2 integrates
-    above dx raises CflViolation.
+    A window on which C2 integrates above dx raises CflViolation.
     """
-    if _window is None:
-        _check_cfl([problem], grid, np.array([t, t + dt]))
-    return _advance([problem], grid, u[None], t, dt, _window)[0]
+    times = np.array([t, t + dt])
+    _check_cfl([problem], grid, times)
+    return _advance([problem], grid, u[None], t, dt, _windows(problem, grid, times)(0))[0]
 
 
 def solve_many(problems: Sequence[JunctionProblem], grid: Grid) -> list[SolutionField]:
-    """March problems that share grid from their initial data to the horizon, as one loop.
+    """March problems that share grid from their initial data to the horizon, as one stream.
 
     Each field is bit-equal to solve(problem, grid) and a view into one
     (problems, levels, nodes) array. Raises CflViolation before the first
-    step when C2 integrates above dx over a window of grid.
+    step when C2 integrates above dx over a window of grid, and
+    NumericalFailure at the first level that holds a non-finite value
+    (grid._levels checks each level as it is made).
     """
     problems = list(problems)
     if not problems:
         raise ValueError("need at least one problem")
     _check_cfl(problems, grid, grid.times)
-    at = _windows(problems, grid, grid.times)
+    at, times = _windows(problems, grid, grid.times), grid.times.tolist()
     values = np.empty((len(problems), grid.steps + 1, grid.n_nodes))
-    values[:, 0] = [grid.sample(p.initial_data) for p in problems]
-    for n in range(grid.steps):
-        a, b = float(grid.times[n]), float(grid.times[n + 1])
-        values[:, n + 1] = _advance(problems, grid, values[:, n], a, b - a, at(n))
-    out = [SolutionField(grid, vals, line=p.line_convention)
-           for p, vals in zip(problems, values)]
-    for field in out:
-        field.check_finite()
-    return out
+    start = np.array([grid.sample(p.initial_data) for p in problems])
+
+    def update(u, n):
+        return _advance(problems, grid, u, times[n], times[n + 1] - times[n], at(n))
+
+    for n, level in enumerate(_levels(grid, start, update)):
+        values[:, n] = level
+    return [SolutionField(grid, vals, line=p.line_convention) for p, vals in zip(problems, values)]
 
 
 def solve(problem: JunctionProblem, grid: Grid) -> SolutionField:

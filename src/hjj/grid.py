@@ -4,6 +4,11 @@ The junction node is shared by all edges and stored once: flat node index 0
 is the junction, followed by each edge's interior nodes in order. Two-edge
 line problems are presented to the outside in whole-line coordinates
 (x < 0 is edge 1 mirrored); stars use "edge:distance" node labels.
+
+Both routes march as one stream of levels (_levels): a start level, then
+one update per window, each level checked for a non-finite value as it is
+made, so a diverging march stops at its first bad level. A SolutionField
+holds the levels, and its passes go one level at a time.
 """
 
 from __future__ import annotations
@@ -157,18 +162,26 @@ def edge_nodes(dx: float, radii: Sequence[float]) -> tuple:
 
     A grid built by make_grid from dx and radii has these nodes (edge_y).
     Every route computes its nodes here first, so this is where a dx that
-    is not positive and finite is refused.
+    is not positive and finite is refused, and so is an r / dx that is not
+    finite or exceeds np.intp's maximum (ConfigError naming dx and r / dx).
     """
     dx = _positive_finite("dx", dx)
-    return tuple(np.arange(max(1, int(round(r / dx))) + 1) * dx for r in radii)
+    counts = [_indexable(r / dx, "an edge", f"nodes at dx = {dx:.6g}") for r in radii]
+    return tuple(np.arange(max(1, int(round(m))) + 1) * dx for m in counts)
+
+
+def _indexable(n: float, who: str, what: str) -> float:
+    """n; ConfigError "<who> needs <n> <what>, more than <np.intp's maximum> can be indexed"
+    when n is not finite or exceeds np.intp's maximum."""
+    if not n <= np.iinfo(np.intp).max:  # NaN fails too
+        raise ConfigError(f"{who} needs {n:.6g} {what}, "
+                          f"more than {np.iinfo(np.intp).max} can be indexed")
+    return n
 
 
 def _step_count(n: float, speed: TimeSignal) -> int:
     """max(1, ceil(n)); ConfigError naming n and C2 when n is not finite or exceeds np.intp."""
-    if not n <= np.iinfo(np.intp).max:  # NaN fails too
-        raise ConfigError(f"the grid needs {n:.6g} time steps at C2 = {speed.max():.6g}, "
-                          f"more than {np.iinfo(np.intp).max} can be indexed")
-    return max(1, math.ceil(n))
+    return max(1, math.ceil(_indexable(n, "the grid", f"time steps at C2 = {speed.max():.6g}")))
 
 
 def make_grid(
@@ -251,6 +264,34 @@ def _max_abs(rows: Iterable[np.ndarray]) -> float:
     return float(np.max([np.abs(row).max() for row in rows]))
 
 
+def _check_level(level: np.ndarray, n: int) -> None:
+    """NumericalFailure naming the first non-finite value of level n in row-major order.
+
+    level is one level (nodes,) or a batch of them (problems, nodes); the
+    message names the node only.
+    """
+    finite = np.isfinite(level)
+    if not finite.all():
+        raise NumericalFailure(f"non-finite value at level {n}, node {np.argwhere(~finite)[0][-1]}")
+
+
+def _levels(grid: Grid, start: np.ndarray, update: Callable,
+            first: int = 0) -> Iterator[np.ndarray]:
+    """A march on grid as a stream: start (level first), then update(level, n) for each window n.
+
+    Every level is checked as it is made (_check_level), so a march stops
+    at its first non-finite value. Both routes march this way: the scheme
+    with its Euler update of a batch, the value function with its Bellman
+    update.
+    """
+    _check_level(start, first)
+    yield start
+    for n in range(first, grid.steps):
+        start = update(start, n)
+        _check_level(start, n + 1)
+        yield start
+
+
 class SolutionField:
     """Node values at every time level on a Grid.
 
@@ -288,9 +329,7 @@ class SolutionField:
     def check_finite(self) -> None:
         """NumericalFailure naming the first non-finite value in row-major order."""
         for n, row in enumerate(self.values):
-            if not np.isfinite(row).all():
-                node = np.flatnonzero(~np.isfinite(row))[0]
-                raise NumericalFailure(f"non-finite value at level {n}, node {node}")
+            _check_level(row, n)
 
     def linf_gap(self, other: "SolutionField") -> float:
         if not self.grid.compatible(other.grid):

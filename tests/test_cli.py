@@ -635,6 +635,18 @@ def test_a_grid_no_array_can_index_exits_1_naming_its_step_count_and_c2(tmp_path
     assert not out.exists()
 
 
+def test_a_dx_that_gives_more_nodes_than_can_be_indexed_exits_1_naming_dx(tmp_path: Path,
+                                                                           capsys):
+    problem = _write(tmp_path, bench_tdq_config(1))
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", problem, "--dx", "1e-300", "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert lines == ["configuration error: an edge needs 2e+300 nodes at dx = 1e-300, "
+                     f"more than {np.iinfo(np.intp).max} can be indexed"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exc,shown", [
     (MemoryError("Unable to allocate 2.16 GiB for an array with shape (1, 3577710, 81) "
                  "and data type float64"),

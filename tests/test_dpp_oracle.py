@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import hjj.dpp_oracle as dpp_oracle_module
 from hjj import (
     ControlEdge,
     ControlForm,
     ControlSystem,
+    SolutionField,
     TimeSignal,
     constant,
     control_edge,
@@ -24,7 +26,7 @@ from hjj import (
 )
 from hjj.control_system import undominated
 from hjj.dpp_oracle import _bellman, _windows, oracle_grid
-from hjj.errors import BudgetExceeded, CflViolation, NoAdmissibleControl
+from hjj.errors import BudgetExceeded, CflViolation, NoAdmissibleControl, NumericalFailure
 from hjj.grid import Grid
 
 from conftest import (build_model_system, check_value_function_bounds, random_control_system,
@@ -184,6 +186,37 @@ def test_dpp_restart_reproduces_the_run():
     assert dpp_consistency_check(cs, field, 0.5) <= 1e-13
 
 
+def test_restart_deviation_keeps_its_bits_on_criterion_7s_runs():
+    """Criterion 7's run, and the same field perturbed so that the deviation is not 0."""
+    cs = build_model_system(0.0)
+    field = value_function(cs, zero_datum, oracle_grid(cs, 0.01, 1.0, 2.0))
+    noise = np.random.default_rng(7).uniform(-1e-3, 1e-3, field.values.shape)
+    perturbed = SolutionField(field.grid, field.values + noise, line=True)
+    got = [dpp_consistency_check(cs, f, s).hex() for f in (field, perturbed)
+           for s in (0.25, 0.5, 0.75)]
+    assert got == ["0x0.0p+0"] * 3 + ["0x1.02d2460f99a00p-9", "0x1.055e870e8d600p-9",
+                                      "0x1.0461ad8268600p-9"]
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_value_function_stops_at_the_first_level_above_its_a_priori_bound(monkeypatch, k):
+    """An update that overshoots the bound at level k is the last one made."""
+    cs = build_model_system(0.0)
+    grid = oracle_grid(cs, 0.05, 1.0, 2.0)
+    calls, real = [], dpp_oracle_module._bellman
+
+    def overshoot(*args, **kwargs):
+        calls.append(1)
+        new = real(*args, **kwargs)
+        return new + 1e3 if len(calls) == k else new
+
+    monkeypatch.setattr(dpp_oracle_module, "_bellman", overshoot)
+    with pytest.raises(NumericalFailure,
+                       match=f"^value function breaks its a priori bound at level {k}: "):
+        value_function(cs, zero_datum, grid)
+    assert len(calls) == k < grid.steps
+
+
 def test_dpp_restart_at_the_horizon_is_the_run_itself():
     cs = build_model_system(0.0)
     field = value_function(cs, zero_datum, oracle_grid(cs, 0.05, 1.0, 2.0))
@@ -326,13 +359,13 @@ def test_bellman_matches_the_per_control_loop_bit_for_bit(case):
     want = _reference_values(cs, grid, field.values[0])
     assert field.values.tobytes() == want.tobytes()
 
-    # a lone call builds its window row itself
+    # a lone update of a perturbed level, on its window's row
     rng = np.random.default_rng(71)
     A = flux_limiter(cs)
     for n in (0, grid.steps // 2, grid.steps - 1):
         a, b = float(grid.times[n]), float(grid.times[n + 1])
         level = field.values[n] + rng.uniform(0.0, 0.1, grid.n_nodes)
-        got = _bellman(cs, grid, A, level, a, b)
+        got = _bellman(cs, grid, A, level, a, b, _windows(cs, grid, A, np.array([a, b]))(0))
         assert got.tobytes() == _reference_bellman(cs, grid, A, level, a, b).tobytes()
 
 
@@ -443,7 +476,7 @@ def test_departures_one_rounding_past_the_cell_keep_every_column():
     level[idx[13:]] = 0.1 * np.arange(1, len(idx) - 12)
     A = flux_limiter(cs)
     assert [len(row[0]) for row in _windows(cs, grid, A, grid.times)(0)[1]] == [7, 7]
-    got = _bellman(cs, grid, A, level, 0.0, 0.1)
+    got = _bellman(cs, grid, A, level, 0.0, 0.1, _windows(cs, grid, A, np.array([0.0, 0.1]))(0))
     assert got.tobytes() == _reference_bellman(cs, grid, A, level, 0.0, 0.1).tobytes()
 
 
@@ -631,8 +664,10 @@ def test_a_speed_up_after_the_start_raises_cfl_violation_with_the_node_bound():
     grid = make_grid(dx=0.05, horizon=0.1, radii=(0.5, 0.5),
                      c2=cs.speed_signal(0.1, 0.05, (0.5, 0.5)))
     assert grid.dt == 0.025
+    A = flux_limiter(cs)
+    window = _windows(cs, grid, A, np.array([0.0, grid.dt]))(0)
     with pytest.raises(CflViolation) as got:
-        _bellman(cs, grid, flux_limiter(cs), np.zeros(grid.n_nodes), 0.0, grid.dt)
+        _bellman(cs, grid, A, np.zeros(grid.n_nodes), 0.0, grid.dt, window)
     assert "the speed bound 1 understates |f|=2.5 there" in str(got.value)
 
 

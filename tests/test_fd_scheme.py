@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hjj.control_system as control_system_module
+import hjj.fd_scheme as fd_scheme_module
 import hjj.hamiltonian as hamiltonian_module
 from hjj import (
     ControlEdge,
@@ -425,7 +426,7 @@ def test_step_evaluates_each_non_catalog_edge_once(monkeypatch):
                             lambda pair, t, x, p: splits.append(pair) or real_split(pair, t, x, p))
         lines = record_line_max(monkeypatch)
         t = float(grid.times[n])
-        step(prob, grid, u, t, float(grid.times[n + 1]) - t, _window=window)
+        _advance([prob], grid, u[None], t, float(grid.times[n + 1]) - t, window)
         monkeypatch.undo()
         assert sorted(map(id, splits)) == sorted(map(id, window[1]))
         assert len(lines) == 2 and lines[0][0] is not lines[1][0]
@@ -503,23 +504,31 @@ def test_batched_march_evaluates_a_shared_edge_once_per_step(monkeypatch):
     assert [(len(problems), m)] * grid.steps in by_lines.values()
 
 
+def _star(h, u0, lip: float) -> JunctionProblem:
+    return JunctionProblem(edges=[Edge(h) for _ in range(3)], flux_limiter=constant(0.0, 0.5),
+                           initial_data=[u0] * 3, lipschitz_u0=lip, horizon=0.5)
+
+
+def _bad_stars() -> dict:
+    """A good star, three that fail, and the grid of the steep one, where they fail."""
+    stars = {
+        "good": _star(eikonal(), zero_datum, 0.0),
+        # the declared span understates the slopes: the per-step guard catches it
+        "steep": _star(quadratic(1.0, 0.0, -1.0, p_span=0.5), lambda y: 0.5 * y, 0.5),
+        "fast": _star(quadratic(1.0, 0.0, -1.0, p_span=50.0), zero_datum, 0.0),
+        # a black box has no guard, so an understated lipschitz_p overflows
+        "blind": _star(Hamiltonian(lambda t, x, p: np.asarray(p) ** 2 - 1.0, lipschitz_p=1.0,
+                                   coercivity_radius=2.0, x_independent=True),
+                       lambda y: 0.5 * y, 0.5),
+    }
+    return {**stars, "grid": grid_for(stars["steep"], 0.02, 1.0, cfl_safety=1.0)}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_batched_march_checks_every_problem():
     """A bad problem in the batch fails as it does alone: same class, level and node."""
-    def star(h, u0, lip):
-        return JunctionProblem(edges=[Edge(h) for _ in range(3)],
-                               flux_limiter=constant(0.0, 0.5), initial_data=[u0] * 3,
-                               lipschitz_u0=lip, horizon=0.5)
-
-    good = star(eikonal(), zero_datum, 0.0)
-    # the declared span understates the slopes: the per-step guard catches it
-    steep = star(quadratic(1.0, 0.0, -1.0, p_span=0.5), lambda y: 0.5 * y, 0.5)
-    fast = star(quadratic(1.0, 0.0, -1.0, p_span=50.0), zero_datum, 0.0)
-    # a black box has no guard, so an understated lipschitz_p overflows
-    blind = star(Hamiltonian(lambda t, x, p: np.asarray(p) ** 2 - 1.0, lipschitz_p=1.0,
-                             coercivity_radius=2.0, x_independent=True),
-                 lambda y: 0.5 * y, 0.5)
-    grid = grid_for(steep, 0.02, 1.0, cfl_safety=1.0)
+    stars = _bad_stars()
+    good, steep, fast, blind, grid = (stars[k] for k in ("good", "steep", "fast", "blind", "grid"))
     for bad, error in ((steep, CflViolation), (fast, CflViolation), (blind, NumericalFailure)):
         with pytest.raises(error) as alone:
             solve(bad, grid)
@@ -528,6 +537,23 @@ def test_batched_march_checks_every_problem():
         assert str(batched.value) == str(alone.value)
     with pytest.raises(ValueError):
         solve_many([], grid)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_march_stops_at_its_first_non_finite_level(monkeypatch):
+    """The blind star overflows at level 13 of 25: the march makes 13 updates, not 25,
+    alone and between two good stars."""
+    stars = _bad_stars()
+    good, blind, grid = stars["good"], stars["blind"], stars["grid"]
+    assert grid.steps == 25
+    calls, real = [], fd_scheme_module._advance
+    monkeypatch.setattr(fd_scheme_module, "_advance",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    for batch in ([blind], [good, blind, good]):
+        calls.clear()
+        with pytest.raises(NumericalFailure, match="^non-finite value at level 13, node 0$"):
+            solve_many(batch, grid)
+        assert len(calls) == 13
 
 
 def _random_induced_problem(seed: int, n_edges: int) -> JunctionProblem:

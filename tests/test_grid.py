@@ -10,7 +10,7 @@ import pytest
 
 from hjj import SolutionField, TimeSignal, make_grid
 from hjj.errors import CflViolation, ConfigError, HorizonMismatch, NumericalFailure
-from hjj.grid import atomic_write_text
+from hjj.grid import atomic_write_text, edge_nodes
 
 
 def _reference_csv(field: SolutionField) -> str:
@@ -204,3 +204,13 @@ def test_make_grid_refuses_a_step_count_no_array_can_index(c2, dt, shown):
         make_grid(0.05, 1.0, (1.0, 1.0), c2=c2, dt=dt)
     assert re.fullmatch(rf"the grid needs \S+ time steps at C2 = {re.escape(shown)}, more than "
                         rf"{np.iinfo(np.intp).max} can be indexed", str(err.value))
+
+
+@pytest.mark.parametrize("dx,radius,shown", [(1e-300, 2.0, "2e+300"), (0.1, math.inf, "inf"),
+                                             (0.1, math.nan, "nan")])
+def test_edge_nodes_refuses_a_node_count_no_array_can_index(dx, radius, shown):
+    with pytest.raises(ConfigError) as err:
+        edge_nodes(dx, (radius,))
+    assert str(err.value) == (f"an edge needs {shown} nodes at dx = {dx:g}, "
+                              f"more than {np.iinfo(np.intp).max} can be indexed")
+    assert [len(ys) for ys in edge_nodes(0.1, (1.0, 0.04))] == [11, 2]
