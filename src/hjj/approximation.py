@@ -94,6 +94,12 @@ class KnResult:
         return self.signal.integrate(0.0, self.signal.horizon)
 
 
+# compute_kn's sampling: slopes on [-K, K] per edge (fewer per junction slope on
+# J > 2 edges, so that the product grid stays near _KN_SLOPES ** 2 entries) and
+# positions on [0, R] for an x-dependent edge
+_KN_SLOPES = 64
+_KN_POSITIONS = 17
+
 # The junction part prices at most this many product-grid entries at once
 # (4 cells at J = 2, n_eff = 64), and at least one cell.
 _COMBO_ENTRIES = 2 ** 14
@@ -134,7 +140,7 @@ def _edge_tables(h: Hamiltonian, env: EnvelopePair, mids: np.ndarray, q: np.ndar
 
 
 def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
-               K: float, R: float, n_p: int = 64, n_x: int = 17) -> KnResult:
+               K: float, R: float) -> KnResult:
     """Sup distance between the two problems, resolved per coefficient cell.
 
     The junction part compares the limited slope combinations over the box
@@ -153,11 +159,12 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
     mids = 0.5 * (mesh[:-1] + mesh[1:])
     T = problem.horizon
     J = len(problem.edges)
-    n_eff = n_p if J == 2 else max(6, int(round(n_p ** (2.0 / J))))
+    n_eff = _KN_SLOPES if J == 2 else max(6, int(round(_KN_SLOPES ** (2.0 / J))))
     q = np.linspace(-K, K, n_eff)
-    p_line = np.linspace(-K, K, n_p)
-    # an x-dependent pair is compared at n_x positions, one per column of slopes
-    at_nodes = (np.linspace(0.0, R, n_x), np.repeat(p_line[:, None], n_x, axis=1))
+    p_line = np.linspace(-K, K, _KN_SLOPES)
+    # an x-dependent pair is compared at _KN_POSITIONS positions, one per column of slopes
+    at_nodes = (np.linspace(0.0, R, _KN_POSITIONS),
+                np.repeat(p_line[:, None], _KN_POSITIONS, axis=1))
 
     m_base, m_appr = [], []
     ki_vals = np.empty((J, len(mids)))

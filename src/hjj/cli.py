@@ -41,7 +41,7 @@ from .errors import (
     NumericalFailure,
 )
 from .fd_scheme import grid_for, solve as fd_solve
-from .grid import SolutionField, _positive_finite, atomic_write_text, fmt
+from .grid import _CFL_SAFETY, SolutionField, _positive_finite, atomic_write_text, fmt
 from .junction_problem import JunctionProblem, entry, problem_from_config, validate
 
 EXIT_OK = 0
@@ -212,7 +212,8 @@ def _add_common(p: argparse.ArgumentParser, need_out: bool) -> None:
     """The options of every command."""
     p.add_argument("--problem", required=True, help="JSON problem file")
     p.add_argument("--T", type=_number("T"), default=None,
-                   help="override the horizon from the problem file")
+                   help="override the horizon from the problem file; a file with a step "
+                        "signal accepts only the signal's own horizon")
     p.add_argument("--out", required=need_out, default=None,
                    help="output directory" + ("" if need_out else " (optional)"))
     p.add_argument("--controls", type=_number("controls", int), default=None,
@@ -225,7 +226,8 @@ def _add_march(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dx", type=_number("dx"), default=0.01, help="mesh width")
     p.add_argument("--dt", type=_number("dt"), default=None,
                    help="explicit time step (default: from the CFL bound)")
-    p.add_argument("--cfl-safety", type=_number("cfl-safety"), default=0.5, dest="cfl_safety",
+    p.add_argument("--cfl-safety", type=_number("cfl-safety"), default=_CFL_SAFETY,
+                   dest="cfl_safety",
                    help="fraction of the CFL bound used when --dt is absent")
     p.add_argument("--R-domain", type=_number("R-domain"), default=None, dest="R_domain",
                    help="truncation radius per edge (default: problem file "

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, CflViolation, EmptyControlSet, NoAdmissibleControl
-from .grid import edge_nodes
+from .grid import _CFL_SLACK, edge_nodes
 from .hamiltonian import ClosedForm, Hamiltonian, closed_hamiltonian, elementwise
 from .time_signal import (TimeSignal, coeff_average, coeff_bounds, coeff_eval, coeff_signals,
                           coeff_window_averages, on_horizon, union_mesh, upper_envelope)
@@ -188,7 +188,7 @@ class ControlEdge:
         callable may speed up later; the message names the first node too fast.
         """
         speed = np.max(np.abs(speeds), axis=0)
-        over = np.flatnonzero(speed * (b - a) > grid.dx * (1.0 + 1e-9))
+        over = np.flatnonzero(speed * (b - a) > grid.dx * _CFL_SLACK)
         if over.size:
             j, ys = int(over[0]), grid.edge_y(i)
             raise CflViolation(
@@ -230,7 +230,10 @@ def _abs_max(g, controls: np.ndarray, xs) -> float:
     return float(np.max(np.abs(_call_g(g, 0.0, xs, controls))))
 
 
-def control_edge(f, l, lo: float, hi: float, n: int = 101) -> ControlEdge:
+_CONTROL_COUNT = 101  # samples per control set when neither caller nor problem file says
+
+
+def control_edge(f, l, lo: float, hi: float, n: int = _CONTROL_COUNT) -> ControlEdge:
     """Edge with controls sampled uniformly from the interval [lo, hi]."""
     if n < 3:
         raise ValueError("need at least 3 control samples")

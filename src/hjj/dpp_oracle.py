@@ -50,7 +50,8 @@ import numpy as np
 
 from .control_system import ControlForm, ControlSystem, flux_limiter, undominated
 from .errors import BudgetExceeded, NoAdmissibleControl, NumericalFailure
-from .grid import Grid, SolutionField, _levels, _max_abs, check_cfl, edge_data, make_grid
+from .grid import (_CFL_SAFETY, Grid, SolutionField, _levels, _max_abs, check_cfl, edge_data,
+                   make_grid)
 from .time_signal import TimeSignal
 
 __all__ = [
@@ -63,7 +64,7 @@ __all__ = [
 
 
 def oracle_grid(cs: ControlSystem, dx: float, horizon: float, r_domain: float,
-                dt: float | None = None, cfl_safety: float = 0.5) -> Grid:
+                dt: float | None = None, cfl_safety: float = _CFL_SAFETY) -> Grid:
     """make_grid on [0, horizon], radius r_domain per edge, with C2(t) = max|f| at each time.
 
     For a caller that holds only a control system; grid_for on its induced
@@ -86,8 +87,10 @@ def _kept_columns(speeds: np.ndarray, costs: np.ndarray, dts: np.ndarray,
 
     The union over windows of each row's undominated controls, when every
     nonzero departure |f| dt (formed as _bellman forms f dt) clears the
-    cell ends by _GUARD_ULPS eps R; every column otherwise. Rows repeat
-    between signal breakpoints, so each distinct run of rows is ranked once.
+    cell ends by _GUARD_ULPS eps R; every column otherwise. Each run of
+    equal consecutive rows is ranked once. Rows are window averages, which
+    inside one signal cell may differ in their last bit from window to
+    window, so a cell can give several runs.
     """
     margin = _GUARD_ULPS * np.finfo(float).eps * length
     jump = np.abs(speeds) * dts[:, None]
@@ -141,7 +144,7 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
     """
     dtn = b - a
     parking, rows = window
-    new = np.full(grid.n_nodes, np.inf)
+    new = np.empty(grid.n_nodes)
     junction_best = level[0] - parking
     for i, (fmat, lmat) in enumerate(rows):
         idx = grid.edge_full_indices(i)
@@ -154,7 +157,7 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
         vals += lmat * dtn
         vals[(z < -ztol) | (z > y[-1] + ztol)] = np.inf  # departure outside the edge
         best = vals.min(axis=0)
-        new[idx[1:]] = np.minimum(new[idx[1:]], best[1:])
+        new[idx[1]:idx[-1] + 1] = best[1:]  # an edge's interior nodes are contiguous
         junction_best = min(junction_best, float(best[0]))
     new[0] = junction_best
     if not np.all(np.isfinite(new)):
@@ -274,12 +277,17 @@ def _form_integral(form: ControlForm, alpha: float, a: float, b: float) -> float
     return ival(form.c0) + ival(form.c1) * alpha + ival(form.c2) * alpha * alpha
 
 
+# enumerate_trajectories' limits: the search nodes it may visit, and the relative
+# distance to the end point within which a path arrives
+_ENUM_BUDGET = 10_000_000
+_ARRIVAL_TOL = 1e-9
+
+
 class _Enumerator:
-    def __init__(self, edges, A: TimeSignal, budget: int, arrival_tol: float):
+    def __init__(self, edges, A: TimeSignal, arrival_tol: float):
         self.edges = edges
         self.A = A
         self.forms = [_form_only(e) for e in edges]
-        self.budget = budget
         self.nodes = 0
         self.arrival_tol = arrival_tol
         self.best_cost = math.inf
@@ -288,8 +296,8 @@ class _Enumerator:
 
     def _tick(self):
         self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceeded(f"enumeration exceeded {self.budget} nodes")
+        if self.nodes > _ENUM_BUDGET:
+            raise BudgetExceeded(f"enumeration exceeded {_ENUM_BUDGET} nodes")
 
     def _advance(self, side: int, alpha: float, x: float, a: float, b: float):
         """Drive one control on one side until the piece ends or 0 is hit.
@@ -396,8 +404,6 @@ def enumerate_trajectories(
     pieces: int,
     u0=None,
     controls_per_piece: int = 5,
-    budget: int = 10_000_000,
-    arrival_tol: float = 1e-9,
 ) -> tuple[float, TrajectorySample | None]:
     """Exact minimum over piecewise-constant controls between two events.
 
@@ -407,7 +413,11 @@ def enumerate_trajectories(
     there (accruing the junction cost -A) or crosses with any control that
     strictly enters the opposite side, with the running-cost integral split
     exactly at the crossing. Costs include u0 at the start point when u0 is
-    given. Returns (inf, None) when no combination reaches the end point.
+    given. A path arrives when it ends within _ARRIVAL_TOL max(1, |x1|) of
+    the end point x1 (within _ARRIVAL_TOL when t1 = t0). Returns (inf,
+    None) when no combination reaches the end point, and raises
+    BudgetExceeded when the worst case, or the search itself, would visit
+    more than _ENUM_BUDGET nodes.
     """
     x0, t0 = float(start[0]), float(start[1])
     x1, t1 = float(end[0]), float(end[1])
@@ -415,7 +425,7 @@ def enumerate_trajectories(
         raise ValueError("end time precedes start time")
     base = float(u0(x0)) if u0 is not None else 0.0
     if t1 == t0:
-        if abs(x1 - x0) <= arrival_tol:
+        if abs(x1 - x0) <= _ARRIVAL_TOL:
             return base, TrajectorySample([t0], [x0], [], base, ())
         return math.inf, None
     if pieces < 1:
@@ -430,12 +440,11 @@ def enumerate_trajectories(
 
     n1, n2 = len(sub_edges[0].controls), len(sub_edges[1].controls)
     branch = 1 + n1 + n2 + 2 * n1 * n2
-    if branch ** pieces > budget:
+    if branch ** pieces > _ENUM_BUDGET:
         raise BudgetExceeded(
-            f"worst-case branching {branch}^{pieces} exceeds {budget}")
+            f"worst-case branching {branch}^{pieces} exceeds {_ENUM_BUDGET}")
 
-    enum = _Enumerator(sub_edges, flux_limiter(cs), budget,
-                       arrival_tol * max(1.0, abs(x1)))
+    enum = _Enumerator(sub_edges, flux_limiter(cs), _ARRIVAL_TOL * max(1.0, abs(x1)))
     tau = np.linspace(t0, t1, pieces + 1)
     enum.explore_piece(tau, 0, x0, 0.0, (), (), x1)
     if enum.best_enc is None:

@@ -61,7 +61,7 @@ import numpy as np
 
 from .control_system import TableHamiltonian
 from .errors import CflViolation, NonSeparableTimeDependence
-from .grid import Grid, SolutionField, _levels, check_cfl, make_grid
+from .grid import _CFL_SAFETY, _CFL_SLACK, Grid, SolutionField, _levels, check_cfl, make_grid
 from .hamiltonian import EnvelopePair
 from .junction_problem import JunctionProblem
 from .time_signal import coeff_window_averages, upper_envelope
@@ -81,7 +81,7 @@ def godunov_flux(env: EnvelopePair, t: float, x: float, p_minus, p_plus):
 
 
 def grid_for(problems, dx: float, r_domain: float,
-             dt: float | None = None, cfl_safety: float = 0.5) -> Grid:
+             dt: float | None = None, cfl_safety: float = _CFL_SAFETY) -> Grid:
     """Grid whose per-edge radius is r_domain capped by the edge length.
 
     problems is one JunctionProblem or a batch that shares its edge lengths
@@ -196,7 +196,7 @@ def _first_breach(env: EnvelopePair, q: np.ndarray, dt: float, dx: float) -> tup
     if env.speed is None:
         return None
     speed = env.speed(q)
-    limit = dx * (1.0 + 1e-9) / dt
+    limit = dx * _CFL_SLACK / dt
     if not speed.max() > limit:  # NaN slopes are left to the non-finite check
         return None
     b, j = np.argwhere(speed > limit)[0]

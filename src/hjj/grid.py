@@ -27,6 +27,13 @@ __all__ = ["Grid", "SolutionField", "make_grid", "check_cfl", "edge_data", "edge
            "fmt", "atomic_write_text"]
 
 
+# make_grid's default share of dx for each window's integral of C2 (cfl_safety), and the
+# relative slack of every check of a window against dx: check_cfl, make_grid's explicit
+# dt, the scheme's slope check and ControlEdge.check_speeds.
+_CFL_SAFETY = 0.5
+_CFL_SLACK = 1.0 + 1e-9
+
+
 def fmt(v: float) -> str:
     """17 significant digits, enough to round-trip a double."""
     return f"{float(v):.17g}"
@@ -67,30 +74,25 @@ class Grid:
     horizon: float
     edge_radii: tuple
     times: np.ndarray
+    n_nodes: int = field(init=False, repr=False, compare=False)
     _indices: tuple = field(init=False, repr=False, compare=False)
     _ys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Per-edge node indices and coordinates, read-only: every step reads them.
-        sizes = self.edge_sizes()
-        starts = np.cumsum((1,) + sizes[:-1])
+        # Per-edge node coordinates (edge_nodes) and indices, read-only: every step reads them.
+        ys = edge_nodes(self.dx, self.edge_radii)
+        sizes = [len(y) - 1 for y in ys]
+        starts = np.cumsum([1] + sizes[:-1])
         indices = tuple(np.concatenate(([0], np.arange(s, s + m))) for s, m in zip(starts, sizes))
-        ys = tuple(np.arange(m + 1) * self.dx for m in sizes)
         for arr in indices + ys:
             arr.setflags(write=False)
+        object.__setattr__(self, "n_nodes", 1 + sum(sizes))
         object.__setattr__(self, "_indices", indices)
         object.__setattr__(self, "_ys", ys)
 
     @property
     def n_edges(self) -> int:
         return len(self.edge_radii)
-
-    def edge_sizes(self) -> tuple:
-        return tuple(int(round(r / self.dx)) for r in self.edge_radii)
-
-    @property
-    def n_nodes(self) -> int:
-        return 1 + sum(self.edge_sizes())
 
     @property
     def steps(self) -> int:
@@ -127,7 +129,7 @@ class Grid:
         return int(np.argmin(np.abs(self.times - t)))
 
     def compatible(self, other: "Grid") -> bool:
-        return (self.edge_sizes() == other.edge_sizes()
+        return (list(map(len, self._ys)) == list(map(len, other._ys))
                 and abs(self.dx - other.dx) < 1e-12
                 and len(self.times) == len(other.times)
                 and bool(np.all(np.abs(self.times - other.times) < 1e-12)))
@@ -190,7 +192,7 @@ def make_grid(
     radii: Sequence[float],
     c2,
     dt: float | None = None,
-    cfl_safety: float = 0.5,
+    cfl_safety: float = _CFL_SAFETY,
 ) -> Grid:
     """Build a grid whose windows each hold an integral of C2 of at most cfl_safety * dx.
 
@@ -229,7 +231,7 @@ def make_grid(
         times = np.linspace(0.0, horizon, n + 1)
     else:
         dt = _positive_finite("dt", dt)
-        if dt > cfl_limit * (1.0 + 1e-9):
+        if dt > cfl_limit * _CFL_SLACK:
             raise CflViolation(
                 f"dt={dt:.6g} exceeds the CFL limit dx/C2={cfl_limit:.6g}")
         n = _step_count(horizon / dt - 1e-9, speed)
@@ -249,7 +251,7 @@ def check_cfl(grid: Grid, c2: TimeSignal, source: str, times: np.ndarray) -> Non
     """
     work = c2.window_integrals(times)
     n = int(np.argmax(work))
-    if work[n] > grid.dx * (1.0 + 1e-9):
+    if work[n] > grid.dx * _CFL_SLACK:
         dt = float(times[n + 1] - times[n])
         raise CflViolation(f"dt={dt:.6g} exceeds dx/C2={grid.dx * dt / work[n]:.6g} at "
                            f"level {grid.level_index(times[n])} (C2 from {source})")

@@ -59,6 +59,7 @@ __all__ = [
 
 _ARGMIN_TOL = 1e-10
 _FLAT_TOL = 1e-9
+_CONVEXITY_TOL = 1e-9  # the excess H(mid) - mean(H) that check_convexity forgives
 _MAX_DOUBLINGS = 60
 _MAX_TERNARY = 200
 
@@ -221,16 +222,12 @@ def elementwise(fn: Callable, t: float, x, a) -> np.ndarray:
     return out
 
 
-def check_convexity(
-    h: Hamiltonian,
-    n_checks: int = 1000,
-    seed: int = 20,
-    tol: float = 1e-9,
-) -> None:
+def check_convexity(h: Hamiltonian, n_checks: int = 1000, seed: int = 20) -> None:
     """Randomized midpoint convexity probe; raises ConvexityError on failure.
 
-    Sampling is necessarily incomplete: it covers random (t, x) probes and
-    slopes within four bracket radii.
+    A midpoint value that exceeds the mean of its two ends by more than
+    _CONVEXITY_TOL fails. Sampling is necessarily incomplete: it covers
+    random (t, x) probes and slopes within four bracket radii.
     """
     rng = np.random.default_rng(seed)
     times = [0.0]
@@ -251,7 +248,7 @@ def check_convexity(
         q = rng.uniform(-span, span, count)
         mid = h.eval_p(t, x, 0.5 * (p + q))
         avg = 0.5 * (h.eval_p(t, x, p) + h.eval_p(t, x, q))
-        bad = np.flatnonzero(mid > avg + tol)
+        bad = np.flatnonzero(mid > avg + _CONVEXITY_TOL)
         if bad.size:
             j = int(bad[0])
             raise ConvexityError(

@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .control_system import (
+    _CONTROL_COUNT,
     ControlForm,
     ControlSystem,
     control_edge,
@@ -40,7 +41,7 @@ from .errors import ConfigError, ConvexityError, FluxLimiterBelowFloor, SlopeCou
 from .grid import _positive_finite, edge_data, edge_nodes
 from .hamiltonian import (EnvelopePair, Hamiltonian, a0_floor, abs_shift, check_convexity,
                           eikonal, quadratic, reflected)
-from .time_signal import TimeSignal, constant, on_horizon, union_mesh, upper_envelope
+from .time_signal import TimeSignal, _off_horizon, constant, on_horizon, union_mesh, upper_envelope
 
 __all__ = [
     "Edge",
@@ -92,7 +93,7 @@ class JunctionProblem:
         if len(initial_data) != len(edges):
             raise ValueError("one initial datum per edge required")
         horizon = _positive_finite("horizon", horizon)
-        if abs(flux_limiter.horizon - horizon) > 1e-12 * max(1.0, horizon):
+        if _off_horizon(flux_limiter.horizon, horizon):
             raise ValueError("flux limiter horizon must match the problem horizon")
         if line_convention and len(edges) != 2:
             raise ValueError("line convention requires exactly two edges")
@@ -244,7 +245,7 @@ def induced_problem(
     either one function of the local coordinate or a per-edge sequence.
     """
     A = cs_flux_limiter(cs)
-    if abs(A.horizon - horizon) > 1e-12 * max(1.0, horizon):
+    if _off_horizon(A.horizon, horizon):
         raise ValueError("junction cost signal horizon must match the horizon")
     hams = [induced_hamiltonian(cs, i) for i in range(len(cs.edges))]
     if cs.orientation == "line":
@@ -284,26 +285,34 @@ class ValidationReport:
         return [item.line() for item in self.items]
 
 
-def _validation_times(problem: JunctionProblem, refine: int = 32) -> np.ndarray:
-    """Cell midpoints of the breakpoint union mesh plus a uniform refinement."""
+# validate's sampling: the horizon's uniform cells added to the coefficient mesh, and
+# the positions on [0, min(length, 2)] at which each initial datum's slopes are measured
+_VALIDATION_CELLS = 32
+_U0_SAMPLES = 256
+
+
+def _validation_times(problem: JunctionProblem) -> np.ndarray:
+    """Cell midpoints of the breakpoint union mesh refined by _VALIDATION_CELLS uniform cells."""
     mesh = union_mesh(problem.coefficient_signals())
-    uniform = np.linspace(0.0, problem.horizon, refine + 1)
+    uniform = np.linspace(0.0, problem.horizon, _VALIDATION_CELLS + 1)
     knots = np.unique(np.concatenate([mesh, uniform]))
     return 0.5 * (knots[:-1] + knots[1:])
 
 
-def validate(problem: JunctionProblem, refine: int = 32,
-             u0_samples: int = 256, seed: int = 20) -> ValidationReport:
+def validate(problem: JunctionProblem, seed: int = 20) -> ValidationReport:
     """Check the standing assumptions on sampled points.
 
-    Raises FluxLimiterBelowFloor (hard failure) when A(t) dips below the
-    junction floor beyond 1e-9; every other check is reported soft. The last
-    item, cfl_speed, always passes: it reports C2 and where it comes from.
+    A(t) is compared with the junction floor at _validation_times, each
+    datum's slopes are measured on _U0_SAMPLES positions, and seed drives
+    the randomized convexity probe of every edge (check_convexity). Raises
+    FluxLimiterBelowFloor (hard failure) when A(t) dips below the junction
+    floor beyond 1e-9; every other check is reported soft. The last item,
+    cfl_speed, always passes: it reports C2 and where it comes from.
     """
     report = ValidationReport()
 
     worst_t, worst_deficit = None, 0.0
-    for t in _validation_times(problem, refine):
+    for t in _validation_times(problem):
         deficit = problem.floor(float(t)) - problem.flux_limiter(float(t))
         if deficit > worst_deficit:
             worst_t, worst_deficit = float(t), float(deficit)
@@ -314,7 +323,7 @@ def validate(problem: JunctionProblem, refine: int = 32,
         f"worst deficit {worst_deficit:.2e}"))
 
     span = min([min(e.length, 2.0) for e in problem.edges])
-    ys = np.linspace(0.0, span, u0_samples)
+    ys = np.linspace(0.0, span, _U0_SAMPLES)
     worst_q = 0.0
     for u0 in problem.initial_data:
         vals = np.array([u0(float(y)) for y in ys])
@@ -403,7 +412,7 @@ def coeff_from_config(v, horizon: float, name: str):
         sig = TimeSignal.from_dict(v)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: bad step signal {v!r}: {exc}") from exc
-    if abs(sig.horizon - horizon) > 1e-12 * max(1.0, horizon):
+    if _off_horizon(sig.horizon, horizon):
         raise ConfigError(f"{name}: signal horizon {sig.horizon} != {horizon}")
     return sig
 
@@ -475,7 +484,8 @@ def control_system_from_config(d: dict, horizon: float,
     for k, e in enumerate(edge_cfgs):
         ctr = entry(e, "controls", f"edge {k}", dict)
         lo, hi = (entry(ctr, b, f"edge {k} controls", float) for b in ("min", "max"))
-        n = entry(ctr, "n", f"edge {k} controls", int, 101) if controls is None else controls
+        n = (entry(ctr, "n", f"edge {k} controls", int, _CONTROL_COUNT) if controls is None
+             else controls)
         edges.append(control_edge(form(e, f"edge {k}", "f"), form(e, f"edge {k}", "l"),
                                   lo, hi, n))
 

@@ -36,6 +36,11 @@ __all__ = [
 _EDGE_TOL = 1e-12
 
 
+def _off_horizon(h: float, horizon: float) -> bool:
+    """True when h is not horizon to _EDGE_TOL max(1, horizon): the one horizon-match test."""
+    return abs(h - horizon) > _EDGE_TOL * max(1.0, horizon)
+
+
 @dataclass(frozen=True)
 class TimeSignal:
     """Right-continuous step function: values[k] on [breakpoints[k], breakpoints[k+1])."""
@@ -191,7 +196,7 @@ def union_mesh(signals: Sequence[TimeSignal]) -> np.ndarray:
         raise ValueError("need at least one signal")
     T = signals[0].horizon
     for s in signals[1:]:
-        if abs(s.horizon - T) > _EDGE_TOL * max(1.0, T):
+        if _off_horizon(s.horizon, T):
             raise HorizonMismatch("signals have different horizons")
     # sort, not np.unique: its first call imports numpy submodules (about 14 ms);
     # the filter below drops exact duplicates and nearly-duplicate floats alike

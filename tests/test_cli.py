@@ -209,6 +209,24 @@ def test_zero_horizon_is_rejected(tmp_path: Path):
     assert rc == 1
 
 
+def test_the_t_flag_sets_the_horizon_only_of_a_file_without_step_signals(tmp_path: Path,
+                                                                          capsys):
+    """--T replaces the file's T: a model file of numbers runs to it, and the tdq
+    file's step signals, which end at 1, refuse it by name."""
+    model = _write(tmp_path, _model_config(), "model.json")
+    out = tmp_path / "model"
+    assert main(["solve", "--problem", model, "--T", "0.5", "--dx", "0.1",
+                 "--out", str(out)]) == 0
+    assert max(t for t, _ in _read_field(out / "field.csv")) == 0.5
+    capsys.readouterr()
+    tdq = _write(tmp_path, bench_tdq_config(41), "tdq.json")
+    out = tmp_path / "tdq"
+    assert main(["solve", "--problem", tdq, "--T", "0.5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: coefficient 'a': signal horizon 1.0 != 0.5\n")
+    assert not out.exists()
+
+
 def test_report_times_must_lie_inside_the_horizon(tmp_path: Path, capsys):
     problem = _write(tmp_path, _model_config())
     rc = main(["solve", "--problem", problem, "--dx", "0.1",

@@ -11,8 +11,11 @@ from hjj import (
     JunctionProblem,
     TimeSignal,
     abs_shift,
+    check_convexity,
+    compute_kn,
     constant,
     eikonal,
+    enumerate_trajectories,
     from_line,
     grid_for,
     induced_problem,
@@ -403,3 +406,21 @@ def test_c2_bounds_the_slope_speed_on_the_slope_box():
             for t in cells:
                 speed = np.abs(h.eval_p(t, 0.0, box + 1e-6) - h.eval_p(t, 0.0, box - 1e-6)) / 2e-6
                 assert float(np.max(speed)) <= c2_t(t) * (1.0 + 1e-6) + 1e-6
+
+
+@pytest.mark.parametrize("name, keyword", [
+    ("validate", "refine"), ("validate", "u0_samples"), ("compute_kn", "n_p"),
+    ("compute_kn", "n_x"), ("enumerate_trajectories", "budget"),
+    ("enumerate_trajectories", "arrival_tol"), ("check_convexity", "tol")])
+def test_the_fixed_sampling_settings_are_no_keywords(name, keyword):
+    """validate, compute_kn, enumerate_trajectories and check_convexity read their
+    sampling densities, budget and tolerances from module constants: no keyword sets them."""
+    problem, cs = _line_eikonal(-1.0), build_model_system()
+    call = {"validate": lambda **kw: validate(problem, **kw),
+            "compute_kn": lambda **kw: compute_kn(problem, problem, K=1.0, R=1.0, **kw),
+            "enumerate_trajectories":
+                lambda **kw: enumerate_trajectories(cs, (0.5, 0.0), (0.0, 1.0), 1, **kw),
+            "check_convexity": lambda **kw: check_convexity(eikonal(), **kw)}[name]
+    call()  # the call itself runs
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        call(**{keyword: 1})

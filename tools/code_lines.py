@@ -9,7 +9,9 @@ physical lines.
     python tools/code_lines.py            # counts src/hjj
     python tools/code_lines.py DIR ...    # counts every *.py under each DIR
 
-prints "code <n> total <m>" for the whole set.
+prints "code <n> total <m>" for the whole set. A path that does not exist
+is named on one line on stderr, and the tool exits 2; -h or --help prints
+this text.
 """
 
 from __future__ import annotations
@@ -47,7 +49,14 @@ def count(source: str) -> tuple[int, int]:
 
 
 def main(argv: list) -> int:
+    if {"-h", "--help"} & set(argv):
+        print(__doc__.strip())
+        return 0
     roots = [Path(a) for a in argv] or [Path(__file__).resolve().parent.parent / "src" / "hjj"]
+    for root in roots:
+        if not root.exists():
+            print(f"code_lines: no such file or directory: {root}", file=sys.stderr)
+            return 2
     code = total = 0
     for root in roots:
         for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
