@@ -59,8 +59,7 @@ def approx_hamiltonian(h: Hamiltonian, eps: float) -> Hamiltonian:
 
 
 def approx_problem(problem: JunctionProblem, eps: float) -> JunctionProblem:
-    if eps <= 0:
-        raise ValueError("smoothing width must be positive")
+    eps = _positive_finite("smoothing width", eps)
     edges = [Edge(approx_hamiltonian(e.hamiltonian, eps), e.length)
              for e in problem.edges]
     return JunctionProblem(

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, CflViolation, EmptyControlSet, NoAdmissibleControl
-from .grid import _CFL_SLACK, edge_nodes
+from .grid import _CFL_SLACK, _finite, _positive_finite, edge_nodes
 from .hamiltonian import ClosedForm, Hamiltonian, closed_hamiltonian, elementwise
 from .time_signal import (TimeSignal, coeff_average, coeff_bounds, coeff_eval, coeff_signals,
                           coeff_window_averages, on_horizon, union_mesh, upper_envelope)
@@ -57,10 +57,7 @@ __all__ = [
     "edge_hamiltonian",
     "flux_limiter",
     "induced_hamiltonian",
-    "line_argmin",
     "RestrictedEnvelopes",
-    "TableHamiltonian",
-    "undominated",
 ]
 
 
@@ -150,7 +147,7 @@ class ControlEdge:
     controls: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.controls, dtype=float)
+        c = _finite("controls", self.controls)
         if c.size == 0:
             raise EmptyControlSet("edge has no control samples")
         self.controls = np.sort(c)
@@ -237,7 +234,8 @@ def control_edge(f, l, lo: float, hi: float, n: int = _CONTROL_COUNT) -> Control
     """Edge with controls sampled uniformly from the interval [lo, hi]."""
     if n < 3:
         raise ValueError("need at least 3 control samples")
-    return ControlEdge(f, l, np.linspace(float(lo), float(hi), int(n)))
+    lo, hi = _finite("controls", (lo, hi))
+    return ControlEdge(f, l, np.linspace(lo, hi, int(n)))
 
 
 @dataclass
@@ -263,8 +261,8 @@ class ControlSystem:
             raise ValueError("need at least two edges")
         if self.orientation == "line" and len(self.edges) != 2:
             raise ValueError("line orientation needs exactly two edges")
-        if self.delta <= 0.0:
-            raise ValueError("controllability radius delta must be positive")
+        _positive_finite("delta", self.delta)
+        _finite("A0", self.A0)
         for i in range(len(self.edges)):
             self._check_coverage(i)
 

@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "HjjError",
+    "NoAdmissibleControl",
+    "FluxLimiterBelowFloor",
+    "CflViolation",
+    "NumericalFailure",
+    "BudgetExceeded",
+    "ConfigError",
+]
+
 
 class HjjError(Exception):
     """Base class for all package-specific errors."""

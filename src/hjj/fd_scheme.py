@@ -88,7 +88,7 @@ def grid_for(problems, dx: float, r_domain: float,
     and horizon; the time steps follow the pointwise largest speed_signal.
     """
     batch = [problems] if isinstance(problems, JunctionProblem) else list(problems)
-    radii = [min(e.length, r_domain) for e in batch[0].edges]
+    radii = [min(r_domain, e.length) for e in batch[0].edges]  # a NaN r_domain stays NaN
     speed = upper_envelope([p.speed_signal(dx, radii) for p in batch])
     return make_grid(dx, batch[0].horizon, radii, c2=speed, dt=dt, cfl_safety=cfl_safety)
 

@@ -23,8 +23,7 @@ import numpy as np
 from .errors import CflViolation, ConfigError, NumericalFailure
 from .time_signal import TimeSignal, constant, upper_envelope
 
-__all__ = ["Grid", "SolutionField", "make_grid", "check_cfl", "edge_data", "edge_nodes",
-           "fmt", "atomic_write_text"]
+__all__ = ["Grid", "SolutionField", "make_grid"]
 
 
 # make_grid's default share of dx for each window's integral of C2 (cfl_safety), and the
@@ -143,6 +142,16 @@ def _positive_finite(name: str, value: float, zero_ok: bool = False) -> float:
     return float(value)
 
 
+def _finite(name: str, values) -> np.ndarray:
+    """values as a float array; a ConfigError naming them and the first that is not finite."""
+    arr = np.asarray(values, dtype=float)
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ConfigError(f"{name}: expected {'finite numbers' if arr.ndim else 'a finite number'}, "
+                          f"got {float(bad[0])!r}")
+    return arr
+
+
 def edge_data(u0, n_edges: int, line: bool) -> list:
     """One initial datum per edge, in edge-local y, from u0.
 
@@ -163,12 +172,14 @@ def edge_nodes(dx: float, radii: Sequence[float]) -> tuple:
     """Each edge's node coordinates 0, dx, ..., m dx, with m = round(r / dx) >= 1.
 
     A grid built by make_grid from dx and radii has these nodes (edge_y).
-    Every route computes its nodes here first, so this is where a dx that
-    is not positive and finite is refused, and so is an r / dx that is not
-    finite or exceeds np.intp's maximum (ConfigError naming dx and r / dx).
+    Every route computes its nodes here first, so this is where a dx or an
+    edge radius that is not positive and finite is refused, and so is an
+    r / dx that exceeds np.intp's maximum (ConfigError naming dx, the
+    radius or r / dx). A radius below dx still gives one cell.
     """
     dx = _positive_finite("dx", dx)
-    counts = [_indexable(r / dx, "an edge", f"nodes at dx = {dx:.6g}") for r in radii]
+    counts = [_indexable(_positive_finite("edge radius", r) / dx, "an edge",
+                         f"nodes at dx = {dx:.6g}") for r in radii]
     return tuple(np.arange(max(1, int(round(m))) + 1) * dx for m in counts)
 
 

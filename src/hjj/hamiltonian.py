@@ -44,11 +44,9 @@ from .time_signal import (
 )
 
 __all__ = [
-    "CATALOG",
     "Hamiltonian",
     "EnvelopePair",
     "argmin_p",
-    "numeric_argmin",
     "a0_floor",
     "abs_shift",
     "eikonal",

@@ -46,16 +46,10 @@ from .time_signal import TimeSignal, _off_horizon, constant, on_horizon, union_m
 __all__ = [
     "Edge",
     "JunctionProblem",
-    "ValidationItem",
-    "ValidationReport",
     "from_line",
     "induced_problem",
     "validate",
-    "entry",
-    "coeff_from_config",
     "control_system_from_config",
-    "hamiltonian_from_config",
-    "initial_datum_from_config",
     "problem_from_config",
 ]
 
@@ -68,8 +62,8 @@ class Edge:
     length: float = math.inf
 
     def __post_init__(self):
-        if self.length <= 0.0:
-            raise ValueError("edge length must be positive")
+        if not self.length > 0.0:  # NaN fails too; inf is a half-line
+            raise ConfigError(f"edge length: expected a positive number, got {self.length!r}")
 
 
 class JunctionProblem:

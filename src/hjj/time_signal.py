@@ -18,19 +18,7 @@ import numpy as np
 
 from .errors import EmptyWindow, HorizonMismatch, OutOfHorizon
 
-__all__ = [
-    "TimeSignal",
-    "constant",
-    "on_horizon",
-    "union_mesh",
-    "upper_envelope",
-    "l1_distance",
-    "coeff_eval",
-    "coeff_average",
-    "coeff_window_averages",
-    "coeff_bounds",
-    "coeff_signals",
-]
+__all__ = ["TimeSignal", "constant", "union_mesh", "l1_distance"]
 
 # Relative slack for horizon-boundary comparisons.
 _EDGE_TOL = 1e-12
@@ -139,8 +127,8 @@ class TimeSignal:
         cell midpoint. Sampling a sliding average cannot increase total
         variation, and the L1 distance to the original vanishes as eps -> 0.
         """
-        if eps <= 0.0:
-            raise ValueError("mollification width must be positive")
+        if not eps > 0.0:  # NaN fails too
+            raise ValueError(f"mollification width: expected a positive number, got {eps!r}")
         T = self.horizon
         n = max(1, int(np.ceil(T / (eps / 4.0) - _EDGE_TOL)))
         mesh = np.linspace(0.0, T, n + 1)

@@ -27,6 +27,7 @@ from hjj import (
     problem_from_config,
     quadratic,
     shifted_fields,
+    smoothing_ladder,
     solve,
     union_mesh,
 )
@@ -266,6 +267,18 @@ def test_compute_kn_refuses_a_slope_box_or_radius_out_of_range(K, R, name):
     prob = _step_limiter_problem()
     with pytest.raises(ConfigError, match=f"^{name}: expected a"):
         compute_kn(prob, approx_problem(prob, 0.1), K=K, R=R)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf])
+def test_approx_problem_refuses_a_width_that_is_not_positive_and_finite(eps):
+    prob = _step_limiter_problem()
+    smooths = [lambda: approx_problem(prob, eps),
+               lambda: smoothing_ladder(prob, [0.1, eps]),
+               lambda: comparison_diagnostic(prob, [eps], grid_for(prob, 0.1, 1.0))]
+    for smooth in smooths:
+        with pytest.raises(ConfigError) as err:
+            smooth()
+        assert str(err.value) == f"smoothing width: expected a positive finite number, got {eps!r}"
 
 
 def test_compute_kn_takes_a_zero_radius():

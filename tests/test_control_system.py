@@ -136,6 +136,28 @@ def test_coverage_rejects_speed_range_narrower_than_delta():
         ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0)
 
 
+@pytest.mark.parametrize("delta,A0,refused", [
+    (np.inf, -1.0, "delta: expected a positive finite number, got inf"),
+    (np.nan, -1.0, "delta: expected a positive finite number, got nan"),
+    (0.0, -1.0, "delta: expected a positive finite number, got 0.0"),
+    (1.0, np.nan, "A0: expected a finite number, got nan"),
+    (1.0, -np.inf, "A0: expected a finite number, got -inf"),
+], ids=["delta-inf", "delta-nan", "delta-zero", "A0-nan", "A0-minus-inf"])
+def test_control_system_refuses_a_delta_or_A0_that_is_not_finite(delta, A0, refused):
+    edges = build_model_system().edges
+    with pytest.raises(ConfigError) as err:
+        ControlSystem(edges, l0=constant(0.0, 1.0), A0=A0, delta=delta)
+    assert str(err.value) == refused
+
+
+@pytest.mark.parametrize("hi", [np.nan, np.inf])
+def test_a_control_edge_refuses_controls_that_are_not_finite(hi):
+    with pytest.raises(ConfigError, match="^controls: expected finite numbers, got"):
+        control_edge(ControlForm(c1=1.0), ControlForm(c0=1.0), -1.0, hi)
+    with pytest.raises(ConfigError, match=f"^controls: expected finite numbers, got {hi}$"):
+        ControlEdge(ControlForm(c1=1.0), ControlForm(c0=1.0), np.array([-1.0, 0.0, hi]))
+
+
 def test_restricted_envelope_raises_without_admissible_side():
     # off the junction every sampled speed is positive, so the nonpositive
     # restriction has nothing to optimise over

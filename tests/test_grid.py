@@ -8,9 +8,12 @@ import stat
 import numpy as np
 import pytest
 
-from hjj import SolutionField, TimeSignal, make_grid
+from hjj import (SolutionField, TimeSignal, constant, eikonal, from_line, grid_for, make_grid,
+                 oracle_grid)
 from hjj.errors import CflViolation, ConfigError, HorizonMismatch, NumericalFailure
 from hjj.grid import atomic_write_text, edge_nodes
+
+from conftest import build_model_system, zero_datum
 
 
 def _reference_csv(field: SolutionField) -> str:
@@ -206,11 +209,23 @@ def test_make_grid_refuses_a_step_count_no_array_can_index(c2, dt, shown):
                         rf"{np.iinfo(np.intp).max} can be indexed", str(err.value))
 
 
-@pytest.mark.parametrize("dx,radius,shown", [(1e-300, 2.0, "2e+300"), (0.1, math.inf, "inf"),
-                                             (0.1, math.nan, "nan")])
+@pytest.mark.parametrize("dx,radius,shown", [(1e-300, 2.0, "2e+300")])
 def test_edge_nodes_refuses_a_node_count_no_array_can_index(dx, radius, shown):
     with pytest.raises(ConfigError) as err:
         edge_nodes(dx, (radius,))
     assert str(err.value) == (f"an edge needs {shown} nodes at dx = {dx:g}, "
                               f"more than {np.iinfo(np.intp).max} can be indexed")
     assert [len(ys) for ys in edge_nodes(0.1, (1.0, 0.04))] == [11, 2]
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.inf, math.nan])
+def test_edge_nodes_refuses_a_radius_that_is_not_positive_and_finite(radius):
+    problem = from_line(eikonal(), eikonal(), constant(0.0, 1.0), zero_datum, 1.0, 1.0)
+    builds = [lambda: edge_nodes(0.1, (1.0, radius)),
+              lambda: make_grid(0.1, 1.0, (radius, 2.0), c2=1.0),
+              lambda: grid_for(problem, 0.1, radius),
+              lambda: oracle_grid(build_model_system(), 0.1, 1.0, radius)]
+    for build in builds:
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert str(err.value) == f"edge radius: expected a positive finite number, got {radius!r}"

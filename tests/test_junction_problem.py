@@ -166,6 +166,13 @@ def test_a_horizon_that_is_not_positive_and_finite_is_refused(horizon):
         )
 
 
+@pytest.mark.parametrize("length", [0.0, -1.0, np.nan])
+def test_an_edge_refuses_a_length_that_is_not_positive(length):
+    with pytest.raises(ConfigError, match="^edge length: expected a positive number"):
+        Edge(eikonal(), length)
+    assert Edge(eikonal(), np.inf).length == np.inf
+
+
 def test_problem_from_config_with_explicit_edges():
     prob, cs = problem_from_config({
         "T": 1.0,

@@ -104,6 +104,12 @@ def test_mollify_step_error_ladder():
     assert errors[2] == pytest.approx(0.05, abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, np.nan])
+def test_mollify_refuses_a_width_that_is_not_positive(eps):
+    with pytest.raises(ValueError, match="^mollification width: expected a positive number"):
+        _step().mollify(eps)
+
+
 def test_mollify_preserves_integral_away_from_ends():
     # box averaging is mass preserving up to the horizon truncation
     rng = np.random.default_rng(23)
