@@ -63,11 +63,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ControlForm:
-    """g(t, a) = c0 + c1 a + c2 a^2 with float or TimeSignal coefficients."""
+    """g(t, a) = c0 + c1 a + c2 a^2 with float or TimeSignal coefficients.
+
+    A float coefficient that is not finite raises ConfigError, naming it.
+    """
 
     c0: object = 0.0
     c1: object = 0.0
     c2: object = 0.0
+
+    def __post_init__(self):
+        for name in ("c0", "c1", "c2"):
+            _finite(f"ControlForm {name}", getattr(self, name))
 
     def eval(self, t: float, alphas: np.ndarray) -> np.ndarray:
         a = np.asarray(alphas, dtype=float)
@@ -324,26 +331,36 @@ def flux_limiter(cs: ControlSystem) -> TimeSignal:
                       np.maximum(-cs.l0.values, cs.A0))
 
 
-def _beaten(costs: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Mask of the entries whose cost some entry earlier in order matches or beats."""
-    beaten = np.zeros(len(costs), dtype=bool)
-    ranked = costs[order]
-    beaten[order[1:]] = ranked[1:] >= np.minimum.accumulate(ranked)[:-1]
-    return beaten
+def _beaten(costs: np.ndarray, member: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Mask of the members whose cost a member ranked earlier matches or beats, per column.
+
+    costs, member and keys are (controls, *columns). Each column ranks its
+    members by keys (the last one primary), then cost, then index; the
+    non-members are keyed last, so none is ranked before a member.
+    """
+    order = np.lexsort((np.indices(costs.shape)[0], costs, *keys, ~member), axis=0)
+    ranked = np.take_along_axis(costs, order, axis=0)
+    beaten = np.zeros(costs.shape, dtype=bool)
+    np.put_along_axis(beaten, order[1:],
+                      ranked[1:] >= np.minimum.accumulate(ranked, axis=0)[:-1], axis=0)
+    return beaten & member
 
 
 def undominated(speeds, costs) -> np.ndarray:
     """Mask of the controls that can set sup_k [v_k p - l_k] or min_k of a Bellman update.
 
-    Control k with v_k > 0 is dropped only if there are both a near
-    dominator j (0 < v_j <= v_k, l_j <= l_k) and a far dominator j'
+    speeds and costs are tables (controls, *columns), and every column is
+    ranked on its own: the mask has the table's shape, and a 1-D table is
+    one column. Control k with v_k > 0 is dropped only if there are both a
+    near dominator j (0 < v_j <= v_k, l_j <= l_k) and a far dominator j'
     (v_j' >= v_k, l_j' <= l_k); v_k < 0 is the mirror image, and a
     zero-speed control is dropped only for another zero-speed one with
     l <= l_k. Among identical (v, l) pairs the lowest index is kept. Sorting
     each sign group by (|v|, l, index) puts exactly the near dominators of k
     before k, so k has one iff the running minimum of l before k is <= l_k;
     sorting by (-|v|, l, index) does the same for far dominators. That is
-    O(K log K). The first entry of either order with l <= l_k, the
+    one lexsort along the controls per group and order, O(K log K) per
+    column. The first entry of either order with l <= l_k, the
     lexicographically smallest dominator of its kind, has no dominator of
     that kind itself and is kept: every dropped control keeps a kept near
     and a kept far dominator.
@@ -357,22 +374,14 @@ def undominated(speeds, costs) -> np.ndarray:
     zero that zeros of both signs attain: np.max returns the last tied
     zero, which may be a dropped line. A line is -0.0 only if its cost is
     exactly 0, so without zero costs the bits always agree. (Why the
-    Bellman minimum is exact too is in dpp_oracle.) With non-finite speeds
-    or costs nothing is dropped.
+    Bellman minimum is exact too is in dpp_oracle.) A column with a
+    non-finite speed or cost keeps every control.
     """
-    v = np.asarray(speeds, dtype=float)
-    l = np.asarray(costs, dtype=float)
-    keep = np.ones(v.shape, dtype=bool)
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(l))):
-        return keep
-    zero = np.flatnonzero(v == 0.0)
-    keep[zero] = ~_beaten(l[zero], np.lexsort((zero, l[zero])))
-    for side in (np.flatnonzero(v > 0.0), np.flatnonzero(v < 0.0)):
-        s, c = np.abs(v[side]), l[side]
-        near = _beaten(c, np.lexsort((side, c, s)))
-        far = _beaten(c, np.lexsort((side, c, -s)))
-        keep[side] = ~(near & far)
-    return keep
+    v, l = np.asarray(speeds, dtype=float), np.asarray(costs, dtype=float)
+    s, dropped = np.abs(v), _beaten(l, v == 0.0)
+    for side in (v > 0.0, v < 0.0):
+        dropped |= _beaten(l, side, s) & _beaten(l, side, -s)
+    return ~dropped | ~np.all(np.isfinite(v) & np.isfinite(l), axis=0)
 
 
 def _line_max(speeds: np.ndarray, costs: np.ndarray, p):
@@ -447,15 +456,16 @@ def _freeze_lines(speeds: np.ndarray, costs: np.ndarray) -> tuple:
     """(p_hat, kept speeds, kept costs) of lines (controls, *S), minimised at each entry of S.
 
     Each entry (a row of coefficient values, or a node) is minimised over
-    its own undominated lines, so that its split does not depend on the
-    batch it is frozen in. The lines kept are those undominated at some
-    entry: bit for bit the same maximum (see undominated).
+    its own undominated lines, which one undominated call on the table
+    marks, so that its split does not depend on the batch it is frozen in.
+    The lines kept are those undominated at some entry: bit for bit the
+    same maximum (see undominated).
     """
-    cols = list(zip(*(np.reshape(a, (len(a), -1)).T for a in (speeds, costs))))
-    keeps = [undominated(f, l) for f, l in cols]
-    p_hat = np.reshape([line_argmin(f[m], l[m]) for (f, l), m in zip(cols, keeps)],
+    f, l = (np.reshape(a, (len(a), -1)) for a in (speeds, costs))
+    keeps = undominated(f, l)
+    p_hat = np.reshape([line_argmin(f[m, j], l[m, j]) for j, m in enumerate(keeps.T)],
                        speeds.shape[1:])
-    keep = np.any(keeps, axis=0)
+    keep = np.any(keeps, axis=1)
     return p_hat[()], speeds[keep], costs[keep]
 
 

@@ -87,10 +87,11 @@ def _kept_columns(speeds: np.ndarray, costs: np.ndarray, dts: np.ndarray,
 
     The union over windows of each row's undominated controls, when every
     nonzero departure |f| dt (formed as _bellman forms f dt) clears the
-    cell ends by _GUARD_ULPS eps R; every column otherwise. Each run of
-    equal consecutive rows is ranked once. Rows are window averages, which
-    inside one signal cell may differ in their last bit from window to
-    window, so a cell can give several runs.
+    cell ends by _GUARD_ULPS eps R; every column otherwise. The first row
+    of each run of equal consecutive rows is ranked, all in one undominated
+    call on the table of those rows. Rows are window averages, which inside
+    one signal cell may differ in their last bit from window to window, so
+    a cell can give several runs.
     """
     margin = _GUARD_ULPS * np.finfo(float).eps * length
     jump = np.abs(speeds) * dts[:, None]
@@ -99,10 +100,7 @@ def _kept_columns(speeds: np.ndarray, costs: np.ndarray, dts: np.ndarray,
     new_row = np.ones(len(speeds), dtype=bool)
     new_row[1:] = (np.any(speeds[1:] != speeds[:-1], axis=1)
                    | np.any(costs[1:] != costs[:-1], axis=1))
-    keep = np.zeros(speeds.shape[1], dtype=bool)
-    for f, l in zip(speeds[new_row], costs[new_row]):
-        keep |= undominated(f, l)
-    return keep
+    return np.any(undominated(speeds[new_row].T, costs[new_row].T), axis=1)
 
 
 def _windows(cs: ControlSystem, grid: Grid, A: TimeSignal, times: np.ndarray):

@@ -14,9 +14,11 @@ one EnvelopePair, its Hamiltonian frozen at values (Hamiltonian.freeze):
 a closed form (a catalog form, or an edge of control forms) at the
 window's coefficients, or once per march when it is time-independent; a
 control edge with a callable f or l at the window's table on its nodes,
-the one the value function reads (ControlEdge.lines), again only when
-the table changes; a time-independent black box at its nodes, once per
-march, or once per problem when it ignores x. The pair is evaluated on
+the one the value function reads (ControlEdge.lines); a time-independent
+black box at its nodes, once per march, or once per problem when it
+ignores x. A windowed edge (coefficients or table) is frozen again only
+when its values differ from the last window's, byte for byte, and the
+frozen pair is a function of those bytes. The pair is evaluated on
 all the slopes of its edge at once: once per step, with both envelopes
 cut from that one array, or twice when it is read per node (H depends on
 x), at the right and at the left node of every slope. The interior,
@@ -100,58 +102,56 @@ def _check_cfl(problems: Sequence[JunctionProblem], grid: Grid, times: np.ndarra
                   problem.cfl_speed(grid.dx, grid.edge_radii)[1], times)
 
 
-def _table_windows(h: TableHamiltonian, times: np.ndarray, grid: Grid, i: int) -> Callable:
-    """env(n) of a callable control edge i: its table on window n of times, frozen node by node.
-
-    The table is ControlEdge.lines on the edge's nodes, the one the value
-    function reads, and the window's step is checked against its speeds
-    (ControlEdge.check_speeds). It is frozen again only when it differs
-    from the table before it, so a callable that ignores t is frozen once
-    per march.
-    """
-    ys, last = grid.edge_y(i), []
-
-    def env(n):
-        a, b = float(times[n]), float(times[n + 1])
-        table = h.edge.lines(h.sign, a, b, ys)
-        h.edge.check_speeds(h.sign, table[0], a, b, grid, i)
-        if not (last and all(map(np.array_equal, table, last[0]))):
-            last[:] = table, EnvelopePair(h, values=(*table, ys))
-        return last[1]
-    return env
-
-
 def _edge_windows(hs: list, pairs: list, times: np.ndarray, grid: Grid, i: int) -> Callable:
     """env(n): edge i's EnvelopePair on the window [times[n], times[n+1]], for a batch.
 
     hs and pairs hold the edge's Hamiltonian and EnvelopePair in each problem.
-    A callable control edge that the batch shares reads its table window by
-    window (_table_windows). Any other time-independent Hamiltonian that the
-    batch shares keeps one pair for the march: the first problem's, which
-    is frozen already when h ignores x, else h frozen at the edge's nodes. A
-    closed form that the batch shares is frozen at each window's averaged
-    coefficients, read off (windows x problems) tables as one (problems, 1)
-    column per coefficient. env(n) is one pair when the batch shares it,
-    else a list with one per problem. A time-dependent black box has no
-    coefficients to freeze, and raises NonSeparableTimeDependence.
+    A windowed edge is frozen at its values on each window: a callable
+    control edge that the batch shares at its table on the edge's nodes,
+    the one the value function reads (ControlEdge.lines), with the window's
+    step checked against its speeds (ControlEdge.check_speeds); a closed
+    form that the batch shares at each window's averaged coefficients, read
+    off (windows x problems) tables as one (problems, 1) column per
+    coefficient. It is frozen again only when its values differ from the
+    last window's, byte for byte, so an edge constant in t is frozen once
+    per march and a -0.0 that turns 0.0 is frozen again. Any other
+    time-independent Hamiltonian that the batch shares keeps one pair for
+    the march: the first problem's, which is frozen already when h ignores
+    x, else h frozen at the edge's nodes. env(n) is one pair when the batch
+    shares it, else a list with one per problem. A time-dependent black box
+    has no coefficients to freeze, and raises NonSeparableTimeDependence.
     """
-    h = hs[0]
+    h, ys = hs[0], grid.edge_y(i)
     shared = all(g is h for g in hs)
     if shared and isinstance(h, TableHamiltonian):
-        return _table_windows(h, times, grid, i)
-    if shared and h.time_independent:
-        pair = (EnvelopePair(h, values=h.values_at(float(times[0]), grid.edge_y(i)))
+        def values(n):
+            a, b = float(times[n]), float(times[n + 1])
+            speeds, costs = h.edge.lines(h.sign, a, b, ys)
+            h.edge.check_speeds(h.sign, speeds, a, b, grid, i)
+            return speeds, costs, ys
+    elif shared and h.time_independent:
+        pair = (EnvelopePair(h, values=h.values_at(float(times[0]), ys))
                 if pairs[0].values is None else pairs[0])
         return lambda n: pair
-    form = h.form
-    if form is not None and all(g.form is form for g in hs):
+    elif h.form is not None and all(g.form is h.form for g in hs):
         cols = [np.stack([coeff_window_averages(g.coefficients[k], times) for g in hs], axis=1)
-                for k in form.names]
-        return lambda n: EnvelopePair(h, values=tuple(col[n][:, None] for col in cols))
-    if len(hs) == 1:
+                for k in h.form.names]
+
+        def values(n):
+            return tuple(col[n][:, None] for col in cols)
+    elif len(hs) == 1:
         raise NonSeparableTimeDependence("a time-dependent black box has no coefficients to freeze")
-    each = [_edge_windows([g], [pair], times, grid, i) for g, pair in zip(hs, pairs)]
-    return lambda n: [env(n) for env in each]
+    else:
+        each = [_edge_windows([g], [pair], times, grid, i) for g, pair in zip(hs, pairs)]
+        return lambda n: [env(n) for env in each]
+    last = []
+
+    def env(n):
+        vals = values(n)
+        if not (last and all(a.tobytes() == b.tobytes() for a, b in zip(vals, last[0]))):
+            last[:] = vals, EnvelopePair(h, values=vals)
+        return last[1]
+    return env
 
 
 def _windows(problems, grid: Grid, times: np.ndarray) -> Callable:

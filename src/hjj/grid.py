@@ -143,8 +143,11 @@ def _positive_finite(name: str, value: float, zero_ok: bool = False) -> float:
 
 
 def _finite(name: str, values) -> np.ndarray:
-    """values as a float array; a ConfigError naming them and the first that is not finite."""
-    arr = np.asarray(values, dtype=float)
+    """values as a float array; a ConfigError naming them and the first that is not finite.
+
+    A TimeSignal gives its values, which it has checked already.
+    """
+    arr = np.asarray(values.values if isinstance(values, TimeSignal) else values, dtype=float)
     bad = arr[~np.isfinite(arr)]
     if bad.size:
         raise ConfigError(f"{name}: expected {'finite numbers' if arr.ndim else 'a finite number'}, "

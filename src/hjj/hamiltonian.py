@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BracketFailure, ConvexityError, NonSeparableTimeDependence
-from .grid import _positive_finite
+from .grid import _finite, _positive_finite
 from .time_signal import (
     TimeSignal,
     coeff_bounds,
@@ -484,7 +484,8 @@ def closed_hamiltonian(closed: ClosedForm, coefficients: dict, rebuild: Callable
 
 
 def abs_shift(c) -> Hamiltonian:
-    """H(p) = |p| + c, with c a float or TimeSignal."""
+    """H(p) = |p| + c, with c a float or TimeSignal; a c that is not finite raises ConfigError."""
+    _finite("abs_shift c", c)
     return closed_hamiltonian(CATALOG["abs_shift"], {"c": c},
                               rebuild=lambda coeffs: abs_shift(coeffs["c"]),
                               reflect=lambda: abs_shift(c),
@@ -506,12 +507,15 @@ def quadratic(a, b, c, p_span: float | None = None) -> Hamiltonian:
     of every step. A declared p_span overrides the box with
     2 a (p_span + |b|), which covers slopes within p_span of the origin.
     Either bound follows a(t) cell by cell; its sup takes a_hi. An a whose
-    bounds, or a p_span, are not positive and finite raises ConfigError.
+    bounds, or a p_span, are not positive and finite raises ConfigError, and
+    so does a b or c that is not finite.
     """
     a_lo, a_hi = coeff_bounds(a)
     b_lo, b_hi = coeff_bounds(b)
     for bound in (a_lo, a_hi):
         _positive_finite("quadratic a", bound)
+    for name, v in (("b", b), ("c", c)):
+        _finite(f"quadratic {name}", v)
     if p_span is not None:
         p_span = _positive_finite("p_span", p_span)
     b_abs = max(abs(b_lo), abs(b_hi))

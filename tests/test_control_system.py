@@ -18,7 +18,7 @@ from hjj import (
     induced_hamiltonian,
     reflected,
 )
-from hjj.control_system import line_argmin, undominated
+from hjj.control_system import _freeze_lines, line_argmin, undominated
 from hjj.errors import BracketFailure, ConfigError, NoAdmissibleControl
 from hjj.hamiltonian import argmin_p, numeric_argmin
 from hjj.time_signal import coeff_average, on_horizon
@@ -156,6 +156,17 @@ def test_a_control_edge_refuses_controls_that_are_not_finite(hi):
         control_edge(ControlForm(c1=1.0), ControlForm(c0=1.0), -1.0, hi)
     with pytest.raises(ConfigError, match=f"^controls: expected finite numbers, got {hi}$"):
         ControlEdge(ControlForm(c1=1.0), ControlForm(c0=1.0), np.array([-1.0, 0.0, hi]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("name", ["c0", "c1", "c2"])
+def test_a_control_form_refuses_a_float_coefficient_that_is_not_finite(name, bad):
+    """As f it used to leave a hole in the speeds, as l a system without admissible controls."""
+    with pytest.raises(ConfigError) as err:
+        ControlForm(**{name: bad})
+    assert str(err.value) == f"ControlForm {name}: expected a finite number, got {bad!r}"
+    step = TimeSignal(np.array([0.0, 0.5, 1.0]), np.array([1.0, -1.0]))
+    assert ControlForm(**{name: step}).signals() == {name: step}
 
 
 def test_restricted_envelope_raises_without_admissible_side():
@@ -347,6 +358,110 @@ def test_undominated_matches_the_rule_control_by_control():
         speeds = rng.choice([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0], n)
         costs = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], n)
         assert undominated(speeds, costs).tolist() == _brute_undominated(speeds, costs)
+
+
+def _scalar_beaten(costs: np.ndarray, order: np.ndarray) -> np.ndarray:
+    beaten = np.zeros(len(costs), dtype=bool)
+    ranked = costs[order]
+    beaten[order[1:]] = ranked[1:] >= np.minimum.accumulate(ranked)[:-1]
+    return beaten
+
+
+def _scalar_undominated(speeds, costs) -> np.ndarray:
+    """undominated written for one column, sign group by sign group: the reference."""
+    v = np.asarray(speeds, dtype=float)
+    l = np.asarray(costs, dtype=float)
+    keep = np.ones(v.shape, dtype=bool)
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(l))):
+        return keep
+    zero = np.flatnonzero(v == 0.0)
+    keep[zero] = ~_scalar_beaten(l[zero], np.lexsort((zero, l[zero])))
+    for side in (np.flatnonzero(v > 0.0), np.flatnonzero(v < 0.0)):
+        s, c = np.abs(v[side]), l[side]
+        near = _scalar_beaten(c, np.lexsort((side, c, s)))
+        far = _scalar_beaten(c, np.lexsort((side, c, -s)))
+        keep[side] = ~(near & far)
+    return keep
+
+
+def _random_table(rng: np.random.Generator) -> tuple:
+    """(speeds, costs), (controls, columns): ties, repeated and signed-zero speeds and costs,
+    columns of one sign of speed and columns with a NaN or an infinite entry."""
+    k, m = int(rng.choice([0, 1, 2, 3, 5, 8, 13])), int(rng.integers(1, 6))
+    speeds = rng.choice([-1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0], (k, m))
+    costs = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0], (k, m))
+    if rng.random() < 0.3:
+        speeds[rng.random((k, m)) < 0.5] += rng.normal(0.0, 1.0)
+    for j in range(m):
+        kind = rng.random()
+        if kind < 0.3:
+            speeds[:, j] = np.copysign(speeds[:, j], 1.0 if kind < 0.15 else -1.0)
+        elif kind < 0.4 and k:
+            (speeds if rng.random() < 0.5 else costs)[rng.integers(k), j] = rng.choice(
+                [np.nan, np.inf, -np.inf])
+    return speeds, costs
+
+
+def test_table_undominated_equals_the_scalar_rule_column_by_column():
+    """Bit for bit on 2,500 random tables, as a table, column by column and as 3-D tables."""
+    rng = np.random.default_rng(131)
+    seen = {"empty": 0, "one": 0, "non-finite": 0, "one-sign": 0, "pruned": 0}
+    for _ in range(2500):
+        speeds, costs = _random_table(rng)
+        got = undominated(speeds, costs)
+        assert got.shape == speeds.shape and got.dtype == bool
+        for j in range(speeds.shape[1]):
+            v, l = speeds[:, j], costs[:, j]
+            want = _scalar_undominated(v, l)
+            assert got[:, j].tolist() == undominated(v, l).tolist() == want.tolist()
+            finite = np.all(np.isfinite(v) & np.isfinite(l))
+            seen["non-finite"] += not finite
+            seen["one-sign"] += finite and len(v) > 1 and not (np.any(v < 0) and np.any(v > 0))
+            seen["pruned"] += not np.all(want)
+        seen["empty"] += len(speeds) == 0
+        seen["one"] += len(speeds) == 1
+        if speeds.shape[1] % 2 == 0:
+            cube = undominated(*(a.reshape(len(a), 2, a.shape[1] // 2) for a in (speeds, costs)))
+            assert cube.reshape(got.shape).tolist() == got.tolist()
+    assert min(seen.values()) > 50, seen
+
+
+def _column_freeze_lines(speeds: np.ndarray, costs: np.ndarray) -> tuple:
+    """_freeze_lines as it ran undominated, one column at a time: the reference."""
+    cols = list(zip(*(np.reshape(a, (len(a), -1)).T for a in (speeds, costs))))
+    keeps = [_scalar_undominated(f, l) for f, l in cols]
+    p_hat = np.reshape([line_argmin(f[m], l[m]) for (f, l), m in zip(cols, keeps)],
+                       speeds.shape[1:])
+    keep = np.any(keeps, axis=0)
+    return p_hat[()], speeds[keep], costs[keep]
+
+
+def test_freeze_lines_equals_the_column_by_column_freeze_bit_for_bit():
+    """p_hat, kept speeds and kept costs of random callable tables and random finite tables;
+    a column of one sign of speed raises BracketFailure in both."""
+    rng = np.random.default_rng(137)
+    ys = np.linspace(0.0, 1.5, 13)
+    one_sided = 0
+    for n in range(400):
+        if n % 2:
+            t = float(rng.uniform(0.0, 1.0))
+            table = np.broadcast_arrays(*_random_callable_edge(rng).lines(1.0, t, t, ys))
+        else:
+            table = _random_table(rng)
+            if len(table[0]) == 0 or not np.all(np.isfinite(table)):
+                continue
+        try:
+            want = _column_freeze_lines(*table)
+        except BracketFailure:
+            with pytest.raises(BracketFailure):
+                _freeze_lines(*table)
+            one_sided += 1
+            continue
+        got = _freeze_lines(*table)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    assert one_sided > 20
 
 
 def _random_edge(rng: np.random.Generator) -> ControlEdge:

@@ -575,7 +575,7 @@ def test_pruned_solve_equals_the_march_over_every_control(monkeypatch, case, cfl
 
     got = run()
     monkeypatch.setattr(control_system_module, "undominated",
-                        lambda speeds, costs: np.ones(len(speeds), dtype=bool))
+                        lambda speeds, costs: np.ones(np.shape(speeds), dtype=bool))
     assert got.tobytes() == run().tobytes()
 
 
@@ -785,6 +785,75 @@ def test_callable_control_edges_never_reach_the_numeric_argmin(monkeypatch):
     box = Hamiltonian(lambda t, x, p: np.abs(p) - 1.0, lipschitz_p=1.0, x_independent=True)
     hamiltonian_module.argmin_p(box, 0.0, 0.0)
     assert calls == [(0.0, 0.0)]
+
+
+def _count_pairs(monkeypatch) -> list:
+    """Every EnvelopePair that fd_scheme builds from here on, appended to the list returned."""
+    pairs = []
+
+    class Counted(EnvelopePair):
+        def __init__(self, h, values=None):
+            pairs.append(values)
+            super().__init__(h, values=values)
+
+    monkeypatch.setattr(fd_scheme_module, "EnvelopePair", Counted)
+    return pairs
+
+
+def test_a_windowed_edge_is_frozen_again_only_when_its_values_change(monkeypatch):
+    """TDC at dx 0.02 against the same march with every window frozen afresh.
+
+    Its averaged coefficients repeat inside a signal cell, mostly bit for
+    bit, so 113 of the 248 window-edge pairs are built, and the field keeps
+    its bits.
+    """
+    prob = problem_from_config(tdc_config())[0]
+    grid = grid_for(prob, 0.02, 2.0)
+    pairs = _count_pairs(monkeypatch)
+    got = solve(prob, grid).values
+    assert len(pairs) == 113 < 2 * grid.steps == 248
+    real = fd_scheme_module._edge_windows
+    monkeypatch.setattr(fd_scheme_module, "_edge_windows",
+                        lambda *args: lambda n: real(*args)(n))  # a fresh cache per window
+    del pairs[:]
+    assert solve(prob, grid).values.tobytes() == got.tobytes()
+    assert len(pairs) == 248
+
+
+def test_a_callable_table_whose_zero_costs_change_sign_is_frozen_again(monkeypatch):
+    """Equal tables up to the sign of a zero are two tables: -0.0 and 0.0 may split differently.
+
+    The callable's cost is 0.0 before t = 0.25 and -0.0 after it, on every
+    control: each edge is frozen twice, and the run without the flip once.
+    """
+    for flip, want in ((True, 4), (False, 2)):
+        def cost(t, y, a, flip=flip):
+            return np.copysign(0.0, 0.25 - t if flip else 1.0) * (1.0 + abs(y))
+
+        edges = [ControlEdge(ControlForm(c1=1.0), cost, np.linspace(-1.0, 1.0, 11))
+                 for _ in range(2)]
+        cs = ControlSystem(edges, l0=constant(0.0, 0.5), A0=-1.0, delta=1.0)
+        problem = induced_problem(cs, lambda x: 0.5 * min(1.0, abs(x)), 0.5, 0.5)
+        pairs = _count_pairs(monkeypatch)
+        solve(problem, grid_for(problem, 0.05, 1.0))
+        assert len(pairs) == want
+
+
+def test_both_routes_agree_on_a_callable_that_changes_on_every_window():
+    """f = a (1 + 0.25 min(|y|, 1)) (1 - 0.2 t) on 21 controls: a new table on each of the
+    125 windows at dx 0.02, frozen table-wise; solve agrees with value_function."""
+    def drift(t, y, a):
+        return a * (1.0 + 0.25 * min(abs(y), 1.0)) * (1.0 - 0.2 * t)
+
+    edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21))
+             for _ in range(2)]
+    cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0)
+    u0 = lambda x: 0.5 * min(1.0, abs(x))  # noqa: E731
+    problem = induced_problem(cs, u0, 0.5, 1.0)
+    grid = grid_for(problem, 0.02, 1.0)
+    assert (grid.steps, grid.n_nodes) == (125, 101)
+    gap = solve(problem, grid).values - value_function(cs, u0, grid).values
+    assert np.max(np.abs(gap)) <= 1e-12
 
 
 def _callable_twin(cs: ControlSystem) -> ControlSystem:

@@ -295,6 +295,20 @@ def test_quadratic_refuses_an_a_that_is_not_positive_and_finite(a):
         quadratic(a, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+def test_quadratic_and_abs_shift_refuse_a_b_or_c_that_is_not_finite(bad):
+    """Each refusal names the coefficient; a TimeSignal b or c is built as before."""
+    for build, name in ((lambda: quadratic(1.0, bad, 0.0), "quadratic b"),
+                        (lambda: quadratic(1.0, 0.0, bad), "quadratic c"),
+                        (lambda: abs_shift(bad), "abs_shift c")):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert str(err.value) == f"{name}: expected a finite number, got {bad!r}"
+    step = TimeSignal(np.array([0.0, 0.5, 1.0]), np.array([-1.0, 2.0]))
+    assert quadratic(1.0, step, step).coefficients["b"] is step
+    assert abs_shift(step).coefficients["c"] is step
+
+
 def _clip_split(form: ClosedForm, values: tuple, p: np.ndarray) -> tuple:
     """The catalog split as form.h(max(p, p_hat)), form.h(min(p, p_hat)): the reference."""
     p_hat = form.freeze(*values)[0]
