@@ -187,13 +187,9 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
 
     bp = np.asarray(mesh, dtype=float)
     bp[-1] = T  # union mesh ends at the shared horizon
-    total = np.maximum(k0_vals, ki_vals.max(axis=0))
-    if np.any(total < -1e-12):
-        raise NegativeKn("error signal came out negative")
-    total = np.clip(total, 0.0, None)
     mk = lambda v: TimeSignal(bp, v)  # noqa: E731
-    return KnResult(mk(total), mk(np.clip(k0_vals, 0.0, None)),
-                    tuple(mk(np.clip(ki_vals[i], 0.0, None)) for i in range(J)))
+    return KnResult(mk(np.maximum(k0_vals, ki_vals.max(axis=0))), mk(k0_vals),
+                    tuple(mk(ki_vals[i]) for i in range(J)))
 
 
 def shifted_fields(field: SolutionField, kn: TimeSignal):

@@ -15,9 +15,10 @@ and l are both ControlForms has an induced Hamiltonian with a ClosedForm
 in the six coefficients of f and l (f_c0 ... l_c2): its lines come from one
 line function (_lines), which also gives the Bellman route's window
 tables. An edge with a callable f or l has a TableHamiltonian: its lines
-at (t, x), and on every window of a march, are the edge's table
-(ControlEdge.lines), which the Bellman route reads too. Every control
-edge is minimised exactly, over its lines (line_argmin).
+at (t, x) are the edge's table (ControlEdge.lines), and on every window of
+a march both routes read that table through ControlEdge.window_lines,
+which refuses a window too fast for its step. Every control edge is
+minimised exactly, over its lines (line_argmin).
 
 Only the lower cost-speed front of a control sample can set that supremum
 (or the minimum of a Bellman update). undominated(speeds, costs) marks it:
@@ -141,12 +142,14 @@ class ControlEdge:
     a form averaged exactly over the window, a callable read at the
     window's midpoint. A form edge's tables for every window of a march come
     in one call (window_tables). A callable edge is read window by window on
-    the grid's nodes, and its induced TableHamiltonian is frozen node by
-    node at that table, so both routes mean the same H.
+    the grid's nodes, by both routes through window_lines, and its induced
+    TableHamiltonian is frozen node by node at that table, so both routes
+    mean the same H.
 
     speed_signal sizes the time steps of both routes: max|f| on each cell
     of a form's TimeSignals, and for a callable one bound at t = 0 on the
-    grid's nodes, which check_speeds checks again on every window.
+    grid's nodes, which window_lines checks again on every window before
+    the table is used.
     """
 
     f: object  # ControlForm or callable (t, x, a)
@@ -184,21 +187,25 @@ class ControlEdge:
         cols = (coeff_window_averages(v, times) for v in _coefficients(self).values())
         return tuple(a.T for a in _lines(self.controls, sign, *cols))
 
-    def check_speeds(self, sign: float, speeds: np.ndarray, a: float, b: float, grid, i: int):
-        """Raise CflViolation where (b - a) |f| > dx: speeds is lines on [a, b] at edge i's nodes.
+    def window_lines(self, sign: float, a: float, b: float, grid, i: int) -> tuple:
+        """lines on [a, b] at edge i's nodes, refused where (b - a) |f| > dx.
 
-        Both routes check a callable edge's table of each window here. The
-        grid's C2 bounds |f| at t = 0 on the nodes (speed_bound), and a
-        callable may speed up later; the message names the first node too fast.
+        The one reader of a callable edge's window table, for both routes.
+        The grid's C2 bounds |f| at t = 0 on the nodes (speed_bound), and a
+        callable may speed up later, so the table is checked before it is
+        used: CflViolation names the first node too fast and the window.
         """
+        ys = grid.edge_y(i)
+        speeds, costs = self.lines(sign, a, b, ys)
         speed = np.max(np.abs(speeds), axis=0)
         over = np.flatnonzero(speed * (b - a) > grid.dx * _CFL_SLACK)
         if over.size:
-            j, ys = int(over[0]), grid.edge_y(i)
+            j = int(over[0])
             raise CflViolation(
                 f"dt={b - a:.6g} exceeds dx/|f|={grid.dx / speed[j]:.6g} at node "
                 f"{int(grid.edge_full_indices(i)[j])} on [{a}, {b}]: the speed bound "
                 f"{self.speed_bound(sign * ys):.6g} understates |f|={speed[j]:.6g} there")
+        return speeds, costs
 
     def speed_bound(self, xs=None) -> float:
         """max |f| over the controls and every coefficient value.

@@ -31,11 +31,11 @@ in [c eps R, dx - c eps R], with eps the machine epsilon, R the edge
 length and c = _GUARD_ULPS: a margin that covers the rounding of the nodes
 and of y - f dt. Otherwise, for example at dt max|f| = dx, all columns
 stay. A callable (x-dependent) edge is read on all nodes at once, one
-(controls x nodes) table per window (ControlEdge.lines, the table the
-scheme freezes too), and keeps every control. The grid's C2 bounds a
-callable's |f| on those nodes at t = 0, so each update checks dt |f| <= dx
-node by node as well (ControlEdge.check_speeds, as the scheme does): a
-time-dependent callable may speed up later.
+(controls x nodes) table per window (the table the scheme freezes too),
+and keeps every control. The grid's C2 bounds a callable's |f| on those
+nodes at t = 0, and a time-dependent callable may speed up later, so both
+routes read its table through ControlEdge.window_lines, which checks
+dt |f| <= dx node by node before the update uses the table.
 
 A tiny exhaustive enumerator over piecewise-constant controls doubles as an
 oracle for the oracle on desk-scale instances.
@@ -106,11 +106,12 @@ def _kept_columns(speeds: np.ndarray, costs: np.ndarray, dts: np.ndarray,
 def _windows(cs: ControlSystem, grid: Grid, A: TimeSignal, times: np.ndarray):
     """at(n) -> (integral of A, per-edge (speeds, costs) rows) on window n of times.
 
-    Form edges read 1-D rows of (windows x controls) tables built here once
-    (ControlEdge.window_tables), cut to the columns _kept_columns keeps. A
-    callable edge reads ControlEdge.lines on all its nodes, window by
-    window: one (controls x nodes) array per quantity, one column for a form
-    quantity.
+    Every row is (controls, nodes or 1). Form edges read (controls, 1) rows
+    of tables built here once (ControlEdge.window_tables), cut to the
+    columns _kept_columns keeps, one column serving every node. A callable
+    edge reads ControlEdge.window_lines on all its nodes, window by window,
+    so a window with dt |f| > dx raises CflViolation before it is used: one
+    (controls x nodes) array per quantity, one column for a form quantity.
     """
     parking = A.window_integrals(times)
     dts = np.diff(times)
@@ -120,25 +121,26 @@ def _windows(cs: ControlSystem, grid: Grid, A: TimeSignal, times: np.ndarray):
         if edge.x_independent:
             speeds, costs = edge.window_tables(sign, times)
             keep = _kept_columns(speeds, costs, dts, grid.dx, float(y[-1]))
-            rows.append(lambda n, f=speeds[:, keep], l=costs[:, keep]: (f[n], l[n]))
+            rows.append(lambda n, f=speeds[:, keep, None], l=costs[:, keep, None]: (f[n], l[n]))
         else:
-            rows.append(lambda n, e=edge, s=sign, y=y: e.lines(s, *map(float, times[n:n + 2]), y))
+            rows.append(lambda n, e=edge, s=sign, i=i:
+                        e.window_lines(s, *map(float, times[n:n + 2]), grid, i))
     return lambda n: (float(parking[n]), [row(n) for row in rows])
 
 
-def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
-             a: float, b: float, window: tuple) -> np.ndarray:
+def _bellman(cs: ControlSystem, grid: Grid, level: np.ndarray, a: float, b: float,
+             window: tuple) -> np.ndarray:
     """One Bellman update over [a, b]: one (controls x nodes) gather per edge.
 
-    window is this window's row of _windows(cs, grid, A, times). The
-    departure points y - f dt of every kept control are interpolated in a
-    single np.interp call (which holds the end values outside [0, R]), the
-    running costs are added, departures that leave the edge are masked and
-    the minimum is taken over controls. On a callable edge, whose rows hold
-    one column per node, a speed with dt |f| > dx raises CflViolation
-    naming the node and the window (ControlEdge.check_speeds), after the
-    check for nodes that no transition reaches. Parking at the junction is
-    always admissible, since its control set contains 0.
+    window is this window's row of _windows(cs, grid, A, times), read and
+    checked already. The departure points y - f dt of every kept control
+    are interpolated in a single np.interp call (which holds the end values
+    outside [0, R]), the running costs are added, departures that leave the
+    edge are masked and the minimum is taken over controls; a node that no
+    transition reaches raises NoAdmissibleControl. Parking at the junction
+    is always admissible, since its control set contains 0. cs is not
+    read: perfbench/tracer.py counts each update's transitions off cs and
+    grid, the first two arguments.
     """
     dtn = b - a
     parking, rows = window
@@ -148,8 +150,6 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
         idx = grid.edge_full_indices(i)
         y = grid.edge_y(i)
         ztol = 1e-10 * max(1.0, float(y[-1]))
-        if fmat.ndim == 1:  # a form edge's table row serves every node
-            fmat, lmat = fmat[:, None], lmat[:, None]
         z = y - fmat * dtn
         vals = np.interp(z.ravel(), y, level[idx]).reshape(z.shape)
         vals += lmat * dtn
@@ -162,9 +162,6 @@ def _bellman(cs: ControlSystem, grid: Grid, A: TimeSignal, level: np.ndarray,
         node = int(np.flatnonzero(~np.isfinite(new))[0])
         raise NoAdmissibleControl(
             f"no admissible transition reaches node {node} on [{a}, {b}]")
-    for i, (fmat, _) in enumerate(rows):
-        if fmat.ndim > 1:
-            cs.edges[i].check_speeds(cs.sign(i), fmat, a, b, grid, i)
     return new
 
 
@@ -178,7 +175,7 @@ def _march(cs: ControlSystem, grid: Grid, v0: np.ndarray, first: int):
     at = _windows(cs, grid, A, grid.times[first:])
 
     def update(v, n):
-        return _bellman(cs, grid, A, v, times[n], times[n + 1], at(n - first))
+        return _bellman(cs, grid, v, times[n], times[n + 1], at(n - first))
 
     return _levels(grid, v0, update, first)
 

@@ -42,7 +42,12 @@ class EmptyControlSet(HjjError):
 
 
 class NoAdmissibleControl(HjjError):
-    """A sign-restricted control subset is empty at the probed point."""
+    """No control is admissible where one is needed.
+
+    Raised when a sign-restricted control subset is empty at the probed
+    point, and by a Bellman update when no transition of any control
+    reaches a node, naming the node and the window.
+    """
 
 
 class FluxLimiterBelowFloor(HjjError):
@@ -74,7 +79,11 @@ class CflViolation(HjjError):
 
 
 class NumericalFailure(HjjError):
-    """Non-finite values appeared during time stepping."""
+    """A march produced a level it cannot trust.
+
+    Raised at the first level that holds a non-finite value, and by the
+    value function at the first level that breaks its a-priori sup bound.
+    """
 
 
 class NonSeparableTimeDependence(HjjError):

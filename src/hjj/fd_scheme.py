@@ -34,8 +34,9 @@ coefficient cell for control-induced edges, and for a quadratic edge
 equal: make_grid gives each the same integral of C2, and a march checks
 once, before its first step, that every window's integral is at most dx
 (grid.check_cfl, the value function's check too). A callable control
-edge is bounded at t = 0 only, so ControlEdge.check_speeds checks
-dt |f| <= dx on the nodes of every window, as the value function does.
+edge is bounded at t = 0 only, so its table is read through
+ControlEdge.window_lines, which checks dt |f| <= dx on the nodes of every
+window before the table is frozen, as the value function reads it.
 A window's frozen coefficients are averages, and a quadratic's bound is
 linear in a as a control's speed is in f's coefficients, so dt C2(frozen
 window) stays within that integral. That box is the a priori choice of
@@ -108,13 +109,13 @@ def _edge_windows(hs: list, pairs: list, times: np.ndarray, grid: Grid, i: int) 
     hs and pairs hold the edge's Hamiltonian and EnvelopePair in each problem.
     A windowed edge is frozen at its values on each window: a callable
     control edge that the batch shares at its table on the edge's nodes,
-    the one the value function reads (ControlEdge.lines), with the window's
-    step checked against its speeds (ControlEdge.check_speeds); a closed
-    form that the batch shares at each window's averaged coefficients, read
-    off (windows x problems) tables as one (problems, 1) column per
-    coefficient. It is frozen again only when its values differ from the
-    last window's, byte for byte, so an edge constant in t is frozen once
-    per march and a -0.0 that turns 0.0 is frozen again. Any other
+    read and checked against the window's step by ControlEdge.window_lines,
+    as the value function reads it; a closed form that the batch shares at
+    each window's averaged coefficients, read off (windows x problems)
+    tables as one (problems, 1) column per coefficient. It is frozen again
+    only when its values differ from the last window's, byte for byte, so
+    an edge constant in t is frozen once per march and a -0.0 that turns
+    0.0 is frozen again. Any other
     time-independent Hamiltonian that the batch shares keeps one pair for
     the march: the first problem's, which is frozen already when h ignores
     x, else h frozen at the edge's nodes. env(n) is one pair when the batch
@@ -126,9 +127,7 @@ def _edge_windows(hs: list, pairs: list, times: np.ndarray, grid: Grid, i: int) 
     if shared and isinstance(h, TableHamiltonian):
         def values(n):
             a, b = float(times[n]), float(times[n + 1])
-            speeds, costs = h.edge.lines(h.sign, a, b, ys)
-            h.edge.check_speeds(h.sign, speeds, a, b, grid, i)
-            return speeds, costs, ys
+            return (*h.edge.window_lines(h.sign, a, b, grid, i), ys)
     elif shared and h.time_independent:
         pair = (EnvelopePair(h, values=h.values_at(float(times[0]), ys))
                 if pairs[0].values is None else pairs[0])

@@ -28,7 +28,7 @@ __all__ = ["Grid", "SolutionField", "make_grid"]
 
 # make_grid's default share of dx for each window's integral of C2 (cfl_safety), and the
 # relative slack of every check of a window against dx: check_cfl, make_grid's explicit
-# dt, the scheme's slope check and ControlEdge.check_speeds.
+# dt, the scheme's slope check and ControlEdge.window_lines.
 _CFL_SAFETY = 0.5
 _CFL_SLACK = 1.0 + 1e-9
 

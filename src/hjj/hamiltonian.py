@@ -72,8 +72,9 @@ class Hamiltonian:
                      need be one slope) at a time (see elementwise)
     lipschitz_p      declared bound on |dH/dp| over the working slope range
                      (inf for a quadratic without a declared p_span)
-    coercivity_radius  callable (t, x) -> initial bracket radius P with
-                     H(t, x, +-P) > H(t, x, 0); doubling extends it if needed
+    coercivity_radius  initial bracket radius P, a float, with
+                     H(t, x, +-P) > H(t, x, 0) at every (t, x); doubling
+                     extends it where needed
     form             the ClosedForm of H in its coefficients, or None
     coefficients     named coefficients (floats or TimeSignals) of the form;
                      drives exact window averaging and mollification
@@ -94,7 +95,7 @@ class Hamiltonian:
         self,
         evaluator: Callable,
         lipschitz_p: float,
-        coercivity_radius=1.0,
+        coercivity_radius: float = 1.0,
         form: ClosedForm | None = None,
         coefficients: dict | None = None,
         time_data: dict | None = None,
@@ -107,10 +108,7 @@ class Hamiltonian:
     ):
         self.evaluator = evaluator
         self.lipschitz_p = float(lipschitz_p)
-        if not callable(coercivity_radius):
-            r = float(coercivity_radius)
-            coercivity_radius = lambda t, x: r  # noqa: E731
-        self.coercivity_radius = coercivity_radius
+        self.coercivity_radius = float(coercivity_radius)
         self.form = form
         self.coefficients = dict(coefficients) if coefficients else {}
         if time_data is None:
@@ -241,7 +239,7 @@ def check_convexity(h: Hamiltonian, n_checks: int = 1000, seed: int = 20) -> Non
         count = int(np.sum(keys == key))
         t = float(times[key // len(xs)])
         x = float(xs[key % len(xs)])
-        span = 4.0 * float(h.coercivity_radius(t, x))
+        span = 4.0 * h.coercivity_radius
         p = rng.uniform(-span, span, count)
         q = rng.uniform(-span, span, count)
         mid = h.eval_p(t, x, 0.5 * (p + q))
@@ -270,7 +268,7 @@ def numeric_argmin(h: Hamiltonian, t: float, x: float) -> tuple[float, float]:
     def H(p: float) -> float:
         return float(h.evaluator(t, x, p))
 
-    radius = float(h.coercivity_radius(t, x))
+    radius = h.coercivity_radius
     if radius <= 0.0:
         radius = 1.0
     h0 = H(0.0)
@@ -560,7 +558,7 @@ def reflected(h: Hamiltonian) -> Hamiltonian:
     return Hamiltonian(
         evaluator,
         lipschitz_p=h.lipschitz_p,
-        coercivity_radius=lambda t, y: h.coercivity_radius(t, -y),
+        coercivity_radius=h.coercivity_radius,
         form=None,
         coefficients=None,
         time_data=dict(h.time_data),

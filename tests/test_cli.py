@@ -176,6 +176,56 @@ def test_validate_subcommand_passes_and_fails(tmp_path: Path):
     assert not out2.exists()
 
 
+def _star_config(**extra) -> dict:
+    cfg = {
+        "schema": "hjj/1",
+        "T": 0.5,
+        "orientation": "star",
+        "R_domain": 1.0,
+        "flux_limiter": {"breakpoints": [0.0, 0.25, 0.5], "values": [0.0, -0.25]},
+        "edges": [{"hamiltonian": {"form": "eikonal"}},
+                  {"hamiltonian": {"form": "quadratic", "a": 0.5, "b": 0.0, "c": -1.0}},
+                  {"hamiltonian": {"form": "abs_shift", "c": -0.5}, "length": 0.6}],
+        "u0": [{"form": "abs", "scale": 0.5}, {"form": "affine", "slope": 1.0},
+               {"form": "zero"}],
+    }
+    cfg.update(extra)
+    return cfg
+
+
+def test_a_star_problem_file_takes_one_initial_datum_per_edge(tmp_path: Path, capsys):
+    """Three catalog edges, the third 0.6 long, with a datum each: solve writes
+    edge:distance labels, 1 + 20 + 20 + 12 nodes per level at dx 0.05 and R_domain 1,
+    validate passes, and a list one datum short exits 1 with nothing written."""
+    problem = _write(tmp_path, _star_config())
+    out = tmp_path / "out"
+    assert main(["solve", "--problem", problem, "--dx", "0.05", "--out", str(out)]) == 0
+    with open(out / "field.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    start = {row["x"]: float(row["u"]) for row in rows if float(row["t"]) == 0.0}
+    labels = list(start)
+    assert labels[0] == "0:0"
+    edges = [[x for x in labels if x.startswith(f"{i}:")] for i in (1, 2, 3)]
+    assert [len(e) for e in edges] == [20, 20, 12]
+    assert len(rows) == len(labels) * len({row["t"] for row in rows})
+    assert [start[e[-1]] for e in edges] == [0.5, 1.0, 0.0]  # each edge's datum at its end
+    checked = tmp_path / "checked"
+    assert main(["validate", "--problem", problem, "--out", str(checked)]) == 0
+    assert json.loads((checked / "validate.json").read_text())["ok"] is True
+
+    assert problem_from_config(_star_config())[0].lipschitz_u0 == 1.0  # the largest slope
+    shared = problem_from_config(_star_config(u0={"form": "abs", "scale": 0.5}))[0]
+    assert len(shared.initial_data) == 3 and shared.lipschitz_u0 == 0.5
+
+    short = _write(tmp_path, _star_config(u0=_star_config()["u0"][:2]), "short.json")
+    capsys.readouterr()
+    rc = main(["solve", "--problem", short, "--dx", "0.05", "--out", str(tmp_path / "short")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == ("configuration error: one initial datum "
+                                               "per edge required")
+    assert not (tmp_path / "short").exists()
+
+
 def test_missing_problem_file_is_a_config_error(tmp_path: Path, capsys):
     rc = main(["solve", "--problem", str(tmp_path / "nope.json"),
                "--dx", "0.1", "--out", str(tmp_path / "out")])

@@ -365,7 +365,7 @@ def test_bellman_matches_the_per_control_loop_bit_for_bit(case):
     for n in (0, grid.steps // 2, grid.steps - 1):
         a, b = float(grid.times[n]), float(grid.times[n + 1])
         level = field.values[n] + rng.uniform(0.0, 0.1, grid.n_nodes)
-        got = _bellman(cs, grid, A, level, a, b, _windows(cs, grid, A, np.array([a, b]))(0))
+        got = _bellman(cs, grid, level, a, b, _windows(cs, grid, A, np.array([a, b]))(0))
         assert got.tobytes() == _reference_bellman(cs, grid, A, level, a, b).tobytes()
 
 
@@ -378,21 +378,40 @@ def test_full_cfl_case_has_partly_inadmissible_departures():
     assert not ok[:, 0].all() and not ok[:, -1].all() and ok[:, 1:-1].all()
 
 
-def test_no_admissible_control_names_the_same_node_and_window():
+def _inward_at_the_far_end():
     # after t = 0.5 every speed at the far end of an edge points inward, so
-    # no departure point stays inside the edge there
-    drift = lambda t, y, a: a - 2.0 * (t > 0.5) * (y > 0.9)
+    # no departure point stays inside the edge there; |f| reaches 3 there,
+    # three times the bound at t = 0
+    drift = lambda t, y, a: a - 2.0 * (t > 0.5) * (y > 0.9)  # noqa: E731
     edges = [ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 11))
              for _ in range(3)]
-    cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0,
-                       orientation="star")
-    grid = oracle_grid(cs, 0.1, 1.0, 1.0)
+    return ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0,
+                         orientation="star")
+
+
+def test_no_admissible_control_names_the_same_node_and_window():
+    cs = _inward_at_the_far_end()
+    grid = oracle_grid(cs, 0.1, 1.0, 1.0, cfl_safety=0.25)  # dt |f| <= 0.75 dx
     with pytest.raises(NoAdmissibleControl) as got:
         value_function(cs, zero_datum, grid)
     with pytest.raises(NoAdmissibleControl) as want:
         _reference_values(cs, grid, np.zeros(grid.n_nodes))
     assert str(got.value) == str(want.value)
     assert f"node {grid.edge_full_indices(0)[-1]} on" in str(got.value)
+
+
+def test_a_window_too_fast_for_its_step_is_refused_before_its_unreachable_node():
+    """At dt = 0.05, |f| = 3 breaks dt |f| <= dx = 0.1 on the window that also leaves
+    the far end unreachable: both routes raise the same CflViolation, read off the
+    window's table before the update uses it."""
+    cs = _inward_at_the_far_end()
+    grid = oracle_grid(cs, 0.1, 1.0, 1.0)
+    with pytest.raises(CflViolation) as dp:
+        value_function(cs, zero_datum, grid)
+    with pytest.raises(CflViolation) as fd:
+        solve(induced_problem(cs, zero_datum, 0.0, 1.0), grid)
+    assert str(dp.value) == str(fd.value)
+    assert "the speed bound 1 understates |f|=3 there" in str(dp.value)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +447,7 @@ def _columns(cs, grid, n: int = 0) -> list:
 def test_model_system_tables_keep_five_columns_per_edge():
     cs = build_model_system(0.0)
     for sign, speeds in zip((1.0, -1.0), _columns(cs, oracle_grid(cs, 0.05, 1.0, 2.0))):
-        assert np.allclose(sign * speeds, [-1.0, -0.1, 0.0, 0.1, 1.0], rtol=0.0, atol=1e-12)
+        assert np.allclose(sign * speeds[:, 0], [-1.0, -0.1, 0.0, 0.1, 1.0], rtol=0.0, atol=1e-12)
 
 
 def test_time_dependent_tables_keep_the_union_over_windows():
@@ -476,7 +495,7 @@ def test_departures_one_rounding_past_the_cell_keep_every_column():
     level[idx[13:]] = 0.1 * np.arange(1, len(idx) - 12)
     A = flux_limiter(cs)
     assert [len(row[0]) for row in _windows(cs, grid, A, grid.times)(0)[1]] == [7, 7]
-    got = _bellman(cs, grid, A, level, 0.0, 0.1, _windows(cs, grid, A, np.array([0.0, 0.1]))(0))
+    got = _bellman(cs, grid, level, 0.0, 0.1, _windows(cs, grid, A, np.array([0.0, 0.1]))(0))
     assert got.tobytes() == _reference_bellman(cs, grid, A, level, 0.0, 0.1).tobytes()
 
 
@@ -664,10 +683,8 @@ def test_a_speed_up_after_the_start_raises_cfl_violation_with_the_node_bound():
     grid = make_grid(dx=0.05, horizon=0.1, radii=(0.5, 0.5),
                      c2=cs.speed_signal(0.1, 0.05, (0.5, 0.5)))
     assert grid.dt == 0.025
-    A = flux_limiter(cs)
-    window = _windows(cs, grid, A, np.array([0.0, grid.dt]))(0)
     with pytest.raises(CflViolation) as got:
-        _bellman(cs, grid, A, np.zeros(grid.n_nodes), 0.0, grid.dt, window)
+        _windows(cs, grid, flux_limiter(cs), np.array([0.0, grid.dt]))(0)
     assert "the speed bound 1 understates |f|=2.5 there" in str(got.value)
 
 

@@ -202,6 +202,8 @@ def test_reflected_generic_wrapper_and_involution():
     assert np.max(np.abs(rr.eval_p(0.0, 0.0, ps) - h.eval_p(0.0, 0.0, ps))) <= 1e-15
     assert np.max(np.abs(reflected(eikonal()).eval_p(0.0, 0.0, ps)
                          - eikonal().eval_p(0.0, 0.0, ps))) <= 1e-15
+    assert r.coercivity_radius == rr.coercivity_radius == h.coercivity_radius == 3.0
+    assert numeric_argmin(r, 0.0, 0.0) == pytest.approx((-1.0, 0.0), abs=1e-9)
 
 
 def test_reflected_black_box_keeps_its_declared_bounds_at_the_mirrored_nodes():
