@@ -9,7 +9,9 @@ Subcommands:
 
 Every command reads a JSON problem file (--problem; the format is
 junction_problem's, see problem_from_config), which describes one problem,
-and writes its artifacts into the --out directory. Every result is
+and writes its artifacts into the --out directory. The problem, with its
+horizon T, truncation radius R_domain and control counts, comes from the
+file alone; the options set only how to run it. Every result is
 computed before anything is written; field.csv is rendered one level at a
 time while it is written into a temp file, which is renamed into place only
 once it is complete, so a nonzero exit leaves no artifacts behind.
@@ -61,24 +63,24 @@ def _load_config(args) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"problem file is not valid JSON: {exc}") from exc
     entry(cfg, "schema", "", (SCHEMA,), SCHEMA)
-    if args.T is not None:
-        cfg = dict(cfg)
-        cfg["T"] = args.T
     return cfg
 
 
-def _load_problem(args) -> tuple[JunctionProblem, ControlSystem | None]:
+def _load_problem(args) -> tuple[JunctionProblem, ControlSystem | None, float]:
+    """The file's problem, its control system (or None) and its R_domain (default 2).
+
+    Report times past the horizon are a ConfigError.
+    """
     cfg = _load_config(args)
-    problem, cs = problem_from_config(cfg, controls=args.controls)
+    problem, cs = problem_from_config(cfg)
     r_domain = _positive_finite("R_domain", entry(cfg, "R_domain", "", float, 2.0))
-    args.R_domain = getattr(args, "R_domain", None) or r_domain  # the flag is > 0 when given
     if getattr(args, "report_times", None):
         bad = [t for t in args.report_times
                if t > problem.horizon + 1e-9 * max(1.0, problem.horizon)]
         if bad:
             raise ConfigError(
                 f"report times {bad} fall outside [0, {problem.horizon}]")
-    return problem, cs
+    return problem, cs, r_domain
 
 
 def _out_path(args, name: str) -> str:
@@ -119,26 +121,26 @@ def _require_control_system(cs: ControlSystem | None) -> ControlSystem:
 
 
 def cmd_solve(args) -> int:
-    problem, _ = _load_problem(args)
-    grid = grid_for(problem, args.dx, args.R_domain,
+    problem, _, r_domain = _load_problem(args)
+    grid = grid_for(problem, args.dx, r_domain,
                     dt=args.dt, cfl_safety=args.cfl_safety)
     field = fd_solve(problem, grid)
     return _write_all(args, _field_artifacts(field, args))
 
 
 def cmd_value(args) -> int:
-    problem, cs = _load_problem(args)
+    problem, cs, r_domain = _load_problem(args)
     cs = _require_control_system(cs)
-    grid = grid_for(problem, args.dx, args.R_domain,
+    grid = grid_for(problem, args.dx, r_domain,
                     dt=args.dt, cfl_safety=args.cfl_safety)
     field = value_function(cs, problem.initial_data, grid)
     return _write_all(args, _field_artifacts(field, args))
 
 
 def cmd_compare(args) -> int:
-    problem, cs = _load_problem(args)
+    problem, cs, r_domain = _load_problem(args)
     cs = _require_control_system(cs)
-    grid = grid_for(problem, args.dx, args.R_domain,
+    grid = grid_for(problem, args.dx, r_domain,
                     dt=args.dt, cfl_safety=args.cfl_safety)
     fd = fd_solve(problem, grid)
     dp = value_function(cs, problem.initial_data, grid)
@@ -164,9 +166,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    problem, _ = _load_problem(args)
+    problem, _, r_domain = _load_problem(args)
     ladder = smoothing_ladder(problem, args.widths)
-    grid = grid_for([problem, *ladder.values()], args.dx, args.R_domain,
+    grid = grid_for([problem, *ladder.values()], args.dx, r_domain,
                     dt=args.dt, cfl_safety=args.cfl_safety)
     study = comparison_diagnostic(problem, ladder, grid, K=args.slope_box, R=args.radius)
     payload = study.to_dict()
@@ -174,7 +176,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    problem, _ = _load_problem(args)
+    problem, _, _ = _load_problem(args)
     report = validate(problem, seed=args.seed)
     for line in report.lines():
         print(line)
@@ -209,16 +211,13 @@ def _number(option: str, kind=float, zero_ok: bool = False, many: bool = False):
 
 
 def _add_common(p: argparse.ArgumentParser, need_out: bool) -> None:
-    """The options of every command."""
+    """The options of every command: the problem file and the output directory.
+
+    The problem itself (T, R_domain, the control counts) comes from the file alone.
+    """
     p.add_argument("--problem", required=True, help="JSON problem file")
-    p.add_argument("--T", type=_number("T"), default=None,
-                   help="override the horizon from the problem file; a file with a step "
-                        "signal accepts only the signal's own horizon")
     p.add_argument("--out", required=need_out, default=None,
                    help="output directory" + ("" if need_out else " (optional)"))
-    p.add_argument("--controls", type=_number("controls", int), default=None,
-                   help="resample each control set to this many points, "
-                        "for both routes")
 
 
 def _add_march(p: argparse.ArgumentParser) -> None:
@@ -229,9 +228,6 @@ def _add_march(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cfl-safety", type=_number("cfl-safety"), default=_CFL_SAFETY,
                    dest="cfl_safety",
                    help="fraction of the CFL bound used when --dt is absent")
-    p.add_argument("--R-domain", type=_number("R-domain"), default=None, dest="R_domain",
-                   help="truncation radius per edge (default: problem file "
-                        "R_domain, else 2)")
 
 
 class _Parser(argparse.ArgumentParser):

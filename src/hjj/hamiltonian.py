@@ -72,7 +72,7 @@ class Hamiltonian:
                      need be one slope) at a time (see elementwise)
     lipschitz_p      declared bound on |dH/dp| over the working slope range
                      (inf for a quadratic without a declared p_span)
-    coercivity_radius  initial bracket radius P, a float, with
+    coercivity_radius  initial bracket radius P, a positive finite float, with
                      H(t, x, +-P) > H(t, x, 0) at every (t, x); doubling
                      extends it where needed
     form             the ClosedForm of H in its coefficients, or None
@@ -108,7 +108,7 @@ class Hamiltonian:
     ):
         self.evaluator = evaluator
         self.lipschitz_p = float(lipschitz_p)
-        self.coercivity_radius = float(coercivity_radius)
+        self.coercivity_radius = _positive_finite("coercivity_radius", coercivity_radius)
         self.form = form
         self.coefficients = dict(coefficients) if coefficients else {}
         if time_data is None:
@@ -269,8 +269,6 @@ def numeric_argmin(h: Hamiltonian, t: float, x: float) -> tuple[float, float]:
         return float(h.evaluator(t, x, p))
 
     radius = h.coercivity_radius
-    if radius <= 0.0:
-        radius = 1.0
     h0 = H(0.0)
     for _ in range(_MAX_DOUBLINGS):
         if H(-radius) > h0 and H(radius) > h0:

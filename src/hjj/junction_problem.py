@@ -458,11 +458,11 @@ def hamiltonian_from_config(d: dict, horizon: float, what: str = "hamiltonian") 
         "block, not from an edge entry")
 
 
-def control_system_from_config(d: dict, horizon: float,
-                               controls: int | None = None) -> ControlSystem:
+def control_system_from_config(d: dict, horizon: float) -> ControlSystem:
     """Parse the 'control_system' block of a problem file.
 
-    controls, when given, replaces every edge's sample count n.
+    Each edge is sampled at the n points its controls entry gives (_CONTROL_COUNT by
+    default).
     """
     edge_cfgs = entry(d, "edges", "control_system", list)
     junction = entry(d, "junction", "control_system", dict)
@@ -478,8 +478,7 @@ def control_system_from_config(d: dict, horizon: float,
     for k, e in enumerate(edge_cfgs):
         ctr = entry(e, "controls", f"edge {k}", dict)
         lo, hi = (entry(ctr, b, f"edge {k} controls", float) for b in ("min", "max"))
-        n = (entry(ctr, "n", f"edge {k} controls", int, _CONTROL_COUNT) if controls is None
-             else controls)
+        n = entry(ctr, "n", f"edge {k} controls", int, _CONTROL_COUNT)
         edges.append(control_edge(form(e, f"edge {k}", "f"), form(e, f"edge {k}", "l"),
                                   lo, hi, n))
 
@@ -493,17 +492,15 @@ def control_system_from_config(d: dict, horizon: float,
     )
 
 
-def problem_from_config(cfg: dict, controls: int | None = None
-                        ) -> tuple[JunctionProblem, ControlSystem | None]:
+def problem_from_config(cfg: dict) -> tuple[JunctionProblem, ControlSystem | None]:
     """Build (problem, optional control system) from a parsed problem file.
 
     A file describes one problem: its edge Hamiltonians are either given
     explicitly (edges, catalog forms, with a flux_limiter) or induced from
     the control_system block, never both. So a file with control_system
     may not give edges or flux_limiter, and its top-level orientation, if
-    any, must be the block's. controls, when given, resamples every control
-    edge to that many samples, so the induced problem and the control system
-    share them.
+    any, must be the block's. The induced problem and the control system
+    share the block's control samples.
     """
     horizon = entry(cfg, "T", "", float)
     if horizon <= 0:
@@ -517,7 +514,7 @@ def problem_from_config(cfg: dict, controls: int | None = None
             if cfg.get(key) is not None:
                 raise ConfigError(f"{key} and control_system: a problem file gives either "
                                   f"edges with a flux_limiter or a control_system")
-        cs = control_system_from_config(block, horizon, controls)
+        cs = control_system_from_config(block, horizon)
         if orientation not in (None, cs.orientation):
             raise ConfigError(f"orientation {orientation!r} and control_system orientation "
                               f"{cs.orientation!r} disagree")

@@ -42,6 +42,8 @@ class TimeSignal:
         vals = np.asarray(self.values, dtype=float)
         if bp.ndim != 1 or vals.ndim != 1 or bp.size != vals.size + 1:
             raise ValueError("need m+1 breakpoints for m values")
+        if not np.all(np.isfinite(bp)):
+            raise ValueError("breakpoints must be finite")
         if bp[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
         if not np.all(np.diff(bp) > 0.0):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import importlib.util
 import json
@@ -259,24 +260,6 @@ def test_zero_horizon_is_rejected(tmp_path: Path):
     assert rc == 1
 
 
-def test_the_t_flag_sets_the_horizon_only_of_a_file_without_step_signals(tmp_path: Path,
-                                                                          capsys):
-    """--T replaces the file's T: a model file of numbers runs to it, and the tdq
-    file's step signals, which end at 1, refuse it by name."""
-    model = _write(tmp_path, _model_config(), "model.json")
-    out = tmp_path / "model"
-    assert main(["solve", "--problem", model, "--T", "0.5", "--dx", "0.1",
-                 "--out", str(out)]) == 0
-    assert max(t for t, _ in _read_field(out / "field.csv")) == 0.5
-    capsys.readouterr()
-    tdq = _write(tmp_path, bench_tdq_config(41), "tdq.json")
-    out = tmp_path / "tdq"
-    assert main(["solve", "--problem", tdq, "--T", "0.5", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "configuration error: coefficient 'a': signal horizon 1.0 != 0.5\n")
-    assert not out.exists()
-
-
 def test_report_times_must_lie_inside_the_horizon(tmp_path: Path, capsys):
     problem = _write(tmp_path, _model_config())
     rc = main(["solve", "--problem", problem, "--dx", "0.1",
@@ -317,22 +300,6 @@ def test_r_domain_from_config_controls_the_grid(tmp_path: Path):
                  "--out", str(out)]) == 0
     xs = {x for (_, x) in _read_field(out / "field.csv")}
     assert max(xs) == 1.0 and min(xs) == -1.0
-    # an explicit flag overrides the file value
-    out2 = tmp_path / "out2"
-    assert main(["solve", "--problem", problem, "--dx", "0.25",
-                 "--R-domain", "2.0", "--out", str(out2)]) == 0
-    xs2 = {x for (_, x) in _read_field(out2 / "field.csv")}
-    assert max(xs2) == 2.0
-
-
-def test_the_r_domain_flag_does_not_hide_a_malformed_entry(tmp_path: Path, capsys):
-    problem = _write(tmp_path, _step_config(R_domain="x"))
-    out = tmp_path / "out"
-    rc = main(["solve", "--problem", problem, "--dx", "0.1", "--R-domain", "1",
-               "--out", str(out)])
-    assert rc == 1
-    assert not out.exists()
-    assert capsys.readouterr().err.startswith("configuration error: R_domain")
 
 
 def _digest_tool():
@@ -402,17 +369,17 @@ def test_value_on_an_edge_faster_than_its_probed_bound_exits_3(tmp_path: Path, c
     """Speeds a (1 + 3 min(|y|, 0.1) / 0.1) for t > 0 reach 4 where the bound at t = 0 sees 1."""
     real = hjj.cli.problem_from_config
 
-    def x_dependent(cfg, controls=None):
-        problem, cs = real(cfg, controls)
+    def x_dependent(cfg):
+        problem, cs = real(cfg)
         drift = lambda t, y, a: a * (1.0 + 3.0 * (t > 0.0) * min(abs(y), 0.1) / 0.1)
         edges = [ControlEdge(drift, e.l, e.controls) for e in cs.edges]
         return problem, ControlSystem(edges, cs.l0, cs.A0, cs.delta, cs.orientation)
 
     monkeypatch.setattr(hjj.cli, "problem_from_config", x_dependent)
-    problem = _write(tmp_path, _model_config(T=0.05))
+    problem = _write(tmp_path, _model_config(T=0.05, R_domain=0.3))
     out = tmp_path / "out"
     rc = main(["value", "--problem", problem, "--dx", "0.01", "--cfl-safety", "1",
-               "--R-domain", "0.3", "--out", str(out)])
+               "--out", str(out)])
     assert rc == 3
     assert not out.exists()
     assert capsys.readouterr().err.startswith("numerical failure: dt=0.01 exceeds dx/|f|")
@@ -455,19 +422,16 @@ def _quadratic_cost_config(n: int) -> dict:
                                               ("solve", "field.csv"),
                                               ("value", "field.csv")])
 def test_controls_flag_resamples_both_routes(tmp_path: Path, command, artifact):
-    """--controls 41 on a 5-control file writes what the file with n = 41 writes."""
-    coarse = _write(tmp_path, _quadratic_cost_config(5), "coarse.json")
-    fine = _write(tmp_path, _quadratic_cost_config(41), "fine.json")
+    """The file's n samples both routes: n = 41 writes other values than n = 5."""
     got = {}
-    for name, problem, extra in (("flag", coarse, ["--controls", "41"]), ("file", fine, []),
-                                 ("coarse", coarse, [])):
-        out = tmp_path / name
-        assert main([command, "--problem", problem, "--dx", "0.05",
-                     "--out", str(out), *extra]) == 0
-        got[name] = (out / artifact).read_bytes()
-    assert got["flag"] == got["file"] != got["coarse"]
+    for n in (41, 5):
+        out = tmp_path / str(n)
+        assert main([command, "--problem", _write(tmp_path, _quadratic_cost_config(n)),
+                     "--dx", "0.05", "--out", str(out)]) == 0
+        got[n] = (out / artifact).read_bytes()
+    assert got[41] != got[5]
     if command == "compare":
-        assert json.loads(got["flag"])["sup_gap"] <= 1e-12
+        assert json.loads(got[41])["sup_gap"] <= 1e-12
 
 
 def _dx(command: str) -> list:
@@ -477,10 +441,9 @@ def _dx(command: str) -> list:
 
 @pytest.mark.parametrize("command", ["solve", "value", "compare", "approx", "validate"])
 def test_too_few_controls_exit_1_without_artifacts(tmp_path: Path, capsys, command):
-    problem = _write(tmp_path, _model_config())
+    problem = _write(tmp_path, _edit(_model_config(), _CS_EDGE + ("controls", "n"), 2))
     out = tmp_path / "out"
-    rc = main([command, "--problem", problem, *_dx(command), "--controls", "2",
-               "--out", str(out)])
+    rc = main([command, "--problem", problem, *_dx(command), "--out", str(out)])
     assert rc == 1
     assert not out.exists()
     assert "at least 3 control samples" in capsys.readouterr().err
@@ -567,9 +530,11 @@ _BAD_ENTRIES = {
                                  "lipschitz_u0: expected a non-negative finite number"),
     "T_infinite": (_step_config, ("T",), "inf", "T"),
     "T_negative": (_step_config, ("T",), -1.0, "T"),
+    "T_zero": (_step_config, ("T",), 0.0, "T"),
     "R_domain_text": (_step_config, ("R_domain",), "x", "R_domain"),
     "R_domain_nan": (_step_config, ("R_domain",), "nan", "R_domain"),
     "R_domain_negative": (_step_config, ("R_domain",), -1.0, "R_domain"),
+    "R_domain_zero": (_step_config, ("R_domain",), 0.0, "R_domain"),
     "u0_number": (_step_config, ("u0",), 3, "u0"),
     "u0_constant_null": (_step_config, ("u0",), {"form": "constant", "c": None}, "u0 constant c"),
     "u0_scale_text": (_step_config, ("u0",), {"form": "abs", "scale": "x"}, "u0 abs scale"),
@@ -625,8 +590,10 @@ def test_approx_honours_dt(tmp_path: Path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["--dx", "abc"], ["--controls", "many"], ["--bogus"],
-                                  ["--seed", "3"]])
+# the last three: the problem file alone sets T, R_domain and the control counts
+@pytest.mark.parametrize("argv", [["--dx", "abc"], ["--cfl-safety", "many"], ["--bogus"],
+                                  ["--seed", "3"], ["--T", "0.5"], ["--R-domain", "1"],
+                                  ["--controls", "41"]])
 def test_usage_errors_exit_1_without_artifacts(tmp_path: Path, capsys, argv):
     problem = _write(tmp_path, _model_config())
     out = tmp_path / "out"
@@ -635,6 +602,28 @@ def test_usage_errors_exit_1_without_artifacts(tmp_path: Path, capsys, argv):
     assert err.value.code == 1
     assert capsys.readouterr().err.startswith("usage: hjj")
     assert not out.exists()
+
+
+# Each subcommand's options, in order (29 slots); the problem itself (T, R_domain,
+# the control counts) comes from the file alone, and an option joins only on purpose.
+OPTIONS = {
+    "solve": ["--problem", "--out", "--dx", "--dt", "--cfl-safety", "--report-times"],
+    "value": ["--problem", "--out", "--dx", "--dt", "--cfl-safety", "--report-times"],
+    "compare": ["--problem", "--out", "--dx", "--dt", "--cfl-safety", "--report-times"],
+    "approx": ["--problem", "--out", "--dx", "--dt", "--cfl-safety", "--widths", "--slope-box",
+               "--radius"],
+    "validate": ["--problem", "--out", "--seed"],
+}
+
+
+def test_each_subcommand_offers_exactly_its_options():
+    ap = hjj.cli.build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: [a.option_strings[0] for a in p._actions
+                  if a.option_strings and a.dest != "help"]
+           for name, p in sub.choices.items()}
+    assert got == OPTIONS
+    assert sum(map(len, got.values())) == 29
 
 
 @pytest.mark.parametrize("option,value", [("--dx", "nan"), ("--dx", "inf"),
@@ -657,11 +646,8 @@ _NUMERIC_OPTIONS = [
     ("solve", "--dx", "0"),
     ("solve", "--dt", "0"),
     ("solve", "--cfl-safety", "0"),
-    ("solve", "--T", "0"),
-    ("solve", "--R-domain", "0"),
     ("solve", "--report-times", "0.5,-0.5"),
     ("validate", "--seed", "-1"),
-    ("value", "--controls", "0"),
     ("approx", "--widths", "0.1,0"),
     ("approx", "--slope-box", "0"),
     ("approx", "--radius", "0"),

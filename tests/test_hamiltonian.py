@@ -288,6 +288,16 @@ def test_quadratic_refuses_a_p_span_that_is_not_positive_and_finite(p_span):
         quadratic(1.0, 0.0, -1.0, p_span=p_span)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0, 0.0],
+                         ids=["nan", "inf", "negative", "zero"])
+@pytest.mark.parametrize("validate", [True, False])
+def test_hamiltonian_refuses_a_coercivity_radius_that_is_not_positive_and_finite(radius,
+                                                                                validate):
+    with pytest.raises(ConfigError, match="^coercivity_radius: expected a positive finite"):
+        Hamiltonian(lambda t, x, p: np.abs(p) - 1.0, lipschitz_p=1.0,
+                    coercivity_radius=radius, validate=validate)
+
+
 @pytest.mark.parametrize("a", [
     0.0, -1.0, math.nan, math.inf,
     TimeSignal(np.array([0.0, 0.5, 1.0]), np.array([1.0, -1.0])),

@@ -195,6 +195,12 @@ def test_constructor_rejects_malformed_input():
         TimeSignal(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("end", [np.inf, np.nan])
+def test_constructor_rejects_breakpoints_that_are_not_finite(end):
+    with pytest.raises(ValueError, match="^breakpoints must be finite"):
+        TimeSignal(np.array([0.0, 0.5, end]), np.array([1.0, 2.0]))
+
+
 def test_shift_values_applies_cellwise():
     sig = _step()
     shifted = sig.shift_values(lambda v: v + 2.0)
