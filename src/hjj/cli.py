@@ -11,12 +11,15 @@ Every command reads a JSON problem file (--problem; the format is
 junction_problem's, see problem_from_config), which describes one problem,
 and writes its artifacts into the --out directory. The problem, with its
 horizon T, truncation radius R_domain and control counts, comes from the
-file alone; the options set only how to run it. Every result is
+file alone; the options set only how to run it. A file whose flux limiter
+dips below the junction floor is refused before anything is built, as
+validate refuses it (exit 2). Every result is
 computed before anything is written; field.csv is rendered one level at a
 time while it is written into a temp file, which is renamed into place only
 once it is complete, so a nonzero exit leaves no artifacts behind.
-The commands that march build their grid with grid_for and start from the
-problem's initial_data, on both routes.
+The commands that march build their grid with grid_for, whose time steps
+come from the integral of the problem's C2 (there is no step option), and
+start from the problem's initial_data, on both routes.
 Exit codes: 0 ok, 1 configuration (running out of memory too), 2 validation,
 3 numerical failure.
 """
@@ -43,8 +46,8 @@ from .errors import (
     NumericalFailure,
 )
 from .fd_scheme import grid_for, solve as fd_solve
-from .grid import _CFL_SAFETY, SolutionField, _positive_finite, atomic_write_text, fmt
-from .junction_problem import JunctionProblem, entry, problem_from_config, validate
+from .grid import SolutionField, _positive_finite, atomic_write_text, fmt
+from .junction_problem import JunctionProblem, check_floor, entry, problem_from_config, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -69,7 +72,10 @@ def _load_config(args) -> dict:
 def _load_problem(args) -> tuple[JunctionProblem, ControlSystem | None, float]:
     """The file's problem, its control system (or None) and its R_domain (default 2).
 
-    Report times past the horizon are a ConfigError.
+    Report times past the horizon are a ConfigError. Then a command that
+    marches refuses a flux limiter below the junction floor, before its grid
+    is built (check_floor's FluxLimiterBelowFloor); validate checks the
+    floor itself.
     """
     cfg = _load_config(args)
     problem, cs = problem_from_config(cfg)
@@ -80,6 +86,8 @@ def _load_problem(args) -> tuple[JunctionProblem, ControlSystem | None, float]:
         if bad:
             raise ConfigError(
                 f"report times {bad} fall outside [0, {problem.horizon}]")
+    if args.func is not cmd_validate:
+        check_floor(problem)
     return problem, cs, r_domain
 
 
@@ -122,8 +130,7 @@ def _require_control_system(cs: ControlSystem | None) -> ControlSystem:
 
 def cmd_solve(args) -> int:
     problem, _, r_domain = _load_problem(args)
-    grid = grid_for(problem, args.dx, r_domain,
-                    dt=args.dt, cfl_safety=args.cfl_safety)
+    grid = grid_for(problem, args.dx, r_domain)
     field = fd_solve(problem, grid)
     return _write_all(args, _field_artifacts(field, args))
 
@@ -131,8 +138,7 @@ def cmd_solve(args) -> int:
 def cmd_value(args) -> int:
     problem, cs, r_domain = _load_problem(args)
     cs = _require_control_system(cs)
-    grid = grid_for(problem, args.dx, r_domain,
-                    dt=args.dt, cfl_safety=args.cfl_safety)
+    grid = grid_for(problem, args.dx, r_domain)
     field = value_function(cs, problem.initial_data, grid)
     return _write_all(args, _field_artifacts(field, args))
 
@@ -140,8 +146,7 @@ def cmd_value(args) -> int:
 def cmd_compare(args) -> int:
     problem, cs, r_domain = _load_problem(args)
     cs = _require_control_system(cs)
-    grid = grid_for(problem, args.dx, r_domain,
-                    dt=args.dt, cfl_safety=args.cfl_safety)
+    grid = grid_for(problem, args.dx, r_domain)
     fd = fd_solve(problem, grid)
     dp = value_function(cs, problem.initial_data, grid)
 
@@ -168,8 +173,7 @@ def cmd_compare(args) -> int:
 def cmd_approx(args) -> int:
     problem, _, r_domain = _load_problem(args)
     ladder = smoothing_ladder(problem, args.widths)
-    grid = grid_for([problem, *ladder.values()], args.dx, r_domain,
-                    dt=args.dt, cfl_safety=args.cfl_safety)
+    grid = grid_for([problem, *ladder.values()], args.dx, r_domain)
     study = comparison_diagnostic(problem, ladder, grid, K=args.slope_box, R=args.radius)
     payload = study.to_dict()
     return _write_all(args, [("approx.json", _dump_json(payload))])
@@ -180,7 +184,7 @@ def cmd_validate(args) -> int:
     report = validate(problem, seed=args.seed)
     for line in report.lines():
         print(line)
-    if args.out:
+    if args.out and report.ok:
         payload = {
             "ok": report.ok,
             "items": [
@@ -197,7 +201,7 @@ def _number(option: str, kind=float, zero_ok: bool = False, many: bool = False):
 
     With many, a comma-separated list of them. Text that kind cannot read
     is a usage error; a value that is not finite or out of range raises the
-    ConfigError of grid's dx and dt checks, naming the option (without its
+    ConfigError of grid's dx check, naming the option (without its
     dashes), which main reports as a configuration error.
     """
     def read(text: str):
@@ -222,12 +226,8 @@ def _add_common(p: argparse.ArgumentParser, need_out: bool) -> None:
 
 def _add_march(p: argparse.ArgumentParser) -> None:
     """The grid options of the commands that march."""
-    p.add_argument("--dx", type=_number("dx"), default=0.01, help="mesh width")
-    p.add_argument("--dt", type=_number("dt"), default=None,
-                   help="explicit time step (default: from the CFL bound)")
-    p.add_argument("--cfl-safety", type=_number("cfl-safety"), default=_CFL_SAFETY,
-                   dest="cfl_safety",
-                   help="fraction of the CFL bound used when --dt is absent")
+    p.add_argument("--dx", type=_number("dx"), default=0.01,
+                   help="mesh width; the time steps follow from it and C2")
 
 
 class _Parser(argparse.ArgumentParser):

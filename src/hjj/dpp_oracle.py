@@ -64,18 +64,18 @@ __all__ = [
 
 
 def oracle_grid(cs: ControlSystem, dx: float, horizon: float, r_domain: float,
-                dt: float | None = None, cfl_safety: float = _CFL_SAFETY) -> Grid:
+                cfl_safety: float = _CFL_SAFETY) -> Grid:
     """make_grid on [0, horizon], radius r_domain per edge, with C2(t) = max|f| at each time.
 
     For a caller that holds only a control system; grid_for on its induced
     problem builds the same grid. C2 is ControlSystem.speed_signal: max|f|
     over the controls per cell of f's signals, cut to the horizon, and at
-    t = 0 on the grid's nodes for a callable f. Without dt each window holds
-    an integral of C2 of at most cfl_safety * dx.
+    t = 0 on the grid's nodes for a callable f. Each window holds an
+    integral of C2 of at most cfl_safety * dx.
     """
     radii = [r_domain] * len(cs.edges)
     return make_grid(dx, horizon, radii, c2=cs.speed_signal(horizon, dx, radii),
-                     dt=dt, cfl_safety=cfl_safety)
+                     cfl_safety=cfl_safety)
 
 
 _GUARD_ULPS = 32  # the c of the pruning guard: departures stay c eps R inside a cell

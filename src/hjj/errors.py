@@ -72,9 +72,9 @@ class SlopeCountMismatch(HjjError):
 class CflViolation(HjjError):
     """A time step breaks the monotonicity (CFL) condition dt C2 <= dx.
 
-    Raised by every CFL check: an explicit dt or a supplied grid against
-    the sup C2, a window's integral of C2, the slopes a step reaches, and
-    the speeds of a dynamic-programming window.
+    Raised by every CFL check of a supplied grid: a window's integral of
+    C2, the slopes a step reaches, and the speeds of a dynamic-programming
+    window.
     """
 
 

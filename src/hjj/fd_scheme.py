@@ -83,17 +83,18 @@ def godunov_flux(env: EnvelopePair, t: float, x: float, p_minus, p_plus):
     return float(flux) if np.ndim(flux) == 0 else flux
 
 
-def grid_for(problems, dx: float, r_domain: float,
-             dt: float | None = None, cfl_safety: float = _CFL_SAFETY) -> Grid:
+def grid_for(problems, dx: float, r_domain: float, cfl_safety: float = _CFL_SAFETY) -> Grid:
     """Grid whose per-edge radius is r_domain capped by the edge length.
 
     problems is one JunctionProblem or a batch that shares its edge lengths
-    and horizon; the time steps follow the pointwise largest speed_signal.
+    and horizon; make_grid sizes the time steps by the pointwise largest
+    speed_signal, so each window holds an integral of C2 of at most
+    cfl_safety * dx.
     """
     batch = [problems] if isinstance(problems, JunctionProblem) else list(problems)
     radii = [min(r_domain, e.length) for e in batch[0].edges]  # a NaN r_domain stays NaN
     speed = upper_envelope([p.speed_signal(dx, radii) for p in batch])
-    return make_grid(dx, batch[0].horizon, radii, c2=speed, dt=dt, cfl_safety=cfl_safety)
+    return make_grid(dx, batch[0].horizon, radii, c2=speed, cfl_safety=cfl_safety)
 
 
 def _check_cfl(problems: Sequence[JunctionProblem], grid: Grid, times: np.ndarray) -> None:

@@ -27,8 +27,8 @@ __all__ = ["Grid", "SolutionField", "make_grid"]
 
 
 # make_grid's default share of dx for each window's integral of C2 (cfl_safety), and the
-# relative slack of every check of a window against dx: check_cfl, make_grid's explicit
-# dt, the scheme's slope check and ControlEdge.window_lines.
+# relative slack of every check of a window against dx: check_cfl, the scheme's slope
+# check and ControlEdge.window_lines.
 _CFL_SAFETY = 0.5
 _CFL_SLACK = 1.0 + 1e-9
 
@@ -205,7 +205,6 @@ def make_grid(
     horizon: float,
     radii: Sequence[float],
     c2,
-    dt: float | None = None,
     cfl_safety: float = _CFL_SAFETY,
 ) -> Grid:
     """Build a grid whose windows each hold an integral of C2 of at most cfl_safety * dx.
@@ -213,14 +212,12 @@ def make_grid(
     c2 bounds |dH_i/dp| over the slopes the scheme reaches: a float, or a
     TimeSignal C2(t) on [0, horizon] (JunctionProblem.speed_signal, or
     ControlSystem.speed_signal for the value function). With Phi(t) the
-    integral of C2 over [0, t], the default levels split [0, T] into
+    integral of C2 over [0, t], the levels split [0, T] into
     N = ceil(Phi(T) / (cfl_safety dx)) windows of equal Phi, and dt is the
-    largest step; a constant C2 gives N equal steps of dt = T / N. An
-    explicit dt gives uniform steps (the last one may be shorter so the
-    final level lands on T) and must satisfy dt <= dx / sup C2, else
-    CflViolation (numerical-failure class, not a config error). dx, dt and
-    T must be positive and finite, and so must the step count N, which may
-    not exceed np.intp's maximum, else ConfigError naming N and C2.
+    largest step; a constant C2 gives N equal steps of dt = T / N. This is
+    the only step policy: the steps are computed from C2, never declared.
+    dx and T must be positive and finite, and so must the step count N,
+    which may not exceed np.intp's maximum, else ConfigError naming N and C2.
     """
     horizon = _positive_finite("T", horizon)
     if not radii:
@@ -231,26 +228,16 @@ def make_grid(
     speed = upper_envelope([c2 if isinstance(c2, TimeSignal) else constant(c2, horizon),
                             constant(1e-12, horizon)])
     radii_eff = [float(ys[-1]) for ys in edge_nodes(dx, radii)]
-    cfl_limit = dx / speed.max()
-    if dt is None and speed.min() < speed.max():
+    if speed.min() < speed.max():
         phi = speed.running_integrals(speed.breakpoints)
         n = _step_count(phi[-1] / (cfl_safety * dx) - 1e-12, speed)
         times = np.interp(np.arange(n + 1) * (phi[-1] / n), phi, speed.breakpoints)
         times[-1] = horizon
         dt = np.diff(times).max()
-    elif dt is None:
-        target = cfl_safety * cfl_limit
-        n = _step_count(horizon / target - 1e-12, speed)
+    else:
+        n = _step_count(horizon / (cfl_safety * (dx / speed.max())) - 1e-12, speed)
         dt = horizon / n
         times = np.linspace(0.0, horizon, n + 1)
-    else:
-        dt = _positive_finite("dt", dt)
-        if dt > cfl_limit * _CFL_SLACK:
-            raise CflViolation(
-                f"dt={dt:.6g} exceeds the CFL limit dx/C2={cfl_limit:.6g}")
-        n = _step_count(horizon / dt - 1e-9, speed)
-        times = np.minimum(np.arange(n + 1) * dt, horizon)
-        times[-1] = horizon
     return Grid(dx=float(dx), dt=float(dt), horizon=float(horizon),
                 edge_radii=tuple(radii_eff), times=np.asarray(times))
 

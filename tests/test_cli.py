@@ -276,13 +276,18 @@ def test_malformed_report_times_are_an_argument_error(tmp_path: Path):
     assert err.value.code == 1
 
 
-def test_cfl_violation_exits_3_without_artifacts(tmp_path: Path):
-    problem = _write(tmp_path, _model_config())
+def test_cfl_violation_exits_3_without_artifacts(tmp_path: Path, capsys):
+    """A declared p_span of 0.1 sets C2 = 0.2 on edge 0, where the datum's slope 2
+    gives |dH/dp| = 4: the first step's slope check refuses the grid."""
+    quad = {"form": "quadratic", "a": 1.0, "b": 0.0, "c": -1.0, "p_span": 0.1}
+    problem = _write(tmp_path, _step_config(
+        u0={"form": "abs", "scale": 2.0}, lipschitz_u0=2.0, flux_limiter=0.0,
+        edges=[{"hamiltonian": quad}, {"hamiltonian": {"form": "eikonal"}}]))
     out = tmp_path / "out"
-    rc = main(["solve", "--problem", problem, "--dx", "0.05",
-               "--dt", "0.2", "--out", str(out)])
+    rc = main(["solve", "--problem", problem, "--dx", "0.05", "--out", str(out)])
     assert rc == 3
     assert not out.exists()
+    assert capsys.readouterr().err.startswith("numerical failure: dt |dH/dp| / dx = 2 > 1")
 
 
 def test_flux_limiter_below_floor_exits_2(tmp_path: Path):
@@ -290,6 +295,40 @@ def test_flux_limiter_below_floor_exits_2(tmp_path: Path):
     out = tmp_path / "out"
     rc = main(["validate", "--problem", problem, "--out", str(out)])
     assert rc == 2
+    assert not out.exists()
+
+
+def test_every_command_that_marches_refuses_a_limiter_below_the_floor(tmp_path: Path, capsys):
+    """The model with l0 = 2 and A0 = -3 parks at A = -3 below the floor -2, and a
+    limiter of -5 lies below eikonal's -1: each command exits 2 with validate's one
+    line before it builds a grid, and writes nothing."""
+    below = {"model": (_model_config(control_system={**_model_config()["control_system"],
+                                                     "junction": {"l0": 2.0, "A0": -3.0}}),
+                       ("solve", "value", "compare", "approx")),
+             "step": (_step_config(flux_limiter=-5.0), ("solve", "approx"))}
+    for name, (config, commands) in below.items():
+        problem = _write(tmp_path, config, f"{name}.json")
+        assert main(["validate", "--problem", problem]) == 2
+        (message,) = capsys.readouterr().err.splitlines()
+        assert message.startswith("validation failure: flux limiter below junction floor at t=")
+        for command in commands:
+            out = tmp_path / f"{name}-{command}"
+            rc = main([command, "--problem", problem, "--dx", "0.05", "--out", str(out)])
+            assert rc == 2, (name, command)
+            assert capsys.readouterr().err.splitlines() == [message]
+            assert not out.exists()
+
+
+def test_validate_writes_no_report_when_a_soft_check_fails(tmp_path: Path, capsys):
+    """A datum of slope 2 declared 0.5-Lipschitz fails softly: exit 2, every item
+    printed, and no validate.json, as no command that exits nonzero writes one."""
+    config = _step_config(u0={"form": "abs", "scale": 2.0}, lipschitz_u0=0.5)
+    problem = _write(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["validate", "--problem", problem, "--out", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL  initial_datum_lipschitz  (measured 2 vs declared 0.5)" in lines
+    assert lines[0].startswith("pass  flux_limiter_floor") and len(lines) == 5
     assert not out.exists()
 
 
@@ -378,11 +417,10 @@ def test_value_on_an_edge_faster_than_its_probed_bound_exits_3(tmp_path: Path, c
     monkeypatch.setattr(hjj.cli, "problem_from_config", x_dependent)
     problem = _write(tmp_path, _model_config(T=0.05, R_domain=0.3))
     out = tmp_path / "out"
-    rc = main(["value", "--problem", problem, "--dx", "0.01", "--cfl-safety", "1",
-               "--out", str(out)])
+    rc = main(["value", "--problem", problem, "--dx", "0.01", "--out", str(out)])
     assert rc == 3
     assert not out.exists()
-    assert capsys.readouterr().err.startswith("numerical failure: dt=0.01 exceeds dx/|f|")
+    assert capsys.readouterr().err.startswith("numerical failure: dt=0.005 exceeds dx/|f|")
 
 
 def test_grid_for_common_grid_and_oracle_grid_agree_on_the_model_problem():
@@ -575,25 +613,11 @@ def test_bad_entries_exit_1_with_one_line_naming_the_entry(tmp_path: Path, capsy
     assert len(lines) == 1 and lines[0].startswith(f"configuration error: {name}")
 
 
-def test_approx_honours_dt(tmp_path: Path):
-    problem = _write(tmp_path, _step_config())
-    common = ["approx", "--problem", problem, "--dx", "0.05", "--widths", "0.2,0.1"]
-    assert main(common + ["--out", str(tmp_path / "default")]) == 0
-    assert main(common + ["--dt", "0.01", "--out", str(tmp_path / "fine")]) == 0
-    default = json.loads((tmp_path / "default" / "approx.json").read_text())
-    fine = json.loads((tmp_path / "fine" / "approx.json").read_text())
-    assert default["dt"] == 0.025
-    assert fine["dt"] == 0.01
-    # dx / C2 = 0.05 on eikonal edges
-    out = tmp_path / "coarse"
-    assert main(common + ["--dt", "0.06", "--out", str(out)]) == 3
-    assert not out.exists()
-
-
-# the last three: the problem file alone sets T, R_domain and the control counts
-@pytest.mark.parametrize("argv", [["--dx", "abc"], ["--cfl-safety", "many"], ["--bogus"],
+# --T, --R-domain and --controls: the problem file alone sets T, R_domain and the
+# control counts; --dt and --cfl-safety: the time steps come from C2 alone
+@pytest.mark.parametrize("argv", [["--dx", "abc"], ["--report-times", "a"], ["--bogus"],
                                   ["--seed", "3"], ["--T", "0.5"], ["--R-domain", "1"],
-                                  ["--controls", "41"]])
+                                  ["--controls", "41"], ["--dt", "0.1"], ["--cfl-safety", "1"]])
 def test_usage_errors_exit_1_without_artifacts(tmp_path: Path, capsys, argv):
     problem = _write(tmp_path, _model_config())
     out = tmp_path / "out"
@@ -604,14 +628,14 @@ def test_usage_errors_exit_1_without_artifacts(tmp_path: Path, capsys, argv):
     assert not out.exists()
 
 
-# Each subcommand's options, in order (29 slots); the problem itself (T, R_domain,
-# the control counts) comes from the file alone, and an option joins only on purpose.
+# Each subcommand's options, in order (21 slots); the problem itself (T, R_domain,
+# the control counts) comes from the file alone, the time steps from its C2, and an
+# option joins only on purpose.
 OPTIONS = {
-    "solve": ["--problem", "--out", "--dx", "--dt", "--cfl-safety", "--report-times"],
-    "value": ["--problem", "--out", "--dx", "--dt", "--cfl-safety", "--report-times"],
-    "compare": ["--problem", "--out", "--dx", "--dt", "--cfl-safety", "--report-times"],
-    "approx": ["--problem", "--out", "--dx", "--dt", "--cfl-safety", "--widths", "--slope-box",
-               "--radius"],
+    "solve": ["--problem", "--out", "--dx", "--report-times"],
+    "value": ["--problem", "--out", "--dx", "--report-times"],
+    "compare": ["--problem", "--out", "--dx", "--report-times"],
+    "approx": ["--problem", "--out", "--dx", "--widths", "--slope-box", "--radius"],
     "validate": ["--problem", "--out", "--seed"],
 }
 
@@ -623,11 +647,10 @@ def test_each_subcommand_offers_exactly_its_options():
                   if a.option_strings and a.dest != "help"]
            for name, p in sub.choices.items()}
     assert got == OPTIONS
-    assert sum(map(len, got.values())) == 29
+    assert sum(map(len, got.values())) == 21
 
 
-@pytest.mark.parametrize("option,value", [("--dx", "nan"), ("--dx", "inf"),
-                                          ("--dt", "nan"), ("--dt", "inf")])
+@pytest.mark.parametrize("option,value", [("--dx", "nan"), ("--dx", "inf")])
 def test_non_finite_dx_or_dt_exits_1_naming_the_option(tmp_path: Path, capsys, recwarn,
                                                        option, value):
     problem = _write(tmp_path, _model_config())
@@ -644,8 +667,6 @@ def test_non_finite_dx_or_dt_exits_1_naming_the_option(tmp_path: Path, capsys, r
 # (subcommand, option, refused value) for every numeric option; each also takes nan and inf
 _NUMERIC_OPTIONS = [
     ("solve", "--dx", "0"),
-    ("solve", "--dt", "0"),
-    ("solve", "--cfl-safety", "0"),
     ("solve", "--report-times", "0.5,-0.5"),
     ("validate", "--seed", "-1"),
     ("approx", "--widths", "0.1,0"),

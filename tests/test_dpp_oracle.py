@@ -487,7 +487,7 @@ def test_departures_one_rounding_past_the_cell_keep_every_column():
     controls = np.array([-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0])
     edges = [ControlEdge(ControlForm(c1=1.0), ControlForm(c0=1.0), controls) for _ in range(2)]
     cs = ControlSystem(edges, l0=constant(0.0, 0.1), A0=-1.0, delta=1.0, orientation="star")
-    grid = make_grid(dx=0.1, horizon=0.1, radii=(1.5, 1.5), c2=1.0, dt=0.1)
+    grid = make_grid(dx=0.1, horizon=0.1, radii=(1.5, 1.5), c2=1.0, cfl_safety=1.0)
     y, idx = grid.edge_y(0), grid.edge_full_indices(0)
     assert y[13] - 0.1 < y[12]
     level = np.zeros(grid.n_nodes)

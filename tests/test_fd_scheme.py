@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from hjj import (
     ControlSystem,
     Edge,
     EnvelopePair,
+    Grid,
     Hamiltonian,
     JunctionProblem,
     TimeSignal,
@@ -88,7 +90,7 @@ def test_godunov_flux_is_monotone():
 
 def test_step_hand_evaluated_on_flat_data():
     """dx=1, dt=0.5, u=0: interior nodes gain dt, the junction follows max(A, -1)."""
-    grid = make_grid(dx=1.0, horizon=0.5, radii=(3.0, 3.0), c2=1.0, dt=0.5)
+    grid = make_grid(dx=1.0, horizon=0.5, radii=(3.0, 3.0), c2=1.0, cfl_safety=1.0)
     flat = np.zeros(grid.n_nodes)
     for a_value, junction_want in ((0.0, 0.0), (-1.0, 0.5)):
         prob = _line_problem(a_value, horizon=0.5)
@@ -102,7 +104,7 @@ def test_step_averages_the_flux_limiter_over_the_window():
     # A jumps from 0 to -1 at t=0.3, inside the window [0, 0.5]
     limiter = TimeSignal(np.array([0.0, 0.3, 0.5]), np.array([0.0, -1.0]))
     prob = from_line(eikonal(), eikonal(), limiter, zero_datum, 0.0, 0.5)
-    grid = make_grid(dx=1.0, horizon=0.5, radii=(3.0, 3.0), c2=1.0, dt=0.5)
+    grid = make_grid(dx=1.0, horizon=0.5, radii=(3.0, 3.0), c2=1.0, cfl_safety=1.0)
     new = step(prob, grid, np.zeros(grid.n_nodes), 0.0, 0.5)
     # junction update is -dt * max(avg A, -1) with avg A = -0.4
     assert new[0] == pytest.approx(0.2, abs=1e-14)
@@ -193,11 +195,12 @@ def test_discrete_comparison_on_ordered_data():
 
 
 def test_cfl_violation_raises():
+    """Steps sized for C2 = 0.25 or 0.5 break eikonal's C2 = 1: the march refuses them."""
     prob = _line_problem(-1.0)
-    with pytest.raises(CflViolation):
-        grid_for(prob, 0.05, 2.0, dt=0.2)
-    with pytest.raises(CflViolation):
-        make_grid(dx=0.1, horizon=1.0, radii=(1.0, 1.0), c2=2.0, dt=0.1)
+    for dx, c2 in ((0.05, 0.25), (0.1, 0.5)):
+        grid = make_grid(dx=dx, horizon=1.0, radii=(1.0, 1.0), c2=c2, cfl_safety=1.0)
+        with pytest.raises(CflViolation):
+            solve(prob, grid)
 
 
 def test_three_edge_star_solve_is_stable():
@@ -913,6 +916,17 @@ def _final_line_level(problem: JunctionProblem, grid) -> np.ndarray:
     return u[0][grid.line_flat_indices()]
 
 
+def _uniform_grid(problem: JunctionProblem, dx: float) -> Grid:
+    """grid_for's grid at dx and R_domain 2 with N uniform steps of T / N, N fitting
+    dt = 0.5 dx / sup C2: levels k T / N, the last one T, as a uniform step lays them."""
+    n = math.ceil(problem.horizon * problem.cfl_speed()[0] / (0.5 * dx) - 1e-12)
+    dt = problem.horizon / n
+    times = np.minimum(np.arange(math.ceil(problem.horizon / dt - 1e-9) + 1) * dt,
+                       problem.horizon)
+    times[-1] = problem.horizon
+    return dataclasses.replace(grid_for(problem, dx, 2.0), dt=dt, times=times)
+
+
 # Sup errors at T of the uniform-step scheme (dt = 0.5 dx / sup C2) at dx 0.04,
 # 0.02 and 0.01 against the reference below, and their fitted order.
 _UNIFORM_STEP_ERRORS = {41: ((0.04637822855729057, 0.029667919176793345, 0.018994890265824127),
@@ -927,8 +941,7 @@ def test_per_window_steps_are_no_less_accurate_than_uniform_steps(seed):
     0.02 and 0.01 err no more than uniform steps did, and converge no slower."""
     prob = bench_tdq_problem(seed)
     fine = 0.00125
-    n = math.ceil(prob.horizon * prob.cfl_speed()[0] / (0.5 * fine) - 1e-12)
-    reference = _final_line_level(prob, grid_for(prob, fine, 2.0, dt=prob.horizon / n))
+    reference = _final_line_level(prob, _uniform_grid(prob, fine))
     dxs = (0.04, 0.02, 0.01)
     errors = []
     for dx in dxs:
@@ -953,8 +966,7 @@ def test_tdc_takes_per_window_steps_on_both_routes_and_errs_no_more():
     prob = problem_from_config(config)[0]
     cs = control_system_from_config(config["control_system"], 1.0)
     fine = 0.00125
-    n = math.ceil(prob.horizon * prob.cfl_speed()[0] / (0.5 * fine) - 1e-12)
-    reference = _final_line_level(prob, grid_for(prob, fine, 2.0, dt=prob.horizon / n))
+    reference = _final_line_level(prob, _uniform_grid(prob, fine))
     for dx, steps, uniform in zip((0.04, 0.02, 0.01), (62, 124, 248), _TDC_UNIFORM_STEP_ERRORS):
         grid = grid_for(prob, dx, 2.0)
         assert grid.steps == steps

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,9 +28,10 @@ from hjj import (
     validate,
 )
 from hjj.errors import ConfigError, FluxLimiterBelowFloor
+from hjj.junction_problem import _validation_times, check_floor
 from hjj.time_signal import union_mesh
 
-from conftest import build_model_system, zero_datum
+from conftest import build_model_system, random_tdq_problem, zero_datum
 
 
 def _line_eikonal(a_value: float, horizon: float = 1.0) -> JunctionProblem:
@@ -114,6 +118,65 @@ def test_validate_rejects_flux_limiter_below_floor():
         validate(prob)
     assert err.value.deficit == pytest.approx(1.0, abs=1e-6)
     assert 0.0 <= err.value.time <= 1.0
+
+
+def _floor_loop(problem: JunctionProblem) -> tuple:
+    """(t, deficit) of the worst floor(t) - A(t) > 0 at the validation times, one time
+    at a time with a0_floor, or (None, 0.0)."""
+    worst_t, worst = None, 0.0
+    for t in _validation_times(problem):
+        deficit = problem.floor(float(t)) - problem.flux_limiter(float(t))
+        if deficit > worst:
+            worst_t, worst = float(t), float(deficit)
+    return worst_t, worst
+
+
+def test_check_floor_equals_the_per_time_floor_and_freezes_no_time_independent_edge(
+        monkeypatch):
+    """check_floor's deficit, and the time and deficit of its refusal, are the per-time
+    loop's bit for bit, on constant, step and time-dependent data above and below the
+    floor; on the model problem it freezes nothing, reading each minimum off its pair."""
+    step = TimeSignal(np.array([0.0, 0.3, 0.7, 1.0]), np.array([-0.5, -1.7, -1.0]))
+    problems = [induced_problem(build_model_system(0.0), zero_datum, 0.0, 1.0),
+                _line_eikonal(-2.0), _line_eikonal(-1.0),
+                from_line(eikonal(), quadratic(1.0, 0.0, -1.5), step, zero_datum, 0.0, 1.0)]
+    problems += [random_tdq_problem(seed) for seed in range(1, 9)]
+    rising = TimeSignal(np.array([0.0, 0.4, 1.0]), np.array([-1.5, -0.5]))
+    problems += [from_line(eikonal(), quadratic(2.0, 0.1, rising), constant(a, 1.0),
+                           zero_datum, 0.0, 1.0) for a in (-0.8, -0.2)]
+    refused = 0
+    for prob in problems:
+        worst_t, worst = _floor_loop(prob)
+        if worst > 1e-9:
+            refused += 1
+            with pytest.raises(FluxLimiterBelowFloor) as err:
+                check_floor(prob)
+            assert (err.value.time, err.value.deficit) == (worst_t, worst)
+        else:
+            assert repr(check_floor(prob)) == repr(worst)
+    assert refused == 3
+    model = problems[0]
+    calls = []
+    freeze = Hamiltonian.freeze
+    monkeypatch.setattr(Hamiltonian, "freeze", lambda h, v: calls.append(v) or freeze(h, v))
+    assert check_floor(model) == 0.0 and calls == []
+
+
+def test_validation_times_are_np_uniques_without_importing_numpy_ma():
+    """The knots are np.unique's, bit for bit, and check_floor, which every command
+    that marches runs, leaves numpy.ma unimported (np.unique's first call imports it)."""
+    for prob in [_line_eikonal(-1.0)] + [random_tdq_problem(seed) for seed in range(1, 6)]:
+        knots = np.unique(np.concatenate([union_mesh(prob.coefficient_signals()),
+                                          np.linspace(0.0, prob.horizon, 33)]))
+        assert _validation_times(prob).tobytes() == (0.5 * (knots[:-1] + knots[1:])).tobytes()
+    script = ("import sys; from hjj import constant, eikonal, from_line; "
+              "from hjj.junction_problem import check_floor; "
+              "check_floor(from_line(eikonal(), eikonal(), constant(0.0, 1.0), abs, 1.0, 1.0)); "
+              "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_validate_flags_understated_datum_lipschitz():
