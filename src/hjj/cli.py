@@ -72,10 +72,9 @@ def _load_config(args) -> dict:
 def _load_problem(args) -> tuple[JunctionProblem, ControlSystem | None, float]:
     """The file's problem, its control system (or None) and its R_domain (default 2).
 
-    Report times past the horizon are a ConfigError. Then a command that
-    marches refuses a flux limiter below the junction floor, before its grid
-    is built (check_floor's FluxLimiterBelowFloor); validate checks the
-    floor itself.
+    Report times past the horizon are a ConfigError. Then a flux limiter
+    below the junction floor is refused before any grid is built
+    (check_floor's FluxLimiterBelowFloor).
     """
     cfg = _load_config(args)
     problem, cs = problem_from_config(cfg)
@@ -86,8 +85,7 @@ def _load_problem(args) -> tuple[JunctionProblem, ControlSystem | None, float]:
         if bad:
             raise ConfigError(
                 f"report times {bad} fall outside [0, {problem.horizon}]")
-    if args.func is not cmd_validate:
-        check_floor(problem)
+    check_floor(problem)
     return problem, cs, r_domain
 
 

@@ -300,17 +300,17 @@ def check_floor(problem: JunctionProblem) -> float:
     """The worst deficit floor(t) - A(t) at _validation_times, or 0.0 where A stays above.
 
     Raises FluxLimiterBelowFloor, naming the first time of the worst
-    deficit, when it exceeds 1e-9. A time-independent edge's minimum is
-    read once off its EnvelopePair, frozen at construction (its h_min is
-    argmin_p's, bit for bit); a time-dependent edge is minimised with
-    argmin_p at each time.
+    deficit, when it exceeds 1e-9. An edge whose EnvelopePair was frozen
+    at construction (H ignores t and x) gives its minimum once, read off the
+    pair (its h_min is argmin_p's, bit for bit); any other edge, a callable
+    control edge's table among them, is minimised with argmin_p at each time.
     """
     times = _validation_times(problem)
     floor = np.full(times.size, -np.inf)
     for i, e in enumerate(problem.edges):
-        h = e.hamiltonian
-        mins = (float(problem.envelope(i).h_min(0.0, 0.0)) if h.time_independent
-                else [argmin_p(h, float(t), 0.0)[1] for t in times])
+        env = problem.envelope(i)
+        mins = (float(env.h_min(0.0, 0.0)) if env.values is not None
+                else [argmin_p(e.hamiltonian, float(t), 0.0)[1] for t in times])
         floor = np.maximum(floor, mins)
     deficit = floor - problem.flux_limiter(times)
     n = int(np.argmax(deficit))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hjj import (
+    ControlForm,
     Edge,
     Hamiltonian,
     JunctionProblem,
@@ -17,6 +18,8 @@ from hjj import (
     check_convexity,
     compute_kn,
     constant,
+    control_edge,
+    edge_hamiltonian,
     eikonal,
     enumerate_trajectories,
     from_line,
@@ -135,7 +138,9 @@ def test_check_floor_equals_the_per_time_floor_and_freezes_no_time_independent_e
         monkeypatch):
     """check_floor's deficit, and the time and deficit of its refusal, are the per-time
     loop's bit for bit, on constant, step and time-dependent data above and below the
-    floor; on the model problem it freezes nothing, reading each minimum off its pair."""
+    floor; on the model problem it freezes nothing, reading each minimum off its pair.
+    A callable control edge reports no time data yet reads its cost at t: its floor
+    t - 1 passes A = -0.5 at t = 0 and must still be refused later."""
     step = TimeSignal(np.array([0.0, 0.3, 0.7, 1.0]), np.array([-0.5, -1.7, -1.0]))
     problems = [induced_problem(build_model_system(0.0), zero_datum, 0.0, 1.0),
                 _line_eikonal(-2.0), _line_eikonal(-1.0),
@@ -144,6 +149,11 @@ def test_check_floor_equals_the_per_time_floor_and_freezes_no_time_independent_e
     rising = TimeSignal(np.array([0.0, 0.4, 1.0]), np.array([-1.5, -0.5]))
     problems += [from_line(eikonal(), quadratic(2.0, 0.1, rising), constant(a, 1.0),
                            zero_datum, 0.0, 1.0) for a in (-0.8, -0.2)]
+    table = edge_hamiltonian(control_edge(ControlForm(c1=1.0),
+                                          lambda t, x, a: (1.0 - t) + 0.0 * a, -1.0, 1.0))
+    assert table.time_independent
+    problems.append(from_line(table, quadratic(1.0, 0.0, -2.0), constant(-0.5, 1.0),
+                              zero_datum, 0.0, 1.0))
     refused = 0
     for prob in problems:
         worst_t, worst = _floor_loop(prob)
@@ -154,7 +164,7 @@ def test_check_floor_equals_the_per_time_floor_and_freezes_no_time_independent_e
             assert (err.value.time, err.value.deficit) == (worst_t, worst)
         else:
             assert repr(check_floor(prob)) == repr(worst)
-    assert refused == 3
+    assert refused == 4
     model = problems[0]
     calls = []
     freeze = Hamiltonian.freeze
