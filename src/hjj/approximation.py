@@ -10,17 +10,17 @@ over a ladder of widths: the base problem and every smoothed one are marched
 together on one grid (fd_scheme.solve_many), then each width is priced with
 array passes over the shared fields.
 
-compute_kn reads k on a leading axis of union-mesh cells. The limiter and
-every edge with a closed form (catalog forms and edges of control forms)
-are read at all cell midpoints in one array pass (one EnvelopePair frozen
-at (cells, 1) coefficient columns). Any other edge is read through its
-problem's EnvelopePair, frozen at values_at(t, 0) once per cell, or once
-in all when it is time-independent; a black box that ignores t and x is
-frozen already, with the problem. A control edge with a callable f or l
-declares no time dependence: it has no coefficients to smooth, so
-approx_hamiltonian returns it unchanged, a ladder shares it, and it is
-read once, frozen exactly at its table at x = 0. The junction part's
-product slope grid is priced a few cells at a time.
+compute_kn reads k on a leading axis of union-mesh cells, and reads every
+edge through its problem's EnvelopePair. The limiter and every edge with a
+closed form (catalog forms and edges of control forms) are read at all
+cell midpoints in one array pass (the pair frozen at (cells, 1)
+coefficient columns). Any other edge is read once per cell, or once in all
+when it is time-independent; a black box that ignores t and x is frozen
+already, with the problem. A control edge with a callable f or l may read
+t, so it is read per cell, frozen exactly at its table at x = 0; it has
+no coefficients to smooth, so approx_hamiltonian refuses it
+(NonSeparableTimeDependence), as it refuses any time-dependent black box.
+The junction part's product slope grid is priced a few cells at a time.
 """
 
 from __future__ import annotations
@@ -50,7 +50,11 @@ __all__ = [
 
 
 def approx_hamiltonian(h: Hamiltonian, eps: float) -> Hamiltonian:
-    """Window-average the time-dependent coefficients at width eps."""
+    """Window-average the time-dependent coefficients at width eps.
+
+    A time-dependent Hamiltonian with no coefficients to rebuild from (a
+    black box, a callable control edge) raises NonSeparableTimeDependence.
+    """
     if h.time_independent:
         return h
     new = {k: (v.mollify(eps) if isinstance(v, TimeSignal) else v)
@@ -123,14 +127,13 @@ def _edge_tables(h: Hamiltonian, env: EnvelopePair, mids: np.ndarray, q: np.ndar
                  x, p: np.ndarray) -> list:
     """(h_minus on q, H at (x, p) raveled) of one edge, one row per cell midpoint of mids.
 
-    A closed form is frozen at (cells, 1) coefficient columns, one pair for
-    every cell. Any other Hamiltonian is read through env and eval_p cell by
-    cell, or once and broadcast when it is time-independent.
+    Every edge is read through its problem's pair env and H itself. A
+    closed form is read at all the midpoints in one call, as a (cells, 1)
+    column of times. Any other Hamiltonian is read cell by cell, or once
+    and broadcast when it is time-independent.
     """
-    form = h.form
-    if form is not None:
-        cols = tuple(np.reshape(v, (-1, 1)) for v in form.values_at(h.coefficients, mids))
-        rows = (EnvelopePair(h, values=cols).h_minus(0.0, 0.0, q), form.h(p.ravel(), *cols))
+    if h.form is not None:
+        rows = (env.h_minus(mids[:, None], 0.0, q), h(mids[:, None], x, p.ravel()))
     else:
         ts = mids[:1] if h.time_independent else mids
         rows = (np.array([env.h_minus(t, 0.0, q) for t in ts]),
@@ -147,10 +150,10 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
     Both are exact in t because every coefficient is constant on each cell of
     the union mesh, so each is read at the cell midpoints. The limiter and
     the edges with a closed form are read at every cell in one array pass;
-    any other edge (black box, callable, x-dependent) keeps one call per
-    cell, or one call in all when it is time-independent. The junction part
-    is priced on blocks of cells. K must be positive and R non-negative,
-    both finite.
+    any other edge (black box, callable control edge, x-dependent) keeps
+    one call per cell, or one call in all when it is time-independent. The
+    junction part is priced on blocks of cells. K must be positive and R
+    non-negative, both finite.
     """
     K = _positive_finite("K", K)
     R = _positive_finite("R", R, zero_ok=True)

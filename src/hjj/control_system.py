@@ -500,12 +500,21 @@ class TableHamiltonian(Hamiltonian):
     EnvelopePair(h, values=(speeds, costs, ys)); a frozen table looks its
     nodes up by position. A supremum of affine lines is convex, so the
     convexity probe is skipped.
+
+    A callable may read t, so the table is never time-independent, and it
+    has no coefficients to average or mollify. Its time_data are the
+    TimeSignals of its form parts, named as in _NAMES (f_c0 ... l_c2), so
+    that every reader of a problem's coefficient breakpoints sees them.
     """
+
+    time_independent = False
 
     def __init__(self, edge: ControlEdge, sign: float, **metadata):
         self.edge, self.sign = edge, sign
+        time_data = {f"{k}_{c}": sig for k, g in zip("fl", (edge.f, edge.l)) if _is_form(g)
+                     for c, sig in g.signals().items()}
         super().__init__(lambda t, x, p: _line_max(*edge.lines(sign, t, t, x), p),
-                         validate=False, **metadata)
+                         time_data=time_data, validate=False, **metadata)
 
     def values_at(self, t: float, x) -> tuple:
         xs = np.atleast_1d(x)

@@ -78,8 +78,11 @@ class Hamiltonian:
     form             the ClosedForm of H in its coefficients, or None
     coefficients     named coefficients (floats or TimeSignals) of the form;
                      drives exact window averaging and mollification
-    time_data        the TimeSignal coefficients; empty means the Hamiltonian
-                     is declared time-independent
+    time_data        the TimeSignals of H, by name: every reader of a
+                     problem's coefficient mesh sees their breakpoints.
+                     Empty means H is declared time-independent, except for
+                     a callable control edge (TableHamiltonian), which may
+                     read t and never is
     x_independent    True when H ignores x (one split point serves all nodes)
     speed_bound      callable (M, ys) -> (C2, source): a bound on |dH/dp| over
                      the slopes with H <= M at the edge nodes ys (None before a

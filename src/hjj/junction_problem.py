@@ -39,8 +39,8 @@ from .control_system import (
 )
 from .errors import ConfigError, ConvexityError, FluxLimiterBelowFloor, SlopeCountMismatch
 from .grid import _positive_finite, edge_data, edge_nodes
-from .hamiltonian import (EnvelopePair, Hamiltonian, a0_floor, abs_shift, argmin_p,
-                          check_convexity, eikonal, quadratic, reflected)
+from .hamiltonian import (EnvelopePair, Hamiltonian, a0_floor, abs_shift, check_convexity,
+                          eikonal, quadratic, reflected)
 from .time_signal import TimeSignal, _off_horizon, constant, on_horizon, union_mesh, upper_envelope
 
 __all__ = [
@@ -300,17 +300,17 @@ def check_floor(problem: JunctionProblem) -> float:
     """The worst deficit floor(t) - A(t) at _validation_times, or 0.0 where A stays above.
 
     Raises FluxLimiterBelowFloor, naming the first time of the worst
-    deficit, when it exceeds 1e-9. An edge whose EnvelopePair was frozen
-    at construction (H ignores t and x) gives its minimum once, read off the
-    pair (its h_min is argmin_p's, bit for bit); any other edge, a callable
-    control edge's table among them, is minimised with argmin_p at each time.
+    deficit, when it exceeds 1e-9. Each edge's minimum is read off its
+    problem's EnvelopePair, whose h_min is argmin_p's bit for bit: a closed
+    form at all the times in one call (its coefficients are read as arrays,
+    or not at all when the pair was frozen at construction), any other edge,
+    a callable control edge's table among them, one time at a time.
     """
     times = _validation_times(problem)
     floor = np.full(times.size, -np.inf)
-    for i, e in enumerate(problem.edges):
-        env = problem.envelope(i)
-        mins = (float(env.h_min(0.0, 0.0)) if env.values is not None
-                else [argmin_p(e.hamiltonian, float(t), 0.0)[1] for t in times])
+    for env in map(problem.envelope, range(problem.n_edges)):
+        mins = (env.h_min(times, 0.0) if env.h.form is not None
+                else [env.h_min(float(t), 0.0) for t in times])
         floor = np.maximum(floor, mins)
     deficit = floor - problem.flux_limiter(times)
     n = int(np.argmax(deficit))

@@ -1,9 +1,10 @@
 """End to end acceptance checks.
 
-One test per criterion, executed in order.  Every dynamic-programming run
-produced here is collected and re-audited by the regularity criterion
-(number 6).  Each test finishes with a single printed pass line carrying the
-measured quantities.
+One test per criterion, executed in order, then the paper's headline cases
+(a jump in the limiter, a jump in H) against their exact solutions.  Every
+dynamic-programming run of the criteria is collected and re-audited by the
+regularity criterion (number 6).  Each test finishes with a single printed
+pass line carrying the measured quantities.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from hjj import (
     EnvelopePair,
     RestrictedEnvelopes,
     TimeSignal,
+    abs_shift,
     comparison_diagnostic,
     constant,
     control_edge,
@@ -290,3 +292,73 @@ def test_criterion_9_oscillating_limiter_stability():
     assert gap <= 0.1
     print(f"criterion 9: PASS  sup norms bounded by {max(sups):.3f}, "
           f"k=10 vs averaged limiter gap={gap:.2e}")
+
+
+# The paper's headline case: A only in L-infinity and H only measurable in t. Each
+# jump at t = 1/2 has an exact solution, which both routes must reach at order 1/2.
+_JUMP = np.array([0.0, 0.5, 1.0])
+_LADDER = (0.04, 0.02, 0.01, 0.005)
+
+
+def _exact_ladder(routes, exact) -> list:
+    """Per route (problem, solve or value function), the sup errors against exact(t, |x|)
+    along _LADDER, their fitted order, and the finest rung's times and field."""
+    out = []
+    for problem, march in routes:
+        errors = []
+        for dx in _LADDER:
+            grid = grid_for(problem, dx, 1.5)
+            field = march(problem, grid)
+            x = np.abs(grid.line_x())[None, :]
+            errors.append(float(np.max(np.abs(field.values[:, grid.line_flat_indices()]
+                                              - exact(grid.times[:, None], x)))))
+        order = float(np.polyfit(np.log(_LADDER), np.log(errors), 1)[0])
+        out.append((errors, order, grid.times, field))
+    return out
+
+
+def test_a_limiter_with_a_jump_matches_its_exact_solution_on_both_routes():
+    """The model system with l0 stepping 0 -> 1 at t = 1/2, so A steps 0 -> -1.
+
+    A trajectory runs to the junction at cost 1 per unit time and parks there
+    at cost -A(s): u = min(t, max(|x|, t - 1/2)), and u(0, t) = max(0, t - 1/2).
+    """
+    cs = ControlSystem(build_model_system(0.0).edges, l0=TimeSignal(_JUMP, np.array([0.0, 1.0])),
+                       A0=-1.0, delta=1.0)
+    problem = induced_problem(cs, zero_datum, 0.0, 1.0)
+    routes = [(problem, solve), (problem, lambda p, g: value_function(cs, zero_datum, g))]
+    fd, dp = _exact_ladder(routes, lambda t, x: np.minimum(t, np.maximum(x, t - 0.5)))
+    for errors, order, times, field in (fd, dp):
+        assert errors[-1] <= 0.05 and order >= 0.45
+        assert np.max(np.abs(field.values[:, 0] - np.maximum(0.0, times - 0.5))) <= 1e-12
+    gap = fd[-1].linf_gap(dp[-1])
+    assert gap <= 1e-12
+    print(f"limiter jump: PASS  errors fd={fd[0][-1]:.4f} dp={dp[0][-1]:.4f} "
+          f"orders fd={fd[1]:.3f} dp={dp[1]:.3f} gap={gap:.1e}")
+
+
+def test_a_jump_in_h_matches_its_exact_solution_on_both_routes():
+    """H = |p| + c(t) with c stepping -1 -> -2 at t = 1/2 and A = 0.
+
+    With C the integral of -c, u = C(t) - C(max(t - |x|, 0)), and u(0, t) = 0.
+    The scheme marches abs_shift(c); the value function the control system
+    f = a, l = -c, a in [-1, 1], whose induced H is the same.
+    """
+    c = TimeSignal(_JUMP, np.array([-1.0, -2.0]))
+    edges = [control_edge(ControlForm(c1=1.0), ControlForm(c0=TimeSignal(_JUMP, -c.values)),
+                          -1.0, 1.0, n=21) for _ in range(2)]
+    cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0)
+    routes = [(from_line(abs_shift(c), abs_shift(c), constant(0.0, 1.0), zero_datum, 0.0, 1.0),
+               solve),
+              (induced_problem(cs, zero_datum, 0.0, 1.0),
+               lambda p, g: value_function(cs, zero_datum, g))]
+
+    def big_c(t):
+        return np.where(t <= 0.5, t, 2.0 * t - 0.5)
+
+    fd, dp = _exact_ladder(routes, lambda t, x: big_c(t) - big_c(np.maximum(t - x, 0.0)))
+    for errors, order, _, field in (fd, dp):
+        assert errors[-1] <= 0.05 and order >= 0.45
+        assert np.max(np.abs(field.values[:, 0])) <= 1e-12
+    print(f"H jump: PASS  errors fd={fd[0][-1]:.4f} dp={dp[0][-1]:.4f} "
+          f"orders fd={fd[1]:.3f} dp={dp[1]:.3f}")

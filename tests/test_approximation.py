@@ -18,6 +18,8 @@ from hjj import (
     comparison_diagnostic,
     compute_kn,
     constant,
+    control_edge,
+    edge_hamiltonian,
     eikonal,
     from_line,
     grid_for,
@@ -31,6 +33,7 @@ from hjj import (
     solve,
     union_mesh,
 )
+from hjj.approximation import _edge_tables
 from hjj.errors import CflViolation, ConfigError, NegativeKn, NonSeparableTimeDependence
 
 from conftest import zero_datum
@@ -76,12 +79,26 @@ def test_approx_hamiltonian_mollifies_signal_coefficients():
             2.0 + want(t), abs=1e-14)
 
 
+def _cost_one_minus_t() -> Hamiltonian:
+    """A callable control edge with cost 1 - t: H = |p| - (1 - t)."""
+    return edge_hamiltonian(control_edge(ControlForm(c1=1.0),
+                                         lambda t, x, a: (1.0 - t) + 0.0 * a, -1.0, 1.0))
+
+
 def test_approx_hamiltonian_rejects_black_box_time_dependence():
     h = Hamiltonian(lambda t, x, p: np.abs(p) + t, lipschitz_p=1.0,
                     coercivity_radius=2.0, time_data={"kind": "blackbox"},
                     x_independent=True, validate=False)
     with pytest.raises(NonSeparableTimeDependence):
         approx_hamiltonian(h, 0.1)
+    # a callable control edge: time-dependent, priced per cell, and refused
+    table = _cost_one_minus_t()
+    assert not table.time_independent
+    rows = _edge_tables(table, EnvelopePair(table), np.array([0.05, 0.95]), np.zeros(1),
+                        0.0, np.zeros(1))[0]
+    assert rows[:, 0].tolist() == pytest.approx([-0.95, -0.05], abs=1e-15)
+    with pytest.raises(NonSeparableTimeDependence):
+        approx_hamiltonian(table, 0.1)
 
 
 def test_approx_problem_mollifies_the_flux_limiter():
@@ -226,6 +243,15 @@ def _control_pair():
     return prob, approx_problem(prob, 0.1)
 
 
+def _callable_pair():
+    """A callable edge with cost 1 - t against the constant cost 1/2, read per cell."""
+    model = edge_hamiltonian(control_edge(ControlForm(c1=1.0), ControlForm(c0=1.0), -1.0, 1.0))
+    limiter = TimeSignal(np.array([0.0, 0.3, 1.0]), np.array([-0.5, -1.0]))
+    half = edge_hamiltonian(control_edge(ControlForm(c1=1.0), ControlForm(c0=0.5), -1.0, 1.0))
+    return tuple(JunctionProblem([Edge(h), Edge(model)], limiter, [zero_datum] * 2, 0.0, 1.0)
+                 for h in (_cost_one_minus_t(), half))
+
+
 def _star_pair():
     a = TimeSignal(np.array([0.0, 0.35, 1.0]), np.array([0.8, 1.6]))
     c = TimeSignal(np.array([0.0, 0.55, 1.0]), np.array([-1.0, -0.4]))
@@ -237,7 +263,7 @@ def _star_pair():
 
 @pytest.mark.parametrize("make,K", [(_tdq_pair, 1.51), (_tdq_pair, 3.0), (_black_box_pair, 2.0),
                                     (_x_dependent_pair, 2.0), (_control_pair, 2.0),
-                                    (_star_pair, 2.0)])
+                                    (_star_pair, 2.0), (_callable_pair, 2.0)])
 def test_compute_kn_equals_a_per_cell_loop(make, K):
     prob, smoothed = make()
     kn = compute_kn(prob, smoothed, K=K, R=1.5)

@@ -10,6 +10,7 @@ import pytest
 
 from hjj import (
     ControlForm,
+    ControlSystem,
     Edge,
     Hamiltonian,
     JunctionProblem,
@@ -138,9 +139,13 @@ def test_check_floor_equals_the_per_time_floor_and_freezes_no_time_independent_e
         monkeypatch):
     """check_floor's deficit, and the time and deficit of its refusal, are the per-time
     loop's bit for bit, on constant, step and time-dependent data above and below the
-    floor; on the model problem it freezes nothing, reading each minimum off its pair.
-    A callable control edge reports no time data yet reads its cost at t: its floor
-    t - 1 passes A = -0.5 at t = 0 and must still be refused later."""
+    floor; on the model problem it freezes nothing, reading each minimum off its pair,
+    and on tdq it freezes its time-dependent closed form once, at all times.
+    A callable control edge reads its cost at t, so it is not time-independent: its
+    floor t - 1 passes A = -0.5 at t = 0 and must still be refused later. A callable
+    edge's form parts are its time data: a dip of its cost on (0.30, 0.31), which no
+    uniform validation time sees, lifts its floor to 2 there, and A = 0 is refused at
+    t = 0.305 with deficit 2, as on the same data with a form f."""
     step = TimeSignal(np.array([0.0, 0.3, 0.7, 1.0]), np.array([-0.5, -1.7, -1.0]))
     problems = [induced_problem(build_model_system(0.0), zero_datum, 0.0, 1.0),
                 _line_eikonal(-2.0), _line_eikonal(-1.0),
@@ -151,9 +156,20 @@ def test_check_floor_equals_the_per_time_floor_and_freezes_no_time_independent_e
                            zero_datum, 0.0, 1.0) for a in (-0.8, -0.2)]
     table = edge_hamiltonian(control_edge(ControlForm(c1=1.0),
                                           lambda t, x, a: (1.0 - t) + 0.0 * a, -1.0, 1.0))
-    assert table.time_independent
+    assert not table.time_independent
     problems.append(from_line(table, quadratic(1.0, 0.0, -2.0), constant(-0.5, 1.0),
                               zero_datum, 0.0, 1.0))
+    dip = ControlForm(c0=TimeSignal(np.array([0.0, 0.30, 0.31, 1.0]), np.array([1.0, -2.0, 1.0])))
+    model_edge = build_model_system(0.0).edges[1]
+    dips = [induced_problem(ControlSystem([control_edge(f, dip, -1.0, 1.0), model_edge],
+                                          l0=constant(0.0, 1.0), A0=-1.0, delta=1.0),
+                            zero_datum, 0.0, 1.0)
+            for f in (lambda t, x, a: a, ControlForm(c1=1.0))]
+    problems.append(dips[0])
+    for prob in dips:
+        with pytest.raises(FluxLimiterBelowFloor) as err:
+            check_floor(prob)
+        assert (err.value.time, err.value.deficit) == (0.5 * (0.30 + 0.31), 2.0)
     refused = 0
     for prob in problems:
         worst_t, worst = _floor_loop(prob)
@@ -164,12 +180,15 @@ def test_check_floor_equals_the_per_time_floor_and_freezes_no_time_independent_e
             assert (err.value.time, err.value.deficit) == (worst_t, worst)
         else:
             assert repr(check_floor(prob)) == repr(worst)
-    assert refused == 4
+    assert refused == 5
     model = problems[0]
     calls = []
     freeze = Hamiltonian.freeze
     monkeypatch.setattr(Hamiltonian, "freeze", lambda h, v: calls.append(v) or freeze(h, v))
     assert check_floor(model) == 0.0 and calls == []
+    tdq = random_tdq_problem(1)
+    del calls[:]
+    assert check_floor(tdq) == 0.0 and len(calls) == 1  # its quadratic, at every time at once
 
 
 def test_validation_times_are_np_uniques_without_importing_numpy_ma():
