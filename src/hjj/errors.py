@@ -65,10 +65,6 @@ class FluxLimiterBelowFloor(HjjError):
         )
 
 
-class SlopeCountMismatch(HjjError):
-    """junction operator got a slope count different from the edge count."""
-
-
 class CflViolation(HjjError):
     """A time step breaks the monotonicity (CFL) condition dt C2 <= dx.
 

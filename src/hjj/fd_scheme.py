@@ -44,16 +44,16 @@ the steps, and each step checks dt |dH/dp| <= dx at the slopes
 it reads on every edge whose pair carries a speed (a quadratic frozen at
 the window's coefficients), raising CflViolation on a breach.
 
-solve_many marches several problems that share one grid as one stream of
-levels (grid._levels) over a leading problem axis; solve is the batch of
-one. Each level of the batch is checked for a non-finite value as it is
-made, so the march stops at the first one. Values are stored as
-(problems, levels, nodes), and the limiter and coefficient tables hold one
-column per problem. An edge whose envelopes the whole batch shares (one
-closed form with per-problem coefficient columns, one callable control
-edge frozen at each window's table, or one time-independent Hamiltonian
-object) is evaluated once per step on the slopes of every problem; any
-other edge is handled problem by problem.
+solve_many marches several problems on one grid as one stream of levels
+(grid._levels) over a leading problem axis; solve is the batch of one.
+Each level of the batch is checked for a non-finite value as it is made,
+so the march stops at the first one. Values are stored as (problems,
+levels, nodes), and the limiter and coefficient tables hold one column per
+problem. The batch shares each edge's envelopes: one closed form with
+per-problem coefficient columns, one callable control edge frozen at each
+window's table, or one time-independent Hamiltonian object. Each edge is
+evaluated once per step on the slopes of every problem, and a batch that
+does not share an edge raises ValueError naming it.
 """
 
 from __future__ import annotations
@@ -69,18 +69,7 @@ from .hamiltonian import EnvelopePair
 from .junction_problem import JunctionProblem
 from .time_signal import coeff_window_averages, upper_envelope
 
-__all__ = ["godunov_flux", "step", "solve", "solve_many", "grid_for"]
-
-
-def godunov_flux(env: EnvelopePair, t: float, x: float, p_minus, p_plus):
-    """Godunov two-point flux from the envelope splitting, elementwise.
-
-    The slopes may be floats or equal-length arrays. Consistent (equal
-    slopes give H back), nondecreasing in p_minus and nonincreasing in
-    p_plus.
-    """
-    flux = np.maximum(env.h_plus(t, x, p_minus), env.h_minus(t, x, p_plus))
-    return float(flux) if np.ndim(flux) == 0 else flux
+__all__ = ["step", "solve", "solve_many", "grid_for"]
 
 
 def grid_for(problems, dx: float, r_domain: float, cfl_safety: float = _CFL_SAFETY) -> Grid:
@@ -104,24 +93,25 @@ def _check_cfl(problems: Sequence[JunctionProblem], grid: Grid, times: np.ndarra
                   problem.cfl_speed(grid.dx, grid.edge_radii)[1], times)
 
 
-def _edge_windows(hs: list, pairs: list, times: np.ndarray, grid: Grid, i: int) -> Callable:
+def _edge_windows(hs: list, pair: EnvelopePair, times: np.ndarray, grid: Grid, i: int) -> Callable:
     """env(n): edge i's EnvelopePair on the window [times[n], times[n+1]], for a batch.
 
-    hs and pairs hold the edge's Hamiltonian and EnvelopePair in each problem.
-    A windowed edge is frozen at its values on each window: a callable
-    control edge that the batch shares at its table on the edge's nodes,
+    hs holds the edge's Hamiltonian in each problem, and pair is the first
+    problem's EnvelopePair. The batch shares the edge: one Hamiltonian
+    object, or one closed form with per-problem coefficients, and env(n)
+    is one pair for all of it. A windowed edge is frozen at its values on
+    each window: a callable control edge at its table on the edge's nodes,
     read and checked against the window's step by ControlEdge.window_lines,
-    as the value function reads it; a closed form that the batch shares at
-    each window's averaged coefficients, read off (windows x problems)
-    tables as one (problems, 1) column per coefficient. It is frozen again
-    only when its values differ from the last window's, byte for byte, so
-    an edge constant in t is frozen once per march and a -0.0 that turns
-    0.0 is frozen again. Any other
-    time-independent Hamiltonian that the batch shares keeps one pair for
-    the march: the first problem's, which is frozen already when h ignores
-    x, else h frozen at the edge's nodes. env(n) is one pair when the batch
-    shares it, else a list with one per problem. A time-dependent black box
-    has no coefficients to freeze, and raises NonSeparableTimeDependence.
+    as the value function reads it; a closed form at each window's averaged
+    coefficients, read off (windows x problems) tables as one (problems, 1)
+    column per coefficient. It is frozen again only when its values differ
+    from the last window's, byte for byte, so an edge constant in t is
+    frozen once per march and a -0.0 that turns 0.0 is frozen again. Any
+    other time-independent Hamiltonian keeps one pair for the march: pair
+    when h ignores x, else h frozen at the edge's nodes. A time-dependent
+    black box has no coefficients to freeze, and raises
+    NonSeparableTimeDependence; a batch that does not share the edge raises
+    ValueError naming it.
     """
     h, ys = hs[0], grid.edge_y(i)
     shared = all(g is h for g in hs)
@@ -130,8 +120,8 @@ def _edge_windows(hs: list, pairs: list, times: np.ndarray, grid: Grid, i: int) 
             a, b = float(times[n]), float(times[n + 1])
             return (*h.edge.window_lines(h.sign, a, b, grid, i), ys)
     elif shared and h.time_independent:
-        pair = (EnvelopePair(h, values=h.values_at(float(times[0]), ys))
-                if pairs[0].values is None else pairs[0])
+        if pair.values is None:
+            pair = EnvelopePair(h, values=h.values_at(float(times[0]), ys))
         return lambda n: pair
     elif h.form is not None and all(g.form is h.form for g in hs):
         cols = [np.stack([coeff_window_averages(g.coefficients[k], times) for g in hs], axis=1)
@@ -139,11 +129,10 @@ def _edge_windows(hs: list, pairs: list, times: np.ndarray, grid: Grid, i: int) 
 
         def values(n):
             return tuple(col[n][:, None] for col in cols)
-    elif len(hs) == 1:
+    elif shared:
         raise NonSeparableTimeDependence("a time-dependent black box has no coefficients to freeze")
     else:
-        each = [_edge_windows([g], [pair], times, grid, i) for g, pair in zip(hs, pairs)]
-        return lambda n: [env(n) for env in each]
+        raise ValueError(f"the batch does not share edge {i}'s Hamiltonian or closed form")
     last = []
 
     def env(n):
@@ -157,14 +146,14 @@ def _edge_windows(hs: list, pairs: list, times: np.ndarray, grid: Grid, i: int) 
 def _windows(problems, grid: Grid, times: np.ndarray) -> Callable:
     """at(n) -> (limiter averages, per-edge envelopes) on window n of times.
 
-    problems is one JunctionProblem or a batch of them sharing grid; the
-    limiter averages hold one entry per problem.
+    problems is one JunctionProblem or a batch of them that shares each
+    edge (_edge_windows); the limiter averages hold one entry per problem.
     """
     if isinstance(problems, JunctionProblem):
         problems = [problems]
     a_avg = np.stack([p.flux_limiter.window_averages(times) for p in problems], axis=1)
-    edges = [_edge_windows([p.edges[i].hamiltonian for p in problems],
-                           [p.envelope(i) for p in problems], times, grid, i)
+    edges = [_edge_windows([p.edges[i].hamiltonian for p in problems], problems[0].envelope(i),
+                           times, grid, i)
              for i in range(problems[0].n_edges)]
     return lambda n: (a_avg[n], [env(n) for env in edges])
 
@@ -220,22 +209,16 @@ def _advance(problems: Sequence[JunctionProblem], grid: Grid, u: np.ndarray,
     breaches = []
     for i, env in enumerate(envs):
         idx = grid.edge_full_indices(i)
-        ys = grid.edge_y(i)
         uu = u.take(idx, axis=1)
         q = np.subtract(uu[:, 1:], uu[:, :-1])
         q /= grid.dx
-        pairs = env if isinstance(env, list) else [env]  # one per problem, or one for all
-        span = len(q) // len(pairs)
-        inflow = np.empty(len(q))
-        for k, pair in enumerate(pairs):
-            rows = slice(k * span, (k + 1) * span)
-            breach = _first_breach(pair, q[rows], dt, grid.dx)
-            if breach is not None:
-                b, j, achieved = breach
-                breaches.append((k * span + int(b), i, int(idx[j]), int(idx[j + 1]), achieved))
-            flux, inflow[rows] = _edge_terms(pair, t, q[rows], ys)
-            # an edge's interior nodes are contiguous in the grid's node order
-            np.subtract(uu[rows, 1:], dt * flux, out=new[rows, idx[1]:idx[-1] + 1])
+        breach = _first_breach(env, q, dt, grid.dx)
+        if breach is not None:
+            b, j, achieved = breach
+            breaches.append((int(b), i, int(idx[j]), int(idx[j + 1]), achieved))
+        flux, inflow = _edge_terms(env, t, q, grid.edge_y(i))
+        # an edge's interior nodes are contiguous in the grid's node order
+        np.subtract(uu[:, 1:], dt * flux, out=new[:, idx[1]:idx[-1] + 1])
         inflows.append(inflow.tolist())
     if breaches:
         b, i, start, end, achieved = min(breaches)
@@ -251,7 +234,10 @@ def _advance(problems: Sequence[JunctionProblem], grid: Grid, u: np.ndarray,
 def step(problem: JunctionProblem, grid: Grid, u: np.ndarray, t: float, dt: float) -> np.ndarray:
     """One explicit Euler update over the window [t, t + dt].
 
-    A window on which C2 integrates above dx raises CflViolation.
+    It reads the scheme's one flux and junction operator: an interior node
+    j gets u[j] - dt F, F the Godunov flux of its two slopes, and the
+    junction node u[0] - dt F_A. A window on which C2 integrates above dx
+    raises CflViolation.
     """
     times = np.array([t, t + dt])
     _check_cfl([problem], grid, times)
@@ -259,13 +245,15 @@ def step(problem: JunctionProblem, grid: Grid, u: np.ndarray, t: float, dt: floa
 
 
 def solve_many(problems: Sequence[JunctionProblem], grid: Grid) -> list[SolutionField]:
-    """March problems that share grid from their initial data to the horizon, as one stream.
+    """March problems on grid from their initial data to the horizon, as one stream.
 
-    Each field is bit-equal to solve(problem, grid) and a view into one
-    (problems, levels, nodes) array. Raises CflViolation before the first
-    step when C2 integrates above dx over a window of grid, and
-    NumericalFailure at the first level that holds a non-finite value
-    (grid._levels checks each level as it is made).
+    The problems share each edge's Hamiltonian object or closed form, as
+    every ladder of approximation does; a batch that does not share an edge
+    raises ValueError naming it. Each field is bit-equal to solve(problem,
+    grid) and a view into one (problems, levels, nodes) array. Raises
+    CflViolation before the first step when C2 integrates above dx over a
+    window of grid, and NumericalFailure at the first level that holds a
+    non-finite value (grid._levels checks each level as it is made).
     """
     problems = list(problems)
     if not problems:

@@ -47,7 +47,6 @@ __all__ = [
     "Hamiltonian",
     "EnvelopePair",
     "argmin_p",
-    "a0_floor",
     "abs_shift",
     "eikonal",
     "quadratic",
@@ -190,7 +189,8 @@ class Hamiltonian:
     def with_coefficients(self, coefficients: dict) -> "Hamiltonian":
         if self._rebuild is None:
             raise NonSeparableTimeDependence(
-                "black-box Hamiltonian has no coefficients to average or rebuild from")
+                "no coefficients to rebuild from: H is a black box or a control edge with a "
+                "callable f or l")
         return self._rebuild(coefficients)
 
 
@@ -391,14 +391,6 @@ class EnvelopePair:
         vals = H(p)
         below = p <= p_hat
         return np.where(below, h_min, vals), np.where(below, vals, h_min)
-
-
-def a0_floor(hamiltonians, t: float) -> float:
-    """Largest of the per-edge minima at the junction: max_i min_p H_i(t, 0, p).
-
-    Any admissible flux limiter must dominate this floor.
-    """
-    return max(argmin_p(h, t, 0.0)[1] for h in hamiltonians)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ The junction operator is
     F_A(t, q_1, ..., q_J) = max{ A(t), max_i H_i^-(t, 0, q_i) }
 
 with q_i the edge-local slope at the junction and H_i^- the nonincreasing
-envelope. Admissibility requires A(t) >= A_0(t) = max_i min_p H_i(t, 0, p).
+envelope; fd_scheme's junction update applies it (fd_scheme.step reads
+it). Admissibility requires A(t) >= A_0(t) = max_i min_p H_i(t, 0, p),
+which check_floor checks.
 
 The JSON problem-file format lives in this module's config section and
 nowhere else: problem_from_config and the block parsers it calls (for
@@ -37,10 +39,10 @@ from .control_system import (
     flux_limiter as cs_flux_limiter,
     induced_hamiltonian,
 )
-from .errors import ConfigError, ConvexityError, FluxLimiterBelowFloor, SlopeCountMismatch
+from .errors import ConfigError, ConvexityError, FluxLimiterBelowFloor
 from .grid import _positive_finite, edge_data, edge_nodes
-from .hamiltonian import (EnvelopePair, Hamiltonian, a0_floor, abs_shift, check_convexity,
-                          eikonal, quadratic, reflected)
+from .hamiltonian import (EnvelopePair, Hamiltonian, abs_shift, check_convexity, eikonal, quadratic,
+                          reflected)
 from .time_signal import TimeSignal, _off_horizon, constant, on_horizon, union_mesh, upper_envelope
 
 __all__ = [
@@ -168,31 +170,6 @@ class JunctionProblem:
             i = max(range(self.n_edges), key=lambda k: sigs[k].max())
             self._cfl[key] = (sigs[i].max(), f"{notes[i]} on edge {i}", upper_envelope(sigs))
         return self._cfl[key]
-
-    def local_slopes(self, slopes: Sequence[float]) -> np.ndarray:
-        """Normalize caller slopes to edge-local orientation.
-
-        Two-edge line problems pass whole-line one-sided slopes
-        (u_x(0+), u_x(0-)); stars pass edge-local slopes directly.
-        """
-        if len(slopes) != self.n_edges:
-            raise SlopeCountMismatch(
-                f"got {len(slopes)} slopes for {self.n_edges} edges")
-        q = np.asarray(slopes, dtype=float).copy()
-        if self.line_convention:
-            q[1] = -q[1]
-        return q
-
-    def junction_value(self, t: float, slopes: Sequence[float]) -> float:
-        """F_A(t, q) = max{A(t), max_i H_i^-(t, 0, q_i)}, slopes as local_slopes takes them."""
-        q = self.local_slopes(slopes)
-        best = self.flux_limiter(t)
-        for i, env in enumerate(self._envs):
-            best = max(best, float(env.h_minus(t, 0.0, q[i])))
-        return best
-
-    def floor(self, t: float) -> float:
-        return a0_floor([e.hamiltonian for e in self.edges], t)
 
     def coefficient_signals(self) -> list[TimeSignal]:
         sigs = [self.flux_limiter]
@@ -374,7 +351,7 @@ def _as(v, kind, name: str):
     if kind in (float, int):
         try:
             x = kind(v)
-            if math.isfinite(x):
+            if math.isfinite(x) and not isinstance(v, bool):  # float(True) is 1.0
                 return x
         except (TypeError, ValueError, OverflowError):
             pass
@@ -392,7 +369,7 @@ def entry(d, key: str, what: str, kind, default=_REQUIRED):
     """The entry d[key] read as kind; what names d ("" for the problem file).
 
     kind is float or int (converted as float() and int() convert, and
-    finite), dict, list, object (any value) or a tuple of the allowed
+    finite; a boolean is not a number), dict, list, object (any value) or a tuple of the allowed
     values. A missing key gives default, and so does a null where the
     default is None (null then means "none"). A ConfigError names the entry
     ("edge 0 controls n": the path of keys, a list item named by its block)
@@ -412,13 +389,15 @@ def coeff_from_config(v, horizon: float, name: str):
     """A scalar-or-signal entry: a float, or a TimeSignal on [0, horizon].
 
     A step signal is {"breakpoints": [...], "values": [...]}. A malformed
-    signal, a value that is not a number or a signal whose horizon is not
-    horizon raises ConfigError naming the entry name.
+    signal, a value that is not a number (a boolean among them) or a
+    signal whose horizon is not horizon raises ConfigError naming the entry
+    name.
     """
     if not isinstance(v, dict):
         return _as(v, float, name)
     for key in ("breakpoints", "values"):
-        entry(v, key, name, list)
+        if any(isinstance(x, bool) for x in entry(v, key, name, list)):
+            raise ConfigError(f"{name}: expected numbers in {key}, got {v[key]!r}")
     try:
         sig = TimeSignal.from_dict(v)
     except (TypeError, ValueError) as exc:

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hjj import (ControlEdge, ControlForm, ControlSystem, Hamiltonian, JunctionProblem,
-                 SolutionField, TimeSignal, constant, control_edge, eikonal, from_line,
-                 problem_from_config, quadratic)
+from hjj import (ControlEdge, ControlForm, ControlSystem, Grid, Hamiltonian, JunctionProblem,
+                 SolutionField, TimeSignal, constant, control_edge, eikonal, from_line, make_grid,
+                 problem_from_config, quadratic, step)
 from hjj.time_signal import coeff_average
 
 
@@ -93,6 +93,46 @@ def record_line_max(monkeypatch) -> list:
 
 def zero_datum(x: float) -> float:
     return 0.0
+
+
+_READ_DT = 1e-3  # small enough for the slope check of every edge these helpers read
+
+
+def _read_grid(problem: JunctionProblem) -> Grid:
+    return make_grid(dx=0.1, horizon=problem.horizon, radii=[1.0] * problem.n_edges, c2=40.0)
+
+
+def junction_operator(problem: JunctionProblem, t: float, slopes) -> float:
+    """F_A(t, q) = max{A, max_i H_i^-(0, q_i)} as the scheme applies it over [t, t + 1e-3].
+
+    One step of a level that is 0 at the junction and affine on each edge
+    with the given slopes gives new[0] = -dt F_A. Line problems take
+    whole-line one-sided slopes (u_x(0+), u_x(0-)), so edge 1's local slope
+    is the negated second one; stars take edge-local slopes.
+    """
+    q = np.array(slopes, dtype=float)
+    if problem.line_convention:
+        q[1] = -q[1]
+    grid = _read_grid(problem)
+    u = np.empty(grid.n_nodes)
+    for i in range(problem.n_edges):
+        u[grid.edge_full_indices(i)] = q[i] * grid.edge_y(i)
+    return float(-step(problem, grid, u, t, _READ_DT)[0] / _READ_DT)
+
+
+def godunov_flux(problem: JunctionProblem, p_minus: float, p_plus: float) -> float:
+    """The scheme's interior flux max{H^+(p_minus), H^-(p_plus)} on edge 0 over [0, 1e-3].
+
+    One step of a level that is 0 at edge 0's first interior node, whose
+    slopes there are p_minus and p_plus and flat elsewhere, gives
+    new[node] = -dt F.
+    """
+    grid = _read_grid(problem)
+    idx = grid.edge_full_indices(0)
+    u = np.full(grid.n_nodes, -p_minus * grid.dx)
+    u[idx[1]] = 0.0
+    u[idx[2:]] = p_plus * grid.dx
+    return float(-step(problem, grid, u, 0.0, _READ_DT)[idx[1]] / _READ_DT)
 
 
 def random_tdq_problem(seed: int, horizon: float = 1.0, cells: int = 8) -> JunctionProblem:

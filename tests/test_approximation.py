@@ -89,7 +89,9 @@ def test_approx_hamiltonian_rejects_black_box_time_dependence():
     h = Hamiltonian(lambda t, x, p: np.abs(p) + t, lipschitz_p=1.0,
                     coercivity_radius=2.0, time_data={"kind": "blackbox"},
                     x_independent=True, validate=False)
-    with pytest.raises(NonSeparableTimeDependence):
+    refusal = ("^no coefficients to rebuild from: H is a black box or a control edge with a "
+               "callable f or l$")
+    with pytest.raises(NonSeparableTimeDependence, match=refusal):
         approx_hamiltonian(h, 0.1)
     # a callable control edge: time-dependent, priced per cell, and refused
     table = _cost_one_minus_t()
@@ -97,7 +99,7 @@ def test_approx_hamiltonian_rejects_black_box_time_dependence():
     rows = _edge_tables(table, EnvelopePair(table), np.array([0.05, 0.95]), np.zeros(1),
                         0.0, np.zeros(1))[0]
     assert rows[:, 0].tolist() == pytest.approx([-0.95, -0.05], abs=1e-15)
-    with pytest.raises(NonSeparableTimeDependence):
+    with pytest.raises(NonSeparableTimeDependence, match=refusal):
         approx_hamiltonian(table, 0.1)
 
 

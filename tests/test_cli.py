@@ -491,6 +491,8 @@ _SIGNAL_FAULTS = {
     "malformed_signal": {"breakpoints": [0.0, 1.0]},
     "not_a_number": "fast",
     "wrong_horizon": {"breakpoints": [0.0, 2.0], "values": [1.0]},
+    "boolean": True,
+    "boolean_in_a_signal": {"breakpoints": [0.0, 1.0], "values": [False]},
 }
 
 
@@ -596,6 +598,16 @@ _BAD_ENTRIES = {
     "orientation_against_control_system": (_model_config, ("orientation",), "star",
                                            "orientation 'star' and control_system "
                                            "orientation 'line'"),
+    # float(True) is 1.0, but a JSON boolean is not a number (coefficients: _SIGNAL_FAULTS)
+    "T_true": (_step_config, ("T",), True, "T: expected a finite number, got True"),
+    "R_domain_false": (_step_config, ("R_domain",), False,
+                       "R_domain: expected a finite number, got False"),
+    "lipschitz_u0_true": (_step_config, ("lipschitz_u0",), True,
+                          "lipschitz_u0: expected a finite number, got True"),
+    "A0_false": (_model_config, ("control_system", "junction", "A0"), False,
+                 "junction A0: expected a finite number, got False"),
+    "controls_n_true": (_model_config, _CS_EDGE + ("controls", "n"), True,
+                        "edge 0 controls n: expected an integer, got True"),
 }
 
 

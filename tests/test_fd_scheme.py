@@ -24,7 +24,6 @@ from hjj import (
     control_system_from_config,
     eikonal,
     from_line,
-    godunov_flux,
     grid_for,
     induced_problem,
     make_grid,
@@ -46,8 +45,8 @@ from hjj.fd_scheme import _advance, _windows
 from hjj.hamiltonian import CATALOG, numeric_argmin
 from hjj.time_signal import coeff_window_averages
 
-from conftest import (bench_tdq_problem, frozen, random_control_system, random_tdq_problem,
-                      record_line_max, tdc_config, zero_datum)
+from conftest import (bench_tdq_problem, frozen, godunov_flux, random_control_system,
+                      random_tdq_problem, record_line_max, tdc_config, zero_datum)
 
 
 def _line_problem(a_value: float, u0=zero_datum, lip: float = 0.0,
@@ -62,31 +61,32 @@ def _hopf_lax(u0, x: float, t: float, n: int = 4001) -> float:
 
 
 def test_godunov_flux_examples():
-    env = EnvelopePair(eikonal())
-    assert godunov_flux(env, 0.0, 0.0, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
-    assert godunov_flux(env, 0.0, 0.0, 2.0, -2.0) == pytest.approx(1.0, abs=1e-12)
-    envq = EnvelopePair(quadratic(1.0, 0.0, 0.0))
-    assert godunov_flux(envq, 0.0, 0.0, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    prob = _star(eikonal(), zero_datum, 0.0)
+    assert godunov_flux(prob, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
+    assert godunov_flux(prob, 2.0, -2.0) == pytest.approx(1.0, abs=1e-12)
+    assert godunov_flux(prob, 2.0, 0.0) == pytest.approx(1.0, abs=1e-12)  # max, not min
+    probq = _star(quadratic(1.0, 0.0, 0.0), zero_datum, 0.0)
+    assert godunov_flux(probq, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_godunov_flux_is_consistent_with_the_hamiltonian():
     rng = np.random.default_rng(37)
     for h in (eikonal(), quadratic(1.5, -0.5, 2.0)):
-        env = EnvelopePair(h)
+        prob = _star(h, zero_datum, 0.0)
         for p in rng.uniform(-4.0, 4.0, size=60):
             want = float(h.eval_p(0.0, 0.0, np.array([p]))[0])
-            assert godunov_flux(env, 0.0, 0.0, p, p) == pytest.approx(want, abs=1e-12)
+            assert godunov_flux(prob, p, p) == pytest.approx(want, abs=1e-12)
 
 
 def test_godunov_flux_is_monotone():
-    env = EnvelopePair(quadratic(1.0, 0.3, 0.0))
+    prob = _star(quadratic(1.0, 0.3, 0.0), zero_datum, 0.0)
     rng = np.random.default_rng(39)
     for _ in range(200):
         pm, pp = rng.uniform(-3.0, 3.0, size=2)
         d = rng.uniform(0.0, 1.0)
-        base = godunov_flux(env, 0.0, 0.0, pm, pp)
-        assert godunov_flux(env, 0.0, 0.0, pm + d, pp) >= base - 1e-10
-        assert godunov_flux(env, 0.0, 0.0, pm, pp + d) <= base + 1e-10
+        base = godunov_flux(prob, pm, pp)
+        assert godunov_flux(prob, pm + d, pp) >= base - 1e-10
+        assert godunov_flux(prob, pm, pp + d) <= base + 1e-10
 
 
 def test_step_hand_evaluated_on_flat_data():
@@ -290,7 +290,7 @@ def _reference_march(problem: JunctionProblem, grid) -> np.ndarray:
             env = _NumericSplit(frozen(edge.hamiltonian, t, t + dt), t)
             idx = grid.edge_full_indices(i)
             q = np.diff(u[idx]) / grid.dx
-            flux = np.append(godunov_flux(env, t, 0.0, q[:-1], q[1:]),
+            flux = np.append(np.maximum(env.h_plus(t, 0.0, q[:-1]), env.h_minus(t, 0.0, q[1:])),
                              env.h_plus(t, 0.0, q[-1]))
             values[n + 1, idx[1:]] = u[idx[1:]] - dt * flux
             junction = max(junction, float(env.h_minus(t, 0.0, q[0])))
@@ -469,13 +469,9 @@ _LIMITER = TimeSignal(np.array([0.0, 0.19, 0.5]), np.array([-0.4, -0.9]))
 @pytest.mark.parametrize("problems", [
     _ladder(_time_dependent_quadratic_problem()),
     _ladder(_control_induced_problem()),
-    [_control_induced_problem(), _control_induced_problem()],
     _ladder(_x_dependent_problem(_LIMITER)),
-    [_x_dependent_problem(_LIMITER), _x_dependent_problem(constant(-0.6, 0.5))],
     _ladder(_star_problem()),
-    [_time_dependent_quadratic_problem(), _x_dependent_problem(_LIMITER)],
-], ids=["quadratic-ladder", "control-ladder", "control-distinct", "x-dependent-ladder",
-        "x-dependent-distinct", "star-ladder", "mixed-forms"])
+], ids=["quadratic-ladder", "control-ladder", "x-dependent-ladder", "star-ladder"])
 def test_batched_march_equals_per_problem_solve_bit_for_bit(problems):
     grid = grid_for(problems[0], 0.05, 1.0)
     fields = solve_many(problems, grid)
@@ -508,37 +504,52 @@ def test_batched_march_evaluates_a_shared_edge_once_per_step(monkeypatch):
     assert [(len(problems), m)] * grid.steps in by_lines.values()
 
 
-def _star(h, u0, lip: float) -> JunctionProblem:
-    return JunctionProblem(edges=[Edge(h) for _ in range(3)], flux_limiter=constant(0.0, 0.5),
-                           initial_data=[u0] * 3, lipschitz_u0=lip, horizon=0.5)
+def _star(h, u0, lip: float, a_value: float = 0.0) -> JunctionProblem:
+    return JunctionProblem(edges=[Edge(h) for _ in range(3)],
+                           flux_limiter=constant(a_value, 0.5), initial_data=[u0] * 3,
+                           lipschitz_u0=lip, horizon=0.5)
 
 
 def _bad_stars() -> dict:
-    """A good star, three that fail, and the grid of the steep one, where they fail."""
+    """Three stars that fail, a good one sharing each one's edges, and the grid of the
+    steep one, where they fail.
+
+    A batch shares each edge: the good quadratic star shares the closed form of the
+    steep and the fast one, and stays flat at A = A0 = -1; the good blind star shares
+    the black box and has a zero datum.
+    """
+    blind_h = Hamiltonian(lambda t, x, p: np.asarray(p) ** 2 - 1.0, lipschitz_p=1.0,
+                          coercivity_radius=2.0, x_independent=True)
     stars = {
-        "good": _star(eikonal(), zero_datum, 0.0),
+        "good": _star(quadratic(1.0, 0.0, -1.0, p_span=0.5), zero_datum, 0.0, a_value=-1.0),
         # the declared span understates the slopes: the per-step guard catches it
         "steep": _star(quadratic(1.0, 0.0, -1.0, p_span=0.5), lambda y: 0.5 * y, 0.5),
         "fast": _star(quadratic(1.0, 0.0, -1.0, p_span=50.0), zero_datum, 0.0),
         # a black box has no guard, so an understated lipschitz_p overflows
-        "blind": _star(Hamiltonian(lambda t, x, p: np.asarray(p) ** 2 - 1.0, lipschitz_p=1.0,
-                                   coercivity_radius=2.0, x_independent=True),
-                       lambda y: 0.5 * y, 0.5),
+        "blind": _star(blind_h, lambda y: 0.5 * y, 0.5),
+        "good-blind": _star(blind_h, zero_datum, 0.0),
     }
     return {**stars, "grid": grid_for(stars["steep"], 0.02, 1.0, cfl_safety=1.0)}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_batched_march_checks_every_problem():
-    """A bad problem in the batch fails as it does alone: same class, level and node."""
+    """A bad problem in the batch fails as it does alone: same class, level and node.
+
+    Each batch puts the bad star between two good ones that share its edges.
+    """
     stars = _bad_stars()
-    good, steep, fast, blind, grid = (stars[k] for k in ("good", "steep", "fast", "blind", "grid"))
-    for bad, error in ((steep, CflViolation), (fast, CflViolation), (blind, NumericalFailure)):
+    good, good_blind, grid = stars["good"], stars["good-blind"], stars["grid"]
+    for bad, error, twin in ((stars["steep"], CflViolation, good),
+                             (stars["fast"], CflViolation, good),
+                             (stars["blind"], NumericalFailure, good_blind)):
         with pytest.raises(error) as alone:
             solve(bad, grid)
         with pytest.raises(error) as batched:
-            solve_many([good, bad, good], grid)
+            solve_many([twin, bad, twin], grid)
         assert str(batched.value) == str(alone.value)
+    for twin in (good, good_blind):
+        solve(twin, grid)
     with pytest.raises(ValueError):
         solve_many([], grid)
 
@@ -546,9 +557,9 @@ def test_batched_march_checks_every_problem():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_march_stops_at_its_first_non_finite_level(monkeypatch):
     """The blind star overflows at level 13 of 25: the march makes 13 updates, not 25,
-    alone and between two good stars."""
+    alone and between two good stars that share its black box."""
     stars = _bad_stars()
-    good, blind, grid = stars["good"], stars["blind"], stars["grid"]
+    good, blind, grid = stars["good-blind"], stars["blind"], stars["grid"]
     assert grid.steps == 25
     calls, real = [], fd_scheme_module._advance
     monkeypatch.setattr(fd_scheme_module, "_advance",
@@ -678,7 +689,7 @@ class _NodeSplit:
 
 
 def _node_by_node_march(problem: JunctionProblem, grid) -> np.ndarray:
-    """The scheme with one godunov_flux call per node at that node's position."""
+    """The scheme with one Godunov flux per node, max(h_plus, h_minus) at that node's position."""
     envs = [problem.envelope(i) if e.hamiltonian.x_independent
             else _NodeSplit(e.hamiltonian, grid.edge_y(i)) for i, e in enumerate(problem.edges)]
     values = np.empty((grid.steps + 1, grid.n_nodes))
@@ -692,7 +703,8 @@ def _node_by_node_march(problem: JunctionProblem, grid) -> np.ndarray:
             idx = grid.edge_full_indices(i)
             ys = grid.edge_y(i).tolist()
             q = np.diff(u[idx]) / grid.dx
-            flux = [godunov_flux(env, t, ys[j], q[j - 1], q[j]) for j in range(1, len(q))]
+            flux = [float(np.maximum(env.h_plus(t, ys[j], q[j - 1]), env.h_minus(t, ys[j], q[j])))
+                    for j in range(1, len(q))]
             flux.append(float(env.h_plus(t, ys[-1], q[-1])))
             values[n + 1, idx[1:]] = u[idx[1:]] - dt * np.array(flux)
             junction = max(junction, float(env.h_minus(t, 0.0, q[0])))
@@ -732,15 +744,32 @@ def test_x_dependent_solve_equals_the_node_by_node_scheme_bit_for_bit(make):
     grid = grid_for(problem, 0.05, 1.0)
     want = _node_by_node_march(problem, grid)
     assert solve(problem, grid).values.tobytes() == want.tobytes()
-    # in a batch: a twin sharing its Hamiltonians makes one two-row edge; beside another
-    # problem each edge is marched on its own
+    # in a batch: a twin sharing its Hamiltonians makes one two-row edge
     twin = JunctionProblem(problem.edges, constant(-0.6, 0.5), problem.initial_data,
                            problem.lipschitz_u0, problem.horizon, problem.line_convention)
     shared = solve_many([problem, twin], grid)
     assert shared[0].values.tobytes() == want.tobytes()
     assert shared[1].values.tobytes() == _node_by_node_march(twin, grid).tobytes()
-    mixed = solve_many([_x_dependent_problem(_LIMITER), problem], grid)
-    assert mixed[1].values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("problems, edge", [
+    ([_control_induced_problem(), _control_induced_problem()], 0),
+    ([_x_dependent_problem(_LIMITER), _x_dependent_problem(constant(-0.6, 0.5))], 0),
+    ([_time_dependent_quadratic_problem(), _x_dependent_problem(_LIMITER)], 0),
+    ([_x_dependent_problem(_LIMITER), _box_problem(_scalar_box)], 0),
+    ([_x_dependent_problem(_LIMITER), _box_problem(_broadcast_box)], 0),
+    ([_x_dependent_problem(_LIMITER), _induced_drift_problem()], 0),
+], ids=["control-distinct", "x-dependent-distinct", "mixed-forms", "beside-scalar-only",
+        "beside-broadcasting", "beside-induced-drift"])
+def test_a_batch_that_does_not_share_an_edge_is_refused(problems, edge):
+    """A batch shares each edge's Hamiltonian object or closed form, or solve_many
+    raises ValueError naming the first edge it does not share; each problem alone
+    still marches."""
+    grid = grid_for(problems, 0.05, 1.0)
+    with pytest.raises(ValueError, match=f"^the batch does not share edge {edge}'s "):
+        solve_many(problems, grid)
+    for problem in problems:
+        solve(problem, grid)
 
 
 def _callable_systems() -> list:

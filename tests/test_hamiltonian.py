@@ -8,7 +8,6 @@ import pytest
 from hjj import (
     Hamiltonian,
     TimeSignal,
-    a0_floor,
     abs_shift,
     argmin_p,
     check_convexity,
@@ -125,13 +124,18 @@ def test_flat_bottom_envelopes_do_not_depend_on_split_choice():
         assert np.max(np.abs(got_minus - want_minus)) <= 1e-9
 
 
+def _a0_floor(hamiltonians, t: float) -> float:
+    """max_i min_p H_i(t, 0, p), the junction floor that check_floor reads."""
+    return max(argmin_p(h, t, 0.0)[1] for h in hamiltonians)
+
+
 def test_a0_floor_examples():
-    assert a0_floor([eikonal(), eikonal()], 0.0) == pytest.approx(-1.0, abs=1e-12)
-    assert a0_floor([quadratic(1.0, 0.0, 3.0)], 0.0) == pytest.approx(3.0, abs=1e-12)
+    assert _a0_floor([eikonal(), eikonal()], 0.0) == pytest.approx(-1.0, abs=1e-12)
+    assert _a0_floor([quadratic(1.0, 0.0, 3.0)], 0.0) == pytest.approx(3.0, abs=1e-12)
     plain_abs = Hamiltonian(lambda t, x, p: np.abs(p), lipschitz_p=1.0,
                             coercivity_radius=1.0, x_independent=True)
-    assert a0_floor([plain_abs], 0.0) == pytest.approx(0.0, abs=1e-9)
-    assert a0_floor([eikonal(), quadratic(2.0, 1.0, -4.0)], 0.0) == pytest.approx(-1.0, abs=1e-12)
+    assert _a0_floor([plain_abs], 0.0) == pytest.approx(0.0, abs=1e-9)
+    assert _a0_floor([eikonal(), quadratic(2.0, 1.0, -4.0)], 0.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_convexity_check_rejects_concave_evaluator():

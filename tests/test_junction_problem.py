@@ -16,6 +16,7 @@ from hjj import (
     JunctionProblem,
     TimeSignal,
     abs_shift,
+    argmin_p,
     check_convexity,
     compute_kn,
     constant,
@@ -35,7 +36,7 @@ from hjj.errors import ConfigError, FluxLimiterBelowFloor
 from hjj.junction_problem import _validation_times, check_floor
 from hjj.time_signal import union_mesh
 
-from conftest import build_model_system, random_tdq_problem, zero_datum
+from conftest import build_model_system, junction_operator, random_tdq_problem, zero_datum
 
 
 def _line_eikonal(a_value: float, horizon: float = 1.0) -> JunctionProblem:
@@ -55,10 +56,10 @@ def _star(n_edges: int, a_value: float, horizon: float = 1.0) -> JunctionProblem
 
 def test_junction_value_examples():
     prob = _line_eikonal(-1.0)
-    assert prob.junction_value(0.2, (0.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
-    assert prob.junction_value(0.2, (-2.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
+    assert junction_operator(prob, 0.2, (0.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
+    assert junction_operator(prob, 0.2, (-2.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
     prob0 = _line_eikonal(0.0)
-    assert prob0.junction_value(0.2, (0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
+    assert junction_operator(prob0, 0.2, (0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_junction_value_monotone_in_limiter_and_slopes():
@@ -67,15 +68,15 @@ def test_junction_value_monotone_in_limiter_and_slopes():
     prob_hi = _line_eikonal(-0.25)
     for _ in range(200):
         p_right, p_left = rng.uniform(-3.0, 3.0, size=2)
-        lo = prob_lo.junction_value(0.0, (p_right, p_left))
-        hi = prob_hi.junction_value(0.0, (p_right, p_left))
+        lo = junction_operator(prob_lo, 0.0, (p_right, p_left))
+        hi = junction_operator(prob_hi, 0.0, (p_right, p_left))
         assert lo <= hi + 1e-12
 
         # nonincreasing in the right slope, nondecreasing in the left one
         d = rng.uniform(0.0, 1.0)
-        assert prob_lo.junction_value(0.0, (p_right + d, p_left)) \
+        assert junction_operator(prob_lo, 0.0, (p_right + d, p_left)) \
             <= lo + 1e-10
-        assert prob_lo.junction_value(0.0, (p_right, p_left + d)) \
+        assert junction_operator(prob_lo, 0.0, (p_right, p_left + d)) \
             >= lo - 1e-10
 
 
@@ -87,8 +88,8 @@ def test_line_round_trip_preserves_junction_values():
     rebuilt = from_line(h_right, h_left, prob.flux_limiter, zero_datum, 0.0, 1.0)
     for _ in range(50):
         slopes = rng.uniform(-3.0, 3.0, size=2)
-        assert rebuilt.junction_value(0.0, slopes) == pytest.approx(
-            prob.junction_value(0.0, slopes), abs=1e-12)
+        assert junction_operator(rebuilt, 0.0, slopes) == pytest.approx(
+            junction_operator(prob, 0.0, slopes), abs=1e-12)
 
 
 def test_reflected_left_edge_sees_mirrored_slopes():
@@ -102,8 +103,8 @@ def test_reflected_left_edge_sees_mirrored_slopes():
 
 def test_three_edge_star_junction_value():
     prob = _star(3, -0.5)
-    assert prob.junction_value(0.0, (0.0, 0.0, 0.0)) == pytest.approx(-0.5, abs=1e-12)
-    assert prob.junction_value(0.0, (-2.0, 0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
+    assert junction_operator(prob, 0.0, (0.0, 0.0, 0.0)) == pytest.approx(-0.5, abs=1e-12)
+    assert junction_operator(prob, 0.0, (-2.0, 0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_validate_passes_the_model_problem():
@@ -124,12 +125,17 @@ def test_validate_rejects_flux_limiter_below_floor():
     assert 0.0 <= err.value.time <= 1.0
 
 
+def _floor(problem: JunctionProblem, t: float) -> float:
+    """The junction floor max_i min_p H_i(t, 0, p), by argmin_p."""
+    return max(argmin_p(e.hamiltonian, t, 0.0)[1] for e in problem.edges)
+
+
 def _floor_loop(problem: JunctionProblem) -> tuple:
     """(t, deficit) of the worst floor(t) - A(t) > 0 at the validation times, one time
-    at a time with a0_floor, or (None, 0.0)."""
+    at a time with argmin_p, or (None, 0.0)."""
     worst_t, worst = None, 0.0
     for t in _validation_times(problem):
-        deficit = problem.floor(float(t)) - problem.flux_limiter(float(t))
+        deficit = _floor(problem, float(t)) - problem.flux_limiter(float(t))
         if deficit > worst:
             worst_t, worst = float(t), float(deficit)
     return worst_t, worst
@@ -277,7 +283,7 @@ def test_problem_from_config_with_explicit_edges():
     assert prob.n_edges == 2
     assert prob.flux_limiter(0.25) == 0.0
     assert prob.flux_limiter(0.75) == -1.0
-    assert prob.floor(0.3) == pytest.approx(-1.0, abs=1e-12)
+    assert _floor(prob, 0.3) == pytest.approx(-1.0, abs=1e-12)
     assert prob.cfl_speed()[0] == pytest.approx(1.0)
 
 
@@ -401,8 +407,8 @@ def test_induced_problem_matches_manual_line_construction():
     for _ in range(40):
         t = rng.uniform(0.0, 1.0)
         slopes = rng.uniform(-2.0, 2.0, size=2)
-        assert prob.junction_value(t, slopes) == pytest.approx(
-            manual.junction_value(t, slopes), abs=1e-9)
+        assert junction_operator(prob, t, slopes) == pytest.approx(
+            junction_operator(manual, t, slopes), abs=1e-9)
 
 
 def test_validate_reports_c2_and_its_source():
