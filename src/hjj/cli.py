@@ -13,10 +13,14 @@ and writes its artifacts into the --out directory. The problem, with its
 horizon T, truncation radius R_domain and control counts, comes from the
 file alone; the options set only how to run it. A file whose flux limiter
 dips below the junction floor is refused before anything is built, as
-validate refuses it (exit 2). Every result is
-computed before anything is written; field.csv is rendered one level at a
-time while it is written into a temp file, which is renamed into place only
-once it is complete, so a nonzero exit leaves no artifacts behind.
+validate refuses it (exit 2). solve and value march while they write
+field.csv: each level is rendered into a temp file as the march makes it,
+and only the levels nearest the report times are kept, for the snapshots.
+compare folds both marches level by level into its report. Each command
+marches each route once. Every artifact is renamed into place only once it
+is complete, and a step that fails removes the artifacts the run already
+put in place, with any --out directory it created, so a nonzero exit
+leaves no artifact of its run.
 The commands that march build their grid with grid_for, whose time steps
 come from the integral of the problem's C2 (there is no step option), and
 start from the problem's initial_data, on both routes.
@@ -27,6 +31,7 @@ Exit codes: 0 ok, 1 configuration (running out of memory too), 2 validation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -96,23 +101,56 @@ def _out_path(args, name: str) -> str:
 def _write_all(args, artifacts: list) -> int:
     """artifacts: (relative name, text or its chunks), each through atomic_write_text.
 
-    Chunks are rendered while they are written; a render that fails leaves
-    no file, and later artifacts unwritten.
+    Chunks are rendered while they are written, so a field that marches
+    when read marches here. When a step fails, every artifact this call
+    renamed into place is removed, and so is every directory of --out that
+    it created; the paths are printed once all are written.
     """
+    made, path = [], os.path.abspath(args.out)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(args.out, exist_ok=True)
-    for name, text in artifacts:
-        path = _out_path(args, name)
-        atomic_write_text(path, text)
+    written = []
+    try:
+        for name, text in artifacts:
+            atomic_write_text(_out_path(args, name), text)
+            written.append(_out_path(args, name))
+    except BaseException:
+        # the run's own error is the one to report, so a removal that fails is passed over
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        for path in made:  # deepest first
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
+    for path in written:
         print(path)
     return EXIT_OK
 
 
 def _field_artifacts(field: SolutionField, args) -> list:
-    """field.csv as its per-level chunks, written first, then each snapshot's text."""
-    arts = [("field.csv", field.csv_chunks())]
-    for k, t in enumerate(sorted(args.report_times or [])):
-        arts.append((f"snapshot_{k}.tsv", field.to_snapshot_tsv(t)))
-    return arts
+    """field.csv as its per-level chunks, written first, then each snapshot's text.
+
+    One read of field feeds them all: the stream that renders field.csv
+    keeps the levels nearest the report times, and each snapshot is
+    rendered from its kept level once field.csv is written.
+    """
+    times = sorted(args.report_times or [])
+    kept = dict.fromkeys(field.grid.level_index(t) for t in times)
+
+    def levels():
+        for n, level in enumerate(field.levels()):
+            if n in kept:
+                kept[n] = level
+            yield level
+
+    def snapshot(t):
+        yield field._snapshot_tsv(t, kept[field.grid.level_index(t)])
+
+    arts = [("field.csv", SolutionField(field.grid, levels, field.line).csv_chunks())]
+    return arts + [(f"snapshot_{k}.tsv", snapshot(t)) for k, t in enumerate(times)]
 
 
 def _dump_json(payload: dict) -> str:
@@ -147,22 +185,26 @@ def cmd_compare(args) -> int:
     grid = grid_for(problem, args.dx, r_domain)
     fd = fd_solve(problem, grid)
     dp = value_function(cs, problem.initial_data, grid)
-
-    def gaps(n: int) -> dict:
-        d = np.abs(fd.level(n) - dp.level(n))
-        return {"linf": float(np.max(d)), "l1": float(np.sum(d) * grid.dx)}
-
+    # one pass over both marches: each level's largest |fd - dp|, |fd| and |dp|, and the
+    # gaps at the report levels; the largest per-level maximum is how grid._max_abs folds
+    # linf_gap and sup_norm, so the report keeps their bits
+    wanted, peaks, gaps = {grid.level_index(t) for t in args.report_times or []}, [], {}
+    for n, (a, b) in enumerate(zip(fd.levels(), dp.levels())):
+        d = np.abs(a - b)
+        peaks.append((d.max(), np.abs(a).max(), np.abs(b).max()))
+        if n in wanted:
+            gaps[n] = {"linf": float(np.max(d)), "l1": float(np.sum(d) * grid.dx)}
+    sup_gap, fd_sup, dp_sup = (float(np.max(col)) for col in zip(*peaks))
     report = {
         "dx": grid.dx,
         "dt": grid.dt,
         "steps": grid.steps,
         "nodes": grid.n_nodes,
-        "sup_gap": fd.linf_gap(dp),
-        "fd_sup_norm": fd.sup_norm(),
-        "dp_sup_norm": dp.sup_norm(),
+        "sup_gap": sup_gap,
+        "fd_sup_norm": fd_sup,
+        "dp_sup_norm": dp_sup,
         "gaps_at_report_times": {
-            fmt(t): gaps(grid.level_index(t))
-            for t in sorted(args.report_times or [])
+            fmt(t): gaps[grid.level_index(t)] for t in sorted(args.report_times or [])
         },
     }
     return _write_all(args, [("compare.json", _dump_json(report))])

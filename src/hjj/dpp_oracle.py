@@ -7,9 +7,10 @@ interpolation in space. A march tabulates those averages once, one
 (windows x controls) table per edge and quantity, and each update gathers
 the departure points of all controls of an edge with one interpolation
 call. The updates run as the scheme's do, as a stream of levels
-(grid._levels): each level is checked as it is made, for a non-finite value
-and against the a-priori sup bound, and a restart (dpp_consistency_check)
-folds its deviation one level at a time. Transitions never jump across the
+(grid._levels), which value_function's field runs when it is read: each
+level is checked as it is made, for a non-finite value and against the
+a-priori sup bound, and a restart (dpp_consistency_check) folds its
+deviation one level at a time. Transitions never jump across the
 junction inside a window (the step restriction, an integral of max|f| of at
 most dx over each window, keeps departure points inside one cell), so a
 crossing trajectory passes through the junction node and the running cost
@@ -166,10 +167,11 @@ def _bellman(cs: ControlSystem, grid: Grid, level: np.ndarray, a: float, b: floa
 
 
 def _march(cs: ControlSystem, grid: Grid, v0: np.ndarray, first: int):
-    """v0 as level first, then one Bellman update per later window, as a stream (grid._levels).
+    """levels(): v0 as level first, then one Bellman update per later window (grid._levels).
 
-    The window tables are built on the windows from level first on, so a
-    restart keeps the columns its own windows keep.
+    The window tables are built here, once, on the windows from level first
+    on, so a restart keeps the columns its own windows keep; each call of
+    levels() marches afresh.
     """
     A, times = flux_limiter(cs), grid.times.tolist()
     at = _windows(cs, grid, A, grid.times[first:])
@@ -177,11 +179,11 @@ def _march(cs: ControlSystem, grid: Grid, v0: np.ndarray, first: int):
     def update(v, n):
         return _bellman(cs, grid, v, times[n], times[n + 1], at(n - first))
 
-    return _levels(grid, v0, update, first)
+    return lambda: _levels(grid, v0, update, first)
 
 
 def value_function(cs: ControlSystem, u0, grid: Grid) -> SolutionField:
-    """Forward dynamic-programming value function on the junction grid.
+    """Forward dynamic-programming value function on the junction grid, marched when read.
 
     u0 is a per-edge list of edge-local data, such as a problem's
     initial_data, or one function: the whole-line datum for the line
@@ -189,25 +191,31 @@ def value_function(cs: ControlSystem, u0, grid: Grid) -> SolutionField:
     oracle_grid, grid_for or make_grid) must hold an integral of
     ControlSystem.speed_signal of at most dx on each window (grid.check_cfl,
     as the scheme checks it), with max|f| taken on its nodes; any grid that
-    does not raises CflViolation before the march. The march stops at the
-    first level that holds a non-finite value or breaks the a-priori sup
-    bound (2L + Abar) T + sup|u0|, with T the grid's horizon and L = sup|l|
-    over the controls and the grid's nodes: NumericalFailure naming the
-    level.
+    does not raises CflViolation here. The window tables, the datum sample
+    and the a priori sup bound (2L + Abar) T + sup|u0|, with T the grid's
+    horizon and L = sup|l| over the controls and the grid's nodes, are made
+    here too. The returned field runs the march when it is read (levels()
+    marches again, values once and keeps the array), and the read stops at
+    the first level that holds a non-finite value or breaks the bound
+    (NumericalFailure naming the level), or that no transition reaches
+    (NoAdmissibleControl).
     """
     check_cfl(grid, cs.speed_signal(grid.horizon, grid.dx, grid.edge_radii), "max|f|", grid.times)
     v0 = grid.sample(edge_data(u0, len(cs.edges), cs.orientation == "line"))
     bound = ((2.0 * cs.cost_bound(grid.dx, grid.edge_radii) + cs.abar_bound()) * grid.horizon
              + float(np.max(np.abs(v0))))
-    values = np.empty((grid.steps + 1, grid.n_nodes))
-    for n, level in enumerate(_march(cs, grid, v0, 0)):
-        sup = float(np.abs(level).max())
-        if sup > bound + 1e-7 * (1.0 + bound):
-            raise NumericalFailure(
-                f"value function breaks its a priori bound at level {n}: {sup:.6g} "
-                f"> {bound:.6g}; the Bellman recursion is inconsistent")
-        values[n] = level
-    return SolutionField(grid, values, line=(cs.orientation == "line"))
+    march = _march(cs, grid, v0, 0)
+
+    def levels():
+        for n, level in enumerate(march()):
+            sup = float(np.abs(level).max())
+            if sup > bound + 1e-7 * (1.0 + bound):
+                raise NumericalFailure(
+                    f"value function breaks its a priori bound at level {n}: {sup:.6g} "
+                    f"> {bound:.6g}; the Bellman recursion is inconsistent")
+            yield level
+
+    return SolutionField(grid, levels, line=(cs.orientation == "line"))
 
 
 def dpp_consistency_check(cs: ControlSystem, field: SolutionField, s: float) -> float:
@@ -231,7 +239,7 @@ def dpp_consistency_check(cs: ControlSystem, field: SolutionField, s: float) -> 
         ys = grid.edge_y(i)
         vals = field.edge_profile(ns, i).copy()
         data.append(lambda y, _ys=ys, _v=vals: float(np.interp(y, _ys, _v)))
-    restarted = _march(cs, grid, grid.sample(data), ns)
+    restarted = _march(cs, grid, grid.sample(data), ns)()
     return _max_abs(a - b for a, b in zip(restarted, field.values[ns:]))
 
 

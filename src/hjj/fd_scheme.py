@@ -45,20 +45,21 @@ it reads on every edge whose pair carries a speed (a quadratic frozen at
 the window's coefficients), raising CflViolation on a breach.
 
 solve_many marches several problems on one grid as one stream of levels
-(grid._levels) over a leading problem axis; solve is the batch of one.
-Each level of the batch is checked for a non-finite value as it is made,
-so the march stops at the first one. Values are stored as (problems,
-levels, nodes), and the limiter and coefficient tables hold one column per
-problem. The batch shares each edge's envelopes: one closed form with
-per-problem coefficient columns, one callable control edge frozen at each
-window's table, or one time-independent Hamiltonian object. Each edge is
+(grid._levels) over a leading problem axis, and stores the values as
+(problems, levels, nodes); solve is the stream of one problem, which its
+field runs when it is read. Each level of the batch is checked for a
+non-finite value as it is made, so the march stops at the first one. The
+limiter and coefficient tables hold one column per problem. The batch
+shares each edge's envelopes: one closed form with per-problem coefficient
+columns, one callable control edge frozen at each window's table, or one
+time-independent Hamiltonian object. Each edge is
 evaluated once per step on the slopes of every problem, and a batch that
 does not share an edge raises ValueError naming it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -244,33 +245,54 @@ def step(problem: JunctionProblem, grid: Grid, u: np.ndarray, t: float, dt: floa
     return _advance([problem], grid, u[None], t, dt, _windows(problem, grid, times)(0))[0]
 
 
-def solve_many(problems: Sequence[JunctionProblem], grid: Grid) -> list[SolutionField]:
-    """March problems on grid from their initial data to the horizon, as one stream.
+def _stream(problems: list, grid: Grid) -> Callable[[], Iterator[np.ndarray]]:
+    """levels(): a fresh march of problems on grid, a stream of (problems, nodes) levels.
 
-    The problems share each edge's Hamiltonian object or closed form, as
-    every ladder of approximation does; a batch that does not share an edge
-    raises ValueError naming it. Each field is bit-equal to solve(problem,
-    grid) and a view into one (problems, levels, nodes) array. Raises
-    CflViolation before the first step when C2 integrates above dx over a
-    window of grid, and NumericalFailure at the first level that holds a
-    non-finite value (grid._levels checks each level as it is made).
+    What needs no step is done here, once: the CFL check of every window,
+    the window tables (and their refusals) and the sample of the initial
+    data. Each call of levels() marches from the start (grid._levels).
     """
-    problems = list(problems)
     if not problems:
         raise ValueError("need at least one problem")
     _check_cfl(problems, grid, grid.times)
     at, times = _windows(problems, grid, grid.times), grid.times.tolist()
-    values = np.empty((len(problems), grid.steps + 1, grid.n_nodes))
     start = np.array([grid.sample(p.initial_data) for p in problems])
 
     def update(u, n):
         return _advance(problems, grid, u, times[n], times[n + 1] - times[n], at(n))
 
-    for n, level in enumerate(_levels(grid, start, update)):
+    return lambda: _levels(grid, start, update)
+
+
+def solve_many(problems: Sequence[JunctionProblem], grid: Grid) -> list[SolutionField]:
+    """March problems on grid from their initial data to the horizon, as one stream.
+
+    The problems share each edge's Hamiltonian object or closed form, as
+    every ladder of approximation does; a batch that does not share an edge
+    raises ValueError naming it. The march runs here, and each field is
+    bit-equal to solve(problem, grid) and a view into one (problems, levels,
+    nodes) array. Raises CflViolation before the first step when C2
+    integrates above dx over a window of grid, and NumericalFailure at the
+    first level that holds a non-finite value (grid._levels checks each
+    level as it is made).
+    """
+    problems = list(problems)
+    levels = _stream(problems, grid)
+    values = np.empty((len(problems), grid.steps + 1, grid.n_nodes))
+    for n, level in enumerate(levels()):
         values[:, n] = level
     return [SolutionField(grid, vals, line=p.line_convention) for p, vals in zip(problems, values)]
 
 
 def solve(problem: JunctionProblem, grid: Grid) -> SolutionField:
-    """March the scheme from the initial datum to the horizon."""
-    return solve_many([problem], grid)[0]
+    """The scheme from the initial datum to the horizon, as a field that marches when read.
+
+    The checks that need no step run here and raise here (solve_many's
+    window CFL check and table refusals); the march is solve_many's stream
+    of one problem, run by each read of the field: levels() marches again,
+    values marches once and keeps the array. A level's own failure, a
+    slope CflViolation or a NumericalFailure, is raised by the first read.
+    """
+    levels = _stream([problem], grid)
+    return SolutionField(grid, lambda: (level[0] for level in levels()),
+                         line=problem.line_convention)

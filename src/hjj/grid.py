@@ -8,7 +8,8 @@ line problems are presented to the outside in whole-line coordinates
 Both routes march as one stream of levels (_levels): a start level, then
 one update per window, each level checked for a non-finite value as it is
 made, so a diverging march stops at its first bad level. A SolutionField
-holds the levels, and its passes go one level at a time.
+holds the levels, or the march that makes them when it is read, and its
+passes go one level at a time.
 """
 
 from __future__ import annotations
@@ -298,17 +299,39 @@ def _levels(grid: Grid, start: np.ndarray, update: Callable,
 class SolutionField:
     """Node values at every time level on a Grid.
 
-    Its passes (sup_norm, linf_gap, check_finite, csv_chunks) go one level
-    at a time and allocate no (levels x nodes) temporary.
+    values is the (levels x nodes) array, or a zero-argument callable that
+    returns a fresh stream of the levels (_levels): a field that marches
+    when it is read. levels() yields the stored rows, or marches once per
+    call; values marches once and keeps the array. Every pass (sup_norm,
+    linf_gap, check_finite, csv_chunks) reads levels(), one level at a time,
+    and allocates no (levels x nodes) temporary. A march's own failure (a
+    non-finite level, say) is raised by the read that reaches it.
     """
 
-    def __init__(self, grid: Grid, values: np.ndarray, line: bool):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.steps + 1, grid.n_nodes):
-            raise ValueError("values shape does not match the grid")
+    def __init__(self, grid: Grid, values: np.ndarray | Callable[[], Iterator[np.ndarray]],
+                 line: bool):
         self.grid = grid
-        self.values = values
         self.line = bool(line)
+        self._march, self._values = None, None
+        if callable(values):
+            self._march = values
+        else:
+            self._values = np.asarray(values, dtype=float)
+            if self._values.shape != (grid.steps + 1, grid.n_nodes):
+                raise ValueError("values shape does not match the grid")
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            values = np.empty((self.grid.steps + 1, self.grid.n_nodes))
+            for n, level in enumerate(self._march()):
+                values[n] = level
+            self._values = values
+        return self._values
+
+    def levels(self) -> Iterator[np.ndarray]:
+        """The levels in time order: the stored rows, or a fresh march."""
+        return iter(self._values) if self._values is not None else self._march()
 
     @property
     def times(self) -> np.ndarray:
@@ -327,17 +350,17 @@ class SolutionField:
         return self.values[-1]
 
     def sup_norm(self) -> float:
-        return _max_abs(self.values)
+        return _max_abs(self.levels())
 
     def check_finite(self) -> None:
         """NumericalFailure naming the first non-finite value in row-major order."""
-        for n, row in enumerate(self.values):
+        for n, row in enumerate(self.levels()):
             _check_level(row, n)
 
     def linf_gap(self, other: "SolutionField") -> float:
         if not self.grid.compatible(other.grid):
             raise ConfigError("mismatched grids")
-        return _max_abs(a - b for a, b in zip(self.values, other.values))
+        return _max_abs(a - b for a, b in zip(self.levels(), other.levels()))
 
     def node_labels(self) -> list:
         """Whole-line x floats, or 'edge:distance' strings for stars."""
@@ -367,16 +390,19 @@ class SolutionField:
         tmpl = self._template("%s,{},%.17g\n")
         args = [None] * (2 * len(order))
         yield "t,x,u\n"
-        for n, t in enumerate(self.times):
+        for t, level in zip(self.times, self.levels()):
             args[0::2] = [fmt(t)] * len(order)
-            args[1::2] = self.values[n][order].tolist()
+            args[1::2] = level[order].tolist()
             yield tmpl % tuple(args)
 
     def to_csv(self) -> str:
         return "".join(self.csv_chunks())
 
     def to_snapshot_tsv(self, t_requested: float) -> str:
-        n = self.grid.level_index(t_requested)
-        level = self.values[n][self._node_order()]
-        return (f"# t_requested={fmt(t_requested)}\tt_grid={fmt(self.times[n])}\nx\tu\n"
-                + self._template("{}\t%.17g\n") % tuple(level.tolist()))
+        return self._snapshot_tsv(t_requested, self.values[self.grid.level_index(t_requested)])
+
+    def _snapshot_tsv(self, t_requested: float, level: np.ndarray) -> str:
+        """snapshot_k.tsv's text for t_requested; level is the grid level nearest to it."""
+        t_grid = self.times[self.grid.level_index(t_requested)]
+        return (f"# t_requested={fmt(t_requested)}\tt_grid={fmt(t_grid)}\nx\tu\n"
+                + self._template("{}\t%.17g\n") % tuple(level[self._node_order()].tolist()))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
+import hjj.dpp_oracle as dpp_oracle_module
+import hjj.fd_scheme as fd_scheme_module
 from hjj import (ControlEdge, ControlForm, ControlSystem, Grid, Hamiltonian, JunctionProblem,
                  SolutionField, TimeSignal, constant, control_edge, eikonal, from_line, make_grid,
                  problem_from_config, quadratic, step)
@@ -89,6 +91,20 @@ def record_line_max(monkeypatch) -> list:
 
     monkeypatch.setattr(control_system_module, "_line_max", recorded)
     return calls
+
+
+def count_updates(monkeypatch) -> dict:
+    """Counts of the updates each route makes from now on: "fd" for the scheme's
+    _advance, "dp" for the value function's _bellman."""
+    counts = {"fd": 0, "dp": 0}
+    for module, name, route in ((fd_scheme_module, "_advance", "fd"),
+                                (dpp_oracle_module, "_bellman", "dp")):
+        def counted(*args, real=getattr(module, name), route=route):
+            counts[route] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 def zero_datum(x: float) -> float:

@@ -16,7 +16,7 @@ def _tool():
 def test_check_names_every_rung_whose_prefix_moved():
     tool = _tool()
     recorded = {label: prefix for label, *_, prefix in tool.RUNS}
-    assert len(recorded) == 11
+    assert len(recorded) == 13
     assert tool.moved(recorded) == []
     printed = dict(recorded)
     printed["tdq-approx seed=41"] = "00000000"
@@ -27,5 +27,5 @@ def test_check_names_every_rung_whose_prefix_moved():
 
 
 def test_every_recorded_prefix_is_printed_today():
-    """The eleven CLI artifacts are byte-identical to the recorded ones (--check exits 0)."""
+    """Every rung's CLI artifacts are byte-identical to the recorded ones (--check exits 0)."""
     assert _tool().main(["--check"]) == 0

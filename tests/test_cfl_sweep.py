@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 
+import hjj.dpp_oracle as dpp_oracle_module
+import hjj.fd_scheme as fd_scheme_module
 from hjj import grid_for, problem_from_config, solve, validate, value_function
-from hjj.errors import FluxLimiterBelowFloor
+from hjj.errors import FluxLimiterBelowFloor, NumericalFailure
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cfl_sweep.py"
 
@@ -24,6 +26,21 @@ def test_a_short_sweep_marches_every_seed_without_a_failure(capsys):
     assert _sweep().main(["3", "2", "3"]) == 0
     tdq, tdc = capsys.readouterr().out.splitlines()
     assert tdq.startswith("tdq: 8 runs, 0 failed;") and tdc.startswith("tdc: 18 runs, 0 failed;")
+
+
+def test_a_sweep_whose_march_raises_exits_1(monkeypatch, capsys):
+    """Every run reads the field it makes, so a step that raises fails each run: tdq solve
+    seed 1 at two dx, and tdc seed 1's solve, value and compare at two dx."""
+    def fail(*args):
+        raise NumericalFailure("a step that fails")
+
+    monkeypatch.setattr(fd_scheme_module, "_advance", fail)
+    monkeypatch.setattr(dpp_oracle_module, "_bellman", fail)
+    assert _sweep().main(["1", "0", "1"]) == 1
+    *runs, tdq, tdc = capsys.readouterr().out.splitlines()
+    assert len(runs) == 8 and all(line.endswith("NumericalFailure: a step that fails")
+                                  for line in runs)
+    assert tdq == "tdq: 2 runs, 2 failed" and tdc.startswith("tdc: 6 runs, 6 failed")
 
 
 def test_the_two_routes_agree_near_the_junction_where_the_floor_holds():

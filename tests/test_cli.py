@@ -17,7 +17,7 @@ from hjj import (ControlEdge, ControlSystem, SolutionField, grid_for, oracle_gri
                  problem_from_config, smoothing_ladder, value_function)
 from hjj.cli import main
 
-from conftest import bench_tdq_config
+from conftest import bench_tdq_config, count_updates
 
 
 def _model_config(**extra) -> dict:
@@ -288,6 +288,30 @@ def test_cfl_violation_exits_3_without_artifacts(tmp_path: Path, capsys):
     assert rc == 3
     assert not out.exists()
     assert capsys.readouterr().err.startswith("numerical failure: dt |dH/dp| / dx = 2 > 1")
+
+
+def test_a_failed_run_removes_its_artifacts_and_the_out_it_created(tmp_path: Path, capsys):
+    """A directory in the way of snapshot_0.tsv fails the run after field.csv is in place:
+    field.csv goes again, and the --out that was there before stays. A march that fails
+    under a new --out two levels deep leaves neither level."""
+    problem = _write(tmp_path, _model_config())
+    out = tmp_path / "ow"
+    (out / "snapshot_0.tsv").mkdir(parents=True)
+    rc = main(["solve", "--problem", problem, "--dx", "0.05", "--report-times", "0.5",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("io error: [Errno 21] Is a directory")
+    assert [p.name for p in out.iterdir()] == ["snapshot_0.tsv"]
+
+    quad = {"form": "quadratic", "a": 1.0, "b": 0.0, "c": -1.0, "p_span": 0.1}
+    steep = _write(tmp_path, _step_config(
+        u0={"form": "abs", "scale": 2.0}, lipschitz_u0=2.0, flux_limiter=0.0,
+        edges=[{"hamiltonian": quad}, {"hamiltonian": {"form": "eikonal"}}]), "steep.json")
+    rc = main(["solve", "--problem", steep, "--dx", "0.05", "--out",
+               str(tmp_path / "new" / "deeper")])
+    assert rc == 3 and capsys.readouterr().out == ""
+    assert not (tmp_path / "new").exists()
 
 
 def test_flux_limiter_below_floor_exits_2(tmp_path: Path):
@@ -774,7 +798,7 @@ def test_a_field_csv_render_that_fails_midway_leaves_no_artifacts(tmp_path: Path
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err.startswith("out of memory: render failed")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def _traced_peak(argv: list, out: Path) -> int:
@@ -804,3 +828,29 @@ def test_solve_holds_a_small_part_of_the_field_csv_it_writes(tmp_path: Path):
     out = tmp_path / "out"
     peak = _traced_peak(["solve", "--problem", problem, "--dx", "0.02"], out)
     assert peak < 0.25 * (out / "field.csv").stat().st_size
+
+
+def test_compare_and_value_hold_less_than_one_field(tmp_path: Path):
+    """Each route marches level by level into the report or field.csv, so neither command
+    holds a (levels x nodes) field."""
+    problem = _write(tmp_path, _model_config())
+    peak = _traced_peak(["compare", "--problem", problem, "--dx", "0.01"], tmp_path / "compare")
+    report = json.loads((tmp_path / "compare" / "compare.json").read_text())
+    field_bytes = (report["steps"] + 1) * report["nodes"] * 8
+    assert peak < field_bytes
+    peak = _traced_peak(["value", "--problem", problem, "--dx", "0.01"], tmp_path / "value")
+    with open(tmp_path / "value" / "field.csv") as fh:
+        rows = sum(1 for _ in fh) - 1
+    assert rows * 8 == field_bytes and peak < field_bytes
+
+
+@pytest.mark.parametrize("command", ["solve", "value", "compare"])
+def test_each_command_marches_each_route_once(tmp_path: Path, monkeypatch, command):
+    """field.csv, the snapshots and the report all come from one march per route."""
+    problem = _write(tmp_path, _model_config())
+    steps = grid_for(problem_from_config(_model_config())[0], 0.1, 2.0).steps
+    counts = count_updates(monkeypatch)
+    assert main([command, "--problem", problem, "--dx", "0.1", "--report-times", "0,0.5,1",
+                 "--out", str(tmp_path / "out")]) == 0
+    want = {"solve": (steps, 0), "value": (0, steps), "compare": (steps, steps)}[command]
+    assert (counts["fd"], counts["dp"]) == want

@@ -213,7 +213,7 @@ def test_value_function_stops_at_the_first_level_above_its_a_priori_bound(monkey
     monkeypatch.setattr(dpp_oracle_module, "_bellman", overshoot)
     with pytest.raises(NumericalFailure,
                        match=f"^value function breaks its a priori bound at level {k}: "):
-        value_function(cs, zero_datum, grid)
+        value_function(cs, zero_datum, grid).values
     assert len(calls) == k < grid.steps
 
 
@@ -393,7 +393,7 @@ def test_no_admissible_control_names_the_same_node_and_window():
     cs = _inward_at_the_far_end()
     grid = oracle_grid(cs, 0.1, 1.0, 1.0, cfl_safety=0.25)  # dt |f| <= 0.75 dx
     with pytest.raises(NoAdmissibleControl) as got:
-        value_function(cs, zero_datum, grid)
+        value_function(cs, zero_datum, grid).values
     with pytest.raises(NoAdmissibleControl) as want:
         _reference_values(cs, grid, np.zeros(grid.n_nodes))
     assert str(got.value) == str(want.value)
@@ -407,9 +407,9 @@ def test_a_window_too_fast_for_its_step_is_refused_before_its_unreachable_node()
     cs = _inward_at_the_far_end()
     grid = oracle_grid(cs, 0.1, 1.0, 1.0)
     with pytest.raises(CflViolation) as dp:
-        value_function(cs, zero_datum, grid)
+        value_function(cs, zero_datum, grid).values
     with pytest.raises(CflViolation) as fd:
-        solve(induced_problem(cs, zero_datum, 0.0, 1.0), grid)
+        solve(induced_problem(cs, zero_datum, 0.0, 1.0), grid).values
     assert str(dp.value) == str(fd.value)
     assert "the speed bound 1 understates |f|=3 there" in str(dp.value)
 
@@ -522,7 +522,7 @@ def test_callable_speeds_above_the_bound_raise_cfl_violation():
     assert cs.speed_signal(0.05, 0.01, (0.3, 0.3)).max() == 1.0
     grid = oracle_grid(cs, 0.01, 0.05, 0.3, cfl_safety=1.0)
     with pytest.raises(CflViolation) as got:
-        value_function(cs, zero_datum, grid)
+        value_function(cs, zero_datum, grid).values
     # first offending node: y = 0.01 on edge 0, where the speed reaches 1.3
     node = int(grid.edge_full_indices(0)[1])
     assert f"at node {node} on [0.0, {grid.times[1]}]" in str(got.value)
@@ -536,9 +536,9 @@ def test_solve_raises_the_value_functions_cfl_violation_on_a_callable_that_speed
     cs = _fast_far_out(delayed=True)
     grid = oracle_grid(cs, 0.01, 0.05, 0.3, cfl_safety=1.0)
     with pytest.raises(CflViolation) as want:
-        value_function(cs, zero_datum, grid)
+        value_function(cs, zero_datum, grid).values
     with pytest.raises(CflViolation) as got:
-        solve(induced_problem(cs, zero_datum, 0.0, 0.05), grid)
+        solve(induced_problem(cs, zero_datum, 0.0, 0.05), grid).values
     assert str(got.value) == str(want.value)
 
 

@@ -544,12 +544,12 @@ def test_batched_march_checks_every_problem():
                              (stars["fast"], CflViolation, good),
                              (stars["blind"], NumericalFailure, good_blind)):
         with pytest.raises(error) as alone:
-            solve(bad, grid)
+            solve(bad, grid).values
         with pytest.raises(error) as batched:
             solve_many([twin, bad, twin], grid)
         assert str(batched.value) == str(alone.value)
     for twin in (good, good_blind):
-        solve(twin, grid)
+        solve(twin, grid).values
     with pytest.raises(ValueError):
         solve_many([], grid)
 
@@ -633,7 +633,7 @@ def test_an_understated_p_span_raises_cfl_violation_at_the_first_breach():
     grid = grid_for(star, 0.02, 1.0, cfl_safety=1.0)
     assert star.cfl_speed() == (1.0, "declared p_span 0.5 on edge 0")
     with pytest.raises(CflViolation) as got:
-        solve(star, grid)
+        solve(star, grid).values
     assert str(got.value) == ("dt |dH/dp| / dx = 2.5 > 1 at level 1, on the slope from node 0 "
                               "to node 1 (edge 0); C2 = 1 from declared p_span 0.5 on edge 0")
 
@@ -806,10 +806,10 @@ def test_callable_control_edges_never_reach_the_numeric_argmin(monkeypatch):
     for problem, cs, tables in _callable_systems():
         grid = grid_for(problem, 0.05, 1.0)
         del freezes[:]
-        field = solve(problem, grid)
+        values = solve(problem, grid).values
         marched = [s for s in freezes if s[1:] == (len(grid.edge_y(0)),)]
         assert len(marched) == 2 * tables
-        gap = field.values - value_function(cs, problem.initial_data, grid).values
+        gap = values - value_function(cs, problem.initial_data, grid).values
         assert np.max(np.abs(gap)) <= 1e-12
         with pytest.raises(NonSeparableTimeDependence):
             smoothing_ladder(problem, [0.2, 0.1])
@@ -869,7 +869,7 @@ def test_a_callable_table_whose_zero_costs_change_sign_is_frozen_again(monkeypat
         cs = ControlSystem(edges, l0=constant(0.0, 0.5), A0=-1.0, delta=1.0)
         problem = induced_problem(cs, lambda x: 0.5 * min(1.0, abs(x)), 0.5, 0.5)
         pairs = _count_pairs(monkeypatch)
-        solve(problem, grid_for(problem, 0.05, 1.0))
+        solve(problem, grid_for(problem, 0.05, 1.0)).values
         assert len(pairs) == want
 
 

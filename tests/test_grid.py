@@ -8,12 +8,12 @@ import stat
 import numpy as np
 import pytest
 
-from hjj import (SolutionField, TimeSignal, constant, eikonal, from_line, grid_for, make_grid,
-                 oracle_grid)
+from hjj import (SolutionField, TimeSignal, constant, eikonal, from_line, grid_for,
+                 induced_problem, make_grid, oracle_grid, solve, solve_many, value_function)
 from hjj.errors import ConfigError, HorizonMismatch, NumericalFailure
 from hjj.grid import atomic_write_text, edge_nodes
 
-from conftest import build_model_system, zero_datum
+from conftest import build_model_system, count_updates, zero_datum
 
 
 def _reference_csv(field: SolutionField) -> str:
@@ -211,3 +211,37 @@ def test_edge_nodes_refuses_a_radius_that_is_not_positive_and_finite(radius):
         with pytest.raises(ConfigError) as err:
             build()
         assert str(err.value) == f"edge radius: expected a positive finite number, got {radius!r}"
+
+
+@pytest.mark.parametrize("route", ["fd", "dp"])
+def test_a_field_from_either_route_marches_when_it_is_read(monkeypatch, route):
+    """solve and value_function take no step; levels() marches at each read, values
+    marches once and keeps the array, and both give the same bits."""
+    cs = build_model_system()
+    problem = induced_problem(cs, zero_datum, 0.0, 1.0)
+    grid = grid_for(problem, 0.1, 2.0)
+    counts = count_updates(monkeypatch)
+    field = solve(problem, grid) if route == "fd" else value_function(cs, zero_datum, grid)
+    assert counts[route] == 0
+    streamed = [level.copy() for level in field.levels()]
+    assert counts[route] == grid.steps
+    values = field.values
+    assert counts[route] == 2 * grid.steps
+    assert field.values is values and counts[route] == 2 * grid.steps
+    assert [level.tobytes() for level in streamed] == [row.tobytes() for row in values]
+    assert [level.tobytes() for level in field.levels()] == [row.tobytes() for row in values]
+    assert counts[route] == 2 * grid.steps  # levels() now yields the kept rows
+
+
+def test_a_field_of_stored_values_yields_its_rows_and_solve_many_marches_in_the_call(
+        monkeypatch):
+    cs = build_model_system()
+    problem = induced_problem(cs, zero_datum, 0.0, 1.0)
+    grid = grid_for(problem, 0.1, 2.0)
+    counts = count_updates(monkeypatch)
+    [batched] = solve_many([problem], grid)
+    assert counts["fd"] == grid.steps
+    rows = np.random.default_rng(5).normal(size=(grid.steps + 1, grid.n_nodes))
+    for field, values in ((batched, batched.values), (SolutionField(grid, rows, True), rows)):
+        assert [level.tobytes() for level in field.levels()] == [r.tobytes() for r in values]
+    assert batched.values.tobytes() == solve(problem, grid).values.tobytes()

@@ -4,7 +4,7 @@ Writes the benchmark's problem files (tdq seeds 41 and 98 and the model
 problem, drawn by perfbench/problems.py) and the time-dependent control
 problem TDC below into a temporary directory, runs each command below in a
 fresh `python -m hjj.cli` process with PYTHONPATH=src, and prints one
-`<sha1[:8]> <artifact>` line per artifact, in this fixed order:
+`<sha1[:8]> <rung> <artifacts>` line per rung, in this fixed order:
 
     model-compare compare.json at dx 0.008, 0.004 and 0.002
     tdq-solve field.csv, seeds 41 and 98 (dx 0.02)
@@ -12,6 +12,9 @@ fresh `python -m hjj.cli` process with PYTHONPATH=src, and prints one
     hjj value field.csv on the model (dx 0.01)
     tdc-solve field.csv (dx 0.02) and tdc-approx approx.json (dx 0.04)
     tdc-compare compare.json (dx 0.02)
+    model-compare compare.json at dx 0.004 with --report-times 0,0.25,1
+    hjj value on the model (dx 0.01) with --report-times 0,0.25,1: field.csv
+        and its three snapshot_k.tsv, digested together
 
     python tools/artifact_digests.py            # print the prefixes
     python tools/artifact_digests.py --check    # and compare them with RUNS
@@ -36,19 +39,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (label, problem file stem, subcommand, dx, artifact, recorded sha1 prefix)
+# (label, problem file stem, subcommand, its options, artifacts, recorded sha1 prefix);
+# options and artifacts are space-separated, and a rung with several artifacts
+# digests their bytes one after another.
 RUNS = [
-    ("model-compare dx=0.008", "model", "compare", "0.008", "compare.json", "0f750bc2"),
-    ("model-compare dx=0.004", "model", "compare", "0.004", "compare.json", "5a8adf25"),
-    ("model-compare dx=0.002", "model", "compare", "0.002", "compare.json", "f9450365"),
-    ("tdq-solve seed=41", "tdq41", "solve", "0.02", "field.csv", "a386d84c"),
-    ("tdq-solve seed=98", "tdq98", "solve", "0.02", "field.csv", "4210b6b2"),
-    ("tdq-approx seed=41", "tdq41", "approx", "0.04", "approx.json", "c9892001"),
-    ("tdq-approx seed=98", "tdq98", "approx", "0.04", "approx.json", "63f7fe84"),
-    ("model-value dx=0.01", "model", "value", "0.01", "field.csv", "3df70b7f"),
-    ("tdc-solve dx=0.02", "tdc", "solve", "0.02", "field.csv", "f0643ca3"),
-    ("tdc-approx dx=0.04", "tdc", "approx", "0.04", "approx.json", "30fe89cf"),
-    ("tdc-compare dx=0.02", "tdc", "compare", "0.02", "compare.json", "dc3ce5c9"),
+    ("model-compare dx=0.008", "model", "compare", "--dx 0.008", "compare.json", "0f750bc2"),
+    ("model-compare dx=0.004", "model", "compare", "--dx 0.004", "compare.json", "5a8adf25"),
+    ("model-compare dx=0.002", "model", "compare", "--dx 0.002", "compare.json", "f9450365"),
+    ("tdq-solve seed=41", "tdq41", "solve", "--dx 0.02", "field.csv", "a386d84c"),
+    ("tdq-solve seed=98", "tdq98", "solve", "--dx 0.02", "field.csv", "4210b6b2"),
+    ("tdq-approx seed=41", "tdq41", "approx", "--dx 0.04", "approx.json", "c9892001"),
+    ("tdq-approx seed=98", "tdq98", "approx", "--dx 0.04", "approx.json", "63f7fe84"),
+    ("model-value dx=0.01", "model", "value", "--dx 0.01", "field.csv", "3df70b7f"),
+    ("tdc-solve dx=0.02", "tdc", "solve", "--dx 0.02", "field.csv", "f0643ca3"),
+    ("tdc-approx dx=0.04", "tdc", "approx", "--dx 0.04", "approx.json", "30fe89cf"),
+    ("tdc-compare dx=0.02", "tdc", "compare", "--dx 0.02", "compare.json", "dc3ce5c9"),
+    ("model-compare dx=0.004 report-times", "model", "compare",
+     "--dx 0.004 --report-times 0,0.25,1", "compare.json", "08c086df"),
+    ("model-value dx=0.01 report-times", "model", "value", "--dx 0.01 --report-times 0,0.25,1",
+     "field.csv snapshot_0.tsv snapshot_1.tsv snapshot_2.tsv", "e50d0715"),
 ]
 
 
@@ -109,16 +118,19 @@ def main(argv: list) -> int:
         for stem, cfg in configs.items():
             Path(tmp, f"{stem}.json").write_text(json.dumps(cfg), encoding="utf-8")
         printed = {}
-        for k, (label, stem, command, dx, artifact, _) in enumerate(RUNS):
+        for k, (label, stem, command, options, artifacts, _) in enumerate(RUNS):
             out = Path(tmp, f"out{k}")
             cmd = [sys.executable, "-m", "hjj.cli", command, "--problem",
-                   str(Path(tmp, f"{stem}.json")), "--dx", dx, "--out", str(out)]
+                   str(Path(tmp, f"{stem}.json")), *options.split(), "--out", str(out)]
             done = subprocess.run(cmd, env=env, cwd=tmp, capture_output=True, text=True)
             if done.returncode != 0:
                 print(f"{label}: exit {done.returncode}: {done.stderr.strip()}", file=sys.stderr)
                 return 1
-            printed[label] = hashlib.sha1((out / artifact).read_bytes()).hexdigest()[:8]
-            print(f"{printed[label]} {label} {artifact}", flush=True)
+            digest = hashlib.sha1()
+            for name in artifacts.split():
+                digest.update((out / name).read_bytes())
+            printed[label] = digest.hexdigest()[:8]
+            print(f"{printed[label]} {label} {artifacts}", flush=True)
     bad = moved(printed) if check else []
     recorded = {label: prefix for label, *_, prefix in RUNS}
     for label in bad:
