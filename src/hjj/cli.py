@@ -16,7 +16,8 @@ dips below the junction floor is refused before anything is built, as
 validate refuses it (exit 2). solve and value march while they write
 field.csv: each level is rendered into a temp file as the march makes it,
 and only the levels nearest the report times are kept, for the snapshots.
-compare folds both marches level by level into its report. Each command
+compare folds both marches level by level into its report; when both
+routes fail, the scheme's failure is the one reported. Each command
 marches each route once. Every artifact is renamed into place only once it
 is complete, and a step that fails removes the artifacts the run already
 put in place, with any --out directory it created, so a nonzero exit
@@ -35,6 +36,7 @@ import contextlib
 import json
 import os
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -179,17 +181,35 @@ def cmd_value(args) -> int:
     return _write_all(args, _field_artifacts(field, args))
 
 
+def _fd_first(fd: SolutionField, dp_route) -> Iterator[tuple]:
+    """(fd level, dp level) pairs, marching both routes in step.
+
+    dp_route() builds the value function's field. A failure of that call or
+    of its march waits until fd's march has run to its end, so when both
+    routes fail, fd's failure is the one raised, as when fd marched first.
+    """
+    fd_levels = fd.levels()
+    try:
+        dp_levels = dp_route().levels()
+        for a in fd_levels:
+            yield a, next(dp_levels)
+    except Exception:
+        for _ in fd_levels:
+            pass
+        raise
+
+
 def cmd_compare(args) -> int:
     problem, cs, r_domain = _load_problem(args)
     cs = _require_control_system(cs)
     grid = grid_for(problem, args.dx, r_domain)
     fd = fd_solve(problem, grid)
-    dp = value_function(cs, problem.initial_data, grid)
+    pairs = _fd_first(fd, lambda: value_function(cs, problem.initial_data, grid))
     # one pass over both marches: each level's largest |fd - dp|, |fd| and |dp|, and the
     # gaps at the report levels; the largest per-level maximum is how grid._max_abs folds
     # linf_gap and sup_norm, so the report keeps their bits
     wanted, peaks, gaps = {grid.level_index(t) for t in args.report_times or []}, [], {}
-    for n, (a, b) in enumerate(zip(fd.levels(), dp.levels())):
+    for n, (a, b) in enumerate(pairs):
         d = np.abs(a - b)
         peaks.append((d.max(), np.abs(a).max(), np.abs(b).max()))
         if n in wanted:

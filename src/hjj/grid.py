@@ -9,7 +9,8 @@ Both routes march as one stream of levels (_levels): a start level, then
 one update per window, each level checked for a non-finite value as it is
 made, so a diverging march stops at its first bad level. A SolutionField
 holds the levels, or the march that makes them when it is read, and its
-passes go one level at a time.
+passes go one level at a time: its scalar passes over the array it keeps
+once marched, its streams (levels, csv_chunks) over a fresh march until then.
 """
 
 from __future__ import annotations
@@ -301,11 +302,13 @@ class SolutionField:
 
     values is the (levels x nodes) array, or a zero-argument callable that
     returns a fresh stream of the levels (_levels): a field that marches
-    when it is read. levels() yields the stored rows, or marches once per
-    call; values marches once and keeps the array. Every pass (sup_norm,
-    linf_gap, check_finite, csv_chunks) reads levels(), one level at a time,
-    and allocates no (levels x nodes) temporary. A march's own failure (a
-    non-finite level, say) is raised by the read that reaches it.
+    when it is read. values marches once and keeps the array; sup_norm,
+    linf_gap and check_finite read it, so they march at most once between
+    them. levels() and csv_chunks (so to_csv) yield the stored rows, or,
+    until values has been read, march afresh at each call and hold one
+    level at a time. Each pass allocates no (levels x nodes) temporary. A
+    march's own failure (a non-finite level, say) is raised by the read that
+    reaches it.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray | Callable[[], Iterator[np.ndarray]],
@@ -350,17 +353,17 @@ class SolutionField:
         return self.values[-1]
 
     def sup_norm(self) -> float:
-        return _max_abs(self.levels())
+        return _max_abs(self.values)
 
     def check_finite(self) -> None:
         """NumericalFailure naming the first non-finite value in row-major order."""
-        for n, row in enumerate(self.levels()):
+        for n, row in enumerate(self.values):
             _check_level(row, n)
 
     def linf_gap(self, other: "SolutionField") -> float:
         if not self.grid.compatible(other.grid):
             raise ConfigError("mismatched grids")
-        return _max_abs(a - b for a, b in zip(self.levels(), other.levels()))
+        return _max_abs(a - b for a, b in zip(self.values, other.values))
 
     def node_labels(self) -> list:
         """Whole-line x floats, or 'edge:distance' strings for stars."""

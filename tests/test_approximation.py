@@ -421,7 +421,7 @@ def test_comparison_diagnostic_on_a_grid_too_coarse_raises_what_solve_raises():
     prob = _time_dependent_quadratic_problem()
     coarse = make_grid(dx=0.05, horizon=prob.horizon, radii=(1.0, 1.0), c2=1.0)
     with pytest.raises(CflViolation) as want:
-        solve(prob, coarse)
+        solve(prob, coarse).values
     with pytest.raises(CflViolation) as got:
         comparison_diagnostic(prob, [0.2, 0.1], coarse)
     assert str(got.value) == str(want.value)

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 import hjj.cli
+import hjj.dpp_oracle as dpp_oracle_module
+import hjj.fd_scheme as fd_scheme_module
 import hjj.hamiltonian as hamiltonian_module
-from hjj import (ControlEdge, ControlSystem, SolutionField, grid_for, oracle_grid,
-                 problem_from_config, smoothing_ladder, value_function)
+from hjj import (ConfigError, ControlEdge, ControlSystem, NoAdmissibleControl,
+                 NumericalFailure, SolutionField, grid_for, oracle_grid, problem_from_config,
+                 smoothing_ladder, value_function)
 from hjj.cli import main
 
 from conftest import bench_tdq_config, count_updates
@@ -854,3 +857,31 @@ def test_each_command_marches_each_route_once(tmp_path: Path, monkeypatch, comma
                  "--out", str(tmp_path / "out")]) == 0
     want = {"solve": (steps, 0), "value": (0, steps), "compare": (steps, steps)}[command]
     assert (counts["fd"], counts["dp"]) == want
+
+
+@pytest.mark.parametrize("dp_fails", ["in-the-call", "at-its-first-update"])
+def test_compare_reports_the_schemes_failure_when_both_routes_fail(tmp_path: Path, monkeypatch,
+                                                                   capsys, dp_fails):
+    """The scheme fails at its fifth update, the value function before that: in its
+    call (a configuration error, exit 1 alone) or at its first update. compare reports
+    the scheme's failure, as when the scheme marched first, and writes nothing."""
+    problem = _write(tmp_path, _model_config())
+    updates = []
+
+    def fd_breaks(*args, real=fd_scheme_module._advance):
+        updates.append(args)
+        if len(updates) == 5:
+            raise NumericalFailure("the scheme breaks at its fifth update")
+        return real(*args)
+
+    def dp_breaks(*args):
+        raise (ConfigError if dp_fails == "in-the-call" else NoAdmissibleControl)("dp breaks")
+
+    monkeypatch.setattr(fd_scheme_module, "_advance", fd_breaks)
+    monkeypatch.setattr(dpp_oracle_module,
+                        "_windows" if dp_fails == "in-the-call" else "_bellman", dp_breaks)
+    out = tmp_path / "out"
+    assert main(["compare", "--problem", problem, "--dx", "0.1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numerical failure: the scheme breaks at its fifth "
+                                       "update\n")
+    assert len(updates) == 5 and not out.exists()

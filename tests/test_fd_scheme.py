@@ -196,7 +196,8 @@ def test_discrete_comparison_on_ordered_data():
 
 
 def test_cfl_violation_raises():
-    """Steps sized for C2 = 0.25 or 0.5 break eikonal's C2 = 1: the march refuses them."""
+    """Steps sized for C2 = 0.25 or 0.5 break eikonal's C2 = 1: solve refuses them in the
+    call, before its first step."""
     prob = _line_problem(-1.0)
     for dx, c2 in ((0.05, 0.25), (0.1, 0.5)):
         grid = make_grid(dx=dx, horizon=1.0, radii=(1.0, 1.0), c2=c2, cfl_safety=1.0)
@@ -335,14 +336,14 @@ def test_march_minimises_each_edge_at_most_once(monkeypatch):
 
     monkeypatch.setattr(hamiltonian_module, "numeric_argmin", counted)
     prob = _time_dependent_quadratic_problem()
-    solve(prob, grid_for(prob, 0.05, 1.0))
+    solve(prob, grid_for(prob, 0.05, 1.0)).check_finite()
     assert calls == []
 
     flat = Hamiltonian(lambda t, x, p: np.maximum(np.abs(p) - 1.0, 0.0),
                        lipschitz_p=1.0, coercivity_radius=2.0, x_independent=True)
     prob = from_line(flat, eikonal(), constant(0.0, 0.5), zero_datum, 0.0, 0.5)
     grid = grid_for(prob, 0.1, 1.0)
-    solve(prob, grid)
+    solve(prob, grid).check_finite()
     assert grid.steps > 1
     assert len(calls) == 1
 
@@ -769,7 +770,7 @@ def test_a_batch_that_does_not_share_an_edge_is_refused(problems, edge):
     with pytest.raises(ValueError, match=f"^the batch does not share edge {edge}'s "):
         solve_many(problems, grid)
     for problem in problems:
-        solve(problem, grid)
+        solve(problem, grid).check_finite()
 
 
 def _callable_systems() -> list:
@@ -1030,7 +1031,7 @@ def test_a_batch_grid_covers_a_smoothed_coefficient_above_the_original():
                      0.0, 1.0)
     ladder = smoothing_ladder(prob, [0.2])
     base_grid = grid_for(prob, 0.05, 1.0, cfl_safety=1.0)
-    solve(prob, base_grid)
+    solve(prob, base_grid).check_finite()
     with pytest.raises(CflViolation, match="exceeds dx/C2=.* at level 18 "):
         solve(ladder[0.2], base_grid)
     with pytest.raises(CflViolation, match="at level 18 "):

@@ -233,6 +233,21 @@ def test_a_field_from_either_route_marches_when_it_is_read(monkeypatch, route):
     assert counts[route] == 2 * grid.steps  # levels() now yields the kept rows
 
 
+@pytest.mark.parametrize("route", ["fd", "dp"])
+def test_the_scalar_passes_of_a_marching_field_march_once_between_them(monkeypatch, route):
+    """sup_norm, check_finite and linf_gap read values: one march keeps the array."""
+    cs = build_model_system()
+    problem = induced_problem(cs, zero_datum, 0.0, 1.0)
+    grid = grid_for(problem, 0.1, 2.0)
+    counts = count_updates(monkeypatch)
+    make = {"fd": lambda: solve(problem, grid), "dp": lambda: value_function(cs, zero_datum, grid)}
+    field, other = make[route](), make[route]()
+    norm = field.sup_norm()
+    field.check_finite()
+    assert field.linf_gap(other) == 0.0 and counts[route] == 2 * grid.steps
+    assert _bits(norm) == _bits(np.max(np.abs(field.values))) and counts[route] == 2 * grid.steps
+
+
 def test_a_field_of_stored_values_yields_its_rows_and_solve_many_marches_in_the_call(
         monkeypatch):
     cs = build_model_system()
