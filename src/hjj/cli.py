@@ -259,13 +259,16 @@ def cmd_validate(args) -> int:
 def _number(option: str, kind=float, zero_ok: bool = False, many: bool = False):
     """The argparse type of a numeric option: kind, finite and > 0 (>= 0 with zero_ok).
 
-    With many, a comma-separated list of them. Text that kind cannot read
-    is a usage error; a value that is not finite or out of range raises the
-    ConfigError of grid's dx check, naming the option (without its
-    dashes), which main reports as a configuration error.
+    With many, a comma-separated list of at least one of them; empty items
+    are skipped. Text that kind cannot read is a usage error; a value that
+    is not finite or out of range raises the ConfigError of grid's dx
+    check, and a list with no number a ConfigError, each naming the option
+    (without its dashes), which main reports as a configuration error.
     """
     def read(text: str):
         vals = [kind(tok) for tok in text.split(",") if tok.strip()] if many else [kind(text)]
+        if not vals:
+            raise ConfigError(f"{option}: expected at least one number")
         for v in vals:
             _positive_finite(option, v, zero_ok)
         return vals if many else vals[0]

@@ -10,7 +10,7 @@ velocity zero), so no junction control set is stored: it always contains
 
 The induced Hamiltonian of an edge is H(t, x, p) = sup_a [f p - l]; its
 monotone envelopes coincide with the sign-restricted suprema over f <= 0
-and f >= 0, which this module exposes for cross-checking. An edge whose f
+and f >= 0. An edge whose f
 and l are both ControlForms has an induced Hamiltonian with a ClosedForm
 in the six coefficients of f and l (f_c0 ... l_c2): its lines come from one
 line function (_lines), which also gives the Bellman route's window
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, CflViolation, EmptyControlSet, NoAdmissibleControl
+from .errors import BracketFailure, CflViolation, EmptyControlSet
 from .grid import _CFL_SLACK, _finite, _positive_finite, edge_nodes
 from .hamiltonian import ClosedForm, Hamiltonian, closed_hamiltonian, elementwise
 from .time_signal import (TimeSignal, coeff_average, coeff_bounds, coeff_eval, coeff_signals,
@@ -55,10 +55,8 @@ __all__ = [
     "ControlEdge",
     "ControlSystem",
     "control_edge",
-    "edge_hamiltonian",
     "flux_limiter",
     "induced_hamiltonian",
-    "RestrictedEnvelopes",
 ]
 
 
@@ -572,42 +570,4 @@ def induced_hamiltonian(cs: ControlSystem, i: int) -> Hamiltonian:
     dynamics are already local, so the induced Hamiltonian is too.
     """
     return _induced(cs.edges[i], 1.0, cs.delta)
-
-
-def edge_hamiltonian(edge: ControlEdge, delta: float = 1.0) -> Hamiltonian:
-    """Induced Hamiltonian of a lone edge, without system-level checks.
-
-    Useful for degenerate control sets (a single control, no junction
-    coverage) that a full ControlSystem would reject.
-    """
-    return _induced(edge, 1.0, delta)
-
-
-class RestrictedEnvelopes:
-    """Envelopes obtained by sign-restricting the control supremum.
-
-    h_minus takes the supremum over controls with nonpositive speed, h_plus
-    over nonnegative speed (non-strict on both sides, so a zero-speed sample
-    contributes to both). Coincides with the minimizer-splitting envelopes of
-    the induced Hamiltonian up to control-discretization error.
-    """
-
-    def __init__(self, cs: ControlSystem, i: int):
-        # Same coordinates as induced_hamiltonian(cs, i): as-given dynamics.
-        self.i, self.edge = i, cs.edges[i]
-
-    def _restricted(self, t, x, p, negative: bool):
-        fa, la = self.edge.lines(1.0, t, t, x)
-        mask = fa <= 0.0 if negative else fa >= 0.0
-        if not np.any(mask):
-            side = "f <= 0" if negative else "f >= 0"
-            raise NoAdmissibleControl(
-                f"edge {self.i}: no control with {side} at (t={t}, x={x})")
-        return _line_max(fa[mask], la[mask], p)
-
-    def h_minus(self, t, x, p):
-        return self._restricted(t, x, p, negative=True)
-
-    def h_plus(self, t, x, p):
-        return self._restricted(t, x, p, negative=False)
 

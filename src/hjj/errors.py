@@ -8,7 +8,6 @@ __all__ = [
     "FluxLimiterBelowFloor",
     "CflViolation",
     "NumericalFailure",
-    "BudgetExceeded",
     "ConfigError",
 ]
 
@@ -44,9 +43,8 @@ class EmptyControlSet(HjjError):
 class NoAdmissibleControl(HjjError):
     """No control is admissible where one is needed.
 
-    Raised when a sign-restricted control subset is empty at the probed
-    point, and by a Bellman update when no transition of any control
-    reaches a node, naming the node and the window.
+    Raised by a Bellman update when no transition of any control reaches a
+    node, naming the node and the window.
     """
 
 
@@ -89,10 +87,6 @@ class NonSeparableTimeDependence(HjjError):
 
 class NegativeKn(HjjError):
     """A mismatch signal came out negative beyond round-off."""
-
-
-class BudgetExceeded(HjjError):
-    """Exhaustive trajectory enumeration would exceed its node budget."""
 
 
 class ConfigError(HjjError):

@@ -70,7 +70,7 @@ from .hamiltonian import EnvelopePair
 from .junction_problem import JunctionProblem
 from .time_signal import coeff_window_averages, upper_envelope
 
-__all__ = ["step", "solve", "solve_many", "grid_for"]
+__all__ = ["solve", "solve_many", "grid_for"]
 
 
 def grid_for(problems, dx: float, r_domain: float, cfl_safety: float = _CFL_SAFETY) -> Grid:
@@ -230,19 +230,6 @@ def _advance(problems: Sequence[JunctionProblem], grid: Grid, u: np.ndarray,
     # the first largest of A and the inflows, as the builtin max picks it
     new[:, 0] = u[:, 0] - dt * np.array([max(terms) for terms in zip(*inflows)])
     return new
-
-
-def step(problem: JunctionProblem, grid: Grid, u: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One explicit Euler update over the window [t, t + dt].
-
-    It reads the scheme's one flux and junction operator: an interior node
-    j gets u[j] - dt F, F the Godunov flux of its two slopes, and the
-    junction node u[0] - dt F_A. A window on which C2 integrates above dx
-    raises CflViolation.
-    """
-    times = np.array([t, t + dt])
-    _check_cfl([problem], grid, times)
-    return _advance([problem], grid, u[None], t, dt, _windows(problem, grid, times)(0))[0]
 
 
 def _stream(problems: list, grid: Grid) -> Callable[[], Iterator[np.ndarray]]:

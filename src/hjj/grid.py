@@ -3,7 +3,9 @@
 The junction node is shared by all edges and stored once: flat node index 0
 is the junction, followed by each edge's interior nodes in order. Two-edge
 line problems are presented to the outside in whole-line coordinates
-(x < 0 is edge 1 mirrored); stars use "edge:distance" node labels.
+(x < 0 is edge 1 mirrored); stars label the junction "0:0" and each edge
+node "<i>:<y>", i the 1-based edge number and y its distance from the
+junction as fmt formats it ("1:0.25").
 
 Both routes march as one stream of levels (_levels): a start level, then
 one update per window, each level checked for a non-finite value as it is
@@ -346,9 +348,6 @@ class SolutionField:
     def edge_profile(self, n: int, i: int) -> np.ndarray:
         return self.values[n][self.grid.edge_full_indices(i)]
 
-    def line_profile(self, n: int) -> np.ndarray:
-        return self.values[n][self.grid.line_flat_indices()]
-
     def final(self) -> np.ndarray:
         return self.values[-1]
 
@@ -366,7 +365,7 @@ class SolutionField:
         return _max_abs(a - b for a, b in zip(self.values, other.values))
 
     def node_labels(self) -> list:
-        """Whole-line x floats, or 'edge:distance' strings for stars."""
+        """Whole-line x as fmt strings, or for stars "0:0" then "<i>:<y>" (i from 1, y by fmt)."""
         if self.line:
             return [fmt(x) for x in self.grid.line_x()]
         labels = ["0:0"]

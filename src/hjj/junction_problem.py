@@ -13,9 +13,8 @@ The junction operator is
     F_A(t, q_1, ..., q_J) = max{ A(t), max_i H_i^-(t, 0, q_i) }
 
 with q_i the edge-local slope at the junction and H_i^- the nonincreasing
-envelope; fd_scheme's junction update applies it (fd_scheme.step reads
-it). Admissibility requires A(t) >= A_0(t) = max_i min_p H_i(t, 0, p),
-which check_floor checks.
+envelope; fd_scheme's junction update applies it. Admissibility requires
+A(t) >= A_0(t) = max_i min_p H_i(t, 0, p), which check_floor checks.
 
 The JSON problem-file format lives in this module's config section and
 nowhere else: problem_from_config and the block parsers it calls (for

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyWindow, HorizonMismatch, OutOfHorizon
 
-__all__ = ["TimeSignal", "constant", "union_mesh", "l1_distance"]
+__all__ = ["TimeSignal", "constant", "union_mesh"]
 
 # Relative slack for horizon-boundary comparisons.
 _EDGE_TOL = 1e-12
@@ -200,14 +200,6 @@ def upper_envelope(signals: Sequence[TimeSignal]) -> TimeSignal:
     mesh = union_mesh(signals)
     mids = 0.5 * (mesh[:-1] + mesh[1:])
     return TimeSignal(*_coalesce(mesh, np.max([s(mids) for s in signals], axis=0)))
-
-
-def l1_distance(s1: TimeSignal, s2: TimeSignal) -> float:
-    """Exact integral of |s1 - s2| over the shared horizon."""
-    mesh = union_mesh([s1, s2])
-    widths = np.diff(mesh)
-    mids = 0.5 * (mesh[:-1] + mesh[1:])
-    return float(np.sum(np.abs(s1(mids) - s2(mids)) * widths))
 
 
 # Coefficients of named functional forms are either plain floats or

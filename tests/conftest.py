@@ -9,8 +9,10 @@ import hjj.dpp_oracle as dpp_oracle_module
 import hjj.fd_scheme as fd_scheme_module
 from hjj import (ControlEdge, ControlForm, ControlSystem, Grid, Hamiltonian, JunctionProblem,
                  SolutionField, TimeSignal, constant, control_edge, eikonal, from_line, make_grid,
-                 problem_from_config, quadratic, step)
+                 problem_from_config, quadratic)
 from hjj.time_signal import coeff_average
+
+from reference import step
 
 
 def build_model_system(l0_value: float = 0.0, horizon: float = 1.0,

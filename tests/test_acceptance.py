@@ -17,15 +17,12 @@ from hjj import (
     ControlForm,
     ControlSystem,
     EnvelopePair,
-    RestrictedEnvelopes,
     TimeSignal,
     abs_shift,
     comparison_diagnostic,
     constant,
     control_edge,
-    dpp_consistency_check,
     eikonal,
-    enumerate_trajectories,
     from_line,
     grid_for,
     induced_hamiltonian,
@@ -37,6 +34,7 @@ from hjj import (
 )
 
 from conftest import build_model_system, check_value_function_bounds, zero_datum
+from reference import RestrictedEnvelopes, dpp_consistency_check, enumerate_trajectories
 
 _DP_RUNS: list = []
 

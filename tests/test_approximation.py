@@ -19,12 +19,10 @@ from hjj import (
     compute_kn,
     constant,
     control_edge,
-    edge_hamiltonian,
     eikonal,
     from_line,
     grid_for,
     induced_problem,
-    l1_distance,
     make_grid,
     problem_from_config,
     quadratic,
@@ -37,6 +35,7 @@ from hjj.approximation import _edge_tables
 from hjj.errors import CflViolation, ConfigError, NegativeKn, NonSeparableTimeDependence
 
 from conftest import zero_datum
+from reference import edge_hamiltonian, l1_distance
 
 
 def _step_limiter_problem(horizon: float = 1.0):

@@ -199,7 +199,7 @@ def _star_config(**extra) -> dict:
 
 def test_a_star_problem_file_takes_one_initial_datum_per_edge(tmp_path: Path, capsys):
     """Three catalog edges, the third 0.6 long, with a datum each: solve writes
-    edge:distance labels, 1 + 20 + 20 + 12 nodes per level at dx 0.05 and R_domain 1,
+    "<i>:<y>" labels, 1 + 20 + 20 + 12 nodes per level at dx 0.05 and R_domain 1,
     validate passes, and a list one datum short exits 1 with nothing written."""
     problem = _write(tmp_path, _star_config())
     out = tmp_path / "out"
@@ -733,6 +733,21 @@ def test_numeric_options_refuse_nan_inf_and_out_of_range_values(tmp_path: Path, 
     assert option[2:] in err.splitlines()[-1]
     assert not out.exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command,option", [("solve", "--report-times"),
+                                            ("value", "--report-times"),
+                                            ("compare", "--report-times"),
+                                            ("approx", "--widths")])
+def test_a_list_option_with_no_number_exits_1_naming_the_option(tmp_path: Path, capsys,
+                                                                command, option):
+    problem = _write(tmp_path, _model_config())
+    out = tmp_path / "out"
+    rc = main([command, "--problem", problem, *_dx(command), option, ",", "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert lines == [f"configuration error: {option[2:]}: expected at least one number"]
+    assert not out.exists()
 
 
 def test_a_grid_no_array_can_index_exits_1_naming_its_step_count_and_c2(tmp_path: Path,

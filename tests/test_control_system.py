@@ -8,12 +8,10 @@ from hjj import (
     ControlForm,
     ControlSystem,
     EnvelopePair,
-    RestrictedEnvelopes,
     TimeSignal,
     constant,
     control_edge,
     control_system_from_config,
-    edge_hamiltonian,
     flux_limiter,
     induced_hamiltonian,
     reflected,
@@ -24,6 +22,7 @@ from hjj.hamiltonian import argmin_p, numeric_argmin
 from hjj.time_signal import coeff_average, on_horizon
 
 from conftest import build_model_system, random_control_system, record_line_max
+from reference import RestrictedEnvelopes, edge_hamiltonian
 
 
 def _affine_closed_form(c0: float, c1: float, d0: float, d1: float, p):

@@ -15,8 +15,6 @@ from hjj import (
     constant,
     control_edge,
     control_system_from_config,
-    dpp_consistency_check,
-    enumerate_trajectories,
     flux_limiter,
     grid_for,
     induced_problem,
@@ -26,11 +24,12 @@ from hjj import (
 )
 from hjj.control_system import undominated
 from hjj.dpp_oracle import _bellman, _windows, oracle_grid
-from hjj.errors import BudgetExceeded, CflViolation, NoAdmissibleControl, NumericalFailure
+from hjj.errors import CflViolation, NoAdmissibleControl, NumericalFailure
 from hjj.grid import Grid
 
 from conftest import (build_model_system, check_value_function_bounds, random_control_system,
                       tdc_config, zero_datum)
+from reference import BudgetExceeded, dpp_consistency_check, enumerate_trajectories
 
 
 def _abs_datum(x: float) -> float:
@@ -124,7 +123,7 @@ def test_value_function_on_the_model_problem():
     cs = build_model_system(0.0)
     field = value_function(cs, zero_datum, oracle_grid(cs, 0.02, 1.0, 2.0))
     xs = field.grid.line_x()
-    final = field.line_profile(field.grid.steps)
+    final = field.values[field.grid.steps][field.grid.line_flat_indices()]
     want = np.minimum(1.0, np.abs(xs))
     assert np.max(np.abs(final - want)) <= 0.05
     check_value_function_bounds(cs, field)
@@ -143,7 +142,7 @@ def test_value_function_matches_enumeration_at_aligned_points():
     field = value_function(cs, zero_datum, oracle_grid(cs, 0.05, 1.0, 2.0))
     grid = field.grid
     xs = grid.line_x()
-    final = field.line_profile(grid.steps)
+    final = field.values[grid.steps][grid.line_flat_indices()]
     for x_target in (0.0, 0.25, -0.5, 1.5):
         best = np.inf
         for y0 in np.arange(x_target - 1.0, x_target + 1.0 + 1e-9, 0.25):

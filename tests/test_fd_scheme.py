@@ -36,7 +36,6 @@ from hjj import (
     smoothing_ladder,
     solve,
     solve_many,
-    step,
     validate,
     value_function,
 )
@@ -47,6 +46,7 @@ from hjj.time_signal import coeff_window_averages
 
 from conftest import (bench_tdq_problem, frozen, godunov_flux, random_control_system,
                       random_tdq_problem, record_line_max, tdc_config, zero_datum)
+from reference import step
 
 
 def _line_problem(a_value: float, u0=zero_datum, lip: float = 0.0,
@@ -128,7 +128,7 @@ def test_solve_level_zero_is_the_sampled_datum():
     grid = grid_for(prob, 0.25, 2.0)
     field = solve(prob, grid)
     want = np.array([u0(x) for x in grid.line_x()])
-    assert np.array_equal(field.line_profile(0), want)
+    assert np.array_equal(field.values[0][grid.line_flat_indices()], want)
 
 
 def test_solve_matches_hopf_lax_reference():
@@ -141,7 +141,7 @@ def test_solve_matches_hopf_lax_reference():
     t = grid.times[n]
     xs = grid.line_x()
     keep = np.abs(xs) <= 1.5  # keep clear of the truncation boundary
-    got = field.line_profile(n)[keep]
+    got = field.values[n][grid.line_flat_indices()][keep]
     want = np.array([_hopf_lax(u0, x, t) for x in xs[keep]])
     assert np.max(np.abs(got - want)) <= 0.05
 
@@ -239,7 +239,7 @@ def test_csv_round_trips_17_digit_floats():
         rebuilt[(float(t_s), float(x_s))] = float(u_s)
     xs = grid.line_x()
     for n, t in enumerate(grid.times):
-        prof = field.line_profile(n)
+        prof = field.values[n][grid.line_flat_indices()]
         for x, u in zip(xs, prof):
             assert rebuilt[(float(t), float(x))] == u
 
@@ -978,7 +978,7 @@ def test_per_window_steps_are_no_less_accurate_than_uniform_steps(seed):
     errors = []
     for dx in dxs:
         field = solve(prob, grid_for(prob, dx, 2.0))
-        level = field.line_profile(field.grid.steps)
+        level = field.values[field.grid.steps][field.grid.line_flat_indices()]
         errors.append(float(np.max(np.abs(level - reference[::round(dx / fine)]))))
     uniform, uniform_order = _UNIFORM_STEP_ERRORS[seed]
     assert all(e <= u for e, u in zip(errors, uniform)), (errors, uniform)
@@ -1003,7 +1003,8 @@ def test_tdc_takes_per_window_steps_on_both_routes_and_errs_no_more():
         grid = grid_for(prob, dx, 2.0)
         assert grid.steps == steps
         field = solve(prob, grid)
-        error = np.max(np.abs(field.line_profile(grid.steps) - reference[::round(dx / fine)]))
+        level = field.values[grid.steps][grid.line_flat_indices()]
+        error = np.max(np.abs(level - reference[::round(dx / fine)]))
         assert error <= uniform, (dx, error, uniform)
         gap = np.max(np.abs(field.values - value_function(cs, prob.initial_data, grid).values))
         assert gap <= 1e-12, (dx, gap)

@@ -21,9 +21,7 @@ from hjj import (
     compute_kn,
     constant,
     control_edge,
-    edge_hamiltonian,
     eikonal,
-    enumerate_trajectories,
     from_line,
     grid_for,
     induced_problem,
@@ -37,6 +35,7 @@ from hjj.junction_problem import _validation_times, check_floor
 from hjj.time_signal import union_mesh
 
 from conftest import build_model_system, junction_operator, random_tdq_problem, zero_datum
+from reference import edge_hamiltonian, enumerate_trajectories
 
 
 def _line_eikonal(a_value: float, horizon: float = 1.0) -> JunctionProblem:

@@ -6,19 +6,17 @@ import importlib
 
 import hjj
 
-# The 55 names the package exports, in order; a name joins or leaves only on purpose.
+# The 47 names the package exports, in order; a name joins or leaves only on purpose.
 EXPORTED = [
-    "ApproximationStudy", "BudgetExceeded", "CflViolation", "ConfigError", "ControlEdge",
-    "ControlForm", "ControlSystem", "Edge", "EnvelopePair", "FluxLimiterBelowFloor", "Grid",
-    "Hamiltonian", "HjjError", "JunctionProblem", "KnResult", "NoAdmissibleControl",
-    "NumericalFailure", "RestrictedEnvelopes", "SolutionField", "TimeSignal", "TrajectorySample",
-    "WidthReport", "abs_shift", "approx_hamiltonian", "approx_problem", "argmin_p",
-    "check_convexity", "comparison_diagnostic", "compute_kn", "constant", "control_edge",
-    "control_system_from_config", "dpp_consistency_check", "edge_hamiltonian", "eikonal",
-    "enumerate_trajectories", "flux_limiter", "from_line", "grid_for", "induced_hamiltonian",
-    "induced_problem", "l1_distance", "make_grid", "oracle_grid", "problem_from_config",
-    "quadratic", "reflected", "shifted_fields", "smoothing_ladder", "solve", "solve_many", "step",
-    "union_mesh", "validate", "value_function",
+    "ApproximationStudy", "CflViolation", "ConfigError", "ControlEdge", "ControlForm",
+    "ControlSystem", "Edge", "EnvelopePair", "FluxLimiterBelowFloor", "Grid", "Hamiltonian",
+    "HjjError", "JunctionProblem", "KnResult", "NoAdmissibleControl", "NumericalFailure",
+    "SolutionField", "TimeSignal", "WidthReport", "abs_shift", "approx_hamiltonian",
+    "approx_problem", "argmin_p", "check_convexity", "comparison_diagnostic", "compute_kn",
+    "constant", "control_edge", "control_system_from_config", "eikonal", "flux_limiter",
+    "from_line", "grid_for", "induced_hamiltonian", "induced_problem", "make_grid",
+    "oracle_grid", "problem_from_config", "quadratic", "reflected", "shifted_fields",
+    "smoothing_ladder", "solve", "solve_many", "union_mesh", "validate", "value_function",
 ]
 
 MODULES = ("approximation", "control_system", "dpp_oracle", "errors", "fd_scheme", "grid",

@@ -3,8 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hjj import TimeSignal, constant, l1_distance, union_mesh
+from hjj import TimeSignal, constant, union_mesh
 from hjj.errors import EmptyWindow, HorizonMismatch, OutOfHorizon
+
+from reference import l1_distance
 
 
 def _overlap_integral(breakpoints, values, a: float, b: float) -> float:
