@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeKn
+from .errors import ConfigError
 from .fd_scheme import solve_many
 from .grid import Grid, SolutionField, _positive_finite
 from .hamiltonian import EnvelopePair, Hamiltonian
@@ -42,7 +42,6 @@ __all__ = [
     "smoothing_ladder",
     "KnResult",
     "compute_kn",
-    "shifted_fields",
     "WidthReport",
     "ApproximationStudy",
     "comparison_diagnostic",
@@ -141,6 +140,7 @@ def _edge_tables(h: Hamiltonian, env: EnvelopePair, mids: np.ndarray, q: np.ndar
     return [np.broadcast_to(r, (len(mids), r.shape[-1])) for r in rows]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is refused below
 def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
                K: float, R: float) -> KnResult:
     """Sup distance between the two problems, resolved per coefficient cell.
@@ -153,7 +153,8 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
     any other edge (black box, callable control edge, x-dependent) keeps
     one call per cell, or one call in all when it is time-independent. The
     junction part is priced on blocks of cells. K must be positive and R
-    non-negative, both finite.
+    non-negative, both finite, and a K at which a priced value is not
+    finite (H overflows on the slope box) raises ConfigError naming K.
     """
     K = _positive_finite("K", K)
     R = _positive_finite("R", R, zero_ok=True)
@@ -188,21 +189,13 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
         gap -= _combo_values(a_appr[c], [m[c] for m in m_appr])
         k0_vals[c] = np.abs(gap, out=gap).reshape(len(gap), -1).max(axis=1)
 
+    if not (np.isfinite(k0_vals).all() and np.isfinite(ki_vals).all()):
+        raise ConfigError(f"K: the error signal overflows on the slope box [-K, K] at K = {K!r}")
     bp = np.asarray(mesh, dtype=float)
     bp[-1] = T  # union mesh ends at the shared horizon
     mk = lambda v: TimeSignal(bp, v)  # noqa: E731
     return KnResult(mk(np.maximum(k0_vals, ki_vals.max(axis=0))), mk(k0_vals),
                     tuple(mk(ki_vals[i]) for i in range(J)))
-
-
-def shifted_fields(field: SolutionField, kn: TimeSignal):
-    """(lower, upper) copies shifted by -/+ the running integral of kn."""
-    if kn.min() < -1e-12:
-        raise NegativeKn("shift signal must be nonnegative")
-    cum = kn.running_integrals(field.grid.times)
-    lower = SolutionField(field.grid, field.values - cum[:, None], field.line)
-    upper = SolutionField(field.grid, field.values + cum[:, None], field.line)
-    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -270,7 +263,7 @@ def comparison_diagnostic(problem: JunctionProblem, widths, grid: Grid,
     measured discrete slope range of the base run plus ten percent, R to the
     grid radius. The sandwich check compares the base field with the smoothed
     field shifted by -/+ the running integral of k, computed in one scratch
-    buffer rather than as two shifted fields.
+    buffer.
     """
     ladder = widths if isinstance(widths, dict) else smoothing_ladder(problem, widths)
     K = None if K is None else _positive_finite("K", K)

@@ -48,7 +48,6 @@ from .errors import (
     ConfigError,
     FluxLimiterBelowFloor,
     HjjError,
-    NegativeKn,
     NoAdmissibleControl,
     NumericalFailure,
 )
@@ -351,8 +350,7 @@ def main(argv=None) -> int:
     except FluxLimiterBelowFloor as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (CflViolation, NumericalFailure, NoAdmissibleControl,
-            NegativeKn) as exc:
+    except (CflViolation, NumericalFailure, NoAdmissibleControl) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (HjjError, ValueError, KeyError) as exc:

@@ -9,13 +9,12 @@ the departure points of all controls of an edge with one interpolation
 call. The updates run as the scheme's do, as a stream of levels
 (grid._levels), which value_function's field runs when it is read: each
 level is checked as it is made, for a non-finite value and against the
-a-priori sup bound. A march may start from a later level (_march's
-first), as a restart from one of its own levels does. Transitions never
-jump across the junction inside a window (the step restriction, an
-integral of max|f| of at most dx over each window, keeps departure points
-inside one cell), so a crossing trajectory passes through the junction
-node and the running cost switches regime exactly there. Parking at the
-junction costs -A(t) per unit time, A = max(-l0, A0).
+a-priori sup bound. Transitions never jump across the junction inside a
+window (the step restriction, an integral of max|f| of at most dx over
+each window, keeps departure points inside one cell), so a crossing
+trajectory passes through the junction node and the running cost
+switches regime exactly there. Parking at the junction costs -A(t) per
+unit time, A = max(-l0, A0).
 
 The tables keep only the columns of controls that are undominated
 (control_system.undominated) in at least one window of the march; the
@@ -45,25 +44,23 @@ import numpy as np
 
 from .control_system import ControlSystem, flux_limiter, undominated
 from .errors import NoAdmissibleControl, NumericalFailure
-from .grid import _CFL_SAFETY, Grid, SolutionField, _levels, check_cfl, edge_data, make_grid
+from .grid import Grid, SolutionField, _levels, check_cfl, edge_data, make_grid
 from .time_signal import TimeSignal
 
 __all__ = ["oracle_grid", "value_function"]
 
 
-def oracle_grid(cs: ControlSystem, dx: float, horizon: float, r_domain: float,
-                cfl_safety: float = _CFL_SAFETY) -> Grid:
+def oracle_grid(cs: ControlSystem, dx: float, horizon: float, r_domain: float) -> Grid:
     """make_grid on [0, horizon], radius r_domain per edge, with C2(t) = max|f| at each time.
 
     For a caller that holds only a control system; grid_for on its induced
     problem builds the same grid. C2 is ControlSystem.speed_signal: max|f|
     over the controls per cell of f's signals, cut to the horizon, and at
     t = 0 on the grid's nodes for a callable f. Each window holds an
-    integral of C2 of at most cfl_safety * dx.
+    integral of C2 of at most grid._CFL_SAFETY * dx.
     """
     radii = [r_domain] * len(cs.edges)
-    return make_grid(dx, horizon, radii, c2=cs.speed_signal(horizon, dx, radii),
-                     cfl_safety=cfl_safety)
+    return make_grid(dx, horizon, radii, c2=cs.speed_signal(horizon, dx, radii))
 
 
 _GUARD_ULPS = 32  # the c of the pruning guard: departures stay c eps R inside a cell
@@ -153,20 +150,19 @@ def _bellman(cs: ControlSystem, grid: Grid, level: np.ndarray, a: float, b: floa
     return new
 
 
-def _march(cs: ControlSystem, grid: Grid, v0: np.ndarray, first: int):
-    """levels(): v0 as level first, then one Bellman update per later window (grid._levels).
+def _march(cs: ControlSystem, grid: Grid, v0: np.ndarray):
+    """levels(): v0 as level 0, then one Bellman update per window (grid._levels).
 
-    The window tables are built here, once, on the windows from level first
-    on, so a restart keeps the columns its own windows keep; each call of
-    levels() marches afresh.
+    The window tables are built here, once, on the grid's windows; each
+    call of levels() marches afresh.
     """
     A, times = flux_limiter(cs), grid.times.tolist()
-    at = _windows(cs, grid, A, grid.times[first:])
+    at = _windows(cs, grid, A, grid.times)
 
     def update(v, n):
-        return _bellman(cs, grid, v, times[n], times[n + 1], at(n - first))
+        return _bellman(cs, grid, v, times[n], times[n + 1], at(n))
 
-    return lambda: _levels(grid, v0, update, first)
+    return lambda: _levels(grid, v0, update)
 
 
 def value_function(cs: ControlSystem, u0, grid: Grid) -> SolutionField:
@@ -191,7 +187,7 @@ def value_function(cs: ControlSystem, u0, grid: Grid) -> SolutionField:
     v0 = grid.sample(edge_data(u0, len(cs.edges), cs.orientation == "line"))
     bound = ((2.0 * cs.cost_bound(grid.dx, grid.edge_radii) + cs.abar_bound()) * grid.horizon
              + float(np.max(np.abs(v0))))
-    march = _march(cs, grid, v0, 0)
+    march = _march(cs, grid, v0)
 
     def levels():
         for n, level in enumerate(march()):

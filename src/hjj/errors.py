@@ -85,9 +85,5 @@ class NonSeparableTimeDependence(HjjError):
     mollified coefficient-wise."""
 
 
-class NegativeKn(HjjError):
-    """A mismatch signal came out negative beyond round-off."""
-
-
 class ConfigError(HjjError):
     """Malformed run configuration (CLI exit code 1)."""

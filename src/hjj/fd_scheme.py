@@ -65,7 +65,7 @@ import numpy as np
 
 from .control_system import TableHamiltonian
 from .errors import CflViolation, NonSeparableTimeDependence
-from .grid import _CFL_SAFETY, _CFL_SLACK, Grid, SolutionField, _levels, check_cfl, make_grid
+from .grid import _CFL_SLACK, Grid, SolutionField, _levels, check_cfl, make_grid
 from .hamiltonian import EnvelopePair
 from .junction_problem import JunctionProblem
 from .time_signal import coeff_window_averages, upper_envelope
@@ -73,18 +73,18 @@ from .time_signal import coeff_window_averages, upper_envelope
 __all__ = ["solve", "solve_many", "grid_for"]
 
 
-def grid_for(problems, dx: float, r_domain: float, cfl_safety: float = _CFL_SAFETY) -> Grid:
+def grid_for(problems, dx: float, r_domain: float) -> Grid:
     """Grid whose per-edge radius is r_domain capped by the edge length.
 
     problems is one JunctionProblem or a batch that shares its edge lengths
     and horizon; make_grid sizes the time steps by the pointwise largest
     speed_signal, so each window holds an integral of C2 of at most
-    cfl_safety * dx.
+    grid._CFL_SAFETY * dx.
     """
     batch = [problems] if isinstance(problems, JunctionProblem) else list(problems)
     radii = [min(r_domain, e.length) for e in batch[0].edges]  # a NaN r_domain stays NaN
     speed = upper_envelope([p.speed_signal(dx, radii) for p in batch])
-    return make_grid(dx, batch[0].horizon, radii, c2=speed, cfl_safety=cfl_safety)
+    return make_grid(dx, batch[0].horizon, radii, c2=speed)
 
 
 def _check_cfl(problems: Sequence[JunctionProblem], grid: Grid, times: np.ndarray) -> None:
@@ -144,14 +144,12 @@ def _edge_windows(hs: list, pair: EnvelopePair, times: np.ndarray, grid: Grid, i
     return env
 
 
-def _windows(problems, grid: Grid, times: np.ndarray) -> Callable:
+def _windows(problems: Sequence[JunctionProblem], grid: Grid, times: np.ndarray) -> Callable:
     """at(n) -> (limiter averages, per-edge envelopes) on window n of times.
 
-    problems is one JunctionProblem or a batch of them that shares each
-    edge (_edge_windows); the limiter averages hold one entry per problem.
+    problems is a batch that shares each edge (_edge_windows), one problem
+    a batch of one; the limiter averages hold one entry per problem.
     """
-    if isinstance(problems, JunctionProblem):
-        problems = [problems]
     a_avg = np.stack([p.flux_limiter.window_averages(times) for p in problems], axis=1)
     edges = [_edge_windows([p.edges[i].hamiltonian for p in problems], problems[0].envelope(i),
                            times, grid, i)

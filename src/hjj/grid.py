@@ -30,9 +30,9 @@ from .time_signal import TimeSignal, constant, upper_envelope
 __all__ = ["Grid", "SolutionField", "make_grid"]
 
 
-# make_grid's default share of dx for each window's integral of C2 (cfl_safety), and the
-# relative slack of every check of a window against dx: check_cfl, the scheme's slope
-# check and ControlEdge.window_lines.
+# The share of dx that make_grid gives each window's integral of C2, and the relative
+# slack of every check of a window against dx: check_cfl, the scheme's slope check and
+# ControlEdge.window_lines.
 _CFL_SAFETY = 0.5
 _CFL_SLACK = 1.0 + 1e-9
 
@@ -204,42 +204,35 @@ def _step_count(n: float, speed: TimeSignal) -> int:
     return max(1, math.ceil(_indexable(n, "the grid", f"time steps at C2 = {speed.max():.6g}")))
 
 
-def make_grid(
-    dx: float,
-    horizon: float,
-    radii: Sequence[float],
-    c2,
-    cfl_safety: float = _CFL_SAFETY,
-) -> Grid:
-    """Build a grid whose windows each hold an integral of C2 of at most cfl_safety * dx.
+def make_grid(dx: float, horizon: float, radii: Sequence[float], c2) -> Grid:
+    """Build a grid whose windows each hold an integral of C2 of at most _CFL_SAFETY * dx.
 
     c2 bounds |dH_i/dp| over the slopes the scheme reaches: a float, or a
     TimeSignal C2(t) on [0, horizon] (JunctionProblem.speed_signal, or
     ControlSystem.speed_signal for the value function). With Phi(t) the
     integral of C2 over [0, t], the levels split [0, T] into
-    N = ceil(Phi(T) / (cfl_safety dx)) windows of equal Phi, and dt is the
+    N = ceil(Phi(T) / (_CFL_SAFETY dx)) windows of equal Phi, and dt is the
     largest step; a constant C2 gives N equal steps of dt = T / N. This is
-    the only step policy: the steps are computed from C2, never declared.
+    the only step policy: the steps are computed from C2 and the constant
+    share, never declared.
     dx and T must be positive and finite, and so must the step count N,
     which may not exceed np.intp's maximum, else ConfigError naming N and C2.
     """
     horizon = _positive_finite("T", horizon)
     if not radii:
         raise ConfigError("need at least one edge radius")
-    if not (0 < cfl_safety <= 1.0):
-        raise ConfigError("cfl safety factor must lie in (0, 1]")
     # at least 1e-12; a signal on another horizon raises HorizonMismatch
     speed = upper_envelope([c2 if isinstance(c2, TimeSignal) else constant(c2, horizon),
                             constant(1e-12, horizon)])
     radii_eff = [float(ys[-1]) for ys in edge_nodes(dx, radii)]
     if speed.min() < speed.max():
         phi = speed.running_integrals(speed.breakpoints)
-        n = _step_count(phi[-1] / (cfl_safety * dx) - 1e-12, speed)
+        n = _step_count(phi[-1] / (_CFL_SAFETY * dx) - 1e-12, speed)
         times = np.interp(np.arange(n + 1) * (phi[-1] / n), phi, speed.breakpoints)
         times[-1] = horizon
         dt = np.diff(times).max()
     else:
-        n = _step_count(horizon / (cfl_safety * (dx / speed.max())) - 1e-12, speed)
+        n = _step_count(horizon / (_CFL_SAFETY * (dx / speed.max())) - 1e-12, speed)
         dt = horizon / n
         times = np.linspace(0.0, horizon, n + 1)
     return Grid(dx=float(dx), dt=float(dt), horizon=float(horizon),
@@ -282,18 +275,17 @@ def _check_level(level: np.ndarray, n: int) -> None:
         raise NumericalFailure(f"non-finite value at level {n}, node {np.argwhere(~finite)[0][-1]}")
 
 
-def _levels(grid: Grid, start: np.ndarray, update: Callable,
-            first: int = 0) -> Iterator[np.ndarray]:
-    """A march on grid as a stream: start (level first), then update(level, n) for each window n.
+def _levels(grid: Grid, start: np.ndarray, update: Callable) -> Iterator[np.ndarray]:
+    """A march on grid as a stream: start (level 0), then update(level, n) for each window n.
 
     Every level is checked as it is made (_check_level), so a march stops
     at its first non-finite value. Both routes march this way: the scheme
     with its Euler update of a batch, the value function with its Bellman
     update.
     """
-    _check_level(start, first)
+    _check_level(start, 0)
     yield start
-    for n in range(first, grid.steps):
+    for n in range(grid.steps):
         start = update(start, n)
         _check_level(start, n + 1)
         yield start
@@ -341,15 +333,6 @@ class SolutionField:
     @property
     def times(self) -> np.ndarray:
         return self.grid.times
-
-    def level(self, n: int) -> np.ndarray:
-        return self.values[n]
-
-    def edge_profile(self, n: int, i: int) -> np.ndarray:
-        return self.values[n][self.grid.edge_full_indices(i)]
-
-    def final(self) -> np.ndarray:
-        return self.values[-1]
 
     def sup_norm(self) -> float:
         return _max_abs(self.values)

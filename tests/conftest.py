@@ -10,7 +10,8 @@ import hjj.fd_scheme as fd_scheme_module
 from hjj import (ControlEdge, ControlForm, ControlSystem, Grid, Hamiltonian, JunctionProblem,
                  SolutionField, TimeSignal, constant, control_edge, eikonal, from_line, make_grid,
                  problem_from_config, quadratic)
-from hjj.time_signal import coeff_average
+from hjj.grid import _CFL_SAFETY
+from hjj.time_signal import coeff_average, upper_envelope
 
 from reference import step
 
@@ -27,6 +28,32 @@ def build_model_system(l0_value: float = 0.0, horizon: float = 1.0,
         for _ in range(2)
     ]
     return ControlSystem(edges, l0=constant(l0_value, horizon), A0=-1.0, delta=1.0)
+
+
+def share_grid(share: float, dx: float, source, radius, horizon: float | None = None) -> Grid:
+    """A grid whose windows each hold an integral of C2 of at most share * dx.
+
+    make_grid's share is the constant grid._CFL_SAFETY; this calls make_grid
+    with C2 scaled by _CFL_SAFETY / share. For a share that is a power of
+    two the scaling is exact, and so the grid is the one make_grid would
+    build at that share, bit for bit. source sets C2 and the radii as the
+    package's builders do: a JunctionProblem or a batch of them as grid_for
+    (radius capped by each edge length, their horizon), a ControlSystem as
+    oracle_grid (radius on every edge, on [0, horizon]), or C2 itself, a
+    float or a TimeSignal, as make_grid (radius is the radii).
+    """
+    if isinstance(source, ControlSystem):
+        radii = [radius] * len(source.edges)
+        c2 = source.speed_signal(horizon, dx, radii)
+    elif isinstance(source, (JunctionProblem, list)):
+        batch = source if isinstance(source, list) else [source]
+        radii, horizon = [min(radius, e.length) for e in batch[0].edges], batch[0].horizon
+        c2 = upper_envelope([p.speed_signal(dx, radii) for p in batch])
+    else:
+        radii, c2 = radius, source
+    scale = _CFL_SAFETY / share
+    c2 = c2.shift_values(lambda v: v * scale) if isinstance(c2, TimeSignal) else c2 * scale
+    return make_grid(dx, horizon, radii, c2=c2)
 
 
 def _random_coefficient(rng: np.random.Generator, lo: float, hi: float, horizon: float):

@@ -17,12 +17,15 @@ does not start with test_).
 - l1_distance: the exact L1 distance of two time signals.
 - step: one explicit Euler update of the scheme, which reads its flux and
   junction operator.
+- shifted_fields: a field's sandwich as two shifted copies, and NegativeKn
+  for a shift signal below zero; comparison_diagnostic computes the same
+  sandwich in one buffer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +44,10 @@ class BudgetExceeded(HjjError):
     """Exhaustive trajectory enumeration would exceed its node budget."""
 
 
+class NegativeKn(HjjError):
+    """A mismatch signal came out negative beyond round-off."""
+
+
 # ---------------------------------------------------------------------------
 # the scheme's one update, the induced Hamiltonians' sign-restricted envelopes
 
@@ -54,7 +61,7 @@ def step(problem: JunctionProblem, grid: Grid, u: np.ndarray, t: float, dt: floa
     """
     times = np.array([t, t + dt])
     _check_cfl([problem], grid, times)
-    return _advance([problem], grid, u[None], t, dt, _windows(problem, grid, times)(0))[0]
+    return _advance([problem], grid, u[None], t, dt, _windows([problem], grid, times)(0))[0]
 
 
 def edge_hamiltonian(edge: ControlEdge, delta: float = 1.0) -> Hamiltonian:
@@ -113,9 +120,10 @@ def dpp_consistency_check(cs: ControlSystem, field: SolutionField, s: float) -> 
     piecewise-linear profile at s as a fresh datum on the same grid, so by
     the programming principle the deviation should be at the
     interpolation-composition scale (and zero when nothing is lost). s must
-    be a time of the grid. The deviation is folded one restarted level at a
-    time (grid._max_abs), and the restart, like any march, raises
-    NumericalFailure at its first non-finite level.
+    be a time of the grid. The restart marches on the grid's levels from s
+    on, so it builds the tables of its own windows. The deviation is folded
+    one restarted level at a time (grid._max_abs), and the restart, like
+    any march, raises NumericalFailure at its first non-finite level.
     """
     grid = field.grid
     ns = grid.level_index(s)
@@ -125,10 +133,23 @@ def dpp_consistency_check(cs: ControlSystem, field: SolutionField, s: float) -> 
     data = []
     for i in range(grid.n_edges):
         ys = grid.edge_y(i)
-        vals = field.edge_profile(ns, i).copy()
+        vals = field.values[ns][grid.edge_full_indices(i)]
         data.append(lambda y, _ys=ys, _v=vals: float(np.interp(y, _ys, _v)))
-    restarted = _march(cs, grid, grid.sample(data), ns)()
+    restarted = _march(cs, replace(grid, times=grid.times[ns:]), grid.sample(data))()
     return _max_abs(a - b for a, b in zip(restarted, field.values[ns:]))
+
+
+# ---------------------------------------------------------------------------
+# the sandwich as two shifted fields
+
+def shifted_fields(field: SolutionField, kn: TimeSignal):
+    """(lower, upper) copies shifted by -/+ the running integral of kn."""
+    if kn.min() < -1e-12:
+        raise NegativeKn("shift signal must be nonnegative")
+    cum = kn.running_integrals(field.grid.times)
+    lower = SolutionField(field.grid, field.values - cum[:, None], field.line)
+    upper = SolutionField(field.grid, field.values + cum[:, None], field.line)
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------

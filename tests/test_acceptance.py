@@ -45,7 +45,7 @@ def _model_problem(l0_value: float):
 
 
 def _model_grid(problem):
-    return grid_for(problem, 0.01, 2.0, cfl_safety=0.5)
+    return grid_for(problem, 0.01, 2.0)
 
 
 def _random_affine_system(rng: np.random.Generator, horizon: float,

@@ -26,16 +26,15 @@ from hjj import (
     make_grid,
     problem_from_config,
     quadratic,
-    shifted_fields,
     smoothing_ladder,
     solve,
     union_mesh,
 )
 from hjj.approximation import _edge_tables
-from hjj.errors import CflViolation, ConfigError, NegativeKn, NonSeparableTimeDependence
+from hjj.errors import CflViolation, ConfigError, NonSeparableTimeDependence
 
-from conftest import zero_datum
-from reference import edge_hamiltonian, l1_distance
+from conftest import bench_tdq_problem, zero_datum
+from reference import NegativeKn, edge_hamiltonian, l1_distance, shifted_fields
 
 
 def _step_limiter_problem(horizon: float = 1.0):
@@ -313,14 +312,23 @@ def test_compute_kn_takes_a_zero_radius():
     assert compute_kn(prob, approx_problem(prob, 0.1), K=2.0, R=0.0).l1 == pytest.approx(0.05)
 
 
+@pytest.mark.filterwarnings("error")
+def test_compute_kn_refuses_a_slope_box_on_which_h_overflows():
+    prob = bench_tdq_problem(1)
+    approx = approx_problem(prob, 0.1)
+    with pytest.raises(ConfigError, match=r"^K: the error signal overflows .* K = 1e\+300$"):
+        compute_kn(prob, approx, 1e300, 1.0)
+    assert np.isfinite(compute_kn(prob, approx, 1e153, 1.0).l1)
+
+
 def test_shift_functions_move_by_the_integrated_error():
     prob = _step_limiter_problem()
     grid = grid_for(prob, 0.1, 2.0)
     base = solve(prob, grid)
     lower, upper = shifted_fields(base, constant(1.0, 1.0))
     for n, t in enumerate(grid.times):
-        assert np.max(np.abs(lower.level(n) - (base.level(n) - t))) <= 1e-12
-        assert np.max(np.abs(upper.level(n) - (base.level(n) + t))) <= 1e-12
+        assert np.max(np.abs(lower.values[n] - (base.values[n] - t))) <= 1e-12
+        assert np.max(np.abs(upper.values[n] - (base.values[n] + t))) <= 1e-12
     assert np.all(lower.values <= base.values + 1e-15)
     assert np.all(base.values <= upper.values + 1e-15)
 

@@ -764,6 +764,21 @@ def test_a_grid_no_array_can_index_exits_1_naming_its_step_count_and_c2(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_slope_box_at_which_the_error_signal_overflows_exits_1_naming_k(tmp_path: Path,
+                                                                          capsys):
+    """H overflows on the slope box [-1e300, 1e300]: one line naming K, no numpy warning."""
+    problem = _write(tmp_path, bench_tdq_config(1))
+    out = tmp_path / "out"
+    rc = main(["approx", "--problem", problem, "--dx", "0.1", "--slope-box", "1e300",
+               "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert lines == ["configuration error: K: the error signal overflows on the slope box "
+                     "[-K, K] at K = 1e+300"]
+    assert not out.exists()
+
+
 def test_a_dx_that_gives_more_nodes_than_can_be_indexed_exits_1_naming_dx(tmp_path: Path,
                                                                            capsys):
     problem = _write(tmp_path, bench_tdq_config(1))

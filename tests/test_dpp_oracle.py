@@ -28,7 +28,7 @@ from hjj.errors import CflViolation, NoAdmissibleControl, NumericalFailure
 from hjj.grid import Grid
 
 from conftest import (build_model_system, check_value_function_bounds, random_control_system,
-                      tdc_config, zero_datum)
+                      share_grid, tdc_config, zero_datum)
 from reference import BudgetExceeded, dpp_consistency_check, enumerate_trajectories
 
 
@@ -134,7 +134,7 @@ def test_value_function_with_floor_limiter_is_exactly_linear_in_time():
     cs = build_model_system(1.0)
     field = value_function(cs, zero_datum, oracle_grid(cs, 0.05, 1.0, 2.0))
     for n, t in enumerate(field.grid.times):
-        assert np.max(np.abs(field.level(n) - t)) <= 1e-12
+        assert np.max(np.abs(field.values[n] - t)) <= 1e-12
 
 
 def test_value_function_matches_enumeration_at_aligned_points():
@@ -252,7 +252,7 @@ def test_value_function_with_position_dependent_speeds():
     field = value_function(cs, _abs_datum, oracle_grid(cs, 0.1, 0.5, 1.5))
     field.check_finite()
     assert field.sup_norm() <= abs(_abs_datum(-1.5)) + 0.5 * cs.cost_bound() + 1e-9
-    assert field.final()[0] <= 0.5 + 1e-12
+    assert field.values[-1][0] <= 0.5 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,7 @@ def _full_cfl():
     # dt * max|f| = dx: the fastest departures land on the neighbouring nodes,
     # and at both ends of each edge some controls leave [0, R]
     cs = build_model_system(0.0, n_controls=9)
-    return cs, _abs_datum, oracle_grid(cs, 0.05, 1.0, 1.0, cfl_safety=1.0)
+    return cs, _abs_datum, share_grid(1.0, 0.05, cs, 1.0, 1.0)
 
 
 def _criterion_1():
@@ -390,7 +390,7 @@ def _inward_at_the_far_end():
 
 def test_no_admissible_control_names_the_same_node_and_window():
     cs = _inward_at_the_far_end()
-    grid = oracle_grid(cs, 0.1, 1.0, 1.0, cfl_safety=0.25)  # dt |f| <= 0.75 dx
+    grid = share_grid(0.25, 0.1, cs, 1.0, 1.0)  # dt |f| <= 0.75 dx
     with pytest.raises(NoAdmissibleControl) as got:
         value_function(cs, zero_datum, grid).values
     with pytest.raises(NoAdmissibleControl) as want:
@@ -423,18 +423,18 @@ def _random_case(seed: int, n_edges: int):
     return cs, lambda x: s * abs(x - x0)
 
 
-@pytest.mark.parametrize("cfl_safety", [0.5, 1.0])
+@pytest.mark.parametrize("share", [0.5, 1.0])
 @pytest.mark.parametrize("seed,n_edges", [(3, 2), (4, 2), (5, 2), (6, 3), (7, 3)])
-def test_pruned_value_function_equals_the_per_control_loop(seed, n_edges, cfl_safety):
+def test_pruned_value_function_equals_the_per_control_loop(seed, n_edges, share):
     cs, u0 = _random_case(seed, n_edges)
-    field = value_function(cs, u0, oracle_grid(cs, 0.05, 0.5, 1.0, cfl_safety=cfl_safety))
+    field = value_function(cs, u0, share_grid(share, 0.05, cs, 1.0, 0.5))
     want = _reference_values(cs, field.grid, field.values[0])
     assert field.values.tobytes() == want.tobytes()
 
 
 def test_pruned_value_function_on_time_dependent_forms_at_full_cfl():
     cs, u0, _ = _time_dependent_forms()
-    field = value_function(cs, u0, oracle_grid(cs, 0.04, 1.0, 1.5, cfl_safety=1.0))
+    field = value_function(cs, u0, share_grid(1.0, 0.04, cs, 1.5, 1.0))
     assert field.values.tobytes() == _reference_values(cs, field.grid,
                                                        field.values[0]).tobytes()
 
@@ -472,7 +472,7 @@ def test_time_dependent_tables_keep_the_union_over_windows():
 def test_full_cfl_case_keeps_every_column():
     cs, _, grid = _full_cfl()
     assert [len(c) for c in _columns(cs, grid)] == [9, 9]
-    slower = oracle_grid(cs, 0.05, 1.0, 1.0, cfl_safety=0.9)
+    slower = oracle_grid(cs, 0.05, 1.0, 1.0)
     assert [len(c) for c in _columns(cs, slower)] == [5, 5]
 
 
@@ -486,7 +486,7 @@ def test_departures_one_rounding_past_the_cell_keep_every_column():
     controls = np.array([-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0])
     edges = [ControlEdge(ControlForm(c1=1.0), ControlForm(c0=1.0), controls) for _ in range(2)]
     cs = ControlSystem(edges, l0=constant(0.0, 0.1), A0=-1.0, delta=1.0, orientation="star")
-    grid = make_grid(dx=0.1, horizon=0.1, radii=(1.5, 1.5), c2=1.0, cfl_safety=1.0)
+    grid = share_grid(1.0, dx=0.1, source=1.0, radius=(1.5, 1.5), horizon=0.1)
     y, idx = grid.edge_y(0), grid.edge_full_indices(0)
     assert y[13] - 0.1 < y[12]
     level = np.zeros(grid.n_nodes)
@@ -519,21 +519,21 @@ def _fast_far_out(delayed: bool = False):
 def test_callable_speeds_above_the_bound_raise_cfl_violation():
     cs = _fast_far_out(delayed=True)
     assert cs.speed_signal(0.05, 0.01, (0.3, 0.3)).max() == 1.0
-    grid = oracle_grid(cs, 0.01, 0.05, 0.3, cfl_safety=1.0)
+    grid = share_grid(1.0, 0.01, cs, 0.3, 0.05)
     with pytest.raises(CflViolation) as got:
         value_function(cs, zero_datum, grid).values
     # first offending node: y = 0.01 on edge 0, where the speed reaches 1.3
     node = int(grid.edge_full_indices(0)[1])
     assert f"at node {node} on [0.0, {grid.times[1]}]" in str(got.value)
     # a quarter of the step clears the true bound
-    field = value_function(cs, zero_datum, oracle_grid(cs, 0.01, 0.05, 0.3, cfl_safety=0.25))
+    field = value_function(cs, zero_datum, share_grid(0.25, 0.01, cs, 0.3, 0.05))
     field.check_finite()
 
 
 def test_solve_raises_the_value_functions_cfl_violation_on_a_callable_that_speeds_up():
     """Both routes check dt |f| <= dx on the nodes of each window of a callable edge."""
     cs = _fast_far_out(delayed=True)
-    grid = oracle_grid(cs, 0.01, 0.05, 0.3, cfl_safety=1.0)
+    grid = share_grid(1.0, 0.01, cs, 0.3, 0.05)
     with pytest.raises(CflViolation) as want:
         value_function(cs, zero_datum, grid).values
     with pytest.raises(CflViolation) as got:
@@ -542,7 +542,7 @@ def test_solve_raises_the_value_functions_cfl_violation_on_a_callable_that_speed
 
 
 def test_fast_far_out_runs_on_the_grid_of_its_node_bound():
-    """The bound on the nodes reads 4, so the default grid takes dt = safety * dx / 4."""
+    """The bound on the nodes reads 4, so the default grid takes dt = 0.5 * dx / 4."""
     cs = _fast_far_out()
     with pytest.raises(ValueError, match="needs the grid's nodes"):
         cs.speed_signal(0.05)
@@ -551,7 +551,7 @@ def test_fast_far_out_runs_on_the_grid_of_its_node_bound():
     assert field.grid.dt <= 0.5 * 0.01 / 4.0
     field.check_finite()
     # a supplied grid at the junction's speed is refused before the march
-    probed = make_grid(dx=0.01, horizon=0.05, radii=(0.3, 0.3), c2=1.0, cfl_safety=1.0)
+    probed = share_grid(1.0, dx=0.01, source=1.0, radius=(0.3, 0.3), horizon=0.05)
     with pytest.raises(CflViolation,
                        match="exceeds dx/C2=0.0025 at level \\d+ \\(C2 from max\\|f\\|\\)"):
         value_function(cs, zero_datum, probed)
@@ -567,16 +567,19 @@ GRID_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(GRID_CASES))
-@pytest.mark.parametrize("cfl_safety", [0.5, 1.0])
-def test_both_routes_and_compare_build_the_same_grid(case, cfl_safety):
+@pytest.mark.parametrize("share", [0.5, 1.0])
+def test_both_routes_and_compare_build_the_same_grid(case, share):
+    """oracle_grid and grid_for build one grid; so do the system's and the induced
+    problem's C2 and radii at share (share_grid, which at 0.5 is make_grid's own)."""
     cs, horizon, r_domain = GRID_CASES[case]()
     problem = induced_problem(cs, zero_datum, 0.0, horizon)
-    grids = [oracle_grid(cs, 0.01, horizon, r_domain, cfl_safety=cfl_safety),
-             grid_for(problem, 0.01, r_domain, cfl_safety=cfl_safety)]
-    assert len({(g.dt, g.steps, g.n_nodes) for g in grids}) == 1
-    assert np.array_equal(grids[0].times, grids[1].times)
-    assert all(np.array_equal(grids[1].edge_y(i), grids[0].edge_y(i))
-               for i in range(grids[0].n_edges))
+    for grids in ([oracle_grid(cs, 0.01, horizon, r_domain), grid_for(problem, 0.01, r_domain)],
+                  [share_grid(share, 0.01, cs, r_domain, horizon),
+                   share_grid(share, 0.01, problem, r_domain)]):
+        assert len({(g.dt, g.steps, g.n_nodes) for g in grids}) == 1
+        assert np.array_equal(grids[0].times, grids[1].times)
+        assert all(np.array_equal(grids[1].edge_y(i), grids[0].edge_y(i))
+                   for i in range(grids[0].n_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +633,9 @@ def test_both_routes_agree_on_a_callable_drift_step():
 
 
 def _per_window_grid() -> Grid:
-    """The drift step's windows at cfl_safety 1: each holds dx, the longest one 0.01 = dx / 2."""
-    return make_grid(dx=0.02, horizon=1.0, radii=(1.0, 1.0), cfl_safety=1.0,
-                     c2=TimeSignal(np.array([0.0, 0.3, 1.0]), np.array([2.0, 2.5])))
+    """The drift step's windows at share 1: each holds dx, the longest one 0.01 = dx / 2."""
+    return share_grid(1.0, dx=0.02, source=TimeSignal(np.array([0.0, 0.3, 1.0]), np.array([2.0, 2.5])),
+                      radius=(1.0, 1.0), horizon=1.0)
 
 
 def test_value_function_accepts_windows_that_hold_dx_where_sup_f_times_the_longest_step_does_not():

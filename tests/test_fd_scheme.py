@@ -45,7 +45,7 @@ from hjj.hamiltonian import CATALOG, numeric_argmin
 from hjj.time_signal import coeff_window_averages
 
 from conftest import (bench_tdq_problem, frozen, godunov_flux, random_control_system,
-                      random_tdq_problem, record_line_max, tdc_config, zero_datum)
+                      random_tdq_problem, record_line_max, share_grid, tdc_config, zero_datum)
 from reference import step
 
 
@@ -91,7 +91,7 @@ def test_godunov_flux_is_monotone():
 
 def test_step_hand_evaluated_on_flat_data():
     """dx=1, dt=0.5, u=0: interior nodes gain dt, the junction follows max(A, -1)."""
-    grid = make_grid(dx=1.0, horizon=0.5, radii=(3.0, 3.0), c2=1.0, cfl_safety=1.0)
+    grid = share_grid(1.0, dx=1.0, source=1.0, radius=(3.0, 3.0), horizon=0.5)
     flat = np.zeros(grid.n_nodes)
     for a_value, junction_want in ((0.0, 0.0), (-1.0, 0.5)):
         prob = _line_problem(a_value, horizon=0.5)
@@ -105,7 +105,7 @@ def test_step_averages_the_flux_limiter_over_the_window():
     # A jumps from 0 to -1 at t=0.3, inside the window [0, 0.5]
     limiter = TimeSignal(np.array([0.0, 0.3, 0.5]), np.array([0.0, -1.0]))
     prob = from_line(eikonal(), eikonal(), limiter, zero_datum, 0.0, 0.5)
-    grid = make_grid(dx=1.0, horizon=0.5, radii=(3.0, 3.0), c2=1.0, cfl_safety=1.0)
+    grid = share_grid(1.0, dx=1.0, source=1.0, radius=(3.0, 3.0), horizon=0.5)
     new = step(prob, grid, np.zeros(grid.n_nodes), 0.0, 0.5)
     # junction update is -dt * max(avg A, -1) with avg A = -0.4
     assert new[0] == pytest.approx(0.2, abs=1e-14)
@@ -174,8 +174,8 @@ def test_solve_respects_the_sup_norm_stability_bound():
         # the parabola minimum c at the outflow closure
         bound = max(abs(a_value), h0, abs(c))
         for nlev, t in enumerate(grid.times):
-            assert float(np.max(np.abs(field.level(nlev)))) \
-                <= float(np.max(np.abs(field.level(0)))) + t * bound + 1e-12
+            assert float(np.max(np.abs(field.values[nlev]))) \
+                <= float(np.max(np.abs(field.values[0]))) + t * bound + 1e-12
 
 
 def test_discrete_comparison_on_ordered_data():
@@ -200,7 +200,7 @@ def test_cfl_violation_raises():
     call, before its first step."""
     prob = _line_problem(-1.0)
     for dx, c2 in ((0.05, 0.25), (0.1, 0.5)):
-        grid = make_grid(dx=dx, horizon=1.0, radii=(1.0, 1.0), c2=c2, cfl_safety=1.0)
+        grid = share_grid(1.0, dx=dx, source=c2, radius=(1.0, 1.0), horizon=1.0)
         with pytest.raises(CflViolation):
             solve(prob, grid)
 
@@ -218,7 +218,7 @@ def test_three_edge_star_solve_is_stable():
     field.check_finite()
     assert field.values.shape[1] == 1 + 3 * (len(grid.edge_y(0)) - 1)
     # junction cost rate is max(A, -1) = -0.5
-    assert field.final()[0] == pytest.approx(0.25, abs=1e-12)
+    assert field.values[-1][0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_csv_round_trips_17_digit_floats():
@@ -420,7 +420,7 @@ def test_step_evaluates_each_non_catalog_edge_once(monkeypatch):
         horizon=0.5,
     )
     grid = grid_for(prob, 0.05, 1.0)
-    at = _windows(prob, grid, grid.times)
+    at = _windows([prob], grid, grid.times)
     u = grid.sample(prob.initial_data)
     for n in (0, grid.steps // 2, grid.steps - 1):
         window = at(n)
@@ -530,7 +530,7 @@ def _bad_stars() -> dict:
         "blind": _star(blind_h, lambda y: 0.5 * y, 0.5),
         "good-blind": _star(blind_h, zero_datum, 0.0),
     }
-    return {**stars, "grid": grid_for(stars["steep"], 0.02, 1.0, cfl_safety=1.0)}
+    return {**stars, "grid": share_grid(1.0, 0.02, stars["steep"], 1.0)}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -577,17 +577,17 @@ def _random_induced_problem(seed: int, n_edges: int) -> JunctionProblem:
     return induced_problem(cs, lambda x: 0.4 * min(1.0, abs(x - 0.1)), 0.4, 0.5)
 
 
-@pytest.mark.parametrize("cfl_safety", [0.5, 1.0])
+@pytest.mark.parametrize("share", [0.5, 1.0])
 @pytest.mark.parametrize("case", ["random-3", "random-4", "random-5", "random-star-6",
                                   "random-star-7", "time-dependent"])
-def test_pruned_solve_equals_the_march_over_every_control(monkeypatch, case, cfl_safety):
+def test_pruned_solve_equals_the_march_over_every_control(monkeypatch, case, share):
     """The reference is the same march with undominated keeping every control."""
     def run() -> np.ndarray:
         if case == "time-dependent":
             prob = _control_induced_problem()
         else:
             prob = _random_induced_problem(int(case[-1]), 3 if "star" in case else 2)
-        return solve(prob, grid_for(prob, 0.05, 1.0, cfl_safety=cfl_safety)).values
+        return solve(prob, share_grid(share, 0.05, prob, 1.0)).values
 
     got = run()
     monkeypatch.setattr(control_system_module, "undominated",
@@ -631,7 +631,7 @@ def test_an_understated_p_span_raises_cfl_violation_at_the_first_breach():
     star = JunctionProblem(edges=[Edge(quadratic(1.0, 0.0, -1.0, p_span=0.5)) for _ in range(3)],
                            flux_limiter=constant(0.0, 0.5), initial_data=[lambda y: 0.5 * y] * 3,
                            lipschitz_u0=0.5, horizon=0.5)
-    grid = grid_for(star, 0.02, 1.0, cfl_safety=1.0)
+    grid = share_grid(1.0, 0.02, star, 1.0)
     assert star.cfl_speed() == (1.0, "declared p_span 0.5 on edge 0")
     with pytest.raises(CflViolation) as got:
         solve(star, grid).values
@@ -646,7 +646,7 @@ def test_x_dependent_control_edge_takes_its_speed_on_the_grid_nodes():
              for _ in range(2)]
     cs = ControlSystem(edges, l0=constant(0.0, 0.05), A0=-1.0, delta=1.0)
     prob = induced_problem(cs, lambda x: 0.5 * abs(x), 0.5, 0.05)
-    grid = grid_for(prob, 0.01, 0.3, cfl_safety=1.0)
+    grid = share_grid(1.0, 0.01, prob, 0.3)
     assert grid.dt <= 0.01 / 4.0
     assert prob.cfl_speed(0.01, [0.3, 0.3]) == (4.0, "max|f| over 21 controls and 31 nodes "
                                                      "on edge 0")
@@ -655,7 +655,7 @@ def test_x_dependent_control_edge_takes_its_speed_on_the_grid_nodes():
     with pytest.raises(ValueError, match="needs the grid's nodes"):
         prob.cfl_speed()
     # a grid at the speed seen from the junction is refused before the first step
-    probed = make_grid(0.01, 0.05, [0.3, 0.3], c2=1.0, cfl_safety=1.0)
+    probed = share_grid(1.0, 0.01, 1.0, [0.3, 0.3], 0.05)
     with pytest.raises(CflViolation, match="max\\|f\\| over 21 controls and 31 nodes"):
         solve(prob, probed)
 
@@ -940,7 +940,7 @@ def test_tdq_steps_follow_the_integral_of_the_speed():
 
 def _final_line_level(problem: JunctionProblem, grid) -> np.ndarray:
     """The scheme's last level on grid, marched without storing the others."""
-    at = _windows(problem, grid, grid.times)
+    at = _windows([problem], grid, grid.times)
     u = grid.sample(problem.initial_data)[None]
     for n in range(grid.steps):
         t, t_next = float(grid.times[n]), float(grid.times[n + 1])
@@ -1025,19 +1025,19 @@ def test_tdq_solves_and_smoothing_ladders_keep_the_cfl_guard_quiet():
 
 def test_a_batch_grid_covers_a_smoothed_coefficient_above_the_original():
     """Averaging a(t) over [t - 0.2, t + 0.2] raises it before its jump at t = 0.5,
-    so the base problem's grid at safety 1 is too coarse for the smoothed problem
+    so the base problem's grid at share 1 is too coarse for the smoothed problem
     there; the batch grid follows the larger speed and serves both."""
     a = TimeSignal(np.array([0.0, 0.5, 1.0]), np.array([0.5, 2.0]))
     prob = from_line(eikonal(), quadratic(a, 0.0, -1.0), constant(-0.5, 1.0), zero_datum,
                      0.0, 1.0)
     ladder = smoothing_ladder(prob, [0.2])
-    base_grid = grid_for(prob, 0.05, 1.0, cfl_safety=1.0)
+    base_grid = share_grid(1.0, 0.05, prob, 1.0)
     solve(prob, base_grid).check_finite()
     with pytest.raises(CflViolation, match="exceeds dx/C2=.* at level 18 "):
         solve(ladder[0.2], base_grid)
     with pytest.raises(CflViolation, match="at level 18 "):
         comparison_diagnostic(prob, ladder, base_grid)
-    batch_grid = grid_for([prob, ladder[0.2]], 0.05, 1.0, cfl_safety=1.0)
+    batch_grid = share_grid(1.0, 0.05, [prob, ladder[0.2]], 1.0)
     speeds = [p.speed_signal().window_integrals(batch_grid.times) for p in (prob, ladder[0.2])]
     assert np.max(speeds) <= 0.05 * (1.0 + 1e-9)
     study = comparison_diagnostic(prob, ladder, batch_grid)

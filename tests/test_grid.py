@@ -11,9 +11,9 @@ import pytest
 from hjj import (SolutionField, TimeSignal, constant, eikonal, from_line, grid_for,
                  induced_problem, make_grid, oracle_grid, solve, solve_many, value_function)
 from hjj.errors import ConfigError, HorizonMismatch, NumericalFailure
-from hjj.grid import atomic_write_text, edge_nodes
+from hjj.grid import _CFL_SAFETY, atomic_write_text, edge_nodes
 
-from conftest import build_model_system, count_updates, zero_datum
+from conftest import build_model_system, count_updates, share_grid, zero_datum
 
 
 def _reference_csv(field: SolutionField) -> str:
@@ -60,36 +60,67 @@ def _random_speed(rng: np.random.Generator, horizon: float) -> TimeSignal:
 
 
 def test_make_grid_gives_each_window_an_equal_share_of_the_speed_integral():
-    """times run from 0 to T, strictly increasing, in N = ceil(Phi(T) / (safety dx))
-    windows, each with an integral of C2 of at most safety dx; dt is the largest step."""
+    """times run from 0 to T, strictly increasing, in N = ceil(Phi(T) / (0.5 dx))
+    windows, each with an integral of C2 of at most 0.5 dx; dt is the largest step.
+    C2 is a random speed times a random scale, so N ranges as it would over shares."""
     rng = np.random.default_rng(131)
     for _ in range(300):
         horizon = float(rng.uniform(0.05, 3.0))
         dx = float(rng.choice([0.1, 0.02, 0.005]))
-        safety = float(rng.uniform(0.1, 1.0))
-        speed = _random_speed(rng, horizon)
-        grid = make_grid(dx, horizon, (1.0, 1.0), c2=speed, cfl_safety=safety)
+        scale = float(rng.uniform(0.5, 5.0))
+        speed = _random_speed(rng, horizon).shift_values(lambda v: v * scale)
+        grid = make_grid(dx, horizon, (1.0, 1.0), c2=speed)
         t = grid.times
         assert t[0] == 0.0 and t[-1] == horizon
         assert np.all(np.diff(t) > 0.0)
-        assert np.all(speed.window_integrals(t) <= safety * dx * (1.0 + 1e-9))
-        n = max(1, math.ceil(speed.integrate(0.0, horizon) / (safety * dx) - 1e-12))
+        assert np.all(speed.window_integrals(t) <= _CFL_SAFETY * dx * (1.0 + 1e-9))
+        n = max(1, math.ceil(speed.integrate(0.0, horizon) / (_CFL_SAFETY * dx) - 1e-12))
         assert grid.steps == n
         assert grid.dt == np.max(np.diff(t))
 
 
-@pytest.mark.parametrize("dx,c2,horizon,safety", [(0.1, 2.5, 1.0, 0.5), (0.02, 41.0, 1.0, 0.5),
-                                                  (0.05, 1.0, 0.5, 0.5), (0.03, 7.3, 0.9, 0.7),
-                                                  (0.01, 3.0, 1.0, 1.0)])
-def test_a_constant_speed_keeps_the_linspace_levels(dx, c2, horizon, safety):
-    """A float C2, or a signal whose cells all carry it, gives N equal steps of T / N
-    with N = ceil(T / (safety dx / C2) - 1e-12), bit for bit (the first four rows tie)."""
-    n = max(1, math.ceil(horizon / (safety * dx / c2) - 1e-12))
+@pytest.mark.parametrize("dx,c2,horizon,scale", [(0.1, 2.5, 1.0, 0.5), (0.02, 41.0, 1.0, 0.5),
+                                                 (0.05, 1.0, 0.5, 0.5), (0.03, 7.3, 0.9, 0.7),
+                                                 (0.01, 3.0, 1.0, 1.0)])
+def test_a_constant_speed_keeps_the_linspace_levels(dx, c2, horizon, scale):
+    """A float C2 = c2 scale, or a signal whose cells all carry it, gives N equal steps
+    of T / N with N = ceil(T / (0.5 dx / C2) - 1e-12), bit for bit (the first four rows
+    tie)."""
+    c2 = c2 * scale
+    n = max(1, math.ceil(horizon / (_CFL_SAFETY * dx / c2) - 1e-12))
     flat = TimeSignal(np.array([0.0, 0.3 * horizon, horizon]), np.array([c2, c2]))
     for speed in (c2, flat):
-        grid = make_grid(dx, horizon, (1.0,), c2=speed, cfl_safety=safety)
+        grid = make_grid(dx, horizon, (1.0,), c2=speed)
         assert grid.times.tobytes() == np.linspace(0.0, horizon, n + 1).tobytes()
         assert grid.dt == horizon / n
+
+
+def test_share_grid_takes_its_share_of_dx_and_is_make_grid_at_the_default():
+    """share_grid at 0.5 is make_grid's grid bit for bit, and grid_for's and oracle_grid's
+    on their sources. At shares 1, 0.5 and 0.25 every window integrates C2 to at most
+    share dx, in N = ceil(Phi(T) / (share dx) - 1e-12) windows."""
+    rng = np.random.default_rng(137)
+    for _ in range(100):
+        horizon = float(rng.uniform(0.05, 3.0))
+        dx = float(rng.choice([0.1, 0.02, 0.005]))
+        speed = _random_speed(rng, horizon)
+        for c2 in (speed, speed.max()):
+            want = make_grid(dx, horizon, (1.0, 1.0), c2=c2)
+            got = share_grid(_CFL_SAFETY, dx, c2, (1.0, 1.0), horizon)
+            assert (got.times.tobytes(), got.dt) == (want.times.tobytes(), want.dt)
+        for share in (1.0, 0.5, 0.25):
+            grid = share_grid(share, dx, speed, (1.0, 1.0), horizon)
+            assert np.all(speed.window_integrals(grid.times) <= share * dx * (1.0 + 1e-9))
+            n = max(1, math.ceil(speed.integrate(0.0, horizon) / (share * dx) - 1e-12))
+            assert grid.steps == n
+    cs = build_model_system(0.0)
+    problem = induced_problem(cs, zero_datum, 0.0, 1.0)
+    for got, want in ((share_grid(0.5, 0.02, problem, 2.0), grid_for(problem, 0.02, 2.0)),
+                      (share_grid(0.5, 0.02, [problem, problem], 2.0),
+                       grid_for([problem, problem], 0.02, 2.0)),
+                      (share_grid(0.5, 0.02, cs, 2.0, 1.0), oracle_grid(cs, 0.02, 1.0, 2.0))):
+        assert (got.times.tobytes(), got.dt, got.edge_radii) == \
+            (want.times.tobytes(), want.dt, want.edge_radii)
 
 
 def test_make_grid_refuses_a_speed_signal_on_another_horizon():

@@ -25,6 +25,8 @@ from hjj import (
     from_line,
     grid_for,
     induced_problem,
+    make_grid,
+    oracle_grid,
     problem_from_config,
     quadratic,
     reflected,
@@ -299,7 +301,7 @@ def test_from_line_keeps_the_declared_p_span_on_both_quadratic_edges():
     assert [e.hamiltonian.lipschitz_p for e in prob.edges] == [3.0, 3.0]
     assert prob.edges[1].hamiltonian.coefficients["b"] == -0.5
     assert prob.cfl_speed()[0] == 3.0
-    # dt = cfl_safety * dx / C2 = 0.5 * 0.01 / 3, so 600 steps reach T = 1
+    # dt = _CFL_SAFETY * dx / C2 = 0.5 * 0.01 / 3, so 600 steps reach T = 1
     assert grid_for(prob, 0.01, 1.0).steps == 600
 
     b = TimeSignal(np.array([0.0, 0.4, 1.0]), np.array([0.25, -0.5]))
@@ -515,16 +517,21 @@ def test_c2_bounds_the_slope_speed_on_the_slope_box():
 @pytest.mark.parametrize("name, keyword", [
     ("validate", "refine"), ("validate", "u0_samples"), ("compute_kn", "n_p"),
     ("compute_kn", "n_x"), ("enumerate_trajectories", "budget"),
-    ("enumerate_trajectories", "arrival_tol"), ("check_convexity", "tol")])
+    ("enumerate_trajectories", "arrival_tol"), ("check_convexity", "tol"),
+    ("make_grid", "cfl_safety"), ("grid_for", "cfl_safety"), ("oracle_grid", "cfl_safety")])
 def test_the_fixed_sampling_settings_are_no_keywords(name, keyword):
     """validate, compute_kn, enumerate_trajectories and check_convexity read their
-    sampling densities, budget and tolerances from module constants: no keyword sets them."""
+    sampling densities, budget and tolerances from module constants, and the grid
+    builders their step share (grid._CFL_SAFETY): no keyword sets them."""
     problem, cs = _line_eikonal(-1.0), build_model_system()
     call = {"validate": lambda **kw: validate(problem, **kw),
             "compute_kn": lambda **kw: compute_kn(problem, problem, K=1.0, R=1.0, **kw),
             "enumerate_trajectories":
                 lambda **kw: enumerate_trajectories(cs, (0.5, 0.0), (0.0, 1.0), 1, **kw),
-            "check_convexity": lambda **kw: check_convexity(eikonal(), **kw)}[name]
+            "check_convexity": lambda **kw: check_convexity(eikonal(), **kw),
+            "make_grid": lambda **kw: make_grid(0.1, 1.0, (1.0, 1.0), c2=1.0, **kw),
+            "grid_for": lambda **kw: grid_for(problem, 0.1, 1.0, **kw),
+            "oracle_grid": lambda **kw: oracle_grid(cs, 0.1, 1.0, 1.0, **kw)}[name]
     call()  # the call itself runs
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
         call(**{keyword: 1})
