@@ -7,8 +7,9 @@ time signal k(t); shifting the smoothed solution by the running integral of
 k produces a sub/supersolution pair that brackets the original solution up
 to the scheme's own error. comparison_diagnostic runs the whole pipeline
 over a ladder of widths: the base problem and every smoothed one are marched
-together on one grid (fd_scheme.solve_many), then each width is priced with
-array passes over the shared fields.
+together on one grid, as one batch of fd_scheme's stream, into one
+(problems, levels, nodes) array, then each width is priced with array
+passes over it.
 
 compute_kn reads k on a leading axis of union-mesh cells, and reads every
 edge through its problem's EnvelopePair. The limiter and every edge with a
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fd_scheme import solve_many
-from .grid import Grid, SolutionField, _positive_finite
+from .fd_scheme import _stream
+from .grid import Grid, _positive_finite
 from .hamiltonian import EnvelopePair, Hamiltonian
 from .junction_problem import Edge, JunctionProblem
 from .time_signal import TimeSignal, union_mesh
@@ -212,9 +213,9 @@ class WidthReport:
 
 @dataclass
 class ApproximationStudy:
-    """Per-width error signals and gaps against one base solution."""
+    """Per-width error signals and gaps against one base solution on grid."""
 
-    base: SolutionField
+    grid: Grid
     reports: list
     K: float
     R: float
@@ -227,9 +228,9 @@ class ApproximationStudy:
         return {
             "K": self.K,
             "R": self.R,
-            "dx": self.base.grid.dx,
-            "dt": self.base.grid.dt,
-            "steps": self.base.grid.steps,
+            "dx": self.grid.dx,
+            "dt": self.grid.dt,
+            "steps": self.grid.steps,
             "widths": [
                 {"eps": r.eps, "kn_l1": r.kn_l1, "solution_gap": r.sup_gap,
                  "sandwich_violation": r.sandwich_violation}
@@ -238,13 +239,12 @@ class ApproximationStudy:
         }
 
 
-def _measured_slope_box(field: SolutionField) -> float:
+def _measured_slope_box(grid: Grid, u: np.ndarray) -> float:
+    """The largest |slope| of u (levels x nodes) over the edges of grid."""
     worst = 0.0
-    g = field.grid
-    for i in range(g.n_edges):
-        idx = g.edge_full_indices(i)
-        block = field.values[:, idx]
-        worst = max(worst, float(np.max(np.abs(np.diff(block, axis=1)))) / g.dx)
+    for i in range(grid.n_edges):
+        block = u[:, grid.edge_full_indices(i)]
+        worst = max(worst, float(np.max(np.abs(np.diff(block, axis=1)))) / grid.dx)
     return worst
 
 
@@ -254,8 +254,9 @@ def comparison_diagnostic(problem: JunctionProblem, widths, grid: Grid,
     """Solve the problem and its smoothed versions on grid, pricing each gap.
 
     widths are the smoothing widths, or their smoothing_ladder(problem,
-    widths) when it is built already. One batched march solves the base
-    problem and every smoothed one on grid. A smoothed coefficient can
+    widths) when it is built already. One batched march (fd_scheme's
+    stream) solves the base problem and every smoothed one on grid, into
+    one (problems, levels, nodes) array. A smoothed coefficient can
     exceed the original near a jump, so a grid that serves them all is
     grid_for([problem, *ladder.values()], ...); a grid too coarse for one
     of them raises the CflViolation that solve raises on it. K and R, when
@@ -268,19 +269,21 @@ def comparison_diagnostic(problem: JunctionProblem, widths, grid: Grid,
     ladder = widths if isinstance(widths, dict) else smoothing_ladder(problem, widths)
     K = None if K is None else _positive_finite("K", K)
     R = None if R is None else _positive_finite("R", R)
-    base, *fields = solve_many([problem, *ladder.values()], grid)
+    levels = _stream([problem, *ladder.values()], grid)
+    values = np.empty((len(ladder) + 1, grid.steps + 1, grid.n_nodes))
+    for n, level in enumerate(levels()):
+        values[:, n] = level
+    u = values[0]
     if K is None:
-        K = max(1.1 * _measured_slope_box(base), problem.lipschitz_u0, 1.0)
+        K = max(1.1 * _measured_slope_box(grid, u), problem.lipschitz_u0, 1.0)
     if R is None:
         R = float(max(np.max(grid.edge_y(i)) for i in range(grid.n_edges)))
 
-    u = base.values
     buf = np.empty_like(u)
     reports = []
-    for (eps, ap), fld in zip(ladder.items(), fields):
+    for (eps, ap), v in zip(ladder.items(), values[1:]):
         kn = compute_kn(problem, ap, K, R)
         cum = kn.signal.running_integrals(grid.times)[:, None]
-        v = fld.values
         np.subtract(v, cum, out=buf)
         below = float(np.max(np.subtract(buf, u, out=buf)))  # (fld - cum) - base
         np.add(v, cum, out=buf)
@@ -288,4 +291,4 @@ def comparison_diagnostic(problem: JunctionProblem, widths, grid: Grid,
         np.subtract(u, v, out=buf)
         sup_gap = float(np.max(np.abs(buf, out=buf)))
         reports.append(WidthReport(eps, kn, sup_gap, max(0.0, max(below, above))))
-    return ApproximationStudy(base, reports, float(K), float(R))
+    return ApproximationStudy(grid, reports, float(K), float(R))

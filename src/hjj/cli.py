@@ -205,8 +205,8 @@ def cmd_compare(args) -> int:
     fd = fd_solve(problem, grid)
     pairs = _fd_first(fd, lambda: value_function(cs, problem.initial_data, grid))
     # one pass over both marches: each level's largest |fd - dp|, |fd| and |dp|, and the
-    # gaps at the report levels; the largest per-level maximum is how grid._max_abs folds
-    # linf_gap and sup_norm, so the report keeps their bits
+    # gaps at the report levels; the largest per-level maximum has the whole field's bits
+    # (grid._max_abs), so sup_gap keeps linf_gap's
     wanted, peaks, gaps = {grid.level_index(t) for t in args.report_times or []}, [], {}
     for n, (a, b) in enumerate(pairs):
         d = np.abs(a - b)
@@ -240,7 +240,7 @@ def cmd_approx(args) -> int:
 
 def cmd_validate(args) -> int:
     problem, _, _ = _load_problem(args)
-    report = validate(problem, seed=args.seed)
+    report = validate(problem)
     for line in report.lines():
         print(line)
     if args.out and report.ok:
@@ -255,24 +255,24 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
-def _number(option: str, kind=float, zero_ok: bool = False, many: bool = False):
-    """The argparse type of a numeric option: kind, finite and > 0 (>= 0 with zero_ok).
+def _number(option: str, zero_ok: bool = False, many: bool = False):
+    """The argparse type of a numeric option: a float, finite and > 0 (>= 0 with zero_ok).
 
     With many, a comma-separated list of at least one of them; empty items
-    are skipped. Text that kind cannot read is a usage error; a value that
+    are skipped. Text that float cannot read is a usage error; a value that
     is not finite or out of range raises the ConfigError of grid's dx
     check, and a list with no number a ConfigError, each naming the option
     (without its dashes), which main reports as a configuration error.
     """
     def read(text: str):
-        vals = [kind(tok) for tok in text.split(",") if tok.strip()] if many else [kind(text)]
+        vals = [float(tok) for tok in text.split(",") if tok.strip()] if many else [float(text)]
         if not vals:
             raise ConfigError(f"{option}: expected at least one number")
         for v in vals:
             _positive_finite(option, v, zero_ok)
         return vals if many else vals[0]
 
-    read.__name__ = kind.__name__  # argparse's "invalid float value" names it
+    read.__name__ = "float"  # argparse's "invalid float value" names it
     return read
 
 
@@ -333,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the standing assumptions")
     _add_common(p, need_out=False)
-    p.add_argument("--seed", type=_number("seed", int, zero_ok=True), default=20,
-                   help="seed for randomized validation probes")
     p.set_defaults(func=cmd_validate)
 
     return ap

@@ -44,16 +44,15 @@ the steps, and each step checks dt |dH/dp| <= dx at the slopes
 it reads on every edge whose pair carries a speed (a quadratic frozen at
 the window's coefficients), raising CflViolation on a breach.
 
-solve_many marches several problems on one grid as one stream of levels
-(grid._levels) over a leading problem axis, and stores the values as
-(problems, levels, nodes); solve is the stream of one problem, which its
-field runs when it is read. Each level of the batch is checked for a
-non-finite value as it is made, so the march stops at the first one. The
-limiter and coefficient tables hold one column per problem. The batch
-shares each edge's envelopes: one closed form with per-problem coefficient
-columns, one callable control edge frozen at each window's table, or one
-time-independent Hamiltonian object. Each edge is
-evaluated once per step on the slopes of every problem, and a batch that
+A march is one stream of levels (grid._levels) over a leading problem
+axis, and solve is the stream of one problem, which its field runs when it
+is read. Each level is checked for a non-finite value as it is made, so the
+march stops at the first one. approx marches its ladder the same way, as
+one batch on one grid: the limiter and coefficient tables hold one column
+per problem, and the batch shares each edge's envelopes: one closed form
+with per-problem coefficient columns, one callable control edge frozen at
+each window's table, or one time-independent Hamiltonian object. Each edge
+is evaluated once per step on the slopes of every problem, and a batch that
 does not share an edge raises ValueError naming it.
 """
 
@@ -70,7 +69,7 @@ from .hamiltonian import EnvelopePair
 from .junction_problem import JunctionProblem
 from .time_signal import coeff_window_averages, upper_envelope
 
-__all__ = ["solve", "solve_many", "grid_for"]
+__all__ = ["solve", "grid_for"]
 
 
 def grid_for(problems, dx: float, r_domain: float) -> Grid:
@@ -249,34 +248,14 @@ def _stream(problems: list, grid: Grid) -> Callable[[], Iterator[np.ndarray]]:
     return lambda: _levels(grid, start, update)
 
 
-def solve_many(problems: Sequence[JunctionProblem], grid: Grid) -> list[SolutionField]:
-    """March problems on grid from their initial data to the horizon, as one stream.
-
-    The problems share each edge's Hamiltonian object or closed form, as
-    every ladder of approximation does; a batch that does not share an edge
-    raises ValueError naming it. The march runs here, and each field is
-    bit-equal to solve(problem, grid) and a view into one (problems, levels,
-    nodes) array. Raises CflViolation before the first step when C2
-    integrates above dx over a window of grid, and NumericalFailure at the
-    first level that holds a non-finite value (grid._levels checks each
-    level as it is made).
-    """
-    problems = list(problems)
-    levels = _stream(problems, grid)
-    values = np.empty((len(problems), grid.steps + 1, grid.n_nodes))
-    for n, level in enumerate(levels()):
-        values[:, n] = level
-    return [SolutionField(grid, vals, line=p.line_convention) for p, vals in zip(problems, values)]
-
-
 def solve(problem: JunctionProblem, grid: Grid) -> SolutionField:
     """The scheme from the initial datum to the horizon, as a field that marches when read.
 
-    The checks that need no step run here and raise here (solve_many's
-    window CFL check and table refusals); the march is solve_many's stream
-    of one problem, run by each read of the field: levels() marches again,
-    values marches once and keeps the array. A level's own failure, a
-    slope CflViolation or a NumericalFailure, is raised by the first read.
+    The checks that need no step run here and raise here (_stream's window
+    CFL check and table refusals); the march is _stream's batch of one
+    problem, run by each read of the field: levels() marches again, values
+    marches once and keeps the array. A level's own failure, a slope
+    CflViolation or a NumericalFailure, is raised by the first read.
     """
     levels = _stream([problem], grid)
     return SolutionField(grid, lambda: (level[0] for level in levels()),

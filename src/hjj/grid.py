@@ -10,9 +10,9 @@ junction as fmt formats it ("1:0.25").
 Both routes march as one stream of levels (_levels): a start level, then
 one update per window, each level checked for a non-finite value as it is
 made, so a diverging march stops at its first bad level. A SolutionField
-holds the levels, or the march that makes them when it is read, and its
-passes go one level at a time: its scalar passes over the array it keeps
-once marched, its streams (levels, csv_chunks) over a fresh march until then.
+is such a march, run when the field is read, and its passes go one level
+at a time: linf_gap over the array it keeps once marched, its streams
+(levels, csv_chunks) over the kept rows, or over a fresh march until then.
 """
 
 from __future__ import annotations
@@ -292,30 +292,21 @@ def _levels(grid: Grid, start: np.ndarray, update: Callable) -> Iterator[np.ndar
 
 
 class SolutionField:
-    """Node values at every time level on a Grid.
+    """Node values at every time level on a Grid, as a march run when it is read.
 
-    values is the (levels x nodes) array, or a zero-argument callable that
-    returns a fresh stream of the levels (_levels): a field that marches
-    when it is read. values marches once and keeps the array; sup_norm,
-    linf_gap and check_finite read it, so they march at most once between
-    them. levels() and csv_chunks (so to_csv) yield the stored rows, or,
-    until values has been read, march afresh at each call and hold one
-    level at a time. Each pass allocates no (levels x nodes) temporary. A
-    march's own failure (a non-finite level, say) is raised by the read that
-    reaches it.
+    march is a zero-argument callable that returns a fresh stream of the
+    levels (_levels). values marches once and keeps the (levels x nodes)
+    array; linf_gap and the snapshots read it. levels() and csv_chunks (so
+    to_csv) yield the stored rows, or, until values has been read, march
+    afresh at each call and hold one level at a time. Each pass allocates
+    no (levels x nodes) temporary. A march's own failure (a non-finite
+    level, say) is raised by the read that reaches it.
     """
 
-    def __init__(self, grid: Grid, values: np.ndarray | Callable[[], Iterator[np.ndarray]],
-                 line: bool):
+    def __init__(self, grid: Grid, march: Callable[[], Iterator[np.ndarray]], line: bool):
         self.grid = grid
         self.line = bool(line)
-        self._march, self._values = None, None
-        if callable(values):
-            self._march = values
-        else:
-            self._values = np.asarray(values, dtype=float)
-            if self._values.shape != (grid.steps + 1, grid.n_nodes):
-                raise ValueError("values shape does not match the grid")
+        self._march, self._values = march, None
 
     @property
     def values(self) -> np.ndarray:
@@ -333,14 +324,6 @@ class SolutionField:
     @property
     def times(self) -> np.ndarray:
         return self.grid.times
-
-    def sup_norm(self) -> float:
-        return _max_abs(self.values)
-
-    def check_finite(self) -> None:
-        """NumericalFailure naming the first non-finite value in row-major order."""
-        for n, row in enumerate(self.values):
-            _check_level(row, n)
 
     def linf_gap(self, other: "SolutionField") -> float:
         if not self.grid.compatible(other.grid):

@@ -370,11 +370,6 @@ class EnvelopePair:
     def h_min(self, t: float, x: float) -> float:
         return self._at(t, x)[1]
 
-    def h_plus(self, t: float, x: float, p):
-        """Nondecreasing part: constant h_min left of p_hat, H beyond."""
-        plus = self.split(t, x, p)[0]
-        return float(plus) if plus.ndim == 0 else plus
-
     def h_minus(self, t: float, x: float, p):
         """Nonincreasing part: H left of p_hat, constant h_min beyond."""
         minus = self.split(t, x, p)[1]

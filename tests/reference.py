@@ -20,6 +20,9 @@ does not start with test_).
 - shifted_fields: a field's sandwich as two shifted copies, and NegativeKn
   for a shift signal below zero; comparison_diagnostic computes the same
   sandwich in one buffer.
+- array_field: an array of levels as a field, whose march yields its rows;
+  batch_values: a batch's march (fd_scheme's stream) read into one
+  (problems, levels, nodes) array, as comparison_diagnostic reads it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from hjj.control_system import (ControlEdge, ControlForm, ControlSystem, _induce
                                 flux_limiter)
 from hjj.dpp_oracle import _march
 from hjj.errors import HjjError, NoAdmissibleControl
-from hjj.fd_scheme import _advance, _check_cfl, _windows
+from hjj.fd_scheme import _advance, _check_cfl, _stream, _windows
 from hjj.grid import Grid, SolutionField, _max_abs
 from hjj.hamiltonian import Hamiltonian
 from hjj.junction_problem import JunctionProblem
@@ -140,6 +143,24 @@ def dpp_consistency_check(cs: ControlSystem, field: SolutionField, s: float) -> 
 
 
 # ---------------------------------------------------------------------------
+# fields and batches held as arrays
+
+def array_field(grid: Grid, values, line: bool) -> SolutionField:
+    """values (levels x nodes) as a field whose march yields its rows."""
+    return SolutionField(grid, lambda: iter(values), line)
+
+
+def batch_values(problems, grid: Grid) -> np.ndarray:
+    """The batch's one march on grid as a (problems, levels, nodes) array."""
+    problems = list(problems)
+    levels = _stream(problems, grid)
+    values = np.empty((len(problems), grid.steps + 1, grid.n_nodes))
+    for n, level in enumerate(levels()):
+        values[:, n] = level
+    return values
+
+
+# ---------------------------------------------------------------------------
 # the sandwich as two shifted fields
 
 def shifted_fields(field: SolutionField, kn: TimeSignal):
@@ -147,8 +168,8 @@ def shifted_fields(field: SolutionField, kn: TimeSignal):
     if kn.min() < -1e-12:
         raise NegativeKn("shift signal must be nonnegative")
     cum = kn.running_integrals(field.grid.times)
-    lower = SolutionField(field.grid, field.values - cum[:, None], field.line)
-    upper = SolutionField(field.grid, field.values + cum[:, None], field.line)
+    lower = array_field(field.grid, field.values - cum[:, None], field.line)
+    upper = array_field(field.grid, field.values + cum[:, None], field.line)
     return lower, upper
 
 

@@ -360,7 +360,7 @@ def test_comparison_diagnostic_gap_is_controlled_by_the_error_integral():
     assert all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
     d = study.to_dict()
     assert set(d) == {"K", "R", "dx", "dt", "steps", "widths"}
-    assert (d["dt"], d["steps"]) == (study.base.grid.dt, study.base.grid.steps)
+    assert (d["dt"], d["steps"]) == (study.grid.dt, study.grid.steps)
     assert [w["solution_gap"] for w in d["widths"]] == gaps
 
 
@@ -413,12 +413,13 @@ def test_comparison_diagnostic_equals_a_serial_per_width_run(make, K):
     prob = make()
     widths = [0.2, 0.1, 0.05]
     dx = 0.05 if K is None else 0.025
-    study = comparison_diagnostic(prob, widths, grid_for(prob, dx, 1.0), K=K)
+    grid = grid_for(prob, dx, 1.0)
+    study = comparison_diagnostic(prob, widths, grid, K=K)
     got = study.to_dict()
     for row, report in zip(got["widths"], study.reports):
         row["kn"] = report.kn.signal.to_dict()
     assert got == _serial_diagnostic(prob, widths, dx=dx, r_domain=1.0, K=K)
-    assert study.base.values.tobytes() == solve(prob, study.base.grid).values.tobytes()
+    assert study.grid is grid
     if K is not None:
         assert min(r.sandwich_violation for r in study.reports) > 0.0
 

@@ -400,11 +400,16 @@ def test_no_problem_file_needs_the_numeric_argmin(tmp_path: Path, monkeypatch):
     assert calls == [(0.0, 0.0)]
 
 
-def test_seed_option_is_accepted_by_validate(tmp_path: Path):
+def test_seed_option_is_refused_by_validate(tmp_path: Path, capsys):
+    """validate's convexity probe runs at the library's default seed; --seed is a usage
+    error."""
     problem = _write(tmp_path, _step_config())
     out = tmp_path / "out"
-    assert main(["validate", "--problem", problem, "--seed", "77",
-                 "--out", str(out)]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["validate", "--problem", problem, "--seed", "3", "--out", str(out)])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: hjj")
+    assert not out.exists()
 
 
 def test_help_exits_cleanly():
@@ -667,7 +672,7 @@ def test_usage_errors_exit_1_without_artifacts(tmp_path: Path, capsys, argv):
     assert not out.exists()
 
 
-# Each subcommand's options, in order (21 slots); the problem itself (T, R_domain,
+# Each subcommand's options, in order (20 slots); the problem itself (T, R_domain,
 # the control counts) comes from the file alone, the time steps from its C2, and an
 # option joins only on purpose.
 OPTIONS = {
@@ -675,7 +680,7 @@ OPTIONS = {
     "value": ["--problem", "--out", "--dx", "--report-times"],
     "compare": ["--problem", "--out", "--dx", "--report-times"],
     "approx": ["--problem", "--out", "--dx", "--widths", "--slope-box", "--radius"],
-    "validate": ["--problem", "--out", "--seed"],
+    "validate": ["--problem", "--out"],
 }
 
 
@@ -686,7 +691,7 @@ def test_each_subcommand_offers_exactly_its_options():
                   if a.option_strings and a.dest != "help"]
            for name, p in sub.choices.items()}
     assert got == OPTIONS
-    assert sum(map(len, got.values())) == 21
+    assert sum(map(len, got.values())) == 20
 
 
 @pytest.mark.parametrize("option,value", [("--dx", "nan"), ("--dx", "inf")])
@@ -707,7 +712,6 @@ def test_non_finite_dx_or_dt_exits_1_naming_the_option(tmp_path: Path, capsys, r
 _NUMERIC_OPTIONS = [
     ("solve", "--dx", "0"),
     ("solve", "--report-times", "0.5,-0.5"),
-    ("validate", "--seed", "-1"),
     ("approx", "--widths", "0.1,0"),
     ("approx", "--slope-box", "0"),
     ("approx", "--radius", "0"),
@@ -877,15 +881,23 @@ def test_compare_and_value_hold_less_than_one_field(tmp_path: Path):
     assert rows * 8 == field_bytes and peak < field_bytes
 
 
-@pytest.mark.parametrize("command", ["solve", "value", "compare"])
+@pytest.mark.parametrize("command", ["solve", "value", "compare", "approx"])
 def test_each_command_marches_each_route_once(tmp_path: Path, monkeypatch, command):
-    """field.csv, the snapshots and the report all come from one march per route."""
+    """field.csv, the snapshots and the report all come from one march per route, and
+    approx marches the problem and its ladder as one batch on the batch's grid."""
     problem = _write(tmp_path, _model_config())
-    steps = grid_for(problem_from_config(_model_config())[0], 0.1, 2.0).steps
+    base = problem_from_config(_model_config())[0]
+    if command == "approx":
+        batch = [base, *smoothing_ladder(base, [0.2, 0.1]).values()]
+        options = ["--widths", "0.2,0.1"]
+    else:
+        batch, options = base, ["--report-times", "0,0.5,1"]
+    steps = grid_for(batch, 0.1, 2.0).steps
     counts = count_updates(monkeypatch)
-    assert main([command, "--problem", problem, "--dx", "0.1", "--report-times", "0,0.5,1",
+    assert main([command, "--problem", problem, "--dx", "0.1", *options,
                  "--out", str(tmp_path / "out")]) == 0
-    want = {"solve": (steps, 0), "value": (0, steps), "compare": (steps, steps)}[command]
+    want = {"solve": (steps, 0), "value": (0, steps), "compare": (steps, steps),
+            "approx": (steps, 0)}[command]
     assert (counts["fd"], counts["dp"]) == want
 
 

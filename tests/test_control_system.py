@@ -117,7 +117,7 @@ def test_restricted_envelopes_track_minimization_envelopes():
         env = EnvelopePair(induced_hamiltonian(cs, 0))
         ps = np.sort(rng.uniform(-2.0, 2.0, size=20))
         for p in ps:
-            assert abs(rest.h_plus(0.0, 0.0, p) - env.h_plus(0.0, 0.0, p)) <= 1e-3
+            assert abs(rest.h_plus(0.0, 0.0, p) - env.split(0.0, 0.0, p)[0]) <= 1e-3
             assert abs(rest.h_minus(0.0, 0.0, p) - env.h_minus(0.0, 0.0, p)) <= 1e-3
 
 

@@ -35,7 +35,6 @@ from hjj import (
     quadratic,
     smoothing_ladder,
     solve,
-    solve_many,
     validate,
     value_function,
 )
@@ -46,7 +45,7 @@ from hjj.time_signal import coeff_window_averages
 
 from conftest import (bench_tdq_problem, frozen, godunov_flux, random_control_system,
                       random_tdq_problem, record_line_max, share_grid, tdc_config, zero_datum)
-from reference import step
+from reference import batch_values, step
 
 
 def _line_problem(a_value: float, u0=zero_datum, lip: float = 0.0,
@@ -215,7 +214,6 @@ def test_three_edge_star_solve_is_stable():
     )
     grid = grid_for(prob, 0.1, 1.0)
     field = solve(prob, grid)
-    field.check_finite()
     assert field.values.shape[1] == 1 + 3 * (len(grid.edge_y(0)) - 1)
     # junction cost rate is max(A, -1) = -0.5
     assert field.values[-1][0] == pytest.approx(0.25, abs=1e-12)
@@ -336,14 +334,14 @@ def test_march_minimises_each_edge_at_most_once(monkeypatch):
 
     monkeypatch.setattr(hamiltonian_module, "numeric_argmin", counted)
     prob = _time_dependent_quadratic_problem()
-    solve(prob, grid_for(prob, 0.05, 1.0)).check_finite()
+    solve(prob, grid_for(prob, 0.05, 1.0)).values
     assert calls == []
 
     flat = Hamiltonian(lambda t, x, p: np.maximum(np.abs(p) - 1.0, 0.0),
                        lipschitz_p=1.0, coercivity_radius=2.0, x_independent=True)
     prob = from_line(flat, eikonal(), constant(0.0, 0.5), zero_datum, 0.0, 0.5)
     grid = grid_for(prob, 0.1, 1.0)
-    solve(prob, grid).check_finite()
+    solve(prob, grid).values
     assert grid.steps > 1
     assert len(calls) == 1
 
@@ -475,15 +473,12 @@ _LIMITER = TimeSignal(np.array([0.0, 0.19, 0.5]), np.array([-0.4, -0.9]))
 ], ids=["quadratic-ladder", "control-ladder", "x-dependent-ladder", "star-ladder"])
 def test_batched_march_equals_per_problem_solve_bit_for_bit(problems):
     grid = grid_for(problems[0], 0.05, 1.0)
-    fields = solve_many(problems, grid)
-    assert len(fields) == len(problems)
-    for problem, field in zip(problems, fields):
+    values = batch_values(problems, grid)
+    assert len(values) == len(problems)
+    for problem, got in zip(problems, values):
         want = solve(problem, grid)
-        assert field.values.tobytes() == want.values.tobytes()
-        assert field.line == problem.line_convention
-        # a contiguous view into one batch array, not a copy
-        assert field.values.flags.c_contiguous
-        assert field.values.base is fields[0].values.base
+        assert got.tobytes() == want.values.tobytes()
+        assert want.line == problem.line_convention
 
 
 def test_batched_march_evaluates_a_shared_edge_once_per_step(monkeypatch):
@@ -497,7 +492,7 @@ def test_batched_march_evaluates_a_shared_edge_once_per_step(monkeypatch):
     assert all(p.edges[0].hamiltonian is h for p in problems)
     grid = grid_for(problems[0], 0.05, 1.0)
     calls = record_line_max(monkeypatch)
-    solve_many(problems, grid)
+    batch_values(problems, grid)
     m = len(grid.edge_y(0)) - 1
     by_lines = {}
     for speeds, _, shape in calls:
@@ -547,12 +542,12 @@ def test_batched_march_checks_every_problem():
         with pytest.raises(error) as alone:
             solve(bad, grid).values
         with pytest.raises(error) as batched:
-            solve_many([twin, bad, twin], grid)
+            batch_values([twin, bad, twin], grid)
         assert str(batched.value) == str(alone.value)
     for twin in (good, good_blind):
         solve(twin, grid).values
     with pytest.raises(ValueError):
-        solve_many([], grid)
+        batch_values([], grid)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -568,7 +563,7 @@ def test_a_march_stops_at_its_first_non_finite_level(monkeypatch):
     for batch in ([blind], [good, blind, good]):
         calls.clear()
         with pytest.raises(NumericalFailure, match="^non-finite value at level 13, node 0$"):
-            solve_many(batch, grid)
+            batch_values(batch, grid)
         assert len(calls) == 13
 
 
@@ -651,7 +646,7 @@ def test_x_dependent_control_edge_takes_its_speed_on_the_grid_nodes():
     assert prob.cfl_speed(0.01, [0.3, 0.3]) == (4.0, "max|f| over 21 controls and 31 nodes "
                                                      "on edge 0")
     field = solve(prob, grid)
-    assert field.sup_norm() <= 0.5 * 0.3 + 0.05 + 1e-12  # u0 plus T times the unit cost
+    assert np.max(np.abs(field.values)) <= 0.5 * 0.3 + 0.05 + 1e-12  # u0 plus T times the unit cost
     with pytest.raises(ValueError, match="needs the grid's nodes"):
         prob.cfl_speed()
     # a grid at the speed seen from the junction is refused before the first step
@@ -748,9 +743,9 @@ def test_x_dependent_solve_equals_the_node_by_node_scheme_bit_for_bit(make):
     # in a batch: a twin sharing its Hamiltonians makes one two-row edge
     twin = JunctionProblem(problem.edges, constant(-0.6, 0.5), problem.initial_data,
                            problem.lipschitz_u0, problem.horizon, problem.line_convention)
-    shared = solve_many([problem, twin], grid)
-    assert shared[0].values.tobytes() == want.tobytes()
-    assert shared[1].values.tobytes() == _node_by_node_march(twin, grid).tobytes()
+    shared = batch_values([problem, twin], grid)
+    assert shared[0].tobytes() == want.tobytes()
+    assert shared[1].tobytes() == _node_by_node_march(twin, grid).tobytes()
 
 
 @pytest.mark.parametrize("problems, edge", [
@@ -763,14 +758,14 @@ def test_x_dependent_solve_equals_the_node_by_node_scheme_bit_for_bit(make):
 ], ids=["control-distinct", "x-dependent-distinct", "mixed-forms", "beside-scalar-only",
         "beside-broadcasting", "beside-induced-drift"])
 def test_a_batch_that_does_not_share_an_edge_is_refused(problems, edge):
-    """A batch shares each edge's Hamiltonian object or closed form, or solve_many
+    """A batch shares each edge's Hamiltonian object or closed form, or its march
     raises ValueError naming the first edge it does not share; each problem alone
     still marches."""
     grid = grid_for(problems, 0.05, 1.0)
     with pytest.raises(ValueError, match=f"^the batch does not share edge {edge}'s "):
-        solve_many(problems, grid)
+        batch_values(problems, grid)
     for problem in problems:
-        solve(problem, grid).check_finite()
+        solve(problem, grid).values
 
 
 def _callable_systems() -> list:
@@ -1032,7 +1027,7 @@ def test_a_batch_grid_covers_a_smoothed_coefficient_above_the_original():
                      0.0, 1.0)
     ladder = smoothing_ladder(prob, [0.2])
     base_grid = share_grid(1.0, 0.05, prob, 1.0)
-    solve(prob, base_grid).check_finite()
+    solve(prob, base_grid).values
     with pytest.raises(CflViolation, match="exceeds dx/C2=.* at level 18 "):
         solve(ladder[0.2], base_grid)
     with pytest.raises(CflViolation, match="at level 18 "):
@@ -1041,7 +1036,7 @@ def test_a_batch_grid_covers_a_smoothed_coefficient_above_the_original():
     speeds = [p.speed_signal().window_integrals(batch_grid.times) for p in (prob, ladder[0.2])]
     assert np.max(speeds) <= 0.05 * (1.0 + 1e-9)
     study = comparison_diagnostic(prob, ladder, batch_grid)
-    assert study.base.grid is batch_grid
+    assert study.grid is batch_grid
 
 
 def test_step_checks_its_window_against_the_speed_integral():

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from hjj import (SolutionField, TimeSignal, constant, eikonal, from_line, grid_for,
-                 induced_problem, make_grid, oracle_grid, solve, solve_many, value_function)
+                 induced_problem, make_grid, oracle_grid, solve, value_function)
 from hjj.errors import ConfigError, HorizonMismatch, NumericalFailure
-from hjj.grid import _CFL_SAFETY, atomic_write_text, edge_nodes
+from hjj.grid import _CFL_SAFETY, _levels, atomic_write_text, edge_nodes
 
 from conftest import build_model_system, count_updates, share_grid, zero_datum
+from reference import array_field, batch_values
 
 
 def _reference_csv(field: SolutionField) -> str:
@@ -45,7 +46,7 @@ def test_csv_and_snapshot_are_byte_equal_to_per_row_formatting(radii, line):
     values[0, :3] = [-0.0, 0.0, 1e-300]
     values[1, 1] = np.inf
     values[-1, -1] = -0.0
-    field = SolutionField(grid, values, line=line)
+    field = array_field(grid, values, line=line)
     assert field.to_csv() == _reference_csv(field)
     assert ",-0\n" in field.to_csv()
     for t in (0.0, 0.13, 0.3):
@@ -142,7 +143,9 @@ def _planted(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 
 def test_the_level_folds_give_the_full_array_answers_bit_for_bit():
-    """sup_norm, linf_gap and check_finite against the whole-field expressions they replace."""
+    """linf_gap against the whole-field expression it replaces, and the march's check of
+    each level as it is made (grid._levels) against the whole field's first non-finite
+    value."""
     grid = make_grid(0.1, 0.4, (0.5, 0.3), c2=1.0)
     shape = (grid.steps + 1, grid.n_nodes)
     rng = np.random.default_rng(211)
@@ -150,24 +153,23 @@ def test_the_level_folds_give_the_full_array_answers_bit_for_bit():
     for trial in range(300):
         a = signed_zeros if trial == 0 else _planted(rng, shape)
         b = _planted(rng, shape)
-        fa, fb = SolutionField(grid, a, line=True), SolutionField(grid, b, line=True)
+        fa, fb = array_field(grid, a, line=True), array_field(grid, b, line=True)
         with np.errstate(invalid="ignore"):  # inf - inf
-            assert _bits(fa.sup_norm()) == _bits(np.max(np.abs(a)))
             assert _bits(fa.linf_gap(fb)) == _bits(np.max(np.abs(a - b)))
+        march = _levels(grid, a[0], lambda _, n, a=a: a[n + 1])
         bad = np.argwhere(~np.isfinite(a))
         if len(bad):
             with pytest.raises(NumericalFailure,
                                match=f"^non-finite value at level {bad[0][0]}, node {bad[0][1]}$"):
-                fa.check_finite()
+                list(march)
         else:
-            fa.check_finite()
-    assert _bits(SolutionField(grid, signed_zeros, line=True).sup_norm()) == _bits(0.0)
+            list(march)
 
 
 def test_field_csv_streams_one_chunk_per_level():
     grid = make_grid(0.1, 0.3, (0.7, 0.5), c2=1.0)
     values = np.random.default_rng(89).normal(size=(grid.steps + 1, grid.n_nodes))
-    field = SolutionField(grid, values, line=True)
+    field = array_field(grid, values, line=True)
     chunks = list(field.csv_chunks())
     assert chunks[0] == "t,x,u\n" and len(chunks) == grid.steps + 2
     assert all(c.count("\n") == grid.n_nodes for c in chunks[1:])
@@ -266,28 +268,28 @@ def test_a_field_from_either_route_marches_when_it_is_read(monkeypatch, route):
 
 @pytest.mark.parametrize("route", ["fd", "dp"])
 def test_the_scalar_passes_of_a_marching_field_march_once_between_them(monkeypatch, route):
-    """sup_norm, check_finite and linf_gap read values: one march keeps the array."""
+    """to_snapshot_tsv and linf_gap read values: one march keeps the array."""
     cs = build_model_system()
     problem = induced_problem(cs, zero_datum, 0.0, 1.0)
     grid = grid_for(problem, 0.1, 2.0)
     counts = count_updates(monkeypatch)
     make = {"fd": lambda: solve(problem, grid), "dp": lambda: value_function(cs, zero_datum, grid)}
     field, other = make[route](), make[route]()
-    norm = field.sup_norm()
-    field.check_finite()
+    snapshot = field.to_snapshot_tsv(0.5)
     assert field.linf_gap(other) == 0.0 and counts[route] == 2 * grid.steps
-    assert _bits(norm) == _bits(np.max(np.abs(field.values))) and counts[route] == 2 * grid.steps
+    assert snapshot == field.to_snapshot_tsv(0.5) and counts[route] == 2 * grid.steps
 
 
-def test_a_field_of_stored_values_yields_its_rows_and_solve_many_marches_in_the_call(
-        monkeypatch):
+def test_a_field_of_stored_values_yields_its_rows_and_a_batch_marches_once(monkeypatch):
     cs = build_model_system()
     problem = induced_problem(cs, zero_datum, 0.0, 1.0)
     grid = grid_for(problem, 0.1, 2.0)
     counts = count_updates(monkeypatch)
-    [batched] = solve_many([problem], grid)
+    [batched] = batch_values([problem], grid)
     assert counts["fd"] == grid.steps
     rows = np.random.default_rng(5).normal(size=(grid.steps + 1, grid.n_nodes))
-    for field, values in ((batched, batched.values), (SolutionField(grid, rows, True), rows)):
-        assert [level.tobytes() for level in field.levels()] == [r.tobytes() for r in values]
-    assert batched.values.tobytes() == solve(problem, grid).values.tobytes()
+    field = array_field(grid, rows, True)
+    assert [level.tobytes() for level in field.levels()] == [r.tobytes() for r in rows]
+    assert field.values.tobytes() == rows.tobytes()
+    assert [level.tobytes() for level in field.levels()] == [r.tobytes() for r in rows]
+    assert batched.tobytes() == solve(problem, grid).values.tobytes()

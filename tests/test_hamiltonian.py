@@ -83,9 +83,9 @@ def test_flat_bottom_minimum_value_is_exact():
 
 def test_envelope_values_for_eikonal():
     env = EnvelopePair(eikonal())
-    assert env.h_plus(0.0, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert env.split(0.0, 0.0, 1.0)[0] == pytest.approx(0.0, abs=1e-12)
     assert env.h_minus(0.0, 0.0, 1.0) == pytest.approx(-1.0, abs=1e-12)
-    assert env.h_plus(0.0, 0.0, -1.0) == pytest.approx(-1.0, abs=1e-12)
+    assert env.split(0.0, 0.0, -1.0)[0] == pytest.approx(-1.0, abs=1e-12)
     assert env.h_minus(0.0, 0.0, -1.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -95,7 +95,7 @@ def test_envelopes_reconstruct_the_hamiltonian():
     for h in hams:
         env = EnvelopePair(h)
         ps = np.sort(rng.uniform(-6.0, 6.0, size=200))
-        plus = env.h_plus(0.0, 0.0, ps)
+        plus = env.split(0.0, 0.0, ps)[0]
         minus = env.h_minus(0.0, 0.0, ps)
         assert np.max(np.abs(np.maximum(plus, minus) - h.eval_p(0.0, 0.0, ps))) <= 1e-12
 
@@ -105,7 +105,7 @@ def test_envelope_monotonicity():
     for h in (eikonal(), quadratic(0.7, 1.2, -2.0), _flat_bottom()):
         env = EnvelopePair(h)
         ps = np.sort(rng.uniform(-8.0, 8.0, size=300))
-        plus = env.h_plus(0.0, 0.0, ps)
+        plus = env.split(0.0, 0.0, ps)[0]
         minus = env.h_minus(0.0, 0.0, ps)
         assert np.min(np.diff(plus)) >= -1e-10
         assert np.max(np.diff(minus)) <= 1e-10
@@ -116,7 +116,7 @@ def test_flat_bottom_envelopes_do_not_depend_on_split_choice():
     h = _flat_bottom()
     env = EnvelopePair(h)
     ps = np.linspace(-3.0, 3.0, 121)
-    got_plus = env.h_plus(0.0, 0.0, ps)
+    got_plus = env.split(0.0, 0.0, ps)[0]
     got_minus = env.h_minus(0.0, 0.0, ps)
     for p_hat in (-1.0, -0.3, 0.0, 0.64, 1.0):
         want_plus, want_minus = _formula_envelopes(h, p_hat, 0.0, ps)
@@ -232,8 +232,8 @@ def test_reflected_black_box_keeps_its_declared_bounds_at_the_mirrored_nodes():
 def test_envelope_evaluations_are_reproducible():
     env = EnvelopePair(quadratic(1.5, 0.3, 0.0))
     ps = np.linspace(-5.0, 5.0, 47)
-    first = env.h_plus(0.0, 0.0, ps).copy()
-    again = env.h_plus(0.0, 0.0, ps)
+    first = env.split(0.0, 0.0, ps)[0].copy()
+    again = env.split(0.0, 0.0, ps)[0]
     assert np.array_equal(first, again)
 
 
@@ -270,7 +270,7 @@ def test_closed_form_envelopes_agree_with_the_numeric_split():
             env = EnvelopePair(g)
             p_hat, h_min = numeric_argmin(g, 0.0, 0.0)
             want_plus, want_minus = _formula_envelopes(g, p_hat, h_min, ps)
-            assert np.max(np.abs(env.h_plus(0.0, 0.0, ps) - want_plus)) <= 1e-9
+            assert np.max(np.abs(env.split(0.0, 0.0, ps)[0] - want_plus)) <= 1e-9
             assert np.max(np.abs(env.h_minus(0.0, 0.0, ps) - want_minus)) <= 1e-9
 
 
@@ -367,7 +367,7 @@ def test_a_frozen_catalog_split_equals_the_clip_formula_byte_for_byte():
             p[:, 1::8] = -0.0
             want = _clip_split(form, values, p)
             _assert_same_bytes(pair.split(0.0, 0.0, p), want)
-            _assert_same_bytes((pair.h_plus(0.7, 1.0, p), pair.h_minus(0.7, 1.0, p)), want)
+            _assert_same_bytes((pair.split(0.7, 1.0, p)[0], pair.h_minus(0.7, 1.0, p)), want)
             _assert_same_bytes((pair.h_min(0.0, 0.0),), (form.h(form.freeze(*values)[0], *values),))
 
 
@@ -388,7 +388,7 @@ def test_a_lazy_catalog_pair_is_the_pair_frozen_at_t(monkeypatch):
         p = np.append(rng.uniform(-8.0, 8.0, 40), [values[1], -0.0])
         env = EnvelopePair(h)
         lookups.clear()
-        got = (env.h_plus(t, 0.3, p), env.h_minus(t, 0.3, p))
+        got = (env.split(t, 0.3, p)[0], env.h_minus(t, 0.3, p))
         assert lookups == [t, t]  # once per call
         _assert_same_bytes(got, frozen.split(t, 0.3, p))
         _assert_same_bytes(got, _clip_split(form, values, p))
@@ -452,6 +452,6 @@ def test_a_black_box_that_ignores_t_and_x_is_searched_once(monkeypatch):
     assert calls == [(0.0, 0.0)]
     ps = np.linspace(-3.0, 3.0, 25)
     env.split(0.4, 0.0, ps)
-    env.h_plus(0.9, 0.0, ps)
+    env.split(0.9, 0.0, ps)
     assert (env.p_hat(0.2, 0.0), env.h_min(0.2, 0.0)) == numeric_argmin(h, 0.0, 0.0)
     assert len(calls) == 1

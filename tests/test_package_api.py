@@ -8,7 +8,7 @@ from pathlib import Path
 
 import hjj
 
-# The 46 names the package exports, in order; a name joins or leaves only on purpose.
+# The 45 names the package exports, in order; a name joins or leaves only on purpose.
 EXPORTED = [
     "ApproximationStudy", "CflViolation", "ConfigError", "ControlEdge", "ControlForm",
     "ControlSystem", "Edge", "EnvelopePair", "FluxLimiterBelowFloor", "Grid", "Hamiltonian",
@@ -18,7 +18,7 @@ EXPORTED = [
     "constant", "control_edge", "control_system_from_config", "eikonal", "flux_limiter",
     "from_line", "grid_for", "induced_hamiltonian", "induced_problem", "make_grid",
     "oracle_grid", "problem_from_config", "quadratic", "reflected", "smoothing_ladder", "solve",
-    "solve_many", "union_mesh", "validate", "value_function",
+    "union_mesh", "validate", "value_function",
 ]
 
 MODULES = ("approximation", "control_system", "dpp_oracle", "errors", "fd_scheme", "grid",
