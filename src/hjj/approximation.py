@@ -220,10 +220,6 @@ class ApproximationStudy:
     K: float
     R: float
 
-    @property
-    def widths(self) -> list:
-        return [r.eps for r in self.reports]
-
     def to_dict(self) -> dict:
         return {
             "K": self.K,
@@ -248,9 +244,7 @@ def _measured_slope_box(grid: Grid, u: np.ndarray) -> float:
     return worst
 
 
-def comparison_diagnostic(problem: JunctionProblem, widths, grid: Grid,
-                          K: float | None = None, R: float | None = None
-                          ) -> ApproximationStudy:
+def comparison_diagnostic(problem: JunctionProblem, widths, grid: Grid) -> ApproximationStudy:
     """Solve the problem and its smoothed versions on grid, pricing each gap.
 
     widths are the smoothing widths, or their smoothing_ladder(problem,
@@ -259,25 +253,21 @@ def comparison_diagnostic(problem: JunctionProblem, widths, grid: Grid,
     one (problems, levels, nodes) array. A smoothed coefficient can
     exceed the original near a jump, so a grid that serves them all is
     grid_for([problem, *ladder.values()], ...); a grid too coarse for one
-    of them raises the CflViolation that solve raises on it. K and R, when
-    given, must be positive and finite. K defaults to the
-    measured discrete slope range of the base run plus ten percent, R to the
-    grid radius. The sandwich check compares the base field with the smoothed
+    of them raises the CflViolation that solve raises on it. The slope box
+    is measured, not set: K is the largest discrete slope of the base run
+    plus ten percent (at least L_u0 and 1), and R is the grid's largest edge
+    radius. The sandwich check compares the base field with the smoothed
     field shifted by -/+ the running integral of k, computed in one scratch
-    buffer.
+    buffer. compute_kn takes a fixed K and R for a caller who wants them.
     """
     ladder = widths if isinstance(widths, dict) else smoothing_ladder(problem, widths)
-    K = None if K is None else _positive_finite("K", K)
-    R = None if R is None else _positive_finite("R", R)
     levels = _stream([problem, *ladder.values()], grid)
     values = np.empty((len(ladder) + 1, grid.steps + 1, grid.n_nodes))
     for n, level in enumerate(levels()):
         values[:, n] = level
     u = values[0]
-    if K is None:
-        K = max(1.1 * _measured_slope_box(grid, u), problem.lipschitz_u0, 1.0)
-    if R is None:
-        R = float(max(np.max(grid.edge_y(i)) for i in range(grid.n_edges)))
+    K = max(1.1 * _measured_slope_box(grid, u), problem.lipschitz_u0, 1.0)
+    R = max(grid.edge_radii)
 
     buf = np.empty_like(u)
     reports = []

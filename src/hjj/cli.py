@@ -233,9 +233,8 @@ def cmd_approx(args) -> int:
     problem, _, r_domain = _load_problem(args)
     ladder = smoothing_ladder(problem, args.widths)
     grid = grid_for([problem, *ladder.values()], args.dx, r_domain)
-    study = comparison_diagnostic(problem, ladder, grid, K=args.slope_box, R=args.radius)
-    payload = study.to_dict()
-    return _write_all(args, [("approx.json", _dump_json(payload))])
+    study = comparison_diagnostic(problem, ladder, grid)
+    return _write_all(args, [("approx.json", _dump_json(study.to_dict()))])
 
 
 def cmd_validate(args) -> int:
@@ -325,10 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[0.2, 0.1, 0.05, 0.025],
                    metavar="w1,w2,...",
                    help="comma-separated smoothing widths")
-    p.add_argument("--slope-box", type=_number("slope-box"), default=None, dest="slope_box",
-                   help="slope box half-width K (default: measured)")
-    p.add_argument("--radius", type=_number("radius"), default=None,
-                   help="spatial radius R for the edge comparison")
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("validate", help="check the standing assumptions")

@@ -528,15 +528,13 @@ class TableHamiltonian(Hamiltonian):
         return at
 
 
-def _induced(edge: ControlEdge, sign: float, delta: float,
-             form: ClosedForm | None = None) -> Hamiltonian:
+def _induced(edge: ControlEdge, sign: float, form: ClosedForm | None = None) -> Hamiltonian:
     # A form edge's Hamiltonian has the closed form _line_form (form, when its
     # coefficients are rebuilt), which is convex, so the probe is skipped; a
-    # callable edge's is a TableHamiltonian.
+    # callable edge's is a TableHamiltonian. Either gives its own speed and
+    # value bounds and is minimised exactly, so it declares none of a black
+    # box's search data (Hamiltonian's lipschitz_p and coercivity_radius).
     controls = edge.controls
-    costs = edge.l.bounds(controls) if _is_form(edge.l) else edge.lines(1.0, 0.0, 0.0)[1]
-    lip = edge.speed_bound() if _is_form(edge.f) else np.inf
-    radius = (float(np.max(costs)) - float(np.min(costs)) + 1.0) / max(delta, 1e-9)
     what = f"max|f| over {len(controls)} controls"
 
     def speed_bound(M, ys):  # per cell of f's signals; a callable at t = 0 on the edge's nodes
@@ -547,8 +545,7 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
         xs = None if ys is None else sign * ys
         return edge.speed_bound(xs) * L + edge.cost_bound(xs)
 
-    metadata = dict(lipschitz_p=lip, coercivity_radius=max(radius, 1.0),
-                    reflect=lambda: _induced(edge, -sign, delta),
+    metadata = dict(reflect=lambda: _induced(edge, -sign),
                     speed_bound=speed_bound, value_bound=value_bound)
     if edge.x_independent:
         form = form or _line_form(controls, sign)
@@ -556,7 +553,7 @@ def _induced(edge: ControlEdge, sign: float, delta: float,
         def rebuild(coeffs):
             nf, nl = (ControlForm(*(coeffs[k] for k in names))
                       for names in (_NAMES[:3], _NAMES[3:]))
-            return _induced(ControlEdge(nf, nl, controls.copy()), sign, delta, form)
+            return _induced(ControlEdge(nf, nl, controls.copy()), sign, form)
 
         return closed_hamiltonian(form, _coefficients(edge), rebuild, **metadata)
     return TableHamiltonian(edge, sign, **metadata)
@@ -569,5 +566,5 @@ def induced_hamiltonian(cs: ControlSystem, i: int) -> Hamiltonian:
     (its reflection puts it in edge-local coordinates); for stars the edge
     dynamics are already local, so the induced Hamiltonian is too.
     """
-    return _induced(cs.edges[i], 1.0, cs.delta)
+    return _induced(cs.edges[i], 1.0)
 

@@ -69,11 +69,17 @@ class Hamiltonian:
                      an evaluator that cannot take arrays raises TypeError
                      or ValueError and is then called one position (and if
                      need be one slope) at a time (see elementwise)
-    lipschitz_p      declared bound on |dH/dp| over the working slope range
-                     (inf for a quadratic without a declared p_span)
-    coercivity_radius  initial bracket radius P, a positive finite float, with
-                     H(t, x, +-P) > H(t, x, 0) at every (t, x); doubling
-                     extends it where needed
+    lipschitz_p      a black box's declared bound on |dH/dp| over the working
+                     slope range (default inf: no bound declared)
+    coercivity_radius  a black box's initial bracket radius P, a positive
+                     finite float, with H(t, x, +-P) > H(t, x, 0) at every
+                     (t, x); doubling extends it where needed
+                     These two are the numeric search's data, read by a
+                     black box's default speed and value bounds, by
+                     numeric_argmin and reflected, and by check_convexity's
+                     slope span (4 P). A closed form or a control edge gives
+                     its own bounds and is minimised exactly, so it leaves
+                     both at their defaults.
     form             the ClosedForm of H in its coefficients, or None
     coefficients     named coefficients (floats or TimeSignals) of the form;
                      drives exact window averaging and mollification
@@ -96,7 +102,7 @@ class Hamiltonian:
     def __init__(
         self,
         evaluator: Callable,
-        lipschitz_p: float,
+        lipschitz_p: float = np.inf,
         coercivity_radius: float = 1.0,
         form: ClosedForm | None = None,
         coefficients: dict | None = None,
@@ -474,8 +480,7 @@ def abs_shift(c) -> Hamiltonian:
     _finite("abs_shift c", c)
     return closed_hamiltonian(CATALOG["abs_shift"], {"c": c},
                               rebuild=lambda coeffs: abs_shift(coeffs["c"]),
-                              reflect=lambda: abs_shift(c),
-                              lipschitz_p=1.0, coercivity_radius=1.0)
+                              reflect=lambda: abs_shift(c))
 
 
 def eikonal() -> Hamiltonian:
@@ -502,22 +507,18 @@ def quadratic(a, b, c, p_span: float | None = None) -> Hamiltonian:
         _positive_finite("quadratic a", bound)
     for name, v in (("b", b), ("c", c)):
         _finite(f"quadratic {name}", v)
-    if p_span is not None:
-        p_span = _positive_finite("p_span", p_span)
-    b_abs = max(abs(b_lo), abs(b_hi))
-    neg_b = b.shift_values(np.negative) if isinstance(b, TimeSignal) else -b
     declared = {}
     if p_span is not None:
-        lip = 2.0 * a_hi * (p_span + b_abs)
-        declared = {"speed_bound": lambda M, ys: (_quadratic_speed(a, p_span + b_abs),
+        p_span = _positive_finite("p_span", p_span)
+        k = p_span + max(abs(b_lo), abs(b_hi))
+        declared = {"speed_bound": lambda M, ys: (_quadratic_speed(a, k),
                                                   f"declared p_span {p_span:g}")}
+    neg_b = b.shift_values(np.negative) if isinstance(b, TimeSignal) else -b
     return closed_hamiltonian(
         CATALOG["quadratic"], {"a": a, "b": b, "c": c},
         rebuild=lambda coeffs: quadratic(coeffs["a"], coeffs["b"], coeffs["c"],
                                          p_span=p_span),
         reflect=lambda: quadratic(a, neg_b, c, p_span=p_span),
-        lipschitz_p=np.inf if p_span is None else lip,
-        coercivity_radius=2.0 * b_abs + 1.0,
         **declared,
     )
 

@@ -67,13 +67,13 @@ def step(problem: JunctionProblem, grid: Grid, u: np.ndarray, t: float, dt: floa
     return _advance([problem], grid, u[None], t, dt, _windows([problem], grid, times)(0))[0]
 
 
-def edge_hamiltonian(edge: ControlEdge, delta: float = 1.0) -> Hamiltonian:
+def edge_hamiltonian(edge: ControlEdge) -> Hamiltonian:
     """Induced Hamiltonian of a lone edge, without system-level checks.
 
     Useful for degenerate control sets (a single control, no junction
     coverage) that a full ControlSystem would reject.
     """
-    return _induced(edge, 1.0, delta)
+    return _induced(edge, 1.0)
 
 
 class RestrictedEnvelopes:

@@ -180,6 +180,34 @@ def test_validate_subcommand_passes_and_fails(tmp_path: Path):
     assert not out2.exists()
 
 
+# hjj validate's printed lines on the checked problem files: the model file and
+# tdq seed 41 of perfbench/problems.py, and TDC of tools/artifact_digests.py
+_VALIDATE_LINES = {
+    "model": "C2 = 1 from max|f| over 21 controls on edge 0",
+    "tdq41": "C2 = 8.69824 from slope box [-1.95, 1.92] of {H <= 1} on edge 1",
+    "tdc": "C2 = 1.6 from max|f| over 21 controls on edge 0",
+}
+
+
+@pytest.mark.parametrize("stem", list(_VALIDATE_LINES))
+def test_validate_prints_its_five_lines_on_the_checked_problem_files(tmp_path: Path, capsys,
+                                                                     stem):
+    """Every edge a file describes is convex by construction, so both probes pass with
+    no detail; a datum with slope 0.5 (TDC's |x| / 2) measures 0.5."""
+    tool = _digest_tool()
+    config = {"model": tool._problems().model_problem, "tdq41": lambda: bench_tdq_config(41),
+              "tdc": lambda: tool.TDC}[stem]()
+    assert main(["validate", "--problem", _write(tmp_path, config)]) == 0
+    lip = "0.5" if stem == "tdc" else "0"
+    assert capsys.readouterr().out.splitlines() == [
+        "pass  flux_limiter_floor  (worst deficit 0.00e+00)",
+        f"pass  initial_datum_lipschitz  (measured {lip} vs declared {lip})",
+        "pass  edge0_convexity",
+        "pass  edge1_convexity",
+        f"pass  cfl_speed  ({_VALIDATE_LINES[stem]})",
+    ]
+
+
 def _star_config(**extra) -> dict:
     cfg = {
         "schema": "hjj/1",
@@ -672,14 +700,14 @@ def test_usage_errors_exit_1_without_artifacts(tmp_path: Path, capsys, argv):
     assert not out.exists()
 
 
-# Each subcommand's options, in order (20 slots); the problem itself (T, R_domain,
+# Each subcommand's options, in order (18 slots); the problem itself (T, R_domain,
 # the control counts) comes from the file alone, the time steps from its C2, and an
 # option joins only on purpose.
 OPTIONS = {
     "solve": ["--problem", "--out", "--dx", "--report-times"],
     "value": ["--problem", "--out", "--dx", "--report-times"],
     "compare": ["--problem", "--out", "--dx", "--report-times"],
-    "approx": ["--problem", "--out", "--dx", "--widths", "--slope-box", "--radius"],
+    "approx": ["--problem", "--out", "--dx", "--widths"],
     "validate": ["--problem", "--out"],
 }
 
@@ -691,7 +719,7 @@ def test_each_subcommand_offers_exactly_its_options():
                   if a.option_strings and a.dest != "help"]
            for name, p in sub.choices.items()}
     assert got == OPTIONS
-    assert sum(map(len, got.values())) == 20
+    assert sum(map(len, got.values())) == 18
 
 
 @pytest.mark.parametrize("option,value", [("--dx", "nan"), ("--dx", "inf")])
@@ -713,8 +741,6 @@ _NUMERIC_OPTIONS = [
     ("solve", "--dx", "0"),
     ("solve", "--report-times", "0.5,-0.5"),
     ("approx", "--widths", "0.1,0"),
-    ("approx", "--slope-box", "0"),
-    ("approx", "--radius", "0"),
 ]
 
 
@@ -768,18 +794,16 @@ def test_a_grid_no_array_can_index_exits_1_naming_its_step_count_and_c2(tmp_path
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
-def test_a_slope_box_at_which_the_error_signal_overflows_exits_1_naming_k(tmp_path: Path,
-                                                                          capsys):
-    """H overflows on the slope box [-1e300, 1e300]: one line naming K, no numpy warning."""
-    problem = _write(tmp_path, bench_tdq_config(1))
+@pytest.mark.parametrize("option", ["--slope-box", "--radius"])
+def test_slope_box_and_radius_are_refused_by_approx(tmp_path: Path, capsys, option):
+    """approx measures its slope box K from the run and takes R from the grid, so
+    neither is an option: each is a usage error, exit 1, nothing written."""
+    problem = _write(tmp_path, _model_config())
     out = tmp_path / "out"
-    rc = main(["approx", "--problem", problem, "--dx", "0.1", "--slope-box", "1e300",
-               "--out", str(out)])
-    lines = capsys.readouterr().err.splitlines()
-    assert rc == 1
-    assert lines == ["configuration error: K: the error signal overflows on the slope box "
-                     "[-K, K] at K = 1e+300"]
+    with pytest.raises(SystemExit) as err:
+        main(["approx", "--problem", problem, "--dx", "0.1", option, "1", "--out", str(out)])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: hjj")
     assert not out.exists()
 
 

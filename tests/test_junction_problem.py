@@ -18,6 +18,7 @@ from hjj import (
     abs_shift,
     argmin_p,
     check_convexity,
+    comparison_diagnostic,
     compute_kn,
     constant,
     control_edge,
@@ -298,7 +299,7 @@ def test_from_line_keeps_the_declared_p_span_on_both_quadratic_edges():
         "edges": [{"hamiltonian": quad}] * 2,
     })
     # 2 a (p_span + |b|) on the right edge and on the reflected left edge
-    assert [e.hamiltonian.lipschitz_p for e in prob.edges] == [3.0, 3.0]
+    assert [e.hamiltonian.speed_bound(1.0) for e in prob.edges] == [(3.0, "declared p_span 1")] * 2
     assert prob.edges[1].hamiltonian.coefficients["b"] == -0.5
     assert prob.cfl_speed()[0] == 3.0
     # dt = _CFL_SAFETY * dx / C2 = 0.5 * 0.01 / 3, so 600 steps reach T = 1
@@ -307,7 +308,8 @@ def test_from_line_keeps_the_declared_p_span_on_both_quadratic_edges():
     b = TimeSignal(np.array([0.0, 0.4, 1.0]), np.array([0.25, -0.5]))
     h = quadratic(2.0, b, -1.0, p_span=3.0)
     left = from_line(h, h, constant(0.0, 1.0), zero_datum, 0.0, 1.0).edges[1].hamiltonian
-    assert left.lipschitz_p == h.lipschitz_p == 2.0 * 2.0 * (3.0 + 0.5)
+    assert left.speed_bound(1.0) == h.speed_bound(1.0) == (2.0 * 2.0 * (3.0 + 0.5),
+                                                           "declared p_span 3")
     assert np.array_equal(left.coefficients["b"].values, [-0.25, 0.5])
 
 
@@ -373,14 +375,15 @@ def _quadratic_line(T=1.0, length=1.5, p_span=1, n=None) -> dict:
 def test_null_means_none_and_numeric_strings_convert_as_float_does():
     none, _ = problem_from_config(_quadratic_line(length=None, p_span=None))
     assert none.edges[0].length == np.inf
-    assert none.edges[1].hamiltonian.lipschitz_p == np.inf  # the slope box, not a p_span
+    assert none.edges[1].hamiltonian.speed_bound(1.0)[1].startswith("slope box")  # no p_span
     absent = _quadratic_line()
     del absent["edges"][0]["length"], absent["edges"][1]["hamiltonian"]["p_span"]
     assert none.cfl_speed() == problem_from_config(absent)[0].cfl_speed()
 
     text, _ = problem_from_config(_quadratic_line(T="1", length="1.5", p_span="1"))
     assert text.horizon == 1.0 and text.edges[0].length == 1.5
-    assert text.edges[1].hamiltonian.lipschitz_p == 3.0  # 2 a (p_span + |b|)
+    # 2 a (p_span + |b|)
+    assert text.edges[1].hamiltonian.speed_bound(1.0) == (3.0, "declared p_span 1")
     assert text.cfl_speed() == problem_from_config(_quadratic_line())[0].cfl_speed()
 
     model = {"T": 1.0, "control_system": {
@@ -518,14 +521,19 @@ def test_c2_bounds_the_slope_speed_on_the_slope_box():
     ("validate", "refine"), ("validate", "u0_samples"), ("compute_kn", "n_p"),
     ("compute_kn", "n_x"), ("enumerate_trajectories", "budget"),
     ("enumerate_trajectories", "arrival_tol"), ("check_convexity", "tol"),
-    ("make_grid", "cfl_safety"), ("grid_for", "cfl_safety"), ("oracle_grid", "cfl_safety")])
+    ("make_grid", "cfl_safety"), ("grid_for", "cfl_safety"), ("oracle_grid", "cfl_safety"),
+    ("comparison_diagnostic", "K"), ("comparison_diagnostic", "R")])
 def test_the_fixed_sampling_settings_are_no_keywords(name, keyword):
     """validate, compute_kn, enumerate_trajectories and check_convexity read their
-    sampling densities, budget and tolerances from module constants, and the grid
-    builders their step share (grid._CFL_SAFETY): no keyword sets them."""
+    sampling densities, budget and tolerances from module constants, the grid
+    builders their step share (grid._CFL_SAFETY), and comparison_diagnostic
+    measures its slope box K and takes R from the grid: no keyword sets them."""
     problem, cs = _line_eikonal(-1.0), build_model_system()
     call = {"validate": lambda **kw: validate(problem, **kw),
             "compute_kn": lambda **kw: compute_kn(problem, problem, K=1.0, R=1.0, **kw),
+            "comparison_diagnostic":
+                lambda **kw: comparison_diagnostic(problem, [0.2], grid_for(problem, 0.1, 1.0),
+                                                   **kw),
             "enumerate_trajectories":
                 lambda **kw: enumerate_trajectories(cs, (0.5, 0.0), (0.0, 1.0), 1, **kw),
             "check_convexity": lambda **kw: check_convexity(eikonal(), **kw),
