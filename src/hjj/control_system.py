@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import BracketFailure, CflViolation, EmptyControlSet
 from .grid import _CFL_SLACK, _finite, _positive_finite, edge_nodes
-from .hamiltonian import ClosedForm, Hamiltonian, closed_hamiltonian, elementwise
+from .hamiltonian import ClosedForm, ClosedHamiltonian, Hamiltonian, elementwise
 from .time_signal import (TimeSignal, coeff_average, coeff_bounds, coeff_eval, coeff_signals,
                           coeff_window_averages, on_horizon, union_mesh, upper_envelope)
 
@@ -82,19 +82,23 @@ class ControlForm:
                 + coeff_eval(self.c2, t) * a * a)
 
     def bounds(self, alphas: np.ndarray) -> tuple[float, float]:
-        """Range of g over the sampled controls and all coefficient values.
-
-        Each term c_k a^k is linear in c_k, so it ranges between its values at
-        the two ends of c_k's range, control by control.
-        """
-        a = np.asarray(alphas, dtype=float)
-        t0, t1, t2 = (np.multiply.outer(coeff_bounds(c), ak)
-                      for c, ak in ((self.c0, 1.0), (self.c1, a), (self.c2, a * a)))
-        return (float(np.min(t0.min(axis=0) + t1.min(axis=0) + t2.min(axis=0))),
-                float(np.max(t0.max(axis=0) + t1.max(axis=0) + t2.max(axis=0))))
+        """Range of g over the sampled controls and all coefficient values (_range)."""
+        return _range([coeff_bounds(c) for c in (self.c0, self.c1, self.c2)], alphas)
 
     def signals(self) -> dict:
         return coeff_signals({"c0": self.c0, "c1": self.c1, "c2": self.c2})
+
+
+def _range(ranges, alphas: np.ndarray) -> tuple[float, float]:
+    """Range of c0 + c1 a + c2 a^2 over the controls a, with each c_k in its (lo, hi) range.
+
+    Each term c_k a^k is linear in c_k, so it ranges between its values at
+    the two ends of c_k's range, control by control.
+    """
+    a = np.asarray(alphas, dtype=float)
+    t0, t1, t2 = (np.multiply.outer(r, ak) for r, ak in zip(ranges, (1.0, a, a * a)))
+    return (float(np.min(t0.min(axis=0) + t1.min(axis=0) + t2.min(axis=0))),
+            float(np.max(t0.max(axis=0) + t1.max(axis=0) + t2.max(axis=0))))
 
 
 def _is_form(g) -> bool:
@@ -215,25 +219,30 @@ class ControlEdge:
     def speed_signal(self, xs=None):
         """max |f| over the controls at each time, where f's TimeSignals give it.
 
-        A form with TimeSignal coefficients gives a TimeSignal, max_k |f_k|
-        on each cell of their union mesh. Any other f gives speed_bound's
+        A form f is read by _form_speed. A callable f gives speed_bound's
         float.
         """
-        if not (_is_form(self.f) and self.f.signals()):
-            return self.speed_bound(xs)
-        mesh = union_mesh(list(self.f.signals().values()))
-        mids = 0.5 * (mesh[:-1] + mesh[1:])
-        return TimeSignal(mesh, np.max(np.abs(self.f.eval(mids[:, None], self.controls)), axis=1))
+        return _form_speed(self.f, self.controls) if _is_form(self.f) else self.speed_bound(xs)
 
     def cost_bound(self, xs=None) -> float:
         """max |l|, in the same way as speed_bound."""
         return _abs_max(self.l, self.controls, xs)
 
 
+def _form_speed(f: ControlForm, controls: np.ndarray):
+    """max |f| over the controls: with TimeSignal coefficients a TimeSignal, max_k |f_k|
+    on each cell of their union mesh; without, a float over every coefficient value."""
+    signals = f.signals()
+    if not signals:
+        return _abs_max(f, controls, None)
+    mesh = union_mesh(list(signals.values()))
+    mids = 0.5 * (mesh[:-1] + mesh[1:])
+    return TimeSignal(mesh, np.max(np.abs(f.eval(mids[:, None], controls)), axis=1))
+
+
 def _abs_max(g, controls: np.ndarray, xs) -> float:
     if _is_form(g):
-        lo, hi = g.bounds(controls)
-        return max(abs(lo), abs(hi))
+        return max(map(abs, g.bounds(controls)))
     if xs is None:
         raise ValueError("a bound on an x-dependent control edge needs the grid's nodes")
     return float(np.max(np.abs(_call_g(g, 0.0, xs, controls))))
@@ -317,17 +326,6 @@ class ControlSystem:
         """
         return upper_envelope([on_horizon(e.speed_signal(xs), horizon)
                                for e, xs in zip(self.edges, self._positions(dx, radii))])
-
-    def cost_bound(self, dx: float | None = None, radii=None) -> float:
-        """L = max over edges of max|l_i| over the controls and every coefficient value.
-
-        A callable l is bounded at t = 0 at the nodes dx and radii give.
-        """
-        return max(e.cost_bound(xs) for e, xs in zip(self.edges, self._positions(dx, radii)))
-
-    def abar_bound(self) -> float:
-        """|A0| + sup|l0|, the a-priori bound on the flux limiter scale."""
-        return abs(self.A0) + max(abs(self.l0.min()), abs(self.l0.max()))
 
 
 def flux_limiter(cs: ControlSystem) -> TimeSignal:
@@ -474,18 +472,33 @@ def _freeze_lines(speeds: np.ndarray, costs: np.ndarray) -> tuple:
     return p_hat[()], speeds[keep], costs[keep]
 
 
+_MAX_F = "max|f| over {} controls"
+
+
 def _line_form(controls: np.ndarray, sign: float) -> ClosedForm:
     """The closed form of sup_k [sign f_k p - l_k] in the six coefficients of f and l.
 
     h is the maximum over every line; freeze minimises each row of the
-    values exactly and keeps the lines _freeze_lines keeps.
+    values exactly and keeps the lines _freeze_lines keeps. |dH/dp| is
+    bounded by max|f| per cell of f's signals (_form_speed) on every slope,
+    so a declared p_span changes nothing, and |H| over |p| <= L by
+    max|f| L + max|l| over the coefficient ranges (_range). The reflection
+    is the form of -sign at the same coefficients.
     """
     def freeze(*values):
         p_hat, speeds, costs = _freeze_lines(*np.broadcast_arrays(*_lines(controls, sign, *values)))
         return p_hat, lambda p: _line_max(speeds, costs, p)
 
+    def value_bound(L, *ranges):
+        f_max, l_max = (max(map(abs, _range(r, controls))) for r in (ranges[:3], ranges[3:]))
+        return f_max * L + l_max
+
+    def slope_box(M, p_span, *coefficients):
+        return _form_speed(ControlForm(*coefficients[:3]), controls), _MAX_F.format(len(controls))
+
     return ClosedForm(_NAMES, lambda p, *values: _line_max(*_lines(controls, sign, *values), p),
-                      freeze)
+                      freeze, value_bound, slope_box,
+                      lambda coefficients: (_line_form(controls, -sign), coefficients))
 
 
 class TableHamiltonian(Hamiltonian):
@@ -496,23 +509,40 @@ class TableHamiltonian(Hamiltonian):
     [x], and freeze minimises them node by node, exactly (_freeze_lines).
     A march freezes the table of each window at the edge's nodes ys,
     EnvelopePair(h, values=(speeds, costs, ys)); a frozen table looks its
-    nodes up by position. A supremum of affine lines is convex, so the
-    convexity probe is skipped.
+    nodes up by position. A supremum of affine lines is convex by
+    construction.
 
     A callable may read t, so the table is never time-independent, and it
     has no coefficients to average or mollify. Its time_data are the
     TimeSignals of its form parts, named as in _NAMES (f_c0 ... l_c2), so
     that every reader of a problem's coefficient breakpoints sees them.
+    Its bounds read the edge at the positions sign * ys of the edge's
+    nodes ys, and its reflection is the table of -sign.
     """
 
     time_independent = False
+    convex_by_construction = True
 
-    def __init__(self, edge: ControlEdge, sign: float, **metadata):
+    def __init__(self, edge: ControlEdge, sign: float):
         self.edge, self.sign = edge, sign
         time_data = {f"{k}_{c}": sig for k, g in zip("fl", (edge.f, edge.l)) if _is_form(g)
                      for c, sig in g.signals().items()}
         super().__init__(lambda t, x, p: _line_max(*edge.lines(sign, t, t, x), p),
-                         time_data=time_data, validate=False, **metadata)
+                         time_data=time_data)
+
+    def speed_bound(self, M: float, ys=None) -> tuple:
+        """max|f| per cell of f's signals; a callable f at t = 0 on the edge's nodes ys."""
+        what = _MAX_F.format(len(self.edge.controls))
+        speed = self.edge.speed_signal(None if ys is None else self.sign * ys)
+        return speed, what if _is_form(self.edge.f) else f"{what} and {len(ys)} nodes"
+
+    def value_bound(self, L: float, ys=None) -> float:
+        """max|f| L + max|l|, a callable at t = 0 on the edge's nodes ys."""
+        xs = None if ys is None else self.sign * ys
+        return self.edge.speed_bound(xs) * L + self.edge.cost_bound(xs)
+
+    def reflected(self) -> "TableHamiltonian":
+        return TableHamiltonian(self.edge, -self.sign)
 
     def values_at(self, t: float, x) -> tuple:
         xs = np.atleast_1d(x)
@@ -528,35 +558,15 @@ class TableHamiltonian(Hamiltonian):
         return at
 
 
-def _induced(edge: ControlEdge, sign: float, form: ClosedForm | None = None) -> Hamiltonian:
-    # A form edge's Hamiltonian has the closed form _line_form (form, when its
-    # coefficients are rebuilt), which is convex, so the probe is skipped; a
-    # callable edge's is a TableHamiltonian. Either gives its own speed and
-    # value bounds and is minimised exactly, so it declares none of a black
-    # box's search data (Hamiltonian's lipschitz_p and coercivity_radius).
-    controls = edge.controls
-    what = f"max|f| over {len(controls)} controls"
-
-    def speed_bound(M, ys):  # per cell of f's signals; a callable at t = 0 on the edge's nodes
-        speed = edge.speed_signal(None if ys is None else sign * ys)
-        return speed, what if _is_form(edge.f) else f"{what} and {len(ys)} nodes"
-
-    def value_bound(L, ys):
-        xs = None if ys is None else sign * ys
-        return edge.speed_bound(xs) * L + edge.cost_bound(xs)
-
-    metadata = dict(reflect=lambda: _induced(edge, -sign),
-                    speed_bound=speed_bound, value_bound=value_bound)
+def _induced(edge: ControlEdge, sign: float) -> Hamiltonian:
+    """The induced Hamiltonian of edge with velocity sign: the ClosedHamiltonian of
+    _line_form at the edge's six coefficients when f and l are forms, else the
+    edge's TableHamiltonian. Either gives its own bounds and is minimised exactly,
+    so it declares none of a black box's search data (lipschitz_p,
+    coercivity_radius)."""
     if edge.x_independent:
-        form = form or _line_form(controls, sign)
-
-        def rebuild(coeffs):
-            nf, nl = (ControlForm(*(coeffs[k] for k in names))
-                      for names in (_NAMES[:3], _NAMES[3:]))
-            return _induced(ControlEdge(nf, nl, controls.copy()), sign, form)
-
-        return closed_hamiltonian(form, _coefficients(edge), rebuild, **metadata)
-    return TableHamiltonian(edge, sign, **metadata)
+        return ClosedHamiltonian(_line_form(edge.controls, sign), _coefficients(edge))
+    return TableHamiltonian(edge, sign)
 
 
 def induced_hamiltonian(cs: ControlSystem, i: int) -> Hamiltonian:

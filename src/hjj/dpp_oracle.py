@@ -150,19 +150,45 @@ def _bellman(cs: ControlSystem, grid: Grid, level: np.ndarray, a: float, b: floa
     return new
 
 
+def _window_sup(sig: TimeSignal, times: np.ndarray) -> np.ndarray:
+    """sup |sig| on each window [times[n], times[n+1]]: the largest |value| of the cells it meets."""
+    inner, vals = sig.breakpoints[1:-1], np.abs(sig.values)
+    first, last = np.searchsorted(inner, times[:-1], "right"), np.searchsorted(inner, times[1:])
+    return np.array([vals[i:j + 1].max() for i, j in zip(first.tolist(), last.tolist())])
+
+
 def _march(cs: ControlSystem, grid: Grid, v0: np.ndarray):
     """levels(): v0 as level 0, then one Bellman update per window (grid._levels).
 
     The window tables are built here, once, on the grid's windows; each
-    call of levels() marches afresh.
+    call of levels() marches afresh. Level n must stay within an a priori
+    sup bound summed over the windows marched: sup|v0| plus, for each
+    window m < n, (2 L_m + Abar_m) dt_m, with L_m the largest |l| in the
+    cost tables that window's update adds and Abar_m = |A0| + sup|l0| on
+    the window. A level above it raises NumericalFailure naming the level.
     """
     A, times = flux_limiter(cs), grid.times.tolist()
     at = _windows(cs, grid, A, grid.times)
+    abar = abs(cs.A0) + _window_sup(cs.l0, grid.times)
 
-    def update(v, n):
-        return _bellman(cs, grid, v, times[n], times[n + 1], at(n))
+    def levels():
+        bounds = [float(np.max(np.abs(v0)))]  # bounds[n] is level n's
 
-    return lambda: _levels(grid, v0, update)
+        def update(v, n):
+            window = at(n)
+            cost = max(float(np.abs(costs).max()) for _, costs in window[1])
+            bounds.append(bounds[-1] + (2.0 * cost + abar[n]) * (times[n + 1] - times[n]))
+            return _bellman(cs, grid, v, times[n], times[n + 1], window)
+
+        for n, level in enumerate(_levels(grid, v0, update)):
+            sup, bound = float(np.abs(level).max()), bounds[n]
+            if sup > bound + 1e-7 * (1.0 + bound):
+                raise NumericalFailure(
+                    f"value function breaks its a priori bound at level {n}: {sup:.6g} "
+                    f"> {bound:.6g}; the Bellman recursion is inconsistent")
+            yield level
+
+    return levels
 
 
 def value_function(cs: ControlSystem, u0, grid: Grid) -> SolutionField:
@@ -174,28 +200,15 @@ def value_function(cs: ControlSystem, u0, grid: Grid) -> SolutionField:
     oracle_grid, grid_for or make_grid) must hold an integral of
     ControlSystem.speed_signal of at most dx on each window (grid.check_cfl,
     as the scheme checks it), with max|f| taken on its nodes; any grid that
-    does not raises CflViolation here. The window tables, the datum sample
-    and the a priori sup bound (2L + Abar) T + sup|u0|, with T the grid's
-    horizon and L = sup|l| over the controls and the grid's nodes, are made
-    here too. The returned field runs the march when it is read (levels()
-    marches again, values once and keeps the array), and the read stops at
-    the first level that holds a non-finite value or breaks the bound
-    (NumericalFailure naming the level), or that no transition reaches
-    (NoAdmissibleControl).
+    does not raises CflViolation here. The window tables and the datum
+    sample are made here too. The returned field runs the march (_march)
+    when it is read (levels() marches again, values once and keeps the
+    array). Each level is checked against an a priori sup bound that sums,
+    window by window, what that window's update reads, so a callable cost
+    is bounded where the march reads it. The read stops at the first level
+    that holds a non-finite value or breaks the bound (NumericalFailure
+    naming the level), or that no transition reaches (NoAdmissibleControl).
     """
     check_cfl(grid, cs.speed_signal(grid.horizon, grid.dx, grid.edge_radii), "max|f|", grid.times)
     v0 = grid.sample(edge_data(u0, len(cs.edges), cs.orientation == "line"))
-    bound = ((2.0 * cs.cost_bound(grid.dx, grid.edge_radii) + cs.abar_bound()) * grid.horizon
-             + float(np.max(np.abs(v0))))
-    march = _march(cs, grid, v0)
-
-    def levels():
-        for n, level in enumerate(march()):
-            sup = float(np.abs(level).max())
-            if sup > bound + 1e-7 * (1.0 + bound):
-                raise NumericalFailure(
-                    f"value function breaks its a priori bound at level {n}: {sup:.6g} "
-                    f"> {bound:.6g}; the Bellman recursion is inconsistent")
-            yield level
-
-    return SolutionField(grid, levels, line=(cs.orientation == "line"))
+    return SolutionField(grid, _march(cs, grid, v0), line=(cs.orientation == "line"))

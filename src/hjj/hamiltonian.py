@@ -14,22 +14,29 @@ Every Hamiltonian is split by one protocol: values_at(t, x) gives the
 values that fix H at (t, x), and freeze(values) gives H frozen there,
 with its minimiser and minimum (Hamiltonian.freeze). EnvelopePair is the
 one splitting, cut from one evaluation of H: frozen once at fixed values,
-or frozen again at values_at(t, x) on each call. The values are:
-- for a Hamiltonian whose form is known (a ClosedForm), its coefficient
-  values. These are the catalog forms (CATALOG), which also give the
-  bounds on |H| and |dH/dp| that set the scheme's C2, and the induced
-  Hamiltonian of every control edge of coefficient forms
-  (control_system); freeze is exact;
-- for a control edge with a callable f or l, its table of lines on the
-  nodes (control_system.TableHamiltonian), minimised exactly node by node;
-- for a black box, a time and positions (t, xs), minimised numerically
-  (numeric_argmin) once per position: the only numeric search.
+or frozen again at values_at(t, x) on each call. There are three kinds of
+Hamiltonian, one class each, and each gives its own values, freeze,
+bounds and reflection:
+- ClosedHamiltonian, a ClosedForm at named coefficients. These are the
+  catalog forms (CATALOG) and the induced Hamiltonian of every control
+  edge of coefficient forms (control_system). Its values are the
+  coefficient values, freeze is exact, and the form gives the bounds on
+  |H| and |dH/dp| that set the scheme's C2;
+- control_system.TableHamiltonian, a control edge with a callable f or l:
+  its values are its table of lines on the nodes, minimised exactly node
+  by node;
+- Hamiltonian itself, a black box: its values are a time and positions
+  (t, xs), minimised numerically (numeric_argmin) once per position, the
+  only numeric search.
+The first two are convex by construction (convex_by_construction), so
+neither their constructors nor junction_problem.validate probe them.
 Problem files reach the catalog through
 junction_problem.hamiltonian_from_config.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,33 +69,32 @@ _MAX_TERNARY = 200
 
 
 class Hamiltonian:
-    """Convex-in-p Hamiltonian with declared regularity metadata.
+    """A black-box Hamiltonian: convex in p, known through its evaluator and declared data.
+
+    The two kinds whose form is known are subclasses, ClosedHamiltonian and
+    control_system.TableHamiltonian. Each gives its own values, freeze,
+    bounds and reflection, and both are convex by construction. Here form
+    is None and coefficients is empty, which is how fd_scheme,
+    junction_problem and approximation tell a black box from a closed form.
 
     evaluator        callable (t, x, p) -> value. p may arrive as a 1-D array,
                      and x as one float or as an array elementwise with p;
                      an evaluator that cannot take arrays raises TypeError
                      or ValueError and is then called one position (and if
                      need be one slope) at a time (see elementwise)
-    lipschitz_p      a black box's declared bound on |dH/dp| over the working
-                     slope range (default inf: no bound declared)
-    coercivity_radius  a black box's initial bracket radius P, a positive
-                     finite float, with H(t, x, +-P) > H(t, x, 0) at every
-                     (t, x); doubling extends it where needed
-                     These two are the numeric search's data, read by a
-                     black box's default speed and value bounds, by
-                     numeric_argmin and reflected, and by check_convexity's
-                     slope span (4 P). A closed form or a control edge gives
-                     its own bounds and is minimised exactly, so it leaves
-                     both at their defaults.
-    form             the ClosedForm of H in its coefficients, or None
-    coefficients     named coefficients (floats or TimeSignals) of the form;
-                     drives exact window averaging and mollification
+    lipschitz_p      the declared bound on |dH/dp| over the working slope
+                     range (default inf: no bound declared)
+    coercivity_radius  the initial bracket radius P, a positive finite
+                     float, with H(t, x, +-P) > H(t, x, 0) at every (t, x);
+                     doubling extends it where needed
+                     These two are the numeric search's data, read by the
+                     default speed and value bounds, by numeric_argmin and
+                     reflected, and by check_convexity's slope span (4 P).
     time_data        the TimeSignals of H, by name: every reader of a
                      problem's coefficient mesh sees their breakpoints.
-                     Empty means H is declared time-independent, except for
-                     a callable control edge (TableHamiltonian), which may
-                     read t and never is
+                     Empty means H is declared time-independent
     x_independent    True when H ignores x (one split point serves all nodes)
+    validate         run the convexity probe (check_convexity) now
     speed_bound      callable (M, ys) -> (C2, source): a bound on |dH/dp| over
                      the slopes with H <= M at the edge nodes ys (None before a
                      grid exists), and what it rests on; C2 is a float, or a
@@ -99,17 +105,17 @@ class Hamiltonian:
                      (|H(0, 0, 0)| alone at L = 0, also for lipschitz_p inf)
     """
 
+    form = None
+    coefficients = MappingProxyType({})
+    convex_by_construction = False
+
     def __init__(
         self,
         evaluator: Callable,
         lipschitz_p: float = np.inf,
         coercivity_radius: float = 1.0,
-        form: ClosedForm | None = None,
-        coefficients: dict | None = None,
         time_data: dict | None = None,
         x_independent: bool = False,
-        rebuild: Callable | None = None,
-        reflect: Callable | None = None,
         validate: bool = True,
         speed_bound: Callable | None = None,
         value_bound: Callable | None = None,
@@ -117,17 +123,11 @@ class Hamiltonian:
         self.evaluator = evaluator
         self.lipschitz_p = float(lipschitz_p)
         self.coercivity_radius = _positive_finite("coercivity_radius", coercivity_radius)
-        self.form = form
-        self.coefficients = dict(coefficients) if coefficients else {}
-        if time_data is None:
-            time_data = coeff_signals(self.coefficients)
-        self.time_data = dict(time_data)
+        self.time_data = dict(time_data) if time_data else {}
         self.x_independent = bool(x_independent)
-        self._rebuild = rebuild
-        self._reflector = reflect
         self._speed_bound = speed_bound
         self._value_bound = value_bound
-        if validate:
+        if validate and not self.convex_by_construction:
             check_convexity(self)
 
     def __call__(self, t: float, x: float, p):
@@ -156,30 +156,19 @@ class Hamiltonian:
     def values_at(self, t: float, x) -> tuple:
         """The values at which freeze fixes H at (t, x), one float x or an array of positions.
 
-        A closed form's are its coefficient values at t. A black box's are
-        (t, xs): t = 0 when it ignores t, and xs the positions x, or [0]
-        when it ignores x.
+        A black box's are (t, xs): t = 0 when it ignores t, and xs the
+        positions x, or [0] when it ignores x.
         """
-        if self.form is not None:
-            return self.form.values_at(self.coefficients, t)
         return (0.0 if self.time_independent else t,
                 np.zeros(1) if self.x_independent else np.array(x, dtype=float, ndmin=1))
 
     def freeze(self, values: tuple) -> Callable:
         """at(t, x) -> (p_hat, h_min, p -> H(p)): h frozen at values (see values_at).
 
-        A closed form is frozen exactly, ignoring t and x; h_min is H(p_hat)
-        as the form computes it. A black box is minimised by numeric_argmin
-        once per position of its values, and at(t, x) looks x up among
-        them (an array x entry by entry) and evaluates H at (t, x). A
-        Hamiltonian whose values are a table of lines per node
-        (control_system.TableHamiltonian) overrides this, and looks its
-        nodes up the same way.
+        A black box is minimised by numeric_argmin once per position of its
+        values, and at(t, x) looks x up among them (an array x entry by
+        entry) and evaluates H at (t, x).
         """
-        if self.form is not None:
-            p_hat, H = self.form.freeze(*values)
-            frozen = p_hat, H(p_hat), H
-            return lambda t, x: frozen
         t0, xs = values
         p_hat, h_min = np.array([numeric_argmin(self, t0, y) for y in xs.tolist()]).T
 
@@ -193,11 +182,33 @@ class Hamiltonian:
         return elementwise(self.evaluator, t, x, p)
 
     def with_coefficients(self, coefficients: dict) -> "Hamiltonian":
-        if self._rebuild is None:
-            raise NonSeparableTimeDependence(
-                "no coefficients to rebuild from: H is a black box or a control edge with a "
-                "callable f or l")
-        return self._rebuild(coefficients)
+        """H at other values of its coefficients (a closed form's); see ClosedHamiltonian."""
+        raise NonSeparableTimeDependence(
+            "no coefficients to rebuild from: H is a black box or a control edge with a "
+            "callable f or l")
+
+    def reflected(self) -> "Hamiltonian":
+        """H seen through x -> -x: a black box that keeps the declared search data and
+        bounds, the bounds read at the reflected nodes -ys when H depends on x."""
+        def evaluator(t, y, q, _h=self):
+            return _h.evaluator(t, -np.asarray(y, dtype=float) if not _h.x_independent else y,
+                                -np.asarray(q, dtype=float))
+
+        def at_reflected_nodes(bound):
+            if bound is None or self.x_independent:
+                return bound
+            return lambda m, ys: bound(m, None if ys is None else -np.asarray(ys, dtype=float))
+
+        return Hamiltonian(
+            evaluator,
+            lipschitz_p=self.lipschitz_p,
+            coercivity_radius=self.coercivity_radius,
+            time_data=self.time_data,
+            x_independent=self.x_independent,
+            validate=False,
+            speed_bound=at_reflected_nodes(self._speed_bound),
+            value_bound=at_reflected_nodes(self._value_bound),
+        )
 
 
 def elementwise(fn: Callable, t: float, x, a) -> np.ndarray:
@@ -398,25 +409,74 @@ class EnvelopePair:
 # closed forms
 
 class ClosedForm(NamedTuple):
-    """H and its minimiser as functions of the coefficient values.
+    """H, its minimiser, its bounds and its reflection as functions of the coefficients.
 
     freeze does the work of fixed values once: it gives the exact
     minimiser p_hat and the H that a frozen EnvelopePair keeps, whose
     H(p_hat) is the minimum that argmin_p and EnvelopePair take as h_min.
-    value_bound takes each coefficient's (lo, hi) range over time,
-    slope_box the coefficients themselves (floats or TimeSignals); a form
-    without them leaves its bounds to its Hamiltonian.
+    value_bound takes each coefficient's (lo, hi) range over time.
+    slope_box takes a declared p_span (a float, or None) and the
+    coefficients themselves (floats or TimeSignals): it bounds |dH/dp| on
+    {H <= M}, or on |p| <= p_span when one is declared. reflect takes the
+    coefficients by name and gives the form and coefficients of H(-p).
     """
 
     names: tuple
     h: Callable            # (p, *values) -> H(p)
     freeze: Callable       # (*values) -> (p_hat, p -> H(p))
-    value_bound: Callable | None = None  # (L, *ranges) -> sup |H| over |p| <= L
-    slope_box: Callable | None = None    # (M, *coefficients) -> (C2, source) where H <= M
+    value_bound: Callable  # (L, *ranges) -> sup |H| over |p| <= L
+    slope_box: Callable    # (M, p_span, *coefficients) -> (C2, source)
+    reflect: Callable      # (coefficients) -> (form, coefficients) of H(t, x, -p)
     speed: Callable | None = None  # (p, *values) -> |dH/dp|, where C2 holds only on a box
 
     def values_at(self, coefficients: dict, t: float) -> tuple:
         return tuple(coeff_eval(coefficients[k], t) for k in self.names)
+
+
+class ClosedHamiltonian(Hamiltonian):
+    """H(t, x, p) = form.h(p, *values): a ClosedForm at named coefficients, the same at every x.
+
+    coefficients are floats or TimeSignals, by the names form.names; their
+    signals are H's time_data. Its values (values_at) are the coefficient
+    values at t, freeze is the form's, exact, and so are both bounds and
+    the reflection. with_coefficients gives the same form at other
+    coefficients (window averages, mollified signals). A declared p_span
+    (see quadratic) is no coefficient, since averaging reads every entry
+    of coefficients: it is kept beside them, and every rebuild and
+    reflection keeps it.
+    """
+
+    convex_by_construction = True
+
+    def __init__(self, form: ClosedForm, coefficients: dict, p_span: float | None = None):
+        self.form, self.coefficients, self.p_span = form, dict(coefficients), p_span
+        super().__init__(lambda t, x, p: form.h(p, *form.values_at(self.coefficients, t)),
+                         time_data=coeff_signals(self.coefficients), x_independent=True)
+
+    def _named(self) -> list:
+        return [self.coefficients[k] for k in self.form.names]
+
+    def speed_bound(self, M: float, ys=None) -> tuple:
+        return self.form.slope_box(M, self.p_span, *self._named())
+
+    def value_bound(self, L: float, ys=None) -> float:
+        return self.form.value_bound(L, *map(coeff_bounds, self._named()))
+
+    def values_at(self, t: float, x) -> tuple:
+        return self.form.values_at(self.coefficients, t)
+
+    def freeze(self, values: tuple) -> Callable:
+        """The form frozen exactly at values; at(t, x) ignores t and x, and h_min is
+        H(p_hat) as the form computes it."""
+        p_hat, H = self.form.freeze(*values)
+        frozen = p_hat, H(p_hat), H
+        return lambda t, x: frozen
+
+    def with_coefficients(self, coefficients: dict) -> "ClosedHamiltonian":
+        return ClosedHamiltonian(self.form, coefficients, self.p_span)
+
+    def reflected(self) -> "ClosedHamiltonian":
+        return ClosedHamiltonian(*self.form.reflect(self.coefficients), self.p_span)
 
 
 def _quadratic(p, a, b, c):
@@ -435,52 +495,43 @@ def _quadratic_speed(a, k: float):
     return a.shift_values(lambda v: 2.0 * v * k) if isinstance(a, TimeSignal) else 2.0 * a * k
 
 
-def _quadratic_slope_box(M, a, b, c):
+def _quadratic_slope_box(M, p_span, a, b, c):
     # {a (p - b)^2 + c <= M} is |p - b| <= sqrt((M - c) / a) <= r for every
     # coefficient value, so the union lies in [b_lo - r, b_hi + r]; there
     # |dH/dp| = 2 a |p - b| <= 2 a (b_hi - b_lo + r), at each time's a.
+    # On |p| <= p_span, |p - b| <= p_span + max|b|.
     (a_lo, _), (b_lo, b_hi), (c_lo, _) = (coeff_bounds(v) for v in (a, b, c))
+    if p_span is not None:
+        return (_quadratic_speed(a, p_span + max(abs(b_lo), abs(b_hi))),
+                f"declared p_span {p_span:g}")
     r = (max(M - c_lo, 0.0) / a_lo) ** 0.5
     return (_quadratic_speed(a, b_hi - b_lo + r),
             f"slope box [{b_lo - r:.3g}, {b_hi + r:.3g}] of {{H <= {M:.3g}}}")
 
 
+def _quadratic_reflect(coefficients):
+    b = coefficients["b"]
+    neg_b = b.shift_values(np.negative) if isinstance(b, TimeSignal) else -b
+    return CATALOG["quadratic"], {**coefficients, "b": neg_b}
+
+
 CATALOG = {
     "quadratic": ClosedForm(("a", "b", "c"), _quadratic,
                             lambda a, b, c: (b, lambda p: _quadratic(p, a, b, c)),
-                            _quadratic_value_bound, _quadratic_slope_box,
+                            _quadratic_value_bound, _quadratic_slope_box, _quadratic_reflect,
                             lambda p, a, b, c: 2.0 * a * np.abs(p - b)),
     "abs_shift": ClosedForm(("c",), lambda p, c: np.abs(p) + c,
                             lambda c: (0.0, lambda p: np.abs(p) + c),
                             lambda L, c: max(abs(c[0]), abs(L + c[1])),
-                            lambda M, c: (1.0, "|dH/dp| = 1")),
+                            lambda M, p_span, c: (1.0, "|dH/dp| = 1"),
+                            lambda coefficients: (CATALOG["abs_shift"], coefficients)),
 }
-
-
-def closed_hamiltonian(closed: ClosedForm, coefficients: dict, rebuild: Callable,
-                       **metadata) -> Hamiltonian:
-    """The x-independent Hamiltonian of a closed form at named coefficients.
-
-    Convex by construction, so the randomized convexity probe is skipped.
-    Its speed and value bounds are the form's unless metadata gives them.
-    """
-    def evaluator(t, x, p):
-        return closed.h(p, *closed.values_at(coefficients, t))
-
-    metadata.setdefault("speed_bound", lambda M, ys: closed.slope_box(
-        M, *(coefficients[k] for k in closed.names)))
-    metadata.setdefault("value_bound", lambda L, ys: closed.value_bound(
-        L, *(coeff_bounds(coefficients[k]) for k in closed.names)))
-    return Hamiltonian(evaluator, form=closed, coefficients=coefficients,
-                       x_independent=True, rebuild=rebuild, validate=False, **metadata)
 
 
 def abs_shift(c) -> Hamiltonian:
     """H(p) = |p| + c, with c a float or TimeSignal; a c that is not finite raises ConfigError."""
     _finite("abs_shift c", c)
-    return closed_hamiltonian(CATALOG["abs_shift"], {"c": c},
-                              rebuild=lambda coeffs: abs_shift(coeffs["c"]),
-                              reflect=lambda: abs_shift(c))
+    return ClosedHamiltonian(CATALOG["abs_shift"], {"c": c})
 
 
 def eikonal() -> Hamiltonian:
@@ -501,58 +552,23 @@ def quadratic(a, b, c, p_span: float | None = None) -> Hamiltonian:
     bounds, or a p_span, are not positive and finite raises ConfigError, and
     so does a b or c that is not finite.
     """
-    a_lo, a_hi = coeff_bounds(a)
-    b_lo, b_hi = coeff_bounds(b)
-    for bound in (a_lo, a_hi):
+    for bound in coeff_bounds(a):
         _positive_finite("quadratic a", bound)
     for name, v in (("b", b), ("c", c)):
         _finite(f"quadratic {name}", v)
-    declared = {}
     if p_span is not None:
         p_span = _positive_finite("p_span", p_span)
-        k = p_span + max(abs(b_lo), abs(b_hi))
-        declared = {"speed_bound": lambda M, ys: (_quadratic_speed(a, k),
-                                                  f"declared p_span {p_span:g}")}
-    neg_b = b.shift_values(np.negative) if isinstance(b, TimeSignal) else -b
-    return closed_hamiltonian(
-        CATALOG["quadratic"], {"a": a, "b": b, "c": c},
-        rebuild=lambda coeffs: quadratic(coeffs["a"], coeffs["b"], coeffs["c"],
-                                         p_span=p_span),
-        reflect=lambda: quadratic(a, neg_b, c, p_span=p_span),
-        **declared,
-    )
+    return ClosedHamiltonian(CATALOG["quadratic"], {"a": a, "b": b, "c": c}, p_span)
 
 
 def reflected(h: Hamiltonian) -> Hamiltonian:
-    """The Hamiltonian seen through x -> -x (slopes negate).
+    """The Hamiltonian seen through x -> -x (slopes negate): h.reflected().
 
     Used to carry one half-line of a two-edge problem into edge-local
-    coordinates. Closed forms map to closed forms, so coefficient averaging
-    and mollification survive the reflection. Any other Hamiltonian keeps its
-    declared speed and value bounds, read at the reflected nodes -ys when it
-    depends on x.
+    coordinates. A closed form maps to a closed form (ClosedForm.reflect),
+    so coefficient averaging and mollification survive the reflection, and
+    a control edge's table to the table of the opposite sign. A black box
+    keeps its declared speed and value bounds, read at the reflected nodes
+    -ys when it depends on x.
     """
-    if h._reflector is not None:
-        return h._reflector()
-
-    def evaluator(t, y, q, _h=h):
-        return _h.evaluator(t, -np.asarray(y, dtype=float) if not _h.x_independent else y,
-                            -np.asarray(q, dtype=float))
-
-    def at_reflected_nodes(bound):
-        if bound is None or h.x_independent:
-            return bound
-        return lambda m, ys: bound(m, None if ys is None else -np.asarray(ys, dtype=float))
-
-    return Hamiltonian(
-        evaluator,
-        lipschitz_p=h.lipschitz_p,
-        coercivity_radius=h.coercivity_radius,
-        form=None,
-        coefficients=None,
-        time_data=dict(h.time_data),
-        x_independent=h.x_independent,
-        validate=False,
-        speed_bound=at_reflected_nodes(h._speed_bound),
-        value_bound=at_reflected_nodes(h._value_bound),
-    )
+    return h.reflected()

@@ -220,6 +220,20 @@ def bench_tdq_problem(seed: int) -> JunctionProblem:
     return problem_from_config(bench_tdq_config(seed))[0]
 
 
+def cost_bound(cs: ControlSystem, dx: float | None = None, radii=None) -> float:
+    """L = max over edges of max|l_i| over the controls and every coefficient value.
+
+    A callable l is bounded at t = 0 at the nodes dx and radii give
+    (ControlEdge.cost_bound), and needs them.
+    """
+    return max(e.cost_bound(xs) for e, xs in zip(cs.edges, cs._positions(dx, radii)))
+
+
+def abar_bound(cs: ControlSystem) -> float:
+    """|A0| + sup|l0|, the a priori bound on the flux limiter scale."""
+    return abs(cs.A0) + max(abs(cs.l0.min()), abs(cs.l0.max()))
+
+
 def check_value_function_bounds(cs: ControlSystem, field: SolutionField,
                                 slack_space: float = 0.1) -> float:
     """Assert the a priori regularity of a dynamic-programming output.
@@ -229,7 +243,7 @@ def check_value_function_bounds(cs: ControlSystem, field: SolutionField,
     per-edge slopes <= 2*C/delta + slack_space.  Returns C for callers that
     want to report the constant.
     """
-    big_c = 2.0 * cs.cost_bound() + cs.abar_bound()
+    big_c = 2.0 * cost_bound(cs) + abar_bound(cs)
     grid = field.grid
     vals = field.values
     tol = 1e-9

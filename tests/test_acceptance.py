@@ -33,7 +33,8 @@ from hjj import (
     value_function,
 )
 
-from conftest import build_model_system, check_value_function_bounds, zero_datum
+from conftest import (abar_bound, build_model_system, check_value_function_bounds, cost_bound,
+                      zero_datum)
 from reference import RestrictedEnvelopes, dpp_consistency_check, enumerate_trajectories
 
 _DP_RUNS: list = []
@@ -63,7 +64,7 @@ def _random_affine_system(rng: np.random.Generator, horizon: float,
 
 def _random_data_pair(rng: np.random.Generator, cs: ControlSystem):
     """Ordered datum pair whose slopes stay inside the regularity regime."""
-    big_c = 2.0 * cs.cost_bound() + cs.abar_bound()
+    big_c = 2.0 * cost_bound(cs) + abar_bound(cs)
     lip_cap = 0.9 * min(2.0 * big_c / cs.delta, big_c / cs.speed_signal(cs.l0.horizon).max())
     s1 = rng.uniform(0.1, 0.5 * lip_cap)
     s2 = rng.uniform(0.1, 0.5 * lip_cap)
@@ -359,3 +360,35 @@ def test_a_jump_in_h_matches_its_exact_solution_on_both_routes():
         assert np.max(np.abs(field.values[:, 0])) <= 1e-12
     print(f"H jump: PASS  errors fd={fd[0][-1]:.4f} dp={dp[0][-1]:.4f} "
           f"orders fd={fd[1]:.3f} dp={dp[1]:.3f}")
+
+
+def test_a_cost_only_in_l1_matches_its_exact_solution_on_both_routes():
+    """H = |p| + c(t) with c = -1/(2 sqrt t), in L1 but unbounded, and A = 0.
+
+    c is given by its exact averages on the cells t_k = (k/256)^2, -256/(2k + 1),
+    so C, the integral of -c, is sqrt t at every breakpoint and linear between, and
+    u = C(t) - C(max(t - |x|, 0)), with u(0, t) = 0. The routes are those of the
+    jump in H. u is only Holder-1/2 in x at the front |x| = t, so the order is about
+    1/4, not 1/2.
+    """
+    bp = (np.arange(257) / 256.0) ** 2
+    c = TimeSignal(bp, -256.0 / (2.0 * np.arange(256) + 1.0))
+    edges = [control_edge(ControlForm(c1=1.0), ControlForm(c0=TimeSignal(bp, -c.values)),
+                          -1.0, 1.0, n=21) for _ in range(2)]
+    cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0)
+    routes = [(from_line(abs_shift(c), abs_shift(c), constant(0.0, 1.0), zero_datum, 0.0, 1.0),
+               solve),
+              (induced_problem(cs, zero_datum, 0.0, 1.0),
+               lambda p, g: value_function(cs, zero_datum, g))]
+
+    def big_c(t):
+        return np.interp(t, bp, np.sqrt(bp))
+
+    fd, dp = _exact_ladder(routes, lambda t, x: big_c(t) - big_c(np.maximum(t - x, 0.0)))
+    for errors, order, _, field in (fd, dp):
+        assert errors[-1] <= 0.10 and 0.2 <= order <= 0.32
+        assert np.max(np.abs(field.values[:, 0])) <= 1e-12
+    gap = fd[-1].linf_gap(dp[-1])
+    assert gap <= 1e-12
+    print(f"L1 cost: PASS  errors fd={fd[0][-1]:.4f} dp={dp[0][-1]:.4f} "
+          f"orders fd={fd[1]:.3f} dp={dp[1]:.3f} gap={gap:.1e}")

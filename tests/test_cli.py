@@ -191,9 +191,12 @@ _VALIDATE_LINES = {
 
 @pytest.mark.parametrize("stem", list(_VALIDATE_LINES))
 def test_validate_prints_its_five_lines_on_the_checked_problem_files(tmp_path: Path, capsys,
-                                                                     stem):
-    """Every edge a file describes is convex by construction, so both probes pass with
-    no detail; a datum with slope 0.5 (TDC's |x| / 2) measures 0.5."""
+                                                                     monkeypatch, stem):
+    """Every edge a file describes is convex by construction, so both convexity items
+    pass with no detail and no probe runs; a datum with slope 0.5 (TDC's |x| / 2)
+    measures 0.5."""
+    probes = []
+    monkeypatch.setattr("hjj.junction_problem.check_convexity", lambda *a, **kw: probes.append(a))
     tool = _digest_tool()
     config = {"model": tool._problems().model_problem, "tdq41": lambda: bench_tdq_config(41),
               "tdc": lambda: tool.TDC}[stem]()
@@ -206,6 +209,7 @@ def test_validate_prints_its_five_lines_on_the_checked_problem_files(tmp_path: P
         "pass  edge1_convexity",
         f"pass  cfl_speed  ({_VALIDATE_LINES[stem]})",
     ]
+    assert probes == []
 
 
 def _star_config(**extra) -> dict:
@@ -448,11 +452,9 @@ def test_help_exits_cleanly():
 
 def test_value_bound_breach_exits_3_without_artifacts(tmp_path: Path, capsys,
                                                       monkeypatch):
-    # zero cost and limiter bounds make the a priori sup bound 0, which the
-    # value function min(t, |x|) breaks
-    monkeypatch.setattr("hjj.control_system.ControlSystem.cost_bound",
-                        lambda self, dx=None, radii=None: 0.0)
-    monkeypatch.setattr("hjj.control_system.ControlSystem.abar_bound", lambda self: 0.0)
+    # a Bellman update that overshoots by 1e3 breaks the a priori sup bound
+    real = dpp_oracle_module._bellman
+    monkeypatch.setattr(dpp_oracle_module, "_bellman", lambda *args: real(*args) + 1e3)
     problem = _write(tmp_path, _model_config())
     for command in ("value", "compare"):
         out = tmp_path / command

@@ -26,8 +26,8 @@ from hjj.dpp_oracle import _bellman, _windows, oracle_grid
 from hjj.errors import CflViolation, NoAdmissibleControl, NumericalFailure
 from hjj.grid import Grid
 
-from conftest import (build_model_system, check_value_function_bounds, random_control_system,
-                      share_grid, tdc_config, zero_datum)
+from conftest import (build_model_system, check_value_function_bounds, cost_bound,
+                      random_control_system, share_grid, tdc_config, zero_datum)
 from reference import BudgetExceeded, array_field, dpp_consistency_check, enumerate_trajectories
 
 
@@ -249,7 +249,7 @@ def test_value_function_with_position_dependent_speeds():
              ControlEdge(drift, ControlForm(c0=1.0), np.linspace(-1.0, 1.0, 21))]
     cs = ControlSystem(edges, l0=constant(0.0, 0.5), A0=-1.0, delta=1.0)
     field = value_function(cs, _abs_datum, oracle_grid(cs, 0.1, 0.5, 1.5))
-    assert np.max(np.abs(field.values)) <= abs(_abs_datum(-1.5)) + 0.5 * cs.cost_bound() + 1e-9
+    assert np.max(np.abs(field.values)) <= abs(_abs_datum(-1.5)) + 0.5 * cost_bound(cs) + 1e-9
     assert field.values[-1][0] <= 0.5 + 1e-12
 
 
@@ -696,10 +696,27 @@ def test_a_priori_bound_takes_a_callable_cost_on_every_node():
              for _ in range(2)]
     cs = ControlSystem(edges, l0=constant(0.0, 0.5), A0=-1.0, delta=1.0)
     with pytest.raises(ValueError, match="needs the grid's nodes"):
-        cs.cost_bound()
-    assert cs.cost_bound(0.05, (1.5, 1.5)) == 6.0
+        cost_bound(cs)
+    assert cost_bound(cs, 0.05, (1.5, 1.5)) == 6.0
     field = value_function(cs, zero_datum, oracle_grid(cs, 0.05, 0.5, 1.5))
     assert 1.5 < np.max(np.abs(field.values)) <= (2.0 * 6.0 + 1.0) * 0.5
+
+
+def test_a_priori_bound_sums_a_cost_that_grows_in_time():
+    """l = 1 + 10 t is read at each window's midpoint; the value function reaches
+    t + 5 t^2 = 6 at T = 1, far above (2 L + Abar) T with L read at t = 0 (which the
+    bound once was: 3), and stays under the bound summed window by window."""
+    cost = lambda t, y, a: 1.0 + 10.0 * t + 0.0 * a  # noqa: E731
+    edges = [ControlEdge(ControlForm(c1=1.0), cost, np.linspace(-1.0, 1.0, 21))
+             for _ in range(2)]
+    cs = ControlSystem(edges, l0=constant(0.0, 1.0), A0=-1.0, delta=1.0)
+    grid = oracle_grid(cs, 0.02, 1.0, 1.5)
+    field = value_function(cs, zero_datum, grid)
+    values = field.values
+    assert values.shape == (grid.steps + 1, grid.n_nodes)
+    assert np.max(np.abs(values[-1])) == pytest.approx(6.0, abs=0.05)
+    scheme = solve(induced_problem(cs, zero_datum, 0.0, 1.0), grid)
+    assert field.linf_gap(scheme) <= 1e-12
 
 
 def _broadcasting_position_dependent():

@@ -1,21 +1,26 @@
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import hjj.hamiltonian as hamiltonian_module
 from hjj import (
+    ControlForm,
     Hamiltonian,
     TimeSignal,
     abs_shift,
     argmin_p,
     check_convexity,
+    control_edge,
     eikonal,
     quadratic,
     reflected,
 )
-from hjj.hamiltonian import CATALOG, ClosedForm, EnvelopePair, numeric_argmin
+from hjj.control_system import TableHamiltonian, _induced
+from hjj.hamiltonian import CATALOG, ClosedForm, ClosedHamiltonian, EnvelopePair, numeric_argmin
 from hjj.errors import BracketFailure, ConfigError, ConvexityError, NonSeparableTimeDependence
 
 from conftest import frozen
@@ -272,6 +277,27 @@ def test_closed_form_envelopes_agree_with_the_numeric_split():
             want_plus, want_minus = _formula_envelopes(g, p_hat, h_min, ps)
             assert np.max(np.abs(env.split(0.0, 0.0, ps)[0] - want_plus)) <= 1e-9
             assert np.max(np.abs(env.h_minus(0.0, 0.0, ps) - want_minus)) <= 1e-9
+
+
+def test_each_kind_of_hamiltonian_is_one_class():
+    """A black box is Hamiltonian itself, and its constructor takes eight values; a
+    closed form is a ClosedHamiltonian and a callable control edge a TableHamiltonian,
+    each built from its own data alone. closed_hamiltonian is gone."""
+    assert not hasattr(hamiltonian_module, "closed_hamiltonian")
+    assert list(inspect.signature(Hamiltonian).parameters) == [
+        "evaluator", "lipschitz_p", "coercivity_radius", "time_data", "x_independent",
+        "validate", "speed_bound", "value_bound"]
+    assert (list(inspect.signature(TableHamiltonian).parameters)
+            == list(inspect.signature(_induced).parameters) == ["edge", "sign"])
+    assert list(inspect.signature(ClosedHamiltonian).parameters) == ["form", "coefficients",
+                                                                    "p_span"]
+    edges = [control_edge(ControlForm(c1=1.0), ControlForm(c0=1.0), -1.0, 1.0),
+             control_edge(ControlForm(c1=1.0), lambda t, x, a: 1.0 + 0.0 * a, -1.0, 1.0)]
+    kinds = [type(h) for h in (eikonal(), quadratic(1.0, 0.0, 0.0), _induced(edges[0], 1.0),
+                               _induced(edges[1], 1.0))]
+    assert kinds == [ClosedHamiltonian] * 3 + [TableHamiltonian]
+    assert [type(reflected(h)) for h in (eikonal(), _induced(edges[1], 1.0))] == [
+        ClosedHamiltonian, TableHamiltonian]
 
 
 def test_catalog_constructors_skip_the_convexity_probe(monkeypatch):

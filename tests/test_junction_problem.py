@@ -34,6 +34,7 @@ from hjj import (
     validate,
 )
 from hjj.errors import ConfigError, FluxLimiterBelowFloor
+from hjj.hamiltonian import ClosedHamiltonian
 from hjj.junction_problem import _validation_times, check_floor
 from hjj.time_signal import union_mesh
 
@@ -119,6 +120,19 @@ def test_validate_passes_the_model_problem():
     assert "initial_datum_lipschitz" in names
 
 
+def test_validate_probes_a_black_box_that_is_not_convex():
+    """A double well (p^2 - 1)^2 built with validate=False: validate's probe is the only
+    check it meets, and it fails that edge's item alone, naming the midpoint."""
+    well = Hamiltonian(lambda t, x, p: (np.asarray(p) ** 2 - 1.0) ** 2, lipschitz_p=300.0,
+                       x_independent=True, validate=False)
+    prob = from_line(eikonal(), well, constant(1.0, 1.0), zero_datum, 0.0, 1.0)
+    assert not well.convex_by_construction and eikonal().convex_by_construction
+    report = validate(prob)
+    assert [item.name for item in report.items if not item.passed] == ["edge1_convexity"]
+    assert report.lines()[3].startswith("FAIL  edge1_convexity  (midpoint convexity violated at ")
+    assert report.lines()[2] == "pass  edge0_convexity"
+
+
 def test_validate_rejects_flux_limiter_below_floor():
     prob = _line_eikonal(-2.0)
     with pytest.raises(FluxLimiterBelowFloor) as err:
@@ -191,8 +205,9 @@ def test_check_floor_equals_the_per_time_floor_and_freezes_no_time_independent_e
     assert refused == 5
     model = problems[0]
     calls = []
-    freeze = Hamiltonian.freeze
-    monkeypatch.setattr(Hamiltonian, "freeze", lambda h, v: calls.append(v) or freeze(h, v))
+    freeze = ClosedHamiltonian.freeze
+    monkeypatch.setattr(ClosedHamiltonian, "freeze",
+                        lambda h, v: calls.append(v) or freeze(h, v))
     assert check_floor(model) == 0.0 and calls == []
     tdq = random_tdq_problem(1)
     del calls[:]
@@ -522,12 +537,15 @@ def test_c2_bounds_the_slope_speed_on_the_slope_box():
     ("compute_kn", "n_x"), ("enumerate_trajectories", "budget"),
     ("enumerate_trajectories", "arrival_tol"), ("check_convexity", "tol"),
     ("make_grid", "cfl_safety"), ("grid_for", "cfl_safety"), ("oracle_grid", "cfl_safety"),
-    ("comparison_diagnostic", "K"), ("comparison_diagnostic", "R")])
+    ("comparison_diagnostic", "K"), ("comparison_diagnostic", "R"), ("Hamiltonian", "form"),
+    ("Hamiltonian", "coefficients"), ("Hamiltonian", "rebuild"), ("Hamiltonian", "reflect")])
 def test_the_fixed_sampling_settings_are_no_keywords(name, keyword):
     """validate, compute_kn, enumerate_trajectories and check_convexity read their
     sampling densities, budget and tolerances from module constants, the grid
     builders their step share (grid._CFL_SAFETY), and comparison_diagnostic
-    measures its slope box K and takes R from the grid: no keyword sets them."""
+    measures its slope box K and takes R from the grid: no keyword sets them.
+    A Hamiltonian is a black box: a closed form's form, coefficients, rebuild and
+    reflection belong to ClosedHamiltonian, and no keyword sets them."""
     problem, cs = _line_eikonal(-1.0), build_model_system()
     call = {"validate": lambda **kw: validate(problem, **kw),
             "compute_kn": lambda **kw: compute_kn(problem, problem, K=1.0, R=1.0, **kw),
@@ -537,6 +555,8 @@ def test_the_fixed_sampling_settings_are_no_keywords(name, keyword):
             "enumerate_trajectories":
                 lambda **kw: enumerate_trajectories(cs, (0.5, 0.0), (0.0, 1.0), 1, **kw),
             "check_convexity": lambda **kw: check_convexity(eikonal(), **kw),
+            "Hamiltonian": lambda **kw: Hamiltonian(lambda t, x, p: np.abs(p) - 1.0,
+                                                    x_independent=True, **kw),
             "make_grid": lambda **kw: make_grid(0.1, 1.0, (1.0, 1.0), c2=1.0, **kw),
             "grid_for": lambda **kw: grid_for(problem, 0.1, 1.0, **kw),
             "oracle_grid": lambda **kw: oracle_grid(cs, 0.1, 1.0, 1.0, **kw)}[name]
