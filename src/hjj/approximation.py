@@ -21,7 +21,8 @@ already, with the problem. A control edge with a callable f or l may read
 t, so it is read per cell, frozen exactly at its table at x = 0; it has
 no coefficients to smooth, so approx_hamiltonian refuses it
 (NonSeparableTimeDependence), as it refuses any time-dependent black box.
-The junction part's product slope grid is priced a few cells at a time.
+The junction part is priced edge by edge, in O(J n) per cell for J edges
+of n junction slopes, with the bits of the maximum over the product grid.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import numpy as np
 from .errors import ConfigError
 from .fd_scheme import _stream
 from .grid import Grid, _positive_finite
-from .hamiltonian import EnvelopePair, Hamiltonian
+from .hamiltonian import CATALOG, EnvelopePair, Hamiltonian
 from .junction_problem import Edge, JunctionProblem
-from .time_signal import TimeSignal, union_mesh
+from .time_signal import TimeSignal, coeff_bounds, union_mesh
 
 __all__ = [
     "approx_hamiltonian",
@@ -54,11 +55,16 @@ def approx_hamiltonian(h: Hamiltonian, eps: float) -> Hamiltonian:
 
     A time-dependent Hamiltonian with no coefficients to rebuild from (a
     black box, a callable control edge) raises NonSeparableTimeDependence.
+    A quadratic whose averaged a is not positive somewhere (the averages
+    beside a huge cell can cancel to 0.0) raises ConfigError naming a and eps.
     """
     if h.time_independent:
         return h
     new = {k: (v.mollify(eps) if isinstance(v, TimeSignal) else v)
            for k, v in h.coefficients.items()}
+    if h.form is CATALOG["quadratic"] and not (a_lo := coeff_bounds(new["a"])[0]) > 0.0:
+        raise ConfigError(f"quadratic a: its average at smoothing width {eps:g} is {a_lo!r}, "
+                          f"expected a positive number")
     return h.with_coefficients(new)
 
 
@@ -98,29 +104,30 @@ class KnResult:
 
 
 # compute_kn's sampling: slopes on [-K, K] per edge (fewer per junction slope on
-# J > 2 edges, so that the product grid stays near _KN_SLOPES ** 2 entries) and
-# positions on [0, R] for an x-dependent edge
+# J > 2 edges, which keeps the values recorded for stars) and positions on [0, R]
+# for an x-dependent edge
 _KN_SLOPES = 64
 _KN_POSITIONS = 17
 
-# The junction part prices at most this many product-grid entries at once
-# (4 cells at J = 2, n_eff = 64), and at least one cell.
-_COMBO_ENTRIES = 2 ** 14
 
+def _junction_gap(a, m, b, w) -> np.ndarray:
+    """max |max(a, m_1(q_1), ..., m_J(q_J)) - max(b, w_1(q_1), ...)| over all q, per cell.
 
-def _combo_values(a_vals: np.ndarray, slope_tables: list) -> np.ndarray:
-    """max(a, m_1(q_1), ..., m_J(q_J)) on the product slope grid of each cell.
-
-    a_vals holds one limiter value per cell and each slope table one row
-    per cell; the result is (cells, n_1, ..., n_J).
+    a and b hold one limiter value per cell, m and w one (cells, n) slope
+    table per edge. The q_j are independent, so the least G = max(b, w(q))
+    with q_i fixed is max(w_i(q_i), b, max_{j != i} min w_j), and F - G is
+    largest at a - min G or at some m_i(q_i) less that. Rounding is monotone
+    and fl(G - F) = -fl(F - G), so both directions give the product grid's
+    float; abs makes its zero +0.0.
     """
-    J = len(slope_tables)
-    out = np.reshape(a_vals, (-1,) + (1,) * J)
-    for i, m in enumerate(slope_tables):
-        shape = [len(m)] + [1] * J
-        shape[i + 1] = m.shape[1]
-        out = np.maximum(out, m.reshape(shape))
-    return out
+    def above(a, m, b, w):  # max over q of F - G
+        lows = np.array([t.min(axis=1) for t in w])
+        gap = a - np.maximum(b, lows.max(axis=0))
+        for i, t in enumerate(m):
+            least = np.maximum(b, np.delete(lows, i, axis=0).max(axis=0))
+            gap = np.maximum(gap, (t - np.maximum(w[i], least[:, None])).max(axis=1))
+        return gap
+    return np.abs(np.maximum(above(a, m, b, w), above(b, w, a, m)))
 
 
 def _edge_tables(h: Hamiltonian, env: EnvelopePair, mids: np.ndarray, q: np.ndarray,
@@ -153,15 +160,15 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
     the edges with a closed form are read at every cell in one array pass;
     any other edge (black box, callable control edge, x-dependent) keeps
     one call per cell, or one call in all when it is time-independent. The
-    junction part is priced on blocks of cells. K must be positive and R
-    non-negative, both finite, and a K at which a priced value is not
-    finite (H overflows on the slope box) raises ConfigError naming K.
+    junction part is priced edge by edge, in O(J n) per cell (_junction_gap).
+    K must be positive and R non-negative, both finite, and a K at which a
+    priced value is not finite (H overflows on the slope box) raises
+    ConfigError naming K.
     """
     K = _positive_finite("K", K)
     R = _positive_finite("R", R, zero_ok=True)
     mesh = union_mesh(problem.coefficient_signals() + approx.coefficient_signals())
     mids = 0.5 * (mesh[:-1] + mesh[1:])
-    T = problem.horizon
     J = len(problem.edges)
     n_eff = _KN_SLOPES if J == 2 else max(6, int(round(_KN_SLOPES ** (2.0 / J))))
     q = np.linspace(-K, K, n_eff)
@@ -170,8 +177,7 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
     at_nodes = (np.linspace(0.0, R, _KN_POSITIONS),
                 np.repeat(p_line[:, None], _KN_POSITIONS, axis=1))
 
-    m_base, m_appr = [], []
-    ki_vals = np.empty((J, len(mids)))
+    m_base, m_appr, ki_vals = [], [], np.empty((J, len(mids)))
     for i in range(J):
         hb, ha = problem.edges[i].hamiltonian, approx.edges[i].hamiltonian
         x, p = (0.0, p_line) if hb.x_independent and ha.x_independent else at_nodes
@@ -181,20 +187,11 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
         m_appr.append(ma)
         ki_vals[i] = np.max(np.abs(Hb - Ha), axis=1)
 
-    a_base, a_appr = problem.flux_limiter(mids), approx.flux_limiter(mids)
-    k0_vals = np.empty(len(mids))
-    block = max(1, _COMBO_ENTRIES // n_eff ** J)
-    for start in range(0, len(mids), block):
-        c = slice(start, start + block)
-        gap = _combo_values(a_base[c], [m[c] for m in m_base])
-        gap -= _combo_values(a_appr[c], [m[c] for m in m_appr])
-        k0_vals[c] = np.abs(gap, out=gap).reshape(len(gap), -1).max(axis=1)
-
+    k0_vals = _junction_gap(problem.flux_limiter(mids), m_base, approx.flux_limiter(mids), m_appr)
     if not (np.isfinite(k0_vals).all() and np.isfinite(ki_vals).all()):
         raise ConfigError(f"K: the error signal overflows on the slope box [-K, K] at K = {K!r}")
-    bp = np.asarray(mesh, dtype=float)
-    bp[-1] = T  # union mesh ends at the shared horizon
-    mk = lambda v: TimeSignal(bp, v)  # noqa: E731
+    mesh[-1] = problem.horizon  # union mesh ends at the shared horizon
+    mk = lambda v: TimeSignal(mesh, v)  # noqa: E731
     return KnResult(mk(np.maximum(k0_vals, ki_vals.max(axis=0))), mk(k0_vals),
                     tuple(mk(ki_vals[i]) for i in range(J)))
 

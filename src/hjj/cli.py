@@ -36,6 +36,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Iterator
 
 import numpy as np
@@ -243,13 +244,7 @@ def cmd_validate(args) -> int:
     for line in report.lines():
         print(line)
     if args.out and report.ok:
-        payload = {
-            "ok": report.ok,
-            "items": [
-                {"name": it.name, "passed": it.passed, "detail": it.detail}
-                for it in report.items
-            ],
-        }
+        payload = {"ok": report.ok, "items": [asdict(it) for it in report.items]}
         _write_all(args, [("validate.json", _dump_json(payload))])
     return EXIT_OK if report.ok else EXIT_VALIDATION
 

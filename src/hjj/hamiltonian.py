@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BracketFailure, ConvexityError, NonSeparableTimeDependence
+from .errors import BracketFailure, ConfigError, ConvexityError, NonSeparableTimeDependence
 from .grid import _finite, _positive_finite
 from .time_signal import (
     TimeSignal,
@@ -485,8 +485,12 @@ def _quadratic(p, a, b, c):
 
 
 def _quadratic_value_bound(L, a, b, c):
-    # a (p - b)^2 + c lies in [c_lo, a_hi (L + max|b|)^2 + c_hi] for |p| <= L
-    top = a[1] * (L + max(abs(b[0]), abs(b[1]))) ** 2 + c[1]
+    # a (p - b)^2 + c lies in [c_lo, a_hi (L + max|b|)^2 + c_hi] for |p| <= L; a square
+    # past the largest float is no bound
+    try:
+        top = a[1] * (L + max(abs(b[0]), abs(b[1]))) ** 2 + c[1]
+    except OverflowError:
+        return np.inf
     return max(abs(c[0]), abs(top))
 
 
@@ -550,12 +554,16 @@ def quadratic(a, b, c, p_span: float | None = None) -> Hamiltonian:
     2 a (p_span + |b|), which covers slopes within p_span of the origin.
     Either bound follows a(t) cell by cell; its sup takes a_hi. An a whose
     bounds, or a p_span, are not positive and finite raises ConfigError, and
-    so does a b or c that is not finite.
+    so do a b or c that is not finite and a b so large that |H| at p = 0
+    has no finite bound.
     """
     for bound in coeff_bounds(a):
         _positive_finite("quadratic a", bound)
     for name, v in (("b", b), ("c", c)):
         _finite(f"quadratic {name}", v)
+    if not np.isfinite(_quadratic_value_bound(0.0, *map(coeff_bounds, (a, b, c)))):
+        raise ConfigError(f"quadratic b: a (p - b)^2 + c has no finite bound on |H| at "
+                          f"max|b| = {np.max(np.abs(coeff_bounds(b))):g}")
     if p_span is not None:
         p_span = _positive_finite("p_span", p_span)
     return ClosedHamiltonian(CATALOG["quadratic"], {"a": a, "b": b, "c": c}, p_span)

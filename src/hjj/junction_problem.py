@@ -42,7 +42,8 @@ from .errors import ConfigError, ConvexityError, FluxLimiterBelowFloor
 from .grid import _positive_finite, edge_data, edge_nodes
 from .hamiltonian import (EnvelopePair, Hamiltonian, abs_shift, check_convexity, eikonal, quadratic,
                           reflected)
-from .time_signal import TimeSignal, _off_horizon, constant, on_horizon, union_mesh, upper_envelope
+from .time_signal import (_EDGE_TOL, TimeSignal, _off_horizon, constant, on_horizon, union_mesh,
+                          upper_envelope)
 
 __all__ = [
     "Edge",
@@ -255,10 +256,12 @@ class ValidationReport:
         return [item.line() for item in self.items]
 
 
-# validate's sampling: the horizon's uniform cells added to the coefficient mesh, and
-# the positions on [0, min(length, 2)] at which each initial datum's slopes are measured
+# validate's sampling: the horizon's uniform cells added to the coefficient mesh, the
+# positions on [0, min(length, 2)] at which each initial datum's slopes are measured,
+# and the seed of a black box's convexity probe
 _VALIDATION_CELLS = 32
 _U0_SAMPLES = 256
+_VALIDATION_SEED = 20
 
 
 def _validation_times(problem: JunctionProblem) -> np.ndarray:
@@ -295,14 +298,14 @@ def check_floor(problem: JunctionProblem) -> float:
     return max(0.0, float(deficit[n]))
 
 
-def validate(problem: JunctionProblem, seed: int = 20) -> ValidationReport:
+def validate(problem: JunctionProblem) -> ValidationReport:
     """Check the standing assumptions on sampled points.
 
     A(t) is compared with the junction floor at _validation_times, each
-    datum's slopes are measured on _U0_SAMPLES positions, and seed drives
-    the randomized convexity probe (check_convexity) of every edge that is
-    not convex by construction (Hamiltonian.convex_by_construction): a
-    black box. Closed forms and control edges pass unprobed. Raises
+    datum's slopes are measured on _U0_SAMPLES positions, and
+    _VALIDATION_SEED drives the randomized convexity probe (check_convexity)
+    of every edge that is not convex by construction
+    (Hamiltonian.convex_by_construction): a black box. Closed forms and control edges pass unprobed. Raises
     FluxLimiterBelowFloor (hard failure, check_floor) when A(t) dips below
     the junction floor beyond 1e-9; every other check is reported soft. The
     last item, cfl_speed, always passes: it reports C2 and where it comes from.
@@ -326,7 +329,7 @@ def validate(problem: JunctionProblem, seed: int = 20) -> ValidationReport:
     for i, e in enumerate(problem.edges):
         try:
             if not e.hamiltonian.convex_by_construction:
-                check_convexity(e.hamiltonian, n_checks=200, seed=seed)
+                check_convexity(e.hamiltonian, n_checks=200, seed=_VALIDATION_SEED)
             report.items.append(ValidationItem(f"edge{i}_convexity", True))
         except ConvexityError as exc:
             report.items.append(ValidationItem(
@@ -501,8 +504,9 @@ def problem_from_config(cfg: dict) -> tuple[JunctionProblem, ControlSystem | Non
     share the block's control samples.
     """
     horizon = entry(cfg, "T", "", float)
-    if horizon <= 0:
-        raise ConfigError(f"T: expected a positive number, got {horizon!r}")
+    if not horizon > _EDGE_TOL:  # the breakpoints of a shorter one merge into one
+        raise ConfigError(f"T: expected a number above the breakpoint tolerance {_EDGE_TOL:g}, "
+                          f"got {horizon!r}")
     orientation = entry(cfg, "orientation", "", ("line", "star"), None)
     block = entry(cfg, "control_system", "", dict, None)
     u0_cfg = entry(cfg, "u0", "", object, {"form": "zero"})

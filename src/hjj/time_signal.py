@@ -63,8 +63,8 @@ class TimeSignal:
         T = self.horizon
         tol = _EDGE_TOL * max(1.0, T)
         ts = np.asarray(t, dtype=float)
-        if not np.all((ts >= -tol) & (ts <= T + tol)):  # NaN fails too
-            raise OutOfHorizon(f"t={t!r} outside [0, {T!r}]")
+        if not np.all(inside := (ts >= -tol) & (ts <= T + tol)):  # NaN fails too
+            raise OutOfHorizon(f"t={float(ts[~inside].flat[0])!r} outside [0, {T!r}]")
         return np.minimum(np.maximum(ts, 0.0), T)
 
     def __call__(self, t):

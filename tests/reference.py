@@ -15,6 +15,9 @@ does not start with test_).
   minimizer-splitting envelopes; edge_hamiltonian, the induced
   Hamiltonian of a lone edge.
 - l1_distance: the exact L1 distance of two time signals.
+- product_grid_gap: compute_kn's junction part as the maximum over the
+  whole product slope grid of each cell, which approximation._junction_gap
+  takes edge by edge.
 - step: one explicit Euler update of the scheme, which reads its flux and
   junction operator.
 - shifted_fields: a field's sandwich as two shifted copies, and NegativeKn
@@ -111,6 +114,25 @@ def l1_distance(s1: TimeSignal, s2: TimeSignal) -> float:
     widths = np.diff(mesh)
     mids = 0.5 * (mesh[:-1] + mesh[1:])
     return float(np.sum(np.abs(s1(mids) - s2(mids)) * widths))
+
+
+def product_grid_gap(a, m, b, w) -> np.ndarray:
+    """max |F - G| over each cell's product slope grid, F = max(a, m_1(q_1), ..., m_J(q_J)).
+
+    a and b hold one limiter value per cell, m and w one (cells, n) table per
+    edge; G is F of (b, w).
+    """
+    def combo(a_vals, tables):
+        J = len(tables)
+        out = np.reshape(a_vals, (-1,) + (1,) * J)
+        for i, t in enumerate(tables):
+            shape = [len(t)] + [1] * J
+            shape[i + 1] = t.shape[1]
+            out = np.maximum(out, t.reshape(shape))
+        return out
+
+    gap = np.abs(combo(a, m) - combo(b, w))
+    return gap.reshape(len(gap), -1).max(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,12 @@ from hjj import (
     solve,
     union_mesh,
 )
-from hjj.approximation import _edge_tables
+from hjj.approximation import _edge_tables, _junction_gap
 from hjj.errors import CflViolation, ConfigError, NonSeparableTimeDependence
 
 from conftest import bench_tdq_problem, zero_datum
-from reference import NegativeKn, edge_hamiltonian, l1_distance, shifted_fields
+from reference import (NegativeKn, edge_hamiltonian, l1_distance, product_grid_gap,
+                       shifted_fields)
 
 
 def _step_limiter_problem(horizon: float = 1.0):
@@ -274,6 +275,56 @@ def test_compute_kn_equals_a_per_cell_loop(make, K):
     for part, want in zip(kn.edge_parts, ki):
         assert np.array_equal(part.values, want)
     assert kn.l1 > 0.0
+
+
+# entries drawn for the junction gap's tables: ties, both zeros, huge and non-finite values
+_GAP_ENTRIES = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 1e300, -1e300,
+                         1.7e308, -1.7e308, np.inf, -np.inf, np.nan])
+
+
+def _random_gap_cells(rng: np.random.Generator):
+    """(a, m, b, w) for _junction_gap: J = 2 to 5 tables on a few cells and slopes.
+
+    Entries mix draws from _GAP_ENTRIES (non-finite ones rarely) with random
+    floats; some tables are flat, and some cells pair the limiter values 0.0
+    and -0.0.
+    """
+    J, cells = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+    n = int(rng.integers(1, 10 - J))
+    finite, p_bad = _GAP_ENTRIES[:12], rng.choice([0.0, 0.0, 0.02, 0.1])
+
+    def draw(shape):
+        out = np.where(rng.random(shape) < 0.5, rng.choice(finite, shape),
+                       rng.normal(size=shape))
+        bad = rng.random(shape) < p_bad
+        out[bad] = rng.choice(_GAP_ENTRIES[12:], int(bad.sum()))
+        return out
+
+    def tables():
+        ts = [draw((cells, n)) for _ in range(J)]
+        for t in ts:
+            if rng.random() < 0.3:
+                t[:] = t[:, :1]
+        return ts
+
+    a, b = draw(cells), draw(cells)
+    zeros = rng.random(cells) < 0.3
+    a[zeros], b[zeros] = 0.0, -0.0
+    return a, tables(), b, tables()
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_the_junction_gap_is_the_product_grid_maximum_bit_for_bit():
+    rng = np.random.default_rng(41)
+    zero_pairs = 0
+    for _ in range(2000):
+        a, m, b, w = _random_gap_cells(rng)
+        got, want = _junction_gap(a, m, b, w), product_grid_gap(a, m, b, w)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+        zero_pairs += int(np.sum((a == 0.0) & np.signbit(b) & (want == 0.0)))
+    assert zero_pairs > 0  # a = 0.0 against b = -0.0 reached a zero gap
 
 
 def test_compute_kn_reads_each_catalog_envelope_once(monkeypatch):

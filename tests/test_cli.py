@@ -433,7 +433,7 @@ def test_no_problem_file_needs_the_numeric_argmin(tmp_path: Path, monkeypatch):
 
 
 def test_seed_option_is_refused_by_validate(tmp_path: Path, capsys):
-    """validate's convexity probe runs at the library's default seed; --seed is a usage
+    """validate's convexity probe runs at the library's fixed seed; --seed is a usage
     error."""
     problem = _write(tmp_path, _step_config())
     out = tmp_path / "out"
@@ -818,6 +818,85 @@ def test_a_dx_that_gives_more_nodes_than_can_be_indexed_exits_1_naming_dx(tmp_pa
     assert rc == 1
     assert lines == ["configuration error: an edge needs 2e+300 nodes at dx = 1e-300, "
                      f"more than {np.iinfo(np.intp).max} can be indexed"]
+    assert not out.exists()
+
+
+def _argv(command: str, problem: str, out: Path) -> list:
+    return [command, "--problem", problem, "--out", str(out)] + (
+        [] if command == "validate" else ["--dx", "0.1"])
+
+
+def test_approx_refuses_a_quadratic_a_whose_average_is_not_positive(tmp_path: Path, capsys,
+                                                                     recwarn):
+    """A cell of 1e30 in a makes the window averages beside it cancel to 0.0."""
+    cfg = bench_tdq_config(41)
+    cfg["edges"][1]["hamiltonian"]["a"]["values"][0] = 1e30
+    out = tmp_path / "out"
+    rc = main(_argv("approx", _write(tmp_path, cfg), out))
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: quadratic a: its average at smoothing width 0.2 is 0.0, "
+        "expected a positive number"]
+    assert not out.exists()
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("b", [1e308, -1e308, "cell"])
+@pytest.mark.parametrize("command", ["validate", "solve", "approx"])
+def test_a_quadratic_b_with_no_finite_bound_on_h_exits_1_naming_b(tmp_path: Path, capsys,
+                                                                   recwarn, command, b):
+    cfg = bench_tdq_config(41)
+    quad = cfg["edges"][1]["hamiltonian"]
+    if b == "cell":
+        quad["b"]["values"][0] = 1e308
+    else:
+        quad["b"] = b
+    out = tmp_path / "out"
+    rc = main(_argv(command, _write(tmp_path, cfg), out))
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: quadratic b: a (p - b)^2 + c has no finite bound on |H| at "
+        "max|b| = 1e+308"]
+    assert not out.exists()
+    assert not recwarn.list
+
+
+def test_a_datum_slope_whose_square_overflows_has_no_bound_on_h(tmp_path: Path, capsys,
+                                                                recwarn):
+    """A quadratic's bound on |H| over |p| <= lipschitz_u0 squares past the largest float."""
+    cfg = dict(bench_tdq_config(41), lipschitz_u0=1e300)
+    out = tmp_path / "out"
+    rc = main(_argv("solve", _write(tmp_path, cfg), out))
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: edge 1 has no finite bound on |H| for C2: got inf"]
+    assert not out.exists()
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "compare", "approx"])
+def test_a_horizon_at_the_breakpoint_tolerance_exits_1_naming_t(tmp_path: Path, capsys,
+                                                                recwarn, command):
+    out = tmp_path / "out"
+    rc = main(_argv(command, _write(tmp_path, _model_config(T=1e-308)), out))
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: T: expected a number above the breakpoint tolerance 1e-12, "
+        "got 1e-308"]
+    assert not out.exists()
+    assert not recwarn.list
+
+
+# the sampled times' midpoints overflow to inf with a RuntimeWarning, which is still open
+@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+@pytest.mark.parametrize("command", ["validate", "solve", "compare", "approx"])
+def test_a_horizon_whose_times_overflow_names_the_first_time_out_of_it(tmp_path: Path,
+                                                                       capsys, command):
+    out = tmp_path / "out"
+    rc = main(_argv(command, _write(tmp_path, _model_config(T=1e308)), out))
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: t=inf outside [0, 1e+308]"]
     assert not out.exists()
 
 

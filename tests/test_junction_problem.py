@@ -533,8 +533,8 @@ def test_c2_bounds_the_slope_speed_on_the_slope_box():
 
 
 @pytest.mark.parametrize("name, keyword", [
-    ("validate", "refine"), ("validate", "u0_samples"), ("compute_kn", "n_p"),
-    ("compute_kn", "n_x"), ("enumerate_trajectories", "budget"),
+    ("validate", "refine"), ("validate", "u0_samples"), ("validate", "seed"),
+    ("compute_kn", "n_p"), ("compute_kn", "n_x"), ("enumerate_trajectories", "budget"),
     ("enumerate_trajectories", "arrival_tol"), ("check_convexity", "tol"),
     ("make_grid", "cfl_safety"), ("grid_for", "cfl_safety"), ("oracle_grid", "cfl_safety"),
     ("comparison_diagnostic", "K"), ("comparison_diagnostic", "R"), ("Hamiltonian", "form"),

@@ -1,10 +1,11 @@
 """Print the sha1 prefixes of the checked CLI artifacts.
 
 Writes the benchmark's problem files (tdq seeds 41 and 98 and the model
-problem, drawn by perfbench/problems.py) and the time-dependent control
-problem TDC below into a temporary directory, runs each command below in a
-fresh `python -m hjj.cli` process with PYTHONPATH=src, and prints one
-`<sha1[:8]> <rung> <artifacts>` line per rung, in this fixed order:
+problem, drawn by perfbench/problems.py), the time-dependent control
+problem TDC and the three-edge catalog star STAR3 below into a temporary
+directory, runs each command below in a fresh `python -m hjj.cli` process
+with PYTHONPATH=src, and prints one `<sha1[:8]> <rung> <artifacts>` line
+per rung, in this fixed order:
 
     model-compare compare.json at dx 0.008, 0.004 and 0.002
     tdq-solve field.csv, seeds 41 and 98 (dx 0.02)
@@ -15,6 +16,7 @@ fresh `python -m hjj.cli` process with PYTHONPATH=src, and prints one
     model-compare compare.json at dx 0.004 with --report-times 0,0.25,1
     hjj value on the model (dx 0.01) with --report-times 0,0.25,1: field.csv
         and its three snapshot_k.tsv, digested together
+    star3-approx approx.json (dx 0.04)
 
     python tools/artifact_digests.py            # print the prefixes
     python tools/artifact_digests.py --check    # and compare them with RUNS
@@ -58,6 +60,7 @@ RUNS = [
      "--dx 0.004 --report-times 0,0.25,1", "compare.json", "08c086df"),
     ("model-value dx=0.01 report-times", "model", "value", "--dx 0.01 --report-times 0,0.25,1",
      "field.csv snapshot_0.tsv snapshot_1.tsv snapshot_2.tsv", "e50d0715"),
+    ("star3-approx dx=0.04", "star3", "approx", "--dx 0.04", "approx.json", "4dcd9996"),
 ]
 
 
@@ -91,6 +94,24 @@ TDC = {
 }
 
 
+# A three-edge star of catalog forms, the one rung whose junction joins more than
+# two edges: a quadratic with step a and b, a step-shifted |p| and the eikonal,
+# under a step limiter, from zero data.
+STAR3 = {
+    "schema": "hjj/1",
+    "T": 1.0,
+    "orientation": "star",
+    "edges": [
+        {"hamiltonian": {"form": "quadratic", "a": _step([0.0, 0.35, 1.0], [0.8, 1.6]),
+                         "b": _step([0.0, 0.6, 1.0], [0.1, -0.2]), "c": -1.0}},
+        {"hamiltonian": {"form": "abs_shift", "c": _step([0.0, 0.55, 1.0], [-1.0, -0.4])}},
+        {"hamiltonian": {"form": "eikonal"}},
+    ],
+    "flux_limiter": _step([0.0, 0.2, 0.7, 1.0], [-0.3, 0.2, -0.2]),
+    "u0": {"form": "zero"},
+}
+
+
 def moved(printed: dict) -> list:
     """The labels of RUNS, in order, whose prefix in printed is not the recorded one."""
     return [label for label, *_, recorded in RUNS if printed.get(label) != recorded]
@@ -112,7 +133,7 @@ def main(argv: list) -> int:
     problems = _problems()
     configs = {"model": problems.model_problem(),
                "tdq41": problems.tdq_problem(41), "tdq98": problems.tdq_problem(98),
-               "tdc": TDC}
+               "tdc": TDC, "star3": STAR3}
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         for stem, cfg in configs.items():
