@@ -15,12 +15,12 @@ compute_kn reads k on a leading axis of union-mesh cells, and reads every
 edge through its problem's EnvelopePair. The limiter and every edge with a
 closed form (catalog forms and edges of control forms) are read at all
 cell midpoints in one array pass (the pair frozen at (cells, 1)
-coefficient columns). Any other edge is read once per cell, or once in all
-when it is time-independent; a black box that ignores t and x is frozen
-already, with the problem. A control edge with a callable f or l may read
-t, so it is read per cell, frozen exactly at its table at x = 0; it has
-no coefficients to smooth, so approx_hamiltonian refuses it
-(NonSeparableTimeDependence), as it refuses any time-dependent black box.
+coefficient columns). A black box is time-independent, so it is read once
+in all, and one that ignores x is frozen already, with the problem. A
+control edge with a callable f or l may read t, so it is read per cell,
+frozen exactly at its table at x = 0; it is the one edge with no
+coefficients to smooth, so approx_hamiltonian refuses it
+(NonSeparableTimeDependence).
 The junction part is priced edge by edge, in O(J n) per cell for J edges
 of n junction slopes, with the bits of the maximum over the product grid.
 """
@@ -36,7 +36,7 @@ from .fd_scheme import _stream
 from .grid import Grid, _positive_finite
 from .hamiltonian import CATALOG, EnvelopePair, Hamiltonian
 from .junction_problem import Edge, JunctionProblem
-from .time_signal import TimeSignal, coeff_bounds, union_mesh
+from .time_signal import TimeSignal, _midpoints, coeff_bounds, union_mesh
 
 __all__ = [
     "approx_hamiltonian",
@@ -53,8 +53,9 @@ __all__ = [
 def approx_hamiltonian(h: Hamiltonian, eps: float) -> Hamiltonian:
     """Window-average the time-dependent coefficients at width eps.
 
-    A time-dependent Hamiltonian with no coefficients to rebuild from (a
-    black box, a callable control edge) raises NonSeparableTimeDependence.
+    A time-independent Hamiltonian (every black box) is returned as it is.
+    A callable control edge, the one time-dependent Hamiltonian with no
+    coefficients to rebuild from, raises NonSeparableTimeDependence.
     A quadratic whose averaged a is not positive somewhere (the averages
     beside a huge cell can cancel to 0.0) raises ConfigError naming a and eps.
     """
@@ -136,8 +137,8 @@ def _edge_tables(h: Hamiltonian, env: EnvelopePair, mids: np.ndarray, q: np.ndar
 
     Every edge is read through its problem's pair env and H itself. A
     closed form is read at all the midpoints in one call, as a (cells, 1)
-    column of times. Any other Hamiltonian is read cell by cell, or once
-    and broadcast when it is time-independent.
+    column of times. A callable control edge is read cell by cell, and a
+    time-independent Hamiltonian once and broadcast.
     """
     if h.form is not None:
         rows = (env.h_minus(mids[:, None], 0.0, q), h(mids[:, None], x, p.ravel()))
@@ -168,7 +169,7 @@ def compute_kn(problem: JunctionProblem, approx: JunctionProblem,
     K = _positive_finite("K", K)
     R = _positive_finite("R", R, zero_ok=True)
     mesh = union_mesh(problem.coefficient_signals() + approx.coefficient_signals())
-    mids = 0.5 * (mesh[:-1] + mesh[1:])
+    mids = _midpoints(mesh)
     J = len(problem.edges)
     n_eff = _KN_SLOPES if J == 2 else max(6, int(round(_KN_SLOPES ** (2.0 / J))))
     q = np.linspace(-K, K, n_eff)

@@ -47,8 +47,9 @@ import numpy as np
 from .errors import BracketFailure, CflViolation, EmptyControlSet
 from .grid import _CFL_SLACK, _finite, _positive_finite, edge_nodes
 from .hamiltonian import ClosedForm, ClosedHamiltonian, Hamiltonian, elementwise
-from .time_signal import (TimeSignal, coeff_average, coeff_bounds, coeff_eval, coeff_signals,
-                          coeff_window_averages, on_horizon, union_mesh, upper_envelope)
+from .time_signal import (TimeSignal, _midpoints, coeff_average, coeff_bounds, coeff_eval,
+                          coeff_signals, coeff_window_averages, on_horizon, union_mesh,
+                          upper_envelope)
 
 __all__ = [
     "ControlForm",
@@ -236,7 +237,7 @@ def _form_speed(f: ControlForm, controls: np.ndarray):
     if not signals:
         return _abs_max(f, controls, None)
     mesh = union_mesh(list(signals.values()))
-    mids = 0.5 * (mesh[:-1] + mesh[1:])
+    mids = _midpoints(mesh)
     return TimeSignal(mesh, np.max(np.abs(f.eval(mids[:, None], controls)), axis=1))
 
 
@@ -525,10 +526,9 @@ class TableHamiltonian(Hamiltonian):
 
     def __init__(self, edge: ControlEdge, sign: float):
         self.edge, self.sign = edge, sign
-        time_data = {f"{k}_{c}": sig for k, g in zip("fl", (edge.f, edge.l)) if _is_form(g)
-                     for c, sig in g.signals().items()}
-        super().__init__(lambda t, x, p: _line_max(*edge.lines(sign, t, t, x), p),
-                         time_data=time_data)
+        self.time_data = {f"{k}_{c}": sig for k, g in zip("fl", (edge.f, edge.l)) if _is_form(g)
+                          for c, sig in g.signals().items()}
+        super().__init__(lambda t, x, p: _line_max(*edge.lines(sign, t, t, x), p))
 
     def speed_bound(self, M: float, ys=None) -> tuple:
         """max|f| per cell of f's signals; a callable f at t = 0 on the edge's nodes ys."""

@@ -81,8 +81,8 @@ class NumericalFailure(HjjError):
 
 
 class NonSeparableTimeDependence(HjjError):
-    """A black-box Hamiltonian declared time dependence that cannot be
-    mollified coefficient-wise."""
+    """A time-dependent Hamiltonian with no coefficients to mollify: a control
+    edge with a callable f or l."""
 
 
 class ConfigError(HjjError):

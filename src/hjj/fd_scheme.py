@@ -14,9 +14,9 @@ one EnvelopePair, its Hamiltonian frozen at values (Hamiltonian.freeze):
 a closed form (a catalog form, or an edge of control forms) at the
 window's coefficients, or once per march when it is time-independent; a
 control edge with a callable f or l at the window's table on its nodes,
-the one the value function reads (ControlEdge.lines); a time-independent
-black box at its nodes, once per march, or once per problem when it
-ignores x. A windowed edge (coefficients or table) is frozen again only
+the one the value function reads (ControlEdge.lines); a black box, which
+is time-independent, at its nodes, once per march, or once per problem
+when it ignores x. A windowed edge (coefficients or table) is frozen again only
 when its values differ from the last window's, byte for byte, and the
 frozen pair is a function of those bytes. The pair is evaluated on
 all the slopes of its edge at once: once per step, with both envelopes
@@ -63,7 +63,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .control_system import TableHamiltonian
-from .errors import CflViolation, NonSeparableTimeDependence
+from .errors import CflViolation
 from .grid import _CFL_SLACK, Grid, SolutionField, _levels, check_cfl, make_grid
 from .hamiltonian import EnvelopePair
 from .junction_problem import JunctionProblem
@@ -107,10 +107,9 @@ def _edge_windows(hs: list, pair: EnvelopePair, times: np.ndarray, grid: Grid, i
     column per coefficient. It is frozen again only when its values differ
     from the last window's, byte for byte, so an edge constant in t is
     frozen once per march and a -0.0 that turns 0.0 is frozen again. Any
-    other time-independent Hamiltonian keeps one pair for the march: pair
-    when h ignores x, else h frozen at the edge's nodes. A time-dependent
-    black box has no coefficients to freeze, and raises
-    NonSeparableTimeDependence; a batch that does not share the edge raises
+    other Hamiltonian is time-independent (a black box, or a form constant
+    in t) and keeps one pair for the march: pair when h ignores x, else h
+    frozen at the edge's nodes. A batch that does not share the edge raises
     ValueError naming it.
     """
     h, ys = hs[0], grid.edge_y(i)
@@ -129,8 +128,6 @@ def _edge_windows(hs: list, pair: EnvelopePair, times: np.ndarray, grid: Grid, i
 
         def values(n):
             return tuple(col[n][:, None] for col in cols)
-    elif shared:
-        raise NonSeparableTimeDependence("a time-dependent black box has no coefficients to freeze")
     else:
         raise ValueError(f"the batch does not share edge {i}'s Hamiltonian or closed form")
     last = []

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CflViolation, ConfigError, NumericalFailure
-from .time_signal import TimeSignal, constant, upper_envelope
+from .time_signal import TimeSignal, _indexable, constant, upper_envelope
 
 __all__ = ["Grid", "SolutionField", "make_grid"]
 
@@ -188,15 +188,6 @@ def edge_nodes(dx: float, radii: Sequence[float]) -> tuple:
     counts = [_indexable(_positive_finite("edge radius", r) / dx, "an edge",
                          f"nodes at dx = {dx:.6g}") for r in radii]
     return tuple(np.arange(max(1, int(round(m))) + 1) * dx for m in counts)
-
-
-def _indexable(n: float, who: str, what: str) -> float:
-    """n; ConfigError "<who> needs <n> <what>, more than <np.intp's maximum> can be indexed"
-    when n is not finite or exceeds np.intp's maximum."""
-    if not n <= np.iinfo(np.intp).max:  # NaN fails too
-        raise ConfigError(f"{who} needs {n:.6g} {what}, "
-                          f"more than {np.iinfo(np.intp).max} can be indexed")
-    return n
 
 
 def _step_count(n: float, speed: TimeSignal) -> int:

@@ -2,7 +2,8 @@
 
 A Hamiltonian here is a function H(t, x, p), convex and coercive in the
 gradient variable p, with time dependence allowed only through declared
-piecewise-constant coefficient signals. The envelope splitting
+piecewise-constant coefficient signals of a known form. The envelope
+splitting
 
     h_plus(p)  = min H          for p <= p_hat,  H(p) otherwise
     h_minus(p) = H(p)           for p <= p_hat,  min H otherwise
@@ -25,8 +26,9 @@ bounds and reflection:
 - control_system.TableHamiltonian, a control edge with a callable f or l:
   its values are its table of lines on the nodes, minimised exactly node
   by node;
-- Hamiltonian itself, a black box: its values are a time and positions
-  (t, xs), minimised numerically (numeric_argmin) once per position, the
+- Hamiltonian itself, a black box: time-independent and bounded by its
+  declared lipschitz_p. Its values are positions xs, read at t = 0, and
+  it is minimised numerically (numeric_argmin) once per position, the
   only numeric search.
 The first two are convex by construction (convex_by_construction), so
 neither their constructors nor junction_problem.validate probe them.
@@ -69,44 +71,37 @@ _MAX_TERNARY = 200
 
 
 class Hamiltonian:
-    """A black-box Hamiltonian: convex in p, known through its evaluator and declared data.
+    """A black-box Hamiltonian H(x, p): convex in p, known through its evaluator and search data.
 
     The two kinds whose form is known are subclasses, ClosedHamiltonian and
     control_system.TableHamiltonian. Each gives its own values, freeze,
     bounds and reflection, and both are convex by construction. Here form
-    is None and coefficients is empty, which is how fd_scheme,
-    junction_problem and approximation tell a black box from a closed form.
+    is None, coefficients and time_data are empty, and H is
+    time-independent: time enters a problem only through the coefficient
+    signals of those two kinds. That is how fd_scheme, junction_problem and
+    approximation tell a black box from a closed form.
 
-    evaluator        callable (t, x, p) -> value. p may arrive as a 1-D array,
-                     and x as one float or as an array elementwise with p;
-                     an evaluator that cannot take arrays raises TypeError
-                     or ValueError and is then called one position (and if
-                     need be one slope) at a time (see elementwise)
+    evaluator        callable (t, x, p) -> value, the same at every t. p may
+                     arrive as a 1-D array, and x as one float or as an
+                     array elementwise with p; an evaluator that cannot take
+                     arrays raises TypeError or ValueError and is then called
+                     one position (and if need be one slope) at a time (see
+                     elementwise)
     lipschitz_p      the declared bound on |dH/dp| over the working slope
                      range (default inf: no bound declared)
     coercivity_radius  the initial bracket radius P, a positive finite
-                     float, with H(t, x, +-P) > H(t, x, 0) at every (t, x);
-                     doubling extends it where needed
+                     float, with H(x, +-P) > H(x, 0) at every x; doubling
+                     extends it where needed
                      These two are the numeric search's data, read by the
-                     default speed and value bounds, by numeric_argmin and
-                     reflected, and by check_convexity's slope span (4 P).
-    time_data        the TimeSignals of H, by name: every reader of a
-                     problem's coefficient mesh sees their breakpoints.
-                     Empty means H is declared time-independent
+                     speed and value bounds, by numeric_argmin and reflected,
+                     and by check_convexity's slope span (4 P).
     x_independent    True when H ignores x (one split point serves all nodes)
     validate         run the convexity probe (check_convexity) now
-    speed_bound      callable (M, ys) -> (C2, source): a bound on |dH/dp| over
-                     the slopes with H <= M at the edge nodes ys (None before a
-                     grid exists), and what it rests on; C2 is a float, or a
-                     TimeSignal bounding each coefficient cell; by default the
-                     declared lipschitz_p
-    value_bound      callable (L, ys) -> a bound on |H| over |p| <= L; by
-                     default |H(0, 0, 0)| + lipschitz_p L, a probe at the origin
-                     (|H(0, 0, 0)| alone at L = 0, also for lipschitz_p inf)
     """
 
     form = None
     coefficients = MappingProxyType({})
+    time_data = MappingProxyType({})
     convex_by_construction = False
 
     def __init__(
@@ -114,19 +109,13 @@ class Hamiltonian:
         evaluator: Callable,
         lipschitz_p: float = np.inf,
         coercivity_radius: float = 1.0,
-        time_data: dict | None = None,
         x_independent: bool = False,
         validate: bool = True,
-        speed_bound: Callable | None = None,
-        value_bound: Callable | None = None,
     ):
         self.evaluator = evaluator
         self.lipschitz_p = float(lipschitz_p)
         self.coercivity_radius = _positive_finite("coercivity_radius", coercivity_radius)
-        self.time_data = dict(time_data) if time_data else {}
         self.x_independent = bool(x_independent)
-        self._speed_bound = speed_bound
-        self._value_bound = value_bound
         if validate and not self.convex_by_construction:
             check_convexity(self)
 
@@ -141,26 +130,26 @@ class Hamiltonian:
         """(C2, source): a bound on |dH/dp| where H <= M, at the edge nodes ys.
 
         C2 is a float, or a TimeSignal when the bound varies with the
-        coefficients (a quadratic with a time-dependent a).
+        coefficients (a quadratic with a time-dependent a). A black box's is
+        its declared lipschitz_p.
         """
-        if self._speed_bound is None:
-            return self.lipschitz_p, f"declared lipschitz_p {self.lipschitz_p:.6g}"
-        return self._speed_bound(M, ys)
+        return self.lipschitz_p, f"declared lipschitz_p {self.lipschitz_p:.6g}"
 
     def value_bound(self, L: float, ys=None) -> float:
-        """A bound on |H| over the slopes |p| <= L, at the edge nodes ys."""
-        if self._value_bound is None:
-            return abs(float(self.evaluator(0.0, 0.0, 0.0))) + (self.lipschitz_p * L if L else 0.0)
-        return self._value_bound(L, ys)
+        """A bound on |H| over the slopes |p| <= L, at the edge nodes ys.
+
+        A black box's is |H(0, 0)| + lipschitz_p L, a probe at the origin
+        (|H(0, 0)| alone at L = 0, also for lipschitz_p inf).
+        """
+        return abs(float(self.evaluator(0.0, 0.0, 0.0))) + (self.lipschitz_p * L if L else 0.0)
 
     def values_at(self, t: float, x) -> tuple:
         """The values at which freeze fixes H at (t, x), one float x or an array of positions.
 
-        A black box's are (t, xs): t = 0 when it ignores t, and xs the
+        A black box's are (0, xs): it is read at t = 0, and xs are the
         positions x, or [0] when it ignores x.
         """
-        return (0.0 if self.time_independent else t,
-                np.zeros(1) if self.x_independent else np.array(x, dtype=float, ndmin=1))
+        return 0.0, np.zeros(1) if self.x_independent else np.array(x, dtype=float, ndmin=1)
 
     def freeze(self, values: tuple) -> Callable:
         """at(t, x) -> (p_hat, h_min, p -> H(p)): h frozen at values (see values_at).
@@ -188,27 +177,14 @@ class Hamiltonian:
             "callable f or l")
 
     def reflected(self) -> "Hamiltonian":
-        """H seen through x -> -x: a black box that keeps the declared search data and
-        bounds, the bounds read at the reflected nodes -ys when H depends on x."""
+        """H seen through x -> -x: a black box that keeps the declared search data."""
         def evaluator(t, y, q, _h=self):
             return _h.evaluator(t, -np.asarray(y, dtype=float) if not _h.x_independent else y,
                                 -np.asarray(q, dtype=float))
 
-        def at_reflected_nodes(bound):
-            if bound is None or self.x_independent:
-                return bound
-            return lambda m, ys: bound(m, None if ys is None else -np.asarray(ys, dtype=float))
-
-        return Hamiltonian(
-            evaluator,
-            lipschitz_p=self.lipschitz_p,
-            coercivity_radius=self.coercivity_radius,
-            time_data=self.time_data,
-            x_independent=self.x_independent,
-            validate=False,
-            speed_bound=at_reflected_nodes(self._speed_bound),
-            value_bound=at_reflected_nodes(self._value_bound),
-        )
+        return Hamiltonian(evaluator, lipschitz_p=self.lipschitz_p,
+                           coercivity_radius=self.coercivity_radius,
+                           x_independent=self.x_independent, validate=False)
 
 
 def elementwise(fn: Callable, t: float, x, a) -> np.ndarray:
@@ -243,32 +219,25 @@ def check_convexity(h: Hamiltonian, n_checks: int = 1000, seed: int = 20) -> Non
 
     A midpoint value that exceeds the mean of its two ends by more than
     _CONVEXITY_TOL fails. Sampling is necessarily incomplete: it covers
-    random (t, x) probes and slopes within four bracket radii.
+    random positions x (0 alone when H ignores x) and slopes within four
+    bracket radii, with H read at t = 0 (a black box ignores t).
     """
     rng = np.random.default_rng(seed)
-    times = [0.0]
-    for sig in h.time_data.values():
-        times.extend(np.asarray(sig.breakpoints[:-1]))
-        times.extend(0.5 * (sig.breakpoints[:-1] + sig.breakpoints[1:]))
-    times = np.asarray(times)
     xs = np.array([0.0]) if h.x_independent else np.array([-1.0, 0.0, 1.0])
-    t_idx = rng.integers(0, len(times), n_checks)
-    x_idx = rng.integers(0, len(xs), n_checks)
-    keys = t_idx * len(xs) + x_idx
+    keys = rng.integers(0, len(xs), n_checks)
+    span = 4.0 * h.coercivity_radius
     for key in np.unique(keys):
         count = int(np.sum(keys == key))
-        t = float(times[key // len(xs)])
-        x = float(xs[key % len(xs)])
-        span = 4.0 * h.coercivity_radius
+        x = float(xs[key])
         p = rng.uniform(-span, span, count)
         q = rng.uniform(-span, span, count)
-        mid = h.eval_p(t, x, 0.5 * (p + q))
-        avg = 0.5 * (h.eval_p(t, x, p) + h.eval_p(t, x, q))
+        mid = h.eval_p(0.0, x, 0.5 * (p + q))
+        avg = 0.5 * (h.eval_p(0.0, x, p) + h.eval_p(0.0, x, q))
         bad = np.flatnonzero(mid > avg + _CONVEXITY_TOL)
         if bad.size:
             j = int(bad[0])
             raise ConvexityError(
-                f"midpoint convexity violated at t={t}, x={x}, p={p[j]}, "
+                f"midpoint convexity violated at x={x}, p={p[j]}, "
                 f"q={q[j]} (excess {float(mid[j] - avg[j]):.3e})")
 
 
@@ -353,7 +322,7 @@ class EnvelopePair:
     two modes. EnvelopePair(h, values) is frozen once, here, at values:
     coefficient values of a closed form (floats, or (rows, 1) columns with
     one row per problem of a batch), a table of lines on nodes, or a black
-    box's time and positions. EnvelopePair(h) is frozen the same way at
+    box's positions. EnvelopePair(h) is frozen the same way at
     values_at(0, 0) when h ignores both t and x, and otherwise frozen again
     at values_at(t, x) on each call. A closed form takes h_min = H(p_hat),
     the minimum as H computes it, so a catalog split equals
@@ -450,8 +419,9 @@ class ClosedHamiltonian(Hamiltonian):
 
     def __init__(self, form: ClosedForm, coefficients: dict, p_span: float | None = None):
         self.form, self.coefficients, self.p_span = form, dict(coefficients), p_span
+        self.time_data = coeff_signals(self.coefficients)
         super().__init__(lambda t, x, p: form.h(p, *form.values_at(self.coefficients, t)),
-                         time_data=coeff_signals(self.coefficients), x_independent=True)
+                         x_independent=True)
 
     def _named(self) -> list:
         return [self.coefficients[k] for k in self.form.names]
@@ -495,8 +465,16 @@ def _quadratic_value_bound(L, a, b, c):
 
 
 def _quadratic_speed(a, k: float):
-    """2 a k: a bound on |dH/dp| = 2 a |p - b| where |p - b| <= k, per cell of a."""
-    return a.shift_values(lambda v: 2.0 * v * k) if isinstance(a, TimeSignal) else 2.0 * a * k
+    """2 a k: a bound on |dH/dp| = 2 a |p - b| where |p - b| <= k, per cell of a.
+
+    A cell whose bound overflows leaves no finite bound: inf, which
+    JunctionProblem.cfl_speed refuses naming the edge.
+    """
+    if not isinstance(a, TimeSignal):
+        return 2.0 * a * k
+    with np.errstate(over="ignore"):
+        speeds = 2.0 * a.values * k
+    return TimeSignal(a.breakpoints.copy(), speeds) if np.isfinite(speeds).all() else np.inf
 
 
 def _quadratic_slope_box(M, p_span, a, b, c):
@@ -576,7 +554,6 @@ def reflected(h: Hamiltonian) -> Hamiltonian:
     coordinates. A closed form maps to a closed form (ClosedForm.reflect),
     so coefficient averaging and mollification survive the reflection, and
     a control edge's table to the table of the opposite sign. A black box
-    keeps its declared speed and value bounds, read at the reflected nodes
-    -ys when it depends on x.
+    keeps its declared search data (lipschitz_p, coercivity_radius).
     """
     return h.reflected()

@@ -42,8 +42,8 @@ from .errors import ConfigError, ConvexityError, FluxLimiterBelowFloor
 from .grid import _positive_finite, edge_data, edge_nodes
 from .hamiltonian import (EnvelopePair, Hamiltonian, abs_shift, check_convexity, eikonal, quadratic,
                           reflected)
-from .time_signal import (_EDGE_TOL, TimeSignal, _off_horizon, constant, on_horizon, union_mesh,
-                          upper_envelope)
+from .time_signal import (_EDGE_TOL, TimeSignal, _midpoints, _off_horizon, constant, on_horizon,
+                          union_mesh, upper_envelope)
 
 __all__ = [
     "Edge",
@@ -130,8 +130,8 @@ class JunctionProblem:
         An x-dependent edge is bounded on the nodes that dx and radii give
         it (grid.edge_nodes), so it needs them. Computed once per problem
         (and node set) and cached. An edge whose bound on |dH/dp| or on |H|
-        is not finite (a black box with lipschitz_p inf and no speed_bound
-        or value_bound) raises ConfigError naming the edge; M is taken over
+        is not finite (a black box with lipschitz_p inf, or a quadratic whose
+        bound overflows) raises ConfigError naming the edge; M is taken over
         the finite bounds on |H|.
         """
         return self._speed_bounds(dx, radii)[:2]
@@ -272,7 +272,7 @@ def _validation_times(problem: JunctionProblem) -> np.ndarray:
     # run this, and np.unique's first call imports numpy.ma (about 14 ms and 0.6 MB)
     knots = np.sort(np.concatenate([mesh, uniform]))
     knots = knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
-    return 0.5 * (knots[:-1] + knots[1:])
+    return _midpoints(knots)
 
 
 def check_floor(problem: JunctionProblem) -> float:

@@ -16,12 +16,27 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyWindow, HorizonMismatch, OutOfHorizon
+from .errors import ConfigError, EmptyWindow, HorizonMismatch, OutOfHorizon
 
 __all__ = ["TimeSignal", "constant", "union_mesh"]
 
 # Relative slack for horizon-boundary comparisons.
 _EDGE_TOL = 1e-12
+
+
+def _indexable(n: float, who: str, what: str) -> float:
+    """n; ConfigError "<who> needs <n> <what>, more than <np.intp's maximum> can be indexed"
+    when n is not finite or exceeds np.intp's maximum."""
+    if not n <= np.iinfo(np.intp).max:  # NaN fails too
+        raise ConfigError(f"{who} needs {n:.6g} {what}, "
+                          f"more than {np.iinfo(np.intp).max} can be indexed")
+    return n
+
+
+def _midpoints(mesh: np.ndarray) -> np.ndarray:
+    """The cell midpoints of mesh, each end halved before the sum: the bits of
+    0.5 (a + b) on a mesh of normal floats, and finite up to the largest float."""
+    return 0.5 * mesh[:-1] + 0.5 * mesh[1:]
 
 
 def _off_horizon(h: float, horizon: float) -> bool:
@@ -128,13 +143,16 @@ class TimeSignal:
         window [mid - eps, mid + eps] (clipped to [0, horizon]) around the
         cell midpoint. Sampling a sliding average cannot increase total
         variation, and the L1 distance to the original vanishes as eps -> 0.
+        A width that needs more cells than np.intp can index raises
+        ConfigError naming it.
         """
         if not eps > 0.0:  # NaN fails too
             raise ValueError(f"mollification width: expected a positive number, got {eps!r}")
         T = self.horizon
-        n = max(1, int(np.ceil(T / (eps / 4.0) - _EDGE_TOL)))
-        mesh = np.linspace(0.0, T, n + 1)
-        mids = 0.5 * (mesh[:-1] + mesh[1:])
+        n = _indexable(T / (eps / 4.0) - _EDGE_TOL, f"smoothing width {eps:g}",
+                       f"cells on [0, {T:g}]")
+        mesh = np.linspace(0.0, T, max(1, int(np.ceil(n))) + 1)
+        mids = _midpoints(mesh)
         vals = np.divide(*self._integrals(np.maximum(mids - eps, 0.0),
                                           np.minimum(mids + eps, T)))
         return TimeSignal(*_coalesce(mesh, vals))
@@ -198,7 +216,7 @@ def union_mesh(signals: Sequence[TimeSignal]) -> np.ndarray:
 def upper_envelope(signals: Sequence[TimeSignal]) -> TimeSignal:
     """The pointwise maximum of several signals (same horizon), on their union mesh."""
     mesh = union_mesh(signals)
-    mids = 0.5 * (mesh[:-1] + mesh[1:])
+    mids = _midpoints(mesh)
     return TimeSignal(*_coalesce(mesh, np.max([s(mids) for s in signals], axis=0)))
 
 

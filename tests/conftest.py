@@ -94,8 +94,8 @@ def random_control_system(rng: np.random.Generator, horizon: float = 0.5,
 def frozen(h: Hamiltonian, a: float, b: float) -> Hamiltonian:
     """h with every coefficient averaged over [a, b]; h itself when time-independent.
 
-    A black box that declares time dependence has no coefficients to
-    average, and with_coefficients refuses it.
+    A callable control edge has no coefficients to average, and
+    with_coefficients refuses it.
     """
     if h.time_independent:
         return h

@@ -85,14 +85,10 @@ def _cost_one_minus_t() -> Hamiltonian:
 
 
 def test_approx_hamiltonian_rejects_black_box_time_dependence():
-    h = Hamiltonian(lambda t, x, p: np.abs(p) + t, lipschitz_p=1.0,
-                    coercivity_radius=2.0, time_data={"kind": "blackbox"},
-                    x_independent=True, validate=False)
+    """A black box is time-independent; the one time dependence with no coefficients
+    to smooth is a callable control edge's, priced per cell and refused."""
     refusal = ("^no coefficients to rebuild from: H is a black box or a control edge with a "
                "callable f or l$")
-    with pytest.raises(NonSeparableTimeDependence, match=refusal):
-        approx_hamiltonian(h, 0.1)
-    # a callable control edge: time-dependent, priced per cell, and refused
     table = _cost_one_minus_t()
     assert not table.time_independent
     rows = _edge_tables(table, EnvelopePair(table), np.array([0.05, 0.95]), np.zeros(1),
@@ -222,15 +218,13 @@ def _black_box_pair():
 
 
 def _x_dependent_pair():
-    """Black boxes whose gap grows with |x|, at a step signal and at its smoothing."""
-    def black_box(s: TimeSignal) -> Hamiltonian:
-        return Hamiltonian(lambda t, x, p: np.abs(p) * (1.0 + s(t) * np.minimum(np.abs(x), 1.0))
-                           - 1.0, lipschitz_p=1.3, coercivity_radius=1.0, time_data={"s": s},
-                           x_independent=False, validate=False)
+    """Time-independent black boxes whose gap grows with |x|, at s = 0.3 and at s = 0.1."""
+    def black_box(s: float) -> Hamiltonian:
+        return Hamiltonian(lambda t, x, p: np.abs(p) * (1.0 + s * np.minimum(np.abs(x), 1.0))
+                           - 1.0, lipschitz_p=1.3, coercivity_radius=1.0, validate=False)
 
-    s = TimeSignal(np.array([0.0, 0.45, 1.0]), np.array([0.0, 0.3]))
-    prob = _quadratic_right_edge(black_box(s))
-    smoothed = JunctionProblem([prob.edges[0], Edge(black_box(s.mollify(0.1)))],
+    prob = _quadratic_right_edge(black_box(0.3))
+    smoothed = JunctionProblem([prob.edges[0], Edge(black_box(0.1))],
                                prob.flux_limiter.mollify(0.1), prob.initial_data, 0.0, 1.0)
     return prob, smoothed
 

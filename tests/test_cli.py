@@ -670,6 +670,23 @@ _BAD_ENTRIES = {
                  "junction A0: expected a finite number, got False"),
     "controls_n_true": (_model_config, _CS_EDGE + ("controls", "n"), True,
                         "edge 0 controls n: expected an integer, got True"),
+    # refusals of a whole block, not of one value's kind
+    "flux_limiter_unordered": (_step_config, ("flux_limiter",),
+                               {"breakpoints": [0.0, 0.6, 0.5, 1.0], "values": [0.0, 1.0, 2.0]},
+                               "flux_limiter: bad step signal {'breakpoints': [0.0, 0.6, 0.5, "
+                               "1.0], 'values': [0.0, 1.0, 2.0]}: breakpoints must be strictly "
+                               "increasing"),
+    "control_induced_edge": (_step_config, ("edges", 0, "hamiltonian"),
+                             {"form": "control_induced"},
+                             "control_induced Hamiltonians are built from the control_system "
+                             "block, not from an edge entry"),
+    "cs_one_edge": (_model_config, ("control_system", "edges"),
+                    _model_config()["control_system"]["edges"][:1],
+                    "control_system needs at least two edges"),
+    "edges_one": (_step_config, ("edges",), _step_config()["edges"][:1],
+                  "'edges' must list at least two edges"),
+    "line_three_edges": (_step_config, ("edges",), _step_config()["edges"] * 2,
+                         "line orientation needs exactly two edges"),
 }
 
 
@@ -685,6 +702,20 @@ def test_bad_entries_exit_1_with_one_line_naming_the_entry(tmp_path: Path, capsy
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"configuration error: {name}")
+
+
+@pytest.mark.parametrize("u0, datum", [
+    ({"form": "constant", "c": 0.3}, lambda x: 0.3),
+    ({"form": "min_const_abs", "c": 0.5}, lambda x: min(0.5, abs(x))),
+], ids=["constant", "min_const_abs"])
+def test_each_datum_form_solves_from_its_datum(tmp_path: Path, u0, datum):
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", _write(tmp_path, _step_config(u0=u0)), "--dx", "0.1",
+               "--out", str(out)])
+    assert rc == 0
+    level0 = {x: u for (t, x), u in _read_field(out / "field.csv").items() if t == 0.0}
+    assert len(level0) > 2
+    assert all(u == datum(x) for x, u in level0.items())
 
 
 # --T, --R-domain and --controls: the problem file alone sets T, R_domain and the
@@ -796,6 +827,18 @@ def test_a_grid_no_array_can_index_exits_1_naming_its_step_count_and_c2(tmp_path
     assert not out.exists()
 
 
+def test_a_width_no_array_can_index_exits_1_naming_it(tmp_path: Path, capsys):
+    """mollify refuses the cell count of a width as the grid refuses its step count."""
+    out = tmp_path / "out"
+    rc = main(["approx", "--problem", _write(tmp_path, _model_config()), "--dx", "0.1",
+               "--widths", "1e-300", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: smoothing width 1e-300 needs 4e+300 cells on [0, 1], "
+        f"more than {np.iinfo(np.intp).max} can be indexed"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", ["--slope-box", "--radius"])
 def test_slope_box_and_radius_are_refused_by_approx(tmp_path: Path, capsys, option):
     """approx measures its slope box K from the run and takes R from the grid, so
@@ -874,6 +917,35 @@ def test_a_datum_slope_whose_square_overflows_has_no_bound_on_h(tmp_path: Path, 
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("command", ["validate", "solve", "approx"])
+def test_a_quadratic_a_cell_whose_speed_overflows_has_no_speed_bound(tmp_path: Path, capsys,
+                                                                     recwarn, command):
+    """A cell of 1e308 in a: 2 a K overflows, so the edge has no finite bound for C2.
+
+    validate reports it in its informational cfl_speed line and exits 0; solve
+    refuses it naming the edge; approx refuses the averaged a that the cell
+    cancels to 0.0 before it needs C2.
+    """
+    cfg = bench_tdq_config(1)
+    cfg["edges"][1]["hamiltonian"]["a"]["values"][0] = 1e308
+    out = tmp_path / "out"
+    rc = main(_argv(command, _write(tmp_path, cfg), out))
+    captured = capsys.readouterr()
+    assert not recwarn.list
+    refusal = ("edge 1 has no finite speed bound for C2: slope box [-2.95e+153, 2.95e+153] "
+               "of {H <= 6.25e+306}")
+    if command == "validate":
+        assert rc == 0 and captured.err == ""
+        assert f"pass  cfl_speed  ({refusal})" in captured.out.splitlines()
+        return
+    if command == "approx":
+        refusal = ("quadratic a: its average at smoothing width 0.2 is 0.0, "
+                   "expected a positive number")
+    assert rc == 1
+    assert captured.err.splitlines() == [f"configuration error: {refusal}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "solve", "compare", "approx"])
 def test_a_horizon_at_the_breakpoint_tolerance_exits_1_naming_t(tmp_path: Path, capsys,
                                                                 recwarn, command):
@@ -887,16 +959,25 @@ def test_a_horizon_at_the_breakpoint_tolerance_exits_1_naming_t(tmp_path: Path, 
     assert not recwarn.list
 
 
-# the sampled times' midpoints overflow to inf with a RuntimeWarning, which is still open
-@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
 @pytest.mark.parametrize("command", ["validate", "solve", "compare", "approx"])
 def test_a_horizon_whose_times_overflow_names_the_first_time_out_of_it(tmp_path: Path,
-                                                                       capsys, command):
+                                                                       capsys, recwarn,
+                                                                       command):
+    """T = 1e308: validate's sampled times are halved before they are summed, so none
+    leaves the horizon and validate passes. A marching command refuses the count of
+    time steps, or approx of smoothing cells, that the horizon needs."""
     out = tmp_path / "out"
     rc = main(_argv(command, _write(tmp_path, _model_config(T=1e308)), out))
+    err = capsys.readouterr().err.splitlines()
+    assert not recwarn.list
+    if command == "validate":
+        assert (rc, err, sorted(p.name for p in out.iterdir())) == (0, [], ["validate.json"])
+        return
+    needs = ("smoothing width 0.2 needs inf cells on [0, 1e+308]" if command == "approx"
+             else "the grid needs inf time steps at C2 = 1")
     assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "configuration error: t=inf outside [0, 1e+308]"]
+    assert err == [f"configuration error: {needs}, "
+                   f"more than {np.iinfo(np.intp).max} can be indexed"]
     assert not out.exists()
 
 

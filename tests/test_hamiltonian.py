@@ -21,7 +21,7 @@ from hjj import (
 )
 from hjj.control_system import TableHamiltonian, _induced
 from hjj.hamiltonian import CATALOG, ClosedForm, ClosedHamiltonian, EnvelopePair, numeric_argmin
-from hjj.errors import BracketFailure, ConfigError, ConvexityError, NonSeparableTimeDependence
+from hjj.errors import BracketFailure, ConfigError, ConvexityError
 
 from conftest import frozen
 
@@ -183,14 +183,6 @@ def test_frozen_averages_time_signal_coefficients():
     assert averaged.eval_p(0.9, 0.0, np.array([-1.0]))[0] == pytest.approx(1.5, abs=1e-15)
 
 
-def test_frozen_rejects_black_box_time_dependence():
-    h = Hamiltonian(lambda t, x, p: np.abs(p) + t, lipschitz_p=1.0,
-                    coercivity_radius=2.0, time_data={"kind": "blackbox"},
-                    x_independent=True, validate=False)
-    with pytest.raises(NonSeparableTimeDependence):
-        frozen(h, 0.0, 0.5)
-
-
 def test_reflected_quadratic_negates_the_drift():
     h = quadratic(2.0, 1.0, -3.0)
     r = reflected(h)
@@ -213,25 +205,6 @@ def test_reflected_generic_wrapper_and_involution():
                          - eikonal().eval_p(0.0, 0.0, ps))) <= 1e-15
     assert r.coercivity_radius == rr.coercivity_radius == h.coercivity_radius == 3.0
     assert numeric_argmin(r, 0.0, 0.0) == pytest.approx((-1.0, 0.0), abs=1e-9)
-
-
-def test_reflected_black_box_keeps_its_declared_bounds_at_the_mirrored_nodes():
-    """H = (1 + max(x, 0)) |p| - 1 declares both bounds from its largest node x.
-
-    Its reflection sees edge-local nodes y >= 0 at x = -y <= 0, so both bounds
-    read the original's nodes -ys and find x <= 0.
-    """
-    def reach(ys):
-        return 1.0 + max(float(np.max(ys)), 0.0)
-
-    h = Hamiltonian(lambda t, x, p: (1.0 + np.maximum(x, 0.0)) * np.abs(p) - 1.0,
-                    lipschitz_p=np.inf, validate=False,
-                    speed_bound=lambda M, ys: (reach(ys), "declared reach"),
-                    value_bound=lambda L, ys: 1.0 + reach(ys) * L)
-    ys = np.linspace(0.0, 2.0, 5)
-    assert (h.speed_bound(5.0, ys), h.value_bound(2.0, ys)) == ((3.0, "declared reach"), 7.0)
-    r = reflected(h)
-    assert (r.speed_bound(5.0, ys), r.value_bound(2.0, ys)) == ((1.0, "declared reach"), 3.0)
 
 
 def test_envelope_evaluations_are_reproducible():
@@ -280,13 +253,13 @@ def test_closed_form_envelopes_agree_with_the_numeric_split():
 
 
 def test_each_kind_of_hamiltonian_is_one_class():
-    """A black box is Hamiltonian itself, and its constructor takes eight values; a
-    closed form is a ClosedHamiltonian and a callable control edge a TableHamiltonian,
-    each built from its own data alone. closed_hamiltonian is gone."""
+    """A black box is Hamiltonian itself, and its constructor takes five values: the
+    numeric search's data, and no time dependence or bound callables. A closed form
+    is a ClosedHamiltonian and a callable control edge a TableHamiltonian, each built
+    from its own data alone. closed_hamiltonian is gone."""
     assert not hasattr(hamiltonian_module, "closed_hamiltonian")
     assert list(inspect.signature(Hamiltonian).parameters) == [
-        "evaluator", "lipschitz_p", "coercivity_radius", "time_data", "x_independent",
-        "validate", "speed_bound", "value_bound"]
+        "evaluator", "lipschitz_p", "coercivity_radius", "x_independent", "validate"]
     assert (list(inspect.signature(TableHamiltonian).parameters)
             == list(inspect.signature(_induced).parameters) == ["edge", "sign"])
     assert list(inspect.signature(ClosedHamiltonian).parameters) == ["form", "coefficients",
@@ -422,35 +395,33 @@ def test_a_lazy_catalog_pair_is_the_pair_frozen_at_t(monkeypatch):
         _assert_same_bytes((env.h_min(t, 0.0),), (frozen.h_min(0.0, 0.0),))
 
 
-def _random_black_box(rng: np.random.Generator, on_x: bool, on_t: bool) -> Hamiltonian:
-    """a (p - b)^2 + c |p| + d with a, b and d moving in x, in t, or in both."""
+def _random_black_box(rng: np.random.Generator, on_x: bool) -> Hamiltonian:
+    """a (p - b)^2 + c |p| + d with a, b and d moving in x, or fixed."""
     a, b = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
     c, d = rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0)
-    kx, kt = rng.uniform(0.5, 3.0, 2)
+    kx = rng.uniform(0.5, 3.0)
 
     def evaluator(t, x, p):
-        s = (kx * np.asarray(x, dtype=float) if on_x else 0.0) + (kt * t if on_t else 0.0)
+        s = kx * np.asarray(x, dtype=float) if on_x else 0.0
         p = np.asarray(p, dtype=float)
         return a * (1.0 + 0.5 * np.sin(s) ** 2) * (p - b * np.cos(s)) ** 2 + c * np.abs(p) + d * s
 
-    time_data = {"t": TimeSignal(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0]))} if on_t else {}
-    return Hamiltonian(evaluator, lipschitz_p=10.0, coercivity_radius=2.0, time_data=time_data,
+    return Hamiltonian(evaluator, lipschitz_p=10.0, coercivity_radius=2.0,
                        x_independent=not on_x, validate=False)
 
 
-@pytest.mark.parametrize("on_x, on_t", [(True, False), (False, True), (True, True)],
-                         ids=["x", "t", "x-and-t"])
-def test_a_black_box_freezes_at_each_node_as_numeric_argmin_finds_it(on_x, on_t):
+@pytest.mark.parametrize("on_x", [True, False], ids=["x", "neither"])
+def test_a_black_box_freezes_at_each_node_as_numeric_argmin_finds_it(on_x):
     """h.freeze(h.values_at(t, ys)) and argmin_p give numeric_argmin's pair bit for bit.
 
     The frozen box looks every node of ys up, one float or the whole array,
-    and evaluates H at the queried (t, x).
+    and evaluates H at the queried (t, x); a black box is the same at every t.
     """
     rng = np.random.default_rng(113)
     ys = np.linspace(0.0, 1.5, 7)
     p = np.linspace(-3.0, 3.0, 13)
     for _ in range(10):
-        h = _random_black_box(rng, on_x, on_t)
+        h = _random_black_box(rng, on_x)
         t = float(rng.uniform(0.0, 1.0))
         at = h.freeze(h.values_at(t, ys))
         want = [numeric_argmin(h, t, y) for y in ys.tolist()]

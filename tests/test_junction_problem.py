@@ -442,19 +442,18 @@ def test_validate_reports_c2_and_its_source():
         assert (item.name, item.passed, item.detail) == ("cfl_speed", True, detail)
 
 
-def _black_box(**bounds) -> Hamiltonian:
-    """|p| - 1 declared as a black box with no finite lipschitz_p."""
-    return Hamiltonian(lambda t, x, p: np.abs(p) - 1.0, lipschitz_p=np.inf,
-                       x_independent=True, **bounds)
+def _black_box(lipschitz_p: float = np.inf) -> Hamiltonian:
+    """|p| - 1 declared as a black box, with no finite lipschitz_p by default."""
+    return Hamiltonian(lambda t, x, p: np.abs(p) - 1.0, lipschitz_p=lipschitz_p,
+                       x_independent=True)
 
 
 @pytest.mark.parametrize("edge", [0, 1])
 def test_a_declared_speed_bound_gives_the_same_c2_on_either_half_line(edge):
-    box = _black_box(speed_bound=lambda M, ys: (3.0, "declared 3"))
     hams = [eikonal(), eikonal()]
-    hams[edge] = box
+    hams[edge] = _black_box(lipschitz_p=3.0)
     prob = from_line(*hams, constant(0.0, 1.0), zero_datum, 0.0, 1.0)
-    assert prob.cfl_speed() == (3.0, f"declared 3 on edge {edge}")
+    assert prob.cfl_speed() == (3.0, f"declared lipschitz_p 3 on edge {edge}")
 
 
 def test_an_edge_without_a_finite_speed_bound_is_refused_by_name():
@@ -468,27 +467,24 @@ def test_an_edge_without_a_finite_speed_bound_is_refused_by_name():
     assert (item.name, item.passed, item.detail) == ("cfl_speed", True, msg)
 
 
-@pytest.mark.parametrize("declared", [False, True])
+@pytest.mark.parametrize("declared", [False])
 def test_an_edge_without_a_finite_value_bound_is_refused_by_name(declared):
-    """A black box with lipschitz_p inf and no value_bound, beside a quadratic.
+    """A black box that declares no lipschitz_p (declared False), beside a quadratic.
 
-    At L = 1 its bound on |H| is inf: C2 names the black box (its speed
-    bound, or, when it declares one, its value bound) and not the quadratic,
-    whose slope box that inf would blow up. At L = 0 the bound is |H(0)|.
+    At L = 1 its bound on |H| is inf: C2 names the black box's speed bound
+    and not the quadratic, whose slope box that inf would blow up. At L = 0
+    the bound is |H(0)|, and the speed bound is still refused.
     """
-    box = _black_box(**({"speed_bound": lambda M, ys: (3.0, "declared 3")} if declared else {}))
+    assert not declared
+    box = _black_box()
     prob = from_line(quadratic(1.0, 0.0, -1.0), box, constant(0.0, 1.0), abs, 1.0, 1.0)
-    msg = ("edge 1 has no finite bound on |H| for C2: got inf" if declared
-           else "edge 1 has no finite speed bound for C2: declared lipschitz_p inf")
+    msg = "edge 1 has no finite speed bound for C2: declared lipschitz_p inf"
     with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
         prob.cfl_speed()
     assert box.value_bound(0.0) == 1.0
     flat = from_line(quadratic(1.0, 0.0, -1.0), box, constant(0.0, 1.0), zero_datum, 0.0, 1.0)
-    if declared:
-        assert flat.cfl_speed() == (3.0, "declared 3 on edge 1")
-    else:
-        with pytest.raises(ConfigError, match="^edge 1 has no finite speed bound"):
-            flat.cfl_speed()
+    with pytest.raises(ConfigError, match="^edge 1 has no finite speed bound"):
+        flat.cfl_speed()
 
 
 def _step_or_float(rng: np.random.Generator, lo: float, hi: float):
@@ -538,14 +534,17 @@ def test_c2_bounds_the_slope_speed_on_the_slope_box():
     ("enumerate_trajectories", "arrival_tol"), ("check_convexity", "tol"),
     ("make_grid", "cfl_safety"), ("grid_for", "cfl_safety"), ("oracle_grid", "cfl_safety"),
     ("comparison_diagnostic", "K"), ("comparison_diagnostic", "R"), ("Hamiltonian", "form"),
-    ("Hamiltonian", "coefficients"), ("Hamiltonian", "rebuild"), ("Hamiltonian", "reflect")])
+    ("Hamiltonian", "coefficients"), ("Hamiltonian", "rebuild"), ("Hamiltonian", "reflect"),
+    ("Hamiltonian", "time_data"), ("Hamiltonian", "speed_bound"), ("Hamiltonian", "value_bound")])
 def test_the_fixed_sampling_settings_are_no_keywords(name, keyword):
     """validate, compute_kn, enumerate_trajectories and check_convexity read their
     sampling densities, budget and tolerances from module constants, the grid
     builders their step share (grid._CFL_SAFETY), and comparison_diagnostic
     measures its slope box K and takes R from the grid: no keyword sets them.
     A Hamiltonian is a black box: a closed form's form, coefficients, rebuild and
-    reflection belong to ClosedHamiltonian, and no keyword sets them."""
+    reflection belong to ClosedHamiltonian, and no keyword sets them; a black box
+    is time-independent and bounded by its lipschitz_p, so no keyword declares
+    time data or bound callables."""
     problem, cs = _line_eikonal(-1.0), build_model_system()
     call = {"validate": lambda **kw: validate(problem, **kw),
             "compute_kn": lambda **kw: compute_kn(problem, problem, K=1.0, R=1.0, **kw),

@@ -24,8 +24,8 @@ per rung, in this fixed order:
 Two checkouts that print the same lines wrote byte-identical artifacts.
 RUNS records the prefix each rung prints today; with --check the tool exits
 1 and names every rung whose prefix moved. A change that moves an artifact
-by design updates its recorded prefix. Exits nonzero, naming the command,
-when one of them fails.
+by design updates its recorded prefix. Exits nonzero, naming the rung,
+when its command fails or writes anything to stderr (a warning, say).
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def main(argv: list) -> int:
             cmd = [sys.executable, "-m", "hjj.cli", command, "--problem",
                    str(Path(tmp, f"{stem}.json")), *options.split(), "--out", str(out)]
             done = subprocess.run(cmd, env=env, cwd=tmp, capture_output=True, text=True)
-            if done.returncode != 0:
+            if done.returncode != 0 or done.stderr:
                 print(f"{label}: exit {done.returncode}: {done.stderr.strip()}", file=sys.stderr)
                 return 1
             digest = hashlib.sha1()

@@ -20,7 +20,8 @@ stops at its first non-finite level, so each run reads its field once
 Each run that raises prints one line. The summary gives, per family, the
 runs, the failures and the median ratio of per-window steps to uniform
 steps (dt = 0.5 dx / sup C2), and for tdc the largest gap between the two
-routes. Exits 1 when a run raised.
+routes. Exits 1 when a run raised; under `python -W error` a run that warns
+raises, so it fails too.
 """
 
 from __future__ import annotations
